@@ -165,7 +165,6 @@ int main(int argc, char** argv) {
          << ", \"oram_shard_walks\": " << m.oram_shard_walks
          << ", \"oram_shard_migrations\": " << m.oram_shard_migrations
          << ", \"oram_max_concurrent_walks\": " << m.oram_max_concurrent_walks
-         << ", \"oram_coalesced_reads\": " << m.oram_coalesced_reads
          << ",\n     \"shards\": [";
     for (size_t s = 0; s < m.oram_shards.size(); ++s) {
       const auto& shard = m.oram_shards[s];

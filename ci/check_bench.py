@@ -41,17 +41,6 @@ service — BENCH_service.json (the front-door overload sweep). Checks:
      full-fleet churn goodput is also compared against the committed
      baseline at --tolerance when the baseline recorded one.
 
-micro — BENCH_micro_compare.json (bench_micro --compare: reference switch
-  loop vs fast-dispatch engine, wall ns/opcode per family). Checks:
-  1. identity precondition — every family ran bit-identical on both engines
-     (status, gas remainder, output, retired-op count); a speedup from a
-     diverging run is meaningless;
-  2. geomean floor — the geomean speedup over the gated families must be at
-     least --min-micro-speedup. The ratio is runner-self-normalizing (both
-     engines run on the same host), so no wall baseline is needed;
-  3. per-family regression — each gated family's speedup must stay within
-     --tolerance of the committed baseline ratio (0 = no-baseline sentinel).
-
 crash — BENCH_crash.json (bench_crash, typically --paged --scale 10: the
   big-state crash drill over the paged backend). Needs no baseline; every
   check is self-contained in the report:
@@ -319,66 +308,6 @@ def check_service(args):
     return rows, failures
 
 
-def micro_families(report, path, role):
-    families = report.get("families")
-    if not isinstance(families, list) or not families:
-        fail_input(f"{role} {path}: 'families' must be a non-empty array")
-    out = {}
-    for i, fam in enumerate(families):
-        if not isinstance(fam, dict) or "name" not in fam:
-            fail_input(f"{role} {path}: families[{i}] must be an object with a 'name'")
-        out[fam["name"]] = fam
-    return out
-
-
-def check_micro(args):
-    report = load(args.current, "current report")
-    current = micro_families(report, args.current, "current report")
-    baseline = micro_families(load(args.baseline, "baseline"),
-                              args.baseline, "baseline")
-    failures = []
-    rows = []
-
-    # 1. Identity precondition: both engines bit-identical on every family.
-    for name, fam in current.items():
-        if not fam.get("identical", False):
-            failures.append(f"family '{name}' diverged between the reference and "
-                            f"fast engines: the speedup is meaningless")
-
-    # 2. Geomean floor over the gated families (self-normalizing ratio).
-    geomean = report.get("geomean_gated_speedup", 0.0)
-    if args.min_micro_speedup > 0:
-        verdict = "ok" if geomean >= args.min_micro_speedup else "FAIL"
-        rows.append(("geomean speedup", "gated", f"{geomean:.2f}x",
-                     f">= {args.min_micro_speedup:.2f}x", verdict))
-        if verdict == "FAIL":
-            failures.append(
-                f"gated geomean speedup {geomean:.2f}x is below "
-                f"{args.min_micro_speedup:.2f}x: the fast path lost its edge")
-
-    # 3. Per-family regression vs the committed baseline ratio.
-    for name in sorted(baseline):
-        base = baseline[name].get("speedup", 0.0)
-        if base <= 0:
-            continue  # 0 = no-baseline sentinel (report-only family)
-        if name not in current:
-            failures.append(f"baseline has family '{name}' but current report does not")
-            continue
-        cur = current[name].get("speedup", 0.0)
-        delta = (cur - base) / base
-        floor = base * (1.0 - args.tolerance)
-        verdict = "ok" if cur >= floor else "FAIL"
-        rows.append((f"{name} speedup", "ref/fast",
-                     f"{cur:.2f}x (base {base:.2f}x, {delta:+.1%})",
-                     f">= {floor:.2f}x", verdict))
-        if verdict == "FAIL":
-            failures.append(
-                f"family '{name}' speedup {cur:.2f}x fell below "
-                f"{floor:.2f}x (baseline {base:.2f}x - {args.tolerance:.0%})")
-
-    return rows, failures
-
-
 def check_crash(args):
     report = load(args.current, "current report")
     failures = []
@@ -474,7 +403,7 @@ def check_crash(args):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--mode", choices=("throughput", "service", "micro", "crash"),
+    ap.add_argument("--mode", choices=("throughput", "service", "crash"),
                     default="throughput",
                     help="which bench report to gate (default: throughput)")
     ap.add_argument("--current", required=True, help="bench JSON from this run")
@@ -491,9 +420,6 @@ def main():
     ap.add_argument("--min-churn-goodput-frac", type=float, default=0.80,
                     help="[service] min goodput with k of N devices alive, as "
                          "a fraction of (k/N) x the full-fleet figure")
-    ap.add_argument("--min-micro-speedup", type=float, default=3.0,
-                    help="[micro] min geomean fast-path speedup over gated "
-                         "opcode families (0 disables)")
     ap.add_argument("--min-recoverable", type=int, default=1,
                     help="[crash] min trials that recovered a usable image")
     ap.add_argument("--min-warm-speedup", type=float, default=1.0,
@@ -513,7 +439,7 @@ def main():
                                      f"{args.mode}.json")
 
     check = {"throughput": check_throughput, "service": check_service,
-             "micro": check_micro, "crash": check_crash}[args.mode]
+             "crash": check_crash}[args.mode]
     rows, failures = check(args)
 
     lines = [f"## Perf gate: {args.mode}", "",

@@ -86,45 +86,6 @@ class u256 {
 
   u256 neg() const { return u256{} - *this; }  ///< two's complement negation
 
-  // In-place limb operations for the fast execution path: the result is
-  // written over *this without materializing a temporary u256 (the binary
-  // operators above return by value, which costs a 32-byte copy per hot ALU
-  // op in the decoded dispatch loop).
-  constexpr void add_in_place(const u256& b) {
-    uint64_t carry = 0;
-    for (size_t i = 0; i < 4; ++i) {
-      const uint64_t s = limbs_[i] + b.limbs_[i];
-      const uint64_t c1 = static_cast<uint64_t>(s < limbs_[i]);
-      const uint64_t s2 = s + carry;
-      carry = c1 | static_cast<uint64_t>(s2 < s);
-      limbs_[i] = s2;
-    }
-  }
-  /// *this = a - *this (subtrahend in place; matches EVM SUB where the
-  /// minuend is the stack top and the result lands one slot below).
-  constexpr void rsub_in_place(const u256& a) {
-    uint64_t borrow = 0;
-    for (size_t i = 0; i < 4; ++i) {
-      const uint64_t d = a.limbs_[i] - limbs_[i];
-      const uint64_t b1 = static_cast<uint64_t>(a.limbs_[i] < limbs_[i]);
-      const uint64_t d2 = d - borrow;
-      borrow = b1 | static_cast<uint64_t>(d < borrow);
-      limbs_[i] = d2;
-    }
-  }
-  constexpr void and_in_place(const u256& b) {
-    for (size_t i = 0; i < 4; ++i) limbs_[i] &= b.limbs_[i];
-  }
-  constexpr void or_in_place(const u256& b) {
-    for (size_t i = 0; i < 4; ++i) limbs_[i] |= b.limbs_[i];
-  }
-  constexpr void xor_in_place(const u256& b) {
-    for (size_t i = 0; i < 4; ++i) limbs_[i] ^= b.limbs_[i];
-  }
-  constexpr void not_in_place() {
-    for (size_t i = 0; i < 4; ++i) limbs_[i] = ~limbs_[i];
-  }
-
   /// Quotient and remainder in one pass. Returns {0, 0} when b == 0.
   static std::pair<u256, u256> divmod(const u256& a, const u256& b);
 

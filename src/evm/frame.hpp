@@ -1,14 +1,7 @@
-// Internal header shared by the two execution engines (interpreter.cpp and
-// fastpath.cpp): the per-call Frame, the gas constants not covered by the
-// static opcode table, and the opcode bodies with dynamic gas or observable
-// side effects.
-//
-// Why the bodies live here as inline Interpreter members: the fast engine
-// (DESIGN.md §14) prepays static gas per charge group but must reach every
-// dynamic-gas opcode with bit-identical frame state, so both engines call the
-// *same* body for anything that charges dynamically, touches world state, or
-// emits observer events. Duplicate implementations would drift; a shared
-// out-of-line call would stop the reference switch from inlining them.
+// Internal header of the interpreter (interpreter.cpp): the per-call Frame,
+// the gas constants not covered by the static opcode table, and the opcode
+// bodies with dynamic gas or observable side effects. The bodies are inline
+// Interpreter members so the dispatch switch can inline them.
 #pragma once
 
 #include <algorithm>
@@ -140,10 +133,8 @@ struct Interpreter::Frame {
 };
 
 // ---------------------------------------------------------------------------
-// Shared opcode bodies (everything with dynamic gas, state access, or
-// observer events). Each body runs AFTER the static gas of its opcode has
-// been charged — per opcode by the reference loop, per charge group by the
-// fast loop.
+// Opcode bodies with dynamic gas, state access, or observer events. Each
+// body runs AFTER dispatch_loop has charged the static gas of its opcode.
 // ---------------------------------------------------------------------------
 
 inline void Interpreter::op_exp(Frame& f) {

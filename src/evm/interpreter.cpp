@@ -6,7 +6,6 @@
 #include "crypto/keccak.hpp"
 #include "crypto/secp256k1.hpp"
 #include "crypto/sha256.hpp"
-#include "evm/fastpath.hpp"
 #include "evm/frame.hpp"
 #include "trie/rlp.hpp"
 
@@ -346,19 +345,7 @@ CallResult Interpreter::run_frame(const Message& msg, BytesView code) {
                                msg.is_create, msg.is_static});
   }
 
-  if (engine_ == EngineKind::kFast) {
-    // Superinstruction fusion is only legal when no observer watches the
-    // per-opcode event stream; with an observer the decoded loop runs
-    // opcode-at-a-time so on_step sequences stay bit-identical.
-    const fastpath::DecodedCode decoded = fastpath::decode(code, observer_ == nullptr);
-    const bool finished = observer_ ? run_decoded<true>(f, decoded)
-                                    : run_decoded<false>(f, decoded);
-    // A bail-out left f.pc at the start of an unexecuted block/charge group;
-    // the reference loop finishes the frame with per-opcode semantics.
-    if (!finished) dispatch_loop(f);
-  } else {
-    dispatch_loop(f);
-  }
+  dispatch_loop(f);
 
   if (observer_) {
     observer_->on_frame_exit({f.status, msg.gas - f.gas, f.output.size(),

@@ -19,22 +19,6 @@
 
 namespace hardtape::evm {
 
-namespace fastpath {
-struct DecodedCode;  // fastpath.hpp
-}
-
-/// Which execution engine runs the frames of this interpreter.
-///
-///  - kReference: the cycle-accurate switch dispatch loop. The semantic
-///    ground truth and the accounting layer for the paper's figures.
-///  - kFast: pre-decoded flat instruction stream with basic-block gas and
-///    memory-expansion precomputation, computed-goto dispatch, in-place limb
-///    arithmetic and superinstruction fusion (DESIGN.md §14). Bit-identical
-///    results, gas remainders and observer event streams by construction:
-///    with an observer attached it runs a per-opcode decoded mode, and any
-///    basic-block precheck failure bails out to the reference loop.
-enum class EngineKind : uint8_t { kReference, kFast };
-
 class Interpreter {
  public:
   Interpreter(state::OverlayState& state, BlockContext block)
@@ -42,10 +26,6 @@ class Interpreter {
 
   /// Attach an observer (tracer / HEVM cost model). Not owned; may be null.
   void set_observer(ExecutionObserver* observer) { observer_ = observer; }
-
-  /// Select the execution engine for subsequent frames (default: reference).
-  void set_engine(EngineKind engine) { engine_ = engine; }
-  EngineKind engine() const { return engine_; }
 
   /// Hard cap on one frame's Memory size in bytes; exceeding it aborts the
   /// bundle with kMemoryOverflow. Models the paper's rule that a frame
@@ -76,8 +56,8 @@ class Interpreter {
   CallResult call(const Message& msg);
 
   /// Final state of the outermost frame, captured independently of observers
-  /// (CallResult only exposes status/output/gas). Used by the differential
-  /// fuzz to compare stack and memory across engines.
+  /// (CallResult only exposes status/output/gas). Used by the observer fuzz
+  /// to check that attaching an observer never changes stack or memory.
   struct FrameDebug {
     std::vector<u256> stack;  ///< bottom first
     Bytes memory;
@@ -95,15 +75,8 @@ class Interpreter {
   struct Frame;
 
   CallResult run_frame(const Message& msg, BytesView code);
-  /// The reference switch loop: executes f from its current pc until the
-  /// frame halts. Also the fast engine's bail-out continuation — it must be
-  /// callable on a frame the decoded loop has partially executed.
+  /// The switch dispatch loop: executes f from its pc until the frame halts.
   void dispatch_loop(Frame& f);
-  /// The decoded fast loop (fastpath.cpp). Returns false when it bailed out
-  /// before executing anything of the block/charge group at f.pc; the caller
-  /// then finishes the frame with dispatch_loop.
-  template <bool kObserved>
-  bool run_decoded(Frame& f, const fastpath::DecodedCode& dc);
   CallResult run_create(const Message& msg);
   CallResult run_precompile(const Message& msg);
   static bool is_precompile(const Address& addr);
@@ -114,9 +87,9 @@ class Interpreter {
   void do_create_family(Frame& f, Opcode op);
   void do_sstore(Frame& f);
 
-  // Opcode bodies shared by both engines (defined inline in frame.hpp):
-  // everything with dynamic gas, state access, or observer events. Each runs
-  // after its opcode's static gas has been charged.
+  // Opcode bodies with dynamic gas, state access, or observer events
+  // (defined inline in frame.hpp). Each runs after dispatch_loop has charged
+  // its opcode's static gas.
   void op_exp(Frame& f);
   void op_sha3(Frame& f);
   void op_balance(Frame& f);
@@ -142,13 +115,9 @@ class Interpreter {
   state::OverlayState& state_;
   BlockContext block_;
   ExecutionObserver* observer_ = nullptr;
-  EngineKind engine_ = EngineKind::kReference;
   FrameDebug* frame_debug_ = nullptr;
   uint64_t frame_memory_limit_ = 0;
   bool bundle_aborted_ = false;  // sticky kMemoryOverflow
 };
-
-extern template bool Interpreter::run_decoded<true>(Frame&, const fastpath::DecodedCode&);
-extern template bool Interpreter::run_decoded<false>(Frame&, const fastpath::DecodedCode&);
 
 }  // namespace hardtape::evm

@@ -15,8 +15,10 @@ namespace hardtape::evm {
 /// (the interpreter checks against OpInfo before dispatch), so the
 /// accessors here assume validity. Storage is allocated at the full
 /// 1024-slot capacity up front (32 KB — exactly the layer-1 stack SRAM of
-/// Section IV-B), which lets the fast dispatch loop mirror the top-of-stack
-/// pointer in a register (base()/set_size()) with no reallocation hazard.
+/// Section IV-B). Keep it preallocated: a stack that grows on demand
+/// (push_back) ran the EVM-only perfbench workload (evm-local) at a median
+/// of 979 against 1,144 bundles/s over 6 alternating 10-s pairs on a 4-vCPU
+/// x86 host, and lost all 6 pairs.
 class Stack {
  public:
   static constexpr size_t kLimit = 1024;
@@ -28,19 +30,11 @@ class Stack {
 
   void push(const u256& v) { items_[size_++] = v; }
   u256 pop() { return items_[--size_]; }
-  /// pop() without materializing the popped value (fast-path in-place ops).
-  void drop() { --size_; }
   /// 0 = top of stack.
   const u256& peek(size_t depth = 0) const { return items_[size_ - 1 - depth]; }
   u256& peek(size_t depth = 0) { return items_[size_ - 1 - depth]; }
   void swap_top(size_t depth) { std::swap(peek(0), peek(depth)); }
   void dup(size_t depth) { push(peek(depth)); }
-
-  /// Raw access for the fast dispatch loop, which keeps the height in a
-  /// register and writes it back via set_size() around any call that goes
-  /// through this interface (see run_decoded in fastpath.cpp).
-  u256* base() { return items_.data(); }
-  void set_size(size_t n) { size_ = n; }
 
   /// Bottom-first snapshot (FrameDebug capture).
   std::vector<u256> items() const { return {items_.begin(), items_.begin() + size_}; }

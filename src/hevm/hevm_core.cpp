@@ -33,7 +33,6 @@ void HevmCore::assign(const state::StateReader& base, evm::BlockContext block,
   session.overlay = std::make_unique<state::OverlayState>(base);
   session.interpreter = std::make_unique<evm::Interpreter>(*session.overlay, std::move(block));
   session.interpreter->set_frame_memory_limit(config_.l2.l2_bytes / 2);
-  session.interpreter->set_engine(config_.engine);
   session.cycles = std::make_unique<HevmCycleObserver>(clock_, config_.cost);
   memlayer::MemLayerConfig l2 = config_.l2;
   l2.rng_seed = noise_seed;

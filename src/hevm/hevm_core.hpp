@@ -49,11 +49,6 @@ class HevmCore {
     memlayer::L1Config l1{};
     memlayer::MemLayerConfig l2{};
     bool record_steps = false;  ///< step-level traces (§VI-B comparisons)
-    /// Execution engine for the semantic interpreter. The HEVM always
-    /// attaches its cost-model observer chain, so kFast here runs the
-    /// decoded per-opcode mode: faster dispatch, bit-identical event
-    /// streams, unchanged cycle accounting (DESIGN.md §14).
-    evm::EngineKind engine = evm::EngineKind::kReference;
     /// Optional obs tracing: per-opcode retire events from this core, plus
     /// the layer-2 pager's swap events (the ring is threaded into the
     /// MemLayerConfig at assign()). Null = tracing off, zero overhead.

@@ -160,9 +160,9 @@ AuditReport audit_obliviousness(const SpTrace& a, const SpTrace& b,
 //                         sequence vs discrete uniform over the shard's
 //                         leaves, normalized to sqrt(n)*D so one threshold
 //                         covers unevenly loaded shards.
-// Batching/coalescing never appears here by construction: a coalesced rider
-// performs NO walk, so it contributes no (shard, leaf) observation at all —
-// dedup removes server traffic, it cannot correlate it.
+// Every request walks: the frontend never merges duplicate requests, so
+// each access contributes exactly one (shard, leaf) observation and the
+// walk count equals the request count.
 
 struct ShardAuditConfig {
   /// Max acceptable sqrt(n) * one-sample-KS per shard. Under uniformity

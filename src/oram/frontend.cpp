@@ -22,33 +22,25 @@ ScopedRecoveryTally::~ScopedRecoveryTally() { g_active_tally = prev_; }
 
 RecoveryTally* ScopedRecoveryTally::active() { return g_active_tally; }
 
-void OramFrontend::enter_queue() {
-  std::lock_guard lock(state_mu_);
-  ++pending_;
-  stats_.max_pending = std::max(stats_.max_pending, pending_);
-}
-
-void OramFrontend::leave_queue(uint64_t stall_ns, bool was_read) {
-  std::lock_guard lock(state_mu_);
-  --pending_;
-  stats_.contention_stall_ns += stall_ns;
-  if (was_read) {
-    ++stats_.reads;
-  } else {
-    ++stats_.writes;
+AccessAttempt OramFrontend::access(const BlockId& id, const BytesView* write_data) {
+  // 1. The per-block gate: wait until no access to this id is in flight,
+  // then claim it. Routing happens after the claim, when no same-id twin can
+  // migrate the block under this request.
+  const auto gate_start = std::chrono::steady_clock::now();
+  {
+    std::unique_lock lock(state_mu_);
+    gate_cv_.wait(lock, [&] { return !inflight_.contains(id); });
+    inflight_.insert(id);
+    stats_.contention_stall_ns += wall_ns_since(gate_start);
   }
-}
+  const uint32_t shard = config_.shard_router ? config_.shard_router(id) : kUnknownShard;
 
-AccessAttempt OramFrontend::recovered_access(const BlockId& id,
-                                             const BytesView* write_data) {
-  enter_queue();
-  const auto start = std::chrono::steady_clock::now();
+  // 2. Retry timeouts with backoff in simulated time; 3. fail closed on
+  // integrity failures and on an exhausted budget.
   const sim::BackoffPolicy& policy = config_.recovery;
   // De-synchronizes the jitter of distinct requests; deterministic in the id.
   const uint64_t stream_tag = U256Hasher{}(id);
-
   AccessAttempt result;
-  uint64_t stall_ns = 0;
   uint64_t recovery_ns = 0;
   uint32_t retries = 0;
   uint32_t faults = 0;
@@ -58,49 +50,39 @@ AccessAttempt OramFrontend::recovered_access(const BlockId& id,
                           static_cast<uint16_t>(obs::TraceCode::kOramIssue), /*sim_ns=*/0,
                           write_data != nullptr ? 1 : 0, stream_tag);
   }
-  {
-    // Historical mode: one global queue, strictly serialized backend. In
-    // concurrent mode the ShardedOramStore locks per shard and gated_access
-    // already serialized same-block requests, so no lock is taken here.
-    std::unique_lock<std::mutex> serial_lock;
-    if (!config_.concurrent_backend) {
-      serial_lock = std::unique_lock<std::mutex>(access_mu_);
+  for (int attempt = 1;; ++attempt) {
+    AccessAttempt a = write_data != nullptr ? backend_.try_write(id, *write_data)
+                                            : backend_.try_read(id);
+    if (a.status == Status::kOk && a.sim_delay_ns <= policy.request_timeout_ns) {
+      recovery_ns += a.sim_delay_ns;  // slower than usual, but it arrived
+      result = std::move(a);
+      break;
     }
-    stall_ns = wall_ns_since(start);
-    for (int attempt = 1;; ++attempt) {
-      AccessAttempt a = write_data != nullptr ? backend_.try_write(id, *write_data)
-                                              : backend_.try_read(id);
-      if (a.status == Status::kOk && a.sim_delay_ns <= policy.request_timeout_ns) {
-        recovery_ns += a.sim_delay_ns;  // slower than usual, but it arrived
-        result = std::move(a);
-        break;
-      }
-      ++faults;
-      if (a.status == Status::kAuthFailed || a.status == Status::kBadProof) {
-        // Fail closed: an integrity failure is an attack indicator, not
-        // transient loss. Retrying would hand a tampering server an oracle,
-        // so the request terminates here and the session aborts.
-        (a.status == Status::kAuthFailed ? auth_failures : bad_proofs) += 1;
-        result = AccessAttempt{a.status, std::nullopt, 0};
-        break;
-      }
-      // Dropped or over-delayed response: the session waited out the full
-      // request timeout before concluding the answer is not coming.
-      ++timeouts;
-      recovery_ns += policy.request_timeout_ns;
-      if (attempt >= policy.max_attempts) {
-        ++exhausted;
-        result = AccessAttempt{Status::kRetryExhausted, std::nullopt, 0};
-        break;
-      }
-      const uint64_t backoff_ns = sim::backoff_delay_ns(policy, attempt, stream_tag);
-      recovery_ns += backoff_ns;
-      ++retries;
-      if (config_.trace != nullptr) {
-        config_.trace->append(obs::TraceCategory::kOram,
-                              static_cast<uint16_t>(obs::TraceCode::kOramRetry), /*sim_ns=*/0,
-                              static_cast<uint64_t>(attempt), backoff_ns);
-      }
+    ++faults;
+    if (a.status == Status::kAuthFailed || a.status == Status::kBadProof) {
+      // Fail closed: an integrity failure is an attack indicator, not
+      // transient loss. Retrying would hand a tampering server an oracle,
+      // so the request terminates here and the session aborts.
+      (a.status == Status::kAuthFailed ? auth_failures : bad_proofs) += 1;
+      result = AccessAttempt{a.status, std::nullopt, 0};
+      break;
+    }
+    // Dropped or over-delayed response: the session waited out the full
+    // request timeout before concluding the answer is not coming.
+    ++timeouts;
+    recovery_ns += policy.request_timeout_ns;
+    if (attempt >= policy.max_attempts) {
+      ++exhausted;
+      result = AccessAttempt{Status::kRetryExhausted, std::nullopt, 0};
+      break;
+    }
+    const uint64_t backoff_ns = sim::backoff_delay_ns(policy, attempt, stream_tag);
+    recovery_ns += backoff_ns;
+    ++retries;
+    if (config_.trace != nullptr) {
+      config_.trace->append(obs::TraceCategory::kOram,
+                            static_cast<uint16_t>(obs::TraceCode::kOramRetry), /*sim_ns=*/0,
+                            static_cast<uint64_t>(attempt), backoff_ns);
     }
   }
   result.sim_delay_ns = recovery_ns;
@@ -114,107 +96,30 @@ AccessAttempt OramFrontend::recovered_access(const BlockId& id,
     tally->retries += retries;
     tally->faults += faults;
   }
-  leave_queue(stall_ns, /*was_read=*/write_data == nullptr);
+
+  // Release the gate and account the request.
   {
     std::lock_guard lock(state_mu_);
+    inflight_.erase(id);
+    ++(write_data != nullptr ? stats_.writes : stats_.reads);
     stats_.timeouts += timeouts;
     stats_.retries += retries;
     stats_.auth_failures += auth_failures;
     stats_.bad_proofs += bad_proofs;
     stats_.retry_exhausted += exhausted;
-  }
-  return result;
-}
-
-void OramFrontend::note_shard_result(uint32_t shard, Status status) {
-  if (config_.shard_count == 0 || shard >= config_.shard_count) return;
-  std::lock_guard lock(state_mu_);
-  if (status == Status::kOk) {
-    shard_fail_streak_[shard] = 0;
-    return;
-  }
-  if (status != Status::kAuthFailed && status != Status::kBadProof &&
-      status != Status::kRetryExhausted) {
-    return;
-  }
-  ++stats_.shard_failures[shard];
-  if (config_.shard_breaker_threshold > 0 &&
-      ++shard_fail_streak_[shard] >= config_.shard_breaker_threshold) {
-    stats_.shard_quarantined[shard] = 1;
-  }
-}
-
-AccessAttempt OramFrontend::gated_access(const BlockId& id,
-                                         const BytesView* write_data) {
-  // Per-shard breaker: requests routed to a quarantined shard are refused
-  // before touching the gate — the other shards keep serving.
-  uint32_t shard = kUnknownShard;
-  if (config_.shard_router) shard = config_.shard_router(id);
-  if (shard != kUnknownShard && shard < config_.shard_count) {
-    std::lock_guard lock(state_mu_);
-    if (stats_.shard_quarantined[shard] != 0) {
-      ++stats_.shard_unavailable;
-      return AccessAttempt{Status::kUnavailable, std::nullopt, 0};
+    // Every non-kOk result is terminal (integrity failure or exhaustion).
+    if (result.status != Status::kOk && shard < stats_.shard_failures.size()) {
+      ++stats_.shard_failures[shard];
     }
-  }
-
-  const auto gate_start = std::chrono::steady_clock::now();
-  std::shared_ptr<Inflight> entry;
-  {
-    std::unique_lock lock(state_mu_);
-    for (;;) {
-      const auto it = inflight_.find(id);
-      if (it == inflight_.end()) break;
-      if (write_data == nullptr && config_.coalesce_duplicate_reads &&
-          it->second->is_read) {
-        // An identical read is already walking the tree — ride it. The rider
-        // inherits the leader's data and status but none of its recovery
-        // time (the leader's session already paid for the retries). One tree
-        // walk fans out to every waiter.
-        const std::shared_ptr<Inflight> leader = it->second;
-        ++stats_.coalesced_reads;
-        gate_cv_.wait(lock, [&] { return leader->done; });
-        AccessAttempt result = leader->result;
-        result.sim_delay_ns = 0;
-        return result;
-      }
-      // Same-block request that cannot ride (a write, or coalescing is
-      // off): wait for the in-flight access to finish, then re-claim. The
-      // gate is what makes the backend's migrating shard map safe to
-      // consult — at most one access per block id is ever in flight.
-      gate_cv_.wait(lock);
-    }
-    entry = std::make_shared<Inflight>();
-    entry->is_read = write_data == nullptr;
-    inflight_.emplace(id, entry);
-    stats_.contention_stall_ns += wall_ns_since(gate_start);
-  }
-
-  AccessAttempt result = recovered_access(id, write_data);
-  note_shard_result(shard, result.status);
-
-  {
-    std::lock_guard lock(state_mu_);
-    entry->result = result;
-    entry->done = true;
-    inflight_.erase(id);
   }
   gate_cv_.notify_all();
   return result;
 }
 
-AccessAttempt OramFrontend::try_read(const BlockId& id) {
-  if (config_.concurrent_backend || config_.coalesce_duplicate_reads) {
-    return gated_access(id, nullptr);
-  }
-  return recovered_access(id, nullptr);
-}
+AccessAttempt OramFrontend::try_read(const BlockId& id) { return access(id, nullptr); }
 
 AccessAttempt OramFrontend::try_write(const BlockId& id, BytesView data) {
-  // Writes are never coalesced: each must land. In concurrent mode they
-  // still take the per-block gate (same-block exclusion).
-  if (config_.concurrent_backend) return gated_access(id, &data);
-  return recovered_access(id, &data);
+  return access(id, &data);
 }
 
 std::optional<Bytes> OramFrontend::read(const BlockId& id) {

@@ -1,60 +1,41 @@
 // OramFrontend: the chip-side arbitration point in front of the shared ORAM
-// client, enabling concurrent multi-session pre-execution.
+// backend, enabling concurrent multi-session pre-execution.
 //
 // HarDTAPE dedicates one HEVM per user session (paper §IV-B), but the whole
-// chip shares ONE position map + stash (inside the Hypervisor) and one ORAM
-// server. The stash/position map are a single state machine, so concurrent
-// sessions must not touch the client simultaneously. This frontend
-// serializes every path access behind a mutex-guarded request queue: the
-// adversary-visible server trace remains a strictly sequential stream of
-// uniformly random root-to-leaf paths — exactly the shape serial execution
-// produces — while the HEVMs overlap everything else (interpretation,
-// channel crypto, layer-2 traffic).
+// chip shares one oblivious store. The backend locks itself: the engine's
+// ShardedOramStore (oram/sharded.hpp) serializes each shard's stash,
+// position map and path walks behind that shard's own lock, so the
+// adversary-visible server trace of every shard stays a sequential stream of
+// uniformly random root-to-leaf paths, while sessions whose accesses land on
+// distinct shards walk in parallel. What remains here is one request path:
 //
-// Recovery (PR 2): the server and the link belong to the malicious SP
-// (paper §III), so a response may never arrive, arrive late, or arrive
-// tampered. Every fault-aware access (try_read/try_write) runs a bounded
-// retry loop in SIMULATED time: a per-request timeout, exponential backoff
-// with deterministic jitter (sim/backoff.hpp), and a hard attempt budget.
-//  - timeouts (drops, over-delayed responses) are retried;
-//  - integrity failures (kAuthFailed, kBadProof) fail CLOSED immediately —
-//    a bad tag is an attack indicator, and retrying would hand a tampering
-//    server an oracle;
-//  - an exhausted budget surfaces as kRetryExhausted.
+//  1. a per-block in-flight gate: at most one access per BlockId at a time.
+//     This is correctness, not tuning — an access migrates the block's shard
+//     assignment, so an ungated same-id twin could consult a stale route. A
+//     duplicate request waits its turn and then issues its own walk, so the
+//     SP sees one walk per request and the access count never leaks;
+//  2. retry/backoff: the server and the link belong to the malicious SP
+//     (paper §III), so a response may never arrive, arrive late, or arrive
+//     tampered. Every access runs a bounded retry loop in SIMULATED time: a
+//     per-request timeout, exponential backoff with deterministic jitter
+//     (sim/backoff.hpp), and a hard attempt budget. Timeouts (drops,
+//     over-delayed responses) are retried;
+//  3. fail closed: integrity failures (kAuthFailed, kBadProof) end the
+//     request immediately — a bad tag is an attack indicator, and retrying
+//     would hand a tampering server an oracle — and an exhausted budget
+//     surfaces as kRetryExhausted. Terminal failures are attributed to the
+//     shard the request was routed to (Stats::shard_failures); the engine's
+//     circuit breaker decides whether the whole backend is quarantined.
+//
 // All waiting is simulated (charged to the calling session via the active
 // RecoveryTally), so the fault-free timeline stays bit-identical to serial
 // execution and faulted runs replay exactly under a fixed seed.
-//
-// Optional read coalescing: when two sessions demand the SAME page while a
-// fetch for it is already in flight (typical for hot contract code pages),
-// the second session can ride the first access instead of issuing its own.
-// This trades a small amount of access-count leakage (two sessions running
-// the same contract at once issue one fewer query) for server bandwidth, so
-// it is off by default and gated by config — mirroring the paper's stance
-// that every relaxation of the oblivious stream must be opt-in.
-//
-// Concurrent mode (PR 6): with `concurrent_backend` set the backend is a
-// ShardedOramStore (oram/sharded.hpp) that does its own per-shard locking,
-// and this frontend stops serializing globally. What remains here is the
-// request scheduler:
-//  - a per-block in-flight gate: at most one access per BlockId at a time.
-//    This is correctness, not tuning — an access migrates the block's shard
-//    assignment, so an unserialized twin could consult a stale route. With
-//    coalescing on, a gated duplicate read RIDES the in-flight access (one
-//    tree walk fans out to every waiter); with it off the duplicate simply
-//    waits its turn and issues its own walk.
-//  - per-shard circuit breaking (opt-in via shard_breaker_threshold): the
-//    recovery semantics above are unchanged per request, and consecutive
-//    terminal failures attributed to one shard quarantine THAT shard —
-//    requests routed to it resolve kUnavailable immediately while every
-//    other shard keeps serving. The engine-level breaker still owns the
-//    whole-backend verdict.
 #pragma once
 
 #include <condition_variable>
-#include <memory>
+#include <functional>
 #include <mutex>
-#include <unordered_map>
+#include <unordered_set>
 
 #include "obs/trace.hpp"
 #include "oram/path_oram.hpp"
@@ -90,9 +71,6 @@ class ScopedRecoveryTally {
 };
 
 struct FrontendConfig {
-  /// Merge a read with an identical in-flight read instead of issuing a
-  /// second ORAM access. Off by default (see file comment).
-  bool coalesce_duplicate_reads = false;
   /// Retry/backoff policy for the fault-aware access path. With a reliable
   /// backend the policy is dormant: attempt 1 succeeds, zero time charged.
   sim::BackoffPolicy recovery{};
@@ -102,23 +80,15 @@ struct FrontendConfig {
   /// frontend has no session clock.
   obs::TraceRing* trace = nullptr;
 
-  // --- concurrent mode (PR 6; see file comment) ---
-  /// The backend locks internally (ShardedOramStore): drop the global
-  /// serialization and gate only same-block requests. Off by default — the
-  /// historical strictly-serialized frontend, byte-for-byte.
-  bool concurrent_backend = false;
   /// Shards behind the backend (sizes the per-shard failure accounting;
   /// 0 disables it).
   size_t shard_count = 0;
   /// Current shard of a block (ShardedOramStore::shard_of), kUnknownShard
-  /// for ids the store never saw. Consulted before issuing — which is also
-  /// the shard any failure of this request is attributed to, since a
-  /// migration only happens after a successful walk there.
-  std::function<uint32_t(const BlockId&)> shard_router;
-  /// Consecutive terminal failures (kAuthFailed/kBadProof/kRetryExhausted)
-  /// attributed to one shard before that shard is quarantined. <= 0
-  /// disables per-shard breaking.
-  int shard_breaker_threshold = 0;
+  /// for ids the store never saw. Consulted once the request holds the
+  /// block's gate, before issuing — which is also the shard any failure of
+  /// this request is attributed to, since a migration only happens after a
+  /// successful walk there.
+  std::function<uint32_t(const BlockId&)> shard_router{};
 };
 
 class OramFrontend : public OramAccessor {
@@ -130,31 +100,25 @@ class OramFrontend : public OramAccessor {
   static constexpr uint32_t kUnknownShard = ~uint32_t{0};
 
   /// Counters over the frontend's lifetime. All wall-clock figures are host
-  /// measurements of real lock contention (NOT simulated time — the
+  /// measurements of real gate contention (NOT simulated time — the
   /// simulated timeline lives in the engine's metrics).
   struct Stats {
     uint64_t reads = 0;             ///< read requests issued to the backend
     uint64_t writes = 0;
-    uint64_t coalesced_reads = 0;   ///< reads served by an in-flight twin
-    uint64_t contention_stall_ns = 0;  ///< wall ns spent waiting for the lock
-    uint64_t max_pending = 0;       ///< deepest observed request queue
+    uint64_t contention_stall_ns = 0;  ///< wall ns spent waiting at the gate
     // --- recovery layer ---
     uint64_t timeouts = 0;          ///< attempts that timed out (drop/late)
     uint64_t retries = 0;           ///< requests re-issued after a timeout
     uint64_t auth_failures = 0;     ///< tampered responses (fail-closed)
     uint64_t bad_proofs = 0;        ///< stale-proof responses (fail-closed)
     uint64_t retry_exhausted = 0;   ///< requests that ran out of attempts
-    // --- per-shard breaker (concurrent mode; empty when shard_count == 0) ---
-    std::vector<uint64_t> shard_failures;     ///< terminal failures per shard
-    std::vector<uint8_t> shard_quarantined;   ///< 1 = shard refused service
-    uint64_t shard_unavailable = 0;  ///< requests refused by a quarantine
+    /// Terminal failures attributed per shard (empty when shard_count == 0).
+    std::vector<uint64_t> shard_failures;
   };
 
   explicit OramFrontend(OramAccessor& backend, Config config = {})
       : backend_(backend), config_(std::move(config)) {
     stats_.shard_failures.resize(config_.shard_count, 0);
-    stats_.shard_quarantined.resize(config_.shard_count, 0);
-    shard_fail_streak_.resize(config_.shard_count, 0);
   }
 
   /// Throws BackendFault when the fault-aware path ends in a non-kOk status
@@ -162,9 +126,10 @@ class OramFrontend : public OramAccessor {
   std::optional<Bytes> read(const BlockId& id) override;
   void write(const BlockId& id, BytesView data) override;
 
-  /// Fault-aware access: runs the full timeout/backoff/fail-closed loop and
-  /// returns the terminal status. sim_delay_ns of the result carries the
-  /// total simulated recovery time (also added to the active RecoveryTally).
+  /// Fault-aware access: takes the per-block gate, runs the full
+  /// timeout/backoff/fail-closed loop and returns the terminal status.
+  /// sim_delay_ns of the result carries the total simulated recovery time
+  /// (also added to the active RecoveryTally).
   AccessAttempt try_read(const BlockId& id) override;
   AccessAttempt try_write(const BlockId& id, BytesView data) override;
 
@@ -172,32 +137,16 @@ class OramFrontend : public OramAccessor {
   const Config& config() const { return config_; }
 
  private:
-  struct Inflight {
-    bool done = false;
-    bool is_read = false;
-    AccessAttempt result;
-  };
-
-  /// One request with recovery: write_data == nullptr for reads. Serialized
-  /// behind access_mu_ in the historical mode; lock-free here in concurrent
-  /// mode (the backend locks per shard, gated_access gates per block).
-  AccessAttempt recovered_access(const BlockId& id, const BytesView* write_data);
-  /// The per-block gate + coalescing fan-out (see file comment).
-  AccessAttempt gated_access(const BlockId& id, const BytesView* write_data);
-  /// Feeds the per-shard breaker with a request's terminal status.
-  void note_shard_result(uint32_t shard, Status status);
-  void enter_queue();
-  void leave_queue(uint64_t stall_ns, bool was_read);
+  /// The one request path (write_data == nullptr for reads): gate, then
+  /// retry/backoff, then fail closed — see the file comment.
+  AccessAttempt access(const BlockId& id, const BytesView* write_data);
 
   OramAccessor& backend_;
   Config config_;
-  std::mutex access_mu_;  ///< serializes backend path accesses (the queue)
-  mutable std::mutex state_mu_;  ///< guards stats_, pending_, inflight_, shard state
-  std::condition_variable gate_cv_;  ///< waits on state_mu_: gate + rider wakeups
+  mutable std::mutex state_mu_;  ///< guards stats_, inflight_
+  std::condition_variable gate_cv_;  ///< waits on state_mu_ for the gate
   Stats stats_;
-  uint64_t pending_ = 0;
-  std::unordered_map<BlockId, std::shared_ptr<Inflight>, U256Hasher> inflight_;
-  std::vector<int> shard_fail_streak_;  ///< consecutive terminal failures
+  std::unordered_set<BlockId, U256Hasher> inflight_;  ///< ids past the gate
 };
 
 }  // namespace hardtape::oram

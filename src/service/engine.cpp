@@ -172,7 +172,6 @@ PreExecutionEngine::PreExecutionEngine(node::NodeSimulator& node, EngineConfig c
           [&config] {
             auto store = oram::ShardedOramStore::partition(
                 config.oram, std::max<size_t>(1, config.oram_shards));
-            store.pin_shard_assignment = config.oram_pin_shard_assignment;
             store.trace = config.trace != nullptr ? &config.trace->ring(-2) : nullptr;
             return store;
           }(),
@@ -185,18 +184,13 @@ PreExecutionEngine::PreExecutionEngine(node::NodeSimulator& node, EngineConfig c
                     ? static_cast<oram::OramAccessor&>(*fault_layer_)
                     : static_cast<oram::OramAccessor&>(oram_store_),
                 oram::OramFrontend::Config{
-                    .coalesce_duplicate_reads = config.coalesce_duplicate_reads,
                     .recovery = config.oram_recovery,
                     .trace = config.trace != nullptr ? &config.trace->ring(-2) : nullptr,
-                    // The store locks per shard; the frontend only gates
-                    // same-block requests and routes per-shard accounting.
-                    .concurrent_backend = true,
                     .shard_count = oram_store_.shard_count(),
                     .shard_router =
                         [this](const oram::BlockId& id) {
                           return oram_store_.shard_of(id);
-                        },
-                    .shard_breaker_threshold = config.oram_shard_breaker_threshold}),
+                        }}),
       oram_state_(frontend_),
       queue_(config.queue_depth),
       latency_hist_(&registry_.histogram("hardtape_engine_bundle_latency_sim_ns",
@@ -536,79 +530,25 @@ Status PreExecutionEngine::warm_restart(const durability::RecoveredState& recove
 Admission PreExecutionEngine::resubmit(uint64_t bundle_id,
                                        std::vector<evm::Transaction> bundle,
                                        uint32_t attempt) {
-  if (!started_) throw UsageError("engine: start() before resubmit()");
-  if (drained_) throw UsageError("engine: already drained");
-  // Keep the id allocator strictly ahead of explicit re-admissions.
-  uint64_t expected = next_bundle_id_.load(std::memory_order_relaxed);
-  while (expected <= bundle_id &&
-         !next_bundle_id_.compare_exchange_weak(expected, bundle_id + 1,
-                                                std::memory_order_relaxed)) {
-  }
-  // Admit-mark again (set semantics in the mirror dedupe the pending entry;
-  // the fresh journal generation needs its own record anyway).
-  if (config_.durable != nullptr) config_.durable->log_bundle_admitted(bundle_id);
+  require_accepting();
   bundles_readmitted_.fetch_add(1, std::memory_order_relaxed);
   if (config_.trace != nullptr) {
     config_.trace->ring(-1).append(obs::TraceCategory::kBundle,
                                    static_cast<uint16_t>(obs::TraceCode::kBundleReadmit),
                                    /*sim_ns=*/0, bundle_id, attempt);
   }
-  if (breaker_open()) {
-    SessionOutcome refused;
-    refused.bundle_id = bundle_id;
-    refused.attempt = attempt;
-    refused.status = Status::kUnavailable;
-    record_outcome(std::move(refused), 0, nullptr);
-    return {bundle_id, Status::kUnavailable};
-  }
-  if (config_.auto_resync && needs_resync()) (void)resync();
-  {
-    std::lock_guard lock(results_mu_);
-    ++outstanding_;
-    bundle_txs_[bundle_id] = bundle;
-  }
-  if (!queue_.push(QueueItem{bundle_id, std::move(bundle),
-                             std::chrono::steady_clock::now(), attempt})) {
-    throw UsageError("engine: queue closed");
-  }
-  return {bundle_id, Status::kOk};
+  return admit(bundle_id, std::move(bundle), attempt);
 }
 
 Admission PreExecutionEngine::submit_as(uint64_t bundle_id,
                                         std::vector<evm::Transaction> bundle) {
-  if (!started_) throw UsageError("engine: start() before submit_as()");
-  if (drained_) throw UsageError("engine: already drained");
-  // Keep the allocator strictly ahead so interleaved submit() calls never
-  // reuse an explicitly assigned id.
-  uint64_t expected = next_bundle_id_.load(std::memory_order_relaxed);
-  while (expected <= bundle_id &&
-         !next_bundle_id_.compare_exchange_weak(expected, bundle_id + 1,
-                                                std::memory_order_relaxed)) {
-  }
-  if (config_.durable != nullptr) config_.durable->log_bundle_admitted(bundle_id);
+  require_accepting();
   if (config_.trace != nullptr) {
     config_.trace->ring(-1).append(obs::TraceCategory::kBundle,
                                    static_cast<uint16_t>(obs::TraceCode::kBundleSubmit),
                                    /*sim_ns=*/0, bundle_id);
   }
-  if (breaker_open()) {
-    SessionOutcome refused;
-    refused.bundle_id = bundle_id;
-    refused.status = Status::kUnavailable;
-    record_outcome(std::move(refused), 0, nullptr);
-    return {bundle_id, Status::kUnavailable};
-  }
-  if (config_.auto_resync && needs_resync()) (void)resync();
-  {
-    std::lock_guard lock(results_mu_);
-    ++outstanding_;
-    bundle_txs_[bundle_id] = bundle;
-  }
-  if (!queue_.push(QueueItem{bundle_id, std::move(bundle),
-                             std::chrono::steady_clock::now(), 0})) {
-    throw UsageError("engine: queue closed");
-  }
-  return {bundle_id, Status::kOk};
+  return admit(bundle_id, std::move(bundle), /*attempt=*/0);
 }
 
 void PreExecutionEngine::set_on_outcome(
@@ -645,57 +585,75 @@ void PreExecutionEngine::start() {
     Worker* w = worker.get();
     w->thread = std::thread([this, w] { worker_loop(*w); });
   }
-  if (config_.watchdog_enabled) {
-    std::vector<Heartbeat*> beats;
-    beats.reserve(workers_.size());
-    for (auto& worker : workers_) beats.push_back(&worker->heartbeat);
-    watchdog_ = std::make_unique<Watchdog>(
-        std::move(beats),
-        Watchdog::Config{.poll_interval_ms = 50,
-                         .stall_threshold_ms = config_.watchdog_stall_ms});
-    watchdog_->start();
-  }
+  std::vector<Heartbeat*> beats;
+  beats.reserve(workers_.size());
+  for (auto& worker : workers_) beats.push_back(&worker->heartbeat);
+  watchdog_ = std::make_unique<Watchdog>(
+      std::move(beats),
+      Watchdog::Config{.poll_interval_ms = 50,
+                       .stall_threshold_ms = config_.watchdog_stall_ms});
+  watchdog_->start();
 }
 
 Admission PreExecutionEngine::submit(std::vector<evm::Transaction> bundle) {
-  if (!started_) throw UsageError("engine: start() before submit()");
-  if (drained_) throw UsageError("engine: already drained");
+  require_accepting();
   const uint64_t id = next_bundle_id_.fetch_add(1, std::memory_order_relaxed);
-  // Durable admit mark, synced before the bundle can run: after any crash,
-  // every bundle the caller saw admitted is either durably resolved or in
-  // the recovered pending set — never silently forgotten. Breaker refusals
-  // are admitted too (they resolve immediately below), keeping the
-  // admit/resolve ledger balanced.
-  if (config_.durable != nullptr) config_.durable->log_bundle_admitted(id);
   if (config_.trace != nullptr) {
     config_.trace->ring(-1).append(obs::TraceCategory::kBundle,
                                    static_cast<uint16_t>(obs::TraceCode::kBundleSubmit),
                                    /*sim_ns=*/id * config_.arrival_gap_ns, id);
   }
+  return admit(id, std::move(bundle), /*attempt=*/0);
+}
+
+void PreExecutionEngine::require_accepting() const {
+  if (!started_) throw UsageError("engine: start() before submitting bundles");
+  if (drained_) throw UsageError("engine: already drained");
+}
+
+Admission PreExecutionEngine::admit(uint64_t bundle_id, std::vector<evm::Transaction> bundle,
+                                    uint32_t attempt) {
+  // Keep the allocator strictly ahead so interleaved submit() calls never
+  // reuse an explicitly assigned id (a no-op for submit()'s own ids).
+  uint64_t expected = next_bundle_id_.load(std::memory_order_relaxed);
+  while (expected <= bundle_id &&
+         !next_bundle_id_.compare_exchange_weak(expected, bundle_id + 1,
+                                                std::memory_order_relaxed)) {
+  }
+  // Durable admit mark, synced before the bundle can run: after any crash,
+  // every bundle the caller saw admitted is either durably resolved or in
+  // the recovered pending set — never silently forgotten. Breaker refusals
+  // are admitted too (they resolve immediately below), keeping the
+  // admit/resolve ledger balanced. A re-admission marks again: set
+  // semantics in the mirror dedupe the pending entry, and a fresh journal
+  // generation needs its own record anyway.
+  if (config_.durable != nullptr) config_.durable->log_bundle_admitted(bundle_id);
   if (breaker_open()) {
     // Quarantined backend: refuse at admission. The bundle still gets its
     // one outcome (kUnavailable) so callers that only look at drain() see
     // every submission resolved.
     SessionOutcome refused;
-    refused.bundle_id = id;
+    refused.bundle_id = bundle_id;
+    refused.attempt = attempt;
     refused.status = Status::kUnavailable;
     record_outcome(std::move(refused), 0, nullptr);
-    return {id, Status::kUnavailable};
+    return {bundle_id, Status::kUnavailable};
   }
   // Staleness gate (PR 4): when the chain outran the pin (or orphaned it),
   // re-pin before this bundle is admitted, so it executes against a snapshot
   // within the staleness budget. A failed re-sync keeps the old pin (fail
   // closed) and the bundle proceeds against it.
-  if (config_.auto_resync && needs_resync()) (void)resync();
+  if (needs_resync()) (void)resync();
   {
     std::lock_guard lock(results_mu_);
     ++outstanding_;
-    bundle_txs_[id] = bundle;  // kept for reorg-triggered re-execution
+    bundle_txs_[bundle_id] = bundle;  // kept for reorg-triggered re-execution
   }
-  if (!queue_.push(QueueItem{id, std::move(bundle), std::chrono::steady_clock::now(), 0})) {
+  if (!queue_.push(QueueItem{bundle_id, std::move(bundle),
+                             std::chrono::steady_clock::now(), attempt})) {
     throw UsageError("engine: queue closed");
   }
-  return {id, Status::kOk};
+  return {bundle_id, Status::kOk};
 }
 
 std::vector<SessionOutcome> PreExecutionEngine::drain() {
@@ -1007,7 +965,6 @@ EngineMetrics PreExecutionEngine::snapshot() const {
   m.queue_max_depth = queue_stats.max_depth;
   m.oram_contention_stall_ns = frontend_stats.contention_stall_ns;
   m.oram_reads = frontend_stats.reads;
-  m.oram_coalesced_reads = frontend_stats.coalesced_reads;
 
   if (config_.fault_plan != nullptr) m.faults_injected = config_.fault_plan->injected();
   m.oram_timeouts = frontend_stats.timeouts;
@@ -1015,7 +972,7 @@ EngineMetrics PreExecutionEngine::snapshot() const {
   m.oram_retry_exhausted = frontend_stats.retry_exhausted;
 
   // Per-shard wall diagnostics: walk-lock waits from the store, failure
-  // attribution and quarantine state from the frontend's per-shard breaker.
+  // attribution from the frontend.
   // Each shard's stall samples are mirrored into a Registry histogram (the
   // per-shard split of the old single oram_contention_stall_ns figure), so
   // the exposition carries exact p50/p95/p99 next to count and sum.
@@ -1042,9 +999,7 @@ EngineMetrics PreExecutionEngine::snapshot() const {
     shard.stall_p99_ns = stall_hist.percentile(99);
     if (s < frontend_stats.shard_failures.size()) {
       shard.failures = frontend_stats.shard_failures[s];
-      shard.quarantined = frontend_stats.shard_quarantined[s] != 0;
     }
-    if (shard.quarantined) ++m.oram_shards_quarantined;
     m.oram_shards.push_back(shard);
   }
   m.bundle_requeues = bundle_requeues_.load(std::memory_order_relaxed);
@@ -1157,23 +1112,19 @@ void PreExecutionEngine::publish_metrics(const EngineMetrics& m) const {
   set("hardtape_engine_oram_contention_stall_ns",
       static_cast<double>(m.oram_contention_stall_ns));
   set("hardtape_engine_oram_reads", static_cast<double>(m.oram_reads));
-  set("hardtape_engine_oram_coalesced_reads", static_cast<double>(m.oram_coalesced_reads));
   set("hardtape_engine_oram_shard_count", static_cast<double>(m.oram_shard_count));
   set("hardtape_engine_oram_shard_walks", static_cast<double>(m.oram_shard_walks));
   set("hardtape_engine_oram_shard_migrations",
       static_cast<double>(m.oram_shard_migrations));
   set("hardtape_engine_oram_max_concurrent_walks",
       static_cast<double>(m.oram_max_concurrent_walks));
-  set("hardtape_engine_oram_shards_quarantined",
-      static_cast<double>(m.oram_shards_quarantined));
   for (const auto& shard : m.oram_shards) {
     const std::string prefix =
         "hardtape_engine_oram_shard" + std::to_string(shard.shard);
     set(prefix + "_walks", static_cast<double>(shard.walks));
     set(prefix + "_migrations_in", static_cast<double>(shard.migrations_in));
     // Stall total + percentiles live in the per-shard _stall_ns histogram
-    // (mirrored in snapshot()); only the breaker state is a gauge here.
-    set(prefix + "_quarantined", shard.quarantined ? 1.0 : 0.0);
+    // (mirrored in snapshot()).
   }
   set("hardtape_engine_faults_injected", static_cast<double>(m.faults_injected));
   set("hardtape_engine_oram_timeouts", static_cast<double>(m.oram_timeouts));

@@ -9,8 +9,8 @@
 //                                                                 │
 //        each worker owns: one HevmCore, one hypervisor session   │
 //        + secure channel, one per-session SimClock               ▼
-//                                     shared OramFrontend ──► OramClient
-//                                     (mutex-serialized)        └► OramServer
+//                                     shared OramFrontend ──► ShardedOramStore
+//                                     (per-block gate)          (per-shard locks)
 //
 // Determinism contract: a bundle's outcome (traces, gas, storage writes,
 // simulated timings) depends only on (engine seed, bundle id, world state) —
@@ -90,8 +90,6 @@ struct EngineConfig {
   /// Simulated inter-arrival gap between submitted bundles (the engine-level
   /// schedule assumes bundle i arrives at i * arrival_gap_ns).
   uint64_t arrival_gap_ns = 0;
-  /// OramFrontend option: merge concurrent duplicate page reads.
-  bool coalesce_duplicate_reads = false;
 
   SecurityConfig security = SecurityConfig::full();
   hevm::HevmCore::Config core{};
@@ -103,13 +101,6 @@ struct EngineConfig {
   /// same adversary view as the pre-sharding engine; >1 lets sessions whose
   /// accesses land on distinct shards walk paths in parallel.
   size_t oram_shards = 8;
-  /// ABLATION ONLY (bench_obs): pin blocks to their first shard instead of
-  /// redrawing per access — the leak the per-shard audit must catch.
-  bool oram_pin_shard_assignment = false;
-  /// Consecutive terminal failures that quarantine ONE shard at the
-  /// frontend while the rest keep serving; <= 0 disables (the engine-level
-  /// breaker below still owns the whole-backend verdict).
-  int oram_shard_breaker_threshold = 0;
   RoutedStateReader::Timing timing{};
   sim::HypervisorCostModel hypervisor_costs{};
   sim::CryptoCostModel crypto_costs{};
@@ -132,21 +123,19 @@ struct EngineConfig {
   /// Consecutive backend-faulted attempts that open the circuit breaker;
   /// <= 0 disables the breaker.
   int breaker_threshold = 4;
-  /// Wall-clock worker liveness monitor (diagnostics only).
-  bool watchdog_enabled = true;
+  /// Stall threshold of the wall-clock worker liveness monitor (always on;
+  /// diagnostics only).
   uint64_t watchdog_stall_ms = 2'000;
 
   // --- live-chain staleness policy (PR 4) ---
   /// Blocks the chain head may advance past the engine's pinned snapshot
   /// before an admission triggers a delta re-sync + re-pin (0 = re-sync on
   /// any lag). A reorg that orphans the pinned root always triggers one.
-  /// Only consulted when auto_resync is set; resync() is always available.
+  /// Every admission checks; resync() may also be called directly.
   uint64_t max_head_lag = 4;
   /// Re-execution rounds one bundle may consume after reorgs orphan the
   /// root its outcome ran against, before it resolves as kStale.
   int max_resim_attempts = 2;
-  /// Check staleness at every submit() and re-sync automatically.
-  bool auto_resync = true;
 
   // --- crash-consistent durability (PR 5) ---
   /// Optional write-ahead mirror of the ORAM store (must outlive the
@@ -253,7 +242,6 @@ struct EngineMetrics {
   uint64_t queue_max_depth = 0;
   uint64_t oram_contention_stall_ns = 0; ///< frontend gate waits, summed
   uint64_t oram_reads = 0;
-  uint64_t oram_coalesced_reads = 0;
 
   // --- sharded concurrent frontend (PR 6; wall-clock diagnostics) ---
   uint64_t oram_shard_count = 0;
@@ -262,7 +250,6 @@ struct EngineMetrics {
   /// High-water of simultaneously in-flight walks (1 on a serialized run;
   /// > 1 is the sharding actually overlapping tree walks).
   uint64_t oram_max_concurrent_walks = 0;
-  uint64_t oram_shards_quarantined = 0; ///< shards the per-shard breaker shut
   struct OramShardStats {
     uint32_t shard = 0;
     uint64_t walks = 0;
@@ -271,7 +258,6 @@ struct EngineMetrics {
     uint64_t stall_p50_ns = 0;     ///< per-walk lock-wait percentiles
     uint64_t stall_p99_ns = 0;
     uint64_t failures = 0;         ///< terminal failures the frontend attributed
-    bool quarantined = false;
   };
   std::vector<OramShardStats> oram_shards;
 
@@ -345,9 +331,9 @@ class PreExecutionEngine {
   /// the old pin is kept — fail closed), advances the store epoch, and
   /// deterministically re-executes every recorded outcome whose pinned root
   /// the chain no longer contains. A bundle that exhausts max_resim_attempts
-  /// such rounds resolves as kStale. Called automatically from submit()
-  /// when auto_resync is set; safe to call manually between start() and
-  /// drain(). Serialized against concurrent callers.
+  /// such rounds resolves as kStale. Called automatically at every
+  /// admission that finds the pin stale; safe to call manually between
+  /// start() and drain(). Serialized against concurrent callers.
   Status resync();
 
   /// The snapshot sessions are currently pinned to (for tests/benches).
@@ -468,6 +454,14 @@ class PreExecutionEngine {
     std::shared_ptr<const state::WorldState> world;
   };
 
+  /// Throws UsageError unless the engine is between start() and drain().
+  void require_accepting() const;
+  /// The one admission path behind submit(), submit_as() and resubmit():
+  /// keeps the id allocator ahead of bundle_id, writes the durable admit
+  /// mark, refuses while the breaker is open, re-pins a stale snapshot, and
+  /// queues the bundle at `attempt`.
+  Admission admit(uint64_t bundle_id, std::vector<evm::Transaction> bundle,
+                  uint32_t attempt);
   void worker_loop(Worker& worker);
   SessionOutcome execute_session(uint64_t bundle_id, uint32_t attempt,
                                  const std::vector<evm::Transaction>& bundle,

@@ -42,6 +42,13 @@ const SstoreCase kSstoreCases[] = {
     {"dirty_clear_was_cleared", 5, 0, false, 3, 100, 0},  // see body: C==0 via write
 };
 
+// Prints a case as its (original, current, next) values. Without this, gtest
+// prints the raw struct bytes, whose name pointer differs from run to run,
+// so the test ids would not be stable.
+void PrintTo(const SstoreCase& c, std::ostream* os) {
+  *os << "{" << c.original << ", " << c.current << ", " << c.next << "}";
+}
+
 class SstoreGasTest : public ::testing::TestWithParam<SstoreCase> {};
 
 INSTANTIATE_TEST_SUITE_P(Eip2200, SstoreGasTest, ::testing::ValuesIn(kSstoreCases),

@@ -1,6 +1,6 @@
 // Concurrency tests of the multi-session pre-execution engine: determinism
-// against the serial reference, bounded-queue backpressure, ORAM frontend
-// serialization/coalescing, and the engine metrics. This binary is the
+// against the serial reference, bounded-queue backpressure, the ORAM
+// frontend's per-block gate, and the engine metrics. This binary is the
 // target of the CI TSan job — every assertion here must also be data-race
 // free under -DHARDTAPE_SANITIZE=thread.
 #include <gtest/gtest.h>
@@ -98,29 +98,6 @@ TEST_F(EngineTest, EightWorkersSixtyFourBundlesBitIdenticalToSerial) {
   }
   EXPECT_EQ(total, bundles.size());
   EXPECT_GT(workers_used, 1);
-}
-
-// Determinism must also hold with read coalescing enabled: merging duplicate
-// in-flight fetches changes the access stream, never the data.
-TEST_F(EngineTest, CoalescingKeepsOutcomesBitIdentical) {
-  const auto bundles = make_bundles(24);
-
-  PreExecutionEngine serial(node_, make_config(SecurityConfig::full(), 1));
-  ASSERT_EQ(serial.synchronize(), Status::kOk);
-  const auto reference = serial.execute_serial(bundles);
-
-  auto config = make_config(SecurityConfig::full(), 8);
-  config.coalesce_duplicate_reads = true;
-  PreExecutionEngine engine(node_, config);
-  ASSERT_EQ(engine.synchronize(), Status::kOk);
-  engine.start();
-  for (const auto& bundle : bundles) engine.submit(bundle);
-  const auto outcomes = engine.drain();
-
-  ASSERT_EQ(outcomes.size(), reference.size());
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    EXPECT_TRUE(outcomes_bit_identical(outcomes[i], reference[i])) << "bundle " << i;
-  }
 }
 
 // Backpressure: 8 producer threads race 64 bundles into a 2-slot queue
@@ -427,103 +404,7 @@ TEST_F(EngineTest, LiveChainOutcomesIdenticalAcrossWorkerCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// OramFrontend unit tests (against a controllable fake backend)
-// ---------------------------------------------------------------------------
-
-/// Fake backend that records concurrent entries (serialization check) and
-/// can be slowed to force read overlap (coalescing check).
-class ProbeStore : public oram::OramAccessor {
- public:
-  explicit ProbeStore(std::chrono::milliseconds delay = {}) : delay_(delay) {}
-
-  std::optional<Bytes> read(const oram::BlockId& id) override {
-    if (in_backend_.exchange(true)) overlap_detected_ = true;
-    if (delay_.count() > 0) std::this_thread::sleep_for(delay_);
-    reads_.fetch_add(1, std::memory_order_relaxed);
-    in_backend_.store(false);
-    return Bytes{static_cast<uint8_t>(id.as_u64() & 0xff), 0x5a};
-  }
-  void write(const oram::BlockId&, BytesView) override {
-    if (in_backend_.exchange(true)) overlap_detected_ = true;
-    writes_.fetch_add(1, std::memory_order_relaxed);
-    in_backend_.store(false);
-  }
-
-  uint64_t reads() const { return reads_.load(); }
-  uint64_t writes() const { return writes_.load(); }
-  bool overlap_detected() const { return overlap_detected_.load(); }
-
- private:
-  std::chrono::milliseconds delay_;
-  std::atomic<bool> in_backend_{false};
-  std::atomic<bool> overlap_detected_{false};
-  std::atomic<uint64_t> reads_{0};
-  std::atomic<uint64_t> writes_{0};
-};
-
-TEST(OramFrontendTest, SerializesBackendAccesses) {
-  ProbeStore store;
-  oram::OramFrontend frontend(store);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < 50; ++i) {
-        frontend.read(oram::BlockId{static_cast<uint64_t>(t * 1000 + i)});
-        frontend.write(oram::BlockId{static_cast<uint64_t>(t * 1000 + i)}, Bytes{1});
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_FALSE(store.overlap_detected());  // strictly sequential server trace
-  EXPECT_EQ(store.reads(), 8u * 50u);
-  EXPECT_EQ(store.writes(), 8u * 50u);
-  const auto stats = frontend.snapshot();
-  EXPECT_EQ(stats.reads, 8u * 50u);
-  EXPECT_EQ(stats.writes, 8u * 50u);
-  EXPECT_EQ(stats.coalesced_reads, 0u);  // coalescing off by default
-}
-
-TEST(OramFrontendTest, CoalescesConcurrentDuplicateReads) {
-  ProbeStore store(std::chrono::milliseconds(20));
-  oram::OramFrontend frontend(store, {.coalesce_duplicate_reads = true});
-  const oram::BlockId hot{42};
-
-  std::vector<std::thread> threads;
-  std::vector<std::optional<Bytes>> results(8);
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&, t] { results[t] = frontend.read(hot); });
-  }
-  for (auto& t : threads) t.join();
-
-  // All readers see the same page, and at least some rode an in-flight twin.
-  for (const auto& r : results) {
-    ASSERT_TRUE(r.has_value());
-    EXPECT_EQ(*r, *results[0]);
-  }
-  const auto stats = frontend.snapshot();
-  EXPECT_EQ(stats.reads + stats.coalesced_reads, 8u);
-  EXPECT_GT(stats.coalesced_reads, 0u);
-  EXPECT_LT(store.reads(), 8u);
-}
-
-TEST(OramFrontendTest, DistinctReadsAreNeverCoalesced) {
-  ProbeStore store;
-  oram::OramFrontend frontend(store, {.coalesce_duplicate_reads = true});
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < 20; ++i) {
-        frontend.read(oram::BlockId{static_cast<uint64_t>(t * 100 + i)});
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(store.reads(), 4u * 20u);
-  EXPECT_EQ(frontend.snapshot().coalesced_reads, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// OramFrontend concurrent mode (PR 6: sharded backend, per-block gate)
+// OramFrontend per-block gate (against a controllable fake backend)
 // ---------------------------------------------------------------------------
 
 /// Fake backend whose read() parks callers until `expected` of them are
@@ -561,11 +442,10 @@ class RendezvousStore : public oram::OramAccessor {
 };
 
 TEST(OramFrontendConcurrentTest, DistinctBlocksOverlapInBackend) {
-  // The tentpole property: with a self-locking sharded backend the frontend
-  // must NOT serialize globally. Two reads of distinct blocks rendezvous
-  // INSIDE the backend — impossible under the historical global queue.
+  // The backend locks itself, so the frontend must NOT serialize globally:
+  // two reads of distinct blocks rendezvous INSIDE the backend.
   RendezvousStore store(2, std::chrono::seconds(10));
-  oram::OramFrontend frontend(store, {.concurrent_backend = true});
+  oram::OramFrontend frontend(store);
   std::thread a([&] { frontend.read(oram::BlockId{1}); });
   std::thread b([&] { frontend.read(oram::BlockId{2}); });
   a.join();
@@ -578,131 +458,12 @@ TEST(OramFrontendConcurrentTest, SameBlockNeverOverlapsInBackend) {
   // block's shard assignment, so a same-id twin must wait. The rendezvous
   // can only time out (short timeout keeps the test fast).
   RendezvousStore store(2, std::chrono::milliseconds(100));
-  oram::OramFrontend frontend(store, {.concurrent_backend = true});
+  oram::OramFrontend frontend(store);
   std::thread a([&] { frontend.read(oram::BlockId{7}); });
   std::thread b([&] { frontend.read(oram::BlockId{7}); });
   a.join();
   b.join();
   EXPECT_EQ(store.peak(), 1);
-}
-
-/// Fake backend that blocks its first read until released; counts calls.
-class LatchedProbeStore : public oram::OramAccessor {
- public:
-  std::optional<Bytes> read(const oram::BlockId&) override {
-    reads_.fetch_add(1, std::memory_order_relaxed);
-    while (!release_()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    return Bytes{0x5a};
-  }
-  void write(const oram::BlockId&, BytesView) override {}
-  void set_release(std::function<bool()> release) { release_ = std::move(release); }
-  uint64_t reads() const { return reads_.load(); }
-
- private:
-  std::function<bool()> release_ = [] { return true; };
-  std::atomic<uint64_t> reads_{0};
-};
-
-TEST(OramFrontendConcurrentTest, ExactlyOneWalkServesAllWaiters) {
-  // Batch dedup, deterministically: the leader's backend read is held open
-  // until every other session has registered as a rider, so EXACTLY one
-  // tree walk serves all 8 — and every rider sees the leader's bytes.
-  LatchedProbeStore store;
-  oram::OramFrontend frontend(store,
-                              {.coalesce_duplicate_reads = true, .concurrent_backend = true});
-  store.set_release([&] { return frontend.snapshot().coalesced_reads >= 7; });
-
-  const oram::BlockId hot{42};
-  std::vector<std::thread> threads;
-  std::vector<std::optional<Bytes>> results(8);
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&, t] { results[t] = frontend.read(hot); });
-  }
-  for (auto& t : threads) t.join();
-
-  EXPECT_EQ(store.reads(), 1u);
-  for (const auto& r : results) {
-    ASSERT_TRUE(r.has_value());
-    EXPECT_EQ(*r, Bytes{0x5a});
-  }
-  const auto stats = frontend.snapshot();
-  EXPECT_EQ(stats.reads, 1u);
-  EXPECT_EQ(stats.coalesced_reads, 7u);
-}
-
-/// Fake backend that fails every access routed to one shard (id % 4 == the
-/// victim) with an integrity failure; healthy shards serve normally.
-class ShardFaultStore : public oram::OramAccessor {
- public:
-  explicit ShardFaultStore(uint64_t victim_shard) : victim_(victim_shard) {}
-
-  oram::AccessAttempt try_read(const oram::BlockId& id) override {
-    calls_.fetch_add(1, std::memory_order_relaxed);
-    if (id.as_u64() % 4 == victim_) {
-      return {Status::kAuthFailed, std::nullopt, 0};
-    }
-    return {Status::kOk, Bytes{0x5a}, 100};
-  }
-  oram::AccessAttempt try_write(const oram::BlockId& id, BytesView) override {
-    return try_read(id);
-  }
-  std::optional<Bytes> read(const oram::BlockId& id) override {
-    return try_read(id).data;
-  }
-  void write(const oram::BlockId&, BytesView) override {}
-  uint64_t calls() const { return calls_.load(); }
-
- private:
-  const uint64_t victim_;
-  std::atomic<uint64_t> calls_{0};
-};
-
-TEST(OramFrontendConcurrentTest, BreakerQuarantinesOnlyTheFailingShard) {
-  ShardFaultStore store(/*victim_shard=*/2);
-  oram::OramFrontend frontend(
-      store, {.concurrent_backend = true,
-              .shard_count = 4,
-              .shard_router = [](const oram::BlockId& id) {
-                return static_cast<uint32_t>(id.as_u64() % 4);
-              },
-              .shard_breaker_threshold = 2});
-
-  // Two integrity failures on shard 2 trip its breaker.
-  EXPECT_EQ(frontend.try_read(oram::BlockId{2}).status, Status::kAuthFailed);
-  EXPECT_EQ(frontend.try_read(oram::BlockId{6}).status, Status::kAuthFailed);
-  const uint64_t calls_at_trip = store.calls();
-
-  // Shard 2 now refuses service WITHOUT touching the backend...
-  EXPECT_EQ(frontend.try_read(oram::BlockId{10}).status, Status::kUnavailable);
-  EXPECT_EQ(frontend.try_write(oram::BlockId{14}, Bytes{1}).status, Status::kUnavailable);
-  EXPECT_EQ(store.calls(), calls_at_trip);
-
-  // ...while every other shard keeps serving.
-  for (const uint64_t id : {0u, 1u, 3u, 4u, 5u, 7u}) {
-    EXPECT_EQ(frontend.try_read(oram::BlockId{id}).status, Status::kOk) << id;
-  }
-
-  const auto stats = frontend.snapshot();
-  EXPECT_EQ(stats.shard_failures, (std::vector<uint64_t>{0, 0, 2, 0}));
-  EXPECT_EQ(stats.shard_quarantined, (std::vector<uint8_t>{0, 0, 1, 0}));
-  EXPECT_EQ(stats.shard_unavailable, 2u);
-}
-
-TEST(OramFrontendConcurrentTest, BreakerStreakIsPerShard) {
-  // A success on a healthy shard must not reset the victim shard's failure
-  // streak: the streaks are independent counters, one per shard.
-  ShardFaultStore store(/*victim_shard=*/3);
-  oram::OramFrontend frontend(
-      store, {.concurrent_backend = true,
-              .shard_count = 4,
-              .shard_router = [](const oram::BlockId& id) {
-                return static_cast<uint32_t>(id.as_u64() % 4);
-              },
-              .shard_breaker_threshold = 2});
-  EXPECT_EQ(frontend.try_read(oram::BlockId{3}).status, Status::kAuthFailed);  // shard 3: streak 1
-  EXPECT_EQ(frontend.try_read(oram::BlockId{4}).status, Status::kOk);          // shard 0 success
-  EXPECT_EQ(frontend.try_read(oram::BlockId{7}).status, Status::kAuthFailed);  // shard 3: streak 2
-  EXPECT_EQ(frontend.snapshot().shard_quarantined, (std::vector<uint8_t>{0, 0, 0, 1}));
 }
 
 // ---------------------------------------------------------------------------

@@ -24,10 +24,26 @@ Address addr(uint8_t tag) {
 const Address kCaller = addr(0xAA);
 const Address kContract = addr(0xCC);
 
+// How each semantic test runs the interpreter: with an observer attached,
+// as the HEVM's cost models attach one, or on the bare loop with none.
+// Observers must never change semantics, so every test passes both ways.
+enum class Observation : uint8_t { kObserved, kBare };
+
+// Default observer of the observed runs: counts frames that entered and have
+// not yet exited, so every call can check that each frame reports its exit.
+class OpenFrameCounter : public ExecutionObserver {
+ public:
+  void on_frame_enter(const FrameInfo&) override { ++open_; }
+  void on_frame_exit(const FrameExitInfo&) override { --open_; }
+  int open() const { return open_; }
+
+ private:
+  int open_ = 0;
+};
+
 // Test fixture: a funded caller, one deployable contract slot, an
-// interpreter over an overlay. Parameterized over the execution engine so
-// every semantic test runs on both the reference loop and the fast path.
-class EvmTest : public ::testing::TestWithParam<EngineKind> {
+// interpreter over an overlay, observed or bare per the test parameter.
+class EvmTest : public ::testing::TestWithParam<Observation> {
  protected:
   EvmTest() {
     base_.put_account(kCaller, state::Account{.balance = u256::from_string("1000000000000000000")});
@@ -44,9 +60,13 @@ class EvmTest : public ::testing::TestWithParam<EngineKind> {
     block.timestamp = 1706600000;
     block.coinbase = addr(0xFE);
     interp_opt_.emplace(*overlay_opt_, std::move(block));
-    interp_opt_->set_observer(observer_);
+    interp_opt_->set_observer(observer_ != nullptr ? observer_ : default_observer());
     interp_opt_->set_frame_memory_limit(frame_memory_limit_);
-    interp_opt_->set_engine(GetParam());
+  }
+
+  // The observer attached when the test sets none of its own.
+  OpenFrameCounter* default_observer() {
+    return GetParam() == Observation::kObserved ? &open_frames_ : nullptr;
   }
 
   state::OverlayState& overlay_get() { return *overlay_opt_; }
@@ -79,7 +99,9 @@ class EvmTest : public ::testing::TestWithParam<EngineKind> {
       // Fund the transfer path like a real call would.
       overlay_get().add_balance(kCaller, value);
     }
-    return interp_get().call(msg);
+    CallResult result = interp_get().call(msg);
+    EXPECT_EQ(open_frames_.open(), 0) << "a frame never reported its exit";
+    return result;
   }
 
   CallResult run_asm(std::string_view source, Bytes input = {}) {
@@ -98,14 +120,17 @@ class EvmTest : public ::testing::TestWithParam<EngineKind> {
   std::optional<state::OverlayState> overlay_opt_;
   std::optional<Interpreter> interp_opt_;
   ExecutionObserver* observer_ = nullptr;
+  OpenFrameCounter open_frames_;
   uint64_t frame_memory_limit_ = 0;
 };
 
+// The instance names date from when the suite also ran a second execution
+// engine; they are kept so test ids stay stable. "Reference" is the observed
+// run, "Fast" the bare loop.
 INSTANTIATE_TEST_SUITE_P(
-    Engines, EvmTest,
-    ::testing::Values(EngineKind::kReference, EngineKind::kFast),
-    [](const ::testing::TestParamInfo<EngineKind>& info) {
-      return info.param == EngineKind::kReference ? "Reference" : "Fast";
+    Engines, EvmTest, ::testing::Values(Observation::kObserved, Observation::kBare),
+    [](const ::testing::TestParamInfo<Observation>& info) {
+      return info.param == Observation::kObserved ? "Reference" : "Fast";
     });
 
 // Source snippet: RETURN the top of stack as one word.
@@ -1062,75 +1087,27 @@ TEST_P(EvmTest, CalldataloadHugeOffsetIsZero) {
   )"), std::move(input)).is_zero());
 }
 
-// --- cross-engine differential checks ---
+// --- seeded observer fuzz over the full opcode set ---
 
-// Records every observer callback as a canonical string, so two engines'
-// full event streams can be compared for bit-identity.
-class RecordingObserver : public ExecutionObserver {
- public:
-  void on_step(const StepInfo& s) override {
-    add("step pc=" + std::to_string(s.pc) + " op=" + std::to_string(s.opcode) +
-        " gas=" + std::to_string(s.gas_left) + " d=" + std::to_string(s.depth) +
-        " ss=" + std::to_string(s.stack_size) + " top=" + s.stack_top.to_hex());
-  }
-  void on_memory_access(MemoryLike m, uint64_t off, uint64_t size, bool w) override {
-    add(std::string("mem ") + to_string(m) + " off=" + std::to_string(off) +
-        " n=" + std::to_string(size) + (w ? " w" : " r"));
-  }
-  void on_storage_access(const Address& a, const u256& k, bool w, bool c) override {
-    add("sto " + a.hex() + " k=" + k.to_hex() + (w ? " w" : " r") +
-        (c ? " cold" : " warm"));
-  }
-  void on_account_access(const Address& a, bool c) override {
-    add("acct " + a.hex() + (c ? " cold" : " warm"));
-  }
-  void on_code_load(const Address& a, size_t n) override {
-    add("code " + a.hex() + " n=" + std::to_string(n));
-  }
-  void on_frame_enter(const FrameInfo& f) override {
-    add("enter " + f.code_address.hex() + " gas=" + std::to_string(f.gas) +
-        " d=" + std::to_string(f.depth) + (f.is_static ? " static" : "") +
-        (f.is_create ? " create" : ""));
-  }
-  void on_frame_exit(const FrameExitInfo& f) override {
-    add(std::string("exit ") + to_string(f.status) +
-        " used=" + std::to_string(f.gas_used) + " out=" + std::to_string(f.output_size) +
-        " mem=" + std::to_string(f.memory_size) + " d=" + std::to_string(f.depth));
-  }
-  void on_log(const LogEntry& l) override {
-    std::string s = "log " + l.address.hex() + " data=" + to_hex(l.data);
-    for (const u256& t : l.topics) s += " t=" + t.to_hex();
-    add(std::move(s));
-  }
-
-  const std::vector<std::string>& events() const { return events_; }
-
- private:
-  void add(std::string s) { events_.push_back(std::move(s)); }
-  std::vector<std::string> events_;
-};
-
-struct DifferentialRun {
+struct FuzzRun {
   CallResult result;
   Interpreter::FrameDebug frame;
-  std::vector<std::string> events;
 };
 
-// Executes the code at kContract on one engine over a fresh overlay.
-DifferentialRun run_engine(state::InMemoryState& base, const Bytes& input,
-                           uint64_t gas, EngineKind engine, bool observed,
-                           uint64_t mem_limit) {
+// Executes the code at kContract over a fresh overlay, with or without an
+// observer attached.
+FuzzRun run_program(state::InMemoryState& base, const Bytes& input, uint64_t gas,
+                    bool observed, uint64_t mem_limit) {
   state::OverlayState overlay(base);
   BlockContext block;
   block.number = 19145194;
   block.timestamp = 1706600000;
   block.coinbase = addr(0xFE);
   Interpreter interp(overlay, std::move(block));
-  interp.set_engine(engine);
   interp.set_frame_memory_limit(mem_limit);
-  DifferentialRun out;
-  RecordingObserver recorder;
-  if (observed) interp.set_observer(&recorder);
+  FuzzRun out;
+  StepTracer tracer;
+  if (observed) interp.set_observer(&tracer);
   interp.set_frame_debug(&out.frame);
   Interpreter::Message msg;
   msg.code_address = kContract;
@@ -1141,160 +1118,8 @@ DifferentialRun run_engine(state::InMemoryState& base, const Bytes& input,
   msg.gas = gas;
   msg.depth = 1;
   out.result = interp.call(msg);
-  out.events = recorder.events();
   return out;
 }
-
-// Runs `code` through both engines (observed and unobserved) and asserts
-// bit-identical externals: status, gas remainder, output, observer event
-// stream, and — for frames that end in success/revert — the outermost
-// frame's final stack and memory. (A failed frame dies with gas zeroed and
-// its internals unobservable, where the group-prepaid fast path may legally
-// differ internally.)
-void expect_engines_agree(state::InMemoryState& base, const Bytes& input,
-                          uint64_t gas, uint64_t mem_limit,
-                          const std::string& tag) {
-  for (const bool observed : {false, true}) {
-    SCOPED_TRACE(tag + (observed ? " observed" : " unobserved"));
-    const DifferentialRun ref =
-        run_engine(base, input, gas, EngineKind::kReference, observed, mem_limit);
-    const DifferentialRun fast =
-        run_engine(base, input, gas, EngineKind::kFast, observed, mem_limit);
-    EXPECT_EQ(ref.result.status, fast.result.status)
-        << to_string(ref.result.status) << " vs " << to_string(fast.result.status);
-    EXPECT_EQ(ref.result.gas_left, fast.result.gas_left);
-    EXPECT_EQ(to_hex(ref.result.output), to_hex(fast.result.output));
-    ASSERT_EQ(ref.events.size(), fast.events.size())
-        << "event stream lengths diverge";
-    for (size_t i = 0; i < ref.events.size(); ++i) {
-      ASSERT_EQ(ref.events[i], fast.events[i]) << "event " << i;
-    }
-    EXPECT_EQ(ref.frame.status, fast.frame.status);
-    EXPECT_EQ(ref.frame.gas_left, fast.frame.gas_left);
-    if (ref.result.status == VmStatus::kSuccess ||
-        ref.result.status == VmStatus::kRevert) {
-      EXPECT_EQ(ref.frame.stack.size(), fast.frame.stack.size());
-      if (ref.frame.stack == fast.frame.stack) {
-        SUCCEED();
-      } else {
-        ADD_FAILURE() << "final stacks diverge";
-      }
-      EXPECT_EQ(to_hex(ref.frame.memory), to_hex(fast.frame.memory));
-    }
-  }
-}
-
-class EvmDifferentialTest : public ::testing::Test {
- protected:
-  EvmDifferentialTest() {
-    base_.put_account(kCaller,
-                      state::Account{.balance = u256::from_string("1000000000000000000")});
-    base_.put_account(kContract, state::Account{.balance = u256{12345}});
-    base_.put_code(addr(0x7F), assemble("PUSH1 0x2a PUSH1 0x00 MSTORE PUSH1 0x20 PUSH1 0x00 RETURN"));
-  }
-
-  void agree(std::string_view source, Bytes input = {},
-             uint64_t gas = 1'000'000, uint64_t mem_limit = 0) {
-    const Bytes code = assemble(source);
-    base_.put_code(kContract, code);
-    expect_engines_agree(base_, input, gas, mem_limit,
-                         std::string(source.substr(0, 40)));
-  }
-
-  state::InMemoryState base_;
-};
-
-TEST_F(EvmDifferentialTest, FusedPushAdd) {
-  agree("PUSH1 0x05 PUSH1 0x07 ADD PUSH1 0x00 MSTORE PUSH1 0x20 PUSH1 0x00 RETURN");
-}
-
-TEST_F(EvmDifferentialTest, FusedPushJumpAndJumpdest) {
-  agree(R"(
-    PUSH1 0x04
-    JUMP
-    INVALID
-    JUMPDEST
-    PUSH1 0x2a PUSH1 0x00 MSTORE PUSH1 0x20 PUSH1 0x00 RETURN
-  )");
-}
-
-TEST_F(EvmDifferentialTest, FusedPushJumpiBothWays) {
-  agree(R"(
-    PUSH1 0x01
-    PUSH1 0x06
-    JUMPI
-    INVALID
-    JUMPDEST
-    PUSH1 0x00
-    PUSH1 0x0c
-    JUMPI
-    STOP
-  )");
-}
-
-TEST_F(EvmDifferentialTest, FusedBadJumpTarget) {
-  agree("PUSH1 0x03 JUMP INVALID");
-}
-
-TEST_F(EvmDifferentialTest, FusedDupMloadAndStaticStore) {
-  agree(R"(
-    PUSH1 0x40
-    PUSH1 0xbe PUSH1 0x40 MSTORE
-    DUP1 MLOAD
-    PUSH1 0x00 MSTORE
-    PUSH1 0x20 PUSH1 0x00 RETURN
-  )");
-}
-
-TEST_F(EvmDifferentialTest, GasOpcodeSeesIdenticalRemainder) {
-  // GAS ends a charge group, so the prepaid static gas must equal the
-  // reference loop's cumulative charge at exactly that opcode.
-  agree(R"(
-    PUSH1 0x01 PUSH1 0x02 ADD POP
-    GAS
-    PUSH1 0x00 MSTORE
-    GAS PUSH1 0x20 MSTORE
-    PUSH1 0x40 PUSH1 0x00 RETURN
-  )");
-}
-
-TEST_F(EvmDifferentialTest, MsizeSeesIdenticalExpansion) {
-  agree(R"(
-    MSIZE
-    PUSH1 0xaa PUSH2 0x0123 MSTORE
-    MSIZE
-    ADD
-    PUSH1 0x00 MSTORE
-    PUSH1 0x20 PUSH1 0x00 RETURN
-  )");
-}
-
-TEST_F(EvmDifferentialTest, OutOfGasMidBlockMatches) {
-  // 20 gas: dies partway through a straight-line block; the fast path must
-  // bail to the reference loop rather than prepay past the limit.
-  agree("PUSH1 0x01 PUSH1 0x02 ADD PUSH1 0x03 MUL PUSH1 0x04 ADD POP STOP",
-        {}, 20);
-}
-
-TEST_F(EvmDifferentialTest, FrameMemoryLimitAbortMatches) {
-  agree("PUSH1 0x01 PUSH2 0x2000 MSTORE STOP", {}, 1'000'000, 4096);
-}
-
-TEST_F(EvmDifferentialTest, CallFamilyAndReturndata) {
-  agree(R"(
-    PUSH1 0x00 PUSH1 0x00 PUSH1 0x00 PUSH1 0x00
-    PUSH20 0x000000000000000000000000000000000000007f
-    PUSH3 0x01ffff
-    STATICCALL
-    POP
-    RETURNDATASIZE
-    PUSH1 0x00 MSTORE
-    PUSH1 0x00 PUSH1 0x20 PUSH1 0x20 RETURNDATACOPY
-    PUSH1 0x40 PUSH1 0x00 RETURN
-  )");
-}
-
-// --- seeded differential fuzz over the full opcode set ---
 
 // Emits a mostly-plausible random program: valid opcodes with fed stacks,
 // liberal JUMPDESTs so random jumps sometimes land, plus raw random bytes
@@ -1382,7 +1207,11 @@ Bytes random_program(Random& rng) {
   return code;
 }
 
-TEST(EvmDifferentialFuzz, RandomProgramsAgreeOnBothEngines) {
+// Observers (tracers, the HEVM cost models) watch execution; they must never
+// change it. Every random program runs unobserved and observed, and the two
+// runs must agree on status, gas remainder, output, and the outermost
+// frame's final stack and memory.
+TEST(EvmObserverFuzz, ObserversNeverChangeSemantics) {
   state::InMemoryState base;
   base.put_account(kCaller,
                    state::Account{.balance = u256::from_string("1000000000000000000")});
@@ -1398,10 +1227,17 @@ TEST(EvmDifferentialFuzz, RandomProgramsAgreeOnBothEngines) {
     const uint64_t gas = gas_limits[p % 3];
     const uint64_t mem_limit = p % 7 == 0 ? 4096 : 0;
     base.put_code(kContract, code);
-    expect_engines_agree(base, input, gas, mem_limit,
-                         "program " + std::to_string(p) + " seed-fixed code=" +
-                             to_hex(code));
-    if (::testing::Test::HasFatalFailure()) break;
+    SCOPED_TRACE("program " + std::to_string(p) + " code=" + to_hex(code));
+    const FuzzRun plain = run_program(base, input, gas, /*observed=*/false, mem_limit);
+    const FuzzRun watched = run_program(base, input, gas, /*observed=*/true, mem_limit);
+    ASSERT_EQ(plain.result.status, watched.result.status)
+        << to_string(plain.result.status) << " vs " << to_string(watched.result.status);
+    ASSERT_EQ(plain.result.gas_left, watched.result.gas_left);
+    ASSERT_EQ(to_hex(plain.result.output), to_hex(watched.result.output));
+    ASSERT_EQ(plain.frame.status, watched.frame.status);
+    ASSERT_EQ(plain.frame.gas_left, watched.frame.gas_left);
+    ASSERT_TRUE(plain.frame.stack == watched.frame.stack) << "final stacks diverge";
+    ASSERT_EQ(to_hex(plain.frame.memory), to_hex(watched.frame.memory));
   }
 }
 

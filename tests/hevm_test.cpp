@@ -141,45 +141,6 @@ TEST_F(HevmCoreTest, HevmTraceMatchesGethRoleTrace) {
   EXPECT_EQ(hevm_report.transactions[0].gas_used, geth_result.tx.gas_used);
 }
 
-TEST_F(HevmCoreTest, FastEngineBundleBitIdenticalToReference) {
-  // The fast-dispatch engine must be invisible from the HEVM's vantage:
-  // same traces, same gas, same cycle accounting, same memory-layer events.
-  // The HEVM always attaches its observer chain, so kFast runs the decoded
-  // per-opcode mode (DESIGN.md §14).
-  auto run = [&](evm::EngineKind engine) {
-    HevmCore::Config config;
-    config.record_steps = true;
-    config.engine = engine;
-    sim::SimClock clock;
-    HevmCore core(4, clock, config);
-    core.assign(base_, evm::BlockContext{}, key(), 7);
-    return core.execute_bundle({transfer_tx(), transfer_tx()});
-  };
-  const BundleReport ref = run(evm::EngineKind::kReference);
-  const BundleReport fast = run(evm::EngineKind::kFast);
-
-  ASSERT_EQ(ref.transactions.size(), fast.transactions.size());
-  for (size_t t = 0; t < ref.transactions.size(); ++t) {
-    const TxTraceReport& a = ref.transactions[t];
-    const TxTraceReport& b = fast.transactions[t];
-    EXPECT_EQ(a.status, b.status) << "tx " << t;
-    EXPECT_EQ(a.gas_used, b.gas_used) << "tx " << t;
-    EXPECT_EQ(a.return_data, b.return_data) << "tx " << t;
-    EXPECT_EQ(a.sim_time_ns, b.sim_time_ns) << "tx " << t;
-    ASSERT_EQ(a.storage_writes.size(), b.storage_writes.size()) << "tx " << t;
-    ASSERT_EQ(a.logs.size(), b.logs.size()) << "tx " << t;
-    ASSERT_EQ(a.steps.size(), b.steps.size()) << "tx " << t;
-    for (size_t i = 0; i < a.steps.size(); ++i) {
-      ASSERT_EQ(a.steps[i], b.steps[i]) << "tx " << t << " step " << i;
-    }
-  }
-  EXPECT_EQ(ref.final_balances, fast.final_balances);
-  EXPECT_EQ(ref.sim_time_ns, fast.sim_time_ns);
-  EXPECT_EQ(ref.instructions, fast.instructions);
-  EXPECT_EQ(ref.swap_events.size(), fast.swap_events.size());
-  EXPECT_EQ(ref.aborted, fast.aborted);
-}
-
 // --- baselines ---
 
 TEST_F(HevmCoreTest, GethRoleFasterPerOpButSameSemantics) {
