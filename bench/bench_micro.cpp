@@ -88,10 +88,9 @@ void BM_MptInsert(benchmark::State& state) {
 BENCHMARK(BM_MptInsert);
 
 void BM_OramAccess(benchmark::State& state) {
-  const auto mode = static_cast<oram::SealMode>(state.range(0));
   oram::OramServer server(oram::OramConfig{.block_size = 1024, .capacity = 1024});
   crypto::AesKey128 key{};
-  oram::OramClient client(server, key, 1, mode);
+  oram::OramClient client(server, key, 1, oram::SealMode::kChaChaHmac);
   Random rng(4);
   for (uint64_t i = 0; i < 256; ++i) {
     client.write(crypto::keccak256(u256{i}.to_be_bytes_vec()).to_u256(),
@@ -103,10 +102,7 @@ void BM_OramAccess(benchmark::State& state) {
         client.read(crypto::keccak256(u256{i++ % 256}.to_be_bytes_vec()).to_u256()));
   }
 }
-BENCHMARK(BM_OramAccess)
-    ->Arg(static_cast<int>(oram::SealMode::kAesGcm))
-    ->Arg(static_cast<int>(oram::SealMode::kChaChaHmac))
-    ->ArgNames({"seal"});
+BENCHMARK(BM_OramAccess);
 
 void BM_EvmErc20Transfer(benchmark::State& state) {
   state::InMemoryState base;

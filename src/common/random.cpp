@@ -1,6 +1,5 @@
 #include "common/random.hpp"
 
-#include <bit>
 #include <cstring>
 
 namespace hardtape {
@@ -9,23 +8,32 @@ namespace {
 constexpr std::array<uint32_t, 4> kSigma = {0x61707865, 0x3320646e, 0x79622d32,
                                             0x6b206574};  // "expand 32-byte k"
 
-inline void quarter_round(uint32_t& a, uint32_t& b, uint32_t& c, uint32_t& d) {
-  a += b; d ^= a; d = std::rotl(d, 16);
-  c += d; b ^= c; b = std::rotl(b, 12);
-  a += b; d ^= a; d = std::rotl(d, 8);
-  c += d; b ^= c; b = std::rotl(b, 7);
+// One 32-bit state word of all four blocks: lane b belongs to block
+// counter+b. GCC and Clang lower this vector type to SSE2 on x86-64 and NEON
+// on AArch64 with no target flags (and to scalar code on anything else), so
+// the four blocks run their rounds side by side.
+using Lanes = uint32_t __attribute__((vector_size(16)));
+
+inline Lanes rotl(Lanes v, int n) { return (v << n) | (v >> (32 - n)); }
+
+inline void quarter_round(Lanes& a, Lanes& b, Lanes& c, Lanes& d) {
+  a += b; d ^= a; d = rotl(d, 16);
+  c += d; b ^= c; b = rotl(b, 12);
+  a += b; d ^= a; d = rotl(d, 8);
+  c += d; b ^= c; b = rotl(b, 7);
 }
 }  // namespace
 
 void chacha20_block(const std::array<uint32_t, 8>& key, uint32_t counter,
-                    const std::array<uint32_t, 3>& nonce,
-                    std::array<uint8_t, 64>& out) {
-  std::array<uint32_t, 16> state = {
-      kSigma[0], kSigma[1], kSigma[2], kSigma[3],
-      key[0],    key[1],    key[2],    key[3],
-      key[4],    key[5],    key[6],    key[7],
-      counter,   nonce[0],  nonce[1],  nonce[2]};
-  std::array<uint32_t, 16> x = state;
+                    const std::array<uint32_t, 3>& nonce, ChaCha20Keystream& out) {
+  static_assert(kChaCha20Blocks == 4, "one block per vector lane");
+  Lanes state[16];
+  for (size_t i = 0; i < 4; ++i) state[i] = Lanes{} + kSigma[i];
+  for (size_t i = 0; i < 8; ++i) state[4 + i] = Lanes{} + key[i];
+  state[12] = Lanes{counter, counter + 1, counter + 2, counter + 3};
+  for (size_t i = 0; i < 3; ++i) state[13 + i] = Lanes{} + nonce[i];
+  Lanes x[16];
+  for (size_t i = 0; i < 16; ++i) x[i] = state[i];
   for (int round = 0; round < 10; ++round) {
     quarter_round(x[0], x[4], x[8], x[12]);
     quarter_round(x[1], x[5], x[9], x[13]);
@@ -36,9 +44,13 @@ void chacha20_block(const std::array<uint32_t, 8>& key, uint32_t counter,
     quarter_round(x[2], x[7], x[8], x[13]);
     quarter_round(x[3], x[4], x[9], x[14]);
   }
-  for (size_t i = 0; i < 16; ++i) {
-    const uint32_t v = x[i] + state[i];
-    std::memcpy(out.data() + i * 4, &v, 4);  // little-endian hosts only
+  for (size_t i = 0; i < 16; ++i) x[i] += state[i];
+  // Lane b of word i is word i of block b.
+  for (size_t b = 0; b < kChaCha20Blocks; ++b) {
+    for (size_t i = 0; i < 16; ++i) {
+      const uint32_t v = x[i][b];
+      std::memcpy(out.data() + b * 64 + i * 4, &v, 4);  // little-endian hosts only
+    }
   }
 }
 
@@ -55,7 +67,8 @@ Random::Random(BytesView seed_material) {
 }
 
 void Random::refill() {
-  chacha20_block(key_, counter_++, nonce_, buffer_);
+  chacha20_block(key_, counter_, nonce_, buffer_);
+  counter_ += kChaCha20Blocks;
   available_ = buffer_.size();
 }
 

@@ -14,11 +14,17 @@
 
 namespace hardtape {
 
-/// The ChaCha20 block function (RFC 8439). Exposed for tests and for the
-/// stream cipher in crypto/.
+/// Blocks the ChaCha20 core computes per call.
+inline constexpr size_t kChaCha20Blocks = 4;
+/// Keystream of one call: kChaCha20Blocks 64-byte blocks back to back.
+using ChaCha20Keystream = std::array<uint8_t, 64 * kChaCha20Blocks>;
+
+/// The ChaCha20 block function (RFC 8439 §2.3), four blocks at a time: `out`
+/// receives the blocks for counters counter, counter+1, counter+2 and
+/// counter+3 (mod 2^32) in order. The repo's one ChaCha20 core — the DRBG
+/// below and the slot seal in crypto/chacha20_poly1305 both run on it.
 void chacha20_block(const std::array<uint32_t, 8>& key, uint32_t counter,
-                    const std::array<uint32_t, 3>& nonce,
-                    std::array<uint8_t, 64>& out);
+                    const std::array<uint32_t, 3>& nonce, ChaCha20Keystream& out);
 
 /// ChaCha20-based DRBG. Not thread-safe; create one per simulated component.
 class Random {
@@ -50,7 +56,7 @@ class Random {
   std::array<uint32_t, 8> key_{};
   std::array<uint32_t, 3> nonce_{};
   uint32_t counter_ = 0;
-  std::array<uint8_t, 64> buffer_{};
+  ChaCha20Keystream buffer_{};
   size_t available_ = 0;
 };
 

@@ -4,8 +4,10 @@
 //  - the user<->Hypervisor secure channel (session key from DHKE),
 //  - sealing layer-3 (untrusted memory) pages,
 //  - ORAM block re-encryption (shared ORAM key across devices).
-// The "A.E.DMA" hardware units of the paper correspond to this module plus
-// the DMA cost model in sim/.
+// This module serves the first two. ORAM slots, re-sealed by the thousand
+// per bundle on the host, use ChaCha20-Poly1305 instead
+// (crypto/chacha20_poly1305.hpp; DESIGN.md §1). The "A.E.DMA" hardware units
+// of the paper correspond to this module plus the DMA cost model in sim/.
 //
 // This is a straightforward table-free software implementation; GHASH is a
 // schoolbook GF(2^128) multiply. Correctness over speed — the performance
@@ -49,8 +51,7 @@ std::optional<Bytes> aes_gcm_decrypt(const AesKey128& key, const GcmNonce& nonce
                                      BytesView ciphertext, BytesView aad,
                                      const GcmTag& tag);
 
-/// AES-128-CTR keystream XOR (used for ORAM block re-encryption where the
-/// integrity tag is stored separately per bucket).
+/// AES-128-CTR keystream XOR (unauthenticated).
 Bytes aes_ctr_xor(const AesKey128& key, const GcmNonce& nonce, BytesView data);
 
 }  // namespace hardtape::crypto

@@ -1,6 +1,10 @@
 #include "hypervisor/hypervisor.hpp"
 
+#include <cstring>
+#include <string_view>
+
 #include "common/errors.hpp"
+#include "crypto/sha256.hpp"
 
 namespace hardtape::hypervisor {
 
@@ -50,6 +54,21 @@ const crypto::AesKey128& Hypervisor::generate_oram_key() {
     oram_key_ = key;
   }
   return *oram_key_;
+}
+
+crypto::AesKey128 Hypervisor::oram_seal_key(uint64_t boot_generation) {
+  const crypto::AesKey128 key = generate_oram_key();
+  uint8_t salt[8];
+  for (size_t i = 0; i < sizeof salt; ++i) {
+    salt[i] = static_cast<uint8_t>(boot_generation >> (8 * i));
+  }
+  constexpr std::string_view kInfo = "hardtape oram slot seal";
+  const Bytes derived = crypto::hkdf_sha256(
+      key, salt, BytesView{reinterpret_cast<const uint8_t*>(kInfo.data()), kInfo.size()},
+      key.size());
+  crypto::AesKey128 seal_key;
+  std::memcpy(seal_key.data(), derived.data(), seal_key.size());
+  return seal_key;
 }
 
 const crypto::AesKey128& Hypervisor::oram_key() const {

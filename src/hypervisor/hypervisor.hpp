@@ -54,6 +54,16 @@ class Hypervisor {
   }
   /// First device: generates the key from the secure RNG.
   const crypto::AesKey128& generate_oram_key();
+  /// The key this boot seals ORAM slots under: HKDF-SHA256 of the ORAM key
+  /// (generated first, as above, if this device has none), salted with
+  /// `boot_generation` as 8 little-endian bytes. The ORAM client draws its
+  /// nonces from a seeded DRBG that restarts with the device, so a warm
+  /// restart under the same key would reseal under (key, nonce) pairs the SP
+  /// already holds — and a repeated pair leaks the plaintexts' XOR and the
+  /// one-time MAC key. Each boot therefore needs a generation no earlier
+  /// boot used: the engine passes its durable store's, which recovery never
+  /// hands out again while it is on disk (durability/recovery.hpp).
+  crypto::AesKey128 oram_seal_key(uint64_t boot_generation);
   const crypto::AesKey128& oram_key() const;
   /// New device joining: obtains the key from `source` over a DHKE channel
   /// between the two trusted Hypervisors (both must be attested devices of

@@ -2,7 +2,7 @@
 
 #include <cstring>
 
-#include "crypto/sha256.hpp"
+#include "crypto/chacha20_poly1305.hpp"
 #include "oram/slot_store.hpp"
 
 namespace hardtape::oram {
@@ -22,81 +22,31 @@ Bytes make_plaintext(const u256& id, BytesView data, size_t block_size) {
   return pt;
 }
 
+// The 16-byte seal key followed by 16 zero bytes.
+crypto::ChaChaKey chacha_key(const crypto::AesKey128& key) {
+  crypto::ChaChaKey out{};
+  std::memcpy(out.data(), key.data(), key.size());
+  return out;
+}
+
 }  // namespace
 
-SealedSlot seal_slot(SealMode mode, const crypto::AesKey128& key, Random& rng,
+SealedSlot seal_slot(SealMode /*mode*/, const crypto::AesKey128& key, Random& rng,
                      BytesView plaintext) {
   SealedSlot slot;
   rng.fill(slot.nonce.data(), slot.nonce.size());
-  switch (mode) {
-    case SealMode::kAesGcm: {
-      crypto::GcmNonce nonce;
-      std::memcpy(nonce.data(), slot.nonce.data(), nonce.size());
-      auto result = crypto::aes_gcm_encrypt(key, nonce, plaintext, BytesView{});
-      slot.ciphertext = std::move(result.ciphertext);
-      std::memcpy(slot.tag.data(), result.tag.data(), slot.tag.size());
-      return slot;
-    }
-    case SealMode::kChaChaHmac: {
-      crypto::GcmNonce nonce;
-      std::memcpy(nonce.data(), slot.nonce.data(), nonce.size());
-      // ChaCha20 keystream XOR via the shared block function.
-      std::array<uint32_t, 8> chacha_key{};
-      std::memcpy(chacha_key.data(), key.data(), key.size());  // 128-bit key, rest zero
-      std::array<uint32_t, 3> chacha_nonce{};
-      std::memcpy(chacha_nonce.data(), nonce.data(), nonce.size());
-      slot.ciphertext.assign(plaintext.begin(), plaintext.end());
-      std::array<uint8_t, 64> keystream;
-      for (size_t off = 0, counter = 1; off < slot.ciphertext.size(); off += 64, ++counter) {
-        chacha20_block(chacha_key, static_cast<uint32_t>(counter), chacha_nonce, keystream);
-        const size_t n = std::min<size_t>(64, slot.ciphertext.size() - off);
-        for (size_t i = 0; i < n; ++i) slot.ciphertext[off + i] ^= keystream[i];
-      }
-      Bytes mac_input;
-      append(mac_input, BytesView{slot.nonce.data(), slot.nonce.size()});
-      append(mac_input, slot.ciphertext);
-      const H256 mac = crypto::hmac_sha256(BytesView{key.data(), key.size()}, mac_input);
-      std::memcpy(slot.tag.data(), mac.bytes.data(), slot.tag.size());
-      return slot;
-    }
-  }
-  throw UsageError("bad seal mode");
+  slot.ciphertext.assign(plaintext.begin(), plaintext.end());
+  slot.tag = crypto::chacha20_poly1305_seal(chacha_key(key), slot.nonce, slot.ciphertext);
+  return slot;
 }
 
-std::optional<Bytes> open_slot(SealMode mode, const crypto::AesKey128& key,
+std::optional<Bytes> open_slot(SealMode /*mode*/, const crypto::AesKey128& key,
                                const SealedSlot& slot) {
-  crypto::GcmNonce nonce;
-  std::memcpy(nonce.data(), slot.nonce.data(), nonce.size());
-  switch (mode) {
-    case SealMode::kAesGcm: {
-      crypto::GcmTag tag;
-      std::memcpy(tag.data(), slot.tag.data(), tag.size());
-      return crypto::aes_gcm_decrypt(key, nonce, slot.ciphertext, BytesView{}, tag);
-    }
-    case SealMode::kChaChaHmac: {
-      Bytes mac_input;
-      append(mac_input, BytesView{slot.nonce.data(), slot.nonce.size()});
-      append(mac_input, slot.ciphertext);
-      const H256 mac = crypto::hmac_sha256(BytesView{key.data(), key.size()}, mac_input);
-      if (!ct_equal(BytesView{mac.bytes.data(), 16},
-                    BytesView{slot.tag.data(), slot.tag.size()})) {
-        return std::nullopt;
-      }
-      std::array<uint32_t, 8> chacha_key{};
-      std::memcpy(chacha_key.data(), key.data(), key.size());
-      std::array<uint32_t, 3> chacha_nonce{};
-      std::memcpy(chacha_nonce.data(), nonce.data(), nonce.size());
-      Bytes plaintext = slot.ciphertext;
-      std::array<uint8_t, 64> keystream;
-      for (size_t off = 0, counter = 1; off < plaintext.size(); off += 64, ++counter) {
-        chacha20_block(chacha_key, static_cast<uint32_t>(counter), chacha_nonce, keystream);
-        const size_t n = std::min<size_t>(64, plaintext.size() - off);
-        for (size_t i = 0; i < n; ++i) plaintext[off + i] ^= keystream[i];
-      }
-      return plaintext;
-    }
+  Bytes plaintext = slot.ciphertext;
+  if (!crypto::chacha20_poly1305_open(chacha_key(key), slot.nonce, plaintext, slot.tag)) {
+    return std::nullopt;
   }
-  throw UsageError("bad seal mode");
+  return plaintext;
 }
 
 // ---------------------------------------------------------------------------
@@ -196,9 +146,9 @@ uint64_t OramServer::storage_bytes() const {
 // Client
 // ---------------------------------------------------------------------------
 
-OramClient::OramClient(OramServer& server, const crypto::AesKey128& oram_key,
+OramClient::OramClient(OramServer& server, const crypto::AesKey128& seal_key,
                        uint64_t rng_seed, SealMode mode)
-    : server_(server), key_(oram_key), mode_(mode), rng_(rng_seed) {}
+    : server_(server), key_(seal_key), mode_(mode), rng_(rng_seed) {}
 
 std::optional<Bytes> OramClient::read(const BlockId& id) {
   return access(id, nullptr);

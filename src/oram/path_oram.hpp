@@ -6,8 +6,12 @@
 // (stash + position map, kept on-chip). What the adversary observes is the
 // server side only: a sequence of uniformly random root-to-leaf paths, each
 // read and rewritten in full with freshly re-encrypted slots — independent
-// of which logical page was touched (threat A7). AES-GCM on every slot gives
-// integrity (threat A6), replacing per-query Merkle proofs.
+// of which logical page was touched (threat A7). An AEAD seal on every slot
+// gives confidentiality and integrity (threat A6), replacing per-query
+// Merkle proofs. The paper seals with AES-GCM; this reproduction seals with
+// ChaCha20-Poly1305 (RFC 8439), one keystream pass per slot, because slot
+// sealing is nearly all of the host's ORAM time and the figures come from
+// the cost models, not from host crypto speed (DESIGN.md §1).
 //
 // The block size is 1 KB (the paper's page size): large enough for the
 // O(log^2 n)-bit bound that makes the bandwidth overhead O(log n), and equal
@@ -59,12 +63,15 @@ struct OramConfig {
   obs::Registry* registry = nullptr;  ///< pool metrics (optional)
 };
 
-/// Slot sealing: the paper's design encrypts with AES-GCM. kChaChaHmac is a
-/// drop-in stream-cipher + HMAC-tag seal with identical interface and
-/// security role, used by the large benches where software AES-GCM would
-/// dominate run time (the performance numbers come from the cost models, not
-/// from host crypto speed — DESIGN.md §1).
-enum class SealMode : uint8_t { kAesGcm, kChaChaHmac };
+/// Slot sealing. There is one seal: ChaCha20-Poly1305 (RFC 8439) with empty
+/// additional data, a fresh 12-byte nonce from the client's DRBG, and the
+/// 16-byte seal key followed by 16 zero bytes as the ChaCha20 key (128-bit
+/// security, like the paper's AES-128-GCM). The enum keeps its one value
+/// under its old name, and seal_slot, open_slot and EngineConfig::seal_mode
+/// keep their mode parameter, because the end-to-end benchmark (perfbench/)
+/// names them; retiring them changes that benchmark. Test ids print the
+/// value (oram_test's "GetParam() = 1-byte object <01>"), hence the = 1.
+enum class SealMode : uint8_t { kChaChaHmac = 1 };
 
 struct SealedSlot {
   std::array<uint8_t, 12> nonce{};
@@ -132,7 +139,7 @@ class OramServer {
 /// the link) means an attempt can fail in ways distinct from "not found":
 ///  - kTimeout: no response arrived within the request timeout (dropped or
 ///    over-delayed frame),
-///  - kAuthFailed: a response arrived but its AES-GCM/HMAC tag rejected it
+///  - kAuthFailed: a response arrived but a slot's Poly1305 tag rejected it
 ///    (tampered page),
 ///  - kBadProof: a response carried a stale/inconsistent proof.
 /// kOk with nullopt data is a proven-absent block (dummy access completed).
@@ -175,8 +182,12 @@ class OramAccessor {
 /// must go through an OramFrontend.
 class OramClient : public OramAccessor {
  public:
-  OramClient(OramServer& server, const crypto::AesKey128& oram_key,
-             uint64_t rng_seed, SealMode mode = SealMode::kAesGcm);
+  /// `seal_key` seals every slot; `rng_seed` seeds the DRBG that draws the
+  /// leaves and the seal nonces. A restarted deployment must never seal
+  /// under a (key, nonce) pair it used before, so the engine hands each boot
+  /// its own key (Hypervisor::oram_seal_key).
+  OramClient(OramServer& server, const crypto::AesKey128& seal_key,
+             uint64_t rng_seed, SealMode mode);
 
   /// Reads a block; nullopt when the id was never written. Throws
   /// IntegrityError when the server returned a tampered slot or lost a

@@ -31,7 +31,7 @@ ShardedOramConfig ShardedOramStore::partition(const OramConfig& total,
 }
 
 ShardedOramStore::ShardedOramStore(ShardedOramConfig config,
-                                   const crypto::AesKey128& oram_key,
+                                   const crypto::AesKey128& seal_key,
                                    uint64_t rng_seed, SealMode mode)
     : config_(config), map_rng_(rng_seed ^ 0x5a4d) {
   if (!is_power_of_two(config.shard_count)) {
@@ -47,7 +47,7 @@ ShardedOramStore::ShardedOramStore(ShardedOramConfig config,
     }
     shard->server = std::make_unique<OramServer>(shard_config);
     // Distinct deterministic RNG stream per subtree (leaf draws, seals).
-    shard->client = std::make_unique<OramClient>(*shard->server, oram_key,
+    shard->client = std::make_unique<OramClient>(*shard->server, seal_key,
                                                  rng_seed ^ (0x9e3779b9ull * (s + 1)),
                                                  mode);
     shards_.push_back(std::move(shard));

@@ -73,8 +73,8 @@ class ShardedOramStore : public OramAccessor {
  public:
   static constexpr uint32_t kNoShard = ~uint32_t{0};
 
-  ShardedOramStore(ShardedOramConfig config, const crypto::AesKey128& oram_key,
-                   uint64_t rng_seed, SealMode mode = SealMode::kAesGcm);
+  ShardedOramStore(ShardedOramConfig config, const crypto::AesKey128& seal_key,
+                   uint64_t rng_seed, SealMode mode);
 
   /// Derives the per-shard geometry from a whole-store one: capacity is
   /// split across shards with 2x multinomial slack (block->shard assignment

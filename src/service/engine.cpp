@@ -175,7 +175,10 @@ PreExecutionEngine::PreExecutionEngine(node::NodeSimulator& node, EngineConfig c
             store.trace = config.trace != nullptr ? &config.trace->ring(-2) : nullptr;
             return store;
           }(),
-          hypervisor_.generate_oram_key(), config.seed ^ 0x02a3, config.seal_mode),
+          hypervisor_.oram_seal_key(config.durable != nullptr
+                                        ? config.durable->stats().generation
+                                        : 0),
+          config.seed ^ 0x02a3, config.seal_mode),
       fault_layer_(config.fault_plan != nullptr
                        ? std::make_unique<faults::FaultyOram>(oram_store_,
                                                               *config.fault_plan)

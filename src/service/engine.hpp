@@ -104,6 +104,12 @@ struct EngineConfig {
   RoutedStateReader::Timing timing{};
   sim::HypervisorCostModel hypervisor_costs{};
   sim::CryptoCostModel crypto_costs{};
+  /// Seeds every simulated RNG, among them the device keys and the ORAM
+  /// clients' nonce DRBGs. ORAM slots are sealed under a per-boot key
+  /// derived from the durable store's generation (Hypervisor::oram_seal_key),
+  /// so a restart with a `durable` store never reuses a (key, nonce) pair.
+  /// Without one the generation is 0 on every boot: then only a seed no
+  /// earlier boot used keeps the pairs fresh.
   uint64_t seed = 1;
   /// When false, user-channel AES/ECDSA are modeled in time only (the ORAM's
   /// crypto is always real) — same switch as PreExecutionService.
@@ -144,7 +150,10 @@ struct EngineConfig {
   /// bundle admit/resolve marks, enabling Recovery::replay + warm_restart()
   /// after a crash. Null = no durability (the default); the execution path
   /// is untouched either way — journaling is a pure observer, so outcomes
-  /// stay bit-identical with and without it.
+  /// stay bit-identical with and without it. The engine reads the store's
+  /// generation once, at construction, to key this boot's slot seal (see
+  /// `seed`), so a restart adopts the recovered image before it builds the
+  /// engine.
   durability::DurableStore* durable = nullptr;
 
   // --- observability (PR 3) ---

@@ -241,12 +241,30 @@ TEST(ChaCha20, Rfc8439BlockVector) {
     key[i] = (4 * i) | ((4 * i + 1) << 8) | ((4 * i + 2) << 16) | ((4 * i + 3) << 24);
   }
   const std::array<uint32_t, 3> nonce = {0x09000000, 0x4a000000, 0x00000000};
-  std::array<uint8_t, 64> out;
+  ChaCha20Keystream out;
   chacha20_block(key, 1, nonce, out);
   const Bytes expected = from_hex(
       "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e"
       "d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e");
-  EXPECT_EQ(Bytes(out.begin(), out.end()), expected);
+  EXPECT_EQ(Bytes(out.begin(), out.begin() + 64), expected);
+}
+
+TEST(ChaCha20, EachCallIsFourConsecutiveBlocks) {
+  std::array<uint32_t, 8> key;
+  for (uint32_t i = 0; i < 8; ++i) key[i] = 0x01020304u * (i + 1);
+  const std::array<uint32_t, 3> nonce = {7, 8, 9};
+  // Counters 0xfffffffe.. wrap mod 2^32 inside one call, as one block at a
+  // time would.
+  for (const uint32_t counter : {0u, 5u, 0xfffffffeu}) {
+    ChaCha20Keystream batch;
+    chacha20_block(key, counter, nonce, batch);
+    for (uint32_t b = 1; b < kChaCha20Blocks; ++b) {
+      ChaCha20Keystream later;
+      chacha20_block(key, counter + b, nonce, later);
+      EXPECT_TRUE(std::equal(later.begin(), later.begin() + 64, batch.begin() + 64 * b))
+          << "counter " << counter << " block " << b;
+    }
+  }
 }
 
 TEST(Random, Deterministic) {
@@ -285,6 +303,16 @@ TEST(Random, SwapNoiseBounded) {
     EXPECT_LE(rng.swap_noise(6), 6u);
   }
   EXPECT_EQ(rng.swap_noise(0), 0u);
+}
+
+TEST(Random, StreamMatchesOneBlockPerRefill) {
+  // Bytes 248..264 and 504..520 of Random(42), straddling the ends of the
+  // first and second 4-block refills, as recorded from the DRBG that refilled
+  // one block at a time: seeded runs must not change with the refill width.
+  Random rng(42);
+  const Bytes stream = rng.bytes(600);
+  EXPECT_EQ(to_hex(BytesView{stream.data() + 248, 16}), "9061246b8fc36dd592b195012bca2364");
+  EXPECT_EQ(to_hex(BytesView{stream.data() + 504, 16}), "26dad648bb8a8e48f4edee72c11e23b0");
 }
 
 TEST(Random, FillProducesDifferentBlocks) {

@@ -4,6 +4,7 @@
 #include "common/errors.hpp"
 #include "common/random.hpp"
 #include "crypto/aes.hpp"
+#include "crypto/chacha20_poly1305.hpp"
 #include "crypto/keccak.hpp"
 #include "crypto/secp256k1.hpp"
 #include "crypto/sha256.hpp"
@@ -151,6 +152,121 @@ TEST(AesCtr, XorIsInvolution) {
   const Bytes enc = aes_ctr_xor(key, nonce, data);
   EXPECT_NE(enc, data);
   EXPECT_EQ(aes_ctr_xor(key, nonce, enc), data);
+}
+
+// --- ChaCha20-Poly1305 (RFC 8439) ---
+
+template <size_t N>
+std::array<uint8_t, N> array_from_hex(const char* hex) {
+  const Bytes bytes = from_hex(hex);
+  std::array<uint8_t, N> out{};
+  EXPECT_EQ(bytes.size(), N);
+  std::copy_n(bytes.begin(), std::min(N, bytes.size()), out.begin());
+  return out;
+}
+
+TEST(Poly1305, Rfc8439Section252) {
+  const auto key = array_from_hex<32>(
+      "85d6be7857556d337f4452fe42d506a80103808afb0db2fd4abff6af4149f51b");
+  const std::string message = "Cryptographic Forum Research Group";
+  const Poly1305Tag tag = poly1305(
+      key, BytesView{reinterpret_cast<const uint8_t*>(message.data()), message.size()});
+  EXPECT_EQ(to_hex(tag), "a8061dc1305136c6c22b8baf0c0127a9");
+}
+
+TEST(ChaCha20, Rfc8439Section242Encryption) {
+  // 114 bytes from counter 1: the 64-byte boundary falls inside the first
+  // 4-block keystream call.
+  ChaChaKey key;
+  for (size_t i = 0; i < key.size(); ++i) key[i] = static_cast<uint8_t>(i);
+  const auto nonce = array_from_hex<12>("000000000000004a00000000");
+  const std::string sunscreen =
+      "Ladies and Gentlemen of the class of '99: If I could offer you only one tip for "
+      "the future, sunscreen would be it.";
+  Bytes data(sunscreen.begin(), sunscreen.end());
+  ASSERT_EQ(data.size(), 114u);
+  chacha20_xor(key, 1, nonce, data);
+  EXPECT_EQ(to_hex(data),
+            "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b"
+            "f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8"
+            "07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736"
+            "5af90bbf74a35be6b40b8eedf2785e42874d");
+}
+
+// Empty-AAD seals in the ORAM seal's key layout (a 16-byte key, then 16 zero
+// bytes), generated offline with the Python `cryptography` package (48.0):
+//
+//   from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
+//   key = bytes(range(1, 17)) + bytes(16)
+//   nonce = bytes.fromhex("0a0b0c0d0e0f101112131415")
+//   for n in [0, 1, 15, 16, 63, 64, 65, 191, 192, 193, 256, 1056]:
+//       pt = bytes((7 * i + 3) & 0xff for i in range(n))
+//       out = ChaCha20Poly1305(key).encrypt(nonce, pt, None)
+//       ct, tag = out[:-16], out[-16:]
+//       print(n, tag.hex(), hashlib.sha256(ct).hexdigest())
+//
+// The first keystream call covers blocks 0-3: block 0 is the MAC key, so
+// the 192- and 193-byte cases end on and just past that call; 1,056 bytes is
+// one ORAM slot (32-byte id + 1 KB page).
+struct AeadVector {
+  size_t length;
+  const char* tag;
+  const char* ciphertext_sha256;
+};
+
+constexpr AeadVector kAeadVectors[] = {
+    {0, "c6147a6cdc6f131c3383947f918dbb5e",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+    {1, "a705cd4ea15bc099ddc4f896ae2e3124",
+     "8a8950f7623663222542c9469c73be3c4c81bbdf019e2c577590a61f2ce9a157"},
+    {15, "03fd2a1048a39c73b8655cab43489a88",
+     "9cc053b2821de8787ffed89947d77eb24cf4f130995d28c4f06d5e7c44d2cc04"},
+    {16, "a014f9a8552e37f0e85e980f8e76b25b",
+     "34e3f7501ffb50c23e960aac64a982fc8b1fccc5fb5379238f6c1cb537ddb7c0"},
+    {63, "b336a9b182dda2d937a6aaae84d5f7ac",
+     "fa55e784c8e4ca760db738d3beed2ddae5c77c925f6382fdd4c25bfe18415e5d"},
+    {64, "90c00879655a7810af403a55738564e0",
+     "93fbc96d7b048340d4be9c09f57bc789602c3b7f5f2470b3882532e7018aac8b"},
+    {65, "48cc7b226281e1f76216b9fde953b48b",
+     "35b6464bdf95c89d4e1a7691489fd0bb2efbe07345f0008dcfb661396ff2a954"},
+    {191, "c6356e878096a5bd9ef242aa25929e46",
+     "b11c6ae2c23d4219d949d803db5601939f22db307caa4b197db1439a4cbd41a5"},
+    {192, "7b3f3ef811775f5d262d351e5da8177b",
+     "6ba778c976c8a2384429820db6332225f69170b3b055f0f0767b9983dce99e2a"},
+    {193, "1641dea741dec9165ecad1b7e7de3070",
+     "84a17a3166f36dbd2029b36e13c6d29cd38a46c25bacaf021f9d80ce7cacab04"},
+    {256, "604c0411641b41e21a1033ec6b01ecd9",
+     "5abe82c8bfcf41b2ad2381bc351d34c8865bd34a64e771046e69038922a6a3c3"},
+    {1056, "8261d97771801d58a314d19d1aacbc24",
+     "633efa076e06421a74ed4420c7e4b1fac61a2bbc33c9c6861c44749c4b5566cb"},
+};
+
+TEST(ChaCha20Poly1305, EmptyAadVectorsAcrossKeystreamCalls) {
+  ChaChaKey key{};
+  for (size_t i = 0; i < 16; ++i) key[i] = static_cast<uint8_t>(i + 1);
+  const auto nonce = array_from_hex<12>("0a0b0c0d0e0f101112131415");
+  for (const AeadVector& v : kAeadVectors) {
+    Bytes plaintext(v.length);
+    for (size_t i = 0; i < v.length; ++i) plaintext[i] = static_cast<uint8_t>(7 * i + 3);
+    Bytes data = plaintext;
+    const Poly1305Tag tag = chacha20_poly1305_seal(key, nonce, data);
+    EXPECT_EQ(to_hex(tag), v.tag) << v.length << " bytes";
+    EXPECT_EQ(sha256(data).hex(), v.ciphertext_sha256) << v.length << " bytes";
+    ASSERT_TRUE(chacha20_poly1305_open(key, nonce, data, tag)) << v.length << " bytes";
+    EXPECT_EQ(data, plaintext) << v.length << " bytes";
+  }
+}
+
+TEST(ChaCha20Poly1305, RejectedOpenLeavesCiphertextUntouched) {
+  ChaChaKey key{};
+  key[0] = 9;
+  const ChaChaNonce nonce{};
+  Bytes data = Random(8).bytes(300);
+  Poly1305Tag tag = chacha20_poly1305_seal(key, nonce, data);
+  const Bytes ciphertext = data;
+  tag[3] ^= 0x10;
+  EXPECT_FALSE(chacha20_poly1305_open(key, nonce, data, tag));
+  EXPECT_EQ(data, ciphertext);  // no plaintext released on a bad tag
 }
 
 // --- secp256k1 ---

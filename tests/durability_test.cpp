@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 #include <string>
 #include <utility>
@@ -19,6 +20,7 @@
 #include "durability/recovery.hpp"
 #include "durability/vfs.hpp"
 #include "faults/crash_plan.hpp"
+#include "pagedstore/page.hpp"
 #include "service/engine.hpp"
 #include "workload/generator.hpp"
 
@@ -842,6 +844,83 @@ TEST_F(DurableEngineTest, ResubmitReplaysPendingBundleSemanticallyIdentical) {
   // The re-admission resolved durably on the new store.
   const auto rec2 = Recovery::replay(fs2);
   EXPECT_FALSE(rec2.image.pending_bundles.contains(0));
+}
+
+// Every sealed slot in the ORAM segment files on `fs` — what an SP that keeps
+// all it is handed holds. A segment is a run of page records; a page is one
+// bucket of nonce(12) || tag(16) || u32 length || ciphertext slots.
+// Never-written slots (length 0) carry no seal and are skipped.
+std::set<Bytes> sealed_slots_on(const SimFs& fs) {
+  constexpr size_t kPayloadLenAt = 4 + 2 + 2 + 32 + 8;  // magic .. generation
+  std::set<Bytes> slots;
+  for (const std::string& path : fs.list()) {
+    const Bytes segment = *fs.read(path);
+    for (size_t off = 0; off < segment.size();) {
+      uint32_t payload_len = 0;
+      std::memcpy(&payload_len, segment.data() + off + kPayloadLenAt, 4);
+      const size_t record = pagedstore::kPageHeaderSize + payload_len;
+      const auto page = pagedstore::decode_page(BytesView{segment.data() + off, record});
+      if (!page.has_value()) {
+        ADD_FAILURE() << "undecodable page record in " << path;
+        return slots;
+      }
+      const Bytes& bucket = page->payload;
+      for (size_t at = 0; at < bucket.size();) {
+        uint32_t ciphertext_len = 0;
+        std::memcpy(&ciphertext_len, bucket.data() + at + 28, 4);
+        const size_t end = at + 32 + ciphertext_len;
+        if (ciphertext_len != 0) slots.emplace(bucket.begin() + at, bucket.begin() + end);
+        at = end;
+      }
+      off += record;
+    }
+  }
+  return slots;
+}
+
+TEST_F(DurableEngineTest, WarmRestartNeverResealsASlotTheSpHolds) {
+  // The restarted engine draws the same nonce streams from the same seed.
+  // Unless each boot seals under its own key, it reseals equal plaintexts —
+  // dummy slots above all — under (key, nonce) pairs of the first boot, and
+  // the SP, which kept the first boot's segments, sees byte-identical slots.
+  SimFs oram_fs;  // the SP's disk, under the paged slot backend
+  const auto config = [&](DurableStore* durable) {
+    service::EngineConfig config = make_config(durable);
+    config.oram.backend = oram::SlotBackend::kPaged;
+    config.oram.backing_fs = &oram_fs;
+    config.oram.buffer_pool_pages = 1;  // raised to the walk set: most buckets spill
+    return config;
+  };
+  SimFs fs;
+  DurableStore store(fs, DurableConfig{});
+  {
+    service::PreExecutionEngine engine(node_, config(&store));
+    ASSERT_EQ(engine.synchronize(), Status::kOk);
+    engine.start();
+    for (size_t i = 0; i < 4; ++i) engine.submit({txs_[i % txs_.size()]});
+    (void)engine.drain();
+  }  // power loss
+  // Copy now: the next boot's fresh slot store deletes leftover segments.
+  const std::set<Bytes> first_boot = sealed_slots_on(oram_fs);
+
+  const auto rec = Recovery::replay(fs);
+  SimFs fs2;
+  DurableStore store2(fs2, DurableConfig{});
+  store2.adopt(rec);
+  EXPECT_GT(store2.stats().generation, store.stats().generation);
+  service::PreExecutionEngine engine(node_, config(&store2));
+  ASSERT_EQ(engine.warm_restart(rec), Status::kOk);
+  engine.start();
+  for (size_t i = 0; i < 4; ++i) engine.submit({txs_[i % txs_.size()]});
+  (void)engine.drain();
+  const std::set<Bytes> second_boot = sealed_slots_on(oram_fs);
+
+  ASSERT_GT(first_boot.size(), 1000u);
+  ASSERT_GT(second_boot.size(), 1000u);
+  size_t repeated = 0;
+  for (const Bytes& slot : second_boot) repeated += first_boot.count(slot);
+  EXPECT_EQ(repeated, 0u) << "second-boot slots byte-identical to first-boot ones (same "
+                             "nonce, ciphertext and tag)";
 }
 
 }  // namespace

@@ -977,9 +977,9 @@ TEST_F(FrontDoorTest, FloodingTenantIsShedWhileOthersKeepTheirLatencyBound) {
   for (int round = 0; round < 12; ++round) {
     // The flooder fires a burst every round; the victims one request each.
     for (int i = 0; i < 8; ++i) {
+      ++flood_id;
       auto response = flooder.call(
-          submit_frame(flood_session, ++flood_id, bundle_for(flood_id), now),
-          now);
+          submit_frame(flood_session, flood_id, bundle_for(flood_id), now), now);
       if (response->status == Status::kOverloaded) ++shed;
     }
     ++victim_id;

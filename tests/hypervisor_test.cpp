@@ -2,6 +2,7 @@
 // ORAM key sharing, and the pagewise code prefetcher (A7 timing channel).
 #include <gtest/gtest.h>
 
+#include "crypto/sha256.hpp"
 #include "hypervisor/hypervisor.hpp"
 #include "hypervisor/prefetch.hpp"
 
@@ -243,6 +244,26 @@ TEST_F(AttestationTest, OramKeySharedBetweenDevices) {
   Hypervisor third(Bytes{1}, manufacturer_, sv("sbl"), sv("fw"), sv("bits"), 9);
   Hypervisor fourth(Bytes{2}, manufacturer_, sv("sbl"), sv("fw"), sv("bits"), 10);
   EXPECT_EQ(Hypervisor::share_oram_key(third, fourth), Status::kRejected);
+}
+
+TEST_F(AttestationTest, OramSealKeyIsPerBootGenerationAndShared) {
+  const crypto::AesKey128 boot0 = hypervisor_.oram_seal_key(0);
+  EXPECT_TRUE(hypervisor_.has_oram_key());  // the ORAM key is generated on demand
+  EXPECT_EQ(hypervisor_.oram_seal_key(0), boot0);
+  EXPECT_NE(hypervisor_.oram_seal_key(1), boot0);
+  EXPECT_NE(boot0, hypervisor_.oram_key());
+  // HKDF-SHA256(ORAM key, salt = generation as 8 little-endian bytes, info).
+  const uint8_t salt[8] = {0x02, 0x01, 0, 0, 0, 0, 0, 0};
+  const std::string info = "hardtape oram slot seal";
+  const Bytes expected = crypto::hkdf_sha256(
+      hypervisor_.oram_key(), salt,
+      BytesView{reinterpret_cast<const uint8_t*>(info.data()), info.size()}, 16);
+  const crypto::AesKey128 boot258 = hypervisor_.oram_seal_key(0x0102);
+  EXPECT_EQ(Bytes(boot258.begin(), boot258.end()), expected);
+  // A device that joined through key sharing seals under the same key.
+  Hypervisor second(Bytes{9, 9, 9}, manufacturer_, sv("sbl"), sv("fw"), sv("bits"), 8);
+  ASSERT_EQ(Hypervisor::share_oram_key(hypervisor_, second), Status::kOk);
+  EXPECT_EQ(second.oram_seal_key(3), hypervisor_.oram_seal_key(3));
 }
 
 // --- code prefetcher ---
