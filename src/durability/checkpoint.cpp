@@ -10,8 +10,11 @@ namespace hardtape::durability::checkpoint {
 namespace {
 
 constexpr char kMagic[8] = {'H', 'T', 'C', 'K', 'P', 'T', '0', '1'};
-constexpr uint32_t kVersion = 1;          ///< full image inline
-constexpr uint32_t kManifestVersion = 2;  ///< incremental: page locators
+// The full image ("v1") and the manifest ("v2") layouts. Versions 1 and 2
+// stay unused: files in those layouts carried ORAM leaves, and load_newest
+// must refuse them like any unknown version rather than misparse them.
+constexpr uint32_t kVersion = 3;          ///< full image inline
+constexpr uint32_t kManifestVersion = 4;  ///< incremental: page locators
 constexpr size_t kChecksumSize = 8;
 
 void put_u32(Bytes& out, uint32_t v) {
@@ -102,12 +105,7 @@ void put_page_tags(Bytes& out, const StoreImage& image) {
   }
 }
 
-void put_positions_and_pending(Bytes& out, const StoreImage& image) {
-  put_u32(out, static_cast<uint32_t>(image.positions.size()));
-  for (const auto& [id, leaf] : image.positions) {
-    put_u256(out, id);
-    put_u64(out, leaf);
-  }
+void put_pending(Bytes& out, const StoreImage& image) {
   put_u32(out, static_cast<uint32_t>(image.pending_bundles.size()));
   for (const uint64_t id : image.pending_bundles) put_u64(out, id);
 }
@@ -131,12 +129,7 @@ void read_page_tags(Reader& r, StoreImage& image) {
   }
 }
 
-void read_positions_and_pending(Reader& r, StoreImage& image) {
-  const uint32_t pos_count = r.u32();
-  for (uint32_t i = 0; r.ok && i < pos_count; ++i) {
-    const u256 id = r.big();
-    image.positions[id] = r.u64();
-  }
+void read_pending(Reader& r, StoreImage& image) {
   const uint32_t pending_count = r.u32();
   for (uint32_t i = 0; r.ok && i < pending_count; ++i) {
     image.pending_bundles.insert(r.u64());
@@ -195,8 +188,7 @@ std::string journal_path(uint64_t generation) {
 }
 
 Bytes serialize(uint64_t generation, const StoreImage& image) {
-  Bytes out;
-  out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
+  Bytes out(kMagic, kMagic + sizeof(kMagic));
   put_u32(out, kVersion);
   put_u64(out, generation);
   put_u64(out, image.base_seq);
@@ -206,14 +198,13 @@ Bytes serialize(uint64_t generation, const StoreImage& image) {
   put_page_tags(out, image);
 
   put_u32(out, static_cast<uint32_t>(image.pages.size()));
-  for (const auto& [id, page] : image.pages) {
+  for (const auto& [id, data] : image.pages) {
     put_u256(out, id);
-    put_u64(out, page.leaf);
-    put_u32(out, static_cast<uint32_t>(page.data.size()));
-    append(out, page.data);
+    put_u32(out, static_cast<uint32_t>(data.size()));
+    append(out, data);
   }
 
-  put_positions_and_pending(out, image);
+  put_pending(out, image);
 
   const H256 digest = crypto::keccak256(out);
   out.insert(out.end(), digest.bytes.begin(), digest.bytes.begin() + kChecksumSize);
@@ -238,13 +229,10 @@ std::optional<StoreImage> parse(BytesView data) {
   const uint32_t page_count = r.u32();
   for (uint32_t i = 0; r.ok && i < page_count; ++i) {
     const u256 id = r.big();
-    PageImage page;
-    page.leaf = r.u64();
-    page.data = r.blob();
-    image.pages[id] = std::move(page);
+    image.pages[id] = r.blob();
   }
 
-  read_positions_and_pending(r, image);
+  read_pending(r, image);
 
   if (!r.ok || r.remaining != 0) return std::nullopt;
   return image;
@@ -258,8 +246,7 @@ size_t write(SimFs& fs, uint64_t generation, const StoreImage& image) {
 }
 
 Bytes serialize_manifest(uint64_t generation, const Manifest& manifest) {
-  Bytes out;
-  out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
+  Bytes out(kMagic, kMagic + sizeof(kMagic));
   put_u32(out, kManifestVersion);
   put_u64(out, generation);
   put_u64(out, manifest.meta.base_seq);
@@ -274,13 +261,12 @@ Bytes serialize_manifest(uint64_t generation, const Manifest& manifest) {
   put_u32(out, static_cast<uint32_t>(manifest.pages.size()));
   for (const auto& entry : manifest.pages) {
     put_u256(out, entry.id);
-    put_u64(out, entry.leaf);
     put_u64(out, entry.locator.segment);
     put_u64(out, entry.locator.offset);
     put_u32(out, entry.locator.length);
   }
 
-  put_positions_and_pending(out, manifest.meta);
+  put_pending(out, manifest.meta);
 
   const H256 digest = crypto::keccak256(out);
   out.insert(out.end(), digest.bytes.begin(), digest.bytes.begin() + kChecksumSize);
@@ -309,14 +295,13 @@ std::optional<Manifest> parse_manifest(BytesView data) {
   for (uint32_t i = 0; r.ok && i < page_count; ++i) {
     PageManifestEntry entry;
     entry.id = r.big();
-    entry.leaf = r.u64();
     entry.locator.segment = r.u64();
     entry.locator.offset = r.u64();
     entry.locator.length = r.u32();
     manifest.pages.push_back(entry);
   }
 
-  read_positions_and_pending(r, manifest.meta);
+  read_pending(r, manifest.meta);
 
   if (!r.ok || r.remaining != 0) return std::nullopt;
   return manifest;
@@ -341,7 +326,7 @@ std::optional<StoreImage> resolve_manifest(const SimFs& fs, Manifest&& manifest)
     auto page = pagedstore::PagedStore::read_page_at(fs, manifest.store_name,
                                                      entry.locator, entry.id);
     if (!page.has_value()) return std::nullopt;
-    image.pages[entry.id] = PageImage{std::move(page->payload), entry.leaf};
+    image.pages[entry.id] = std::move(page->payload);
   }
   return image;
 }
@@ -378,7 +363,7 @@ std::optional<std::pair<uint64_t, StoreImage>> load_newest(const SimFs& fs) {
         break;
       }
       default:
-        break;  // future version: unreadable evidence, fall back
+        break;  // older layout or future version: unreadable evidence, fall back
     }
   }
   return std::nullopt;

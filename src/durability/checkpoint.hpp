@@ -37,23 +37,17 @@
 
 namespace hardtape::durability {
 
-struct PageImage {
-  Bytes data;        ///< block-size-padded page contents
-  uint64_t leaf = 0; ///< last journaled ORAM leaf (audit trail; reinstall
-                     ///< draws fresh leaves — obliviousness never depends
-                     ///< on restoring old positions)
-};
-
 /// The full durable image of the store: everything recovery needs to rebuild
 /// the chip-side registry and reinstall the ORAM without re-verifying the
 /// world from the node. Ordered containers throughout so serialization (and
-/// hence the checksum) is a pure function of the logical content.
+/// hence the checksum) is a pure function of the logical content. It holds
+/// no ORAM position: reinstall draws fresh leaves, and a leaf on the
+/// operator's disk would name the page behind its next walk (journal.hpp).
 struct StoreImage {
   uint64_t base_seq = 0;  ///< next journal sequence at snapshot time
   std::vector<oram::EpochRegistry::Pin> epoch_history;  ///< committed only
   std::map<u256, uint64_t> page_tags;
-  std::map<u256, PageImage> pages;
-  std::map<u256, uint64_t> positions;
+  std::map<u256, Bytes> pages;  ///< block-size-padded page contents
   std::set<uint64_t> pending_bundles;  ///< admitted, not yet resolved
   uint64_t next_bundle_id = 0;
 };
@@ -86,12 +80,11 @@ size_t write(SimFs& fs, uint64_t generation, const StoreImage& image);
 /// Where one page's payload lives at snapshot time.
 struct PageManifestEntry {
   u256 id;
-  uint64_t leaf = 0;
   pagedstore::PageLocator locator;
 };
 
 struct Manifest {
-  StoreImage meta;  ///< `pages` values carry leaves only; payload data empty
+  StoreImage meta;  ///< `pages` values empty: the payloads live in segments
   std::string store_name;  ///< the PagedStore's segment-file prefix
   std::vector<PageManifestEntry> pages;  ///< id-ordered
 };

@@ -27,7 +27,6 @@ void DurableStore::on_epoch_begin(uint64_t epoch, const H256& root,
   epoch_open_ = true;
   open_pin_ = {epoch, root, block_number};
   staged_pages_.clear();
-  staged_positions_.clear();
   undo_.clear();
 }
 
@@ -35,19 +34,17 @@ void DurableStore::on_epoch_commit(uint64_t epoch) {
   std::lock_guard lock(mu_);
   journal_->append_epoch_commit(epoch);
   // Group commit: this single fsync makes the epoch's begin record, every
-  // page install and position update appended during the pass, and the
-  // commit record durable together.
+  // page install appended during the pass, and the commit record durable
+  // together.
   sync_journal_locked();
   if (epoch_open_) {
     for (auto& [id, page] : staged_pages_) {
       mirror_.pages[id] = std::move(page);
       mirror_.page_tags[id] = open_pin_.epoch;
     }
-    for (const auto& [id, leaf] : staged_positions_) mirror_.positions[id] = leaf;
     mirror_.epoch_history.push_back(open_pin_);
     epoch_open_ = false;
     staged_pages_.clear();
-    staged_positions_.clear();
     undo_.clear();  // the epoch's paged-mirror puts are now the truth
   }
   if (config_.checkpoint_every_records != 0 &&
@@ -67,19 +64,16 @@ void DurableStore::on_epoch_abort(uint64_t epoch) {
   }
   epoch_open_ = false;
   staged_pages_.clear();
-  staged_positions_.clear();
   undo_.clear();
 }
 
-void DurableStore::log_page_install(const u256& page_id, BytesView data,
-                                    uint64_t leaf) {
+void DurableStore::log_page_install(const u256& page_id, BytesView data) {
   std::lock_guard lock(mu_);
   if (restoring_) return;
   // Appended UN-synced: the epoch-commit fsync is the durability barrier for
   // the whole pass (group commit). A crash before it loses the epoch, which
   // recovery's staging replay handles by design.
-  journal_->append_page_install(page_id, data, leaf);
-  journal_->append_position_update(page_id, leaf);
+  journal_->append_page_install(page_id, data);
   if (epoch_open_) {
     if (paged_.has_value()) {
       // Copy-on-write staging: on the epoch's FIRST touch of this page,
@@ -95,11 +89,10 @@ void DurableStore::log_page_install(const u256& page_id, BytesView data,
         }
       }
       paged_->put(page_id, data);
-      staged_pages_[page_id] = PageImage{Bytes{}, leaf};  // metadata only
+      staged_pages_[page_id] = Bytes{};  // membership only
     } else {
-      staged_pages_[page_id] = PageImage{Bytes(data.begin(), data.end()), leaf};
+      staged_pages_[page_id] = Bytes(data.begin(), data.end());
     }
-    staged_positions_[page_id] = leaf;
   }
 }
 
@@ -129,9 +122,9 @@ void DurableStore::adopt(const RecoveredState& recovered) {
     // payload and keep only metadata in the mirror so steady-state RAM
     // drops back to the pool budget. The checkpoint below makes the fresh
     // generation's manifest reference the re-paged copies.
-    for (auto& [id, page] : mirror_.pages) {
-      paged_->put(id, page.data);
-      page.data = Bytes{};
+    for (auto& [id, data] : mirror_.pages) {
+      paged_->put(id, data);
+      data = Bytes{};
     }
   }
   // Re-anchor durably at a FRESH generation: the adopted image becomes its
@@ -185,12 +178,11 @@ void DurableStore::checkpoint_locked(uint64_t base_seq, uint64_t new_generation)
     manifest.meta = mirror_;  // page data fields already empty
     manifest.store_name = paged_->config().name;
     for (const auto& [id, locator] : paged_->locators()) {
-      const auto it = mirror_.pages.find(id);
-      if (it == mirror_.pages.end()) {
+      if (!mirror_.pages.contains(id)) {
         throw HardtapeError("durable store: paged mirror holds a page the "
                             "logical mirror does not");
       }
-      manifest.pages.push_back({id, it->second.leaf, locator});
+      manifest.pages.push_back({id, locator});
     }
     if (manifest.pages.size() != mirror_.pages.size()) {
       throw HardtapeError("durable store: logical mirror holds pages the "
@@ -261,13 +253,13 @@ StoreImage DurableStore::image_snapshot() const {
         if (!rec.has_value()) {
           throw IntegrityError("durable store: committed page version unreadable");
         }
-        page.data = std::move(rec->payload);
+        page = std::move(rec->payload);
       } else {
         auto data = paged_->get(id);
         if (!data.has_value()) {
           throw HardtapeError("durable store: paged mirror lost a page payload");
         }
-        page.data = std::move(*data);
+        page = std::move(*data);
       }
     }
   }

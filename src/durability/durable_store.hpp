@@ -10,12 +10,13 @@
 // Wiring (all passive, the engine never blocks on policy):
 //  - EpochListener callbacks (fired by EpochRegistry with its lock held)
 //    journal epoch begin/commit/abort. Commit is the group-commit point:
-//    the epoch's page installs and position updates were appended un-synced
-//    during the pass; the commit record's fsync makes the whole epoch
-//    durable at once. A crash before it loses the *entire* epoch — which is
-//    exactly what recovery's staging semantics reconstruct.
-//  - log_page_install (fed by OramClient's install hook) appends install +
-//    position records and stages the mirror update.
+//    the epoch's page installs were appended un-synced during the pass; the
+//    commit record's fsync makes the whole epoch durable at once. A crash
+//    before it loses the *entire* epoch — which is exactly what recovery's
+//    staging semantics reconstruct.
+//  - log_page_install (fed by OramClient's install hook) appends an install
+//    record and stages the mirror update. It never sees the page's ORAM
+//    leaf: nothing on this disk may name the path a page's next walk takes.
 //  - log_bundle_admitted / log_bundle_resolved append+fsync immediately:
 //    the durable resolve mark IS the outcome-delivery record, so it may
 //    never be softer than the delivery it witnesses.
@@ -66,7 +67,7 @@ class DurableStore final : public oram::EpochListener {
   void on_epoch_abort(uint64_t epoch) override;
 
   // --- data-path hooks ---
-  void log_page_install(const u256& page_id, BytesView data, uint64_t leaf);
+  void log_page_install(const u256& page_id, BytesView data);
   void log_bundle_admitted(uint64_t bundle_id);
   void log_bundle_resolved(uint64_t bundle_id);
 
@@ -118,7 +119,7 @@ class DurableStore final : public oram::EpochListener {
   DurableConfig config_;
 
   mutable std::mutex mu_;
-  StoreImage mirror_;  ///< incremental mode: page data fields empty
+  StoreImage mirror_;  ///< incremental mode: `pages` values empty
   /// Incremental mode only: page payloads, pool-capped and spilled to
   /// "dstore.seg-*" files. Mutable: reads fault pages through the pool.
   mutable std::optional<pagedstore::PagedStore> paged_;
@@ -135,8 +136,7 @@ class DurableStore final : public oram::EpochListener {
   // Open-epoch staging, mirroring the registry's discipline.
   bool epoch_open_ = false;
   oram::EpochRegistry::Pin open_pin_{};
-  std::map<u256, PageImage> staged_pages_;
-  std::map<u256, uint64_t> staged_positions_;
+  std::map<u256, Bytes> staged_pages_;  ///< incremental mode: values empty
 
   Stats stats_{};
 };

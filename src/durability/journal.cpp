@@ -51,7 +51,6 @@ const char* to_string(RecordType type) {
     case RecordType::kEpochCommit: return "epoch_commit";
     case RecordType::kEpochAbort: return "epoch_abort";
     case RecordType::kPageInstall: return "page_install";
-    case RecordType::kPositionUpdate: return "position_update";
     case RecordType::kBundleAdmit: return "bundle_admit";
     case RecordType::kBundleResolve: return "bundle_resolve";
   }
@@ -101,24 +100,14 @@ void Journal::append_epoch_abort(uint64_t epoch) {
   append_record(p);
 }
 
-void Journal::append_page_install(const u256& page_id, BytesView data, uint64_t leaf) {
+void Journal::append_page_install(const u256& page_id, BytesView data) {
   Bytes p;
-  p.reserve(1 + 32 + 8 + 4 + data.size());
+  p.reserve(1 + 32 + 4 + data.size());
   p.push_back(static_cast<uint8_t>(RecordType::kPageInstall));
   const auto id_be = page_id.to_be_bytes();
   p.insert(p.end(), id_be.begin(), id_be.end());
-  put_u64(p, leaf);
   put_u32(p, static_cast<uint32_t>(data.size()));
   append(p, data);
-  append_record(p);
-}
-
-void Journal::append_position_update(const u256& page_id, uint64_t leaf) {
-  Bytes p;
-  p.push_back(static_cast<uint8_t>(RecordType::kPositionUpdate));
-  const auto id_be = page_id.to_be_bytes();
-  p.insert(p.end(), id_be.begin(), id_be.end());
-  put_u64(p, leaf);
   append_record(p);
 }
 
@@ -204,23 +193,15 @@ Journal::ReplayResult Journal::replay(
         if (ok) record.epoch = get_u64(body);
         break;
       case RecordType::kPageInstall: {
-        ok = body_len >= 32 + 8 + 4;
+        ok = body_len >= 32 + 4;
         if (ok) {
           record.page_id = u256::from_be_bytes(BytesView{body, 32});
-          record.leaf = get_u64(body + 32);
-          const uint32_t data_len = get_u32(body + 40);
-          ok = body_len == 32u + 8 + 4 + data_len;
-          if (ok) record.page_data.assign(body + 44, body + 44 + data_len);
+          const uint32_t data_len = get_u32(body + 32);
+          ok = body_len == 32u + 4 + data_len;
+          if (ok) record.page_data.assign(body + 36, body + 36 + data_len);
         }
         break;
       }
-      case RecordType::kPositionUpdate:
-        ok = body_len == 32 + 8;
-        if (ok) {
-          record.page_id = u256::from_be_bytes(BytesView{body, 32});
-          record.leaf = get_u64(body + 32);
-        }
-        break;
       case RecordType::kBundleAdmit:
       case RecordType::kBundleResolve:
         ok = body_len == 8;

@@ -12,10 +12,16 @@
 //   kEpochBegin    u64 epoch | 32B state root | u64 block number
 //   kEpochCommit   u64 epoch
 //   kEpochAbort    u64 epoch
-//   kPageInstall   32B page id | u64 leaf | u32 len | len bytes
-//   kPositionUpdate 32B page id | u64 leaf
+//   kPageInstall   32B page id | u32 len | len bytes
 //   kBundleAdmit   u64 bundle id
 //   kBundleResolve u64 bundle id
+//
+// No record carries an ORAM position. The disk is the operator's, and the
+// leaf an install drew is exactly the path the page's next access walks, so
+// a journaled leaf would let the SP name the page behind that walk. Nothing
+// needs one either: a restart reinstalls every page under fresh leaves.
+// Type 5, a position record in older journals, stays unassigned, so replay
+// rejects it like any unknown type.
 //
 // Replay is FAIL-CLOSED: the first record whose length runs past the file,
 // whose checksum rejects, or whose sequence breaks the expected chain
@@ -47,7 +53,6 @@ enum class RecordType : uint8_t {
   kEpochCommit = 2,
   kEpochAbort = 3,
   kPageInstall = 4,
-  kPositionUpdate = 5,
   kBundleAdmit = 6,
   kBundleResolve = 7,
 };
@@ -62,7 +67,6 @@ struct JournalRecord {
   H256 root{};
   uint64_t block_number = 0;
   u256 page_id{};
-  uint64_t leaf = 0;
   Bytes page_data;
   uint64_t bundle_id = 0;
 };
@@ -78,8 +82,7 @@ class Journal {
   void append_epoch_begin(uint64_t epoch, const H256& root, uint64_t block_number);
   void append_epoch_commit(uint64_t epoch);
   void append_epoch_abort(uint64_t epoch);
-  void append_page_install(const u256& page_id, BytesView data, uint64_t leaf);
-  void append_position_update(const u256& page_id, uint64_t leaf);
+  void append_page_install(const u256& page_id, BytesView data);
   void append_bundle_admit(uint64_t bundle_id);
   void append_bundle_resolve(uint64_t bundle_id);
 

@@ -27,7 +27,6 @@ class Applier {
         open_ = true;
         pin_ = {rec.epoch, rec.root, rec.block_number};
         staged_pages_.clear();
-        staged_positions_.clear();
         return true;
       }
       case RecordType::kEpochCommit: {
@@ -36,7 +35,6 @@ class Applier {
           image_.pages[id] = std::move(page);
           image_.page_tags[id] = pin_.epoch;
         }
-        for (const auto& [id, leaf] : staged_positions_) image_.positions[id] = leaf;
         image_.epoch_history.push_back(pin_);
         open_ = false;
         return true;
@@ -47,11 +45,7 @@ class Applier {
         return true;
       case RecordType::kPageInstall:
         if (!open_) return false;  // installs outside an epoch never happen
-        staged_pages_[rec.page_id] = PageImage{rec.page_data, rec.leaf};
-        return true;
-      case RecordType::kPositionUpdate:
-        if (!open_) return false;
-        staged_positions_[rec.page_id] = rec.leaf;
+        staged_pages_[rec.page_id] = rec.page_data;
         return true;
       case RecordType::kBundleAdmit:
         image_.pending_bundles.insert(rec.bundle_id);
@@ -76,7 +70,6 @@ class Applier {
   void drop_open_epoch() {
     open_ = false;
     staged_pages_.clear();
-    staged_positions_.clear();
     ++stats_.epochs_aborted;
   }
 
@@ -84,8 +77,7 @@ class Applier {
   RecoveryStats& stats_;
   bool open_ = false;
   oram::EpochRegistry::Pin pin_{};
-  std::map<u256, PageImage> staged_pages_;
-  std::map<u256, uint64_t> staged_positions_;
+  std::map<u256, Bytes> staged_pages_;
 };
 
 }  // namespace

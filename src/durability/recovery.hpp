@@ -9,8 +9,8 @@
 //      first torn record, checksum failure, sequence break, or semantic
 //      violation truncates replay THERE — and because sequence numbers chain
 //      across generations, nothing after a truncation is trusted either;
-//   3. abort any epoch still open at the end (its staged pages and position
-//      updates are dropped), preserving the paper's safety invariant
+//   3. abort any epoch still open at the end (its staged pages are
+//      dropped), preserving the paper's safety invariant
 //      `max page epoch <= committed store epoch`.
 //
 // What recovery deliberately does NOT do: talk to the node. Replay is a pure

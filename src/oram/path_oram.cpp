@@ -315,7 +315,7 @@ std::optional<Bytes> OramClient::access(
   // 2. Remap the requested block to a fresh uniformly random leaf.
   const uint64_t new_leaf = rng_.uniform(server_.leaf_count());
   position_[id] = new_leaf;
-  if (new_data != nullptr && install_hook_) install_hook_(id, *new_data, new_leaf);
+  if (new_data != nullptr && install_hook_) install_hook_(id, *new_data);
 
   std::optional<Bytes> result;
   auto stash_it = stash_.find(id);

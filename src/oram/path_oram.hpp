@@ -245,10 +245,12 @@ class OramClient : public OramAccessor {
   void set_access_hook(std::function<void()> hook) { access_hook_ = std::move(hook); }
 
   /// Callback fired once per write()-style install/update, AFTER the block
-  /// is remapped: (id, block-size-padded contents, new leaf). This is the
-  /// durability layer's journaling point — it observes the logical store
-  /// mutation, never the oblivious path traffic.
-  void set_install_hook(std::function<void(const BlockId&, BytesView, uint64_t)> hook) {
+  /// is remapped: (id, block-size-padded contents). This is the durability
+  /// layer's journaling point — it observes the logical store mutation,
+  /// never the oblivious path traffic, and never the new leaf: the hook's
+  /// consumer writes to the operator's disk, and that leaf is the path the
+  /// block's next access walks.
+  void set_install_hook(std::function<void(const BlockId&, BytesView)> hook) {
     install_hook_ = std::move(hook);
   }
 
@@ -276,7 +278,7 @@ class OramClient : public OramAccessor {
   size_t stash_high_water_ = 0;
   bool stash_overflowed_ = false;
   std::function<void()> access_hook_;
-  std::function<void(const BlockId&, BytesView, uint64_t)> install_hook_;
+  std::function<void(const BlockId&, BytesView)> install_hook_;
 };
 
 }  // namespace hardtape::oram

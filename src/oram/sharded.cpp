@@ -207,7 +207,7 @@ void ShardedOramStore::bulk_restore(
 }
 
 void ShardedOramStore::set_install_hook(
-    std::function<void(const BlockId&, BytesView, uint64_t)> hook) {
+    std::function<void(const BlockId&, BytesView)> hook) {
   for (auto& shard : shards_) shard->client->set_install_hook(hook);
 }
 

@@ -94,9 +94,9 @@ class ShardedOramStore : public OramAccessor {
   void bulk_restore(const std::vector<std::pair<BlockId, Bytes>>& pages);
 
   /// Durability journaling point, forwarded to every shard client: fires per
-  /// write()-install with (id, padded data, shard-local leaf). Migration
-  /// does not fire it (a cross-shard move is not a logical store mutation).
-  void set_install_hook(std::function<void(const BlockId&, BytesView, uint64_t)> hook);
+  /// write()-install with (id, padded data). Migration does not fire it (a
+  /// cross-shard move is not a logical store mutation).
+  void set_install_hook(std::function<void(const BlockId&, BytesView)> hook);
 
   // --- topology (for the frontend's per-shard accounting) ---
   size_t shard_count() const { return shards_.size(); }

@@ -211,9 +211,8 @@ PreExecutionEngine::PreExecutionEngine(node::NodeSimulator& node, EngineConfig c
     // journals page writes. Neither feeds anything back into execution.
     epoch_registry_.set_listener(config_.durable);
     oram_store_.set_install_hook(
-        [durable = config_.durable](const oram::BlockId& id, BytesView data,
-                                    uint64_t leaf) {
-          durable->log_page_install(id, data, leaf);
+        [durable = config_.durable](const oram::BlockId& id, BytesView data) {
+          durable->log_page_install(id, data);
         });
   }
 }
@@ -478,7 +477,7 @@ Status PreExecutionEngine::warm_restart(const durability::RecoveredState& recove
     if (config_.durable != nullptr) config_.durable->set_restoring(true);
     std::vector<std::pair<oram::BlockId, Bytes>> pages;
     pages.reserve(image.pages.size());
-    for (const auto& [id, page] : image.pages) pages.emplace_back(id, page.data);
+    for (const auto& [id, data] : image.pages) pages.emplace_back(id, data);
     // Bulk load: one sealed-tree install instead of one full path access per
     // page — the restore cost that makes warm beat cold (the image's pages
     // were verified before they were journaled; only the gap needs proofs).

@@ -33,6 +33,71 @@ TEST(Keccak, MultiBlockInput) {
   EXPECT_NE(keccak256(std::string(136, 'x')), keccak256(std::string(135, 'x')));
 }
 
+// Known answers across every rate-block boundary the sponge has: empty,
+// one byte, one block minus one, exactly one block, one past it, the same
+// around two blocks, and 4,392 bytes — one paged ORAM bucket's checksum
+// preimage (32-byte id, 8-byte generation, 4 sealed 1,088-byte slots).
+// Input byte i is (7i + 3) mod 256. Generated offline by this Python sponge
+// over a readable Keccak-f[1600], which first reproduces hashlib.sha3_256 at
+// every length with the FIPS 202 suffix 0x06, then switches to Keccak's 0x01:
+//
+//   import hashlib
+//   M = 2**64 - 1
+//   rot = lambda v, n: ((v << n) | (v >> (64 - n))) & M
+//   def round_constants():
+//       out, r = [], 1
+//       for _ in range(24):
+//           c = 0
+//           for j in range(7):
+//               r = ((r << 1) ^ ((r >> 7) * 0x71)) % 256
+//               if r & 2: c |= 1 << ((1 << j) - 1)
+//           out.append(c)
+//       return out
+//   def keccak_f(a):  # a[x][y]
+//       for rc in round_constants():
+//           c = [a[x][0] ^ a[x][1] ^ a[x][2] ^ a[x][3] ^ a[x][4] for x in range(5)]
+//           d = [c[(x - 1) % 5] ^ rot(c[(x + 1) % 5], 1) for x in range(5)]
+//           a = [[a[x][y] ^ d[x] for y in range(5)] for x in range(5)]
+//           x, y, cur = 1, 0, a[1][0]
+//           for t in range(24):
+//               x, y = y, (2 * x + 3 * y) % 5
+//               cur, a[x][y] = a[x][y], rot(cur, ((t + 1) * (t + 2) // 2) % 64)
+//           a = [[a[x][y] ^ (~a[(x + 1) % 5][y] & a[(x + 2) % 5][y]) for y in range(5)]
+//                for x in range(5)]
+//           a[0][0] ^= rc
+//       return a
+//   def sponge(msg, suffix, rate=136):
+//       p = bytearray(msg) + bytes([suffix]) + bytes((-len(msg) - 1) % rate)
+//       p[-1] |= 0x80
+//       a = [[0] * 5 for _ in range(5)]
+//       for off in range(0, len(p), rate):
+//           for i in range(rate // 8):
+//               a[i % 5][i // 5] ^= int.from_bytes(p[off + 8 * i:off + 8 * i + 8], 'little')
+//           a = keccak_f(a)
+//       return b''.join(a[i % 5][i // 5].to_bytes(8, 'little') for i in range(4)).hex()
+//   for n in [0, 1, 135, 136, 137, 271, 272, 273, 4392]:
+//       msg = bytes((7 * i + 3) % 256 for i in range(n))
+//       assert sponge(msg, 0x06) == hashlib.sha3_256(msg).hexdigest()
+//       print(n, sponge(msg, 0x01))
+TEST(Keccak, KnownVectorsPastOneRateBlock) {
+  const std::pair<size_t, const char*> vectors[] = {
+      {0, "c5d2460186f7233c927e7db2dcc703c0e500b653ca82273b7bfad8045d85a470"},
+      {1, "69c322e3248a5dfc29d73c5b0553b0185a35cd5bb6386747517ef7e53b15e287"},
+      {135, "00ef96af9cf4b24c7f269d922294444a197d0a33638c2e56634c57e892103a8f"},
+      {136, "742061bcad767ed4c4f5883b1dcb1aad11afdcc140dc469d953759b127b9f9ed"},
+      {137, "e3371f61e770abf254c34239c3b0099ad90594507415bc81dd0a10b9692bbf2a"},
+      {271, "4401c4afbe16ff911bdbf2d38e556e5b861f3fdf0f9d4306b1c46f6ae4f73584"},
+      {272, "ac141fd7b0a0ffcd2e967254d508da3ec616596493c36fa304425647d90e6de5"},
+      {273, "16192ea86793083e47731cb3c970600f04768414d92bc0540e54ce8607a0fce0"},
+      {4392, "026a43b602b5ffc8d7eac74cdaf86aeb40b43ae811c17bd1d52e412ff46af5e1"},
+  };
+  for (const auto& [length, digest] : vectors) {
+    Bytes input(length);
+    for (size_t i = 0; i < length; ++i) input[i] = static_cast<uint8_t>(7 * i + 3);
+    EXPECT_EQ(keccak256(input).hex(), digest) << length << " bytes";
+  }
+}
+
 TEST(Sha256, KnownVectors) {
   EXPECT_EQ(sha256(Bytes{}).hex(),
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");

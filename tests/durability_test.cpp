@@ -237,8 +237,7 @@ TEST(JournalTest, RoundTripAllRecordTypes) {
   const H256 root = crypto::keccak256(bytes_of("root"));
   journal.append_epoch_begin(0, root, 41);
   journal.append_bundle_admit(7);
-  journal.append_page_install(u256{123}, bytes_of("page contents"), 5);
-  journal.append_position_update(u256{123}, 5);
+  journal.append_page_install(u256{123}, bytes_of("page contents"));
   journal.append_epoch_commit(0);
   journal.append_bundle_resolve(7);
   journal.append_epoch_begin(1, root, 42);
@@ -248,18 +247,17 @@ TEST(JournalTest, RoundTripAllRecordTypes) {
   std::vector<JournalRecord> records;
   const auto result = replay_all(fs, "wal-0", &records);
   EXPECT_EQ(result.stop_reason, "");
-  EXPECT_EQ(result.records, 8u);
-  EXPECT_EQ(result.next_seq, 8u);
+  EXPECT_EQ(result.records, 7u);
+  EXPECT_EQ(result.next_seq, 7u);
   EXPECT_EQ(result.truncated_bytes, 0u);
-  ASSERT_EQ(records.size(), 8u);
+  ASSERT_EQ(records.size(), 7u);
   EXPECT_EQ(records[0].type, RecordType::kEpochBegin);
   EXPECT_EQ(records[0].root, root);
   EXPECT_EQ(records[0].block_number, 41u);
   EXPECT_EQ(records[1].bundle_id, 7u);
   EXPECT_EQ(records[2].page_id, u256{123});
   EXPECT_EQ(records[2].page_data, bytes_of("page contents"));
-  EXPECT_EQ(records[2].leaf, 5u);
-  EXPECT_EQ(records[7].type, RecordType::kEpochAbort);
+  EXPECT_EQ(records[6].type, RecordType::kEpochAbort);
 }
 
 TEST(JournalTest, TornTailTruncatesToValidPrefix) {
@@ -384,8 +382,8 @@ TEST(JournalTest, EncodeRefusesOversizePayload) {
 bool same_record(const JournalRecord& a, const JournalRecord& b) {
   return a.seq == b.seq && a.type == b.type && a.epoch == b.epoch &&
          a.root == b.root && a.block_number == b.block_number &&
-         a.page_id == b.page_id && a.leaf == b.leaf &&
-         a.page_data == b.page_data && a.bundle_id == b.bundle_id;
+         a.page_id == b.page_id && a.page_data == b.page_data &&
+         a.bundle_id == b.bundle_id;
 }
 
 TEST(JournalTest, CorruptionFuzzIsFailClosed) {
@@ -399,16 +397,14 @@ TEST(JournalTest, CorruptionFuzzIsFailClosed) {
   for (uint64_t e = 0; e < 6; ++e) {
     journal.append_epoch_begin(e, root, 100 + e);
     journal.append_bundle_admit(e);
-    journal.append_page_install(u256{e + 1}, gen.bytes(32 + gen.uniform(96)),
-                                gen.uniform(64));
-    journal.append_position_update(u256{e + 1}, gen.uniform(64));
+    journal.append_page_install(u256{e + 1}, gen.bytes(32 + gen.uniform(96)));
     journal.append_epoch_commit(e);
   }
   journal.sync();
   const Bytes pristine = *fs.read("wal-0");
   std::vector<JournalRecord> reference;
   ASSERT_EQ(replay_all(fs, "wal-0", &reference).stop_reason, "");
-  ASSERT_EQ(reference.size(), 30u);
+  ASSERT_EQ(reference.size(), 24u);
 
   for (uint64_t seed = 1; seed <= 200; ++seed) {
     Random rng(seed);
@@ -449,10 +445,8 @@ StoreImage sample_image() {
   image.epoch_history.push_back({1, crypto::keccak256(bytes_of("r1")), 2});
   image.page_tags[u256{1}] = 0;
   image.page_tags[u256{2}] = 1;
-  image.pages[u256{1}] = PageImage{bytes_of("page one"), 3};
-  image.pages[u256{2}] = PageImage{bytes_of("page two"), 9};
-  image.positions[u256{1}] = 3;
-  image.positions[u256{2}] = 9;
+  image.pages[u256{1}] = bytes_of("page one");
+  image.pages[u256{2}] = bytes_of("page two");
   image.pending_bundles = {4, 6};
   image.next_bundle_id = 7;
   return image;
@@ -468,9 +462,7 @@ TEST(Checkpoint, SerializeParseRoundTrip) {
   EXPECT_EQ(parsed->epoch_history[1].state_root, image.epoch_history[1].state_root);
   EXPECT_EQ(parsed->page_tags, image.page_tags);
   ASSERT_EQ(parsed->pages.size(), 2u);
-  EXPECT_EQ(parsed->pages.at(u256{1}).data, bytes_of("page one"));
-  EXPECT_EQ(parsed->pages.at(u256{2}).leaf, 9u);
-  EXPECT_EQ(parsed->positions, image.positions);
+  EXPECT_EQ(parsed->pages, image.pages);
   EXPECT_EQ(parsed->pending_bundles, image.pending_bundles);
 }
 
@@ -535,17 +527,16 @@ TEST(RecoveryTest, CommittedEpochIsReplayed) {
   Journal journal(fs, checkpoint::journal_path(0), 0);
   const H256 root = crypto::keccak256(bytes_of("root"));
   journal.append_epoch_begin(0, root, 10);
-  journal.append_page_install(u256{42}, bytes_of("page"), 3);
-  journal.append_position_update(u256{42}, 3);
+  journal.append_page_install(u256{42}, bytes_of("page"));
   journal.append_epoch_commit(0);
   journal.sync();
 
   const auto rec = Recovery::replay(fs);
   EXPECT_EQ(rec.stats.stop_reason, "");
-  EXPECT_EQ(rec.stats.records_replayed, 4u);
+  EXPECT_EQ(rec.stats.records_replayed, 3u);
   ASSERT_EQ(rec.image.epoch_history.size(), 1u);
   EXPECT_EQ(rec.image.epoch_history[0].state_root, root);
-  EXPECT_EQ(rec.image.pages.at(u256{42}).data, bytes_of("page"));
+  EXPECT_EQ(rec.image.pages.at(u256{42}), bytes_of("page"));
   EXPECT_EQ(rec.image.page_tags.at(u256{42}), 0u);
   EXPECT_EQ(rec.stats.epochs_aborted, 0u);
 }
@@ -555,10 +546,10 @@ TEST(RecoveryTest, UncommittedEpochIsAborted) {
   Journal journal(fs, checkpoint::journal_path(0), 0);
   const H256 root = crypto::keccak256(bytes_of("root"));
   journal.append_epoch_begin(0, root, 10);
-  journal.append_page_install(u256{1}, bytes_of("committed"), 1);
+  journal.append_page_install(u256{1}, bytes_of("committed"));
   journal.append_epoch_commit(0);
   journal.append_epoch_begin(1, root, 11);
-  journal.append_page_install(u256{2}, bytes_of("in flight"), 2);
+  journal.append_page_install(u256{2}, bytes_of("in flight"));
   // No commit: the crash ate it.
   journal.sync();
 
@@ -579,7 +570,7 @@ TEST(RecoveryTest, SemanticViolationTruncatesFailClosed) {
   Journal journal(fs, checkpoint::journal_path(0), 0);
   journal.append_bundle_admit(1);
   // Install outside any epoch: wire-valid, semantically impossible.
-  journal.append_page_install(u256{5}, bytes_of("rogue"), 1);
+  journal.append_page_install(u256{5}, bytes_of("rogue"));
   journal.append_bundle_admit(2);  // after the violation: untrusted
   journal.sync();
 
@@ -635,7 +626,7 @@ TEST(DurableStoreTest, MirrorMatchesRecovery) {
   DurableStore store(fs, DurableConfig{});
   const H256 root = crypto::keccak256(bytes_of("root"));
   store.on_epoch_begin(0, root, 5);
-  store.log_page_install(u256{1}, bytes_of("page one"), 2);
+  store.log_page_install(u256{1}, bytes_of("page one"));
   store.log_bundle_admitted(0);
   store.on_epoch_commit(0);
   store.log_bundle_admitted(1);
@@ -657,7 +648,7 @@ TEST(DurableStoreTest, CrashMidEpochRecoversPreEpochImage) {
   DurableStore store(fs, DurableConfig{});
   const H256 root = crypto::keccak256(bytes_of("root"));
   store.on_epoch_begin(0, root, 5);
-  store.log_page_install(u256{1}, bytes_of("epoch zero"), 2);
+  store.log_page_install(u256{1}, bytes_of("epoch zero"));
   store.on_epoch_commit(0);
 
   CrashConfig crash;
@@ -669,8 +660,8 @@ TEST(DurableStoreTest, CrashMidEpochRecoversPreEpochImage) {
     return c;
   }());
   store.on_epoch_begin(1, root, 6);
-  store.log_page_install(u256{2}, bytes_of("epoch one"), 3);
-  store.log_page_install(u256{3}, bytes_of("epoch one b"), 4);
+  store.log_page_install(u256{2}, bytes_of("epoch one"));
+  store.log_page_install(u256{3}, bytes_of("epoch one b"));
   store.on_epoch_commit(1);  // some of this dies with the power
   EXPECT_TRUE(fs.crashed());
   fs.restart();
@@ -698,7 +689,7 @@ TEST(DurableStoreTest, AutoCheckpointRollsGeneration) {
   const H256 root = crypto::keccak256(bytes_of("root"));
   for (uint64_t e = 0; e < 3; ++e) {
     store.on_epoch_begin(e, root, e);
-    store.log_page_install(u256{e + 1}, bytes_of("page"), e);
+    store.log_page_install(u256{e + 1}, bytes_of("page"));
     store.on_epoch_commit(e);
   }
   const auto stats = store.stats();
@@ -844,6 +835,44 @@ TEST_F(DurableEngineTest, ResubmitReplaysPendingBundleSemanticallyIdentical) {
   // The re-admission resolved durably on the new store.
   const auto rec2 = Recovery::replay(fs2);
   EXPECT_FALSE(rec2.image.pending_bundles.contains(0));
+}
+
+TEST_F(DurableEngineTest, DurableDiskCarriesNoOramLeaf) {
+  // The durable disk is the operator's. Engines that differ only in their
+  // seed draw different ORAM leaves for the same pages, so if a leaf reached
+  // a journal record, a checkpoint or a manifest, their disks would differ.
+  // No bundles: admit and resolve marks interleave with worker timing and
+  // carry no leaf.
+  for (const bool incremental : {false, true}) {
+    SCOPED_TRACE(incremental ? "incremental checkpoints" : "full-image checkpoints");
+    const DurableConfig durable_config{.checkpoint_every_records = 16,
+                                       .incremental_checkpoints = incremental};
+    SimFs fs_a;
+    SimFs fs_b;
+    DurableStore store_a(fs_a, durable_config);
+    DurableStore store_b(fs_b, durable_config);
+    const auto config = [&](DurableStore* durable, uint64_t seed) {
+      service::EngineConfig config = make_config(durable);
+      config.num_hevms = 1;
+      config.seed = seed;
+      return config;
+    };
+    service::PreExecutionEngine engine_a(node_, config(&store_a, 1));
+    service::PreExecutionEngine engine_b(node_, config(&store_b, 2));
+    ASSERT_EQ(engine_a.synchronize(), Status::kOk);
+    ASSERT_EQ(engine_b.synchronize(), Status::kOk);
+    const H256 synced_root = node_.head().state_root;
+    node_.produce_block({txs_[incremental ? 6 : 5]});
+    ASSERT_NE(node_.head().state_root, synced_root);
+    ASSERT_EQ(engine_a.resync(), Status::kOk);
+    ASSERT_EQ(engine_b.resync(), Status::kOk);
+    ASSERT_GE(store_a.stats().checkpoints_written, 1u);
+
+    ASSERT_EQ(fs_a.list(), fs_b.list());
+    for (const std::string& path : fs_a.list()) {
+      EXPECT_EQ(fs_a.read(path), fs_b.read(path)) << path << " differs between seeds";
+    }
+  }
 }
 
 // Every sealed slot in the ORAM segment files on `fs` — what an SP that keeps

@@ -248,7 +248,7 @@ TEST(OramClient, BulkRestoreRoundTripAndFollowOnAccesses) {
     pages.emplace_back(bid(i), Bytes(8, static_cast<uint8_t>(i)));
   }
   int installs = 0;
-  client.set_install_hook([&](const BlockId&, BytesView, uint64_t) { ++installs; });
+  client.set_install_hook([&](const BlockId&, BytesView) { ++installs; });
   client.bulk_restore(pages);
   EXPECT_EQ(installs, 0);  // a restore is not an install: nothing to journal
   EXPECT_EQ(server.access_count(), 0u);  // and not an access: no observed paths
@@ -619,7 +619,7 @@ TEST(ShardedStore, BulkRestorePartitionsAndServes) {
 TEST(ShardedStore, InstallHookFiresOnWritesNotMigrations) {
   auto store = make_sharded(8);
   std::atomic<uint64_t> installs{0};
-  store.set_install_hook([&](const BlockId&, BytesView, uint64_t) { ++installs; });
+  store.set_install_hook([&](const BlockId&, BytesView) { ++installs; });
   for (uint64_t i = 0; i < 16; ++i) store.write(bid(i), Bytes(64, 1));
   EXPECT_EQ(installs.load(), 16u);
   // Reads migrate blocks between shards; a cross-shard move is not a logical
