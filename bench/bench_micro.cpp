@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "common/codec.hpp"
 #include "common/random.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/keccak.hpp"
@@ -24,14 +25,23 @@ namespace {
 using namespace hardtape;
 
 // The sizes the system hashes: a storage key or SHA3 word, one rate block,
-// 1 KiB, and one paged ORAM bucket's checksum preimage (32-byte id, 8-byte
-// generation, 4 sealed 1,088-byte slots).
+// 1 KiB, and about one paged ORAM bucket record (4 sealed 1,088-byte slots
+// plus a 40-byte id and generation).
 void BM_Keccak256(benchmark::State& state) {
   const Bytes data = Random(1).bytes(static_cast<size_t>(state.range(0)));
   for (auto _ : state) benchmark::DoNotOptimize(crypto::keccak256(data));
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_Keccak256)->Arg(32)->Arg(136)->Arg(1024)->Arg(4392);
+
+// The checksum on every page, journal and checkpoint record, at the same
+// sizes as BM_Keccak256 so the two read side by side.
+void BM_Crc32c(benchmark::State& state) {
+  const Bytes data = Random(1).bytes(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) benchmark::DoNotOptimize(codec::crc32c(data));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_Crc32c)->Arg(32)->Arg(136)->Arg(1024)->Arg(4392);
 
 void BM_Sha256_1KB(benchmark::State& state) {
   const Bytes data = Random(2).bytes(1024);

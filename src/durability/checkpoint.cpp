@@ -3,88 +3,25 @@
 #include <algorithm>
 #include <cstring>
 
-#include "crypto/keccak.hpp"
+#include "common/codec.hpp"
 
 namespace hardtape::durability::checkpoint {
 
 namespace {
 
+using codec::put_u256;
+using codec::put_u32;
+using codec::put_u64;
+using codec::Reader;
+
 constexpr char kMagic[8] = {'H', 'T', 'C', 'K', 'P', 'T', '0', '1'};
-// The full image ("v1") and the manifest ("v2") layouts. Versions 1 and 2
-// stay unused: files in those layouts carried ORAM leaves, and load_newest
-// must refuse them like any unknown version rather than misparse them.
-constexpr uint32_t kVersion = 3;          ///< full image inline
-constexpr uint32_t kManifestVersion = 4;  ///< incremental: page locators
-constexpr size_t kChecksumSize = 8;
-
-void put_u32(Bytes& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void put_u64(Bytes& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void put_u256(Bytes& out, const u256& v) {
-  const auto be = v.to_be_bytes();
-  out.insert(out.end(), be.begin(), be.end());
-}
-
-/// Bounds-checked little-endian reader; any read past the end poisons the
-/// cursor so parse() can check once at the end of each section.
-struct Reader {
-  const uint8_t* p;
-  size_t remaining;
-  bool ok = true;
-
-  bool take(size_t n) {
-    if (!ok || remaining < n) {
-      ok = false;
-      return false;
-    }
-    return true;
-  }
-  uint32_t u32() {
-    if (!take(4)) return 0;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
-    p += 4;
-    remaining -= 4;
-    return v;
-  }
-  uint64_t u64() {
-    if (!take(8)) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-    p += 8;
-    remaining -= 8;
-    return v;
-  }
-  u256 big() {
-    if (!take(32)) return u256{};
-    const u256 v = u256::from_be_bytes(BytesView{p, 32});
-    p += 32;
-    remaining -= 32;
-    return v;
-  }
-  H256 h256() {
-    H256 v{};
-    if (!take(32)) return v;
-    std::memcpy(v.bytes.data(), p, 32);
-    p += 32;
-    remaining -= 32;
-    return v;
-  }
-  Bytes blob() {
-    const uint32_t len = u32();
-    Bytes v;
-    if (!take(len)) return v;
-    v.assign(p, p + len);
-    p += len;
-    remaining -= len;
-    return v;
-  }
-};
+// The full image ("v1") and the manifest ("v2") layouts. Versions 1 to 4
+// stay unused: 1 and 2 carried ORAM leaves, 3 and 4 an 8-byte trailer that
+// checksummed differently, and load_newest must refuse them like any unknown
+// version rather than misparse them.
+constexpr uint32_t kVersion = 5;          ///< full image inline
+constexpr uint32_t kManifestVersion = 6;  ///< incremental: page locators
+constexpr size_t kChecksumSize = 4;
 
 // --- sections shared by the v1 image and the v2 manifest ---
 
@@ -143,8 +80,7 @@ std::optional<size_t> verify_frame(BytesView data) {
   if (data.size() < kMinSize) return std::nullopt;
   if (std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) return std::nullopt;
   const size_t body_len = data.size() - kChecksumSize;
-  const H256 digest = crypto::keccak256(BytesView{data.data(), body_len});
-  if (std::memcmp(digest.bytes.data(), data.data() + body_len, kChecksumSize) != 0) {
+  if (codec::crc32c(data.first(body_len)) != codec::get_u32(data.data() + body_len)) {
     return std::nullopt;
   }
   return body_len;
@@ -152,11 +88,7 @@ std::optional<size_t> verify_frame(BytesView data) {
 
 /// The version field of a frame-verified checkpoint file.
 uint32_t peek_version(BytesView data) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(data[sizeof(kMagic) + i]) << (8 * i);
-  }
-  return v;
+  return codec::get_u32(data.data() + sizeof(kMagic));
 }
 
 /// The atomic-publish tail shared by write() and write_manifest().
@@ -206,8 +138,7 @@ Bytes serialize(uint64_t generation, const StoreImage& image) {
 
   put_pending(out, image);
 
-  const H256 digest = crypto::keccak256(out);
-  out.insert(out.end(), digest.bytes.begin(), digest.bytes.begin() + kChecksumSize);
+  put_u32(out, codec::crc32c(out));
   return out;
 }
 
@@ -268,8 +199,7 @@ Bytes serialize_manifest(uint64_t generation, const Manifest& manifest) {
 
   put_pending(out, manifest.meta);
 
-  const H256 digest = crypto::keccak256(out);
-  out.insert(out.end(), digest.bytes.begin(), digest.bytes.begin() + kChecksumSize);
+  put_u32(out, codec::crc32c(out));
   return out;
 }
 
@@ -335,14 +265,8 @@ std::optional<StoreImage> resolve_manifest(const SimFs& fs, Manifest&& manifest)
 
 std::optional<std::pair<uint64_t, StoreImage>> load_newest(const SimFs& fs) {
   std::vector<uint64_t> generations;
-  const std::string prefix = "ckpt-";
   for (const std::string& name : fs.list()) {
-    if (name.size() <= prefix.size() || name.compare(0, prefix.size(), prefix) != 0) {
-      continue;
-    }
-    const std::string suffix = name.substr(prefix.size());
-    if (suffix.find_first_not_of("0123456789") != std::string::npos) continue;
-    generations.push_back(std::stoull(suffix));
+    if (const auto gen = codec::numbered_suffix(name, "ckpt-")) generations.push_back(*gen);
   }
   std::sort(generations.rbegin(), generations.rend());
   for (const uint64_t gen : generations) {

@@ -15,7 +15,7 @@
 // dir-synced, so at every instant at least one complete (checkpoint,
 // journal-chain) pair exists on disk.
 //
-// The image itself carries a trailing truncated-keccak checksum; a
+// The image itself carries a trailing CRC-32C (common/codec.hpp); a
 // checkpoint that fails it (possible when its own tmp-write crashed AND the
 // rename leaked through a reordered metadata journal) is skipped and
 // recovery falls back to the previous generation — fail closed, same

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "common/codec.hpp"
+
 namespace hardtape::durability {
 
 DurableStore::DurableStore(SimFs& fs, DurableConfig config)
@@ -212,13 +214,8 @@ void DurableStore::gc_segments_locked() {
   // v1 files and corrupt manifests reference no segments). The PagedStore
   // additionally always keeps its open segment.
   std::set<uint64_t> keep;
-  const std::string prefix = "ckpt-";
   for (const std::string& name : fs_.list()) {
-    if (name.size() <= prefix.size() || name.compare(0, prefix.size(), prefix) != 0) {
-      continue;
-    }
-    const std::string suffix = name.substr(prefix.size());
-    if (suffix.find_first_not_of("0123456789") != std::string::npos) continue;
+    if (!codec::numbered_suffix(name, "ckpt-").has_value()) continue;
     const auto data = fs_.read(name);
     if (!data.has_value()) continue;
     const auto manifest = checkpoint::parse_manifest(*data);

@@ -1,47 +1,14 @@
 #include "durability/journal.hpp"
 
-#include <cstring>
-
+#include "common/codec.hpp"
 #include "common/errors.hpp"
-#include "crypto/keccak.hpp"
 
 namespace hardtape::durability {
 
 namespace {
 
-constexpr size_t kHeaderSize = 4 + 8 + 8;  // len + seq + checksum
-constexpr size_t kChecksumSize = 8;
-
-void put_u32(Bytes& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void put_u64(Bytes& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-uint32_t get_u32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-uint64_t get_u64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::array<uint8_t, kChecksumSize> record_checksum(uint64_t seq, BytesView payload) {
-  Bytes preimage;
-  preimage.reserve(8 + payload.size());
-  put_u64(preimage, seq);
-  append(preimage, payload);
-  const H256 digest = crypto::keccak256(preimage);
-  std::array<uint8_t, kChecksumSize> out{};
-  std::memcpy(out.data(), digest.bytes.data(), kChecksumSize);
-  return out;
-}
+constexpr size_t kChecksumAt = 4 + 8;             // after len + seq
+constexpr size_t kHeaderSize = kChecksumAt + 4;  // len + seq + checksum
 
 }  // namespace
 
@@ -63,10 +30,9 @@ Bytes Journal::encode(uint64_t seq, BytesView payload) {
   }
   Bytes out;
   out.reserve(kHeaderSize + payload.size());
-  put_u32(out, static_cast<uint32_t>(payload.size()));
-  put_u64(out, seq);
-  const auto checksum = record_checksum(seq, payload);
-  out.insert(out.end(), checksum.begin(), checksum.end());
+  codec::put_u32(out, static_cast<uint32_t>(payload.size()));
+  codec::put_u64(out, seq);
+  codec::put_u32(out, codec::crc32c(payload, codec::crc32c(out)));
   append(out, payload);
   return out;
 }
@@ -80,23 +46,23 @@ void Journal::append_record(BytesView payload) {
 void Journal::append_epoch_begin(uint64_t epoch, const H256& root, uint64_t block_number) {
   Bytes p;
   p.push_back(static_cast<uint8_t>(RecordType::kEpochBegin));
-  put_u64(p, epoch);
+  codec::put_u64(p, epoch);
   append(p, BytesView{root.bytes.data(), root.bytes.size()});
-  put_u64(p, block_number);
+  codec::put_u64(p, block_number);
   append_record(p);
 }
 
 void Journal::append_epoch_commit(uint64_t epoch) {
   Bytes p;
   p.push_back(static_cast<uint8_t>(RecordType::kEpochCommit));
-  put_u64(p, epoch);
+  codec::put_u64(p, epoch);
   append_record(p);
 }
 
 void Journal::append_epoch_abort(uint64_t epoch) {
   Bytes p;
   p.push_back(static_cast<uint8_t>(RecordType::kEpochAbort));
-  put_u64(p, epoch);
+  codec::put_u64(p, epoch);
   append_record(p);
 }
 
@@ -104,9 +70,8 @@ void Journal::append_page_install(const u256& page_id, BytesView data) {
   Bytes p;
   p.reserve(1 + 32 + 4 + data.size());
   p.push_back(static_cast<uint8_t>(RecordType::kPageInstall));
-  const auto id_be = page_id.to_be_bytes();
-  p.insert(p.end(), id_be.begin(), id_be.end());
-  put_u32(p, static_cast<uint32_t>(data.size()));
+  codec::put_u256(p, page_id);
+  codec::put_u32(p, static_cast<uint32_t>(data.size()));
   append(p, data);
   append_record(p);
 }
@@ -114,14 +79,14 @@ void Journal::append_page_install(const u256& page_id, BytesView data) {
 void Journal::append_bundle_admit(uint64_t bundle_id) {
   Bytes p;
   p.push_back(static_cast<uint8_t>(RecordType::kBundleAdmit));
-  put_u64(p, bundle_id);
+  codec::put_u64(p, bundle_id);
   append_record(p);
 }
 
 void Journal::append_bundle_resolve(uint64_t bundle_id) {
   Bytes p;
   p.push_back(static_cast<uint8_t>(RecordType::kBundleResolve));
-  put_u64(p, bundle_id);
+  codec::put_u64(p, bundle_id);
   append_record(p);
 }
 
@@ -144,8 +109,9 @@ Journal::ReplayResult Journal::replay(
       fail("torn header");
       return result;
     }
-    const uint32_t len = get_u32(&data[off]);
-    const uint64_t seq = get_u64(&data[off + 4]);
+    const uint8_t* header = &data[off];
+    const uint32_t len = codec::get_u32(header);
+    const uint64_t seq = codec::get_u64(header + 4);
     if (len > kMaxRecordSize) {
       // Clamp BEFORE framing: a corrupt length field must not be allowed to
       // swallow the rest of the file (or drive a huge allocation) just
@@ -157,9 +123,9 @@ Journal::ReplayResult Journal::replay(
       fail("torn payload");
       return result;
     }
-    const BytesView payload{&data[off + kHeaderSize], len};
-    const auto expect = record_checksum(seq, payload);
-    if (!std::equal(expect.begin(), expect.end(), &data[off + 4 + 8])) {
+    const BytesView payload{header + kHeaderSize, len};
+    if (codec::crc32c(payload, codec::crc32c(BytesView{header, kChecksumAt})) !=
+        codec::get_u32(header + kChecksumAt)) {
       fail("checksum mismatch");
       return result;
     }
@@ -175,42 +141,29 @@ Journal::ReplayResult Journal::replay(
     JournalRecord record;
     record.seq = seq;
     record.type = static_cast<RecordType>(payload[0]);
-    const uint8_t* body = payload.data() + 1;
-    const size_t body_len = len - 1;
-    bool ok = true;
+    codec::Reader body{payload.data() + 1, len - 1};
     switch (record.type) {
       case RecordType::kEpochBegin:
-        ok = body_len == 8 + 32 + 8;
-        if (ok) {
-          record.epoch = get_u64(body);
-          std::memcpy(record.root.bytes.data(), body + 8, 32);
-          record.block_number = get_u64(body + 40);
-        }
+        record.epoch = body.u64();
+        record.root = body.h256();
+        record.block_number = body.u64();
         break;
       case RecordType::kEpochCommit:
       case RecordType::kEpochAbort:
-        ok = body_len == 8;
-        if (ok) record.epoch = get_u64(body);
+        record.epoch = body.u64();
         break;
-      case RecordType::kPageInstall: {
-        ok = body_len >= 32 + 4;
-        if (ok) {
-          record.page_id = u256::from_be_bytes(BytesView{body, 32});
-          const uint32_t data_len = get_u32(body + 32);
-          ok = body_len == 32u + 4 + data_len;
-          if (ok) record.page_data.assign(body + 36, body + 36 + data_len);
-        }
+      case RecordType::kPageInstall:
+        record.page_id = body.big();
+        record.page_data = body.blob();
         break;
-      }
       case RecordType::kBundleAdmit:
       case RecordType::kBundleResolve:
-        ok = body_len == 8;
-        if (ok) record.bundle_id = get_u64(body);
+        record.bundle_id = body.u64();
         break;
       default:
-        ok = false;
+        body.ok = false;
     }
-    if (!ok) {
+    if (!body.ok || body.remaining != 0) {
       fail("malformed payload");
       return result;
     }

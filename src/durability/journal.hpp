@@ -1,12 +1,11 @@
 // Write-ahead journal for the ORAM store (length-prefixed, checksummed).
 //
-// Record wire format (little-endian):
-//   u32 payload_len | u64 seq | 8-byte checksum | payload
-// where checksum = the first 8 bytes of keccak256(seq_le || payload) — the
-// repo's one hash, truncated; enough to reject torn tails and garbage holes
-// with the same primitive the rest of the chip trusts. `seq` is globally
-// monotone across journal generations, so replay can prove wal-g really
-// continues where checkpoint g (base_seq) and wal-(g-1) left off.
+// Record wire format (little-endian, common/codec.hpp):
+//   u32 payload_len | u64 seq | u32 checksum | payload
+// where checksum = CRC-32C over payload_len, seq and payload — enough to
+// reject torn tails and garbage holes on the device's own disk. `seq` is
+// globally monotone across journal generations, so replay can prove wal-g
+// really continues where checkpoint g (base_seq) and wal-(g-1) left off.
 //
 // Payloads are type-tagged:
 //   kEpochBegin    u64 epoch | 32B state root | u64 block number

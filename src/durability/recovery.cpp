@@ -1,8 +1,10 @@
 #include "durability/recovery.hpp"
 
 #include <algorithm>
+#include <string_view>
 #include <utility>
 
+#include "common/codec.hpp"
 #include "durability/journal.hpp"
 
 namespace hardtape::durability::Recovery {
@@ -123,14 +125,10 @@ RecoveredState replay(const SimFs& fs) {
   // an untrusted wal beyond the truncation point must stay evidence, not
   // become the tail of the restarted store's fresh journal.
   for (const std::string& name : fs.list()) {
-    for (const std::string& prefix : {std::string("wal-"), std::string("ckpt-")}) {
-      if (name.size() <= prefix.size() || name.compare(0, prefix.size(), prefix) != 0) {
-        continue;
+    for (const std::string_view prefix : {"wal-", "ckpt-"}) {
+      if (const auto g = codec::numbered_suffix(name, prefix)) {
+        out.stats.next_generation = std::max(out.stats.next_generation, *g + 1);
       }
-      const std::string suffix = name.substr(prefix.size());
-      if (suffix.find_first_not_of("0123456789") != std::string::npos) continue;
-      out.stats.next_generation = std::max<uint64_t>(
-          out.stats.next_generation, std::stoull(suffix) + 1);
     }
   }
   return out;

@@ -2,15 +2,13 @@
 
 #include <cstring>
 
+#include "common/codec.hpp"
+
 namespace hardtape::oram {
 
 namespace {
 
 u256 bucket_page_id(size_t bucket) { return u256{static_cast<uint64_t>(bucket)}; }
-
-void put_u32(Bytes& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
 
 }  // namespace
 
@@ -64,7 +62,7 @@ Bytes PagedSlotStore::serialize_bucket(const SealedSlot* slots) const {
     const SealedSlot& slot = slots[z];
     payload.insert(payload.end(), slot.nonce.begin(), slot.nonce.end());
     payload.insert(payload.end(), slot.tag.begin(), slot.tag.end());
-    put_u32(payload, static_cast<uint32_t>(slot.ciphertext.size()));
+    codec::put_u32(payload, static_cast<uint32_t>(slot.ciphertext.size()));
     append(payload, slot.ciphertext);
   }
   return payload;
@@ -80,10 +78,7 @@ void PagedSlotStore::deserialize_bucket(BytesView payload,
     }
     std::memcpy(slot.nonce.data(), payload.data() + off, 12);
     std::memcpy(slot.tag.data(), payload.data() + off + 12, 16);
-    uint32_t len = 0;
-    for (int i = 0; i < 4; ++i) {
-      len |= static_cast<uint32_t>(payload[off + 28 + i]) << (8 * i);
-    }
+    const uint32_t len = codec::get_u32(payload.data() + off + 28);
     off += 32;
     if (payload.size() - off < len) {
       throw IntegrityError("oram slot store: truncated bucket page");

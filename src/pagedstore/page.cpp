@@ -1,58 +1,14 @@
 #include "pagedstore/page.hpp"
 
-#include <cstring>
-
+#include "common/codec.hpp"
 #include "common/errors.hpp"
-#include "crypto/keccak.hpp"
 
 namespace hardtape::pagedstore {
 
 namespace {
 
-constexpr size_t kChecksumSize = 8;
-
-void put_u16(Bytes& out, uint16_t v) {
-  out.push_back(static_cast<uint8_t>(v));
-  out.push_back(static_cast<uint8_t>(v >> 8));
-}
-
-void put_u32(Bytes& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void put_u64(Bytes& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-uint16_t get_u16(const uint8_t* p) {
-  return static_cast<uint16_t>(p[0] | (static_cast<uint16_t>(p[1]) << 8));
-}
-
-uint32_t get_u32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-uint64_t get_u64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::array<uint8_t, kChecksumSize> page_checksum(const u256& id,
-                                                 uint64_t generation,
-                                                 BytesView payload) {
-  Bytes preimage;
-  preimage.reserve(32 + 8 + payload.size());
-  append(preimage, id.to_be_bytes_vec());
-  put_u64(preimage, generation);
-  append(preimage, payload);
-  const H256 digest = crypto::keccak256(preimage);
-  std::array<uint8_t, kChecksumSize> out{};
-  std::memcpy(out.data(), digest.bytes.data(), kChecksumSize);
-  return out;
-}
+constexpr size_t kPayloadLenAt = 4 + 2 + 2 + 32 + 8;  // after magic .. generation
+constexpr size_t kChecksumAt = kPayloadLenAt + 4;
 
 }  // namespace
 
@@ -62,14 +18,13 @@ Bytes encode_page(const u256& id, uint64_t generation, BytesView payload) {
   }
   Bytes out;
   out.reserve(kPageHeaderSize + payload.size());
-  put_u32(out, kPageMagic);
-  put_u16(out, kPageVersion);
-  put_u16(out, 0);  // reserved
-  append(out, id.to_be_bytes_vec());
-  put_u64(out, generation);
-  put_u32(out, static_cast<uint32_t>(payload.size()));
-  const auto checksum = page_checksum(id, generation, payload);
-  out.insert(out.end(), checksum.begin(), checksum.end());
+  codec::put_u32(out, kPageMagic);
+  codec::put_u16(out, kPageVersion);
+  codec::put_u16(out, 0);  // reserved
+  codec::put_u256(out, id);
+  codec::put_u64(out, generation);
+  codec::put_u32(out, static_cast<uint32_t>(payload.size()));
+  codec::put_u32(out, codec::crc32c(payload, codec::crc32c(out)));
   append(out, payload);
   return out;
 }
@@ -77,17 +32,19 @@ Bytes encode_page(const u256& id, uint64_t generation, BytesView payload) {
 std::optional<DecodedPage> decode_page(BytesView raw) {
   if (raw.size() < kPageHeaderSize) return std::nullopt;
   const uint8_t* p = raw.data();
-  if (get_u32(p) != kPageMagic) return std::nullopt;
-  if (get_u16(p + 4) != kPageVersion) return std::nullopt;
-  DecodedPage page;
-  page.id = u256::from_be_bytes(BytesView{p + 8, 32});
-  page.generation = get_u64(p + 40);
-  const uint32_t len = get_u32(p + 48);
+  if (codec::get_u32(p) != kPageMagic) return std::nullopt;
+  if (codec::get_u16(p + 4) != kPageVersion) return std::nullopt;
+  const uint32_t len = codec::get_u32(p + kPayloadLenAt);
   if (len > kMaxPagePayload) return std::nullopt;
   if (raw.size() != kPageHeaderSize + len) return std::nullopt;
-  const BytesView payload{p + kPageHeaderSize, len};
-  const auto expect = page_checksum(page.id, page.generation, payload);
-  if (!std::equal(expect.begin(), expect.end(), p + 52)) return std::nullopt;
+  const BytesView payload = raw.subspan(kPageHeaderSize);
+  if (codec::crc32c(payload, codec::crc32c(raw.first(kChecksumAt))) !=
+      codec::get_u32(p + kChecksumAt)) {
+    return std::nullopt;
+  }
+  DecodedPage page;
+  page.id = u256::from_be_bytes(BytesView{p + 8, 32});
+  page.generation = codec::get_u64(p + 40);
   page.payload.assign(payload.begin(), payload.end());
   return page;
 }

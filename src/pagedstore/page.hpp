@@ -6,10 +6,10 @@
 // stored:
 //
 //   u32 magic | u16 version | u16 reserved | 32B logical id | u64 generation
-//   | u32 payload_len | 8B checksum | payload
+//   | u32 payload_len | u32 checksum | payload
 //
-// checksum = the first 8 bytes of keccak256(id_be || generation_le ||
-// payload) — the repo's one hash, truncated, same discipline as the journal.
+// checksum = CRC-32C over every other byte of the record, header and payload
+// (common/codec.hpp), the same discipline as the journal and checkpoints.
 // Decoding is FAIL-CLOSED: a torn, bit-flipped, or mis-addressed page (id
 // mismatch) yields nullopt, never silently-garbage payload bytes. Callers on
 // the state path convert that refusal into an IntegrityError — the same
@@ -25,9 +25,11 @@
 namespace hardtape::pagedstore {
 
 constexpr uint32_t kPageMagic = 0x48545047;  // "HTPG"
-constexpr uint16_t kPageVersion = 1;
+/// Version 1 records had a 60-byte header whose checksum skipped magic,
+/// version, reserved and length; they are refused like any unknown version.
+constexpr uint16_t kPageVersion = 2;
 /// magic + version + reserved + id + generation + payload_len + checksum.
-constexpr size_t kPageHeaderSize = 4 + 2 + 2 + 32 + 8 + 4 + 8;
+constexpr size_t kPageHeaderSize = 4 + 2 + 2 + 32 + 8 + 4 + 4;
 /// Hard bound on a single page payload; an encoded length beyond it is
 /// corruption by definition, rejected before any allocation.
 constexpr uint32_t kMaxPagePayload = 1u << 20;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/codec.hpp"
 #include "common/errors.hpp"
 
 namespace hardtape::pagedstore {
@@ -18,12 +19,9 @@ PagedStore::PagedStore(durability::SimFs& fs, PagedStoreConfig config)
   // into an existing file would corrupt every locator pointing into it.
   const std::string prefix = config_.name + ".seg-";
   for (const std::string& file : fs_.list()) {
-    if (file.size() <= prefix.size() || file.compare(0, prefix.size(), prefix) != 0) {
-      continue;
+    if (const auto segment = codec::numbered_suffix(file, prefix)) {
+      current_segment_ = std::max(current_segment_, *segment + 1);
     }
-    const std::string suffix = file.substr(prefix.size());
-    if (suffix.find_first_not_of("0123456789") != std::string::npos) continue;
-    current_segment_ = std::max<uint64_t>(current_segment_, std::stoull(suffix) + 1);
   }
 }
 
@@ -176,12 +174,9 @@ std::vector<std::pair<u256, PageLocator>> PagedStore::locators() const {
 void PagedStore::gc_segments(const std::set<uint64_t>& keep) {
   const std::string prefix = config_.name + ".seg-";
   for (const std::string& file : fs_.list()) {
-    if (file.size() <= prefix.size() || file.compare(0, prefix.size(), prefix) != 0) {
-      continue;
-    }
-    const std::string suffix = file.substr(prefix.size());
-    if (suffix.find_first_not_of("0123456789") != std::string::npos) continue;
-    const uint64_t segment = std::stoull(suffix);
+    const auto numbered = codec::numbered_suffix(file, prefix);
+    if (!numbered.has_value()) continue;
+    const uint64_t segment = *numbered;
     if (segment == current_segment_ || keep.contains(segment)) continue;
     if (segment_live_.contains(segment)) continue;  // live pages still point here
     fs_.remove(file);

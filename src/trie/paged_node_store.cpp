@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "common/codec.hpp"
 #include "common/errors.hpp"
 
 namespace hardtape::trie {
@@ -39,9 +40,7 @@ void PagedNodeStore::put(const H256& hash, BytesView encoded) {
   Bytes& payload = ref.data();
   payload.reserve(payload.size() + record);
   append(payload, hash.view());
-  for (int i = 0; i < 4; ++i) {
-    payload.push_back(static_cast<uint8_t>(encoded.size() >> (8 * i)));
-  }
+  codec::put_u32(payload, static_cast<uint32_t>(encoded.size()));
   append(payload, encoded);
   ref.mark_dirty();
   index_[hash] = NodeRef{fill_page_, fill_offset_,

@@ -1,8 +1,11 @@
-// Unit tests for src/common: byte utilities, u256 arithmetic with EVM
-// semantics, and the ChaCha20 DRBG.
+// Unit tests for src/common: byte utilities, the on-disk record codec, u256
+// arithmetic with EVM semantics, and the ChaCha20 DRBG.
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "common/bytes.hpp"
+#include "common/codec.hpp"
 #include "common/errors.hpp"
 #include "common/random.hpp"
 #include "common/u256.hpp"
@@ -36,6 +39,67 @@ TEST(Bytes, RightPad) {
   const Bytes data = {1, 2};
   EXPECT_EQ(right_pad(data, 4), (Bytes{1, 2, 0, 0}));
   EXPECT_EQ(right_pad(data, 1), (Bytes{1}));
+}
+
+TEST(Codec, Crc32cKnownAnswers) {
+  // RFC 3720 §B.4.
+  EXPECT_EQ(codec::crc32c(Bytes(32, 0x00)), 0x8A9136AAu);
+  EXPECT_EQ(codec::crc32c(Bytes(32, 0xFF)), 0x62A8AB43u);
+  Bytes ascending(32);
+  std::iota(ascending.begin(), ascending.end(), uint8_t{0});
+  EXPECT_EQ(codec::crc32c(ascending), 0x46DD794Eu);
+  const Bytes descending(ascending.rbegin(), ascending.rend());
+  EXPECT_EQ(codec::crc32c(descending), 0x113FDB5Cu);
+  // The CRC catalogue's check value, and the empty input.
+  const std::string check = "123456789";
+  EXPECT_EQ(codec::crc32c(Bytes(check.begin(), check.end())), 0xE3069283u);
+  EXPECT_EQ(codec::crc32c(Bytes{}), 0u);
+}
+
+TEST(Codec, Crc32cChainsAtEverySplit) {
+  // One paged ORAM bucket's worth of bytes: every split point exercises a
+  // different alignment of the 8-byte blocks and the bytewise tail.
+  const Bytes data = Random(0xc5c).bytes(4392);
+  const BytesView all(data);
+  const uint32_t whole = codec::crc32c(all);
+  for (size_t split = 0; split <= data.size(); ++split) {
+    ASSERT_EQ(codec::crc32c(all.subspan(split), codec::crc32c(all.first(split))), whole)
+        << "split at " << split;
+  }
+}
+
+TEST(Codec, LittleEndianFieldsRoundTrip) {
+  Bytes out;
+  codec::put_u16(out, 0xBEEF);
+  codec::put_u32(out, 0xDEADBEEF);
+  codec::put_u64(out, 0x0123456789ABCDEFull);
+  codec::put_u256(out, u256{0x42});
+  EXPECT_EQ(to_hex(BytesView(out).first(14)), "efbeefbeaddeefcdab8967452301");
+  EXPECT_EQ(codec::get_u16(out.data()), 0xBEEF);
+  EXPECT_EQ(codec::get_u32(out.data() + 2), 0xDEADBEEFu);
+  EXPECT_EQ(codec::get_u64(out.data() + 6), 0x0123456789ABCDEFull);
+
+  codec::Reader r{out.data() + 6, out.size() - 6};
+  EXPECT_EQ(r.u64(), 0x0123456789ABCDEFull);
+  EXPECT_EQ(r.big(), u256{0x42});
+  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(r.remaining, 0u);
+  EXPECT_EQ(r.u32(), 0u);  // past the end: poisoned, and stays poisoned
+  EXPECT_FALSE(r.ok);
+}
+
+TEST(Codec, NumberedSuffix) {
+  EXPECT_EQ(codec::numbered_suffix("wal-0", "wal-"), 0u);
+  EXPECT_EQ(codec::numbered_suffix("wal-007", "wal-"), 7u);
+  EXPECT_EQ(codec::numbered_suffix("store.seg-18446744073709551614", "store.seg-"),
+            18446744073709551614ull);
+  for (const char* foreign :
+       {"wal-", "wal-x", "wal-1x", "wal--1", "wal-+1", "wal- 1", "ckpt-1",
+        "wal-18446744073709551615",   // UINT64_MAX: no successor generation
+        "wal-18446744073709551616",   // one past the range
+        "wal-99999999999999999999"}) {
+    EXPECT_FALSE(codec::numbered_suffix(foreign, "wal-").has_value()) << foreign;
+  }
 }
 
 TEST(U256, BasicConstructionAndCompare) {

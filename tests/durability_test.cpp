@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/codec.hpp"
 #include "common/random.hpp"
 
 #include "durability/checkpoint.hpp"
@@ -21,6 +22,7 @@
 #include "durability/vfs.hpp"
 #include "faults/crash_plan.hpp"
 #include "pagedstore/page.hpp"
+#include "pagedstore/store.hpp"
 #include "service/engine.hpp"
 #include "workload/generator.hpp"
 
@@ -351,17 +353,10 @@ TEST(JournalTest, OversizeLengthFieldTruncates) {
   // Hand-build the oversize record (encode() itself refuses to).
   Bytes payload(kMaxRecordSize + 1, 0x5a);
   payload[0] = static_cast<uint8_t>(RecordType::kBundleAdmit);
-  const auto put_le = [](Bytes& out, uint64_t v, int n) {
-    for (int i = 0; i < n; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  };
   Bytes raw;
-  put_le(raw, payload.size(), 4);
-  put_le(raw, /*seq=*/1, 8);
-  Bytes preimage;
-  put_le(preimage, /*seq=*/1, 8);
-  append(preimage, payload);
-  const H256 digest = crypto::keccak256(preimage);
-  raw.insert(raw.end(), digest.bytes.begin(), digest.bytes.begin() + 8);
+  codec::put_u32(raw, static_cast<uint32_t>(payload.size()));
+  codec::put_u64(raw, /*seq=*/1);
+  codec::put_u32(raw, codec::crc32c(payload, codec::crc32c(raw)));
   append(raw, payload);
   fs.append("wal-0", raw);
   fs.fsync("wal-0");
@@ -377,6 +372,18 @@ TEST(JournalTest, EncodeRefusesOversizePayload) {
   EXPECT_THROW(Journal::encode(0, too_big), UsageError);
   const Bytes at_limit(kMaxRecordSize, 0);
   EXPECT_NO_THROW(Journal::encode(0, at_limit));
+}
+
+TEST(JournalTest, KeccakChecksummedRecordIsRefused) {
+  // bundle_admit(7) at seq 0 in the previous layout: u32 len | u64 seq |
+  // 8-byte truncated keccak | payload. The reader frames a 16-byte header,
+  // so the old record's checksum cannot match.
+  SimFs fs;
+  fs.append("wal-0", from_hex("090000000000000000000000b68a2d4148493802060700000000000000"));
+  fs.fsync("wal-0");
+  const auto result = replay_all(fs, "wal-0");
+  EXPECT_EQ(result.records, 0u);
+  EXPECT_EQ(result.stop_reason, "checksum mismatch");
 }
 
 bool same_record(const JournalRecord& a, const JournalRecord& b) {
@@ -476,6 +483,127 @@ TEST(Checkpoint, CorruptionRejected) {
   Bytes truncated = data;
   truncated.resize(truncated.size() / 2);
   EXPECT_FALSE(checkpoint::parse(truncated).has_value());
+}
+
+bool same_image(const StoreImage& a, const StoreImage& b) {
+  if (a.epoch_history.size() != b.epoch_history.size()) return false;
+  for (size_t i = 0; i < a.epoch_history.size(); ++i) {
+    const auto& x = a.epoch_history[i];
+    const auto& y = b.epoch_history[i];
+    if (x.epoch != y.epoch || x.state_root != y.state_root ||
+        x.block_number != y.block_number) {
+      return false;
+    }
+  }
+  return a.base_seq == b.base_seq && a.page_tags == b.page_tags && a.pages == b.pages &&
+         a.pending_bundles == b.pending_bundles && a.next_bundle_id == b.next_bundle_id;
+}
+
+checkpoint::Manifest sample_manifest() {
+  checkpoint::Manifest manifest;
+  manifest.meta = sample_image();
+  manifest.meta.pages.clear();
+  manifest.store_name = "dstore";
+  manifest.pages.push_back({u256{1}, {0, 0, 64}});
+  manifest.pages.push_back({u256{2}, {1, 64, 72}});
+  return manifest;
+}
+
+bool same_manifest(const checkpoint::Manifest& a, const checkpoint::Manifest& b) {
+  if (a.pages.size() != b.pages.size()) return false;
+  for (size_t i = 0; i < a.pages.size(); ++i) {
+    if (a.pages[i].id != b.pages[i].id || a.pages[i].locator != b.pages[i].locator) {
+      return false;
+    }
+  }
+  return same_image(a.meta, b.meta) && a.store_name == b.store_name;
+}
+
+/// Seed `seed`'s mutation of `data`: 1..3 bit flips, a truncation or a
+/// one-byte extension, or both.
+Bytes mutate(const Bytes& data, uint64_t seed) {
+  Random rng(seed);
+  Bytes mutated = data;
+  const uint64_t kind = rng.uniform(3);
+  if (kind == 0 || kind == 2) {
+    const uint64_t flips = 1 + rng.uniform(3);
+    for (uint64_t i = 0; i < flips; ++i) {
+      mutated[rng.uniform(mutated.size())] ^= static_cast<uint8_t>(1u << rng.uniform(8));
+    }
+  }
+  if (kind == 1 || kind == 2) {
+    if (rng.uniform(2) == 0) {
+      mutated.resize(rng.uniform(mutated.size()));
+    } else {
+      mutated.push_back(static_cast<uint8_t>(rng.uniform(256)));
+    }
+  }
+  return mutated;
+}
+
+TEST(Checkpoint, MutationFuzzIsFailClosed) {
+  // Every single-bit flip of a full image or manifest is refused. A seeded
+  // mutation is refused, or (when flips cancel out) parses to exactly what
+  // was written — never to a different image.
+  const StoreImage image = sample_image();
+  const Bytes full = checkpoint::serialize(3, image);
+  const checkpoint::Manifest manifest = sample_manifest();
+  const Bytes listed = checkpoint::serialize_manifest(3, manifest);
+  ASSERT_TRUE(checkpoint::parse(full).has_value());
+  ASSERT_TRUE(checkpoint::parse_manifest(listed).has_value());
+  for (size_t bit = 0; bit < full.size() * 8; ++bit) {
+    Bytes flipped = full;
+    flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    EXPECT_FALSE(checkpoint::parse(flipped).has_value()) << "image bit " << bit;
+  }
+  for (size_t bit = 0; bit < listed.size() * 8; ++bit) {
+    Bytes flipped = listed;
+    flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    EXPECT_FALSE(checkpoint::parse_manifest(flipped).has_value()) << "manifest bit " << bit;
+  }
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    const Bytes mutated_full = mutate(full, seed);
+    if (const auto parsed = checkpoint::parse(mutated_full)) {
+      EXPECT_EQ(mutated_full, full) << "seed " << seed;
+      EXPECT_TRUE(same_image(*parsed, image)) << "seed " << seed;
+    }
+    const Bytes mutated_listed = mutate(listed, seed);
+    if (const auto parsed = checkpoint::parse_manifest(mutated_listed)) {
+      EXPECT_EQ(mutated_listed, listed) << "seed " << seed;
+      EXPECT_TRUE(same_manifest(*parsed, manifest)) << "seed " << seed;
+    }
+  }
+}
+
+TEST(Checkpoint, Version3And4FilesAreRefused) {
+  // Generation 1 of a one-epoch, one-page image, as a full image (version 3)
+  // and as a manifest (version 4), in the previous layout with an 8-byte
+  // truncated-keccak trailer.
+  const Bytes v3 = from_hex(
+      "4854434b5054303103000000010000000000000011000000000000000700000000000000"
+      "010000000000000000000000882385b7bb5b36a04b53a28a7415b3dfb3f510dc59defbb7"
+      "0c85c8a78c0a2b0801000000000000000100000000000000000000000000000000000000"
+      "000000000000000000000000000000010000000000000000010000000000000000000000"
+      "000000000000000000000000000000000000000000000001080000006f6c642070616765"
+      "010000000400000000000000724624e916f8bb14");
+  const Bytes v4 = from_hex(
+      "4854434b5054303104000000010000000000000011000000000000000700000000000000"
+      "060000006473746f7265010000000000000000000000882385b7bb5b36a04b53a28a7415"
+      "b3dfb3f510dc59defbb70c85c8a78c0a2b08010000000000000001000000000000000000"
+      "000000000000000000000000000000000000000000000000000100000000000000000100"
+      "000000000000000000000000000000000000000000000000000000000000000000010000"
+      "0000000000000000000000000000440000000100000004000000000000009dc119d13194"
+      "11ef");
+  EXPECT_FALSE(checkpoint::parse(v3).has_value());
+  EXPECT_FALSE(checkpoint::parse_manifest(v4).has_value());
+  for (const Bytes* old : {&v3, &v4}) {
+    SimFs fs;
+    fs.append(checkpoint::checkpoint_path(1), *old);
+    fs.fsync(checkpoint::checkpoint_path(1));
+    fs.sync_dir();
+    EXPECT_FALSE(checkpoint::load_newest(fs).has_value());
+    EXPECT_FALSE(Recovery::replay(fs).stats.used_checkpoint);
+  }
 }
 
 TEST(Checkpoint, WriteIsAtomicUnderCrash) {
@@ -617,6 +745,52 @@ TEST(RecoveryTest, JournalNotContinuingCheckpointIsRejected) {
   const auto rec = Recovery::replay(fs);
   EXPECT_EQ(rec.stats.stop_reason, "sequence break");
   EXPECT_FALSE(rec.image.pending_bundles.contains(8));
+}
+
+TEST(RecoveryTest, OutOfRangeNumberedNamesAreForeign) {
+  // Numbered names whose digits overflow a u64, or name UINT64_MAX (which has
+  // no successor generation), are foreign files on the operator's disk:
+  // recovery and the paged store skip them instead of throwing.
+  const auto write_journal = [](SimFs& fs) {
+    Journal journal(fs, checkpoint::journal_path(0), 0);
+    journal.append_epoch_begin(0, crypto::keccak256(bytes_of("root")), 10);
+    journal.append_page_install(u256{42}, bytes_of("page"));
+    journal.append_epoch_commit(0);
+    journal.append_bundle_admit(3);
+    journal.sync();
+  };
+  SimFs clean;
+  write_journal(clean);
+  SimFs cluttered;
+  write_journal(cluttered);
+  for (const std::string name :
+       {"wal-99999999999999999999", "ckpt-99999999999999999999",
+        "store.seg-99999999999999999999", "wal-18446744073709551615",
+        "ckpt-18446744073709551615", "store.seg-18446744073709551615"}) {
+    cluttered.append(name, bytes_of("foreign"));
+    cluttered.fsync(name);
+  }
+  cluttered.sync_dir();
+
+  const auto want = Recovery::replay(clean);
+  const auto got = Recovery::replay(cluttered);
+  EXPECT_EQ(got.stats.stop_reason, "");
+  EXPECT_FALSE(got.stats.used_checkpoint);
+  EXPECT_EQ(got.stats.records_replayed, want.stats.records_replayed);
+  EXPECT_EQ(got.stats.next_generation, want.stats.next_generation);
+  EXPECT_TRUE(same_image(got.image, want.image));
+
+  pagedstore::PagedStoreConfig config;  // name "store"
+  config.buffer_pool_pages = 1;        // the second put evicts the first
+  pagedstore::PagedStore store(cluttered, config);
+  store.put(u256{1}, bytes_of("spilled page"));
+  store.put(u256{2}, bytes_of("resident page"));
+  const auto spilled = store.get(u256{1});
+  ASSERT_TRUE(spilled.has_value());
+  EXPECT_EQ(*spilled, bytes_of("spilled page"));
+  store.flush(/*fsync=*/true);
+  store.gc_segments({});
+  EXPECT_TRUE(cluttered.exists("store.seg-99999999999999999999"));
 }
 
 // ---------------------------------------------------------- DurableStore ----

@@ -1,8 +1,8 @@
 // Paged state backend (PR 10, DESIGN.md §16): buffer-pool pin/evict
-// properties under random schedules, the PagedStore's fail-closed segment
-// reads, and paged-vs-RAM differentials proving the backend swap changes
-// WHERE bytes live, never WHAT the caller observes (trie roots and proofs,
-// ORAM read results).
+// properties under random schedules, the page record codec under corruption,
+// the PagedStore's fail-closed segment reads, and paged-vs-RAM differentials
+// proving the backend swap changes WHERE bytes live, never WHAT the caller
+// observes (trie roots and proofs, ORAM read results).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -15,6 +15,7 @@
 #include "durability/vfs.hpp"
 #include "oram/path_oram.hpp"
 #include "pagedstore/buffer_pool.hpp"
+#include "pagedstore/page.hpp"
 #include "pagedstore/store.hpp"
 #include "trie/mpt.hpp"
 #include "trie/paged_node_store.hpp"
@@ -132,6 +133,66 @@ TEST(BufferPool, RandomScheduleHoldsInvariants) {
   }
   EXPECT_LE(pool.stats().resident, kCapacity);
   EXPECT_GT(pool.stats().evictions, 0u);  // the schedule actually churned
+}
+
+// ------------------------------------------------------------ page codec ----
+
+TEST(PageCodec, EverySingleBitFlipIsRefused) {
+  // The checksum covers every header byte too: magic, version, the reserved
+  // field and the length, not just id, generation and payload.
+  const Bytes payload = Random(0x9a9e).bytes(100);
+  const Bytes record = encode_page(u256{0xabcdef}, 3, payload);
+  ASSERT_EQ(record.size(), kPageHeaderSize + payload.size());
+  ASSERT_TRUE(decode_page(record).has_value());
+  for (size_t bit = 0; bit < record.size() * 8; ++bit) {
+    Bytes flipped = record;
+    flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    EXPECT_FALSE(decode_page(flipped).has_value()) << "bit " << bit;
+  }
+}
+
+TEST(PageCodec, MutationFuzzNeverDecodesADifferentPage) {
+  // Seeded bit flips, truncations and one-byte extensions: a mutated record
+  // is refused, or (when flips cancel out) decodes to the original page.
+  const u256 id{0x5eed};
+  const Bytes payload = Random(0xfa22).bytes(100);
+  const Bytes record = encode_page(id, 9, payload);
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    Random rng(seed);
+    Bytes mutated = record;
+    const uint64_t kind = rng.uniform(3);
+    if (kind == 0 || kind == 2) {  // flip 1..3 random bits
+      const uint64_t flips = 1 + rng.uniform(3);
+      for (uint64_t i = 0; i < flips; ++i) {
+        mutated[rng.uniform(mutated.size())] ^= static_cast<uint8_t>(1u << rng.uniform(8));
+      }
+    }
+    if (kind == 1 || kind == 2) {  // truncate, or extend by one byte
+      if (rng.uniform(2) == 0) {
+        mutated.resize(rng.uniform(mutated.size()));
+      } else {
+        mutated.push_back(static_cast<uint8_t>(rng.uniform(256)));
+      }
+    }
+    const auto page = decode_page(mutated);
+    if (!page.has_value()) continue;
+    EXPECT_EQ(mutated, record) << "seed " << seed;
+    EXPECT_EQ(page->id, id) << "seed " << seed;
+    EXPECT_EQ(page->generation, 9u) << "seed " << seed;
+    EXPECT_EQ(page->payload, payload) << "seed " << seed;
+  }
+}
+
+TEST(PageCodec, Version1RecordIsRefused) {
+  // encode_page(0x1234, 7, "old page") in the version-1 layout: a 60-byte
+  // header whose 8-byte checksum skipped magic, version, reserved and length.
+  const Bytes v1 = from_hex(
+      "47505448010000000000000000000000000000000000000000000000000000000000000000"
+      "00123407000000000000000800000065cf22273f624c126f6c642070616765");
+  EXPECT_FALSE(decode_page(v1).has_value());
+  const auto current = decode_page(encode_page(u256{0x1234}, 7, bytes_of("old page")));
+  ASSERT_TRUE(current.has_value());
+  EXPECT_EQ(current->payload, bytes_of("old page"));
 }
 
 // ------------------------------------------------------------ PagedStore ----
