@@ -22,6 +22,14 @@ crypto::AesKey128 key() {
   return k;
 }
 
+/// The evaluation set, one transaction per bundle.
+std::vector<std::vector<evm::Transaction>> one_tx_bundles(
+    const bench::EvaluationSetup& setup) {
+  std::vector<std::vector<evm::Transaction>> bundles;
+  for (const auto& tx : setup.all_transactions()) bundles.push_back({tx});
+  return bundles;
+}
+
 }  // namespace
 
 int main() {
@@ -87,9 +95,9 @@ int main() {
     //    demand instant. Zero = the adversary learns exactly when each
     //    frame's code fetch happened (contract fingerprinting, §IV-D (3)).
     bench::EvaluationSetup setup(1, 30);
-    auto config = bench::default_service_config(service::SecurityConfig::full());
-    service::PreExecutionService service(setup.node, config);
-    if (service.synchronize() != Status::kOk) return 1;
+    service::PreExecutionEngine engine(
+        setup.node, bench::default_service_config(service::SecurityConfig::full()));
+    if (engine.synchronize() != Status::kOk) return 1;
 
     auto type_distinguishability = [](const std::vector<hypervisor::QueryEvent>& t) {
       std::vector<double> code_gaps, kv_gaps;
@@ -114,8 +122,7 @@ int main() {
     double dist_demand = 0, dist_observed = 0, displacement_ms = 0;
     uint64_t code_events = 0;
     int measured = 0;
-    for (const auto& tx : setup.all_transactions()) {
-      const auto outcome = service.pre_execute({tx});
+    for (const auto& outcome : engine.execute_serial(one_tx_bundles(setup))) {
       const auto& demand = outcome.query_stats.demand_timeline;
       const auto& observed = outcome.observed_timeline;
       if (demand.size() < 4) continue;
@@ -152,12 +159,11 @@ int main() {
     // Grouped (the design): the service's per-bundle page cache makes all
     // records of a group cost one query. Ungrouped: every record is its own
     // query (count distinct slots instead of distinct groups).
-    auto config = bench::default_service_config(service::SecurityConfig::ESO());
-    service::PreExecutionService service(setup.node, config);
-    if (service.synchronize() != Status::kOk) return 1;
+    service::PreExecutionEngine engine(
+        setup.node, bench::default_service_config(service::SecurityConfig::ESO()));
+    if (engine.synchronize() != Status::kOk) return 1;
     uint64_t grouped_queries = 0, ungrouped_queries = 0, txs = 0;
-    for (const auto& tx : setup.all_transactions()) {
-      const auto outcome = service.pre_execute({tx});
+    for (const auto& outcome : engine.execute_serial(one_tx_bundles(setup))) {
       grouped_queries += outcome.query_stats.kv_queries;
       // Without grouping each local (cache-hit) read would be its own query.
       ungrouped_queries +=

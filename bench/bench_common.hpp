@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "node/node.hpp"
-#include "service/pre_execution.hpp"
+#include "service/engine.hpp"
 #include "workload/generator.hpp"
 
 namespace hardtape::bench {
@@ -47,9 +47,10 @@ struct EvaluationSetup {
   }
 };
 
-inline service::PreExecutionService::Config default_service_config(
-    service::SecurityConfig security) {
-  service::PreExecutionService::Config config;
+/// The paper benches' chip: 3 HEVMs over an 8 MB ORAM (EngineConfig
+/// defaults otherwise). They run it through execute_serial().
+inline service::EngineConfig default_service_config(service::SecurityConfig security) {
+  service::EngineConfig config;
   config.security = security;
   config.oram = oram::OramConfig{.block_size = oram::kPageSize, .capacity = 8192,
                                  .max_stash_blocks = 512};

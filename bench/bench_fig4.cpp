@@ -12,6 +12,8 @@ using namespace hardtape;
 int main() {
   bench::EvaluationSetup setup(/*block_count=*/2, /*txs_per_block=*/50);
   const auto txs = setup.all_transactions();
+  std::vector<std::vector<evm::Transaction>> bundles;  // one tx per bundle
+  for (const auto& tx : txs) bundles.push_back({tx});
 
   // --- Geth baseline ---
   double geth_total_ms = 0;
@@ -39,16 +41,15 @@ int main() {
        {service::SecurityConfig::raw(), service::SecurityConfig::E(),
         service::SecurityConfig::ES(), service::SecurityConfig::ESO(),
         service::SecurityConfig::full()}) {
-    service::PreExecutionService service(
-        setup.node, bench::default_service_config(security));
-    if (service.synchronize() != Status::kOk) {
+    service::PreExecutionEngine engine(setup.node,
+                                       bench::default_service_config(security));
+    if (engine.synchronize() != Status::kOk) {
       std::printf("sync failed for %s\n", std::string(security.name()).c_str());
       return 1;
     }
     Row row{std::string(security.name()), 0, 0, 0, 0, 0, 0};
     uint64_t count = 0;
-    for (const auto& tx : txs) {
-      const auto outcome = service.pre_execute({tx});  // one tx per bundle
+    for (const auto& outcome : engine.execute_serial(bundles)) {
       row.mean_ms += static_cast<double>(outcome.end_to_end_ns) / 1e6;
       row.hevm_ms += static_cast<double>(outcome.hevm_time_ns) / 1e6;
       row.crypto_ms += static_cast<double>(outcome.crypto_time_ns) / 1e6;

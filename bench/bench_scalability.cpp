@@ -13,15 +13,16 @@ int main() {
   bench::EvaluationSetup setup(/*block_count=*/1, /*txs_per_block=*/40);
   const auto txs = setup.all_transactions();
 
-  auto config = bench::default_service_config(service::SecurityConfig::full());
-  service::PreExecutionService service(setup.node, config);
-  if (service.synchronize() != Status::kOk) return 1;
+  const auto config = bench::default_service_config(service::SecurityConfig::full());
+  service::PreExecutionEngine engine(setup.node, config);
+  if (engine.synchronize() != Status::kOk) return 1;
+  std::vector<std::vector<evm::Transaction>> bundles;  // one tx per bundle
+  for (const auto& tx : txs) bundles.push_back({tx});
 
   uint64_t total_ns = 0, total_queries = 0, total_busy_ns = 0;
   double sum_gap_ns = 0;
   uint64_t gap_count = 0;
-  for (const auto& tx : txs) {
-    const auto outcome = service.pre_execute({tx});
+  for (const auto& outcome : engine.execute_serial(bundles)) {
     total_ns += outcome.end_to_end_ns;
     total_queries += outcome.query_stats.oram_queries;
     total_busy_ns += outcome.hevm_time_ns;
@@ -33,10 +34,12 @@ int main() {
     }
   }
   const double mean_ms = static_cast<double>(total_ns) / 1e6 / double(txs.size());
-  const double chip_tput = service.throughput_tx_per_s(total_ns / txs.size());
+  // Chip throughput: HEVMs / mean bundle time.
+  const double chip_tput = static_cast<double>(config.num_hevms) * 1e9 /
+                           static_cast<double>(total_ns / txs.size());
   const double mean_gap_us = gap_count ? sum_gap_ns / double(gap_count) / 1e3 : 0;
-  const double service_us =
-      static_cast<double>(config.timing.server.service_ns) / 1e3;
+  const uint64_t service_ns = service::RoutedStateReader::Timing{}.server.service_ns;
+  const double service_us = static_cast<double>(service_ns) / 1e3;
   const int supported_hevms = static_cast<int>(mean_gap_us / service_us);
 
   bench::Table table({"metric", "measured", "paper"});
@@ -53,7 +56,7 @@ int main() {
 
   // Scale-out curve: instances added until the ORAM server saturates.
   const double per_hevm_query_rate = 1e9 / (mean_gap_us * 1e3);  // queries/s per HEVM
-  const double server_capacity = 1e9 / double(config.timing.server.service_ns);
+  const double server_capacity = 1e9 / double(service_ns);
   bench::Table scale({"HarDTAPE instances", "HEVMs", "offered tx/s",
                       "ORAM server load", "effective tx/s"});
   for (int instances : {1, 2, 4, 8, 16, 32, 64}) {
@@ -76,8 +79,7 @@ int main() {
     bench::Table queue({"arrival rate (tx/s)", "mean wait (ms)", "max queue depth"});
     for (const double rate : {10.0, 17.0, 18.0, 25.0, 40.0}) {
       const auto gap = static_cast<uint64_t>(1e9 / rate);
-      const auto sched = service::PreExecutionService::schedule_bundles(
-          durations, /*cores=*/3, gap);
+      const auto sched = service::schedule_bundles(durations, /*cores=*/3, gap);
       queue.add_row({bench::fmt(rate, 0),
                      bench::fmt(static_cast<double>(sched.mean_wait_ns) / 1e6),
                      std::to_string(sched.max_queue_depth)});

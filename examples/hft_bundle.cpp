@@ -13,7 +13,7 @@
 // locally after the first access.
 #include <cstdio>
 
-#include "service/pre_execution.hpp"
+#include "service/engine.hpp"
 #include "workload/generator.hpp"
 
 using namespace hardtape;
@@ -27,12 +27,14 @@ int main() {
   gen.deploy(node.world());
   node.produce_block({});
 
-  service::PreExecutionService::Config config;
+  service::EngineConfig config;
   config.security = service::SecurityConfig::full();
   config.oram = oram::OramConfig{.block_size = oram::kPageSize, .capacity = 4096};
   config.seal_mode = oram::SealMode::kChaChaHmac;
-  service::PreExecutionService service(node, config);
-  if (service.synchronize() != Status::kOk) return 1;
+  config.oram_shards = 1;  // one tree, so one server holds the SP's whole view
+  config.perform_channel_crypto = true;
+  service::PreExecutionEngine engine(node, config);
+  if (engine.synchronize() != Status::kOk) return 1;
 
   const Address trader = gen.users()[0];
   const Address dex_a = gen.dexes()[0];
@@ -60,8 +62,13 @@ int main() {
   std::printf("probing three bundle sizes before going on-chain:\n\n");
   std::printf("%-12s %-14s %-14s %-12s %-12s\n", "size_in", "leg1 out", "leg2 out",
               "gas total", "ms (sim)");
-  for (const uint64_t size : {10'000ull, 100'000ull, 1'000'000ull}) {
-    const auto outcome = service.pre_execute(make_bundle(size));
+  const std::vector<uint64_t> sizes = {10'000, 100'000, 1'000'000};
+  std::vector<std::vector<evm::Transaction>> probes;
+  for (const uint64_t size : sizes) probes.push_back(make_bundle(size));
+  const auto outcomes = engine.execute_serial(probes);
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    const uint64_t size = sizes[i];
+    const auto& outcome = outcomes[i];
     const auto& txs = outcome.report.transactions;
     if (txs.size() != 2 || txs[0].status != evm::VmStatus::kSuccess) {
       std::printf("%-12llu bundle failed: %s\n", static_cast<unsigned long long>(size),
@@ -78,7 +85,7 @@ int main() {
   }
 
   // What did the SP see? Only the ORAM's uniform path reads.
-  const auto& leaves = service.oram_server().observed_leaves();
+  const auto& leaves = engine.oram_store().server(0).observed_leaves();
   std::printf("\nthe SP's complete view of the last bundles (uniform ORAM paths):\n  ");
   const size_t show = std::min<size_t>(leaves.size(), 16);
   for (size_t i = leaves.size() - show; i < leaves.size(); ++i) {
@@ -92,7 +99,7 @@ int main() {
   std::vector<evm::Transaction> warm_bundle = make_bundle(5'000);
   auto more = make_bundle(6'000);
   warm_bundle.insert(warm_bundle.end(), more.begin(), more.end());
-  const auto warm = service.pre_execute(warm_bundle);
+  const auto warm = engine.execute_serial({warm_bundle}).at(0);
   std::printf("\n4-leg bundle on the same pairs: %llu ORAM queries, %llu on-chip page"
               " hits\n  (data is found locally after first access — the paper's"
               " TSC-VEE comparison case)\n",

@@ -1,6 +1,6 @@
 // Quickstart: the full HarDTAPE flow in one file.
 //
-//   1. An SP runs a node and a HarDTAPE service in the -full configuration.
+//   1. An SP runs a node and a HarDTAPE engine in the -full configuration.
 //   2. The chain state is synchronized into the Path ORAM (with Merkle
 //      proofs verified against the trusted block).
 //   3. A user verifies the device's attestation report.
@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "crypto/secp256k1.hpp"
-#include "service/pre_execution.hpp"
+#include "service/engine.hpp"
 #include "workload/generator.hpp"
 
 using namespace hardtape;
@@ -30,29 +30,30 @@ int main() {
               static_cast<unsigned long long>(node.head().number),
               node.head().state_root.hex().substr(0, 16).c_str());
 
-  service::PreExecutionService::Config config;
+  service::EngineConfig config;
   config.security = service::SecurityConfig::full();
   config.oram = oram::OramConfig{.block_size = oram::kPageSize, .capacity = 2048};
   config.seal_mode = oram::SealMode::kChaChaHmac;
-  service::PreExecutionService service(node, config);
+  config.perform_channel_crypto = true;  // run the real channel AES + ECDSA
+  service::PreExecutionEngine engine(node, config);
 
-  if (service.synchronize() != Status::kOk) {
+  if (engine.synchronize() != Status::kOk) {
     std::printf("FATAL: node served data failing Merkle verification\n");
     return 1;
   }
-  std::printf("world state synchronized into the ORAM (%llu accesses so far)\n\n",
-              static_cast<unsigned long long>(service.oram_server().access_count()));
+  std::printf("world state synchronized into the ORAM (%llu path accesses so far)\n\n",
+              static_cast<unsigned long long>(engine.oram_store().snapshot().total_walks));
 
   // --- the user's side: verify the device before trusting it ---
   const crypto::PrivateKey user_key = crypto::PrivateKey::from_seed(Bytes{1, 2, 3});
   const H256 nonce = crypto::keccak256("quickstart-nonce");
-  const auto session = service.hypervisor().begin_session(nonce, user_key.public_key());
+  const auto session = engine.hypervisor().begin_session(nonce, user_key.public_key());
   const bool attested = hypervisor::verify_attestation(
-      service.manufacturer().root_public_key(),
-      service.hypervisor().firmware_measurement(), nonce, session.report);
+      engine.manufacturer().root_public_key(),
+      engine.hypervisor().firmware_measurement(), nonce, session.report);
   std::printf("attestation report verified: %s\n", attested ? "yes" : "NO - abort!");
   if (!attested) return 1;
-  service.hypervisor().end_session(session.session_id);
+  engine.hypervisor().end_session(session.session_id);
 
   // --- pre-execute a bundle: transfer 500 tokens ---
   evm::Transaction tx;
@@ -61,7 +62,7 @@ int main() {
   tx.data = workload::erc20_transfer(gen.users()[1], u256{500});
   tx.gas_limit = 300'000;
 
-  const auto outcome = service.pre_execute({tx});
+  const auto outcome = engine.execute_serial({{tx}}).at(0);  // one dedicated HEVM
   const auto& trace = outcome.report.transactions.at(0);
   std::printf("\npre-execution trace:\n");
   std::printf("  status        : %s\n", evm::to_string(trace.status));

@@ -12,7 +12,7 @@
 // which contract is being investigated and pre-emptively behave honestly.
 #include <cstdio>
 
-#include "service/pre_execution.hpp"
+#include "service/engine.hpp"
 #include "workload/generator.hpp"
 
 using namespace hardtape;
@@ -26,7 +26,7 @@ struct Verdict {
   std::vector<std::pair<Address, u256>> balance_changes;
 };
 
-Verdict probe(service::PreExecutionService& service, const Address& user,
+Verdict probe(service::PreExecutionEngine& engine, const Address& user,
               const Address& target, uint32_t deposit_sel, uint32_t withdraw_sel) {
   std::vector<evm::Transaction> bundle;
   evm::Transaction deposit;
@@ -43,7 +43,7 @@ Verdict probe(service::PreExecutionService& service, const Address& user,
   withdraw.gas_limit = 1'000'000;
   bundle.push_back(withdraw);
 
-  const auto outcome = service.pre_execute(bundle);
+  const auto outcome = engine.execute_serial({bundle}).at(0);
   Verdict verdict;
   if (outcome.report.transactions.size() == 2) {
     verdict.deposit_ok =
@@ -66,19 +66,20 @@ int main() {
   gen.deploy(node.world());
   node.produce_block({});
 
-  service::PreExecutionService::Config config;
+  service::EngineConfig config;
   config.security = service::SecurityConfig::full();
   config.oram = oram::OramConfig{.block_size = oram::kPageSize, .capacity = 2048};
   config.seal_mode = oram::SealMode::kChaChaHmac;
-  service::PreExecutionService service(node, config);
-  if (service.synchronize() != Status::kOk) return 1;
+  config.perform_channel_crypto = true;
+  service::PreExecutionEngine engine(node, config);
+  if (engine.synchronize() != Status::kOk) return 1;
 
   const Address user = gen.users()[0];
 
   // --- probe 1: the honeypot ---
   std::printf("probing contract %s (advertised: 'high-yield vault')\n",
               gen.honeypot().hex().c_str());
-  const Verdict honeypot = probe(service, user, gen.honeypot(),
+  const Verdict honeypot = probe(engine, user, gen.honeypot(),
                                  workload::kSelDeposit, workload::kSelWithdraw);
   std::printf("  deposit : %s\n", honeypot.deposit_ok ? "accepted" : "rejected");
   std::printf("  withdraw: %s\n", honeypot.withdraw_ok ? "paid out" : "REVERTED");
@@ -99,7 +100,7 @@ int main() {
   evm::Transaction invest = seed;
   invest.from = user;
   invest.value = u256{100'000};
-  const auto outcome = service.pre_execute({seed, invest});
+  const auto outcome = engine.execute_serial({{seed, invest}}).at(0);
   bool pays_stranger = false;
   for (const auto& [addr, balance] : outcome.report.final_balances) {
     if (addr == gen.users()[1]) pays_stranger = true;
@@ -121,7 +122,7 @@ int main() {
   transfer.to = gen.tokens()[0];
   transfer.data = workload::erc20_transfer(gen.users()[2], u256{1});
   transfer.gas_limit = 500'000;
-  const auto benign = service.pre_execute({transfer});
+  const auto benign = engine.execute_serial({{transfer}}).at(0);
   std::printf("  transfer: %s, %zu storage writes, Transfer event emitted\n",
               evm::to_string(benign.report.transactions[0].status),
               benign.report.transactions[0].storage_writes.size());
@@ -130,6 +131,6 @@ int main() {
   std::printf("\nAll probes ran inside the attested pre-executor: the SP saw only\n"
               "uniform ORAM paths (%llu accesses) — it cannot tell WHICH contracts\n"
               "were investigated, so it cannot tip off the scammer.\n",
-              static_cast<unsigned long long>(service.oram_server().access_count()));
+              static_cast<unsigned long long>(engine.oram_store().snapshot().total_walks));
   return 0;
 }

@@ -17,6 +17,10 @@ BytesView sv(const char* s) {
   return BytesView{reinterpret_cast<const uint8_t*>(s), std::strlen(s)};
 }
 
+/// The sim cost models every session charges (DESIGN.md §1).
+constexpr sim::HypervisorCostModel kHypervisorCosts{};
+constexpr sim::CryptoCostModel kCryptoCosts{};
+
 /// Per-bundle RNG: depends only on (engine seed, bundle id), never on the
 /// worker or interleaving — the root of the engine's determinism contract.
 Random session_rng(uint64_t engine_seed, uint64_t bundle_id) {
@@ -187,7 +191,6 @@ PreExecutionEngine::PreExecutionEngine(node::NodeSimulator& node, EngineConfig c
                     ? static_cast<oram::OramAccessor&>(*fault_layer_)
                     : static_cast<oram::OramAccessor&>(oram_store_),
                 oram::OramFrontend::Config{
-                    .recovery = config.oram_recovery,
                     .trace = config.trace != nullptr ? &config.trace->ring(-2) : nullptr,
                     .shard_count = oram_store_.shard_count(),
                     .shard_router =
@@ -199,9 +202,6 @@ PreExecutionEngine::PreExecutionEngine(node::NodeSimulator& node, EngineConfig c
       latency_hist_(&registry_.histogram("hardtape_engine_bundle_latency_sim_ns",
                                          "per-bundle end-to-end simulated latency")) {
   if (config_.num_hevms <= 0) throw UsageError("engine: need at least one HEVM");
-  if (config_.timing.clock != nullptr) {
-    throw UsageError("engine: timing.clock is per-session; leave it null");
-  }
   if (config_.max_bundle_attempts < 1) {
     throw UsageError("engine: max_bundle_attempts must be >= 1");
   }
@@ -227,20 +227,28 @@ PreExecutionEngine::~PreExecutionEngine() {
 
 Status PreExecutionEngine::synchronize() {
   node::PinnedBlock head = node_.pinned_head();
-  if (!oram_enabled()) {
-    std::lock_guard lock(pin_mu_);
-    pin_ = PinnedSnapshot{epoch_registry_.store_epoch(), head.header,
-                          std::move(head.world)};
-    return Status::kOk;
+  if (oram_enabled()) {
+    // A rejected proof leaves the engine unusable (unlike a delta, a full
+    // sync is not staged all-or-nothing): callers discard it.
+    const Status status = sync_pass(head.header, /*from=*/nullptr);
+    if (status != Status::kOk) return status;
   }
-  epoch_registry_.begin(head.header.state_root, head.header.number);
-  node::BlockSynchronizer sync(node_, head.header.state_root);
+  std::lock_guard lock(pin_mu_);
+  pin_ = PinnedSnapshot{epoch_registry_.store_epoch(), head.header,
+                        std::move(head.world)};
+  return Status::kOk;
+}
+
+Status PreExecutionEngine::sync_pass(const node::BlockHeader& head,
+                                     const state::WorldState* from) {
+  epoch_registry_.begin(head.state_root, head.number);
+  node::BlockSynchronizer sync(node_, head.state_root);
   sync.set_epoch_registry(&epoch_registry_);
   if (config_.fault_plan != nullptr) {
     // The node feed is SP-controlled too (paper §III): let the plan corrupt
     // account responses at sync time; the real Merkle verification rejects
-    // them with kBadProof and nothing is installed. Stream = the sync pass
-    // index (0 here); the op index counts accounts in enumeration order.
+    // them with kBadProof. Stream = the index of this pass among the
+    // successful ones; the op index counts accounts in enumeration order.
     faults::FaultPlan* plan = config_.fault_plan;
     const uint64_t stream = sync_passes_;
     auto op = std::make_shared<uint64_t>(0);
@@ -249,21 +257,18 @@ Status PreExecutionEngine::synchronize() {
              faults::FaultKind::kStaleProof;
     });
   }
-  const Status status = sync.sync_all(oram_store_);
+  const Status status = from == nullptr
+                            ? sync.sync_all(oram_store_)
+                            : sync.sync_delta(*from, oram_store_);
   if (status != Status::kOk) {
-    // The full sync rejected a proof: the engine is unusable (unlike a
-    // delta, a full sync is not staged all-or-nothing). Callers discard it.
     epoch_registry_.abort();
     return status;
   }
   epoch_registry_.commit();
+  ++sync_passes_;
   sync_verified_accounts_.fetch_add(sync.verified_accounts(), std::memory_order_relaxed);
   sync_verified_slots_.fetch_add(sync.verified_slots(), std::memory_order_relaxed);
   sync_pages_installed_.fetch_add(sync.installed_pages(), std::memory_order_relaxed);
-  ++sync_passes_;
-  std::lock_guard lock(pin_mu_);
-  pin_ = PinnedSnapshot{epoch_registry_.store_epoch(), head.header,
-                        std::move(head.world)};
   return Status::kOk;
 }
 
@@ -311,35 +316,13 @@ Status PreExecutionEngine::resync() {
     std::lock_guard lock(pin_mu_);
     old = pin_;
   }
-  if (head.header.state_root != old.header.state_root) {
-    if (oram_enabled()) {
-      // Delta-sync the ORAM from the pinned snapshot to the new trusted
-      // root. All-or-nothing: on any proof failure nothing was installed,
-      // the old pin stays, and the engine keeps answering at the old (still
-      // verified) snapshot — fail closed, never mixed state.
-      epoch_registry_.begin(head.header.state_root, head.header.number);
-      node::BlockSynchronizer sync(node_, head.header.state_root);
-      sync.set_epoch_registry(&epoch_registry_);
-      if (config_.fault_plan != nullptr) {
-        faults::FaultPlan* plan = config_.fault_plan;
-        const uint64_t stream = sync_passes_;
-        auto op = std::make_shared<uint64_t>(0);
-        sync.set_proof_tamper([plan, stream, op](const Address&) {
-          return plan->decide(faults::FaultSite::kNodeFetch, stream, (*op)++).kind ==
-                 faults::FaultKind::kStaleProof;
-        });
-      }
-      const Status status = sync.sync_delta(*old.world, oram_store_, nullptr);
-      if (status != Status::kOk) {
-        epoch_registry_.abort();
-        return status;
-      }
-      epoch_registry_.commit();
-    sync_verified_accounts_.fetch_add(sync.verified_accounts(), std::memory_order_relaxed);
-    sync_verified_slots_.fetch_add(sync.verified_slots(), std::memory_order_relaxed);
-    sync_pages_installed_.fetch_add(sync.installed_pages(), std::memory_order_relaxed);
-    }
-    ++sync_passes_;
+  if (head.header.state_root != old.header.state_root && oram_enabled()) {
+    // Delta-sync the ORAM from the pinned snapshot to the new trusted root.
+    // All-or-nothing: on any proof failure nothing was installed, the old
+    // pin stays, and the engine keeps answering at the old (still verified)
+    // snapshot — fail closed, never mixed state.
+    const Status status = sync_pass(head.header, old.world.get());
+    if (status != Status::kOk) return status;
   }
   {
     // Same root (empty blocks): just clear the lag — the state is unchanged
@@ -357,28 +340,6 @@ Status PreExecutionEngine::resync() {
   }
   resimulate_orphans();
   return Status::kOk;
-}
-
-PreExecutionEngine::Worker& PreExecutionEngine::resim_worker() {
-  if (resim_worker_ == nullptr) {
-    auto worker = std::make_unique<Worker>();
-    worker->id = -2;
-    hevm::HevmCore::Config core_config = config_.core;
-    if (config_.trace != nullptr) {
-      worker->trace = &config_.trace->ring(-1);
-      core_config.trace = worker->trace;
-    }
-    worker->core = std::make_unique<hevm::HevmCore>(-2, worker->clock, core_config);
-    const crypto::PrivateKey user_key =
-        crypto::PrivateKey::from_seed(setup_rng_.bytes(16));
-    H256 nonce;
-    setup_rng_.fill(nonce.bytes.data(), nonce.bytes.size());
-    const auto session = hypervisor_.begin_session(nonce, user_key.public_key());
-    worker->session_id = session.session_id;
-    worker->channel = &hypervisor_.channel(session.session_id);
-    resim_worker_ = std::move(worker);
-  }
-  return *resim_worker_;
 }
 
 void PreExecutionEngine::resimulate_orphans() {
@@ -435,7 +396,8 @@ void PreExecutionEngine::resimulate_orphans() {
       }
       // Fresh attempt number -> fresh fault/noise streams, same bundle RNG:
       // the re-execution is as deterministic as the original.
-      replacement = execute_session(bundle_id, attempt + 1, txs, resim_worker());
+      if (resim_worker_ == nullptr) resim_worker_ = make_worker(-2, /*ring=*/-1);
+      replacement = execute_session(bundle_id, attempt + 1, txs, *resim_worker_);
       register_attempt(replacement);
     }
     replacement.resim = resim;
@@ -487,24 +449,13 @@ Status PreExecutionEngine::warm_restart(const durability::RecoveredState& recove
   }
 
   // 3. Close the gap from the recovered committed root to the node's head
-  // with the normal verified delta-sync, then pin the head.
+  // with the normal verified delta-sync (its proofs come from the same
+  // SP-controlled node, so the fault plan's node feed applies), then pin
+  // the head.
   node::PinnedBlock head = node_.pinned_head();
-  if (head.header.state_root != recovered_root) {
-    if (oram_enabled()) {
-      epoch_registry_.begin(head.header.state_root, head.header.number);
-      node::BlockSynchronizer sync(node_, head.header.state_root);
-      sync.set_epoch_registry(&epoch_registry_);
-      const Status status = sync.sync_delta(*recovered_world, oram_store_, nullptr);
-      if (status != Status::kOk) {
-        epoch_registry_.abort();
-        return status;
-      }
-      epoch_registry_.commit();
-    sync_verified_accounts_.fetch_add(sync.verified_accounts(), std::memory_order_relaxed);
-    sync_verified_slots_.fetch_add(sync.verified_slots(), std::memory_order_relaxed);
-    sync_pages_installed_.fetch_add(sync.installed_pages(), std::memory_order_relaxed);
-    }
-    ++sync_passes_;
+  if (head.header.state_root != recovered_root && oram_enabled()) {
+    const Status status = sync_pass(head.header, recovered_world.get());
+    if (status != Status::kOk) return status;
   }
   {
     std::lock_guard lock(pin_mu_);
@@ -559,30 +510,33 @@ void PreExecutionEngine::set_on_outcome(
   config_.on_outcome = std::move(hook);
 }
 
+std::unique_ptr<PreExecutionEngine::Worker> PreExecutionEngine::make_worker(int id,
+                                                                           int ring) {
+  auto worker = std::make_unique<Worker>();
+  worker->id = id;
+  hevm::HevmCore::Config core_config = config_.core;
+  if (config_.trace != nullptr) {
+    worker->trace = &config_.trace->ring(ring);
+    core_config.trace = worker->trace;  // opcode + swap events share it
+  }
+  worker->core = std::make_unique<hevm::HevmCore>(id, worker->clock, core_config);
+  // One hypervisor session — one secure channel — per worker: the engine's
+  // concrete form of the paper's per-session hardware isolation.
+  const crypto::PrivateKey user_key = crypto::PrivateKey::from_seed(setup_rng_.bytes(16));
+  H256 nonce;
+  setup_rng_.fill(nonce.bytes.data(), nonce.bytes.size());
+  const auto session = hypervisor_.begin_session(nonce, user_key.public_key());
+  worker->session_id = session.session_id;
+  worker->channel = &hypervisor_.channel(session.session_id);
+  return worker;
+}
+
 void PreExecutionEngine::start() {
   if (started_) throw UsageError("engine: already started");
   started_ = true;
   ensure_pinned();
   wall_timer_.restart();
-  for (int i = 0; i < config_.num_hevms; ++i) {
-    auto worker = std::make_unique<Worker>();
-    worker->id = i;
-    hevm::HevmCore::Config core_config = config_.core;
-    if (config_.trace != nullptr) {
-      worker->trace = &config_.trace->ring(i);
-      core_config.trace = worker->trace;  // opcode + swap events share it
-    }
-    worker->core = std::make_unique<hevm::HevmCore>(i, worker->clock, core_config);
-    // One hypervisor session — one secure channel — per worker: the engine's
-    // concrete form of the paper's per-session hardware isolation.
-    const crypto::PrivateKey user_key = crypto::PrivateKey::from_seed(setup_rng_.bytes(16));
-    H256 nonce;
-    setup_rng_.fill(nonce.bytes.data(), nonce.bytes.size());
-    const auto session = hypervisor_.begin_session(nonce, user_key.public_key());
-    worker->session_id = session.session_id;
-    worker->channel = &hypervisor_.channel(session.session_id);
-    workers_.push_back(std::move(worker));
-  }
+  for (int i = 0; i < config_.num_hevms; ++i) workers_.push_back(make_worker(i, i));
   for (auto& worker : workers_) {
     Worker* w = worker.get();
     w->thread = std::thread([this, w] { worker_loop(*w); });
@@ -590,10 +544,7 @@ void PreExecutionEngine::start() {
   std::vector<Heartbeat*> beats;
   beats.reserve(workers_.size());
   for (auto& worker : workers_) beats.push_back(&worker->heartbeat);
-  watchdog_ = std::make_unique<Watchdog>(
-      std::move(beats),
-      Watchdog::Config{.poll_interval_ms = 50,
-                       .stall_threshold_ms = config_.watchdog_stall_ms});
+  watchdog_ = std::make_unique<Watchdog>(std::move(beats), Watchdog::Config{});
   watchdog_->start();
 }
 
@@ -603,7 +554,7 @@ Admission PreExecutionEngine::submit(std::vector<evm::Transaction> bundle) {
   if (config_.trace != nullptr) {
     config_.trace->ring(-1).append(obs::TraceCategory::kBundle,
                                    static_cast<uint16_t>(obs::TraceCode::kBundleSubmit),
-                                   /*sim_ns=*/id * config_.arrival_gap_ns, id);
+                                   /*sim_ns=*/0, id);
   }
   return admit(id, std::move(bundle), /*attempt=*/0);
 }
@@ -812,14 +763,13 @@ SessionOutcome PreExecutionEngine::execute_session(
   const uint64_t input_bytes = wire::bundle_bytes(bundle);
   {
     const sim::SimStopwatch messages(clock);
-    clock.advance_ns(config_.hypervisor_costs.message_handle_ns +
-                     config_.hypervisor_costs.dma_setup_ns);
+    clock.advance_ns(kHypervisorCosts.message_handle_ns + kHypervisorCosts.dma_setup_ns);
     outcome.message_time_ns += messages.elapsed_ns();
   }
 
   uint64_t crypto_ns = 0;
   if (config_.security.encryption) {
-    crypto_ns += config_.crypto_costs.aes_gcm_ns(input_bytes);
+    crypto_ns += kCryptoCosts.aes_gcm_ns(input_bytes);
     if (config_.perform_channel_crypto && worker.channel != nullptr) {
       // Exercise the real channel path once per session for realism; the
       // sequence state lives on the worker's dedicated channel.
@@ -831,7 +781,7 @@ SessionOutcome PreExecutionEngine::execute_session(
     }
   }
   if (config_.security.signatures) {
-    crypto_ns += config_.crypto_costs.ecdsa_verify_ns;
+    crypto_ns += kCryptoCosts.ecdsa_verify_ns;
     if (config_.perform_channel_crypto) {
       const crypto::PrivateKey user_key = crypto::PrivateKey::from_seed(rng.bytes(16));
       const H256 digest = crypto::keccak256(u256{bundle_id + 1}.to_be_bytes_vec());
@@ -845,12 +795,10 @@ SessionOutcome PreExecutionEngine::execute_session(
   clock.advance_ns(crypto_ns);
 
   // --- execute on the worker's dedicated HEVM (steps 4-8) ---
-  RoutedStateReader::Timing timing = config_.timing;
-  timing.clock = &clock;
   const state::WorldState& local_world =
       pin.world != nullptr ? *pin.world : node_.world();
   RoutedStateReader routed(local_world, oram_enabled() ? &oram_state_ : nullptr,
-                           config_.security, timing);
+                           config_.security, RoutedStateReader::Timing{.clock = &clock});
   crypto::AesKey128 session_key;
   rng.fill(session_key.data(), session_key.size());
   // The layer-2 noise-padding seed derives from (seed, bundle, attempt)
@@ -881,17 +829,16 @@ SessionOutcome PreExecutionEngine::execute_session(
     const uint64_t trace_bytes = wire::trace_bytes(outcome.report);
     uint64_t out_crypto_ns = 0;
     if (config_.security.encryption) {
-      out_crypto_ns += config_.crypto_costs.aes_gcm_ns(trace_bytes);
+      out_crypto_ns += kCryptoCosts.aes_gcm_ns(trace_bytes);
     }
     if (config_.security.signatures) {
-      out_crypto_ns += config_.crypto_costs.ecdsa_sign_ns;
+      out_crypto_ns += kCryptoCosts.ecdsa_sign_ns;
     }
     clock.advance_ns(out_crypto_ns);
     crypto_ns += out_crypto_ns;
     {
       const sim::SimStopwatch messages(clock);
-      clock.advance_ns(config_.hypervisor_costs.message_handle_ns +
-                       config_.hypervisor_costs.dma_setup_ns);
+      clock.advance_ns(kHypervisorCosts.message_handle_ns + kHypervisorCosts.dma_setup_ns);
       outcome.message_time_ns += messages.elapsed_ns();
     }
     hypervisor::CodePrefetcher prefetcher(
@@ -933,27 +880,13 @@ SessionOutcome PreExecutionEngine::execute_session(
 std::vector<SessionOutcome> PreExecutionEngine::execute_serial(
     const std::vector<std::vector<evm::Transaction>>& bundles) {
   ensure_pinned();
-  Worker serial;
-  serial.id = -1;
-  hevm::HevmCore::Config core_config = config_.core;
-  if (config_.trace != nullptr) {
-    serial.trace = &config_.trace->ring(-1);
-    core_config.trace = serial.trace;
-  }
-  serial.core = std::make_unique<hevm::HevmCore>(-1, serial.clock, core_config);
-  const crypto::PrivateKey user_key = crypto::PrivateKey::from_seed(setup_rng_.bytes(16));
-  H256 nonce;
-  setup_rng_.fill(nonce.bytes.data(), nonce.bytes.size());
-  const auto session = hypervisor_.begin_session(nonce, user_key.public_key());
-  serial.session_id = session.session_id;
-  serial.channel = &hypervisor_.channel(session.session_id);
-
+  const std::unique_ptr<Worker> serial = make_worker(-1, /*ring=*/-1);
   std::vector<SessionOutcome> out;
   out.reserve(bundles.size());
   for (size_t i = 0; i < bundles.size(); ++i) {
-    out.push_back(execute_session(i, /*attempt=*/0, bundles[i], serial));
+    out.push_back(execute_session(i, /*attempt=*/0, bundles[i], *serial));
   }
-  hypervisor_.end_session(serial.session_id);
+  hypervisor_.end_session(serial->session_id);
   return out;
 }
 
@@ -1054,12 +987,12 @@ EngineMetrics PreExecutionEngine::snapshot() const {
     oram_queries += outcome->query_stats.oram_queries;
   }
   if (!durations.empty()) {
-    const auto schedule = PreExecutionService::schedule_bundles(
-        durations, config_.num_hevms, config_.arrival_gap_ns);
+    const auto schedule =
+        schedule_bundles(durations, config_.num_hevms, /*arrival_gap_ns=*/0);
     // The sharded store is S independent subtree pipelines (PR 6): the
     // serialized-server clamp divides across them, because walks on
     // distinct shards overlap. S = 1 reproduces the single-server model.
-    m.sim_oram_server_busy_ns = oram_queries * config_.timing.server.service_ns /
+    m.sim_oram_server_busy_ns = oram_queries * RoutedStateReader::Timing{}.server.service_ns /
                                 std::max<uint64_t>(1, oram_store_.shard_count());
     m.sim_makespan_ns = std::max(schedule.makespan_ns, m.sim_oram_server_busy_ns);
     m.sim_oram_serialization_stall_ns = m.sim_makespan_ns - schedule.makespan_ns;

@@ -1,7 +1,21 @@
-// Concurrent multi-session pre-execution engine.
+// The pre-execution engine: the paper's Figure 3 lifecycle, assembled from
+// every substrate in this repository. It is the one place that does so.
 //
-// PreExecutionService drives ONE session at a time; this engine models the
-// deployment the paper actually argues for — many users, each with a
+//  (1)  boot: CSU verifies the SBL, the Hypervisor comes up        [hypervisor]
+//  (2)  user attestation + secure channel                          [hypervisor]
+//  (3)  bundle queued until an HEVM is idle, then assigned          [this file]
+//  (4)  HEVM executes the bundle                                    [hevm, evm]
+//  (5-6) exceptions to the Hypervisor, protected messages           [hypervisor]
+//  (7)  call-stack page dumps to untrusted memory                   [memlayer]
+//  (8)  on-chain data queried from the ORAM server                  [oram]
+//  (9)  traces accumulated and returned over the secure channel     [hevm]
+//  (10) HEVM reset, on-chip memories cleared                        [hevm]
+//  (11) new blocks synchronized into the ORAM                       [node]
+//
+// All timing flows through sim::SimClock via the cost models of sim/costs.hpp
+// (see DESIGN.md §1); all cryptography and the ORAM itself are real.
+//
+// It models the deployment the paper argues for — many users, each with a
 // dedicated HEVM (§IV-B "no context switches, no shared-hardware side
 // channels") — with a real worker pool:
 //
@@ -17,7 +31,8 @@
 // never on which worker ran it or how sessions interleaved. Each session
 // gets a fresh SimClock starting at 0 and a bundle-id-derived RNG, and ORAM
 // page contents are order-independent, so concurrent outcomes are
-// bit-identical to serial execution (execute_serial() is the reference).
+// bit-identical to serial execution (execute_serial() is the reference, and
+// the path the paper-figure benches run).
 //
 // Two timelines are reported, and they must never be conflated:
 //  - simulated: per-session costs from the sim cost models, aggregated into
@@ -40,8 +55,8 @@
 //     newly submitted bundles resolve immediately as kUnavailable instead of
 //     burning retry budgets against a dead server, so drain() always
 //     terminates in bounded simulated time.
-// A wall-clock Watchdog (service/watchdog.hpp) additionally flags worker
-// threads that stop making host progress; it is diagnostics-only.
+// A wall-clock Watchdog (service/watchdog.hpp, default thresholds) additionally
+// flags worker threads that stop making host progress; it is diagnostics-only.
 //
 // Live-chain model (PR 4): the node keeps producing blocks — and reorging —
 // while bundles queue. The engine therefore pins every session to an
@@ -67,6 +82,8 @@
 
 #include "faults/fault_plan.hpp"
 #include "faults/faulty_oram.hpp"
+#include "hypervisor/hypervisor.hpp"
+#include "node/node.hpp"
 #include "obs/metrics.hpp"
 #include "oram/epoch.hpp"
 #include "oram/frontend.hpp"
@@ -87,9 +104,6 @@ struct SessionOutcome;
 struct EngineConfig {
   int num_hevms = 3;       ///< worker pool width (paper §VI-A: 3 per chip)
   size_t queue_depth = 16; ///< bundle-queue slots before backpressure
-  /// Simulated inter-arrival gap between submitted bundles (the engine-level
-  /// schedule assumes bundle i arrives at i * arrival_gap_ns).
-  uint64_t arrival_gap_ns = 0;
 
   SecurityConfig security = SecurityConfig::full();
   hevm::HevmCore::Config core{};
@@ -101,9 +115,6 @@ struct EngineConfig {
   /// same adversary view as the pre-sharding engine; >1 lets sessions whose
   /// accesses land on distinct shards walk paths in parallel.
   size_t oram_shards = 8;
-  RoutedStateReader::Timing timing{};
-  sim::HypervisorCostModel hypervisor_costs{};
-  sim::CryptoCostModel crypto_costs{};
   /// Seeds every simulated RNG, among them the device keys and the ORAM
   /// clients' nonce DRBGs. ORAM slots are sealed under a per-boot key
   /// derived from the durable store's generation (Hypervisor::oram_seal_key),
@@ -112,7 +123,7 @@ struct EngineConfig {
   /// earlier boot used keeps the pairs fresh.
   uint64_t seed = 1;
   /// When false, user-channel AES/ECDSA are modeled in time only (the ORAM's
-  /// crypto is always real) — same switch as PreExecutionService.
+  /// crypto is always real); the charged sim time is the same either way.
   bool perform_channel_crypto = false;
 
   // --- failure model & recovery (PR 2) ---
@@ -121,17 +132,12 @@ struct EngineConfig {
   /// which case the whole recovery stack is dormant and outcomes are
   /// bit-identical to PR 1.
   faults::FaultPlan* fault_plan = nullptr;
-  /// Per-request timeout/backoff policy the ORAM frontend runs (sim time).
-  sim::BackoffPolicy oram_recovery{};
   /// Total executions one bundle may consume (first try + requeues) before
   /// a recoverable fault resolves as a terminal status. 1 = never requeue.
   int max_bundle_attempts = 3;
   /// Consecutive backend-faulted attempts that open the circuit breaker;
   /// <= 0 disables the breaker.
   int breaker_threshold = 4;
-  /// Stall threshold of the wall-clock worker liveness monitor (always on;
-  /// diagnostics only).
-  uint64_t watchdog_stall_ms = 2'000;
 
   // --- live-chain staleness policy (PR 4) ---
   /// Blocks the chain head may advance past the engine's pinned snapshot
@@ -424,6 +430,8 @@ class PreExecutionEngine {
   oram::OramFrontend& oram_frontend() { return frontend_; }
   oram::ShardedOramStore& oram_store() { return oram_store_; }
   hypervisor::Hypervisor& hypervisor() { return hypervisor_; }
+  /// The device-key root a user verifies this chip's attestation against.
+  const hypervisor::Manufacturer& manufacturer() const { return manufacturer_; }
 
   /// True once breaker_threshold consecutive attempts died on the backend.
   /// Sticky for the engine's lifetime (quarantine; a real deployment would
@@ -463,6 +471,17 @@ class PreExecutionEngine {
     std::shared_ptr<const state::WorldState> world;
   };
 
+  /// A worker with its own HevmCore and hypervisor session (secure channel),
+  /// tracing into `ring` when a sink is set. Draws the session's user key and
+  /// nonce from setup_rng_, so creation order is part of determinism.
+  std::unique_ptr<Worker> make_worker(int id, int ring);
+  /// The one verified sync pass (Fig. 3 step 11) behind synchronize(),
+  /// resync() and warm_restart(): opens an epoch for `head` and syncs the
+  /// ORAM to its root — the whole world when `from` is null, else the delta
+  /// from `from` — with the fault plan's node-feed adversary attached. Then
+  /// commits the epoch and counts the verification work, or aborts the epoch
+  /// and returns the failure (fail closed).
+  Status sync_pass(const node::BlockHeader& head, const state::WorldState* from);
   /// Throws UsageError unless the engine is between start() and drain().
   void require_accepting() const;
   /// The one admission path behind submit(), submit_as() and resubmit():
@@ -485,8 +504,6 @@ class PreExecutionEngine {
   /// Re-executes recorded outcomes whose pinned root was orphaned (resync
   /// tail; pool quiescent, resync_mu_ held).
   void resimulate_orphans();
-  /// Lazily created scratch worker (id -2) that runs re-executions.
-  Worker& resim_worker();
   /// Feeds the circuit breaker: backend faults count consecutively, a clean
   /// kOk resets the streak.
   void register_attempt(const SessionOutcome& outcome);
@@ -529,7 +546,8 @@ class PreExecutionEngine {
   mutable std::mutex pin_mu_;  ///< guards pin_ (sessions copy it at start)
   PinnedSnapshot pin_;
   std::mutex resync_mu_;       ///< serializes resync passes
-  std::unique_ptr<Worker> resim_worker_;  ///< created on first resimulation
+  /// Scratch worker (id -2) that runs re-executions; created on first use.
+  std::unique_ptr<Worker> resim_worker_;
   uint64_t sync_passes_ = 0;   ///< fault-plan stream index for node fetches
   std::atomic<uint64_t> resyncs_{0};
   std::atomic<uint64_t> bundle_resims_{0};

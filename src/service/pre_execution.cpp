@@ -1,6 +1,6 @@
 #include "service/pre_execution.hpp"
 
-#include "memlayer/pager.hpp"
+#include <algorithm>
 
 namespace hardtape::service {
 
@@ -98,10 +98,6 @@ Bytes RoutedStateReader::code(const Address& addr) const {
   return local_.code(addr);
 }
 
-// ---------------------------------------------------------------------------
-// PreExecutionService
-// ---------------------------------------------------------------------------
-
 namespace wire {
 
 uint64_t bundle_bytes(const std::vector<evm::Transaction>& bundle) {
@@ -124,154 +120,8 @@ uint64_t trace_bytes(const hevm::BundleReport& report) {
 
 }  // namespace wire
 
-namespace {
-constexpr const char* kSbl = "hardtape-sbl-v1";
-constexpr const char* kFirmware = "hardtape-hypervisor-v1";
-constexpr const char* kBitstream = "hardtape-hevm-bitstream-v1";
-
-BytesView sv(const char* s) {
-  return BytesView{reinterpret_cast<const uint8_t*>(s), std::strlen(s)};
-}
-}  // namespace
-
-PreExecutionService::PreExecutionService(node::NodeSimulator& node, Config config)
-    : node_(node),
-      config_(config),
-      rng_(config.seed),
-      manufacturer_(config.seed ^ 0xfab),
-      hypervisor_(rng_.bytes(32), manufacturer_, sv(kSbl), sv(kFirmware), sv(kBitstream),
-                  config.seed ^ 0xb007),
-      oram_server_(config.oram),
-      // No durable store, so no boot generation: every boot is generation 0
-      // and a fresh seed is what keeps (key, nonce) pairs fresh.
-      oram_client_(oram_server_, hypervisor_.oram_seal_key(/*boot_generation=*/0),
-                   config.seed ^ 0x02a3, config.seal_mode),
-      oram_state_(oram_client_) {
-  config_.timing.clock = &clock_;
-  for (int i = 0; i < config_.hevm_cores; ++i) {
-    cores_.push_back(std::make_unique<hevm::HevmCore>(i, clock_, config_.core));
-  }
-}
-
-Status PreExecutionService::synchronize() {
-  if (!config_.security.oram_storage && !config_.security.oram_code) {
-    return Status::kOk;  // evaluation-set data is prefetched locally instead
-  }
-  node::BlockSynchronizer sync(node_, node_.head().state_root);
-  return sync.sync_all(oram_client_);
-}
-
-PreExecutionService::BundleOutcome PreExecutionService::pre_execute(
-    const std::vector<evm::Transaction>& bundle) {
-  BundleOutcome outcome;
-  const sim::SimStopwatch end_to_end(clock_);
-  ++bundles_served_;
-
-  // --- session setup (step 2) + input message handling (steps 3, 6) ---
-  const crypto::PrivateKey user_key = crypto::PrivateKey::from_seed(rng_.bytes(16));
-  H256 nonce;
-  rng_.fill(nonce.bytes.data(), nonce.bytes.size());
-  const auto session = hypervisor_.begin_session(nonce, user_key.public_key());
-
-  const uint64_t input_bytes = wire::bundle_bytes(bundle);
-  {
-    const sim::SimStopwatch messages(clock_);
-    clock_.advance_ns(config_.hypervisor_costs.message_handle_ns +
-                      config_.hypervisor_costs.dma_setup_ns);
-    outcome.message_time_ns += messages.elapsed_ns();
-  }
-
-  uint64_t crypto_ns = 0;
-  if (config_.security.encryption) {
-    crypto_ns += config_.crypto_costs.aes_gcm_ns(input_bytes);
-    if (config_.perform_channel_crypto) {
-      // Actually run the channel decryption path once for realism.
-      hypervisor::SecureChannel user_side(hypervisor_.channel(session.session_id).key());
-      const Bytes body = Bytes(std::min<uint64_t>(input_bytes, 4096), 0x42);
-      const auto sealed = user_side.seal(hypervisor::MessageType::kBundleSubmit, 0, body);
-      (void)hypervisor_.channel(session.session_id)
-          .open(sealed, /*max_body_length=*/1 << 24, /*max_target_offset=*/1 << 20);
-    }
-  }
-  if (config_.security.signatures) {
-    crypto_ns += config_.crypto_costs.ecdsa_verify_ns;  // user's input signature
-    if (config_.perform_channel_crypto) {
-      const H256 digest = crypto::keccak256(u256{bundles_served_}.to_be_bytes_vec());
-      const crypto::Signature sig = user_key.sign(digest);
-      if (!crypto::ecdsa_verify(user_key.public_key(), digest, sig)) {
-        outcome.status = Status::kAuthFailed;
-        return outcome;
-      }
-    }
-  }
-  clock_.advance_ns(crypto_ns);
-
-  // --- find an idle HEVM (step 3) ---
-  hevm::HevmCore* core = nullptr;
-  for (auto& candidate : cores_) {
-    if (!candidate->busy()) {
-      core = candidate.get();
-      break;
-    }
-  }
-  if (core == nullptr) {
-    outcome.status = Status::kBusy;
-    return outcome;
-  }
-
-  // --- execute (steps 4-8) ---
-  RoutedStateReader routed(node_.world(),
-                           (config_.security.oram_storage || config_.security.oram_code)
-                               ? &oram_state_
-                               : nullptr,
-                           config_.security, config_.timing);
-  crypto::AesKey128 session_key;
-  rng_.fill(session_key.data(), session_key.size());
-  // Same (seed, bundle, attempt) noise-stream derivation as the concurrent
-  // engine: the serial service never retries, so attempt is always 0.
-  core->assign(routed, node_.block_context(), session_key,
-               memlayer::noise_stream(config_.seed, bundles_served_ - 1, /*attempt=*/0));
-
-  const sim::SimStopwatch exec(clock_);
-  outcome.report = core->execute_bundle(bundle);
-  outcome.hevm_time_ns = exec.elapsed_ns();
-  if (outcome.report.aborted) outcome.status = Status::kMemoryOverflow;
-
-  // --- return the traces (step 9) ---
-  const uint64_t trace_bytes = wire::trace_bytes(outcome.report);
-  uint64_t out_crypto_ns = 0;
-  if (config_.security.encryption) {
-    out_crypto_ns += config_.crypto_costs.aes_gcm_ns(trace_bytes);
-  }
-  if (config_.security.signatures) {
-    out_crypto_ns += config_.crypto_costs.ecdsa_sign_ns;  // hypervisor signs the trace
-  }
-  clock_.advance_ns(out_crypto_ns);
-  crypto_ns += out_crypto_ns;
-  {
-    const sim::SimStopwatch messages(clock_);
-    clock_.advance_ns(config_.hypervisor_costs.message_handle_ns +
-                      config_.hypervisor_costs.dma_setup_ns);
-    outcome.message_time_ns += messages.elapsed_ns();
-  }
-  outcome.crypto_time_ns = crypto_ns;
-  outcome.query_stats = routed.stats();
-
-  // The adversary-visible timeline: pagewise prefetching re-spaces the code
-  // queries between the K-V queries (paper §IV-D problem (3)).
-  hypervisor::CodePrefetcher prefetcher(
-      memlayer::noise_stream(config_.seed ^ 0x70f7, bundles_served_ - 1, /*attempt=*/0));
-  outcome.observed_timeline = prefetcher.schedule(routed.stats().demand_timeline);
-
-  // --- release (step 10) ---
-  core->release();
-  hypervisor_.end_session(session.session_id);
-  outcome.end_to_end_ns = end_to_end.elapsed_ns();
-  return outcome;
-}
-
-PreExecutionService::ScheduleResult PreExecutionService::schedule_bundles(
-    const std::vector<uint64_t>& durations_ns, int cores, uint64_t arrival_gap_ns) {
+ScheduleResult schedule_bundles(const std::vector<uint64_t>& durations_ns, int cores,
+                                uint64_t arrival_gap_ns) {
   if (cores <= 0) throw UsageError("schedule: need at least one core");
   ScheduleResult result;
   std::vector<uint64_t> core_free(static_cast<size_t>(cores), 0);

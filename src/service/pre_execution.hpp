@@ -1,34 +1,22 @@
-// The end-to-end pre-execution service — the 11-step lifecycle of the
-// paper's Figure 3, assembled from every substrate in this repository.
-//
-//  (1)  boot: CSU verifies the SBL, the Hypervisor comes up        [hypervisor]
-//  (2)  user attestation + secure channel                          [hypervisor]
-//  (3)  bundle queued until an HEVM is idle, then assigned          [this file]
-//  (4)  HEVM executes the bundle                                    [hevm, evm]
-//  (5-6) exceptions to the Hypervisor, protected messages           [hypervisor]
-//  (7)  call-stack page dumps to untrusted memory                   [memlayer]
-//  (8)  on-chain data queried from the ORAM server                  [oram]
-//  (9)  traces accumulated and returned over the secure channel     [hevm]
-//  (10) HEVM reset, on-chip memories cleared                        [hevm]
-//  (11) new blocks synchronized into the ORAM                       [node]
+// The per-session pieces of the paper's Figure 3 that PreExecutionEngine
+// (service/engine.hpp, which carries the step map) assembles: the routed
+// state reader behind step 8, the user channel's wire-size models behind
+// steps 2 and 9, and the step-3 queue model over dedicated HEVMs.
 //
 // All timing flows through sim::SimClock via the cost models of sim/costs.hpp
 // (see DESIGN.md §1); all cryptography and the ORAM itself are real.
 #pragma once
 
 #include "hevm/hevm_core.hpp"
-#include "hypervisor/hypervisor.hpp"
 #include "hypervisor/prefetch.hpp"
-#include "node/node.hpp"
-#include "node/sync.hpp"
 #include "oram/paged_state.hpp"
 #include "service/security_config.hpp"
 #include "sim/costs.hpp"
 
 namespace hardtape::service {
 
-/// Wire-size models of the user channel, shared by the serial service and
-/// the concurrent engine so both charge identical channel-crypto time.
+/// Wire-size models of the user channel: what the engine charges AES-GCM
+/// time for on the way in and out of a session.
 namespace wire {
 /// Serialized size of a bundle-submit message body.
 uint64_t bundle_bytes(const std::vector<evm::Transaction>& bundle);
@@ -47,7 +35,6 @@ class RoutedStateReader : public state::StateReader {
     /// which we apportion as ~1 ms per direction on a 10 GbE link.
     sim::LinkModel oram_link{.latency_ns = 1'250'000, .bytes_per_ns = 1.25};
     sim::OramServerModel server{};
-    sim::CryptoCostModel crypto{};
     /// The ORAM path is re-encrypted by the dedicated A.E.DMA engines at
     /// near line rate, unlike the modest user-channel stream.
     double oram_reencrypt_bytes_per_ns = 1.6;
@@ -106,83 +93,16 @@ class RoutedStateReader : public state::StateReader {
   mutable std::unordered_map<PageKey, std::optional<Bytes>, PageKeyHasher> group_cache_;
 };
 
-/// The service provider's deployment: one chip (N dedicated HEVM cores), a
-/// Hypervisor, the ORAM server, and the Node — everything the SP runs.
-class PreExecutionService {
- public:
-  struct Config {
-    SecurityConfig security = SecurityConfig::full();
-    int hevm_cores = 3;  ///< paper §VI-A: LUT-limited to 3 per XCZU15EV
-    hevm::HevmCore::Config core{};
-    oram::OramConfig oram{};
-    oram::SealMode seal_mode = oram::SealMode::kChaChaHmac;
-    RoutedStateReader::Timing timing{};
-    sim::HypervisorCostModel hypervisor_costs{};
-    sim::CryptoCostModel crypto_costs{};
-    uint64_t seed = 1;
-    /// When false, ECDSA/AES operations on the user channel are modeled in
-    /// time only (large benches); the ORAM's crypto is always real.
-    bool perform_channel_crypto = true;
-  };
-
-  PreExecutionService(node::NodeSimulator& node, Config config);
-
-  /// Step 11: verify the node's world state against the trusted root and
-  /// install it into the ORAM. Returns kBadProof if the node lies.
-  Status synchronize();
-
-  /// Steps 2-10 for one bundle on one dedicated core. Each call models an
-  /// independent user session (fresh session keys).
-  struct BundleOutcome {
-    Status status = Status::kOk;
-    hevm::BundleReport report;
-    uint64_t end_to_end_ns = 0;   ///< SP receives request -> sends traces
-    uint64_t hevm_time_ns = 0;    ///< execution incl. ORAM stalls
-    uint64_t crypto_time_ns = 0;  ///< channel AES + ECDSA
-    uint64_t message_time_ns = 0; ///< hypervisor handling + DMA
-    RoutedStateReader::Stats query_stats;
-    /// The adversary-visible query timeline after pagewise code prefetching.
-    std::vector<hypervisor::QueryEvent> observed_timeline;
-  };
-  BundleOutcome pre_execute(const std::vector<evm::Transaction>& bundle);
-
-  sim::SimClock& clock() { return clock_; }
-  oram::OramServer& oram_server() { return oram_server_; }
-  oram::OramClient& oram_client() { return oram_client_; }
-  hypervisor::Hypervisor& hypervisor() { return hypervisor_; }
-  const Config& config() const { return config_; }
-  const hypervisor::Manufacturer& manufacturer() const { return manufacturer_; }
-
-  /// Models Fig. 3 step 3 queueing: bundles arriving `arrival_gap_ns` apart
-  /// are dispatched to the earliest-free of `cores` dedicated HEVMs (no
-  /// context switches — a busy core finishes its bundle first).
-  struct ScheduleResult {
-    uint64_t makespan_ns = 0;        ///< first arrival -> last completion
-    uint64_t mean_wait_ns = 0;       ///< time spent queued, per bundle
-    uint64_t max_queue_depth = 0;
-    std::vector<uint64_t> completion_ns;
-  };
-  static ScheduleResult schedule_bundles(const std::vector<uint64_t>& durations_ns,
-                                         int cores, uint64_t arrival_gap_ns);
-
-  /// §VI-D chip throughput: cores / mean bundle time.
-  double throughput_tx_per_s(uint64_t mean_bundle_ns) const {
-    return static_cast<double>(config_.hevm_cores) * 1e9 /
-           static_cast<double>(mean_bundle_ns);
-  }
-
- private:
-  node::NodeSimulator& node_;
-  Config config_;
-  sim::SimClock clock_;
-  Random rng_;
-  hypervisor::Manufacturer manufacturer_;
-  hypervisor::Hypervisor hypervisor_;
-  oram::OramServer oram_server_;
-  oram::OramClient oram_client_;
-  oram::OramWorldState oram_state_;
-  std::vector<std::unique_ptr<hevm::HevmCore>> cores_;
-  uint64_t bundles_served_ = 0;
+/// Models Fig. 3 step 3 queueing: bundles arriving `arrival_gap_ns` apart
+/// are dispatched to the earliest-free of `cores` dedicated HEVMs (no context
+/// switches — a busy core finishes its bundle first).
+struct ScheduleResult {
+  uint64_t makespan_ns = 0;        ///< first arrival -> last completion
+  uint64_t mean_wait_ns = 0;       ///< time spent queued, per bundle
+  uint64_t max_queue_depth = 0;
+  std::vector<uint64_t> completion_ns;
 };
+ScheduleResult schedule_bundles(const std::vector<uint64_t>& durations_ns, int cores,
+                                uint64_t arrival_gap_ns);
 
 }  // namespace hardtape::service

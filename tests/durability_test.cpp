@@ -21,6 +21,7 @@
 #include "durability/recovery.hpp"
 #include "durability/vfs.hpp"
 #include "faults/crash_plan.hpp"
+#include "faults/fault_plan.hpp"
 #include "pagedstore/page.hpp"
 #include "pagedstore/store.hpp"
 #include "service/engine.hpp"
@@ -971,6 +972,34 @@ TEST_F(DurableEngineTest, WarmRestartContinuesNumberingAndInvariants) {
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_EQ(outcomes[0].status, Status::kOk);
   EXPECT_EQ(engine.snapshot().warm_restarts, 1u);
+}
+
+TEST_F(DurableEngineTest, WarmRestartGapSyncFailsClosedOnATamperedProof) {
+  // The crash gap's proofs come from the same SP-controlled node as a cold
+  // sync's, so the node-feed adversary reaches them too: a tampered proof
+  // must fail the warm restart closed instead of installing the gap.
+  SimFs fs;
+  DurableStore store(fs, DurableConfig{});
+  {
+    service::PreExecutionEngine engine(node_, make_config(&store));
+    ASSERT_EQ(engine.synchronize(), Status::kOk);
+  }
+  node_.produce_block({txs_[5]});  // one new block while the engine is down
+
+  const auto rec = Recovery::replay(fs);
+  SimFs fs2;
+  DurableStore store2(fs2, DurableConfig{});
+  store2.adopt(rec);
+  faults::FaultPlan plan(faults::FaultPlanConfig{});
+  plan.force(faults::FaultSite::kNodeFetch, /*stream=*/0, /*op=*/0,
+             faults::FaultDecision{.kind = faults::FaultKind::kStaleProof});
+  auto config = make_config(&store2);
+  config.fault_plan = &plan;
+  service::PreExecutionEngine engine(node_, config);
+  EXPECT_EQ(engine.warm_restart(rec), Status::kBadProof);
+  EXPECT_EQ(plan.injected(), 1u);
+  EXPECT_LE(engine.epoch_registry().max_page_epoch(),
+            engine.epoch_registry().store_epoch());
 }
 
 TEST_F(DurableEngineTest, ResubmitReplaysPendingBundleSemanticallyIdentical) {

@@ -139,13 +139,6 @@ TEST_F(EngineTest, SubmitBeforeStartThrows) {
   EXPECT_THROW(engine.submit(mixed_bundle(0)), UsageError);
 }
 
-TEST_F(EngineTest, PerSessionTimingClockRejected) {
-  auto config = make_config(SecurityConfig::raw(), 1);
-  sim::SimClock clock;
-  config.timing.clock = &clock;
-  EXPECT_THROW(PreExecutionEngine(node_, config), UsageError);
-}
-
 // The deterministic engine timeline: 4 HEVMs must clear the mixed workload
 // at >= 2x the single-HEVM bundle rate (acceptance criterion; the ORAM
 // serialization point costs ~1% per access, far from the bottleneck here).

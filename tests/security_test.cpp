@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "memlayer/observer.hpp"
-#include "service/pre_execution.hpp"
+#include "service/engine.hpp"
 #include "workload/generator.hpp"
 
 namespace hardtape {
@@ -15,13 +15,21 @@ class SecurityTest : public ::testing::Test {
   SecurityTest() {
     gen_.deploy(node_.world());
     node_.produce_block({});
-    service::PreExecutionService::Config config;
+    service::EngineConfig config;
     config.security = service::SecurityConfig::full();
     config.oram = oram::OramConfig{.block_size = oram::kPageSize, .capacity = 4096};
     config.seal_mode = oram::SealMode::kChaChaHmac;
+    // One tree: the same adversary view as the sharded store (see
+    // EngineConfig::oram_shards), held by one server A7 can inspect.
+    config.oram_shards = 1;
     config.perform_channel_crypto = false;
-    service_ = std::make_unique<service::PreExecutionService>(node_, config);
-    EXPECT_EQ(service_->synchronize(), Status::kOk);
+    engine_ = std::make_unique<service::PreExecutionEngine>(node_, config);
+    EXPECT_EQ(engine_->synchronize(), Status::kOk);
+  }
+
+  /// One bundle through the engine's per-session path.
+  service::SessionOutcome serve(std::vector<evm::Transaction> bundle) {
+    return engine_->execute_serial({std::move(bundle)}).at(0);
   }
 
   evm::Transaction token_tx(size_t token_index) {
@@ -36,25 +44,25 @@ class SecurityTest : public ::testing::Test {
   node::NodeSimulator node_;
   workload::WorkloadGenerator gen_{workload::GeneratorConfig{
       .user_accounts = 8, .erc20_contracts = 4, .dex_pairs = 2, .routers = 1}};
-  std::unique_ptr<service::PreExecutionService> service_;
+  std::unique_ptr<service::PreExecutionEngine> engine_;
 };
 
 // A1: a fake pre-executor cannot produce an acceptable attestation — covered
 // in hypervisor_test; here we check the integration point: a user that
-// verifies against the real manufacturer root accepts this service.
+// verifies against the real manufacturer root accepts this engine.
 TEST_F(SecurityTest, A1_AttestationChainVerifiesEndToEnd) {
   const crypto::PrivateKey user = crypto::PrivateKey::from_seed(Bytes{9});
   const H256 nonce = crypto::keccak256("a1");
-  const auto session = service_->hypervisor().begin_session(nonce, user.public_key());
+  const auto session = engine_->hypervisor().begin_session(nonce, user.public_key());
   EXPECT_TRUE(hypervisor::verify_attestation(
-      service_->manufacturer().root_public_key(),
-      service_->hypervisor().firmware_measurement(), nonce, session.report));
+      engine_->manufacturer().root_public_key(),
+      engine_->hypervisor().firmware_measurement(), nonce, session.report));
   // Against a different manufacturer's root: rejected.
   hypervisor::Manufacturer other(999);
   EXPECT_FALSE(hypervisor::verify_attestation(
-      other.root_public_key(), service_->hypervisor().firmware_measurement(), nonce,
+      other.root_public_key(), engine_->hypervisor().firmware_measurement(), nonce,
       session.report));
-  service_->hypervisor().end_session(session.session_id);
+  engine_->hypervisor().end_session(session.session_id);
 }
 
 // A2: dedicated hardware — two concurrent sessions on different cores share
@@ -85,7 +93,7 @@ TEST_F(SecurityTest, A3_MaliciousBundleIsContained) {
   // Garbage calldata: unknown selector -> contract reverts; service stays up.
   bomb.data = Bytes(64, 0xff);
   bomb.gas_limit = 1'000'000;
-  const auto outcome = service_->pre_execute({bomb, token_tx(0)});
+  const auto outcome = serve({bomb, token_tx(0)});
   ASSERT_EQ(outcome.report.transactions.size(), 2u);
   EXPECT_EQ(outcome.report.transactions[0].status, evm::VmStatus::kRevert);
   EXPECT_EQ(outcome.report.transactions[1].status, evm::VmStatus::kSuccess);
@@ -148,11 +156,11 @@ TEST_F(SecurityTest, A5_SwapEventsCarryNoise) {
 // A6: a dishonest node cannot poison the ORAM — integration-level re-check.
 TEST_F(SecurityTest, A6_DishonestNodeBlockedAtSync) {
   node_.set_dishonest(true);
-  service::PreExecutionService::Config config;
+  service::EngineConfig config;
   config.security = service::SecurityConfig::full();
   config.oram = oram::OramConfig{.block_size = oram::kPageSize, .capacity = 4096};
   config.seal_mode = oram::SealMode::kChaChaHmac;
-  service::PreExecutionService dirty(node_, config);
+  service::PreExecutionEngine dirty(node_, config);
   EXPECT_EQ(dirty.synchronize(), Status::kBadProof);
   node_.set_dishonest(false);
 }
@@ -160,12 +168,13 @@ TEST_F(SecurityTest, A6_DishonestNodeBlockedAtSync) {
 // A7: the SP's observable trace is identical in *shape* regardless of which
 // token the user touches: same access granularity, uniform leaves.
 TEST_F(SecurityTest, A7_TargetContractNotInferrableFromServerView) {
-  service_->oram_server().clear_observations();
-  service_->pre_execute({token_tx(0)});
-  const auto view_token0 = service_->oram_server().observed_leaves();
-  service_->oram_server().clear_observations();
-  service_->pre_execute({token_tx(2)});
-  const auto view_token2 = service_->oram_server().observed_leaves();
+  oram::ShardedOramStore& store = engine_->oram_store();
+  store.clear_observations();
+  serve({token_tx(0)});
+  const auto view_token0 = store.server(0).observed_leaves();
+  store.clear_observations();
+  serve({token_tx(2)});
+  const auto view_token2 = store.server(0).observed_leaves();
 
   // The adversary sees only leaf indices. Any token-identifying signal would
   // have to come from (a) the number of accesses or (b) the leaf values.
@@ -177,20 +186,20 @@ TEST_F(SecurityTest, A7_TargetContractNotInferrableFromServerView) {
     for (uint64_t x : v) s += static_cast<double>(x);
     return s / static_cast<double>(v.size());
   };
-  const double half = static_cast<double>(service_->oram_server().leaf_count()) / 2;
+  const double half = static_cast<double>(store.server(0).leaf_count()) / 2;
   EXPECT_NEAR(mean_leaf(view_token0), half, half * 0.45);
   EXPECT_NEAR(mean_leaf(view_token2), half, half * 0.45);
   // Repeating the SAME query sequence gives a fresh view (re-randomized).
-  service_->oram_server().clear_observations();
-  service_->pre_execute({token_tx(0)});
-  EXPECT_NE(service_->oram_server().observed_leaves(), view_token0);
+  store.clear_observations();
+  serve({token_tx(0)});
+  EXPECT_NE(store.server(0).observed_leaves(), view_token0);
 }
 
 // Integrity of results: the trace the user receives reflects exactly what
 // executed — the SP cannot silently drop a storage write from the report
 // (the report is produced on-chip and signed; here we check fidelity).
 TEST_F(SecurityTest, TraceFidelity) {
-  const auto outcome = service_->pre_execute({token_tx(0)});
+  const auto outcome = serve({token_tx(0)});
   const auto& trace = outcome.report.transactions[0];
   ASSERT_EQ(trace.status, evm::VmStatus::kSuccess);
   // Sender and recipient balance slots must both appear in the write set.

@@ -76,27 +76,24 @@ TEST(CryptoCostModel, EcdsaDominates) {
 
 // --- bundle scheduler ---
 
-using service::PreExecutionService;
+using service::schedule_bundles;
 
 TEST(Scheduler, SingleCoreSerializes) {
-  const auto result =
-      PreExecutionService::schedule_bundles({100, 100, 100}, 1, /*gap=*/0);
+  const auto result = schedule_bundles({100, 100, 100}, 1, /*gap=*/0);
   EXPECT_EQ(result.makespan_ns, 300u);
   EXPECT_EQ(result.completion_ns, (std::vector<uint64_t>{100, 200, 300}));
   EXPECT_EQ(result.mean_wait_ns, 100u);  // waits 0, 100, 200
 }
 
 TEST(Scheduler, ThreeCoresRunThreeBundlesInParallel) {
-  const auto result =
-      PreExecutionService::schedule_bundles({100, 100, 100}, 3, /*gap=*/0);
+  const auto result = schedule_bundles({100, 100, 100}, 3, /*gap=*/0);
   EXPECT_EQ(result.makespan_ns, 100u);
   EXPECT_EQ(result.mean_wait_ns, 0u);
 }
 
 TEST(Scheduler, QueueingKicksInWhenOfferedLoadExceedsCapacity) {
   // 6 bundles of 100 on 3 cores arriving instantly: second wave waits.
-  const auto result =
-      PreExecutionService::schedule_bundles(std::vector<uint64_t>(6, 100), 3, 0);
+  const auto result = schedule_bundles(std::vector<uint64_t>(6, 100), 3, 0);
   EXPECT_EQ(result.makespan_ns, 200u);
   EXPECT_GT(result.mean_wait_ns, 0u);
   EXPECT_GT(result.max_queue_depth, 0u);
@@ -105,17 +102,17 @@ TEST(Scheduler, QueueingKicksInWhenOfferedLoadExceedsCapacity) {
 TEST(Scheduler, ArrivalGapAboveServiceRateMeansNoWaiting) {
   // Paper §VI-D: at 164 ms/bundle and 3 cores, one chip sustains ~18 tx/s —
   // bundles arriving every 60 ms (~16.7 tx/s) should not queue.
-  const auto result = PreExecutionService::schedule_bundles(
-      std::vector<uint64_t>(50, 164'000'000), 3, 60'000'000);
+  const auto result =
+      schedule_bundles(std::vector<uint64_t>(50, 164'000'000), 3, 60'000'000);
   EXPECT_LT(result.mean_wait_ns, 10'000'000u);  // negligible waiting
   // While 30 ms arrivals (33 tx/s) overload the chip.
-  const auto overloaded = PreExecutionService::schedule_bundles(
-      std::vector<uint64_t>(50, 164'000'000), 3, 30'000'000);
+  const auto overloaded =
+      schedule_bundles(std::vector<uint64_t>(50, 164'000'000), 3, 30'000'000);
   EXPECT_GT(overloaded.mean_wait_ns, 100'000'000u);
 }
 
 TEST(Scheduler, RejectsZeroCores) {
-  EXPECT_THROW(PreExecutionService::schedule_bundles({1}, 0, 0), UsageError);
+  EXPECT_THROW(schedule_bundles({1}, 0, 0), UsageError);
 }
 
 // --- BackoffPolicy exponent-growth regression (attempt counts >= 63) ---
