@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <map>
 
+#include "node/sync.hpp"
 #include "oram/paged_state.hpp"
 #include "workload/generator.hpp"
 
@@ -14,10 +15,10 @@ using namespace hardtape;
 int main() {
   std::printf("== ORAM access patterns: the adversary's view ==\n\n");
 
-  state::WorldState world;
+  node::NodeSimulator node;
   workload::WorkloadGenerator gen(workload::GeneratorConfig{
       .user_accounts = 4, .erc20_contracts = 3, .dex_pairs = 1, .routers = 1});
-  gen.deploy(world);
+  gen.deploy(node.world());
 
   // The user's secret intention: trade token #2.
   const Address secret_target = gen.tokens()[2];
@@ -37,7 +38,17 @@ int main() {
   crypto::AesKey128 oram_key{};
   oram_key[0] = 0x5e;
   oram::OramClient client(server, oram_key, 7, oram::SealMode::kChaChaHmac);
-  oram::sync_world_state(world, client);
+  // Block sync: verify the node's state against the trusted root, then fill
+  // the tree in one bulk load (not an access: the SP sees no path yet).
+  const node::PinnedBlock head = node.pinned_head();
+  node::BlockSynchronizer sync(node, head.header.state_root);
+  oram::Pages pages;
+  if (sync.verify_all(pages) != Status::kOk) {
+    std::printf("block sync failed\n");
+    return 1;
+  }
+  client.bulk_load(pages);
+  std::printf("loaded %zu verified 1 KB pages into the ORAM\n\n", pages.size());
   oram::OramWorldState oram_state(client);
 
   server.clear_observations();

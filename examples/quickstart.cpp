@@ -41,8 +41,8 @@ int main() {
     std::printf("FATAL: node served data failing Merkle verification\n");
     return 1;
   }
-  std::printf("world state synchronized into the ORAM (%llu path accesses so far)\n\n",
-              static_cast<unsigned long long>(engine.oram_store().snapshot().total_walks));
+  std::printf("world state verified and loaded into the ORAM (%llu pages)\n\n",
+              static_cast<unsigned long long>(engine.snapshot().sync_pages_installed));
 
   // --- the user's side: verify the device before trusting it ---
   const crypto::PrivateKey user_key = crypto::PrivateKey::from_seed(Bytes{1, 2, 3});

@@ -71,7 +71,6 @@ void DurableStore::on_epoch_abort(uint64_t epoch) {
 
 void DurableStore::log_page_install(const u256& page_id, BytesView data) {
   std::lock_guard lock(mu_);
-  if (restoring_) return;
   // Appended UN-synced: the epoch-commit fsync is the durability barrier for
   // the whole pass (group commit). A crash before it loses the epoch, which
   // recovery's staging replay handles by design.
@@ -139,11 +138,6 @@ void DurableStore::checkpoint() {
   std::lock_guard lock(mu_);
   if (epoch_open_) return;
   checkpoint_locked(journal_->next_seq(), generation_ + 1);
-}
-
-void DurableStore::set_restoring(bool restoring) {
-  std::lock_guard lock(mu_);
-  restoring_ = restoring;
 }
 
 void DurableStore::note_next_bundle_id(uint64_t next_bundle_id) {

@@ -14,8 +14,9 @@
 //    commit record's fsync makes the whole epoch durable at once. A crash
 //    before it loses the *entire* epoch — which is exactly what recovery's
 //    staging semantics reconstruct.
-//  - log_page_install (fed by OramClient's install hook) appends an install
-//    record and stages the mirror update. It never sees the page's ORAM
+//  - log_page_install (fed by the engine's sync pass, once per page it
+//    installs, in staging order) appends an install record and stages the
+//    mirror update. It never sees the page's ORAM
 //    leaf: nothing on this disk may name the path a page's next walk takes.
 //  - log_bundle_admitted / log_bundle_resolved append+fsync immediately:
 //    the durable resolve mark IS the outcome-delivery record, so it may
@@ -80,11 +81,6 @@ class DurableStore final : public oram::EpochListener {
   /// Manual checkpoint roll; no-op while an epoch is open.
   void checkpoint();
 
-  /// While true, page installs are NOT journaled — used by warm restart when
-  /// re-installing recovered pages into a fresh ORAM (they are already
-  /// durable in the adopted checkpoint; re-journaling would double them).
-  void set_restoring(bool restoring);
-
   /// Tracks the engine's bundle-id high-water mark in the mirror so a
   /// checkpoint carries it even when no admit record is pending.
   void note_next_bundle_id(uint64_t next_bundle_id);
@@ -131,7 +127,6 @@ class DurableStore final : public oram::EpochListener {
   std::optional<Journal> journal_;  ///< one instance per generation file
   bool journal_published_ = false;  ///< directory entry of the live wal sync_dir'd
   uint64_t records_before_roll_ = 0;
-  bool restoring_ = false;
 
   // Open-epoch staging, mirroring the registry's discipline.
   bool epoch_open_ = false;

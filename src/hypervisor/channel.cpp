@@ -35,7 +35,8 @@ std::optional<MessageHeader> MessageHeader::parse(BytesView raw) {
 }
 
 SecureChannel::SecureChannel(const crypto::PrivateKey& my_key,
-                             const crypto::Point& peer_public) {
+                             const crypto::Point& peer_public, ChannelRole role)
+    : role_(role) {
   const H256 shared = my_key.ecdh(peer_public);
   const std::string info = "hardtape-session-v1";
   const Bytes okm = crypto::hkdf_sha256(
@@ -54,10 +55,11 @@ SecureMessage SecureChannel::seal(MessageType type, uint64_t target_offset,
 
   SecureMessage message;
   message.header = header.serialize();
-  // Deterministic per-message nonce from a counter (never reused per key).
+  // Deterministic per-message nonce: a counter plus this end's role, so the
+  // two ends of one key never seal under the same nonce.
   ++nonce_counter_;
   std::memcpy(message.nonce.data(), &nonce_counter_, sizeof nonce_counter_);
-  message.nonce[11] = 0x01;  // direction marker
+  message.nonce[11] = static_cast<uint8_t>(role_);
 
   const auto result = crypto::aes_gcm_encrypt(
       key_, message.nonce, body, BytesView{message.header.data(), message.header.size()});
@@ -91,7 +93,15 @@ SecureChannel::OpenResult SecureChannel::open(const SecureMessage& message,
     result.status = Status::kAuthFailed;
     return result;
   }
-  // Step 3: anti-replay sequence check. Strict mode: exactly the expected
+  // Step 3: only the peer seals frames for this end. A frame stamped with
+  // this end's own role is its own frame reflected back: refuse it.
+  const ChannelRole peer = role_ == ChannelRole::kInitiator ? ChannelRole::kResponder
+                                                            : ChannelRole::kInitiator;
+  if (message.nonce[11] != static_cast<uint8_t>(peer)) {
+    result.status = Status::kRejected;
+    return result;
+  }
+  // Step 4: anti-replay sequence check. Strict mode: exactly the expected
   // sequence. Lossy mode: allow forward skips (dropped frames), never
   // backward ones (replays / stale reorders).
   const bool acceptable = lossy_transport_

@@ -52,22 +52,33 @@ struct SecureMessage {
   Bytes ciphertext;
 };
 
+/// Which end of a session a channel is. Both ends hold the same key, so
+/// each stamps its own role into every nonce it seals: request n and reply n
+/// never share a (key, nonce) pair, and an end refuses a frame that carries
+/// its own role (its own frame reflected back at it).
+///  - kInitiator: the user, the service client, the source device;
+///  - kResponder: the hypervisor session, the front door, the target device.
+enum class ChannelRole : uint8_t { kInitiator = 0x01, kResponder = 0x02 };
+
 /// One end of an established session. Both sides derive the same AES key
-/// from ECDH + HKDF; sequence numbers are per-direction.
+/// from ECDH + HKDF; sequence numbers and nonces are per-direction.
 class SecureChannel {
  public:
   /// Derives the session key: HKDF(ECDH(my_key, peer_pub), info="hardtape").
-  SecureChannel(const crypto::PrivateKey& my_key, const crypto::Point& peer_public);
+  SecureChannel(const crypto::PrivateKey& my_key, const crypto::Point& peer_public,
+                ChannelRole role);
   /// Directly from a pre-agreed key (e.g. tests).
-  explicit SecureChannel(const crypto::AesKey128& key) : key_(key) {}
+  SecureChannel(const crypto::AesKey128& key, ChannelRole role)
+      : key_(key), role_(role) {}
 
   const crypto::AesKey128& key() const { return key_; }
 
   SecureMessage seal(MessageType type, uint64_t target_offset, BytesView body);
 
   /// Full validation path, in the Hypervisor's order: parse header ->
-  /// length/type/offset checks -> AES-GCM open (header as AAD) -> sequence
-  /// check. Returns the body, or a Status explaining the rejection.
+  /// length/type/offset checks -> AES-GCM open (header as AAD) -> the
+  /// sender's role must be the peer's (kRejected for a reflected frame) ->
+  /// sequence check. Returns the body, or a Status explaining the rejection.
   struct OpenResult {
     Status status = Status::kOk;
     MessageHeader header{};
@@ -88,6 +99,7 @@ class SecureChannel {
 
  private:
   crypto::AesKey128 key_{};
+  ChannelRole role_;
   uint32_t send_sequence_ = 0;
   uint32_t recv_sequence_ = 0;
   uint64_t nonce_counter_ = 0;

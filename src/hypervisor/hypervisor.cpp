@@ -27,7 +27,7 @@ Hypervisor::SessionHandle Hypervisor::begin_session(const H256& user_nonce,
   handle.session_id = next_session_id_++;
   handle.report = identity_.attest(measurement_, session_public, user_nonce);
 
-  SecureChannel channel(session_key, user_public);
+  SecureChannel channel(session_key, user_public, ChannelRole::kResponder);
   sessions_.push_back(std::make_unique<Session>(
       Session{handle.session_id, std::move(session_key), std::move(channel)}));
   return handle;
@@ -92,8 +92,10 @@ Status Hypervisor::share_oram_key(Hypervisor& source, Hypervisor& target) {
   }
   crypto::PrivateKey source_eph = crypto::PrivateKey::from_seed(source_seed);
   crypto::PrivateKey target_eph = crypto::PrivateKey::from_seed(target_seed);
-  SecureChannel source_channel(source_eph, target_eph.public_key());
-  SecureChannel target_channel(target_eph, source_eph.public_key());
+  SecureChannel source_channel(source_eph, target_eph.public_key(),
+                               ChannelRole::kInitiator);
+  SecureChannel target_channel(target_eph, source_eph.public_key(),
+                               ChannelRole::kResponder);
 
   const auto& key = source.oram_key();
   const SecureMessage message = source_channel.seal(

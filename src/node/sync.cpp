@@ -21,7 +21,7 @@ void tamper_proof(trie::MerkleProof& proof) {
 }  // namespace
 
 Status BlockSynchronizer::verify_account_task(const AccountTask& task,
-                                              std::vector<PendingPage>& out) {
+                                              oram::Pages& out) {
   using trie::MerklePatriciaTrie;
   const Address& addr = task.addr;
 
@@ -81,16 +81,16 @@ Status BlockSynchronizer::verify_account_task(const AccountTask& task,
     ++verified_slots_;
   }
 
-  // 4. Everything verified: STAGE pages (the caller installs — possibly
-  // only after every other account of a delta verified too).
+  // 4. Everything verified: STAGE pages (the caller installs, and only
+  // after every other account of the pass verified too).
   if (task.install_meta) {
     oram::AccountMetaPage meta;
     meta.balance = account.balance;
     meta.nonce = account.nonce;
     meta.code_size = code.size();
     meta.code_hash = account.code_hash;
-    out.push_back({oram::page_id(oram::PageType::kAccountMeta, addr, u256{}),
-                   meta.serialize()});
+    out.emplace_back(oram::page_id(oram::PageType::kAccountMeta, addr, u256{}),
+                     meta.serialize());
   }
 
   // Storage groups (keys grouped by key/32; absent records stay zero). Only
@@ -105,8 +105,8 @@ Status BlockSynchronizer::verify_account_task(const AccountTask& task,
     const auto it = groups.find(group_index);
     const oram::StorageGroupPage page =
         it == groups.end() ? oram::StorageGroupPage{} : it->second;
-    out.push_back({oram::page_id(oram::PageType::kStorageGroup, addr, group_index),
-                   page.serialize()});
+    out.emplace_back(oram::page_id(oram::PageType::kStorageGroup, addr, group_index),
+                     page.serialize());
   }
 
   if (task.install_code) {
@@ -115,75 +115,51 @@ Status BlockSynchronizer::verify_account_task(const AccountTask& task,
       Bytes page(code.begin() + static_cast<long>(off),
                  code.begin() + static_cast<long>(off + n));
       page.resize(oram::kPageSize, 0);
-      out.push_back(
-          {oram::page_id(oram::PageType::kCode, addr, u256{off / oram::kPageSize}),
-           page});
+      out.emplace_back(
+          oram::page_id(oram::PageType::kCode, addr, u256{off / oram::kPageSize}),
+          std::move(page));
     }
   }
   return Status::kOk;
 }
 
-Status BlockSynchronizer::install(const std::vector<PendingPage>& pages,
-                                  oram::OramAccessor& client) {
-  for (const PendingPage& page : pages) {
-    // The slot store is SP-controlled and can fail closed mid-install (a
-    // dead backing device, a tampered bucket). Surface that as a status the
-    // caller handles — it aborts the open epoch, so none of this install's
-    // page tags survive — instead of letting the backend's exception cross
-    // the sync path.
-    const oram::AccessAttempt attempt = client.try_write(page.id, page.data);
-    if (attempt.status != Status::kOk) return attempt.status;
-    if (registry_) registry_->tag(page.id);
-    ++installed_pages_;
-  }
-  return Status::kOk;
-}
-
-Status BlockSynchronizer::sync_account(const Address& addr,
-                                       const std::vector<u256>& keys,
-                                       oram::OramAccessor& client) {
-  AccountTask task;
-  task.addr = addr;
-  task.verify_keys = keys;
-  std::unordered_set<u256, U256Hasher> seen;
-  for (const u256& key : keys) {
-    if (seen.insert(key >> 5).second) task.install_groups.push_back(key >> 5);
-  }
-  std::sort(task.install_groups.begin(), task.install_groups.end());
-
-  std::vector<PendingPage> pending;
-  const Status status = verify_account_task(task, pending);
-  if (status != Status::kOk) return status;  // nothing installed: fail closed
-  return install(pending, client);
-}
-
-Status BlockSynchronizer::sync_all(oram::OramAccessor& client) {
+Status BlockSynchronizer::verify_all(oram::Pages& pages) {
   // Enumerate from the snapshot pinned by the trusted root when the node has
   // one (the live-chain path); fall back to the node's current world for the
   // pre-first-block setup flow.
   const auto pinned = node_.world_at(state_root_);
   const state::WorldState& world = pinned ? *pinned : node_.world();
   for (const Address& addr : world.all_accounts()) {
-    const Status status = sync_account(addr, world.storage_keys(addr), client);
-    if (status != Status::kOk) return status;
+    AccountTask task;
+    task.addr = addr;
+    task.verify_keys = world.storage_keys(addr);  // sorted
+    for (const u256& key : task.verify_keys) {
+      if (task.install_groups.empty() || task.install_groups.back() != key >> 5) {
+        task.install_groups.push_back(key >> 5);
+      }
+    }
+    const Status status = verify_account_task(task, pages);
+    if (status != Status::kOk) {
+      pages.clear();  // nothing staged: fail closed
+      return status;
+    }
   }
   return Status::kOk;
 }
 
-Status BlockSynchronizer::sync_delta(const state::WorldState& old_world,
-                                     oram::OramAccessor& client, DeltaReport* report) {
+Status BlockSynchronizer::verify_delta(const state::WorldState& old_world,
+                                       oram::Pages& pages, DeltaReport* report) {
   const auto pinned = node_.world_at(state_root_);
   if (!pinned) return Status::kNotFound;
   const state::WorldState& new_world = *pinned;
 
   const state::StateDelta delta = state::diff_worlds(old_world, new_world);
 
-  // Phase 1: verify every changed account and stage its pages. A group page
-  // holds 32 slots, so re-installing a changed group requires proving every
-  // live slot of that group in the new state — plus the changed slots
+  // Verify every changed account and stage its pages. A group page holds 32
+  // slots, so re-installing a changed group requires proving every live
+  // slot of that group in the new state — plus the changed slots
   // themselves, so a slot that went to zero is proven absent (and the stale
   // value in the old page gets overwritten with the proven zero).
-  std::vector<PendingPage> pending;
   uint64_t slots_reverified = 0;
   for (const auto& account_delta : delta.accounts) {
     AccountTask task;
@@ -204,20 +180,17 @@ Status BlockSynchronizer::sync_delta(const state::WorldState& old_world,
     task.install_groups.assign(changed_groups.begin(), changed_groups.end());
     std::sort(task.install_groups.begin(), task.install_groups.end());
 
-    const Status status = verify_account_task(task, pending);
-    if (status != Status::kOk) return status;  // NOTHING installed: fail closed
+    const Status status = verify_account_task(task, pages);
+    if (status != Status::kOk) {
+      pages.clear();  // nothing staged: fail closed
+      return status;
+    }
     slots_reverified += task.verify_keys.size();
   }
-
-  // Phase 2: every datum of the delta verified against the trusted root —
-  // only now touch the ORAM.
-  const Status installed = install(pending, client);
-  if (installed != Status::kOk) return installed;
 
   if (report) {
     report->accounts_changed = delta.accounts.size();
     report->slots_reverified = slots_reverified;
-    report->pages_installed = pending.size();
   }
   return Status::kOk;
 }

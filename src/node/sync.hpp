@@ -1,33 +1,31 @@
-// Block synchronization into the ORAM (paper Fig. 3 step 11 + §IV-C Remark).
+// Block synchronization into the ORAM (paper Fig. 3 step 11 + §IV-C Remark):
+// the verifying half. The caller — the engine's one sync pass — installs.
 //
 // The Node is under the SP's control, so every datum fetched at sync time is
 // verified: accounts against the trusted block's state root, storage slots
 // against the (proven) account's storage root, and code against the
-// (proven) code hash. Once a page is inside the ORAM, AES-GCM protects its
-// integrity, so no Merkle proofs are ever fetched during pre-execution —
-// which is also what keeps pre-execution queries oblivious.
+// (proven) code hash. Once a page is inside the ORAM, its ChaCha20-Poly1305
+// slot seal protects its integrity, so no Merkle proofs are ever fetched
+// during pre-execution — which is also what keeps pre-execution queries
+// oblivious.
 //
-// Live-chain additions (PR 4):
-//  - every fetch is PINNED to the trusted state root, not to the node's
-//    head: the chain may advance (or reorg) mid-sync, and a proof fetched
-//    against a newer head would not verify against the root the user
-//    trusts;
-//  - sync_delta() re-verifies and re-installs only the accounts/slots that
-//    changed between two states — the steady-state path once the initial
-//    full sync is done — and is atomic: every datum of the delta is
-//    verified BEFORE the first page is installed, so a proof failure
-//    anywhere leaves the ORAM exactly as it was (fail closed; a partial
-//    install would mix two states and silently corrupt every pinned
-//    session);
-//  - installed pages are version-tagged with a state-root epoch through an
-//    optional oram::EpochRegistry (see oram/epoch.hpp).
-// sync_account() keeps the same verify-all-then-install order per account.
+// Both entry points verify EVERYTHING before they return a single page, and
+// install nothing themselves: a proof failure anywhere yields no pages, so
+// the ORAM stays exactly as it was (fail closed; a partial install would
+// mix two states and silently corrupt every pinned session). The staged
+// pages are the one encoding of the page layout (oram/paged_state.hpp).
+//  - verify_all(): the whole trusted state — the cold sync, which the caller
+//    bulk-loads into a fresh tree;
+//  - verify_delta(): only what changed between two states — the steady
+//    state once the initial sync is done, written into the live tree.
+// Every fetch is PINNED to the trusted state root, not to the node's head:
+// the chain may advance (or reorg) mid-sync, and a proof fetched against a
+// newer head would not verify against the root the user trusts.
 #pragma once
 
 #include <functional>
 
 #include "node/node.hpp"
-#include "oram/epoch.hpp"
 #include "oram/paged_state.hpp"
 
 namespace hardtape::node {
@@ -40,43 +38,32 @@ class BlockSynchronizer {
   BlockSynchronizer(const NodeSimulator& node, const H256& trusted_state_root)
       : node_(node), state_root_(trusted_state_root) {}
 
-  /// Verifies and installs one account: meta page, all its storage groups
-  /// (from `keys`), and its code pages. Returns kBadProof on any failure —
-  /// in which case nothing from this account is installed.
-  Status sync_account(const Address& addr, const std::vector<u256>& keys,
-                      oram::OramAccessor& client);
-
-  /// Full sync: every account and every storage key the pinned state
-  /// reports. (A real deployment walks the state trie; the simulator
-  /// enumerates.)
-  Status sync_all(oram::OramAccessor& client);
+  /// Full sync: verifies every account and every storage key the pinned
+  /// state reports (a real deployment walks the state trie; the simulator
+  /// enumerates) and stages all their pages into `pages`, in account order.
+  /// Returns kBadProof on any failure, with `pages` empty.
+  Status verify_all(oram::Pages& pages);
 
   /// Incremental sync from `old_world` (the previously installed snapshot)
   /// to the trusted root: re-verifies only changed accounts, re-proves only
-  /// changed slots, and installs all-or-nothing (see file comment). Returns
-  /// kNotFound when the node has no snapshot for the trusted root.
+  /// changed slots, and stages the changed pages into `pages` (empty on any
+  /// failure). Returns kNotFound when the node has no snapshot for the
+  /// trusted root.
   struct DeltaReport {
     uint64_t accounts_changed = 0;
     uint64_t slots_reverified = 0;
-    uint64_t pages_installed = 0;
   };
-  Status sync_delta(const state::WorldState& old_world, oram::OramAccessor& client,
-                    DeltaReport* report = nullptr);
+  Status verify_delta(const state::WorldState& old_world, oram::Pages& pages,
+                      DeltaReport* report = nullptr);
 
   uint64_t verified_accounts() const { return verified_accounts_; }
   uint64_t verified_slots() const { return verified_slots_; }
-  uint64_t installed_pages() const { return installed_pages_; }
-
-  /// When set, every installed page is tagged with the registry's open
-  /// epoch. The caller owns the begin/commit/abort bracket.
-  void set_epoch_registry(oram::EpochRegistry* registry) { registry_ = registry; }
 
   /// Fault-injection hooks (the node feed is SP-controlled): when a hook
   /// returns true for an account (or an account's storage slot), a byte of
   /// the fetched Merkle proof is flipped before verification — a stale or
   /// tampered node response — which the real proof check then rejects with
-  /// kBadProof. Nothing from the affected account (for sync_account) or the
-  /// whole delta (for sync_delta) is installed: fail closed.
+  /// kBadProof, and no page of the pass is staged: fail closed.
   void set_proof_tamper(std::function<bool(const Address&)> hook) {
     proof_tamper_ = std::move(hook);
   }
@@ -85,10 +72,6 @@ class BlockSynchronizer {
   }
 
  private:
-  struct PendingPage {
-    oram::BlockId id;
-    Bytes data;
-  };
   /// One account's verify work: which slots to (re-)prove and which of the
   /// resulting pages to stage for installation.
   struct AccountTask {
@@ -99,20 +82,15 @@ class BlockSynchronizer {
     bool install_code = true;
   };
   /// Verifies the task against state_root_ and stages pages into `out`.
-  /// Installs NOTHING; any failure leaves `out` meaningless.
-  Status verify_account_task(const AccountTask& task, std::vector<PendingPage>& out);
-  /// Writes staged pages through the fault-aware accessor path; stops at
-  /// the first non-kOk write (dead or tampered backend) and returns it.
-  Status install(const std::vector<PendingPage>& pages, oram::OramAccessor& client);
+  /// Any failure leaves `out` meaningless.
+  Status verify_account_task(const AccountTask& task, oram::Pages& out);
 
   const NodeSimulator& node_;
   H256 state_root_;
-  oram::EpochRegistry* registry_ = nullptr;
   std::function<bool(const Address&)> proof_tamper_;
   std::function<bool(const Address&, const u256&)> storage_proof_tamper_;
   uint64_t verified_accounts_ = 0;
   uint64_t verified_slots_ = 0;
-  uint64_t installed_pages_ = 0;
 };
 
 }  // namespace hardtape::node

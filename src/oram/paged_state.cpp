@@ -61,75 +61,6 @@ StorageGroupPage StorageGroupPage::deserialize(BytesView page) {
   return out;
 }
 
-std::vector<std::pair<BlockId, Bytes>> build_pages(const state::WorldState& world) {
-  std::vector<std::pair<BlockId, Bytes>> pages;
-  for (const Address& addr : world.all_accounts()) {
-    const auto account = world.account(addr);
-    if (!account.has_value()) continue;
-    const Bytes code = world.code(addr);
-
-    AccountMetaPage meta;
-    meta.balance = account->balance;
-    meta.nonce = account->nonce;
-    meta.code_size = code.size();
-    meta.code_hash = account->code_hash;
-    pages.emplace_back(page_id(PageType::kAccountMeta, addr, u256{}), meta.serialize());
-
-    // Storage groups: records with consecutive keys share a page.
-    StorageGroupPage group;
-    bool group_open = false;
-    u256 group_index{};
-    auto flush = [&] {
-      if (!group_open) return;
-      pages.emplace_back(page_id(PageType::kStorageGroup, addr, group_index),
-                         group.serialize());
-      group = StorageGroupPage{};
-      group_open = false;
-    };
-    for (const u256& key : world.storage_keys(addr)) {  // sorted
-      const u256 this_group = key >> 5;                 // key / 32
-      if (group_open && this_group != group_index) flush();
-      if (!group_open) {
-        group_index = this_group;
-        group_open = true;
-      }
-      group.values[key.as_u64() & 31] = world.storage(addr, key);
-    }
-    flush();
-
-    // Code pages.
-    for (size_t off = 0; off < code.size(); off += kPageSize) {
-      const size_t n = std::min(kPageSize, code.size() - off);
-      Bytes page(code.begin() + static_cast<long>(off),
-                 code.begin() + static_cast<long>(off + n));
-      page.resize(kPageSize, 0);
-      pages.emplace_back(page_id(PageType::kCode, addr, u256{off / kPageSize}),
-                         std::move(page));
-    }
-  }
-  return pages;
-}
-
-PageCensus census(const state::WorldState& world) {
-  PageCensus out;
-  for (const Address& addr : world.all_accounts()) {
-    ++out.account_pages;
-    const auto keys = world.storage_keys(addr);
-    u256 last_group{};
-    bool have_group = false;
-    for (const u256& key : keys) {
-      const u256 group = key >> 5;
-      if (!have_group || group != last_group) {
-        ++out.storage_pages;
-        last_group = group;
-        have_group = true;
-      }
-    }
-    out.code_pages += (world.code(addr).size() + kPageSize - 1) / kPageSize;
-  }
-  return out;
-}
-
 std::optional<Bytes> OramWorldState::query(PageType type, const Address& addr,
                                            const u256& index) const {
   query_count_.fetch_add(1, std::memory_order_relaxed);
@@ -189,12 +120,6 @@ std::optional<Bytes> OramWorldState::account_page(const Address& addr) const {
 std::optional<Bytes> OramWorldState::storage_page(const Address& addr,
                                                   const u256& group) const {
   return query(PageType::kStorageGroup, addr, group);
-}
-
-void sync_world_state(const state::WorldState& world, OramAccessor& client) {
-  for (const auto& [id, page] : build_pages(world)) {
-    client.write(id, page);
-  }
 }
 
 }  // namespace hardtape::oram

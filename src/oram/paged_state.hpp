@@ -60,19 +60,6 @@ struct StorageGroupPage {
   static StorageGroupPage deserialize(BytesView page);
 };
 
-/// Builds the full page set of a world state (the block-synchronization
-/// path, Fig. 3 step 11). Returns (id, page) pairs; order is deterministic.
-std::vector<std::pair<BlockId, Bytes>> build_pages(const state::WorldState& world);
-
-/// Convenience: compute how many pages a given world state needs, by type.
-struct PageCensus {
-  size_t account_pages = 0;
-  size_t storage_pages = 0;
-  size_t code_pages = 0;
-  size_t total() const { return account_pages + storage_pages + code_pages; }
-};
-PageCensus census(const state::WorldState& world);
-
 /// A state::StateReader that resolves every query through the ORAM client —
 /// this is what the HEVM's world-state misses hit. Each call maps to one or
 /// more uniform 1 KB page queries; a hook reports them for timing models,
@@ -111,8 +98,5 @@ class OramWorldState : public state::StateReader {
   QueryHook hook_;
   mutable std::atomic<uint64_t> query_count_{0};
 };
-
-/// Installs the pages of `world` into the ORAM (block synchronization).
-void sync_world_state(const state::WorldState& world, OramAccessor& client);
 
 }  // namespace hardtape::oram

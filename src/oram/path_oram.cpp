@@ -120,13 +120,25 @@ void OramServer::write_path(uint64_t leaf, std::vector<SealedSlot> slots) {
 }
 
 void OramServer::load_slots(std::vector<SealedSlot> slots) {
-  if (slots.size() != bucket_count() * config_.bucket_capacity) {
+  // A complete top of the tree: 2^k - 1 buckets, k levels of this tree.
+  const size_t z = config_.bucket_capacity;
+  const size_t buckets = slots.size() / z;
+  if (slots.size() % z != 0 || buckets == 0 || buckets > bucket_count() ||
+      ((buckets + 1) & buckets) != 0) {
     throw UsageError("oram: bulk load shape mismatch");
   }
   store_->end_walk();
-  for (size_t bucket = 0; bucket < bucket_count(); ++bucket) {
-    store_->write_bucket(bucket, slots.data() + bucket * config_.bucket_capacity);
+  for (size_t bucket = 0; bucket < buckets; ++bucket) {
+    store_->write_bucket(bucket, slots.data() + bucket * z);
   }
+}
+
+std::vector<SealedSlot> OramServer::stored_bucket(size_t bucket) const {
+  if (bucket >= bucket_count()) throw UsageError("oram: bucket out of range");
+  std::vector<SealedSlot> out;
+  out.reserve(config_.bucket_capacity);
+  store_->read_bucket(bucket, out);
+  return out;
 }
 
 std::optional<pagedstore::BufferPoolStats> OramServer::slot_pool_stats() const {
@@ -200,28 +212,36 @@ std::optional<Bytes> OramClient::read_modify_write(
   return access(id, nullptr, &mutate);
 }
 
-void OramClient::bulk_restore(const std::vector<std::pair<BlockId, Bytes>>& pages) {
+void OramClient::bulk_load(const Pages& pages, std::optional<size_t> sized_for) {
   if (!position_.empty() || !stash_.empty()) {
-    throw UsageError("oram: bulk_restore requires a fresh client");
+    throw UsageError("oram: bulk_load requires a fresh client");
   }
   const size_t z = server_.config().bucket_capacity;
   const size_t depth = server_.depth();
   const size_t block_size = server_.config().block_size;
   const uint64_t leaf_count = server_.leaf_count();
-  const size_t buckets = 2 * leaf_count - 1;
 
-  // Plan placement locally: deepest non-full bucket on the page's (fresh)
-  // path, stash as the overflow of last resort.
-  std::vector<std::vector<const std::pair<BlockId, Bytes>*>> bucket_blocks(buckets);
+  // The fill region: levels 0..top, the fewest complete levels whose slots
+  // hold 1.25x the pages the load is sized for.
+  const size_t target = sized_for.value_or(pages.size());
+  size_t top = 0;
+  while (top < depth && 4 * z * ((size_t{2} << top) - 1) < 5 * target) ++top;
+  const size_t region = (size_t{2} << top) - 1;
+
+  // Plan placement locally: deepest bucket with room on the page's fresh
+  // path inside the region, the stash when none has room.
+  std::vector<std::vector<const Pages::value_type*>> bucket_pages(region);
   for (const auto& page : pages) {
     if (page.second.size() > block_size) throw UsageError("oram: block too large");
     const uint64_t leaf = rng_.uniform(leaf_count);
-    position_[page.first] = leaf;
+    if (!position_.emplace(page.first, leaf).second) {
+      throw UsageError("oram: duplicate page in bulk_load");
+    }
     bool placed = false;
-    for (size_t level_plus_1 = depth + 1; level_plus_1 > 0 && !placed; --level_plus_1) {
+    for (size_t level_plus_1 = top + 1; level_plus_1 > 0 && !placed; --level_plus_1) {
       const size_t bucket = ((leaf_count + leaf) >> (depth - (level_plus_1 - 1))) - 1;
-      if (bucket_blocks[bucket].size() < z) {
-        bucket_blocks[bucket].push_back(&page);
+      if (bucket_pages[bucket].size() < z) {
+        bucket_pages[bucket].push_back(&page);
         placed = true;
       }
     }
@@ -234,15 +254,19 @@ void OramClient::bulk_restore(const std::vector<std::pair<BlockId, Bytes>>& page
   stash_high_water_ = std::max(stash_high_water_, stash_.size());
   if (stash_.size() > server_.config().max_stash_blocks) stash_overflowed_ = true;
 
-  // Seal each real page exactly once and install the tree in one shot.
-  // Unfilled slots stay empty-ciphertext — the same "never written" state a
-  // fresh tree has, which every access already treats as a dummy.
-  std::vector<SealedSlot> slots(buckets * z);
-  for (size_t bucket = 0; bucket < buckets; ++bucket) {
-    for (size_t slot = 0; slot < bucket_blocks[bucket].size(); ++slot) {
-      const auto* page = bucket_blocks[bucket][slot];
-      slots[bucket * z + slot] = seal_slot(
-          mode_, key_, rng_, make_plaintext(page->first, page->second, block_size));
+  // Seal every region slot — each page once, a dummy in every free slot —
+  // and hand the region to the server in one shot.
+  const Bytes dummy = make_plaintext(kDummyId, BytesView{}, block_size);
+  std::vector<SealedSlot> slots(region * z);
+  for (size_t bucket = 0; bucket < region; ++bucket) {
+    for (size_t slot = 0; slot < z; ++slot) {
+      SealedSlot& sealed = slots[bucket * z + slot];
+      if (slot < bucket_pages[bucket].size()) {
+        const auto& [id, data] = *bucket_pages[bucket][slot];
+        sealed = seal_slot(mode_, key_, rng_, make_plaintext(id, data, block_size));
+      } else {
+        sealed = seal_slot(mode_, key_, rng_, dummy);
+      }
     }
   }
   server_.load_slots(std::move(slots));
@@ -251,8 +275,6 @@ void OramClient::bulk_restore(const std::vector<std::pair<BlockId, Bytes>>& page
 std::optional<Bytes> OramClient::access(
     const BlockId& id, const Bytes* new_data,
     const std::function<Bytes(std::optional<Bytes>)>* mutate, bool remove) {
-  if (access_hook_) access_hook_();
-
   const auto pos_it = position_.find(id);
   const bool known = pos_it != position_.end();
   if (!known && new_data == nullptr && mutate == nullptr) {
@@ -315,7 +337,6 @@ std::optional<Bytes> OramClient::access(
   // 2. Remap the requested block to a fresh uniformly random leaf.
   const uint64_t new_leaf = rng_.uniform(server_.leaf_count());
   position_[id] = new_leaf;
-  if (new_data != nullptr && install_hook_) install_hook_(id, *new_data);
 
   std::optional<Bytes> result;
   auto stash_it = stash_.find(id);

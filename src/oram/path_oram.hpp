@@ -39,6 +39,8 @@ class SimFs;
 namespace hardtape::oram {
 
 using BlockId = u256;
+/// (id, contents) pairs: what a sync pass stages and a bulk load fills.
+using Pages = std::vector<std::pair<BlockId, Bytes>>;
 
 class SlotStore;
 
@@ -104,10 +106,10 @@ class OramServer {
   std::vector<SealedSlot> read_path(uint64_t leaf);
   /// Replaces the path with re-encrypted slots (same shape as read_path).
   void write_path(uint64_t leaf, std::vector<SealedSlot> slots);
-  /// Checkpoint restore (PR 5): replaces the entire tree in one bulk load
-  /// (`slots` in bucket-major order, bucket_count()*Z entries). A restore is
-  /// a single public event — it is not an access and reveals no per-path
-  /// information, so it is not added to the adversary's observed-leaf trace.
+  /// Bulk load (OramClient::bulk_load): writes a complete top of the tree —
+  /// buckets 0..2^k-2 in heap order, Z slots each, for some k in
+  /// 1..depth()+1 — and leaves every bucket below it never-written. A load
+  /// is not an access: it adds nothing to the observed-leaf trace.
   void load_slots(std::vector<SealedSlot> slots);
 
   // --- the adversary's view / statistics ---
@@ -117,6 +119,9 @@ class OramServer {
   uint64_t bytes_per_access() const;
   uint64_t storage_bytes() const;
   void clear_observations() { observed_leaves_.clear(); }
+  /// One bucket's Z slots as the SP stores them (heap index). Not an access:
+  /// it records nothing. Never-written slots have empty ciphertext.
+  std::vector<SealedSlot> stored_bucket(size_t bucket) const;
   /// Buffer-pool statistics of the paged slot backend; nullopt under kRam.
   std::optional<pagedstore::BufferPoolStats> slot_pool_stats() const;
 
@@ -218,20 +223,27 @@ class OramClient : public OramAccessor {
   /// observe. The in-migration half of a cross-shard move: the handoff is
   /// trusted-side state only, and the block surfaces on the server through
   /// ordinary evictions of later accesses. `data` must be <= block_size and
-  /// is zero-padded to it. Does not fire the install hook (migration moves a
-  /// page between trees; it does not change the logical store).
+  /// is zero-padded to it.
   void adopt(const BlockId& id, Bytes data);
-  /// Checkpoint restore (PR 5): installs `pages` into a FRESH client (throws
-  /// UsageError otherwise) without paying one full path access per page.
-  /// Every page draws a fresh uniform leaf — positions are never carried
-  /// across a crash, so obliviousness cannot come to depend on a recovered
-  /// position map — and is placed into the deepest non-full bucket on its
-  /// path (overflow falls back to the stash). Each slot is sealed exactly
-  /// once and the tree is handed to the server as one bulk load, which is
-  /// what makes a warm restart cheaper than a cold re-sync. Fires neither
-  /// the access hook (a restore is not an access) nor the install hook (the
-  /// pages are already durable in the checkpoint being restored).
-  void bulk_restore(const std::vector<std::pair<BlockId, Bytes>>& pages);
+  /// Fills a FRESH client's tree (throws UsageError otherwise) without one
+  /// path access per page; the one way a tree is filled, from a cold sync
+  /// or a recovered image alike. The load rule:
+  ///  1. every page draws a fresh uniform leaf (positions are never carried
+  ///     across a crash);
+  ///  2. the fill region is the complete top levels 0..t of the tree, t the
+  ///     smallest level whose Z*(2^(t+1)-1) slots hold 1.25x `sized_for`
+  ///     pages (capped at the whole tree);
+  ///  3. each page goes into the deepest bucket on its path inside the
+  ///     region, the stash when that part of the path is full;
+  ///  4. every free region slot gets a sealed dummy;
+  ///  5. only the region goes to the server; the buckets below it stay
+  ///     never-written, as in a fresh tree.
+  /// So what the SP sees depends on `sized_for` and the geometry alone —
+  /// never on where the leaves fell, which would mark the first touch of a
+  /// loaded page apart from a miss. `sized_for` defaults to pages.size(); a
+  /// sharded store passes its per-shard share of the total. Not an access:
+  /// no observed leaf.
+  void bulk_load(const Pages& pages, std::optional<size_t> sized_for = std::nullopt);
   bool contains(const BlockId& id) const { return position_.contains(id); }
 
   size_t block_count() const { return position_.size(); }
@@ -240,19 +252,6 @@ class OramClient : public OramAccessor {
   /// Set when the stash ever exceeded max_stash_blocks (a real deployment
   /// would halt; we record and continue so tests can measure the tail).
   bool stash_overflowed() const { return stash_overflowed_; }
-
-  /// Callback fired once per ORAM access (for timing models / schedulers).
-  void set_access_hook(std::function<void()> hook) { access_hook_ = std::move(hook); }
-
-  /// Callback fired once per write()-style install/update, AFTER the block
-  /// is remapped: (id, block-size-padded contents). This is the durability
-  /// layer's journaling point — it observes the logical store mutation,
-  /// never the oblivious path traffic, and never the new leaf: the hook's
-  /// consumer writes to the operator's disk, and that leaf is the path the
-  /// block's next access walks.
-  void set_install_hook(std::function<void(const BlockId&, BytesView)> hook) {
-    install_hook_ = std::move(hook);
-  }
 
  private:
   struct StashEntry {
@@ -277,8 +276,6 @@ class OramClient : public OramAccessor {
   std::unordered_map<BlockId, StashEntry, U256Hasher> stash_;
   size_t stash_high_water_ = 0;
   bool stash_overflowed_ = false;
-  std::function<void()> access_hook_;
-  std::function<void(const BlockId&, BytesView)> install_hook_;
 };
 
 }  // namespace hardtape::oram

@@ -186,29 +186,24 @@ AccessAttempt ShardedOramStore::try_write(const BlockId& id, BytesView data) {
   }
 }
 
-void ShardedOramStore::bulk_restore(
-    const std::vector<std::pair<BlockId, Bytes>>& pages) {
+void ShardedOramStore::bulk_load(const Pages& pages) {
   std::lock_guard map_lock(map_mu_);
   if (!shard_of_.empty()) {
-    throw UsageError("oram: bulk_restore requires a fresh store");
+    throw UsageError("oram: bulk_load requires a fresh store");
   }
   // Fresh uniform shard per page — assignments are never carried across a
-  // crash, mirroring the leaf policy of OramClient::bulk_restore.
-  std::vector<std::vector<std::pair<BlockId, Bytes>>> split(shards_.size());
+  // crash, mirroring the leaf policy of OramClient::bulk_load.
+  std::vector<Pages> split(shards_.size());
   for (const auto& page : pages) {
     const auto shard = static_cast<uint32_t>(map_rng_.uniform(shards_.size()));
     split[shard].push_back(page);
     shard_of_[page.first] = shard;
   }
+  const size_t share = (pages.size() + shards_.size() - 1) / shards_.size();
   for (size_t s = 0; s < shards_.size(); ++s) {
     std::lock_guard lock(shards_[s]->walk_mu);
-    shards_[s]->client->bulk_restore(split[s]);
+    shards_[s]->client->bulk_load(split[s], share);
   }
-}
-
-void ShardedOramStore::set_install_hook(
-    std::function<void(const BlockId&, BytesView)> hook) {
-  for (auto& shard : shards_) shard->client->set_install_hook(hook);
 }
 
 uint32_t ShardedOramStore::shard_of(const BlockId& id) const {

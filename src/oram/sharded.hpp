@@ -36,8 +36,8 @@
 // locks; the shared maps are touched only briefly). Concurrent accesses to
 // the SAME id must be serialized by the caller — an access migrates the id's
 // shard assignment, so a racing twin could consult a stale assignment. The
-// OramFrontend's per-block gate provides exactly that serialization (and
-// turns the second request into a rider of the first).
+// OramFrontend's per-block gate provides exactly that serialization: a
+// second request for the same id waits, then walks on its own.
 #pragma once
 
 #include <atomic>
@@ -88,15 +88,11 @@ class ShardedOramStore : public OramAccessor {
   AccessAttempt try_read(const BlockId& id) override;
   AccessAttempt try_write(const BlockId& id, BytesView data) override;
 
-  /// Checkpoint restore into a FRESH store: pages are partitioned across
-  /// shards by fresh uniform draws, then bulk-loaded per shard (one sealed
-  /// tree install each — the warm-restart fast path, as in the single tree).
-  void bulk_restore(const std::vector<std::pair<BlockId, Bytes>>& pages);
-
-  /// Durability journaling point, forwarded to every shard client: fires per
-  /// write()-install with (id, padded data). Migration does not fire it (a
-  /// cross-shard move is not a logical store mutation).
-  void set_install_hook(std::function<void(const BlockId&, BytesView)> hook);
+  /// Fills a FRESH store (OramClient::bulk_load per shard): pages are
+  /// partitioned across shards by fresh uniform draws, and every shard's
+  /// fill region is sized for ceil(total / shards) pages — the same region
+  /// on every shard, so no shard's layout reveals how many pages it drew.
+  void bulk_load(const Pages& pages);
 
   // --- topology (for the frontend's per-shard accounting) ---
   size_t shard_count() const { return shards_.size(); }

@@ -42,7 +42,7 @@ PagedSlotStore::PagedSlotStore(durability::SimFs& fs,
       z_(z) {
   // A fresh server is a fresh tree: leftover segments under this prefix (a
   // previous engine incarnation on the same fs) are dead spill space, never
-  // recovery input — restore arrives via bulk_restore with fresh leaves.
+  // recovery input — a restart reloads the tree with fresh leaves.
   const std::string prefix = store_.config().name + ".seg-";
   for (const std::string& path : fs.list()) {
     if (path.starts_with(prefix) &&

@@ -11,11 +11,16 @@
 // segment records surface as IntegrityError from the PagedStore page
 // verifier — the same kIntegrity-class refusal a tampered slot seal gets.
 //
+// A bulk load (OramClient::bulk_load) writes only the pages of its fill
+// region, the top of the tree; a bucket below it gets its page on the first
+// walk through it. So the paged segments hold the region plus the buckets
+// walks have rewritten, and never-written buckets cost nothing.
+//
 // The slot store needs NO write-ahead log: the bucket tree is rebuilt on
-// warm restart (OramClient::bulk_restore draws fresh leaves; positions are
-// never carried across a crash), so its segments are spill space, never
-// recovery input. The paged backend therefore wipes leftover files under its
-// prefix at construction — a fresh server is a fresh tree.
+// warm restart (bulk_load draws fresh leaves; positions are never carried
+// across a crash), so its segments are spill space, never recovery input.
+// The paged backend therefore wipes leftover files under its prefix at
+// construction — a fresh server is a fresh tree.
 #pragma once
 
 #include <memory>

@@ -1,6 +1,7 @@
 #include "service/engine.hpp"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "durability/durable_store.hpp"
 #include "memlayer/pager.hpp"
@@ -207,13 +208,9 @@ PreExecutionEngine::PreExecutionEngine(node::NodeSimulator& node, EngineConfig c
   }
   if (config_.durable != nullptr) {
     // Durability is a pure observer on the untrusted side of the boundary:
-    // the registry listener journals epoch transitions, the install hook
-    // journals page writes. Neither feeds anything back into execution.
+    // the registry listener journals epoch transitions, sync_pass() journals
+    // the pages it installs. Neither feeds anything back into execution.
     epoch_registry_.set_listener(config_.durable);
-    oram_store_.set_install_hook(
-        [durable = config_.durable](const oram::BlockId& id, BytesView data) {
-          durable->log_page_install(id, data);
-        });
   }
 }
 
@@ -228,9 +225,9 @@ PreExecutionEngine::~PreExecutionEngine() {
 Status PreExecutionEngine::synchronize() {
   node::PinnedBlock head = node_.pinned_head();
   if (oram_enabled()) {
-    // A rejected proof leaves the engine unusable (unlike a delta, a full
-    // sync is not staged all-or-nothing): callers discard it.
-    const Status status = sync_pass(head.header, /*from=*/nullptr);
+    // All-or-nothing: a rejected proof loads nothing, so a retry starts
+    // from the same fresh store.
+    const Status status = sync_pass(head.header, /*from=*/nullptr, /*image=*/nullptr);
     if (status != Status::kOk) return status;
   }
   std::lock_guard lock(pin_mu_);
@@ -240,35 +237,90 @@ Status PreExecutionEngine::synchronize() {
 }
 
 Status PreExecutionEngine::sync_pass(const node::BlockHeader& head,
-                                     const state::WorldState* from) {
-  epoch_registry_.begin(head.state_root, head.number);
-  node::BlockSynchronizer sync(node_, head.state_root);
-  sync.set_epoch_registry(&epoch_registry_);
-  if (config_.fault_plan != nullptr) {
-    // The node feed is SP-controlled too (paper §III): let the plan corrupt
-    // account responses at sync time; the real Merkle verification rejects
-    // them with kBadProof. Stream = the index of this pass among the
-    // successful ones; the op index counts accounts in enumeration order.
-    faults::FaultPlan* plan = config_.fault_plan;
-    const uint64_t stream = sync_passes_;
-    auto op = std::make_shared<uint64_t>(0);
-    sync.set_proof_tamper([plan, stream, op](const Address&) {
-      return plan->decide(faults::FaultSite::kNodeFetch, stream, (*op)++).kind ==
-             faults::FaultKind::kStaleProof;
-    });
+                                     const state::WorldState* from,
+                                     const std::map<u256, Bytes>* image) {
+  // A cold sync or a warm restart fills a fresh tree in one bulk load; a
+  // resync writes into the live one.
+  const bool fresh_tree = from == nullptr || image != nullptr;
+  if (fresh_tree && oram_store_.block_count() != 0) {
+    throw UsageError("engine: the ORAM store is already loaded");
   }
-  const Status status = from == nullptr
-                            ? sync.sync_all(oram_store_)
-                            : sync.sync_delta(*from, oram_store_);
-  if (status != Status::kOk) {
-    epoch_registry_.abort();
-    return status;
+  // 1. Verify and stage. A recovered image already at the head has no gap:
+  // nothing to verify, and no epoch opens.
+  oram::Pages staged;
+  const bool moves = from == nullptr || from->state_root() != head.state_root;
+  if (moves) {
+    epoch_registry_.begin(head.state_root, head.number);
+    node::BlockSynchronizer sync(node_, head.state_root);
+    if (config_.fault_plan != nullptr) {
+      // The node feed is SP-controlled too (paper §III): let the plan corrupt
+      // account responses at sync time; the real Merkle verification rejects
+      // them with kBadProof. Stream = the index of this pass among the
+      // successful ones; the op index counts accounts in enumeration order.
+      faults::FaultPlan* plan = config_.fault_plan;
+      const uint64_t stream = sync_passes_;
+      auto op = std::make_shared<uint64_t>(0);
+      sync.set_proof_tamper([plan, stream, op](const Address&) {
+        return plan->decide(faults::FaultSite::kNodeFetch, stream, (*op)++).kind ==
+               faults::FaultKind::kStaleProof;
+      });
+    }
+    const Status status =
+        from == nullptr ? sync.verify_all(staged) : sync.verify_delta(*from, staged);
+    if (status != Status::kOk) {
+      epoch_registry_.abort();
+      return status;
+    }
+    sync_verified_accounts_.fetch_add(sync.verified_accounts(), std::memory_order_relaxed);
+    sync_verified_slots_.fetch_add(sync.verified_slots(), std::memory_order_relaxed);
   }
-  epoch_registry_.commit();
-  ++sync_passes_;
-  sync_verified_accounts_.fetch_add(sync.verified_accounts(), std::memory_order_relaxed);
-  sync_verified_slots_.fetch_add(sync.verified_slots(), std::memory_order_relaxed);
-  sync_pages_installed_.fetch_add(sync.installed_pages(), std::memory_order_relaxed);
+
+  // 2. Install, journal and tag — in staging order, never grouped by shard:
+  // the disk is the SP's, and shard-grouped records would name each page's
+  // shard.
+  const auto journal_and_tag = [this](const oram::Pages::value_type& page) {
+    if (config_.durable != nullptr) config_.durable->log_page_install(page.first, page.second);
+    epoch_registry_.tag(page.first);
+  };
+  const uint64_t installed = staged.size();
+  if (!fresh_tree) {
+    // A live tree cannot be bulk-loaded: each delta page is one oblivious
+    // write. The slot store is SP-controlled and can fail closed mid-pass (a
+    // dead backing device, a tampered bucket); aborting the epoch drops
+    // every tag and journal record of the pass.
+    for (const auto& page : staged) {
+      const oram::AccessAttempt attempt = oram_store_.try_write(page.first, page.second);
+      if (attempt.status != Status::kOk) {
+        epoch_registry_.abort();
+        return attempt.status;
+      }
+      journal_and_tag(page);
+    }
+  } else {
+    // A fresh tree: one bulk load of everything it holds — the verified
+    // world (cold sync), or the recovered image with the crash gap laid
+    // over it (warm restart). Image pages are already in the adopted
+    // checkpoint, so only the staged ones are journaled and tagged.
+    for (const auto& page : staged) journal_and_tag(page);
+    oram::Pages load;
+    if (image != nullptr) {
+      std::unordered_set<oram::BlockId, U256Hasher> overlaid;
+      for (const auto& page : staged) overlaid.insert(page.first);
+      load.reserve(image->size() + staged.size());
+      for (const auto& [id, data] : *image) {
+        if (!overlaid.contains(id)) load.emplace_back(id, data);
+      }
+      pages_restored_.fetch_add(load.size(), std::memory_order_relaxed);
+    }
+    load.insert(load.end(), std::make_move_iterator(staged.begin()),
+                std::make_move_iterator(staged.end()));
+    oram_store_.bulk_load(load);
+  }
+  if (moves) {
+    epoch_registry_.commit();
+    ++sync_passes_;
+  }
+  sync_pages_installed_.fetch_add(installed, std::memory_order_relaxed);
   return Status::kOk;
 }
 
@@ -321,7 +373,7 @@ Status PreExecutionEngine::resync() {
     // All-or-nothing: on any proof failure nothing was installed, the old
     // pin stays, and the engine keeps answering at the old (still verified)
     // snapshot — fail closed, never mixed state.
-    const Status status = sync_pass(head.header, old.world.get());
+    const Status status = sync_pass(head.header, old.world.get(), /*image=*/nullptr);
     if (status != Status::kOk) return status;
   }
   {
@@ -422,11 +474,13 @@ Status PreExecutionEngine::warm_restart(const durability::RecoveredState& recove
       image.page_tags.begin(), image.page_tags.end());
   epoch_registry_.restore(image.epoch_history, std::move(tags));
 
-  // 2. Re-install the recovered pages. Journaling is suppressed: these
-  // pages are already durable in the checkpoint the store adopted, and
-  // re-journaling them would double the image. The ORAM draws fresh leaves
-  // (positions are never restored — obliviousness must not depend on a
-  // crash-surviving position map).
+  // 2. Verify the gap from the recovered committed root to the node's head
+  // with the normal delta proofs (they come from the same SP-controlled
+  // node, so the fault plan's node feed applies), then load the recovered
+  // image with the gap laid over it in one bulk load, and pin the head. The
+  // ORAM draws fresh leaves: obliviousness must not depend on a
+  // crash-surviving position map. A gap that fails verification loads
+  // nothing, so a cold synchronize() can still follow on this engine.
   const H256 recovered_root = image.epoch_history.back().state_root;
   std::shared_ptr<const state::WorldState> recovered_world =
       node_.world_at(recovered_root);
@@ -435,26 +489,9 @@ Status PreExecutionEngine::warm_restart(const durability::RecoveredState& recove
     // the journal cannot be delta-synced from — the caller cold-syncs.
     return Status::kNotFound;
   }
-  if (oram_enabled()) {
-    if (config_.durable != nullptr) config_.durable->set_restoring(true);
-    std::vector<std::pair<oram::BlockId, Bytes>> pages;
-    pages.reserve(image.pages.size());
-    for (const auto& [id, data] : image.pages) pages.emplace_back(id, data);
-    // Bulk load: one sealed-tree install instead of one full path access per
-    // page — the restore cost that makes warm beat cold (the image's pages
-    // were verified before they were journaled; only the gap needs proofs).
-    oram_store_.bulk_restore(pages);
-    pages_restored_.fetch_add(pages.size(), std::memory_order_relaxed);
-    if (config_.durable != nullptr) config_.durable->set_restoring(false);
-  }
-
-  // 3. Close the gap from the recovered committed root to the node's head
-  // with the normal verified delta-sync (its proofs come from the same
-  // SP-controlled node, so the fault plan's node feed applies), then pin
-  // the head.
   node::PinnedBlock head = node_.pinned_head();
-  if (head.header.state_root != recovered_root && oram_enabled()) {
-    const Status status = sync_pass(head.header, recovered_world.get());
+  if (oram_enabled()) {
+    const Status status = sync_pass(head.header, recovered_world.get(), &image.pages);
     if (status != Status::kOk) return status;
   }
   {
@@ -463,7 +500,7 @@ Status PreExecutionEngine::warm_restart(const durability::RecoveredState& recove
                           std::move(head.world)};
   }
 
-  // 4. Continue bundle-id numbering past everything the crashed run
+  // 3. Continue bundle-id numbering past everything the crashed run
   // admitted, so re-admissions keep their ids and new submissions never
   // collide with them.
   next_bundle_id_.store(image.next_bundle_id, std::memory_order_relaxed);
@@ -528,6 +565,11 @@ std::unique_ptr<PreExecutionEngine::Worker> PreExecutionEngine::make_worker(int 
   const auto session = hypervisor_.begin_session(nonce, user_key.public_key());
   worker->session_id = session.session_id;
   worker->channel = &hypervisor_.channel(session.session_id);
+  if (config_.perform_channel_crypto) {
+    // The user's end of the same session, keyed by the session's ECDH.
+    worker->user_channel.emplace(user_key, session.report.session_public,
+                                 hypervisor::ChannelRole::kInitiator);
+  }
   return worker;
 }
 
@@ -770,14 +812,20 @@ SessionOutcome PreExecutionEngine::execute_session(
   uint64_t crypto_ns = 0;
   if (config_.security.encryption) {
     crypto_ns += kCryptoCosts.aes_gcm_ns(input_bytes);
-    if (config_.perform_channel_crypto && worker.channel != nullptr) {
-      // Exercise the real channel path once per session for realism; the
-      // sequence state lives on the worker's dedicated channel.
-      hypervisor::SecureChannel user_side(worker.channel->key());
+    if (worker.user_channel.has_value()) {
+      // Exercise the real channel path once per session: the worker's user
+      // end seals, its device end opens. Both ends live as long as the
+      // worker, so nonces and sequences run on across its sessions. A
+      // refused frame fails the session closed.
       const Bytes body = Bytes(std::min<uint64_t>(input_bytes, 4096), 0x42);
-      const auto sealed = user_side.seal(hypervisor::MessageType::kBundleSubmit, 0, body);
-      (void)worker.channel->open(sealed, /*max_body_length=*/1 << 24,
-                                 /*max_target_offset=*/1 << 20);
+      const auto sealed =
+          worker.user_channel->seal(hypervisor::MessageType::kBundleSubmit, 0, body);
+      const auto opened = worker.channel->open(sealed, /*max_body_length=*/1 << 24,
+                                               /*max_target_offset=*/1 << 20);
+      if (opened.status != Status::kOk) {
+        outcome.status = opened.status;
+        return outcome;
+      }
     }
   }
   if (config_.security.signatures) {

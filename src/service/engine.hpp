@@ -75,7 +75,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <functional>
+#include <map>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -152,8 +154,8 @@ struct EngineConfig {
   // --- crash-consistent durability (PR 5) ---
   /// Optional write-ahead mirror of the ORAM store (must outlive the
   /// engine). When set, the engine journals epoch transitions (via the
-  /// registry listener), page installs (via the client's install hook) and
-  /// bundle admit/resolve marks, enabling Recovery::replay + warm_restart()
+  /// registry listener), the pages each sync pass installs and bundle
+  /// admit/resolve marks, enabling Recovery::replay + warm_restart()
   /// after a crash. Null = no durability (the default); the execution path
   /// is untouched either way — journaling is a pure observer, so outcomes
   /// stay bit-identical with and without it. The engine reads the store's
@@ -333,11 +335,12 @@ class PreExecutionEngine {
   PreExecutionEngine(const PreExecutionEngine&) = delete;
   PreExecutionEngine& operator=(const PreExecutionEngine&) = delete;
 
-  /// Step 11: verify the node's state and install it into the ORAM. Also
+  /// Step 11: verify the node's state and bulk-load it into the ORAM. Also
   /// pins the engine to the node's head snapshot: every session executes
   /// against that immutable snapshot (and its block context) until a
   /// resync() re-pins — never against whatever the node's mutable world
-  /// happens to hold mid-bundle.
+  /// happens to hold mid-bundle. All-or-nothing: a rejected proof anywhere
+  /// loads nothing and aborts the epoch, so the call can be retried.
   Status synchronize();
 
   /// Re-pins the engine to the node's current head: quiesces the pool
@@ -358,15 +361,17 @@ class PreExecutionEngine {
 
   /// Warm restart (PR 5): adopts a crash-recovered store image instead of a
   /// cold synchronize(). Seeds the epoch registry with the recovered
-  /// committed history, re-installs the recovered pages into the ORAM
-  /// (journaling suppressed — they are already durable in the adopted
-  /// checkpoint), then brings the store from the recovered committed root to
-  /// the node's head via the normal delta-sync and pins it. Falls back:
-  /// an empty recovered image degenerates to synchronize(); a recovered
-  /// root the node no longer holds returns kNotFound and the caller cold-
-  /// syncs. Call before start(), after the DurableStore adopted the same
-  /// RecoveredState. Restores the bundle-id high-water mark so re-admitted
-  /// and new bundles keep their crash-free ids.
+  /// committed history, verifies the gap from the recovered committed root
+  /// to the node's head with the normal delta proofs, then bulk-loads the
+  /// recovered pages with the gap's pages laid over them (only the gap is
+  /// journaled — the image is already durable in the adopted checkpoint)
+  /// and pins the head. Falls back: an empty recovered image degenerates to
+  /// synchronize(); a recovered root the node no longer holds returns
+  /// kNotFound and a gap that fails verification returns its status, both
+  /// with nothing loaded, so the caller can cold-sync the same engine. Call
+  /// before start(), after the DurableStore adopted the same RecoveredState.
+  /// Restores the bundle-id high-water mark so re-admitted and new bundles
+  /// keep their crash-free ids.
   Status warm_restart(const durability::RecoveredState& recovered);
 
   /// Re-admits a recovered pending bundle under its ORIGINAL id at a given
@@ -456,7 +461,9 @@ class PreExecutionEngine {
     sim::SimClock clock;  ///< reset at each session start (per-session time)
     std::unique_ptr<hevm::HevmCore> core;
     uint32_t session_id = 0;
-    hypervisor::SecureChannel* channel = nullptr;
+    hypervisor::SecureChannel* channel = nullptr;  ///< the device's end
+    /// The user's end of the same session; set with perform_channel_crypto.
+    std::optional<hypervisor::SecureChannel> user_channel;
     std::thread thread;
     uint64_t bundles = 0;
     uint64_t busy_sim_ns = 0;
@@ -476,12 +483,19 @@ class PreExecutionEngine {
   /// nonce from setup_rng_, so creation order is part of determinism.
   std::unique_ptr<Worker> make_worker(int id, int ring);
   /// The one verified sync pass (Fig. 3 step 11) behind synchronize(),
-  /// resync() and warm_restart(): opens an epoch for `head` and syncs the
-  /// ORAM to its root — the whole world when `from` is null, else the delta
-  /// from `from` — with the fault plan's node-feed adversary attached. Then
-  /// commits the epoch and counts the verification work, or aborts the epoch
-  /// and returns the failure (fail closed).
-  Status sync_pass(const node::BlockHeader& head, const state::WorldState* from);
+  /// resync() and warm_restart(), and the one place verified pages enter
+  /// the ORAM and the journal. `from` is the world the pages start from
+  /// (null: nothing, a cold sync); `image` the recovered pages of a warm
+  /// restart. Unless `from` is already at `head`, it opens an epoch for
+  /// `head` and verifies — the whole world, or the delta from `from` — with
+  /// the fault plan's node-feed adversary attached, aborting the epoch on
+  /// any failure before anything is installed (fail closed). Then it
+  /// journals and tags the staged pages in staging order and installs them:
+  /// one bulk load into the fresh tree (with `image` under them), or one
+  /// oblivious write each into the live tree of a resync. Commits the epoch
+  /// and counts the work.
+  Status sync_pass(const node::BlockHeader& head, const state::WorldState* from,
+                   const std::map<u256, Bytes>* image);
   /// Throws UsageError unless the engine is between start() and drain().
   void require_accepting() const;
   /// The one admission path behind submit(), submit_as() and resubmit():

@@ -70,7 +70,8 @@ FrontDoor::FrontDoor(PreExecutionEngine& engine, FrontDoorConfig config)
 
 uint64_t FrontDoor::connect(const crypto::AesKey128& key) {
   const uint64_t conn_id = next_conn_id_++;
-  Connection conn{hypervisor::SecureChannel(key), /*session_id=*/0};
+  Connection conn{hypervisor::SecureChannel(key, hypervisor::ChannelRole::kResponder),
+                  /*session_id=*/0};
   conn.channel.set_lossy_transport(true);
   connections_.emplace(conn_id, std::move(conn));
   return conn_id;
@@ -676,7 +677,7 @@ FrontDoor::ChurnAudit FrontDoor::audit_bindings() const {
 }
 
 ServiceClient::ServiceClient(FrontDoor& door, const crypto::AesKey128& key)
-    : door_(door), channel_(key) {
+    : door_(door), channel_(key, hypervisor::ChannelRole::kInitiator) {
   channel_.set_lossy_transport(true);
   conn_id_ = door_.connect(key);
 }

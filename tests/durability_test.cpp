@@ -963,6 +963,9 @@ TEST_F(DurableEngineTest, WarmRestartContinuesNumberingAndInvariants) {
   ASSERT_EQ(engine.warm_restart(rec), Status::kOk);
   // Warm restart delta-synced to the new head and the invariant holds.
   EXPECT_EQ(engine.pinned_header().state_root, node_.head().state_root);
+  // The gap's pages went into the one bulk load with the image: no walks.
+  EXPECT_EQ(engine.oram_store().snapshot().total_walks, 0u);
+  EXPECT_GT(engine.snapshot().sync_pages_installed, 0u);
   EXPECT_LE(engine.epoch_registry().max_page_epoch(),
             engine.epoch_registry().store_epoch());
   engine.start();
@@ -1000,6 +1003,47 @@ TEST_F(DurableEngineTest, WarmRestartGapSyncFailsClosedOnATamperedProof) {
   EXPECT_EQ(plan.injected(), 1u);
   EXPECT_LE(engine.epoch_registry().max_page_epoch(),
             engine.epoch_registry().store_epoch());
+}
+
+TEST_F(DurableEngineTest, WarmRestartGapFailureLoadsNothing) {
+  // The gap is verified before the image is loaded: a tampered gap proof
+  // leaves the store fresh, so a cold sync can follow on the same engine.
+  SimFs fs;
+  DurableStore store(fs, DurableConfig{});
+  {
+    service::PreExecutionEngine engine(node_, make_config(&store));
+    ASSERT_EQ(engine.synchronize(), Status::kOk);
+  }
+  node_.produce_block({txs_[5]});
+
+  const auto rec = Recovery::replay(fs);
+  ASSERT_FALSE(rec.image.pages.empty());
+  SimFs fs2;
+  DurableStore store2(fs2, DurableConfig{});
+  store2.adopt(rec);
+  faults::FaultPlan plan(faults::FaultPlanConfig{});
+  plan.force(faults::FaultSite::kNodeFetch, /*stream=*/0, /*op=*/0,
+             faults::FaultDecision{.kind = faults::FaultKind::kStaleProof});
+  auto config = make_config(&store2);
+  config.fault_plan = &plan;
+  service::PreExecutionEngine engine(node_, config);
+  EXPECT_EQ(engine.warm_restart(rec), Status::kBadProof);
+  EXPECT_EQ(engine.oram_store().block_count(), 0u);
+  EXPECT_EQ(engine.snapshot().pages_restored, 0u);
+  EXPECT_EQ(engine.snapshot().sync_pages_installed, 0u);
+
+  // The cold fallback, with the node honest again.
+  plan.force(faults::FaultSite::kNodeFetch, /*stream=*/0, /*op=*/0, faults::FaultDecision{});
+  ASSERT_EQ(engine.synchronize(), Status::kOk);
+  EXPECT_EQ(engine.oram_store().block_count(), engine.snapshot().sync_pages_installed);
+  EXPECT_EQ(engine.pinned_header().state_root, node_.head().state_root);
+  EXPECT_LE(engine.epoch_registry().max_page_epoch(),
+            engine.epoch_registry().store_epoch());
+  engine.start();
+  engine.submit({txs_[0]});
+  const auto outcomes = engine.drain();
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_EQ(outcomes[0].status, Status::kOk);
 }
 
 TEST_F(DurableEngineTest, ResubmitReplaysPendingBundleSemanticallyIdentical) {

@@ -102,6 +102,66 @@ TEST_F(EngineTest, EightWorkersSixtyFourBundlesBitIdenticalToSerial) {
 
 // Backpressure: 8 producer threads race 64 bundles into a 2-slot queue
 // consumed by 2 workers. Nothing may be dropped; producers must block.
+// A cold sync verifies the whole world before it loads a page: a proof that
+// fails on the LAST account leaves the store empty and the epoch aborted,
+// and the same engine then syncs cleanly once the node answers honestly.
+TEST_F(EngineTest, ColdSyncInstallsNothingOnABadProof) {
+  faults::FaultPlan plan(faults::FaultPlanConfig{});
+  const uint64_t last = node_.world().all_accounts().size() - 1;
+  plan.force(faults::FaultSite::kNodeFetch, /*stream=*/0, /*op=*/last,
+             faults::FaultDecision{.kind = faults::FaultKind::kStaleProof});
+  auto config = make_config(SecurityConfig::full(), 1);
+  config.fault_plan = &plan;
+  PreExecutionEngine engine(node_, config);
+  EXPECT_EQ(engine.synchronize(), Status::kBadProof);
+  EXPECT_EQ(plan.injected(), 1u);
+  EXPECT_EQ(engine.oram_store().block_count(), 0u);
+  EXPECT_EQ(engine.oram_store().snapshot().total_walks, 0u);
+  EXPECT_FALSE(engine.epoch_registry().current().has_value());  // nothing committed
+  EXPECT_EQ(engine.epoch_registry().pages_tagged(), 0u);
+  EXPECT_EQ(engine.snapshot().sync_pages_installed, 0u);
+
+  plan.force(faults::FaultSite::kNodeFetch, /*stream=*/0, /*op=*/last,
+             faults::FaultDecision{});
+  ASSERT_EQ(engine.synchronize(), Status::kOk);
+  const uint64_t pages = engine.snapshot().sync_pages_installed;
+  EXPECT_GT(pages, 0u);
+  EXPECT_EQ(engine.oram_store().block_count(), pages);
+  EXPECT_EQ(engine.oram_store().snapshot().total_walks, 0u);  // a load is not a walk
+  ASSERT_TRUE(engine.epoch_registry().current().has_value());
+  EXPECT_EQ(engine.epoch_registry().current()->state_root, node_.head().state_root);
+  EXPECT_EQ(engine.epoch_registry().pages_tagged(), pages);
+  engine.start();
+  engine.submit(mixed_bundle(0));
+  const auto outcomes = engine.drain();
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_EQ(outcomes[0].status, Status::kOk);
+}
+
+// With real channel crypto each worker keeps one user end and one device
+// end of its session for its whole life: every session seals under a fresh
+// nonce and sequence, so each one opens — and the charged sim time is the
+// same as without the real crypto.
+TEST_F(EngineTest, ChannelCryptoOpensEverySessionOfAWorker) {
+  const auto bundles = make_bundles(3);
+  PreExecutionEngine modelled(node_, make_config(SecurityConfig::full(), 1));
+  ASSERT_EQ(modelled.synchronize(), Status::kOk);
+  const auto reference = modelled.execute_serial(bundles);
+
+  auto config = make_config(SecurityConfig::full(), 1);
+  config.perform_channel_crypto = true;
+  PreExecutionEngine engine(node_, config);
+  ASSERT_EQ(engine.synchronize(), Status::kOk);
+  engine.start();
+  for (const auto& bundle : bundles) engine.submit(bundle);
+  const auto outcomes = engine.drain();
+  ASSERT_EQ(outcomes.size(), bundles.size());
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    EXPECT_EQ(outcomes[i].status, Status::kOk) << "bundle " << i;
+    EXPECT_EQ(outcomes[i].end_to_end_ns, reference[i].end_to_end_ns) << "bundle " << i;
+  }
+}
+
 TEST_F(EngineTest, BoundedQueueAppliesBackpressureWithoutDropping) {
   constexpr size_t kProducers = 8;
   constexpr size_t kPerProducer = 8;

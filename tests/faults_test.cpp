@@ -354,8 +354,8 @@ class LinkTest : public ::testing::Test {
     k[0] = 0x33;
     return k;
   }
-  hypervisor::SecureChannel sender_{key()};
-  hypervisor::SecureChannel receiver_{key()};
+  hypervisor::SecureChannel sender_{key(), hypervisor::ChannelRole::kInitiator};
+  hypervisor::SecureChannel receiver_{key(), hypervisor::ChannelRole::kResponder};
 };
 
 TEST_F(LinkTest, TamperedFrameFailsClosedAndRetransmitLands) {

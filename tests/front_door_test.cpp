@@ -158,8 +158,8 @@ TEST(ServiceFramesTest, DecodeFailsClosedOnEveryDeviation) {
 
 TEST(LossyChannelTest, SkipsForwardAcceptsRejectsReplayAndReorder) {
   const auto key = test_key(9);
-  hypervisor::SecureChannel sender(key);
-  hypervisor::SecureChannel receiver(key);
+  hypervisor::SecureChannel sender(key, hypervisor::ChannelRole::kInitiator);
+  hypervisor::SecureChannel receiver(key, hypervisor::ChannelRole::kResponder);
   receiver.set_lossy_transport(true);
 
   const Bytes body{0x01};
@@ -175,7 +175,7 @@ TEST(LossyChannelTest, SkipsForwardAcceptsRejectsReplayAndReorder) {
   EXPECT_EQ(receiver.open(f1, 1 << 10, 0).status, Status::kRejected);
 
   // Strict mode (the hypervisor's default) still refuses the skip.
-  hypervisor::SecureChannel strict(key);
+  hypervisor::SecureChannel strict(key, hypervisor::ChannelRole::kResponder);
   auto g0 = sender.seal(hypervisor::MessageType::kBundleSubmit, 0, body);
   auto g1 = sender.seal(hypervisor::MessageType::kBundleSubmit, 0, body);
   (void)g0;
@@ -771,7 +771,7 @@ TEST_F(FrontDoorTest, MalformedBodyIsRefusedWithoutStateChange) {
   engine.start();
 
   const auto key = test_key(2);
-  hypervisor::SecureChannel client_channel(key);
+  hypervisor::SecureChannel client_channel(key, hypervisor::ChannelRole::kInitiator);
   client_channel.set_lossy_transport(true);
   const uint64_t conn = door.connect(key);
 
@@ -807,7 +807,7 @@ TEST_F(FrontDoorTest, TamperedAndReplayedFramesEarnNoReply) {
   engine.start();
 
   const auto key = test_key(3);
-  hypervisor::SecureChannel client_channel(key);
+  hypervisor::SecureChannel client_channel(key, hypervisor::ChannelRole::kInitiator);
   client_channel.set_lossy_transport(true);
   const uint64_t conn = door.connect(key);
 

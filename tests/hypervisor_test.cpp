@@ -82,7 +82,8 @@ TEST_F(AttestationTest, SessionChannelAgrees) {
   const H256 nonce = crypto::keccak256("n");
   const auto session = hypervisor_.begin_session(nonce, user_key_.public_key());
   // The user derives the same key from the report's session public key.
-  SecureChannel user_channel(user_key_, session.report.session_public);
+  SecureChannel user_channel(user_key_, session.report.session_public,
+                             ChannelRole::kInitiator);
   SecureChannel& hyp_channel = hypervisor_.channel(session.session_id);
   EXPECT_EQ(user_channel.key(), hyp_channel.key());
 
@@ -99,7 +100,9 @@ TEST_F(AttestationTest, SessionChannelAgrees) {
 
 class ChannelTest : public ::testing::Test {
  protected:
-  ChannelTest() : alice_(shared_key()), bob_(shared_key()) {}
+  ChannelTest()
+      : alice_(shared_key(), ChannelRole::kInitiator),
+        bob_(shared_key(), ChannelRole::kResponder) {}
   static crypto::AesKey128 shared_key() {
     crypto::AesKey128 k{};
     k[0] = 0x77;
@@ -213,9 +216,34 @@ TEST_F(ChannelTest, ReplayRejectedBySequence) {
 TEST_F(ChannelTest, WrongKeyCannotRead) {
   crypto::AesKey128 other{};
   other[0] = 0x88;
-  SecureChannel eve{other};
+  SecureChannel eve{other, ChannelRole::kResponder};
   const SecureMessage msg = alice_.seal(MessageType::kBundleSubmit, 0, Bytes{1});
   EXPECT_EQ(eve.open(msg, 1024, 1024).status, Status::kAuthFailed);
+}
+
+// Both ends hold one key. Were they to count nonces the same way, request n
+// and reply n would share an AES-GCM (key, nonce) pair — the XOR of the two
+// ciphertexts would be the XOR of the two plaintexts — and an end would
+// accept its own frame reflected back at it.
+TEST(SecureChannelTest, EndsNeverShareANonceAndRefuseReflection) {
+  crypto::AesKey128 key{};
+  key[0] = 0x42;
+  SecureChannel user(key, ChannelRole::kInitiator);
+  SecureChannel device(key, ChannelRole::kResponder);
+  const Bytes request(16, 0x11);
+  const Bytes reply(16, 0x22);
+  const SecureMessage to_device = user.seal(MessageType::kBundleSubmit, 0, request);
+  const SecureMessage to_user = device.seal(MessageType::kTraceReport, 0, reply);
+  EXPECT_NE(to_device.nonce, to_user.nonce);
+  // Both frames land at the peer...
+  EXPECT_EQ(device.open(to_device, 1024, 1024).status, Status::kOk);
+  EXPECT_EQ(user.open(to_user, 1024, 1024).status, Status::kOk);
+  // ...and no end opens a frame its own side sealed: each is refused while
+  // its sequence number is the one the end expects next.
+  SecureChannel user_again(key, ChannelRole::kInitiator);
+  EXPECT_EQ(user_again.open(to_device, 1024, 1024).status, Status::kRejected);
+  SecureChannel device_again(key, ChannelRole::kResponder);
+  EXPECT_EQ(device_again.open(to_user, 1024, 1024).status, Status::kRejected);
 }
 
 // --- hypervisor memory + ORAM key management ---

@@ -4,6 +4,8 @@
 
 #include "node/node.hpp"
 #include "node/sync.hpp"
+#include "oram/epoch.hpp"
+#include "trie/mpt.hpp"
 #include "workload/contracts.hpp"
 #include "workload/generator.hpp"
 
@@ -257,12 +259,14 @@ class SyncTest : public ::testing::Test {
 
 TEST_F(SyncTest, HonestNodeSyncsAndServes) {
   BlockSynchronizer sync(node_, node_.head().state_root);
-  ASSERT_EQ(sync.sync_all(client_), Status::kOk);
+  oram::Pages pages;
+  ASSERT_EQ(sync.verify_all(pages), Status::kOk);
   EXPECT_EQ(sync.verified_accounts(), 2u);
   EXPECT_EQ(sync.verified_slots(), 2u);
-  EXPECT_GT(sync.installed_pages(), 3u);
+  EXPECT_GT(pages.size(), 3u);
 
-  // The installed pages serve correct data through the ORAM.
+  // The staged pages, bulk-loaded, serve correct data through the ORAM.
+  client_.bulk_load(pages);
   oram::OramWorldState oram_state(client_);
   EXPECT_EQ(oram_state.account(addr(1))->balance, u256{777});
   EXPECT_EQ(oram_state.storage(addr(2), u256{5}), u256{55});
@@ -273,48 +277,62 @@ TEST_F(SyncTest, HonestNodeSyncsAndServes) {
 TEST_F(SyncTest, DishonestNodeRejected) {
   node_.set_dishonest(true);
   BlockSynchronizer sync(node_, node_.head().state_root);
-  EXPECT_EQ(sync.sync_account(addr(1), {}, client_), Status::kBadProof);
-  // Nothing was installed.
-  oram::OramWorldState oram_state(client_);
-  EXPECT_FALSE(oram_state.account(addr(1)).has_value());
+  oram::Pages pages;
+  EXPECT_EQ(sync.verify_all(pages), Status::kBadProof);
+  // Nothing was staged, so nothing can be installed.
+  EXPECT_TRUE(pages.empty());
+  EXPECT_EQ(sync.verified_accounts(), 0u);
 }
 
 TEST_F(SyncTest, DishonestStorageRejected) {
-  node_.set_dishonest(true);
+  // Both accounts verify; the node's answer for slot 5 does not.
   BlockSynchronizer sync(node_, node_.head().state_root);
-  EXPECT_EQ(sync.sync_account(addr(2), {u256{5}}, client_), Status::kBadProof);
+  sync.set_storage_proof_tamper(
+      [](const Address& a, const u256& key) { return a == addr(2) && key == u256{5}; });
+  oram::Pages pages;
+  EXPECT_EQ(sync.verify_all(pages), Status::kBadProof);
+  EXPECT_EQ(sync.verified_accounts(), 2u);
+  EXPECT_EQ(sync.verified_slots(), 0u);
+  EXPECT_TRUE(pages.empty());
 }
 
 TEST_F(SyncTest, WrongTrustedRootRejectsEverything) {
   BlockSynchronizer sync(node_, crypto::keccak256("some other chain"));
-  EXPECT_EQ(sync.sync_account(addr(1), {}, client_), Status::kBadProof);
+  oram::Pages pages;
+  EXPECT_EQ(sync.verify_all(pages), Status::kBadProof);
+  EXPECT_TRUE(pages.empty());
 }
 
 TEST_F(SyncTest, AbsentAccountSyncsAsAbsent) {
+  // The next block deletes addr(1): the delta proves it absent and stages
+  // an empty-meta page for it (balance zero, the empty code hash).
+  const auto old_world = node_.world_at(node_.head().state_root);
+  node_.world().delete_account(addr(1));
+  node_.produce_block({});
   BlockSynchronizer sync(node_, node_.head().state_root);
-  EXPECT_EQ(sync.sync_account(addr(0x99), {}, client_), Status::kOk);
-  oram::OramWorldState oram_state(client_);
-  const auto account = oram_state.account(addr(0x99));
-  // Installed as an empty-meta page: balance zero, no code.
-  ASSERT_TRUE(account.has_value());
-  EXPECT_EQ(account->balance, u256{});
+  oram::Pages pages;
+  ASSERT_EQ(sync.verify_delta(*old_world, pages), Status::kOk);
+  ASSERT_EQ(pages.size(), 1u);
+  EXPECT_EQ(pages[0].first,
+            oram::page_id(oram::PageType::kAccountMeta, addr(1), u256{}));
+  const auto meta = oram::AccountMetaPage::deserialize(pages[0].second);
+  EXPECT_EQ(meta.balance, u256{});
+  EXPECT_EQ(meta.code_hash, crypto::keccak256(Bytes{}));
 }
 
 // Fail-closed regression (PR 4 satellite): a proof failure on the SECOND
-// storage group must leave the ORAM without ANYTHING from that account —
-// not even the already-verified meta page or first group. A partial install
-// would mix verified and unverifiable state under one account.
+// storage group must leave nothing to install — not even the
+// already-verified meta page or first group, nor any other account's pages.
+// A partial install would mix verified and unverifiable state.
 TEST_F(SyncTest, StorageGroupProofFailureInstallsNothingFromAccount) {
   BlockSynchronizer sync(node_, node_.head().state_root);
   // Keys {5, 37} span storage groups 0 and 1; corrupt only group 1's proof.
   sync.set_storage_proof_tamper(
       [](const Address&, const u256& key) { return key == u256{37}; });
-  EXPECT_EQ(sync.sync_account(addr(2), {u256{5}, u256{37}}, client_),
-            Status::kBadProof);
-  oram::OramWorldState oram_state(client_);
-  EXPECT_FALSE(oram_state.account(addr(2)).has_value());
-  EXPECT_EQ(oram_state.storage(addr(2), u256{5}), u256{});
-  EXPECT_EQ(sync.installed_pages(), 0u);
+  oram::Pages pages;
+  EXPECT_EQ(sync.verify_all(pages), Status::kBadProof);
+  EXPECT_EQ(sync.verified_slots(), 1u);  // slot 5 verified before 37 failed
+  EXPECT_TRUE(pages.empty());
 }
 
 // --- incremental (delta) sync + epoch tagging (PR 4 tentpole) ---
@@ -333,8 +351,10 @@ class DeltaSyncTest : public ::testing::Test {
 
     BlockSynchronizer sync(node_, node_.head().state_root);
     registry_.begin(node_.head().state_root, node_.head().number);
-    sync.set_epoch_registry(&registry_);
-    EXPECT_EQ(sync.sync_all(client_), Status::kOk);
+    oram::Pages pages;
+    EXPECT_EQ(sync.verify_all(pages), Status::kOk);
+    client_.bulk_load(pages);
+    for (const auto& page : pages) registry_.tag(page.first);
     registry_.commit();
     old_root_ = node_.head().state_root;
     old_world_ = node_.world_at(old_root_);
@@ -359,16 +379,21 @@ class DeltaSyncTest : public ::testing::Test {
 TEST_F(DeltaSyncTest, DeltaReverifiesOnlyChangesAndServesNewState) {
   BlockSynchronizer delta(node_, node_.head().state_root);
   registry_.begin(node_.head().state_root, node_.head().number);
-  delta.set_epoch_registry(&registry_);
   BlockSynchronizer::DeltaReport report;
-  ASSERT_EQ(delta.sync_delta(*old_world_, client_, &report), Status::kOk);
+  oram::Pages pages;
+  ASSERT_EQ(delta.verify_delta(*old_world_, pages, &report), Status::kOk);
+  // A live tree takes the delta as one oblivious write per page.
+  for (const auto& page : pages) {
+    client_.write(page.first, page.second);
+    registry_.tag(page.first);
+  }
   registry_.commit();
 
   EXPECT_GE(report.accounts_changed, 1u);
   // Only the changed group's slots were re-proven; the untouched group-6
   // slot (key 200) was not.
   EXPECT_EQ(report.slots_reverified, 2u);
-  EXPECT_GT(report.pages_installed, 0u);
+  EXPECT_GT(pages.size(), 0u);
 
   oram::OramWorldState oram_state(client_);
   EXPECT_EQ(oram_state.storage(addr(0x10), addr(1).to_u256()), u256{600});
@@ -395,7 +420,9 @@ TEST_F(DeltaSyncTest, MidDeltaProofFailureInstallsNothing) {
   // that already-verified page must not land.
   delta.set_storage_proof_tamper(
       [](const Address&, const u256& key) { return key == addr(2).to_u256(); });
-  EXPECT_EQ(delta.sync_delta(*old_world_, client_), Status::kBadProof);
+  oram::Pages pages;
+  EXPECT_EQ(delta.verify_delta(*old_world_, pages), Status::kBadProof);
+  EXPECT_TRUE(pages.empty());  // nothing to install
 
   oram::OramWorldState oram_state(client_);
   // The store still serves the OLD state, wholesale: fail closed.
@@ -406,7 +433,8 @@ TEST_F(DeltaSyncTest, MidDeltaProofFailureInstallsNothing) {
 
 TEST_F(DeltaSyncTest, DeltaAgainstUnknownRootIsNotFound) {
   BlockSynchronizer delta(node_, crypto::keccak256("no such block"));
-  EXPECT_EQ(delta.sync_delta(*old_world_, client_), Status::kNotFound);
+  oram::Pages pages;
+  EXPECT_EQ(delta.verify_delta(*old_world_, pages), Status::kNotFound);
 }
 
 TEST(EpochRegistry, TracksPassesAndPageTags) {
@@ -449,7 +477,9 @@ TEST(SyncIntegration, FullWorkloadWorldSyncs) {
       oram::OramConfig{.block_size = oram::kPageSize, .capacity = 2048});
   oram::OramClient client(server, key(), 5, oram::SealMode::kChaChaHmac);
   BlockSynchronizer sync(node, node.head().state_root);
-  ASSERT_EQ(sync.sync_all(client), Status::kOk);
+  oram::Pages pages;
+  ASSERT_EQ(sync.verify_all(pages), Status::kOk);
+  client.bulk_load(pages);
 
   oram::OramWorldState oram_state(client);
   const Address& token = gen.tokens()[0];
@@ -457,6 +487,95 @@ TEST(SyncIntegration, FullWorkloadWorldSyncs) {
   EXPECT_EQ(oram_state.storage(token, user.to_u256()),
             node.world().storage(token, user.to_u256()));
   EXPECT_EQ(oram_state.code(token), node.world().code(token));
+}
+
+// --- seeded mutation fuzz of the proof verifier ---
+//
+// Cold sync gates one whole load on these checks, and the node feed is the
+// SP's. A mutated proof must be rejected, or verify to exactly what the
+// genuine proof proves — the true value, or the true absence — never to
+// anything else.
+TEST(ProofFuzz, MutatedProofsVerifyToTheTruthOrAreRejected) {
+  NodeSimulator node;
+  workload::WorkloadGenerator gen(workload::GeneratorConfig{
+      .user_accounts = 6, .erc20_contracts = 2, .dex_pairs = 1, .routers = 1});
+  gen.deploy(node.world());
+  node.produce_block({});
+  const H256 state_root = node.head().state_root;
+
+  struct Case {
+    H256 root;
+    H256 key;
+    trie::MerkleProof proof;
+    std::optional<Bytes> truth;
+  };
+  std::vector<Case> cases;
+  auto add_case = [&](const H256& root, const H256& key, trie::MerkleProof proof) {
+    const auto genuine = trie::MerklePatriciaTrie::verify_proof(root, key.view(), proof);
+    ASSERT_TRUE(genuine.valid);
+    cases.push_back({root, key, std::move(proof), genuine.value});
+  };
+  std::vector<Address> accounts = node.world().all_accounts();
+  accounts.push_back(addr(0xee));  // proven absent
+  for (const Address& a : accounts) {
+    add_case(state_root, crypto::keccak256(a.view()), node.fetch_account(a, state_root).proof);
+    std::vector<u256> keys = node.world().storage_keys(a);
+    if (keys.empty()) continue;
+    keys.push_back(u256{0xdead});  // an absent slot of a live storage trie
+    for (const u256& key : keys) {
+      add_case(node.world().storage_root(a), crypto::keccak256(key.to_be_bytes_vec()),
+               node.fetch_storage(a, key, state_root).proof);
+    }
+  }
+  ASSERT_GT(cases.size(), 20u);
+
+  Random rng(0xf022);
+  constexpr size_t kIterations = 4000;
+  size_t rejected = 0;
+  for (size_t iteration = 0; iteration < kIterations; ++iteration) {
+    const Case& c = cases[rng.uniform(cases.size())];
+    trie::MerkleProof proof = c.proof;
+    const size_t at = rng.uniform(proof.size());
+    switch (rng.uniform(6)) {
+      case 0:  // bit flip
+        if (!proof[at].empty()) {
+          proof[at][rng.uniform(proof[at].size())] ^=
+              static_cast<uint8_t>(1u << rng.uniform(8));
+        }
+        break;
+      case 1:  // truncation: of the node list, or of one node's bytes
+        if (rng.uniform(2) == 0) {
+          proof.resize(at);
+        } else {
+          proof[at].resize(rng.uniform(proof[at].size() + 1));
+        }
+        break;
+      case 2:  // dropped node
+        proof.erase(proof.begin() + static_cast<long>(at));
+        break;
+      case 3:  // duplicated node
+        proof.insert(proof.begin() + static_cast<long>(at), proof[at]);
+        break;
+      case 4:  // swapped nodes
+        std::swap(proof[at], proof[rng.uniform(proof.size())]);
+        break;
+      default: {  // a node spliced in from another key's proof
+        const Case& other = cases[rng.uniform(cases.size())];
+        proof[at] = other.proof[rng.uniform(other.proof.size())];
+        break;
+      }
+    }
+    const auto result = trie::MerklePatriciaTrie::verify_proof(c.root, c.key.view(), proof);
+    if (!result.valid) {
+      ++rejected;
+      continue;
+    }
+    EXPECT_EQ(result.value, c.truth) << "iteration " << iteration;
+  }
+  // Most mutations break a hash link; the benign rest (a node swapped with
+  // itself, a shared node spliced over its twin) still prove the truth.
+  EXPECT_GT(rejected, kIterations / 2);
+  EXPECT_LT(rejected, kIterations);
 }
 
 }  // namespace

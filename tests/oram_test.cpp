@@ -5,9 +5,11 @@
 #include <atomic>
 #include <cmath>
 #include <functional>
+#include <map>
 #include <thread>
 
 #include "crypto/keccak.hpp"
+#include "node/sync.hpp"
 #include "oram/epoch.hpp"
 #include "oram/paged_state.hpp"
 #include "oram/path_oram.hpp"
@@ -243,22 +245,19 @@ TEST(OramClient, BulkRestoreRoundTripAndFollowOnAccesses) {
   OramServer server(OramConfig{.block_size = 64, .bucket_capacity = 4, .capacity = 256,
                                .max_stash_blocks = 64});
   OramClient client(server, test_key(), 42, SealMode::kChaChaHmac);
-  std::vector<std::pair<BlockId, Bytes>> pages;
+  Pages pages;
   for (uint64_t i = 0; i < 100; ++i) {
     pages.emplace_back(bid(i), Bytes(8, static_cast<uint8_t>(i)));
   }
-  int installs = 0;
-  client.set_install_hook([&](const BlockId&, BytesView) { ++installs; });
-  client.bulk_restore(pages);
-  EXPECT_EQ(installs, 0);  // a restore is not an install: nothing to journal
-  EXPECT_EQ(server.access_count(), 0u);  // and not an access: no observed paths
+  client.bulk_load(pages);
+  EXPECT_EQ(server.access_count(), 0u);  // a load is not an access: no observed paths
   EXPECT_EQ(client.block_count(), 100u);
   for (uint64_t i = 0; i < 100; ++i) {
     const auto data = client.read(bid(i));
     ASSERT_TRUE(data.has_value()) << "block " << i;
     EXPECT_EQ(Bytes(data->begin(), data->begin() + 8), Bytes(8, static_cast<uint8_t>(i)));
   }
-  // Restored blocks stay healthy under normal accesses (evict/remap churn).
+  // Loaded blocks stay healthy under normal accesses (evict/remap churn).
   client.write(bid(3), Bytes(8, 0xaa));
   const auto updated = client.read(bid(3));
   ASSERT_TRUE(updated.has_value());
@@ -270,23 +269,100 @@ TEST(OramClient, BulkRestoreRequiresFreshClient) {
   OramServer server(OramConfig{.block_size = 32, .capacity = 16});
   OramClient client(server, test_key(), 1, SealMode::kChaChaHmac);
   client.write(bid(1), Bytes{1});
-  EXPECT_THROW(client.bulk_restore({{bid(2), Bytes{2}}}), UsageError);
+  EXPECT_THROW(client.bulk_load({{bid(2), Bytes{2}}}), UsageError);
+  OramClient fresh(server, test_key(), 2, SealMode::kChaChaHmac);
+  EXPECT_THROW(fresh.bulk_load({{bid(2), Bytes{2}}, {bid(2), Bytes{3}}}), UsageError);
 }
 
 TEST(OramServer, BulkLoadShapeValidated) {
+  // 16 leaves: 31 buckets of Z = 4. A load is a complete top of the tree.
   OramServer server(OramConfig{.block_size = 32, .bucket_capacity = 4, .capacity = 16});
   EXPECT_THROW(server.load_slots({}), UsageError);
+  EXPECT_THROW(server.load_slots(std::vector<SealedSlot>(2 * 4)), UsageError);   // 2 buckets
+  EXPECT_THROW(server.load_slots(std::vector<SealedSlot>(3 * 4 + 1)), UsageError);
+  EXPECT_THROW(server.load_slots(std::vector<SealedSlot>(63 * 4)), UsageError);  // too deep
+  server.load_slots(std::vector<SealedSlot>(3 * 4));                               // levels 0-1
+  server.load_slots(std::vector<SealedSlot>(31 * 4));                              // whole tree
+  EXPECT_EQ(server.access_count(), 0u);
 }
 
-TEST(OramClient, AccessHookFires) {
-  OramServer server(OramConfig{.block_size = 32, .capacity = 16});
-  OramClient client(server, test_key(), 1, SealMode::kChaChaHmac);
-  int hooks = 0;
-  client.set_access_hook([&] { ++hooks; });
-  client.write(bid(1), Bytes{1});
-  client.read(bid(1));
-  client.read(bid(2));  // dummy access also counts
-  EXPECT_EQ(hooks, 3);
+// The SP's view of a tree after a bulk load: which slots hold ciphertext.
+std::vector<bool> written_slots(const OramServer& server) {
+  std::vector<bool> out;
+  for (size_t bucket = 0; bucket < server.bucket_count(); ++bucket) {
+    for (const SealedSlot& slot : server.stored_bucket(bucket)) {
+      out.push_back(!slot.ciphertext.empty());
+    }
+  }
+  return out;
+}
+
+TEST(OramClient, BulkLoadLayoutHidesTheLeaves) {
+  // 175 pages, 1.25x = 219 slots: levels 0..5 (63 buckets, 252 slots) of a
+  // 2048-leaf tree. The layout may depend on the page count alone.
+  const OramConfig config{.block_size = 64, .bucket_capacity = 4, .capacity = 2048};
+  Pages pages;
+  for (uint64_t i = 0; i < 175; ++i) pages.emplace_back(bid(i), Bytes(8, 1));
+  std::vector<std::vector<bool>> layouts;
+  for (const uint64_t seed : {1, 2}) {
+    OramServer server(config);
+    OramClient client(server, test_key(), seed, SealMode::kChaChaHmac);
+    client.bulk_load(pages);
+    const std::vector<bool> layout = written_slots(server);
+    const size_t region_slots = 63 * config.bucket_capacity;
+    for (size_t i = 0; i < layout.size(); ++i) {
+      EXPECT_EQ(layout[i], i < region_slots) << "slot " << i << ", seed " << seed;
+    }
+    // Every region slot is a sealed, authentic page or dummy.
+    for (size_t bucket = 0; bucket < 63; ++bucket) {
+      for (const SealedSlot& slot : server.stored_bucket(bucket)) {
+        EXPECT_TRUE(open_slot(SealMode::kChaChaHmac, test_key(), slot).has_value());
+      }
+    }
+    layouts.push_back(layout);
+  }
+  EXPECT_EQ(layouts[0], layouts[1]);
+}
+
+// The leak a leaf-revealing load opens: after a load that puts each page in
+// its leaf's bucket, the first touch of a loaded page always walks to a leaf
+// bucket the SP saw written, while a miss rarely does. Here both rates are
+// those of walks landing where earlier walks wrote.
+TEST(OramClient, FirstTouchAfterBulkLoadLooksLikeAMiss) {
+  const OramConfig config{.block_size = 64, .bucket_capacity = 4, .capacity = 2048};
+  constexpr uint64_t kPages = 175;
+  Pages pages;
+  for (uint64_t i = 0; i < kPages; ++i) pages.emplace_back(bid(i), Bytes(8, 1));
+  // Walks (first touches of ids in [first, first + kPages)) that land on a
+  // leaf bucket holding ciphertext before the walk.
+  auto landings = [&](uint64_t seed, uint64_t first) {
+    OramServer server(config);
+    OramClient client(server, test_key(), seed, SealMode::kChaChaHmac);
+    client.bulk_load(pages);
+    const size_t first_leaf_bucket = server.leaf_count() - 1;
+    std::vector<bool> written(server.leaf_count());
+    for (uint64_t leaf = 0; leaf < server.leaf_count(); ++leaf) {
+      for (const SealedSlot& slot : server.stored_bucket(first_leaf_bucket + leaf)) {
+        if (!slot.ciphertext.empty()) written[leaf] = true;
+      }
+    }
+    size_t hits = 0;
+    for (uint64_t i = first; i < first + kPages; ++i) {
+      (void)client.read(bid(i));
+      const uint64_t leaf = server.observed_leaves().back();
+      if (written[leaf]) ++hits;
+      written[leaf] = true;  // the walk rewrote its whole path
+    }
+    return hits;
+  };
+  for (const uint64_t seed : {1, 2, 3}) {
+    const size_t first_touches = landings(seed, 0);
+    const size_t misses = landings(seed, 1'000'000);
+    // ~kPages^2 / (2 * 2048) = 7.5 expected either way; a leaking load
+    // reads 175 for first touches.
+    EXPECT_LT(first_touches, 30u) << "seed " << seed;
+    EXPECT_LT(misses, 30u) << "seed " << seed;
+  }
 }
 
 // --- paged world state ---
@@ -333,24 +409,55 @@ TEST(PagedState, StorageGroupPageRoundTrip) {
   EXPECT_EQ(back.values, group.values);
 }
 
+// What a cold sync stages for the node's whole (pinned) state.
+Pages verified_pages(node::NodeSimulator& node) {
+  const node::PinnedBlock head = node.pinned_head();
+  node::BlockSynchronizer sync(node, head.header.state_root);
+  Pages pages;
+  EXPECT_EQ(sync.verify_all(pages), Status::kOk);
+  return pages;
+}
+
+// Staged pages of `addr` per type. Page ids are hashes, so each is matched
+// against the ids of the low indices a small test world uses.
+std::map<PageType, size_t> pages_by_type(const Pages& pages, const Address& addr) {
+  std::map<PageType, size_t> out;
+  for (const auto& page : pages) {
+    for (const PageType type :
+         {PageType::kAccountMeta, PageType::kStorageGroup, PageType::kCode}) {
+      for (uint64_t index = 0; index < 64; ++index) {
+        if (page.first == page_id(type, addr, u256{index})) ++out[type];
+      }
+    }
+  }
+  return out;
+}
+
 TEST(PagedState, BuildPagesGroupsConsecutiveKeys) {
-  state::WorldState world;
+  node::NodeSimulator node;
   // Keys 0..40 -> groups 0 and 1. Key 1000 -> its own group.
-  for (uint64_t k = 0; k <= 40; ++k) world.set_storage(acct(1), u256{k}, u256{k + 1});
-  world.set_storage(acct(1), u256{1000}, u256{7});
-  const PageCensus c = census(world);
-  EXPECT_EQ(c.account_pages, 1u);
-  EXPECT_EQ(c.storage_pages, 3u);  // groups 0, 1, 31 (1000/32)
-  EXPECT_EQ(c.code_pages, 0u);
-  EXPECT_EQ(build_pages(world).size(), c.total());
+  for (uint64_t k = 0; k <= 40; ++k) node.world().set_storage(acct(1), u256{k}, u256{k + 1});
+  node.world().set_storage(acct(1), u256{1000}, u256{7});
+  const Pages pages = verified_pages(node);
+  auto counts = pages_by_type(pages, acct(1));
+  EXPECT_EQ(counts[PageType::kAccountMeta], 1u);
+  EXPECT_EQ(counts[PageType::kStorageGroup], 3u);  // groups 0, 1, 31 (1000/32)
+  EXPECT_EQ(counts[PageType::kCode], 0u);
+  EXPECT_EQ(pages.size(), 4u);
+  // Key 33 sits at record 1 of group 1.
+  for (const auto& [id, data] : pages) {
+    if (id == page_id(PageType::kStorageGroup, acct(1), u256{1})) {
+      EXPECT_EQ(StorageGroupPage::deserialize(data).values[1], u256{34});
+    }
+  }
 }
 
 TEST(PagedState, BuildPagesSplitsCode) {
-  state::WorldState world;
-  world.set_code(acct(2), Bytes(2500, 0x5b));  // 3 pages
-  const PageCensus c = census(world);
-  EXPECT_EQ(c.code_pages, 3u);
-  EXPECT_EQ(c.account_pages, 1u);
+  node::NodeSimulator node;
+  node.world().set_code(acct(2), Bytes(2500, 0x5b));  // 3 pages
+  auto counts = pages_by_type(verified_pages(node), acct(2));
+  EXPECT_EQ(counts[PageType::kCode], 3u);
+  EXPECT_EQ(counts[PageType::kAccountMeta], 1u);
 }
 
 class OramWorldStateTest : public ::testing::Test {
@@ -359,17 +466,18 @@ class OramWorldStateTest : public ::testing::Test {
       : server_(OramConfig{.block_size = kPageSize, .capacity = 256}),
         client_(server_, test_key(), 11, SealMode::kChaChaHmac),
         oram_state_(client_) {
-    world_.set_balance(acct(1), u256{5555});
-    world_.set_nonce(acct(1), 3);
-    world_.set_storage(acct(1), u256{7}, u256{777});
-    world_.set_storage(acct(1), u256{39}, u256{3939});
+    state::WorldState& world = node_.world();
+    world.set_balance(acct(1), u256{5555});
+    world.set_nonce(acct(1), 3);
+    world.set_storage(acct(1), u256{7}, u256{777});
+    world.set_storage(acct(1), u256{39}, u256{3939});
     code_ = Bytes(1500, 0);
     for (size_t i = 0; i < code_.size(); ++i) code_[i] = static_cast<uint8_t>(i);
-    world_.set_code(acct(1), code_);
-    sync_world_state(world_, client_);
+    world.set_code(acct(1), code_);
+    client_.bulk_load(verified_pages(node_));
   }
 
-  state::WorldState world_;
+  node::NodeSimulator node_;
   OramServer server_;
   OramClient client_;
   OramWorldState oram_state_;
@@ -603,11 +711,11 @@ TEST(ShardedStore, UnknownIdDummyWalksAndStaysUnknown) {
 
 TEST(ShardedStore, BulkRestorePartitionsAndServes) {
   auto store = make_sharded(8);
-  std::vector<std::pair<BlockId, Bytes>> pages;
+  Pages pages;
   for (uint64_t i = 0; i < 64; ++i) {
     pages.emplace_back(bid(i), Bytes(64, static_cast<uint8_t>(i)));
   }
-  store.bulk_restore(pages);
+  store.bulk_load(pages);
   EXPECT_EQ(store.block_count(), 64u);
   for (uint64_t i = 0; i < 64; ++i) {
     const auto data = store.read(bid(i));
@@ -616,19 +724,21 @@ TEST(ShardedStore, BulkRestorePartitionsAndServes) {
   }
 }
 
-TEST(ShardedStore, InstallHookFiresOnWritesNotMigrations) {
+TEST(ShardedStore, BulkLoadRegionIsTheSameOnEveryShard) {
+  // 8 shards draw a multinomial split of 300 pages, but every shard's region
+  // is sized for ceil(300 / 8) = 38 pages: 1.25x needs 48 slots, so levels
+  // 0..3 (15 buckets, 60 slots).
   auto store = make_sharded(8);
-  std::atomic<uint64_t> installs{0};
-  store.set_install_hook([&](const BlockId&, BytesView) { ++installs; });
-  for (uint64_t i = 0; i < 16; ++i) store.write(bid(i), Bytes(64, 1));
-  EXPECT_EQ(installs.load(), 16u);
-  // Reads migrate blocks between shards; a cross-shard move is not a logical
-  // store mutation and must not be journaled.
-  for (int round = 0; round < 4; ++round) {
-    for (uint64_t i = 0; i < 16; ++i) store.read(bid(i));
+  Pages pages;
+  for (uint64_t i = 0; i < 300; ++i) pages.emplace_back(bid(i), Bytes(64, 1));
+  store.bulk_load(pages);
+  const std::vector<bool> first = written_slots(store.server(0));
+  const size_t z = store.server(0).config().bucket_capacity;
+  for (size_t i = 0; i < first.size(); ++i) EXPECT_EQ(first[i], i < 15 * z) << "slot " << i;
+  for (size_t s = 1; s < store.shard_count(); ++s) {
+    EXPECT_EQ(written_slots(store.server(s)), first) << "shard " << s;
   }
-  EXPECT_GT(store.snapshot().total_migrations, 0u);
-  EXPECT_EQ(installs.load(), 16u);
+  for (uint64_t i = 0; i < 300; i += 37) EXPECT_TRUE(store.read(bid(i)).has_value());
 }
 
 TEST(ShardedStore, ConcurrentDistinctIdsAreLinearizable) {
