@@ -1,5 +1,7 @@
 #include "oram/path_oram.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "crypto/chacha20_poly1305.hpp"
@@ -9,10 +11,8 @@ namespace hardtape::oram {
 
 namespace {
 
-// Block ids are 32 bytes inside the sealed plaintext: id || data.
-// The all-ones id marks a dummy slot.
-const u256 kDummyId = ~u256{};
-
+// A block's sealed plaintext: its 32-byte id, then its data zero-padded to
+// the block size.
 Bytes make_plaintext(const u256& id, BytesView data, size_t block_size) {
   Bytes pt;
   pt.reserve(32 + block_size);
@@ -27,6 +27,20 @@ crypto::ChaChaKey chacha_key(const crypto::AesKey128& key) {
   crypto::ChaChaKey out{};
   std::memcpy(out.data(), key.data(), key.size());
   return out;
+}
+
+// A free slot holds no block, so there is nothing to authenticate: the fresh
+// nonce a seal draws, then ChaCha20 keystream under the seal key from
+// counter 1 across the sealed shape, ciphertext then tag. The client never
+// opens one; its bucket's fill count says which slots are free.
+SealedSlot free_slot(const crypto::AesKey128& key, Random& rng, size_t ciphertext_bytes) {
+  SealedSlot slot;
+  rng.fill(slot.nonce.data(), slot.nonce.size());
+  slot.ciphertext.assign(ciphertext_bytes + slot.tag.size(), 0);
+  crypto::chacha20_xor(chacha_key(key), 1, slot.nonce, slot.ciphertext);
+  std::memcpy(slot.tag.data(), slot.ciphertext.data() + ciphertext_bytes, slot.tag.size());
+  slot.ciphertext.resize(ciphertext_bytes);
+  return slot;
 }
 
 }  // namespace
@@ -47,6 +61,17 @@ std::optional<Bytes> open_slot(SealMode /*mode*/, const crypto::AesKey128& key,
     return std::nullopt;
   }
   return plaintext;
+}
+
+size_t region_bucket(size_t index) {
+  const auto level = static_cast<size_t>(std::bit_width(index + 1) - 1);
+  const size_t first = (size_t{1} << level) - 1;  // heap index of the level's first bucket
+  size_t offset = index - first;
+  size_t reversed = 0;
+  for (size_t bit = 0; bit < level; ++bit, offset >>= 1) {
+    reversed = (reversed << 1) | (offset & 1);
+  }
+  return first + reversed;
 }
 
 // ---------------------------------------------------------------------------
@@ -120,16 +145,15 @@ void OramServer::write_path(uint64_t leaf, std::vector<SealedSlot> slots) {
 }
 
 void OramServer::load_slots(std::vector<SealedSlot> slots) {
-  // A complete top of the tree: 2^k - 1 buckets, k levels of this tree.
+  // The first k buckets in region order, Z slots each.
   const size_t z = config_.bucket_capacity;
   const size_t buckets = slots.size() / z;
-  if (slots.size() % z != 0 || buckets == 0 || buckets > bucket_count() ||
-      ((buckets + 1) & buckets) != 0) {
+  if (slots.size() % z != 0 || buckets == 0 || buckets > bucket_count()) {
     throw UsageError("oram: bulk load shape mismatch");
   }
   store_->end_walk();
-  for (size_t bucket = 0; bucket < buckets; ++bucket) {
-    store_->write_bucket(bucket, slots.data() + bucket * z);
+  for (size_t index = 0; index < buckets; ++index) {
+    store_->write_bucket(region_bucket(index), slots.data() + index * z);
   }
 }
 
@@ -160,7 +184,15 @@ uint64_t OramServer::storage_bytes() const {
 
 OramClient::OramClient(OramServer& server, const crypto::AesKey128& seal_key,
                        uint64_t rng_seed, SealMode mode)
-    : server_(server), key_(seal_key), mode_(mode), rng_(rng_seed) {}
+    : server_(server),
+      key_(seal_key),
+      mode_(mode),
+      rng_(rng_seed),
+      fill_(server.bucket_count(), 0) {
+  if (server.config().bucket_capacity > UINT8_MAX) {
+    throw UsageError("oram: bucket capacity above 255");
+  }
+}
 
 std::optional<Bytes> OramClient::read(const BlockId& id) {
   return access(id, nullptr);
@@ -217,20 +249,20 @@ void OramClient::bulk_load(const Pages& pages, std::optional<size_t> sized_for) 
     throw UsageError("oram: bulk_load requires a fresh client");
   }
   const size_t z = server_.config().bucket_capacity;
-  const size_t depth = server_.depth();
   const size_t block_size = server_.config().block_size;
   const uint64_t leaf_count = server_.leaf_count();
 
-  // The fill region: levels 0..top, the fewest complete levels whose slots
-  // hold 1.25x the pages the load is sized for.
+  // The fill region: the first buckets in region order, the fewest whose
+  // slots hold 1.25x the pages the load is sized for.
   const size_t target = sized_for.value_or(pages.size());
-  size_t top = 0;
-  while (top < depth && 4 * z * ((size_t{2} << top) - 1) < 5 * target) ++top;
-  const size_t region = (size_t{2} << top) - 1;
+  const size_t region =
+      std::clamp<size_t>((5 * target + 4 * z - 1) / (4 * z), 1, server_.bucket_count());
+  const size_t deepest = std::bit_width(region) - 1;  // level of the region's last bucket
 
   // Plan placement locally: deepest bucket with room on the page's fresh
-  // path inside the region, the stash when none has room.
-  std::vector<std::vector<const Pages::value_type*>> bucket_pages(region);
+  // path inside the region, the stash when none has room. region_bucket is
+  // its own inverse, so it also maps a heap bucket to its region index.
+  std::vector<std::vector<const Pages::value_type*>> region_pages(region);
   for (const auto& page : pages) {
     if (page.second.size() > block_size) throw UsageError("oram: block too large");
     const uint64_t leaf = rng_.uniform(leaf_count);
@@ -238,10 +270,10 @@ void OramClient::bulk_load(const Pages& pages, std::optional<size_t> sized_for) 
       throw UsageError("oram: duplicate page in bulk_load");
     }
     bool placed = false;
-    for (size_t level_plus_1 = top + 1; level_plus_1 > 0 && !placed; --level_plus_1) {
-      const size_t bucket = ((leaf_count + leaf) >> (depth - (level_plus_1 - 1))) - 1;
-      if (bucket_pages[bucket].size() < z) {
-        bucket_pages[bucket].push_back(&page);
+    for (size_t level_plus_1 = deepest + 1; level_plus_1 > 0 && !placed; --level_plus_1) {
+      const size_t index = region_bucket(server_.bucket_index(leaf, level_plus_1 - 1));
+      if (index < region && region_pages[index].size() < z) {
+        region_pages[index].push_back(&page);
         placed = true;
       }
     }
@@ -254,18 +286,19 @@ void OramClient::bulk_load(const Pages& pages, std::optional<size_t> sized_for) 
   stash_high_water_ = std::max(stash_high_water_, stash_.size());
   if (stash_.size() > server_.config().max_stash_blocks) stash_overflowed_ = true;
 
-  // Seal every region slot — each page once, a dummy in every free slot —
-  // and hand the region to the server in one shot.
-  const Bytes dummy = make_plaintext(kDummyId, BytesView{}, block_size);
+  // Seal each page once, fill every other region slot as a free slot, and
+  // hand the region to the server in one shot.
   std::vector<SealedSlot> slots(region * z);
-  for (size_t bucket = 0; bucket < region; ++bucket) {
+  for (size_t index = 0; index < region; ++index) {
+    const size_t fill = region_pages[index].size();
+    fill_[region_bucket(index)] = static_cast<uint8_t>(fill);
     for (size_t slot = 0; slot < z; ++slot) {
-      SealedSlot& sealed = slots[bucket * z + slot];
-      if (slot < bucket_pages[bucket].size()) {
-        const auto& [id, data] = *bucket_pages[bucket][slot];
+      SealedSlot& sealed = slots[index * z + slot];
+      if (slot < fill) {
+        const auto& [id, data] = *region_pages[index][slot];
         sealed = seal_slot(mode_, key_, rng_, make_plaintext(id, data, block_size));
       } else {
-        sealed = seal_slot(mode_, key_, rng_, dummy);
+        sealed = free_slot(key_, rng_, 32 + block_size);
       }
     }
   }
@@ -280,43 +313,43 @@ std::optional<Bytes> OramClient::access(
   if (!known && new_data == nullptr && mutate == nullptr) {
     // Reading an unknown id must still look like a normal access: fetch and
     // rewrite a random path (a "dummy access"), otherwise absent keys would
-    // be distinguishable by the missing traffic.
+    // be distinguishable by the missing traffic. Each block on it is resealed
+    // in place and every other slot is a fresh free slot, so the fill counts
+    // stand.
     const uint64_t leaf = rng_.uniform(server_.leaf_count());
-    const auto path = server_.read_path(leaf);
-    std::vector<SealedSlot> rewritten;
-    rewritten.reserve(path.size());
-    const size_t block_size = server_.config().block_size;
-    for (const SealedSlot& slot : path) {
-      if (slot.ciphertext.empty()) {  // never-written slot: seal a dummy
-        rewritten.push_back(
-            seal_slot(mode_, key_, rng_, make_plaintext(kDummyId, BytesView{}, block_size)));
-        continue;
+    auto path = server_.read_path(leaf);
+    const size_t z = server_.config().bucket_capacity;
+    for (size_t level = 0; level <= server_.depth(); ++level) {
+      const size_t fill = fill_[server_.bucket_index(leaf, level)];
+      for (size_t slot = 0; slot < z; ++slot) {
+        SealedSlot& sealed = path[level * z + slot];
+        sealed = slot < fill ? seal_slot(mode_, key_, rng_, open_block(sealed))
+                             : free_slot(key_, rng_, 32 + server_.config().block_size);
       }
-      const auto pt = open_slot(mode_, key_, slot);
-      if (!pt.has_value()) throw IntegrityError("oram: slot authentication failed");
-      rewritten.push_back(seal_slot(mode_, key_, rng_, *pt));
     }
-    server_.write_path(leaf, std::move(rewritten));
+    server_.write_path(leaf, std::move(path));
     return std::nullopt;
   }
 
   const uint64_t leaf = known ? pos_it->second : rng_.uniform(server_.leaf_count());
 
-  // 1. Read the path and pull every real block into the stash.
+  // 1. Read the path and pull every block on it into the stash: the first
+  // fill-count slots of each bucket. The free slots are never opened.
   const auto path = server_.read_path(leaf);
-  for (const SealedSlot& slot : path) {
-    if (slot.ciphertext.empty()) continue;  // uninitialized slot
-    const auto pt = open_slot(mode_, key_, slot);
-    if (!pt.has_value()) throw IntegrityError("oram: slot authentication failed");
-    const u256 slot_id = u256::from_be_bytes(BytesView{pt->data(), 32});
-    if (slot_id == kDummyId) continue;
-    const auto slot_pos = position_.find(slot_id);
-    if (slot_pos == position_.end()) continue;  // stale copy of an id that moved
-    if (stash_.contains(slot_id)) continue;     // newer copy already stashed
-    StashEntry entry;
-    entry.data.assign(pt->begin() + 32, pt->end());
-    entry.leaf = slot_pos->second;
-    stash_.emplace(slot_id, std::move(entry));
+  const size_t z = server_.config().bucket_capacity;
+  for (size_t level = 0; level <= server_.depth(); ++level) {
+    const size_t fill = fill_[server_.bucket_index(leaf, level)];
+    for (size_t slot = 0; slot < fill; ++slot) {
+      const Bytes pt = open_block(path[level * z + slot]);
+      const u256 slot_id = u256::from_be_bytes(BytesView{pt.data(), 32});
+      const auto slot_pos = position_.find(slot_id);
+      if (slot_pos == position_.end()) continue;  // stale copy of an id that moved
+      if (stash_.contains(slot_id)) continue;     // newer copy already stashed
+      StashEntry entry;
+      entry.data.assign(pt.begin() + 32, pt.end());
+      entry.leaf = slot_pos->second;
+      stash_.emplace(slot_id, std::move(entry));
+    }
   }
 
   if (remove) {
@@ -374,7 +407,7 @@ void OramClient::evict_along_path(uint64_t leaf) {
   const size_t block_size = server_.config().block_size;
   std::vector<SealedSlot> path((depth + 1) * z);
 
-  // Deepest level first.
+  // Deepest level first; each bucket fills from slot 0.
   for (size_t level_plus_1 = depth + 1; level_plus_1 > 0; --level_plus_1) {
     const size_t level = level_plus_1 - 1;
     size_t filled = 0;
@@ -391,12 +424,19 @@ void OramClient::evict_along_path(uint64_t leaf) {
         ++it;
       }
     }
-    for (; filled < z; ++filled) {
-      const Bytes pt = make_plaintext(kDummyId, BytesView{}, block_size);
-      path[level * z + filled] = seal_slot(mode_, key_, rng_, pt);
-    }
+    fill_[server_.bucket_index(leaf, level)] = static_cast<uint8_t>(filled);
+    for (; filled < z; ++filled) path[level * z + filled] = free_slot(key_, rng_, 32 + block_size);
   }
   server_.write_path(leaf, std::move(path));
+}
+
+Bytes OramClient::open_block(const SealedSlot& slot) const {
+  std::optional<Bytes> pt;
+  if (slot.ciphertext.size() == 32 + server_.config().block_size) {
+    pt = open_slot(mode_, key_, slot);
+  }
+  if (!pt.has_value()) throw IntegrityError("oram: slot authentication failed");
+  return std::move(*pt);
 }
 
 }  // namespace hardtape::oram

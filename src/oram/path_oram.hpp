@@ -3,15 +3,24 @@
 //
 // Client/server split per the paper: the SP runs the OramServer (the bucket
 // tree, stored encrypted); the trusted Hypervisor embeds the OramClient
-// (stash + position map, kept on-chip). What the adversary observes is the
-// server side only: a sequence of uniformly random root-to-leaf paths, each
-// read and rewritten in full with freshly re-encrypted slots — independent
-// of which logical page was touched (threat A7). An AEAD seal on every slot
-// gives confidentiality and integrity (threat A6), replacing per-query
-// Merkle proofs. The paper seals with AES-GCM; this reproduction seals with
+// (stash, position map and a one-byte fill count per bucket, kept on-chip).
+// What the adversary observes is the server side only: a sequence of
+// uniformly random root-to-leaf paths, each read and rewritten in full with
+// fresh bytes in every slot — independent of which logical page was touched
+// (threat A7). An AEAD seal on every slot that holds a block gives
+// confidentiality and integrity (threat A6), replacing per-query Merkle
+// proofs. The paper seals with AES-GCM; this reproduction seals with
 // ChaCha20-Poly1305 (RFC 8439), one keystream pass per slot, because slot
 // sealing is nearly all of the host's ORAM time and the figures come from
 // the cost models, not from host crypto speed (DESIGN.md §1).
+//
+// Free slots (DESIGN.md §10): a bucket's blocks sit in its first `fill`
+// slots, and the client keeps that count. A walk opens only those and fails
+// closed when one is empty, mis-sized or fails its tag; every other slot it
+// writes is a free slot — a fresh nonce and ChaCha20 keystream of the sealed
+// shape, never opened, so altering one changes nothing the client reads.
+// The SP sees the same paths, slot shapes and fresh bytes as with a sealed
+// dummy in every free slot.
 //
 // The block size is 1 KB (the paper's page size): large enough for the
 // O(log^2 n)-bit bound that makes the bandwidth overhead O(log n), and equal
@@ -87,6 +96,13 @@ SealedSlot seal_slot(SealMode mode, const crypto::AesKey128& key, Random& rng,
 std::optional<Bytes> open_slot(SealMode mode, const crypto::AesKey128& key,
                                const SealedSlot& slot);
 
+/// The bulk-load region order (OramClient::bulk_load): whole levels from the
+/// root down, each level's buckets in bit-reversed order, so a region that
+/// ends partway through a level spreads over it evenly. Maps region index
+/// `index` to its heap bucket index; the map is its own inverse, so it also
+/// takes a heap bucket to its region index.
+size_t region_bucket(size_t index);
+
 /// The untrusted server: a complete binary tree of buckets holding opaque
 /// sealed slots. Records everything an adversary in the SP's position could
 /// observe (the leaf/path sequence and access count).
@@ -106,10 +122,10 @@ class OramServer {
   std::vector<SealedSlot> read_path(uint64_t leaf);
   /// Replaces the path with re-encrypted slots (same shape as read_path).
   void write_path(uint64_t leaf, std::vector<SealedSlot> slots);
-  /// Bulk load (OramClient::bulk_load): writes a complete top of the tree —
-  /// buckets 0..2^k-2 in heap order, Z slots each, for some k in
-  /// 1..depth()+1 — and leaves every bucket below it never-written. A load
-  /// is not an access: it adds nothing to the observed-leaf trace.
+  /// Bulk load (OramClient::bulk_load): writes the first k buckets in region
+  /// order (region_bucket), Z slots each, for some k in 1..bucket_count(),
+  /// and leaves every other bucket never-written. A load is not an access:
+  /// it adds nothing to the observed-leaf trace.
   void load_slots(std::vector<SealedSlot> slots);
 
   // --- the adversary's view / statistics ---
@@ -124,13 +140,12 @@ class OramServer {
   std::vector<SealedSlot> stored_bucket(size_t bucket) const;
   /// Buffer-pool statistics of the paged slot backend; nullopt under kRam.
   std::optional<pagedstore::BufferPoolStats> slot_pool_stats() const;
-
- private:
-  // Heap-style bucket index of the level-`level` ancestor of `leaf`.
+  /// Heap-style bucket index of the level-`level` ancestor of `leaf`.
   size_t bucket_index(uint64_t leaf, size_t level) const {
     return ((leaf_count_ + leaf) >> (depth_ - level)) - 1;
   }
 
+ private:
   OramConfig config_;
   size_t depth_;
   size_t leaf_count_;
@@ -230,13 +245,14 @@ class OramClient : public OramAccessor {
   /// or a recovered image alike. The load rule:
   ///  1. every page draws a fresh uniform leaf (positions are never carried
   ///     across a crash);
-  ///  2. the fill region is the complete top levels 0..t of the tree, t the
-  ///     smallest level whose Z*(2^(t+1)-1) slots hold 1.25x `sized_for`
-  ///     pages (capped at the whole tree);
+  ///  2. the fill region is the first k buckets in region order
+  ///     (region_bucket), k the fewest whose Z*k slots hold 1.25x
+  ///     `sized_for` pages (at least 1, capped at the whole tree);
   ///  3. each page goes into the deepest bucket on its path inside the
   ///     region, the stash when that part of the path is full;
-  ///  4. every free region slot gets a sealed dummy;
-  ///  5. only the region goes to the server; the buckets below it stay
+  ///  4. each page is sealed once, from slot 0 of its bucket, and every
+  ///     other region slot is a free slot (fresh keystream, never opened);
+  ///  5. only the region goes to the server; the other buckets stay
   ///     never-written, as in a fresh tree.
   /// So what the SP sees depends on `sized_for` and the geometry alone —
   /// never on where the leaves fell, which would mark the first touch of a
@@ -267,11 +283,18 @@ class OramClient : public OramAccessor {
                               const std::function<Bytes(std::optional<Bytes>)>* mutate = nullptr,
                               bool remove = false);
   void evict_along_path(uint64_t leaf);
+  /// Opens a slot its bucket's fill count says holds a block; throws
+  /// IntegrityError when the SP emptied, resized or altered it.
+  Bytes open_block(const SealedSlot& slot) const;
 
   OramServer& server_;
   crypto::AesKey128 key_;
   SealMode mode_;
   Random rng_;
+  /// Per heap bucket, how many of its Z slots hold blocks: slots [0, fill),
+  /// since eviction and bulk_load fill a bucket from slot 0. Every other slot
+  /// is free. Trusted state beside the position map, one byte per bucket.
+  std::vector<uint8_t> fill_;
   std::unordered_map<BlockId, uint64_t, U256Hasher> position_;
   std::unordered_map<BlockId, StashEntry, U256Hasher> stash_;
   size_t stash_high_water_ = 0;

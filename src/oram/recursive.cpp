@@ -5,6 +5,9 @@
 namespace hardtape::oram {
 
 namespace {
+// The data tree keeps a sealed dummy in every free slot, marked by this id,
+// where OramClient keeps a per-bucket fill count: recursion exists to leave
+// only the stash on-chip, and a count per bucket is O(n) trusted state.
 const u256 kDummyId = ~u256{};
 
 // Data blocks carry their current leaf in the sealed header (id || leaf ||

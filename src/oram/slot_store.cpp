@@ -97,7 +97,7 @@ void PagedSlotStore::read_bucket(size_t bucket, std::vector<SealedSlot>& out) {
   const u256 id = bucket_page_id(bucket);
   if (!store_.contains(id)) {
     // Never-written bucket: Z empty-ciphertext slots, exactly what a fresh
-    // RAM tree holds (every access already treats those as dummies).
+    // RAM tree holds (its fill count is 0, so no walk opens them).
     out.resize(out.size() + z_);
     return;
   }

@@ -12,9 +12,9 @@
 // verifier — the same kIntegrity-class refusal a tampered slot seal gets.
 //
 // A bulk load (OramClient::bulk_load) writes only the pages of its fill
-// region, the top of the tree; a bucket below it gets its page on the first
-// walk through it. So the paged segments hold the region plus the buckets
-// walks have rewritten, and never-written buckets cost nothing.
+// region, the first buckets in region order; any other bucket gets its page
+// on the first walk through it. So the paged segments hold the region plus
+// the buckets walks have rewritten, and never-written buckets cost nothing.
 //
 // The slot store needs NO write-ahead log: the bucket tree is rebuilt on
 // warm restart (bulk_load draws fresh leaves; positions are never carried

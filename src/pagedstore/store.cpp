@@ -74,17 +74,18 @@ void PagedStore::set_locator(const u256& id, const PageLocator& loc) {
   entry.loc = loc;
 }
 
-Bytes PagedStore::load_page(const u256& id) const {
-  const auto it = table_.find(id);
-  if (it == table_.end() || !it->second.loc.has_value()) {
-    throw UsageError("pagedstore: load of a page with no persisted version");
-  }
-  auto page = read_page_at(fs_, config_.name, *it->second.loc, id);
-  if (!page.has_value()) {
-    throw IntegrityError("pagedstore: page 0x" + id.to_hex() +
-                         " failed verification (torn or corrupt segment record)");
-  }
-  return std::move(page->payload);
+BufferPool::PageRef PagedStore::fetch(const u256& id, const Entry& entry) {
+  return pool_.fetch(id, [this, &id, &entry] {
+    if (!entry.loc.has_value()) {
+      throw UsageError("pagedstore: load of a page with no persisted version");
+    }
+    auto page = read_page_at(fs_, config_.name, *entry.loc, id);
+    if (!page.has_value()) {
+      throw IntegrityError("pagedstore: page 0x" + id.to_hex() +
+                           " failed verification (torn or corrupt segment record)");
+    }
+    return std::move(page->payload);
+  });
 }
 
 void PagedStore::put(const u256& id, BytesView payload) {
@@ -93,22 +94,23 @@ void PagedStore::put(const u256& id, BytesView payload) {
 }
 
 std::optional<Bytes> PagedStore::get(const u256& id) {
-  if (!table_.contains(id)) return std::nullopt;
-  auto ref = pool_.fetch(id, [this, &id] { return load_page(id); });
-  return ref.data();
+  const auto it = table_.find(id);
+  if (it == table_.end()) return std::nullopt;
+  return fetch(id, it->second).data();
 }
 
 BufferPool::PageRef PagedStore::pin(const u256& id) {
-  if (!table_.contains(id)) {
+  const auto it = table_.find(id);
+  if (it == table_.end()) {
     throw UsageError("pagedstore: pin of an absent page");
   }
-  return pool_.fetch(id, [this, &id] { return load_page(id); });
+  return fetch(id, it->second);
 }
 
 BufferPool::PageRef PagedStore::pin_or_create(const u256& id,
                                               const std::function<Bytes()>& init) {
-  if (table_.contains(id)) return pin(id);
-  table_.try_emplace(id);
+  const auto [it, created] = table_.try_emplace(id);
+  if (!created) return fetch(id, it->second);
   return pool_.insert(id, init(), /*dirty=*/true);
 }
 
@@ -168,6 +170,8 @@ std::vector<std::pair<u256, PageLocator>> PagedStore::locators() const {
     }
     out.emplace_back(id, *entry.loc);
   }
+  std::sort(out.begin(), out.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   return out;
 }
 

@@ -37,6 +37,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -142,12 +143,15 @@ class PagedStore {
   PageLocator append_record_locked(const u256& id, const Bytes& payload);
   void set_locator(const u256& id, const PageLocator& loc);
   void drop_locator_ref(const PageLocator& loc);
-  Bytes load_page(const u256& id) const;
+  /// Pins `id`, whose table entry is `entry`, loading its persisted version
+  /// on a pool miss. The entry stays put while the pool evicts: the table
+  /// is node-based, so no insertion moves it.
+  BufferPool::PageRef fetch(const u256& id, const Entry& entry);
 
   durability::SimFs& fs_;
   PagedStoreConfig config_;
   uint64_t generation_ = 0;
-  std::map<u256, Entry> table_;  ///< ordered: deterministic manifests
+  std::unordered_map<u256, Entry, U256Hasher> table_;  ///< locators() sorts by id
   uint64_t current_segment_ = 0;
   uint64_t current_segment_bytes_ = 0;
   uint64_t bytes_appended_ = 0;

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <map>
+#include <set>
 #include <thread>
 
 #include "crypto/keccak.hpp"
@@ -275,15 +277,28 @@ TEST(OramClient, BulkRestoreRequiresFreshClient) {
 }
 
 TEST(OramServer, BulkLoadShapeValidated) {
-  // 16 leaves: 31 buckets of Z = 4. A load is a complete top of the tree.
+  // 16 leaves: 31 buckets of Z = 4. A load is the first k buckets in region
+  // order, 0 < k <= 31.
   OramServer server(OramConfig{.block_size = 32, .bucket_capacity = 4, .capacity = 16});
   EXPECT_THROW(server.load_slots({}), UsageError);
-  EXPECT_THROW(server.load_slots(std::vector<SealedSlot>(2 * 4)), UsageError);   // 2 buckets
   EXPECT_THROW(server.load_slots(std::vector<SealedSlot>(3 * 4 + 1)), UsageError);
+  EXPECT_THROW(server.load_slots(std::vector<SealedSlot>(32 * 4)), UsageError);  // too many
   EXPECT_THROW(server.load_slots(std::vector<SealedSlot>(63 * 4)), UsageError);  // too deep
-  server.load_slots(std::vector<SealedSlot>(3 * 4));                               // levels 0-1
-  server.load_slots(std::vector<SealedSlot>(31 * 4));                              // whole tree
+  server.load_slots(std::vector<SealedSlot>(2 * 4));   // the root and one level-1 bucket
+  server.load_slots(std::vector<SealedSlot>(3 * 4));   // levels 0-1
+  server.load_slots(std::vector<SealedSlot>(31 * 4));  // whole tree
   EXPECT_EQ(server.access_count(), 0u);
+}
+
+TEST(OramServer, RegionOrderIsLevelByLevelBitReversed) {
+  // Level 2 is heap 3..6, level 3 heap 7..14: offsets in bit-reversed order.
+  const std::vector<size_t> expected = {0, 1, 2, 3, 5, 4, 6, 7, 11, 9, 13, 8, 12, 10, 14, 15};
+  for (size_t index = 0; index < expected.size(); ++index) {
+    EXPECT_EQ(region_bucket(index), expected[index]) << "region index " << index;
+  }
+  for (size_t index = 0; index < 4096; ++index) {
+    EXPECT_EQ(region_bucket(region_bucket(index)), index) << "region index " << index;
+  }
 }
 
 // The SP's view of a tree after a bulk load: which slots hold ciphertext.
@@ -298,27 +313,49 @@ std::vector<bool> written_slots(const OramServer& server) {
 }
 
 TEST(OramClient, BulkLoadLayoutHidesTheLeaves) {
-  // 175 pages, 1.25x = 219 slots: levels 0..5 (63 buckets, 252 slots) of a
-  // 2048-leaf tree. The layout may depend on the page count alone.
+  // 175 pages, 1.25x = 219 slots: the first 55 buckets in region order of a
+  // 2048-leaf tree, levels 0..4 (31 buckets) and 24 of level 5's 32 — in
+  // bit-reversed order, all of level 5 but the offsets that are 3 mod 4.
+  // The layout may depend on the page count alone.
   const OramConfig config{.block_size = 64, .bucket_capacity = 4, .capacity = 2048};
+  const size_t z = config.bucket_capacity;
+  const auto in_region = [](size_t bucket) {
+    return bucket < 31 || (bucket < 63 && (bucket - 31) % 4 != 3);
+  };
   Pages pages;
-  for (uint64_t i = 0; i < 175; ++i) pages.emplace_back(bid(i), Bytes(8, 1));
+  std::map<u256, uint8_t> contents;
+  for (uint64_t i = 0; i < 175; ++i) {
+    pages.emplace_back(bid(i), Bytes(8, static_cast<uint8_t>(i)));
+    contents[bid(i)] = static_cast<uint8_t>(i);
+  }
   std::vector<std::vector<bool>> layouts;
   for (const uint64_t seed : {1, 2}) {
     OramServer server(config);
     OramClient client(server, test_key(), seed, SealMode::kChaChaHmac);
     client.bulk_load(pages);
     const std::vector<bool> layout = written_slots(server);
-    const size_t region_slots = 63 * config.bucket_capacity;
     for (size_t i = 0; i < layout.size(); ++i) {
-      EXPECT_EQ(layout[i], i < region_slots) << "slot " << i << ", seed " << seed;
+      EXPECT_EQ(layout[i], in_region(i / z)) << "slot " << i << ", seed " << seed;
     }
-    // Every region slot is a sealed, authentic page or dummy.
+    // Every region slot has the sealed shape, but only the loaded pages'
+    // slots open, each to its page: the rest are free slots, keystream the
+    // client never opens.
+    std::set<u256> opened;
     for (size_t bucket = 0; bucket < 63; ++bucket) {
+      if (!in_region(bucket)) continue;
       for (const SealedSlot& slot : server.stored_bucket(bucket)) {
-        EXPECT_TRUE(open_slot(SealMode::kChaChaHmac, test_key(), slot).has_value());
+        EXPECT_EQ(slot.ciphertext.size(), 32 + config.block_size);
+        const auto pt = open_slot(SealMode::kChaChaHmac, test_key(), slot);
+        if (!pt.has_value()) continue;
+        const u256 id = u256::from_be_bytes(BytesView{pt->data(), 32});
+        ASSERT_TRUE(contents.contains(id)) << "bucket " << bucket << ", seed " << seed;
+        Bytes page(8, contents[id]);
+        page.resize(config.block_size, 0);
+        EXPECT_EQ(Bytes(pt->begin() + 32, pt->end()), page);
+        EXPECT_TRUE(opened.insert(id).second) << "page sealed twice";
       }
     }
+    EXPECT_EQ(opened.size() + client.stash_size(), pages.size()) << "seed " << seed;
     layouts.push_back(layout);
   }
   EXPECT_EQ(layouts[0], layouts[1]);
@@ -362,6 +399,148 @@ TEST(OramClient, FirstTouchAfterBulkLoadLooksLikeAMiss) {
     // reads 175 for first touches.
     EXPECT_LT(first_touches, 30u) << "seed " << seed;
     EXPECT_LT(misses, 30u) << "seed " << seed;
+  }
+}
+
+// --- free slots: each walk opens only the slots its fill counts name ---
+
+OramConfig walk_config() {
+  return OramConfig{.block_size = 64, .bucket_capacity = 4, .capacity = 256,
+                    .max_stash_blocks = 64};
+}
+
+// Acts as the SP on its own storage: applies `edit` to every stored slot
+// once, through path reads and rewrites the client never sees.
+void sp_edit_slots(OramServer& server,
+                   const std::function<void(size_t bucket, size_t slot, SealedSlot&)>& edit) {
+  const size_t z = server.config().bucket_capacity;
+  std::vector<bool> seen(server.bucket_count());
+  for (uint64_t leaf = 0; leaf < server.leaf_count(); ++leaf) {
+    auto path = server.read_path(leaf);
+    for (size_t level = 0; level <= server.depth(); ++level) {
+      const size_t bucket = server.bucket_index(leaf, level);
+      if (seen[bucket]) continue;
+      seen[bucket] = true;
+      for (size_t slot = 0; slot < z; ++slot) edit(bucket, slot, path[level * z + slot]);
+    }
+    server.write_path(leaf, std::move(path));
+  }
+}
+
+bool opens(const SealedSlot& slot) {
+  return open_slot(SealMode::kChaChaHmac, test_key(), slot).has_value();
+}
+
+TEST(OramClient, EveryWalkRewritesEverySlotOfItsPath) {
+  OramServer server(walk_config());
+  OramClient client(server, test_key(), 42, SealMode::kChaChaHmac);
+  for (uint64_t i = 0; i < 64; ++i) client.write(bid(i), Bytes{static_cast<uint8_t>(i)});
+  const size_t z = server.config().bucket_capacity;
+  const std::vector<std::function<void()>> walks = {
+      [&] { (void)client.read(bid(3)); },                  // a known block
+      [&] { client.write(bid(4), Bytes{9}); },             // an update
+      [&] { client.write(bid(500), Bytes{1}); },           // an install
+      [&] { (void)client.read(bid(1'000'000)); },          // a miss
+      [&] { (void)client.access_remove(bid(5)); },         // an out-migration
+  };
+  size_t real = 0, free = 0;
+  for (size_t w = 0; w < walks.size(); ++w) {
+    std::vector<std::vector<SealedSlot>> before;
+    for (size_t b = 0; b < server.bucket_count(); ++b) before.push_back(server.stored_bucket(b));
+    walks[w]();
+    const uint64_t leaf = server.observed_leaves().back();
+    for (size_t level = 0; level <= server.depth(); ++level) {
+      const size_t bucket = server.bucket_index(leaf, level);
+      const std::vector<SealedSlot> after = server.stored_bucket(bucket);
+      for (size_t slot = 0; slot < z; ++slot) {
+        const SealedSlot& old_slot = before[bucket][slot];
+        EXPECT_NE(after[slot].nonce, old_slot.nonce) << "walk " << w << ", level " << level;
+        EXPECT_NE(after[slot].ciphertext, old_slot.ciphertext) << "walk " << w;
+        EXPECT_NE(after[slot].tag, old_slot.tag) << "walk " << w;
+        EXPECT_EQ(after[slot].ciphertext.size(), 32 + server.config().block_size);
+        ++(opens(after[slot]) ? real : free);
+      }
+    }
+  }
+  EXPECT_GT(real, 0u);
+  EXPECT_GT(free, 0u);
+}
+
+TEST(OramClient, WalksNeverOpenAFreeSlot) {
+  OramServer server(walk_config());
+  OramClient client(server, test_key(), 42, SealMode::kChaChaHmac);
+  std::map<u256, uint8_t> expected;
+  for (uint64_t i = 0; i < 64; ++i) {
+    client.write(bid(i), Bytes{static_cast<uint8_t>(i + 1)});
+    expected[bid(i)] = static_cast<uint8_t>(i + 1);
+  }
+  // Every free slot the SP holds altered — nonce, ciphertext and tag — before
+  // each round of reads: no read notices.
+  for (int round = 0; round < 3; ++round) {
+    size_t tampered = 0;
+    sp_edit_slots(server, [&](size_t, size_t, SealedSlot& slot) {
+      if (slot.ciphertext.empty() || opens(slot)) return;
+      slot.nonce[0] ^= 1;
+      slot.ciphertext[5] ^= 1;
+      slot.tag[15] ^= 1;
+      ++tampered;
+    });
+    EXPECT_GT(tampered, 100u) << "round " << round;
+    for (const auto& [id, value] : expected) {
+      const AccessAttempt attempt = client.try_read(id);
+      ASSERT_EQ(attempt.status, Status::kOk) << "round " << round;
+      ASSERT_TRUE(attempt.data.has_value());
+      EXPECT_EQ((*attempt.data)[0], value);
+    }
+    EXPECT_EQ(client.try_read(bid(1'000'000 + round)).status, Status::kOk);  // a miss
+  }
+  // One byte flipped in a slot that holds a block fails the next walk over it.
+  std::optional<u256> victim;
+  sp_edit_slots(server, [&](size_t, size_t, SealedSlot& slot) {
+    if (victim.has_value() || slot.ciphertext.empty()) return;
+    const auto pt = open_slot(SealMode::kChaChaHmac, test_key(), slot);
+    if (!pt.has_value()) return;
+    victim = u256::from_be_bytes(BytesView{pt->data(), 32});
+    slot.ciphertext[40] ^= 1;
+  });
+  ASSERT_TRUE(victim.has_value());
+  EXPECT_EQ(client.try_read(*victim).status, Status::kAuthFailed);
+}
+
+TEST(OramClient, EmptiedRealSlotFailsTheWalkThatReadsIt) {
+  OramServer server(walk_config());
+  OramClient client(server, test_key(), 42, SealMode::kChaChaHmac);
+  for (uint64_t i = 0; i < 64; ++i) client.write(bid(i), Bytes{static_cast<uint8_t>(i + 1)});
+  // The shallowest slot holding a block; the SP empties it.
+  size_t target_bucket = 0, target_slot = 0;
+  bool found = false;
+  for (size_t bucket = 0; bucket < server.bucket_count() && !found; ++bucket) {
+    const std::vector<SealedSlot> slots = server.stored_bucket(bucket);
+    for (size_t slot = 0; slot < slots.size() && !found; ++slot) {
+      if (!slots[slot].ciphertext.empty() && opens(slots[slot])) {
+        target_bucket = bucket;
+        target_slot = slot;
+        found = true;
+      }
+    }
+  }
+  ASSERT_TRUE(found);
+  sp_edit_slots(server, [&](size_t bucket, size_t slot, SealedSlot& sealed) {
+    if (bucket == target_bucket && slot == target_slot) sealed = SealedSlot{};
+  });
+  // Misses walk uniform leaves: those off the bucket succeed, and the first
+  // over it fails closed rather than dropping the block it held.
+  const size_t level = std::bit_width(target_bucket + 1) - 1;
+  for (uint64_t k = 0;; ++k) {
+    ASSERT_LT(k, 10'000u) << "no walk reached the emptied bucket";
+    const Status status = client.try_read(bid(1'000'000 + k)).status;
+    const uint64_t leaf = server.observed_leaves().back();
+    if (server.bucket_index(leaf, level) != target_bucket) {
+      ASSERT_EQ(status, Status::kOk) << "walk " << k;
+      continue;
+    }
+    EXPECT_EQ(status, Status::kAuthFailed) << "walk " << k;
+    break;
   }
 }
 
@@ -726,15 +905,19 @@ TEST(ShardedStore, BulkRestorePartitionsAndServes) {
 
 TEST(ShardedStore, BulkLoadRegionIsTheSameOnEveryShard) {
   // 8 shards draw a multinomial split of 300 pages, but every shard's region
-  // is sized for ceil(300 / 8) = 38 pages: 1.25x needs 48 slots, so levels
-  // 0..3 (15 buckets, 60 slots).
+  // is sized for ceil(300 / 8) = 38 pages: 1.25x needs 48 slots, so the
+  // first 12 buckets in region order, levels 0..2 (heap 0..6) and 5 of
+  // level 3's 8 (offsets 0, 4, 2, 6, 1 bit-reversed: heap 7, 11, 9, 13, 8).
   auto store = make_sharded(8);
   Pages pages;
   for (uint64_t i = 0; i < 300; ++i) pages.emplace_back(bid(i), Bytes(64, 1));
   store.bulk_load(pages);
   const std::vector<bool> first = written_slots(store.server(0));
   const size_t z = store.server(0).config().bucket_capacity;
-  for (size_t i = 0; i < first.size(); ++i) EXPECT_EQ(first[i], i < 15 * z) << "slot " << i;
+  const std::set<size_t> region = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 13};
+  for (size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i], region.contains(i / z)) << "slot " << i;
+  }
   for (size_t s = 1; s < store.shard_count(); ++s) {
     EXPECT_EQ(written_slots(store.server(s)), first) << "shard " << s;
   }
