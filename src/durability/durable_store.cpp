@@ -15,7 +15,6 @@ DurableStore::DurableStore(SimFs& fs, DurableConfig config)
     // Published manifests keep referencing old segments until the manifest
     // itself is retired; GC runs against the surviving-manifest keep set.
     ps.auto_gc_segments = false;
-    ps.registry = config_.registry;
     paged_.emplace(fs_, std::move(ps));
   }
   journal_.emplace(fs_, checkpoint::journal_path(0), /*start_seq=*/0);
@@ -81,14 +80,7 @@ void DurableStore::log_page_install(const u256& page_id, BytesView data) {
       // persist whatever dirty pool copy the page had (its committed-but-
       // unflushed truth) and remember that locator as the undo point; then
       // overwrite in place. Commit keeps the new version; abort reverts.
-      if (!undo_.contains(page_id)) {
-        if (paged_->contains(page_id)) {
-          paged_->force_persist(page_id);
-          undo_[page_id] = paged_->durable_locator(page_id);
-        } else {
-          undo_[page_id] = std::nullopt;
-        }
-      }
+      if (!undo_.contains(page_id)) undo_[page_id] = paged_->force_persist(page_id);
       paged_->put(page_id, data);
       staged_pages_[page_id] = Bytes{};  // membership only
     } else {

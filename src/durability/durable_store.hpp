@@ -54,8 +54,7 @@ struct DurableConfig {
   /// metadata), not O(state), and mirror RAM is capped at the pool budget.
   /// false = the seed behavior: full-image v1 snapshots from a RAM mirror.
   bool incremental_checkpoints = false;
-  size_t buffer_pool_pages = 64;      ///< paged mirror's hard RAM cap
-  obs::Registry* registry = nullptr;  ///< buffer-pool metrics (optional)
+  size_t buffer_pool_pages = 64;  ///< paged mirror's hard RAM cap
 };
 
 class DurableStore final : public oram::EpochListener {

@@ -100,7 +100,6 @@ OramServer::OramServer(const OramConfig& config) : config_(config) {
       pagedstore::PagedStoreConfig ps;
       ps.name = config.backing_name;
       ps.buffer_pool_pages = config.buffer_pool_pages;
-      ps.registry = config.registry;
       // Walk working set: every bucket of one path stays pinned from
       // read_path to write_path, plus slack for the rewrite's fetches.
       store_ = std::make_unique<PagedSlotStore>(*config.backing_fs, std::move(ps),

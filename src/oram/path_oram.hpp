@@ -71,7 +71,6 @@ struct OramConfig {
   /// slack) when set lower.
   size_t buffer_pool_pages = 64;
   std::string backing_name = "oram";  ///< segment file prefix
-  obs::Registry* registry = nullptr;  ///< pool metrics (optional)
 };
 
 /// Slot sealing. There is one seal: ChaCha20-Poly1305 (RFC 8439) with empty

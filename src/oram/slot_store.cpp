@@ -94,14 +94,13 @@ void PagedSlotStore::deserialize_bucket(BytesView payload,
 }
 
 void PagedSlotStore::read_bucket(size_t bucket, std::vector<SealedSlot>& out) {
-  const u256 id = bucket_page_id(bucket);
-  if (!store_.contains(id)) {
+  const auto page = store_.pin(bucket_page_id(bucket));
+  if (!page) {
     // Never-written bucket: Z empty-ciphertext slots, exactly what a fresh
     // RAM tree holds (its fill count is 0, so no walk opens them).
     out.resize(out.size() + z_);
     return;
   }
-  auto page = store_.pin(id);
   deserialize_bucket(page.data(), out);
 }
 
@@ -113,10 +112,11 @@ void PagedSlotStore::begin_walk(const std::vector<size_t>& buckets) {
   walk_pins_.clear();
   walk_pins_.reserve(buckets.size());
   for (const size_t bucket : buckets) {
-    const u256 id = bucket_page_id(bucket);
     // Never-written buckets have no page yet; they materialize when the walk
-    // rewrites the path (write_bucket pins-and-releases through put).
-    if (store_.contains(id)) walk_pins_.push_back(store_.pin(id));
+    // rewrites the path (write_bucket installs them through put).
+    if (auto page = store_.pin(bucket_page_id(bucket))) {
+      walk_pins_.push_back(std::move(page));
+    }
   }
 }
 

@@ -1,15 +1,19 @@
 // Backing array of the OramServer's bucket tree, behind an interface so the
 // tree can live either in RAM (the seed behavior) or on checksummed pages
-// under a bounded buffer pool (DESIGN.md §16).
+// of a pagedstore::PagedStore under its hard resident-page cap (DESIGN.md
+// §16).
 //
 // The paged backend maps ONE BUCKET to ONE PAGE: page id = bucket index,
 // payload = the bucket's Z sealed slots serialized back to back. A path walk
 // (read_path .. write_path) brackets its buckets with begin_walk/end_walk so
 // their pages stay PINNED for the whole walk — eviction proceeds around an
 // in-flight walk, and a pool too small for depth+1 pins fails closed with
-// PoolExhaustedError instead of silently overcommitting. Torn or corrupt
-// segment records surface as IntegrityError from the PagedStore page
-// verifier — the same kIntegrity-class refusal a tampered slot seal gets.
+// PoolExhaustedError instead of silently overcommitting. Each begin_walk
+// pin, read_bucket and write_bucket looks its bucket up once in the store's
+// page table; a never-written bucket comes back as an empty pin. The shard's
+// walk lock serializes every call. Torn or corrupt segment records surface
+// as IntegrityError from the PagedStore page verifier — the same
+// kIntegrity-class refusal a tampered slot seal gets.
 //
 // A bulk load (OramClient::bulk_load) writes only the pages of its fill
 // region, the first buckets in region order; any other bucket gets its page
@@ -90,9 +94,9 @@ class PagedSlotStore final : public SlotStore {
   Bytes serialize_bucket(const SealedSlot* slots) const;
   void deserialize_bucket(BytesView payload, std::vector<SealedSlot>& out) const;
 
-  mutable pagedstore::PagedStore store_;
+  pagedstore::PagedStore store_;
   size_t z_;
-  std::vector<pagedstore::BufferPool::PageRef> walk_pins_;
+  std::vector<pagedstore::PagedStore::PageRef> walk_pins_;
 };
 
 }  // namespace hardtape::oram

@@ -7,14 +7,17 @@
 
 namespace hardtape::pagedstore {
 
+namespace {
+
+constexpr uint64_t kSegmentTargetBytes = 1 << 20;
+
+}  // namespace
+
 PagedStore::PagedStore(durability::SimFs& fs, PagedStoreConfig config)
-    : fs_(fs),
-      config_(std::move(config)),
-      pool_(config_.buffer_pool_pages,
-            [this](const u256& id, const Bytes& payload) {
-              set_locator(id, append_record_locked(id, payload));
-            },
-            config_.registry, config_.name) {
+    : fs_(fs), config_(std::move(config)) {
+  if (config_.buffer_pool_pages == 0) {
+    throw UsageError("pagedstore: zero buffer pool capacity");
+  }
   // Resume past any segments a previous incarnation left behind — appending
   // into an existing file would corrupt every locator pointing into it.
   const std::string prefix = config_.name + ".seg-";
@@ -41,6 +44,123 @@ std::optional<DecodedPage> PagedStore::read_page_at(const durability::SimFs& fs,
   return page;
 }
 
+// ---------------------------------------------------------------------------
+// PageRef
+// ---------------------------------------------------------------------------
+
+PagedStore::PageRef& PagedStore::PageRef::operator=(PageRef&& o) noexcept {
+  if (this != &o) {
+    release();
+    store_ = o.store_;
+    slot_ = o.slot_;
+    o.store_ = nullptr;
+    o.slot_ = nullptr;
+  }
+  return *this;
+}
+
+const u256& PagedStore::PageRef::id() const {
+  if (slot_ == nullptr) throw UsageError("pagedstore: empty PageRef");
+  return slot_->first;
+}
+
+Bytes& PagedStore::PageRef::data() {
+  if (slot_ == nullptr) throw UsageError("pagedstore: empty PageRef");
+  return slot_->second.frame->payload;
+}
+
+const Bytes& PagedStore::PageRef::data() const {
+  if (slot_ == nullptr) throw UsageError("pagedstore: empty PageRef");
+  return slot_->second.frame->payload;
+}
+
+void PagedStore::PageRef::mark_dirty() {
+  if (slot_ == nullptr) throw UsageError("pagedstore: empty PageRef");
+  slot_->second.frame->dirty = true;
+}
+
+void PagedStore::PageRef::release() {
+  if (slot_ != nullptr) store_->unpin(*slot_);
+  store_ = nullptr;
+  slot_ = nullptr;
+}
+
+PagedStore::PageRef PagedStore::pin_locked(Slot& slot) {
+  if (slot.second.frame->pins++ == 0) ++pinned_;
+  return PageRef{this, &slot};
+}
+
+void PagedStore::unpin(Slot& slot) {
+  std::lock_guard lock(mu_);
+  if (--slot.second.frame->pins == 0) --pinned_;
+}
+
+// ---------------------------------------------------------------------------
+// Frames
+// ---------------------------------------------------------------------------
+
+void PagedStore::add_frame_locked(Slot& slot, Bytes payload) {
+  auto frame = std::make_unique<Frame>();
+  frame->lru_pos = lru_.insert(lru_.end(), &slot);
+  frame->payload = std::move(payload);
+  resident_bytes_ += frame->payload.size();
+  stats_.peak_resident_bytes = std::max(stats_.peak_resident_bytes, resident_bytes_);
+  slot.second.frame = std::move(frame);
+}
+
+void PagedStore::drop_frame_locked(Entry& entry) {
+  resident_bytes_ -= entry.frame->payload.size();
+  lru_.erase(entry.frame->lru_pos);
+  entry.frame.reset();
+}
+
+bool PagedStore::make_room_locked() {
+  if (lru_.size() < config_.buffer_pool_pages) return true;
+  for (Slot* victim : lru_) {
+    if (victim->second.frame->pins > 0) continue;
+    if (victim->second.frame->dirty) {
+      persist_locked(*victim);
+      ++stats_.dirty_writebacks;
+    }
+    drop_frame_locked(victim->second);
+    ++stats_.evictions;
+    return true;
+  }
+  return false;
+}
+
+void PagedStore::refuse_locked() {
+  ++stats_.exhausted;
+  throw PoolExhaustedError(
+      "pagedstore: buffer pool exhausted — all " +
+      std::to_string(config_.buffer_pool_pages) +
+      " frames pinned; refusing to overcommit past buffer_pool_pages");
+}
+
+void PagedStore::fault_in_locked(Slot& slot) {
+  Entry& entry = slot.second;
+  if (entry.frame != nullptr) {
+    ++stats_.hits;
+    lru_.splice(lru_.end(), lru_, entry.frame->lru_pos);
+    return;
+  }
+  ++stats_.misses;
+  if (!make_room_locked()) refuse_locked();
+  if (!entry.loc.has_value()) {
+    throw UsageError("pagedstore: load of a page with no persisted version");
+  }
+  auto page = read_page_at(fs_, config_.name, *entry.loc, slot.first);
+  if (!page.has_value()) {
+    throw IntegrityError("pagedstore: page 0x" + slot.first.to_hex() +
+                         " failed verification (torn or corrupt segment record)");
+  }
+  add_frame_locked(slot, std::move(page->payload));
+}
+
+// ---------------------------------------------------------------------------
+// Segments
+// ---------------------------------------------------------------------------
+
 PageLocator PagedStore::append_record_locked(const u256& id, const Bytes& payload) {
   const Bytes record = encode_page(id, generation_, payload);
   const PageLocator loc{current_segment_, current_segment_bytes_,
@@ -49,7 +169,7 @@ PageLocator PagedStore::append_record_locked(const u256& id, const Bytes& payloa
   current_segment_bytes_ += record.size();
   bytes_appended_ += record.size();
   unsynced_segments_.insert(current_segment_);
-  if (current_segment_bytes_ >= config_.segment_target_bytes) {
+  if (current_segment_bytes_ >= kSegmentTargetBytes) {
     ++current_segment_;
     current_segment_bytes_ = 0;
   }
@@ -67,62 +187,109 @@ void PagedStore::drop_locator_ref(const PageLocator& loc) {
   }
 }
 
-void PagedStore::set_locator(const u256& id, const PageLocator& loc) {
-  Entry& entry = table_[id];
+void PagedStore::persist_locked(Slot& slot) {
+  Entry& entry = slot.second;
+  const PageLocator loc = append_record_locked(slot.first, entry.frame->payload);
   ++segment_live_[loc.segment];
   if (entry.loc.has_value()) drop_locator_ref(*entry.loc);
   entry.loc = loc;
+  entry.frame->dirty = false;
 }
 
-BufferPool::PageRef PagedStore::fetch(const u256& id, const Entry& entry) {
-  return pool_.fetch(id, [this, &id, &entry] {
-    if (!entry.loc.has_value()) {
-      throw UsageError("pagedstore: load of a page with no persisted version");
-    }
-    auto page = read_page_at(fs_, config_.name, *entry.loc, id);
-    if (!page.has_value()) {
-      throw IntegrityError("pagedstore: page 0x" + id.to_hex() +
-                           " failed verification (torn or corrupt segment record)");
-    }
-    return std::move(page->payload);
-  });
-}
+// ---------------------------------------------------------------------------
+// Page access
+// ---------------------------------------------------------------------------
 
 void PagedStore::put(const u256& id, BytesView payload) {
-  table_.try_emplace(id);  // keep any prior locator: that's the CoW version
-  pool_.insert(id, Bytes(payload.begin(), payload.end()), /*dirty=*/true);
+  Bytes copy(payload.begin(), payload.end());
+  std::lock_guard lock(mu_);
+  // Any prior locator stays: that is the CoW version.
+  const auto [it, created] = table_.try_emplace(id);
+  Entry& entry = it->second;
+  if (Frame* frame = entry.frame.get()) {
+    resident_bytes_ -= frame->payload.size();
+    lru_.splice(lru_.end(), lru_, frame->lru_pos);
+    frame->payload = std::move(copy);
+    resident_bytes_ += frame->payload.size();
+    stats_.peak_resident_bytes = std::max(stats_.peak_resident_bytes, resident_bytes_);
+  } else {
+    if (!make_room_locked()) {
+      if (created) table_.erase(it);  // a refused put leaves no page behind
+      refuse_locked();
+    }
+    add_frame_locked(*it, std::move(copy));
+  }
+  entry.frame->dirty = true;
 }
 
-std::optional<Bytes> PagedStore::get(const u256& id) {
+std::optional<Bytes> PagedStore::get(const u256& id, size_t offset, size_t length) {
+  std::lock_guard lock(mu_);
   const auto it = table_.find(id);
   if (it == table_.end()) return std::nullopt;
-  return fetch(id, it->second).data();
+  fault_in_locked(*it);
+  const Bytes& payload = it->second.frame->payload;
+  const size_t begin = std::min(offset, payload.size());
+  const size_t end = begin + std::min(length, payload.size() - begin);
+  return Bytes(payload.begin() + static_cast<ptrdiff_t>(begin),
+               payload.begin() + static_cast<ptrdiff_t>(end));
 }
 
-BufferPool::PageRef PagedStore::pin(const u256& id) {
+PagedStore::PageRef PagedStore::pin(const u256& id) {
+  std::lock_guard lock(mu_);
   const auto it = table_.find(id);
-  if (it == table_.end()) {
-    throw UsageError("pagedstore: pin of an absent page");
-  }
-  return fetch(id, it->second);
+  if (it == table_.end()) return PageRef{};
+  fault_in_locked(*it);
+  return pin_locked(*it);
 }
 
-BufferPool::PageRef PagedStore::pin_or_create(const u256& id,
-                                              const std::function<Bytes()>& init) {
+PagedStore::PageRef PagedStore::pin_or_create(const u256& id) {
+  std::lock_guard lock(mu_);
   const auto [it, created] = table_.try_emplace(id);
-  if (!created) return fetch(id, it->second);
-  return pool_.insert(id, init(), /*dirty=*/true);
+  if (!created) {
+    fault_in_locked(*it);
+  } else {
+    if (!make_room_locked()) {
+      table_.erase(it);  // a refused create leaves no page behind
+      refuse_locked();
+    }
+    add_frame_locked(*it, Bytes{});
+    it->second.frame->dirty = true;
+  }
+  return pin_locked(*it);
 }
 
-bool PagedStore::contains(const u256& id) const { return table_.contains(id); }
+bool PagedStore::contains(const u256& id) const {
+  std::lock_guard lock(mu_);
+  return table_.contains(id);
+}
+
+size_t PagedStore::page_count() const {
+  std::lock_guard lock(mu_);
+  return table_.size();
+}
+
+// ---------------------------------------------------------------------------
+// Persistence protocol
+// ---------------------------------------------------------------------------
+
+void PagedStore::set_generation(uint64_t generation) {
+  std::lock_guard lock(mu_);
+  generation_ = generation;
+}
 
 PagedStore::FlushResult PagedStore::flush(bool fsync) {
+  std::lock_guard lock(mu_);
+  // Only a resident page can be dirty: eviction persists a dirty victim.
+  std::vector<Slot*> dirty;
+  for (Slot* slot : lru_) {
+    if (slot->second.frame->dirty) dirty.push_back(slot);
+  }
+  std::sort(dirty.begin(), dirty.end(),
+            [](const Slot* a, const Slot* b) { return a->first < b->first; });
   FlushResult out;
   const uint64_t before = bytes_appended_;
-  for (const u256& id : pool_.dirty_ids()) {
-    pool_.writeback(id);
-    ++out.pages;
-  }
+  for (Slot* slot : dirty) persist_locked(*slot);
+  out.pages = dirty.size();
   out.bytes = bytes_appended_ - before;
   if (fsync) {
     for (const uint64_t segment : unsynced_segments_) {
@@ -133,35 +300,41 @@ PagedStore::FlushResult PagedStore::flush(bool fsync) {
   return out;
 }
 
-void PagedStore::force_persist(const u256& id) { pool_.writeback(id); }
+std::optional<PageLocator> PagedStore::force_persist(const u256& id) {
+  std::lock_guard lock(mu_);
+  const auto it = table_.find(id);
+  if (it == table_.end()) return std::nullopt;
+  const Frame* frame = it->second.frame.get();
+  if (frame != nullptr && frame->dirty) persist_locked(*it);
+  return it->second.loc;
+}
 
 std::optional<PageLocator> PagedStore::durable_locator(const u256& id) const {
+  std::lock_guard lock(mu_);
   const auto it = table_.find(id);
   if (it == table_.end()) return std::nullopt;
   return it->second.loc;
 }
 
 void PagedStore::revert_to(const u256& id, const std::optional<PageLocator>& prior) {
-  pool_.discard(id);
-  const auto it = table_.find(id);
-  if (it == table_.end()) {
-    if (prior.has_value()) {
-      ++segment_live_[prior->segment];
-      table_[id].loc = prior;
-    }
-    return;
+  std::lock_guard lock(mu_);
+  const auto it = table_.try_emplace(id).first;
+  Entry& entry = it->second;
+  if (entry.frame != nullptr) {
+    if (entry.frame->pins > 0) throw UsageError("pagedstore: revert of a pinned page");
+    drop_frame_locked(entry);
   }
+  if (prior.has_value()) ++segment_live_[prior->segment];
+  if (entry.loc.has_value()) drop_locator_ref(*entry.loc);
   if (prior.has_value()) {
-    ++segment_live_[prior->segment];
-    if (it->second.loc.has_value()) drop_locator_ref(*it->second.loc);
-    it->second.loc = prior;
+    entry.loc = prior;
   } else {
-    if (it->second.loc.has_value()) drop_locator_ref(*it->second.loc);
     table_.erase(it);
   }
 }
 
 std::vector<std::pair<u256, PageLocator>> PagedStore::locators() const {
+  std::lock_guard lock(mu_);
   std::vector<std::pair<u256, PageLocator>> out;
   out.reserve(table_.size());
   for (const auto& [id, entry] : table_) {
@@ -176,6 +349,7 @@ std::vector<std::pair<u256, PageLocator>> PagedStore::locators() const {
 }
 
 void PagedStore::gc_segments(const std::set<uint64_t>& keep) {
+  std::lock_guard lock(mu_);
   const std::string prefix = config_.name + ".seg-";
   for (const std::string& file : fs_.list()) {
     const auto numbered = codec::numbered_suffix(file, prefix);
@@ -186,6 +360,28 @@ void PagedStore::gc_segments(const std::set<uint64_t>& keep) {
     fs_.remove(file);
     unsynced_segments_.erase(segment);
   }
+}
+
+uint64_t PagedStore::current_segment() const {
+  std::lock_guard lock(mu_);
+  return current_segment_;
+}
+
+// ---------------------------------------------------------------------------
+// Introspection
+// ---------------------------------------------------------------------------
+
+BufferPoolStats PagedStore::pool_stats() const {
+  std::lock_guard lock(mu_);
+  BufferPoolStats out = stats_;
+  out.resident = lru_.size();
+  out.pinned = pinned_;
+  return out;
+}
+
+uint64_t PagedStore::segment_bytes_appended() const {
+  std::lock_guard lock(mu_);
+  return bytes_appended_;
 }
 
 }  // namespace hardtape::pagedstore

@@ -36,7 +36,7 @@ void PagedNodeStore::put(const H256& hash, BytesView encoded) {
     ++fill_page_;
     fill_offset_ = 0;
   }
-  auto ref = store_.pin_or_create(page_id(fill_page_), [] { return Bytes{}; });
+  auto ref = store_.pin_or_create(page_id(fill_page_));
   Bytes& payload = ref.data();
   payload.reserve(payload.size() + record);
   append(payload, hash.view());
@@ -52,17 +52,17 @@ std::optional<Bytes> PagedNodeStore::get(const H256& hash) const {
   const auto it = index_.find(hash);
   if (it == index_.end()) return std::nullopt;
   const NodeRef& ref = it->second;
-  // Pin the page for the duration of the slice — the proof-walk discipline.
-  auto page = store_.pin(page_id(ref.page));
-  const Bytes& payload = page.data();
-  const size_t end = static_cast<size_t>(ref.offset) + kRecordHeader + ref.length;
-  if (end > payload.size() ||
-      std::memcmp(payload.data() + ref.offset, hash.bytes.data(), 32) != 0) {
+  // The store copies the record out under its lock, so concurrent proof
+  // walks hold no pins and even a one-page pool serves them all.
+  const size_t record = kRecordHeader + ref.length;
+  auto bytes = store_.get(page_id(ref.page), ref.offset, record);
+  if (!bytes.has_value() || bytes->size() != record ||
+      std::memcmp(bytes->data(), hash.bytes.data(), 32) != 0) {
     throw IntegrityError("paged node store: index/page mismatch for node " +
                          hash.hex());
   }
-  const uint8_t* start = payload.data() + ref.offset + kRecordHeader;
-  return Bytes(start, start + ref.length);
+  bytes->erase(bytes->begin(), bytes->begin() + kRecordHeader);
+  return bytes;
 }
 
 }  // namespace hardtape::trie

@@ -1,5 +1,5 @@
-// Paged MPT node store: trie nodes packed into fixed-size pages behind the
-// bounded buffer pool (DESIGN.md §16).
+// Paged MPT node store: trie nodes packed into fixed-size pages of a
+// pagedstore::PagedStore under its hard resident-page cap (DESIGN.md §16).
 //
 // MPT nodes are small (tens to a few hundred bytes of RLP), so one node per
 // on-disk page would waste an order of magnitude. Instead nodes are PACKED:
@@ -11,9 +11,10 @@
 //
 // Nodes are content-addressed and immutable, so there is no update path and
 // no fragmentation; stale nodes left behind by trie updates age out with
-// their pages (same garbage the RAM store kept forever). A trie proof walk
-// pins at most one page at a time through `get`, so a tiny pool is enough
-// for correctness — size it for locality instead.
+// their pages (same garbage the RAM store kept forever). `get` copies one
+// record out under the store's lock and holds no pin, so proof walks on
+// several threads at once (NodeSimulator serves them under a shared lock)
+// never exhaust even a one-page pool — size it for locality instead.
 //
 // Reads are fail-closed twice over: the page checksum rejects torn/corrupt
 // segment records (IntegrityError from the PagedStore), and the record

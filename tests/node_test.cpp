@@ -2,10 +2,18 @@
 // data must be rejected at sync time).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
+#include "crypto/keccak.hpp"
+#include "durability/vfs.hpp"
 #include "node/node.hpp"
 #include "node/sync.hpp"
 #include "oram/epoch.hpp"
 #include "trie/mpt.hpp"
+#include "trie/paged_node_store.hpp"
+#include "trie/rlp.hpp"
 #include "workload/contracts.hpp"
 #include "workload/generator.hpp"
 
@@ -435,6 +443,79 @@ TEST_F(DeltaSyncTest, DeltaAgainstUnknownRootIsNotFound) {
   BlockSynchronizer delta(node_, crypto::keccak256("no such block"));
   oram::Pages pages;
   EXPECT_EQ(delta.verify_delta(*old_world_, pages), Status::kNotFound);
+}
+
+// --- concurrent proofs over a paged trie ---
+
+TEST(NodeConcurrency, ParallelProofsOverPagedTrieVerifyAgainstHead) {
+  // NodeSimulator serves fetch_account / fetch_storage under a SHARED lock,
+  // so PagedNodeStore::get runs on several threads at once. A 2-page pool
+  // makes those gets evict and reload pages while the other threads read;
+  // this runs under TSan in CI (sanitize-tsan job), and every proof must
+  // verify against the head root.
+  durability::SimFs fs;
+  trie::PagedNodeStore store(
+      fs, pagedstore::PagedStoreConfig{.name = "node-trie", .buffer_pool_pages = 2},
+      /*page_payload_bytes=*/512);
+  NodeSimulator node({}, &store);
+  constexpr uint8_t kAccounts = 24;
+  constexpr uint64_t kSlots = 4;
+  const auto expected = [](uint8_t tag, uint64_t slot) {
+    return u256{100u * tag + slot + 1};
+  };
+  for (uint8_t tag = 1; tag <= kAccounts; ++tag) {
+    node.world().set_balance(addr(tag), u256{1000u * tag});
+    for (uint64_t slot = 0; slot < kSlots; ++slot) {
+      node.world().set_storage(addr(tag), u256{slot}, expected(tag, slot));
+    }
+  }
+  node.produce_block({});
+  const H256 root = node.head().state_root;
+  const uint64_t evictions_before = store.pool_stats().evictions;
+
+  constexpr int kThreads = 4, kRounds = 3;
+  std::atomic<uint64_t> verified{0};
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (uint8_t i = 0; i < kAccounts; ++i) {
+          const uint8_t tag = static_cast<uint8_t>(1 + (i + 6 * t) % kAccounts);
+          const auto account = node.fetch_account(addr(tag));
+          const auto account_check = trie::MerklePatriciaTrie::verify_proof(
+              root, crypto::keccak256(addr(tag).view()).view(), account.proof);
+          if (!account_check.valid || account_check.value != account.account_rlp) {
+            failed.store(true);
+            return;
+          }
+          const H256 storage_root =
+              state::Account::rlp_decode(account.account_rlp).storage_root;
+          for (uint64_t slot = 0; slot < kSlots; ++slot) {
+            const auto storage = node.fetch_storage(addr(tag), u256{slot});
+            const auto check = trie::MerklePatriciaTrie::verify_proof(
+                storage_root, crypto::keccak256(u256{slot}.to_be_bytes_vec()).view(),
+                storage.proof);
+            if (!check.valid || !check.value.has_value() ||
+                u256::from_be_bytes(trie::rlp_decode(*check.value).bytes()) !=
+                    expected(tag, slot) ||
+                storage.value != expected(tag, slot)) {
+              failed.store(true);
+              return;
+            }
+          }
+          verified.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_FALSE(failed.load());
+  EXPECT_EQ(verified.load(), uint64_t{kThreads} * kRounds * kAccounts);
+  const auto pool = store.pool_stats();
+  EXPECT_GT(pool.evictions, evictions_before);  // the proof gets paged
+  EXPECT_EQ(pool.exhausted, 0u);
+  EXPECT_EQ(pool.pinned, 0u);
 }
 
 TEST(EpochRegistry, TracksPassesAndPageTags) {

@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "crypto/keccak.hpp"
+#include "durability/vfs.hpp"
 #include "node/sync.hpp"
 #include "oram/epoch.hpp"
 #include "oram/paged_state.hpp"
@@ -928,34 +929,59 @@ TEST(ShardedStore, ConcurrentDistinctIdsAreLinearizable) {
   // The store's concurrency contract: distinct ids from many threads are
   // safe with no external locking. 8 threads × disjoint working sets,
   // read-modify-check loops; runs under TSan in CI (sanitize-tsan job).
-  auto store = make_sharded(8);
-  constexpr int kThreads = 8, kIdsPerThread = 8, kRounds = 12;
-  for (uint64_t t = 0; t < kThreads; ++t) {
-    for (uint64_t i = 0; i < kIdsPerThread; ++i) {
-      store.write(bid(t * 100 + i), Bytes(64, static_cast<uint8_t>(t * 16 + i)));
+  // Over both slot backends: under kPaged the 8 shards' PagedStores spill
+  // to one SimFs from parallel walks, each pool at the walk minimum so the
+  // walks evict and reload buckets.
+  for (const SlotBackend backend : {SlotBackend::kRam, SlotBackend::kPaged}) {
+    SCOPED_TRACE(backend == SlotBackend::kRam ? "kRam" : "kPaged");
+    durability::SimFs fs;
+    ShardedOramStore store(
+        ShardedOramStore::partition(OramConfig{.block_size = 64,
+                                               .capacity = 1024,
+                                               .max_stash_blocks = 128,
+                                               .backend = backend,
+                                               .backing_fs = &fs,
+                                               .buffer_pool_pages = 0},
+                                    8),
+        test_key(), /*rng_seed=*/42, SealMode::kChaChaHmac);
+    constexpr int kThreads = 8, kIdsPerThread = 8, kRounds = 12;
+    for (uint64_t t = 0; t < kThreads; ++t) {
+      for (uint64_t i = 0; i < kIdsPerThread; ++i) {
+        store.write(bid(t * 100 + i), Bytes(64, static_cast<uint8_t>(t * 16 + i)));
+      }
     }
-  }
-  std::atomic<bool> failed{false};
-  std::vector<std::thread> threads;
-  for (uint64_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int round = 0; round < kRounds; ++round) {
-        for (uint64_t i = 0; i < kIdsPerThread; ++i) {
-          const auto data = store.read(bid(t * 100 + i));
-          if (!data.has_value() || (*data)[0] != static_cast<uint8_t>(t * 16 + i)) {
-            failed.store(true);
-            return;
+    std::atomic<bool> failed{false};
+    std::vector<std::thread> threads;
+    for (uint64_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int round = 0; round < kRounds; ++round) {
+          for (uint64_t i = 0; i < kIdsPerThread; ++i) {
+            const auto data = store.read(bid(t * 100 + i));
+            if (!data.has_value() || (*data)[0] != static_cast<uint8_t>(t * 16 + i)) {
+              failed.store(true);
+              return;
+            }
           }
         }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    EXPECT_FALSE(failed.load());
+    const auto stats = store.snapshot();
+    EXPECT_EQ(stats.total_walks, store.observed_walks().size());
+    EXPECT_GE(stats.max_concurrent_walks, 1u);
+    EXPECT_FALSE(store.stash_overflowed());
+    if (backend == SlotBackend::kPaged) {
+      uint64_t evictions = 0;
+      for (size_t i = 0; i < store.shard_count(); ++i) {
+        const auto pool = store.server(i).slot_pool_stats();
+        ASSERT_TRUE(pool.has_value());
+        EXPECT_EQ(pool->exhausted, 0u);
+        evictions += pool->evictions;
       }
-    });
+      EXPECT_GT(evictions, 0u);
+    }
   }
-  for (auto& thread : threads) thread.join();
-  EXPECT_FALSE(failed.load());
-  const auto stats = store.snapshot();
-  EXPECT_EQ(stats.total_walks, store.observed_walks().size());
-  EXPECT_GE(stats.max_concurrent_walks, 1u);
-  EXPECT_FALSE(store.stash_overflowed());
 }
 
 TEST(ShardedStore, ObservedWalksAreGloballyOrdered) {

@@ -1,8 +1,9 @@
-// Paged state backend (PR 10, DESIGN.md §16): buffer-pool pin/evict
-// properties under random schedules, the page record codec under corruption,
-// the PagedStore's fail-closed segment reads, and paged-vs-RAM differentials
-// proving the backend swap changes WHERE bytes live, never WHAT the caller
-// observes (trie roots and proofs, ORAM read results).
+// Paged state backend (DESIGN.md §16): the page table's pin/evict rules and
+// fail-closed refusals (with a random-schedule property test), the page
+// record codec under corruption, the PagedStore's fail-closed segment reads,
+// and paged-vs-RAM differentials proving the backend swap changes WHERE bytes
+// live, never WHAT the caller observes (trie roots and proofs, ORAM read
+// results).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -14,7 +15,6 @@
 #include "crypto/keccak.hpp"
 #include "durability/vfs.hpp"
 #include "oram/path_oram.hpp"
-#include "pagedstore/buffer_pool.hpp"
 #include "pagedstore/page.hpp"
 #include "pagedstore/store.hpp"
 #include "trie/mpt.hpp"
@@ -25,87 +25,122 @@ namespace {
 
 Bytes bytes_of(const std::string& s) { return Bytes(s.begin(), s.end()); }
 
-// ----------------------------------------------------------- BufferPool ----
+// ------------------------------------------------------------ page pool ----
+// The frame rules of the store's one page table: LRU victims, pins, the
+// fail-closed cap, and a refused operation that changes nothing.
 
-TEST(BufferPool, EvictsLeastRecentlyUsedUnpinned) {
-  std::vector<u256> evicted;
-  BufferPool pool(3, [&](const u256& id, const Bytes&) { evicted.push_back(id); });
-  pool.insert(u256{1}, bytes_of("a"), /*dirty=*/true).release();
-  pool.insert(u256{2}, bytes_of("b"), /*dirty=*/true).release();
-  pool.insert(u256{3}, bytes_of("c"), /*dirty=*/true).release();
+PagedStoreConfig pool_config(size_t pages) {
+  PagedStoreConfig config;
+  config.name = "ps";
+  config.buffer_pool_pages = pages;
+  return config;
+}
+
+TEST(PagedStore, EvictsLeastRecentlyUsedUnpinned) {
+  durability::SimFs fs;
+  PagedStore store(fs, pool_config(3));
+  store.put(u256{1}, bytes_of("a"));
+  store.put(u256{2}, bytes_of("b"));
+  store.put(u256{3}, bytes_of("c"));
   // Touch 1: it becomes the hottest; 2 is now the coldest unpinned frame.
-  pool.fetch(u256{1}, [] { return Bytes{}; }).release();
-  pool.insert(u256{4}, bytes_of("d"), /*dirty=*/true).release();
-  ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(evicted[0], u256{2});
-  EXPECT_TRUE(pool.contains(u256{1}));
-  EXPECT_FALSE(pool.contains(u256{2}));
-  EXPECT_TRUE(pool.contains(u256{3}));
-  EXPECT_TRUE(pool.contains(u256{4}));
+  ASSERT_TRUE(store.get(u256{1}).has_value());
+  store.put(u256{4}, bytes_of("d"));
+  // The dirty victim was appended to a segment: it alone gained a locator.
+  EXPECT_EQ(store.pool_stats().evictions, 1u);
+  EXPECT_EQ(store.pool_stats().dirty_writebacks, 1u);
+  EXPECT_EQ(store.pool_stats().resident, 3u);
+  EXPECT_TRUE(store.durable_locator(u256{2}).has_value());
+  EXPECT_FALSE(store.durable_locator(u256{1}).has_value());
+  EXPECT_FALSE(store.durable_locator(u256{3}).has_value());
+  EXPECT_FALSE(store.durable_locator(u256{4}).has_value());
+  EXPECT_EQ(*store.get(u256{2}), bytes_of("b"));  // reloaded from its segment
 }
 
-TEST(BufferPool, PinnedFrameSkippedDuringEviction) {
-  std::vector<u256> evicted;
-  BufferPool pool(2, [&](const u256& id, const Bytes&) { evicted.push_back(id); });
-  auto pinned = pool.insert(u256{1}, bytes_of("pinned"), /*dirty=*/true);
-  pool.insert(u256{2}, bytes_of("b"), /*dirty=*/true).release();
+TEST(PagedStore, PinnedFrameSkippedDuringEviction) {
+  durability::SimFs fs;
+  PagedStore store(fs, pool_config(2));
+  store.put(u256{1}, bytes_of("pinned"));
+  auto pinned = store.pin(u256{1});
+  ASSERT_TRUE(pinned);
+  store.put(u256{2}, bytes_of("b"));
   // 1 is the LRU frame but it is pinned: 2 must be the victim instead.
-  pool.insert(u256{3}, bytes_of("c"), /*dirty=*/true).release();
-  ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(evicted[0], u256{2});
+  store.put(u256{3}, bytes_of("c"));
+  EXPECT_EQ(store.pool_stats().evictions, 1u);
+  EXPECT_TRUE(store.durable_locator(u256{2}).has_value());
+  EXPECT_FALSE(store.durable_locator(u256{1}).has_value());
   EXPECT_EQ(pinned.data(), bytes_of("pinned"));  // frame untouched
+  EXPECT_EQ(*store.get(u256{2}), bytes_of("b"));
 }
 
-TEST(BufferPool, AllPinnedFailsClosed) {
-  BufferPool pool(2, [](const u256&, const Bytes&) {});
-  auto p1 = pool.insert(u256{1}, bytes_of("a"), /*dirty=*/false);
-  auto p2 = pool.insert(u256{2}, bytes_of("b"), /*dirty=*/false);
-  EXPECT_THROW(pool.fetch(u256{3}, [] { return bytes_of("c"); }),
-               PoolExhaustedError);
-  EXPECT_GE(pool.stats().exhausted, 1u);
-  p1.release();
+TEST(PagedStore, AllPinnedFailsClosed) {
+  durability::SimFs fs;
+  PagedStore store(fs, pool_config(2));
+  store.put(u256{1}, bytes_of("a"));
+  store.put(u256{2}, bytes_of("b"));
+  store.put(u256{3}, bytes_of("c"));  // evicts 1 to its segment
+  auto p2 = store.pin(u256{2});
+  auto p3 = store.pin(u256{3});
+  EXPECT_THROW(store.get(u256{1}), PoolExhaustedError);
+  EXPECT_EQ(store.pool_stats().exhausted, 1u);
+  EXPECT_EQ(store.pool_stats().resident, 2u);
+  p2.release();
   // One unpinned frame is enough again.
-  EXPECT_NO_THROW(pool.fetch(u256{3}, [] { return bytes_of("c"); }).release());
+  EXPECT_EQ(store.get(u256{1}), bytes_of("a"));
+  EXPECT_EQ(p3.data(), bytes_of("c"));
 }
 
-TEST(BufferPool, RandomScheduleHoldsInvariants) {
-  // Property test: under a seeded random schedule of insert / fetch / pin /
-  // release / discard, (a) residency never exceeds the cap, (b) a pinned
-  // frame is never evicted (its payload stays bit-exact through arbitrary
-  // churn), (c) every eviction victim is unpinned at eviction time, and
-  // (d) dirty evictions write back the exact payload the pool held.
+TEST(PagedStore, RefusedPutOrCreateLeavesNoPage) {
+  // A refusal is fail-closed, so it must leave the store as it found it: no
+  // entry without a locator or frame, which get() could never load and which
+  // would keep locators() refusing after every flush.
+  durability::SimFs fs;
+  PagedStore store(fs, pool_config(2));
+  store.put(u256{1}, bytes_of("a"));
+  store.put(u256{2}, bytes_of("b"));
+  {
+    auto p1 = store.pin(u256{1});
+    auto p2 = store.pin(u256{2});
+    EXPECT_THROW(store.put(u256{3}, bytes_of("c")), PoolExhaustedError);
+    EXPECT_THROW(store.pin_or_create(u256{4}), PoolExhaustedError);
+    EXPECT_EQ(store.pool_stats().exhausted, 2u);
+  }
+  EXPECT_FALSE(store.contains(u256{3}));
+  EXPECT_FALSE(store.contains(u256{4}));
+  EXPECT_EQ(store.page_count(), 2u);
+  EXPECT_EQ(store.flush(/*fsync=*/true).pages, 2u);
+  EXPECT_EQ(store.locators().size(), 2u);
+  EXPECT_FALSE(store.get(u256{3}).has_value());
+  EXPECT_FALSE(store.get(u256{4}).has_value());
+}
+
+TEST(PagedStore, RandomScheduleHoldsInvariants) {
+  // Property test: under a seeded random schedule of put / pin-and-hold /
+  // release / get, (a) residency never exceeds the cap, (b) a pinned frame
+  // is never evicted (its payload stays bit-exact through arbitrary churn),
+  // (c) every page reads back its last written payload however often it
+  // was evicted and reloaded, and (d) `pinned` counts the distinct held ids.
   constexpr size_t kCapacity = 8;
-  std::map<u256, Bytes> disk;       // writeback target = the model's truth
-  std::multiset<u256> pinned_now;   // ids with a live PageRef (may repeat)
-  BufferPool pool(kCapacity, [&](const u256& id, const Bytes& payload) {
-    EXPECT_FALSE(pinned_now.contains(id)) << "evicted a pinned frame";
-    disk[id] = payload;
-  });
-  std::map<u256, Bytes> model;      // id -> expected payload
-  std::vector<std::pair<u256, BufferPool::PageRef>> held;
+  durability::SimFs fs;
+  PagedStore store(fs, pool_config(kCapacity));
+  std::map<u256, Bytes> model;  // id -> last written payload
+  std::vector<std::pair<u256, PagedStore::PageRef>> held;
 
   Random rng(0x9a6e5);
   for (int step = 0; step < 4000; ++step) {
     const u256 id{1 + rng.uniform(64)};
-    switch (rng.uniform(4)) {
-      case 0: {  // insert a fresh payload (dirty)
+    switch (rng.uniform(5)) {
+      case 0: {  // put a fresh payload (dirty)
         if (held.size() >= kCapacity) break;
-        Bytes payload = rng.bytes(16 + rng.uniform(48));
-        model[id] = payload;
-        auto ref = pool.insert(id, std::move(payload), /*dirty=*/true);
-        ref.release();
+        model[id] = rng.bytes(16 + rng.uniform(48));
+        store.put(id, model[id]);
         break;
       }
-      case 1: {  // fetch + hold the pin for a while
+      case 1: {  // pin + hold for a while
         if (held.size() + 1 >= kCapacity) break;  // leave eviction room
-        if (!model.contains(id)) break;
-        auto ref = pool.fetch(id, [&] {
-          const auto it = disk.find(id);
-          EXPECT_NE(it, disk.end()) << "miss for a page never written back";
-          return it->second;
-        });
+        auto ref = store.pin(id);
+        ASSERT_EQ(static_cast<bool>(ref), model.contains(id));
+        if (!ref) break;
         EXPECT_EQ(ref.data(), model[id]);
-        pinned_now.insert(id);
         held.emplace_back(id, std::move(ref));
         break;
       }
@@ -114,25 +149,48 @@ TEST(BufferPool, RandomScheduleHoldsInvariants) {
         const size_t victim = rng.uniform(held.size());
         // Re-check the payload survived everything since the pin was taken.
         EXPECT_EQ(held[victim].second.data(), model[held[victim].first]);
-        pinned_now.erase(pinned_now.find(held[victim].first));
         held.erase(held.begin() + static_cast<ptrdiff_t>(victim));
         break;
       }
-      case 3: {  // stats + invariant audit
-        const auto stats = pool.stats();
-        EXPECT_LE(stats.resident, kCapacity);
-        const std::set<u256> distinct(pinned_now.begin(), pinned_now.end());
-        EXPECT_EQ(stats.pinned, distinct.size());
-        for (const auto& [pid, ref] : held) {
-          EXPECT_TRUE(pool.contains(pid));
-          EXPECT_EQ(ref.id(), pid);
+      case 3: {  // read back through the table, loading on a miss
+        const auto got = store.get(id);
+        ASSERT_EQ(got.has_value(), model.contains(id));
+        if (got.has_value()) {
+          EXPECT_EQ(*got, model[id]);
         }
+        break;
+      }
+      case 4: {  // stats + invariant audit
+        const auto stats = store.pool_stats();
+        EXPECT_LE(stats.resident, kCapacity);
+        std::set<u256> distinct;
+        for (const auto& [pid, ref] : held) {
+          distinct.insert(pid);
+          EXPECT_EQ(ref.id(), pid);
+          EXPECT_EQ(ref.data(), model[pid]);
+        }
+        EXPECT_EQ(stats.pinned, distinct.size());
         break;
       }
     }
   }
-  EXPECT_LE(pool.stats().resident, kCapacity);
-  EXPECT_GT(pool.stats().evictions, 0u);  // the schedule actually churned
+  held.clear();
+  EXPECT_EQ(store.pool_stats().pinned, 0u);
+  EXPECT_LE(store.pool_stats().resident, kCapacity);
+  EXPECT_GT(store.pool_stats().evictions, 0u);  // the schedule actually churned
+  EXPECT_EQ(store.page_count(), model.size());
+  for (const auto& [pid, payload] : model) EXPECT_EQ(store.get(pid), payload);
+}
+
+TEST(PagedStore, GetCopiesAClippedSlice) {
+  durability::SimFs fs;
+  PagedStore store(fs, pool_config(1));
+  store.put(u256{1}, bytes_of("0123456789"));
+  store.put(u256{2}, bytes_of("evicts page 1"));
+  EXPECT_EQ(store.get(u256{1}, 2, 3), bytes_of("234"));   // loaded on a miss
+  EXPECT_EQ(store.get(u256{1}, 8, 5), bytes_of("89"));    // clipped at the end
+  EXPECT_EQ(store.get(u256{1}, 12, 5), Bytes{});          // past the end
+  EXPECT_FALSE(store.get(u256{3}, 0, 1).has_value());
 }
 
 // ------------------------------------------------------------ page codec ----
