@@ -8,6 +8,7 @@
 
 #include "node/sync.hpp"
 #include "oram/paged_state.hpp"
+#include "service/pre_execution.hpp"
 #include "workload/generator.hpp"
 
 using namespace hardtape;
@@ -49,13 +50,17 @@ int main() {
   }
   client.bulk_load(pages);
   std::printf("loaded %zu verified 1 KB pages into the ORAM\n\n", pages.size());
-  oram::OramWorldState oram_state(client);
 
   server.clear_observations();
-  // Access the SECRET token's balance twice and the decoy once.
-  oram_state.storage(secret_target, gen.users()[0].to_u256());
-  oram_state.storage(secret_target, gen.users()[0].to_u256());
-  oram_state.storage(decoy, gen.users()[0].to_u256());
+  // Three sessions read the SECRET token's balance twice and the decoy's
+  // once. Each session has its own state reader, every query routed through
+  // the ORAM; its page cache ends with the session.
+  const state::WorldState nothing_local;
+  for (const Address& token : {secret_target, secret_target, decoy}) {
+    const service::RoutedStateReader session(nothing_local, &client,
+                                             service::SecurityConfig::full(), {});
+    session.storage(token, gen.users()[0].to_u256());
+  }
 
   std::printf("WITH ORAM, the same three queries appear as:\n");
   for (uint64_t leaf : server.observed_leaves()) {
@@ -70,7 +75,7 @@ int main() {
   std::printf("leaf histogram over 2000 repeated accesses to ONE hot block:\n");
   server.clear_observations();
   const auto hot = oram::page_id(oram::PageType::kStorageGroup, secret_target,
-                                 gen.users()[0].to_u256() >> 5);
+                                 oram::storage_group(gen.users()[0].to_u256()));
   for (int i = 0; i < 2000; ++i) client.read(hot);
   std::map<uint64_t, int> histogram;
   for (uint64_t leaf : server.observed_leaves()) histogram[leaf / 256] += 1;

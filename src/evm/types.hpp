@@ -77,6 +77,7 @@ struct LogEntry {
   Address address{};
   std::vector<u256> topics{};
   Bytes data{};
+  friend bool operator==(const LogEntry&, const LogEntry&) = default;
 };
 
 }  // namespace hardtape::evm

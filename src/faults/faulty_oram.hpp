@@ -25,13 +25,6 @@ class FaultyOram : public oram::OramAccessor {
   FaultyOram(oram::OramAccessor& backend, FaultPlan& plan)
       : backend_(backend), plan_(plan) {}
 
-  std::optional<Bytes> read(const oram::BlockId& id) override {
-    return backend_.read(id);
-  }
-  void write(const oram::BlockId& id, BytesView data) override {
-    backend_.write(id, data);
-  }
-
   oram::AccessAttempt try_read(const oram::BlockId& id) override;
   oram::AccessAttempt try_write(const oram::BlockId& id, BytesView data) override;
 

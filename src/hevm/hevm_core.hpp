@@ -30,6 +30,7 @@ struct TxTraceReport {
   std::vector<evm::LogEntry> logs;
   std::vector<evm::StepTracer::Step> steps;  ///< populated when record_steps
   uint64_t sim_time_ns = 0;                  ///< HEVM time for this tx
+  friend bool operator==(const TxTraceReport&, const TxTraceReport&) = default;
 };
 
 struct BundleReport {
@@ -40,6 +41,7 @@ struct BundleReport {
   memlayer::MemLayerStats memory_stats;
   std::vector<memlayer::SwapEvent> swap_events;
   bool aborted = false;  ///< Memory Overflow Error ended the bundle early
+  friend bool operator==(const BundleReport&, const BundleReport&) = default;
 };
 
 class HevmCore {

@@ -25,6 +25,7 @@ struct QueryEvent {
   uint64_t time_ns = 0;
   oram::PageType type = oram::PageType::kAccountMeta;
   bool is_prefetch = false;  ///< ground truth; not visible to the adversary
+  friend bool operator==(const QueryEvent&, const QueryEvent&) = default;
 };
 
 struct GapStats {

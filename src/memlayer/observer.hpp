@@ -18,6 +18,7 @@ struct MemLayerStats {
   uint64_t l1_misses = 0;
   uint64_t frames_entered = 0;
   uint64_t memory_overflows = 0;
+  friend bool operator==(const MemLayerStats&, const MemLayerStats&) = default;
 };
 
 class MemLayerObserver : public evm::ExecutionObserver {

@@ -60,6 +60,7 @@ struct SwapEvent {
   enum class Kind : uint8_t { kEvict, kLoad } kind;
   uint64_t pages;        ///< observed count (true + noise)
   uint64_t noise_pages;  ///< noise component (internal ground truth, not visible)
+  friend bool operator==(const SwapEvent&, const SwapEvent&) = default;
 };
 
 class CallStackPager {

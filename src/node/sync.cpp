@@ -84,22 +84,17 @@ Status BlockSynchronizer::verify_account_task(const AccountTask& task,
   // 4. Everything verified: STAGE pages (the caller installs, and only
   // after every other account of the pass verified too).
   if (task.install_meta) {
-    oram::AccountMetaPage meta;
-    meta.balance = account.balance;
-    meta.nonce = account.nonce;
-    meta.code_size = code.size();
-    meta.code_hash = account.code_hash;
     out.emplace_back(oram::page_id(oram::PageType::kAccountMeta, addr, u256{}),
-                     meta.serialize());
+                     oram::AccountMetaPage{account, code.size()}.serialize());
   }
 
-  // Storage groups (keys grouped by key/32; absent records stay zero). Only
-  // groups in install_groups are staged — for a delta, the verify_keys of a
-  // changed group cover every live slot of that group plus the slots that
-  // went to zero, so the staged page is complete for the new state.
+  // Storage groups (absent records stay zero). Only groups in
+  // install_groups are staged — for a delta, the verify_keys of a changed
+  // group cover every live slot of that group plus the slots that went to
+  // zero, so the staged page is complete for the new state.
   std::unordered_map<u256, oram::StorageGroupPage, U256Hasher> groups;
   for (const VerifiedSlot& slot : slots) {
-    groups[slot.key >> 5].values[slot.key.as_u64() & 31] = slot.value;
+    groups[oram::storage_group(slot.key)].set(slot.key, slot.value);
   }
   for (const u256& group_index : task.install_groups) {
     const auto it = groups.find(group_index);
@@ -110,14 +105,9 @@ Status BlockSynchronizer::verify_account_task(const AccountTask& task,
   }
 
   if (task.install_code) {
-    for (size_t off = 0; off < code.size(); off += oram::kPageSize) {
-      const size_t n = std::min(oram::kPageSize, code.size() - off);
-      Bytes page(code.begin() + static_cast<long>(off),
-                 code.begin() + static_cast<long>(off + n));
-      page.resize(oram::kPageSize, 0);
-      out.emplace_back(
-          oram::page_id(oram::PageType::kCode, addr, u256{off / oram::kPageSize}),
-          std::move(page));
+    for (uint64_t i = 0; i < oram::code_page_count(code.size()); ++i) {
+      out.emplace_back(oram::page_id(oram::PageType::kCode, addr, u256{i}),
+                       oram::code_page(code, i));
     }
   }
   return Status::kOk;
@@ -134,8 +124,9 @@ Status BlockSynchronizer::verify_all(oram::Pages& pages) {
     task.addr = addr;
     task.verify_keys = world.storage_keys(addr);  // sorted
     for (const u256& key : task.verify_keys) {
-      if (task.install_groups.empty() || task.install_groups.back() != key >> 5) {
-        task.install_groups.push_back(key >> 5);
+      const u256 group = oram::storage_group(key);
+      if (task.install_groups.empty() || task.install_groups.back() != group) {
+        task.install_groups.push_back(group);
       }
     }
     const Status status = verify_account_task(task, pages);
@@ -168,10 +159,12 @@ Status BlockSynchronizer::verify_delta(const state::WorldState& old_world,
     task.install_code = account_delta.code_changed;
 
     std::unordered_set<u256, U256Hasher> changed_groups;
-    for (const u256& key : account_delta.changed_keys) changed_groups.insert(key >> 5);
+    for (const u256& key : account_delta.changed_keys) {
+      changed_groups.insert(oram::storage_group(key));
+    }
     task.verify_keys = account_delta.changed_keys;
     for (const u256& key : new_world.storage_keys(account_delta.addr)) {
-      if (changed_groups.count(key >> 5)) task.verify_keys.push_back(key);
+      if (changed_groups.count(oram::storage_group(key))) task.verify_keys.push_back(key);
     }
     std::sort(task.verify_keys.begin(), task.verify_keys.end());
     task.verify_keys.erase(

@@ -13,10 +13,11 @@
 //    pinned to epoch E is only sound while the store epoch is E — every
 //    page it reads then carries a tag <= E, i.e. data verified against a
 //    root on E's canonical history.
-// The engine checks store_epoch() at session start and end: a mismatch
-// means the store was re-synced mid-session and the outcome must be thrown
-// away and re-executed (never reported) — the page tags make that audit a
-// cheap integer compare instead of a per-read proof.
+// No session sees the store epoch move: the engine's resync quiesces the
+// pool (every queued bundle resolves) before it opens a pass, and pins each
+// session to the store epoch it starts at. The page tags make the
+// max-page-epoch <= store-epoch invariant a cheap integer audit instead of
+// a per-read proof.
 //
 // Thread safety: all methods lock; begin/commit are called from the (single)
 // resync path, tag() from the installer, readers from anywhere.

@@ -122,17 +122,6 @@ AccessAttempt OramFrontend::try_write(const BlockId& id, BytesView data) {
   return access(id, &data);
 }
 
-std::optional<Bytes> OramFrontend::read(const BlockId& id) {
-  AccessAttempt result = try_read(id);
-  if (result.status != Status::kOk) throw BackendFault(result.status);
-  return std::move(result.data);
-}
-
-void OramFrontend::write(const BlockId& id, BytesView data) {
-  const AccessAttempt result = try_write(id, data);
-  if (result.status != Status::kOk) throw BackendFault(result.status);
-}
-
 OramFrontend::Stats OramFrontend::snapshot() const {
   std::lock_guard lock(state_mu_);
   return stats_;

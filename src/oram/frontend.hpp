@@ -121,11 +121,6 @@ class OramFrontend : public OramAccessor {
     stats_.shard_failures.resize(config_.shard_count, 0);
   }
 
-  /// Throws BackendFault when the fault-aware path ends in a non-kOk status
-  /// (never happens over a reliable backend).
-  std::optional<Bytes> read(const BlockId& id) override;
-  void write(const BlockId& id, BytesView data) override;
-
   /// Fault-aware access: takes the per-block gate, runs the full
   /// timeout/backoff/fail-closed loop and returns the terminal status.
   /// sim_delay_ns of the result carries the total simulated recovery time

@@ -1,19 +1,14 @@
 #include "oram/paged_state.hpp"
 
-#include <cstring>
+#include <algorithm>
 
 #include "crypto/keccak.hpp"
 
 namespace hardtape::oram {
 
-const char* to_string(PageType t) {
-  switch (t) {
-    case PageType::kAccountMeta: return "account";
-    case PageType::kStorageGroup: return "storage";
-    case PageType::kCode: return "code";
-  }
-  return "unknown";
-}
+namespace {
+size_t record_of(const u256& key) { return key.as_u64() & (kRecordsPerPage - 1); }
+}  // namespace
 
 BlockId page_id(PageType type, const Address& addr, const u256& index) {
   Bytes preimage;
@@ -27,10 +22,10 @@ BlockId page_id(PageType type, const Address& addr, const u256& index) {
 Bytes AccountMetaPage::serialize() const {
   Bytes page;
   page.reserve(kPageSize);
-  append(page, balance.to_be_bytes_vec());
-  append(page, u256{nonce}.to_be_bytes_vec());
+  append(page, account.balance.to_be_bytes_vec());
+  append(page, u256{account.nonce}.to_be_bytes_vec());
   append(page, u256{code_size}.to_be_bytes_vec());
-  append(page, code_hash.view());
+  append(page, account.code_hash.view());
   page.resize(kPageSize, 0);
   return page;
 }
@@ -38,11 +33,17 @@ Bytes AccountMetaPage::serialize() const {
 AccountMetaPage AccountMetaPage::deserialize(BytesView page) {
   if (page.size() < 128) throw DecodingError("account page too small");
   AccountMetaPage out;
-  out.balance = u256::from_be_bytes(page.subspan(0, 32));
-  out.nonce = u256::from_be_bytes(page.subspan(32, 32)).as_u64();
+  out.account.balance = u256::from_be_bytes(page.subspan(0, 32));
+  out.account.nonce = u256::from_be_bytes(page.subspan(32, 32)).as_u64();
   out.code_size = u256::from_be_bytes(page.subspan(64, 32)).as_u64();
-  out.code_hash = H256::from(page.subspan(96, 32));
+  out.account.code_hash = H256::from(page.subspan(96, 32));
   return out;
+}
+
+u256 storage_group(const u256& key) { return key >> 5; }
+
+void StorageGroupPage::set(const u256& key, const u256& value) {
+  values[record_of(key)] = value;
 }
 
 Bytes StorageGroupPage::serialize() const {
@@ -52,74 +53,25 @@ Bytes StorageGroupPage::serialize() const {
   return page;
 }
 
-StorageGroupPage StorageGroupPage::deserialize(BytesView page) {
+u256 storage_record(BytesView page, const u256& key) {
   if (page.size() < kPageSize) throw DecodingError("storage page too small");
-  StorageGroupPage out;
-  for (size_t i = 0; i < kRecordsPerPage; ++i) {
-    out.values[i] = u256::from_be_bytes(page.subspan(i * 32, 32));
-  }
-  return out;
+  return u256::from_be_bytes(page.subspan(record_of(key) * 32, 32));
 }
 
-std::optional<Bytes> OramWorldState::query(PageType type, const Address& addr,
-                                           const u256& index) const {
-  query_count_.fetch_add(1, std::memory_order_relaxed);
-  if (hook_) hook_(type, addr, index);
-  // Fault-aware read: recovered faults already charged their simulated time
-  // to the session's RecoveryTally; a terminal fault has no value-typed path
-  // through StateReader, so it travels as BackendFault up to the session
-  // boundary (service::PreExecutionEngine converts it into the outcome's
-  // Status — fail closed, never a hang).
-  AccessAttempt attempt = client_.try_read(page_id(type, addr, index));
-  if (attempt.status != Status::kOk) throw BackendFault(attempt.status);
-  return std::move(attempt.data);
+uint64_t code_page_count(uint64_t code_size) {
+  return (code_size + kPageSize - 1) / kPageSize;
 }
 
-std::optional<state::Account> OramWorldState::account(const Address& addr) const {
-  const auto page = query(PageType::kAccountMeta, addr, u256{});
-  if (!page.has_value()) return std::nullopt;
-  const AccountMetaPage meta = AccountMetaPage::deserialize(*page);
-  state::Account account;
-  account.balance = meta.balance;
-  account.nonce = meta.nonce;
-  account.code_hash = meta.code_hash;
-  return account;
+Bytes code_page(BytesView code, uint64_t index) {
+  const BytesView rest = code.subspan(index * kPageSize);
+  Bytes page(kPageSize, 0);
+  std::copy_n(rest.begin(), std::min(kPageSize, rest.size()), page.begin());
+  return page;
 }
 
-u256 OramWorldState::storage(const Address& addr, const u256& key) const {
-  const auto page = query(PageType::kStorageGroup, addr, key >> 5);
-  if (!page.has_value()) return u256{};
-  return StorageGroupPage::deserialize(*page).values[key.as_u64() & 31];
-}
-
-Bytes OramWorldState::code(const Address& addr) const {
-  const auto meta_page = query(PageType::kAccountMeta, addr, u256{});
-  if (!meta_page.has_value()) return Bytes{};
-  const AccountMetaPage meta = AccountMetaPage::deserialize(*meta_page);
-  Bytes code;
-  code.reserve(meta.code_size);
-  const uint64_t page_count = (meta.code_size + kPageSize - 1) / kPageSize;
-  for (uint64_t i = 0; i < page_count; ++i) {
-    const auto page = query(PageType::kCode, addr, u256{i});
-    if (!page.has_value()) throw HardtapeError("oram: missing code page");
-    const size_t take = std::min<size_t>(kPageSize, meta.code_size - i * kPageSize);
-    code.insert(code.end(), page->begin(), page->begin() + static_cast<long>(take));
-  }
-  return code;
-}
-
-std::optional<Bytes> OramWorldState::code_page(const Address& addr,
-                                               uint64_t page_index) const {
-  return query(PageType::kCode, addr, u256{page_index});
-}
-
-std::optional<Bytes> OramWorldState::account_page(const Address& addr) const {
-  return query(PageType::kAccountMeta, addr, u256{});
-}
-
-std::optional<Bytes> OramWorldState::storage_page(const Address& addr,
-                                                  const u256& group) const {
-  return query(PageType::kStorageGroup, addr, group);
+void append_code_page(Bytes& code, BytesView page, uint64_t code_size) {
+  const size_t take = std::min<size_t>({kPageSize, page.size(), code_size - code.size()});
+  code.insert(code.end(), page.begin(), page.begin() + static_cast<ptrdiff_t>(take));
 }
 
 }  // namespace hardtape::oram

@@ -18,13 +18,18 @@
 // the O(log^2 n)-bit bound for O(log n) bandwidth overhead (problem (1)).
 // Problem (3) — burst code fetches — is handled by the pagewise prefetch
 // scheduler in src/hypervisor.
+//
+// This is the one module that knows the page format: page ids, the meta
+// page, a storage key's group and record, and code slicing. Block sync
+// (node/sync) encodes verified state into pages through it, and the
+// session's state reader (service/pre_execution) decodes the pages it reads
+// from the ORAM through it.
 #pragma once
 
-#include <atomic>
-#include <functional>
+#include <array>
 
 #include "oram/path_oram.hpp"
-#include "state/world_state.hpp"
+#include "state/account.hpp"
 
 namespace hardtape::oram {
 
@@ -33,70 +38,48 @@ enum class PageType : uint8_t {
   kStorageGroup = 2, ///< 32 consecutive storage-slot values
   kCode = 3,         ///< 1 KB slice of contract bytecode
 };
-const char* to_string(PageType t);
 
 constexpr size_t kPageSize = 1024;
 constexpr size_t kRecordsPerPage = kPageSize / 32;  // 32 records of 32 bytes
 
-/// Deterministic page id: keccak(tag || address || index). The index is a
-/// full 256-bit value because storage keys span the whole 2^256 space.
+/// Deterministic page id: keccak(tag || address || index). The index is 0
+/// for the meta page, the group for a storage page and the slice number for
+/// a code page; it is a full 256-bit value because storage keys span the
+/// whole 2^256 space.
 BlockId page_id(PageType type, const Address& addr, const u256& index);
 
-/// Page (de)serialization helpers. All pages are exactly kPageSize bytes.
+/// An account's meta page. All pages are exactly kPageSize bytes.
 struct AccountMetaPage {
-  u256 balance{};
-  uint64_t nonce = 0;
+  /// Balance, nonce and code hash; the storage root is not paged (zero on
+  /// decode): the ORAM serves storage by group page, not by trie.
+  state::Account account;
   uint64_t code_size = 0;
-  H256 code_hash{};
 
   Bytes serialize() const;
   static AccountMetaPage deserialize(BytesView page);
 };
 
+/// The group page that holds storage `key`: consecutive keys share one.
+u256 storage_group(const u256& key);
+
+/// One storage group page, assembled record by record.
 struct StorageGroupPage {
-  std::array<u256, kRecordsPerPage> values{};
+  std::array<u256, kRecordsPerPage> values{};  ///< absent records are zero
 
+  /// Sets `key`'s record; `key` must fall in this page's group.
+  void set(const u256& key, const u256& value);
   Bytes serialize() const;
-  static StorageGroupPage deserialize(BytesView page);
 };
 
-/// A state::StateReader that resolves every query through the ORAM client —
-/// this is what the HEVM's world-state misses hit. Each call maps to one or
-/// more uniform 1 KB page queries; a hook reports them for timing models,
-/// prefetch scheduling and the Table/Figure benches.
-///
-/// Thread safety: this object holds no per-query mutable state beyond an
-/// atomic counter, so many sessions may share one instance as long as the
-/// underlying accessor is itself thread-safe (an OramFrontend) and the hook
-/// is set before the sessions start.
-class OramWorldState : public state::StateReader {
- public:
-  explicit OramWorldState(OramAccessor& client) : client_(client) {}
+/// `key`'s record in its group page.
+u256 storage_record(BytesView page, const u256& key);
 
-  /// Hook fired once per page query, before the ORAM access.
-  using QueryHook = std::function<void(PageType, const Address&, const u256& index)>;
-  void set_query_hook(QueryHook hook) { hook_ = std::move(hook); }
-
-  std::optional<state::Account> account(const Address& addr) const override;
-  u256 storage(const Address& addr, const u256& key) const override;
-  Bytes code(const Address& addr) const override;
-
-  /// Reads one code page (for the pagewise prefetcher).
-  std::optional<Bytes> code_page(const Address& addr, uint64_t page_index) const;
-  /// Raw page reads, for callers that maintain their own page cache (the
-  /// HEVM's layer-1 world-state cache holds whole pages, so one ORAM fetch
-  /// serves all 32 records of a group — the paper's grouping-as-prefetch).
-  std::optional<Bytes> account_page(const Address& addr) const;
-  std::optional<Bytes> storage_page(const Address& addr, const u256& group) const;
-
-  uint64_t query_count() const { return query_count_.load(std::memory_order_relaxed); }
-
- private:
-  std::optional<Bytes> query(PageType type, const Address& addr, const u256& index) const;
-
-  OramAccessor& client_;
-  QueryHook hook_;
-  mutable std::atomic<uint64_t> query_count_{0};
-};
+/// Number of code pages that hold `code_size` bytes.
+uint64_t code_page_count(uint64_t code_size);
+/// Code page `index` of `code`, zero-padded to kPageSize.
+Bytes code_page(BytesView code, uint64_t index);
+/// Appends the next code page's share of a `code_size`-byte code to `code`
+/// (the pages must come in order; the padding is dropped).
+void append_code_page(Bytes& code, BytesView page, uint64_t code_size);
 
 }  // namespace hardtape::oram

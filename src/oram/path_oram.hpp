@@ -169,29 +169,21 @@ struct AccessAttempt {
 };
 
 /// Block-level access interface shared by the OramClient and anything that
-/// wraps it (the concurrency frontend in oram/frontend.hpp). Callers that
-/// only need read/write — the paged world state, block synchronization —
-/// take this instead of a concrete OramClient so the same code runs both
+/// wraps it (the adversary in faults/faulty_oram.hpp, the concurrency
+/// frontend in oram/frontend.hpp). Callers that only need page reads and
+/// writes — the session's state reader, the engine's sync pass — take this
+/// instead of a concrete OramClient so the same code runs both
 /// single-threaded (straight to the client) and under the multi-session
-/// engine (serialized through the frontend).
+/// engine (serialized through the frontend). Every access is one attempt
+/// whose status is the one failure channel: a caller decides what a
+/// non-kOk attempt means to it.
 class OramAccessor {
  public:
   virtual ~OramAccessor() = default;
-  /// Reads a block; nullopt when the id was never written.
-  virtual std::optional<Bytes> read(const BlockId& id) = 0;
+  /// Reads a block; kOk with nullopt data when the id was never written.
+  virtual AccessAttempt try_read(const BlockId& id) = 0;
   /// Writes (installs or updates) a block.
-  virtual void write(const BlockId& id, BytesView data) = 0;
-
-  /// Fault-aware single attempt. The defaults treat the backend as reliable;
-  /// wrappers that model (FaultyOram) or experience (OramClient, which maps
-  /// IntegrityError to kAuthFailed) an unreliable backend override these.
-  virtual AccessAttempt try_read(const BlockId& id) {
-    return AccessAttempt{Status::kOk, read(id), 0};
-  }
-  virtual AccessAttempt try_write(const BlockId& id, BytesView data) {
-    write(id, data);
-    return AccessAttempt{};
-  }
+  virtual AccessAttempt try_write(const BlockId& id, BytesView data) = 0;
 };
 
 /// The trusted client: stash and position map (on-chip in HarDTAPE, as part
@@ -211,12 +203,12 @@ class OramClient : public OramAccessor {
   /// Reads a block; nullopt when the id was never written. Throws
   /// IntegrityError when the server returned a tampered slot or lost a
   /// mapped block.
-  std::optional<Bytes> read(const BlockId& id) override;
+  std::optional<Bytes> read(const BlockId& id);
   /// Writes (installs or updates) a block. `data` must be <= block_size and
   /// is zero-padded to it.
-  void write(const BlockId& id, BytesView data) override;
-  /// Value-typed variants for the recovery layer: integrity failures come
-  /// back as kAuthFailed instead of a thrown IntegrityError.
+  void write(const BlockId& id, BytesView data);
+  /// The OramAccessor variants: integrity failures come back as kAuthFailed
+  /// instead of a thrown IntegrityError.
   AccessAttempt try_read(const BlockId& id) override;
   AccessAttempt try_write(const BlockId& id, BytesView data) override;
   /// One ORAM access that reads the block and replaces it with

@@ -82,9 +82,10 @@ class ShardedOramStore : public OramAccessor {
   /// capacity and stash bound carry over unchanged.
   static ShardedOramConfig partition(const OramConfig& total, size_t shard_count);
 
+  /// Throwing access, as OramClient::read and write.
+  std::optional<Bytes> read(const BlockId& id);
+  void write(const BlockId& id, BytesView data);
   // --- OramAccessor ---
-  std::optional<Bytes> read(const BlockId& id) override;
-  void write(const BlockId& id, BytesView data) override;
   AccessAttempt try_read(const BlockId& id) override;
   AccessAttempt try_write(const BlockId& id, BytesView data) override;
 

@@ -92,7 +92,11 @@ PagedStore::PageRef PagedStore::pin_locked(Slot& slot) {
 
 void PagedStore::unpin(Slot& slot) {
   std::lock_guard lock(mu_);
-  if (--slot.second.frame->pins == 0) --pinned_;
+  Frame& frame = *slot.second.frame;
+  // A caller may have grown the payload through its pin (PagedNodeStore
+  // appends nodes that way): count the frame at its current size.
+  recount_locked(frame);
+  if (--frame.pins == 0) --pinned_;
 }
 
 // ---------------------------------------------------------------------------
@@ -103,15 +107,20 @@ void PagedStore::add_frame_locked(Slot& slot, Bytes payload) {
   auto frame = std::make_unique<Frame>();
   frame->lru_pos = lru_.insert(lru_.end(), &slot);
   frame->payload = std::move(payload);
-  resident_bytes_ += frame->payload.size();
-  stats_.peak_resident_bytes = std::max(stats_.peak_resident_bytes, resident_bytes_);
+  recount_locked(*frame);
   slot.second.frame = std::move(frame);
 }
 
 void PagedStore::drop_frame_locked(Entry& entry) {
-  resident_bytes_ -= entry.frame->payload.size();
+  resident_bytes_ -= entry.frame->counted;
   lru_.erase(entry.frame->lru_pos);
   entry.frame.reset();
+}
+
+void PagedStore::recount_locked(Frame& frame) {
+  resident_bytes_ = resident_bytes_ - frame.counted + frame.payload.size();
+  frame.counted = frame.payload.size();
+  stats_.peak_resident_bytes = std::max(stats_.peak_resident_bytes, resident_bytes_);
 }
 
 bool PagedStore::make_room_locked() {
@@ -207,11 +216,9 @@ void PagedStore::put(const u256& id, BytesView payload) {
   const auto [it, created] = table_.try_emplace(id);
   Entry& entry = it->second;
   if (Frame* frame = entry.frame.get()) {
-    resident_bytes_ -= frame->payload.size();
     lru_.splice(lru_.end(), lru_, frame->lru_pos);
     frame->payload = std::move(copy);
-    resident_bytes_ += frame->payload.size();
-    stats_.peak_resident_bytes = std::max(stats_.peak_resident_bytes, resident_bytes_);
+    recount_locked(*frame);
   } else {
     if (!make_room_locked()) {
       if (created) table_.erase(it);  // a refused put leaves no page behind

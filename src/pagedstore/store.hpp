@@ -190,6 +190,7 @@ class PagedStore {
  private:
   struct Frame {
     Bytes payload;
+    uint64_t counted = 0;  ///< payload bytes in resident_bytes_
     bool dirty = false;
     uint32_t pins = 0;
     std::list<Slot*>::iterator lru_pos;
@@ -210,6 +211,8 @@ class PagedStore {
   /// Makes `slot` resident with `payload` at the hot end (room already made).
   void add_frame_locked(Slot& slot, Bytes payload);
   void drop_frame_locked(Entry& entry);
+  /// Brings resident_bytes_ (and its peak) up to the frame's payload size.
+  void recount_locked(Frame& frame);
   PageRef pin_locked(Slot& slot);
   void unpin(Slot& slot);
   /// Appends the frame's payload as a new version and points the entry at it.

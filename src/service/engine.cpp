@@ -1,6 +1,7 @@
 #include "service/engine.hpp"
 
 #include <algorithm>
+#include <tuple>
 #include <unordered_set>
 
 #include "durability/durable_store.hpp"
@@ -35,135 +36,23 @@ uint64_t wall_ns_since(std::chrono::steady_clock::time_point start) {
 }
 }  // namespace
 
-bool outcomes_bit_identical(const SessionOutcome& a, const SessionOutcome& b) {
-  if (a.bundle_id != b.bundle_id || a.status != b.status) return false;
-  if (a.attempt != b.attempt || a.backend_fault != b.backend_fault ||
-      a.recovery_sim_ns != b.recovery_sim_ns || a.oram_retries != b.oram_retries ||
-      a.faults_seen != b.faults_seen) {
-    return false;
-  }
-  if (a.epoch != b.epoch || a.state_root != b.state_root || a.resim != b.resim) {
-    return false;
-  }
-  if (a.end_to_end_ns != b.end_to_end_ns || a.hevm_time_ns != b.hevm_time_ns ||
-      a.crypto_time_ns != b.crypto_time_ns || a.message_time_ns != b.message_time_ns) {
-    return false;
-  }
-
-  const hevm::BundleReport& ra = a.report;
-  const hevm::BundleReport& rb = b.report;
-  if (ra.sim_time_ns != rb.sim_time_ns || ra.instructions != rb.instructions ||
-      ra.aborted != rb.aborted) {
-    return false;
-  }
-  if (ra.memory_stats.l1_hits != rb.memory_stats.l1_hits ||
-      ra.memory_stats.l1_misses != rb.memory_stats.l1_misses ||
-      ra.memory_stats.frames_entered != rb.memory_stats.frames_entered ||
-      ra.memory_stats.memory_overflows != rb.memory_stats.memory_overflows) {
-    return false;
-  }
-  if (ra.swap_events.size() != rb.swap_events.size()) return false;
-  for (size_t i = 0; i < ra.swap_events.size(); ++i) {
-    if (ra.swap_events[i].kind != rb.swap_events[i].kind ||
-        ra.swap_events[i].pages != rb.swap_events[i].pages ||
-        ra.swap_events[i].noise_pages != rb.swap_events[i].noise_pages) {
-      return false;
-    }
-  }
-  if (ra.final_balances.size() != rb.final_balances.size()) return false;
-  for (size_t i = 0; i < ra.final_balances.size(); ++i) {
-    if (ra.final_balances[i].first != rb.final_balances[i].first ||
-        ra.final_balances[i].second != rb.final_balances[i].second) {
-      return false;
-    }
-  }
-  if (ra.transactions.size() != rb.transactions.size()) return false;
-  for (size_t i = 0; i < ra.transactions.size(); ++i) {
-    const hevm::TxTraceReport& ta = ra.transactions[i];
-    const hevm::TxTraceReport& tb = rb.transactions[i];
-    if (ta.status != tb.status || ta.gas_used != tb.gas_used ||
-        ta.sim_time_ns != tb.sim_time_ns || ta.return_data != tb.return_data ||
-        ta.create_address != tb.create_address) {
-      return false;
-    }
-    if (ta.storage_writes.size() != tb.storage_writes.size()) return false;
-    for (size_t j = 0; j < ta.storage_writes.size(); ++j) {
-      if (ta.storage_writes[j].addr != tb.storage_writes[j].addr ||
-          ta.storage_writes[j].key != tb.storage_writes[j].key ||
-          ta.storage_writes[j].value != tb.storage_writes[j].value) {
-        return false;
-      }
-    }
-    if (ta.logs.size() != tb.logs.size()) return false;
-    for (size_t j = 0; j < ta.logs.size(); ++j) {
-      if (ta.logs[j].address != tb.logs[j].address ||
-          ta.logs[j].topics != tb.logs[j].topics || ta.logs[j].data != tb.logs[j].data) {
-        return false;
-      }
-    }
-    if (ta.steps.size() != tb.steps.size()) return false;
-  }
-
-  const RoutedStateReader::Stats& qa = a.query_stats;
-  const RoutedStateReader::Stats& qb = b.query_stats;
-  if (qa.oram_queries != qb.oram_queries || qa.kv_queries != qb.kv_queries ||
-      qa.code_queries != qb.code_queries || qa.local_reads != qb.local_reads ||
-      qa.oram_time_ns != qb.oram_time_ns) {
-    return false;
-  }
-  auto same_events = [](const std::vector<hypervisor::QueryEvent>& ea,
-                        const std::vector<hypervisor::QueryEvent>& eb) {
-    if (ea.size() != eb.size()) return false;
-    for (size_t i = 0; i < ea.size(); ++i) {
-      if (ea[i].time_ns != eb[i].time_ns || ea[i].type != eb[i].type ||
-          ea[i].is_prefetch != eb[i].is_prefetch) {
-        return false;
-      }
-    }
-    return true;
-  };
-  return same_events(qa.demand_timeline, qb.demand_timeline) &&
-         same_events(a.observed_timeline, b.observed_timeline);
+bool outcomes_bit_identical(const SessionOutcome& a, SessionOutcome b) {
+  b.worker_id = a.worker_id;  // the one field outside determinism
+  return a == b;
 }
 
 bool outcomes_semantically_identical(const SessionOutcome& a, const SessionOutcome& b) {
-  if (a.bundle_id != b.bundle_id || a.status != b.status) return false;
-
-  const hevm::BundleReport& ra = a.report;
-  const hevm::BundleReport& rb = b.report;
-  if (ra.instructions != rb.instructions || ra.aborted != rb.aborted) return false;
-  if (ra.final_balances.size() != rb.final_balances.size()) return false;
-  for (size_t i = 0; i < ra.final_balances.size(); ++i) {
-    if (ra.final_balances[i].first != rb.final_balances[i].first ||
-        ra.final_balances[i].second != rb.final_balances[i].second) {
-      return false;
-    }
-  }
-  if (ra.transactions.size() != rb.transactions.size()) return false;
-  for (size_t i = 0; i < ra.transactions.size(); ++i) {
-    const hevm::TxTraceReport& ta = ra.transactions[i];
-    const hevm::TxTraceReport& tb = rb.transactions[i];
-    if (ta.status != tb.status || ta.gas_used != tb.gas_used ||
-        ta.return_data != tb.return_data || ta.create_address != tb.create_address) {
-      return false;
-    }
-    if (ta.storage_writes.size() != tb.storage_writes.size()) return false;
-    for (size_t j = 0; j < ta.storage_writes.size(); ++j) {
-      if (ta.storage_writes[j].addr != tb.storage_writes[j].addr ||
-          ta.storage_writes[j].key != tb.storage_writes[j].key ||
-          ta.storage_writes[j].value != tb.storage_writes[j].value) {
-        return false;
-      }
-    }
-    if (ta.logs.size() != tb.logs.size()) return false;
-    for (size_t j = 0; j < ta.logs.size(); ++j) {
-      if (ta.logs[j].address != tb.logs[j].address ||
-          ta.logs[j].topics != tb.logs[j].topics || ta.logs[j].data != tb.logs[j].data) {
-        return false;
-      }
-    }
-  }
-  return true;
+  const auto user_visible = [](const SessionOutcome& o) {
+    return std::tie(o.bundle_id, o.status, o.report.final_balances, o.report.instructions,
+                    o.report.aborted);
+  };
+  const auto user_visible_tx = [](const hevm::TxTraceReport& t) {
+    return std::tie(t.status, t.return_data, t.gas_used, t.create_address, t.storage_writes,
+                    t.logs, t.steps);
+  };
+  return user_visible(a) == user_visible(b) &&
+         std::ranges::equal(a.report.transactions, b.report.transactions, {},
+                            user_visible_tx, user_visible_tx);
 }
 
 PreExecutionEngine::PreExecutionEngine(node::NodeSimulator& node, EngineConfig config)
@@ -198,7 +87,6 @@ PreExecutionEngine::PreExecutionEngine(node::NodeSimulator& node, EngineConfig c
                         [this](const oram::BlockId& id) {
                           return oram_store_.shard_of(id);
                         }}),
-      oram_state_(frontend_),
       queue_(config.queue_depth),
       latency_hist_(&registry_.histogram("hardtape_engine_bundle_latency_sim_ns",
                                          "per-bundle end-to-end simulated latency")) {
@@ -845,8 +733,8 @@ SessionOutcome PreExecutionEngine::execute_session(
   // --- execute on the worker's dedicated HEVM (steps 4-8) ---
   const state::WorldState& local_world =
       pin.world != nullptr ? *pin.world : node_.world();
-  RoutedStateReader routed(local_world, oram_enabled() ? &oram_state_ : nullptr,
-                           config_.security, RoutedStateReader::Timing{.clock = &clock});
+  RoutedStateReader routed(local_world, &frontend_, config_.security,
+                           RoutedStateReader::Timing{.clock = &clock});
   crypto::AesKey128 session_key;
   rng.fill(session_key.data(), session_key.size());
   // The layer-2 noise-padding seed derives from (seed, bundle, attempt)

@@ -214,16 +214,18 @@ struct SessionOutcome {
   uint64_t message_time_ns = 0;
   RoutedStateReader::Stats query_stats;
   std::vector<hypervisor::QueryEvent> observed_timeline;
+  friend bool operator==(const SessionOutcome&, const SessionOutcome&) = default;
 };
 
-/// True iff the two outcomes are bit-identical in every deterministic field
+/// True iff the two outcomes are equal in every deterministic field
 /// (everything except worker_id). Used by tests and bench_throughput to hold
 /// the engine to the serial reference.
-bool outcomes_bit_identical(const SessionOutcome& a, const SessionOutcome& b);
+bool outcomes_bit_identical(const SessionOutcome& a, SessionOutcome b);
 
 /// True iff the two outcomes agree in every USER-VISIBLE field: status and
 /// the full bundle report (per-tx status/gas/return data/storage writes/
-/// logs/created addresses, final balances, instruction count, abort flag).
+/// logs/created addresses/recorded steps, final balances, instruction count,
+/// abort flag).
 /// Deliberately ignores attempt, epoch, state root, simulated timings, swap
 /// noise and query timelines — a re-admitted bundle runs at attempt+1 with
 /// a fresh fault/noise stream against a re-pinned (same-content) snapshot,
@@ -542,7 +544,6 @@ class PreExecutionEngine {
   /// Declared before frontend_ so the frontend can take it as its backend.
   std::unique_ptr<faults::FaultyOram> fault_layer_;
   oram::OramFrontend frontend_;
-  oram::OramWorldState oram_state_;
 
   BoundedQueue<QueueItem> queue_;
   std::vector<std::unique_ptr<Worker>> workers_;

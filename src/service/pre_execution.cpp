@@ -5,11 +5,11 @@
 namespace hardtape::service {
 
 RoutedStateReader::RoutedStateReader(const state::WorldState& local,
-                                     oram::OramWorldState* oram_state,
+                                     oram::OramAccessor* oram,
                                      const SecurityConfig& security, Timing timing)
-    : local_(local), oram_(oram_state), security_(security), timing_(timing) {
+    : local_(local), oram_(oram), security_(security), timing_(timing) {
   if ((security.oram_storage || security.oram_code) && oram_ == nullptr) {
-    throw UsageError("routed state: ORAM enabled but no ORAM state provided");
+    throw UsageError("routed state: ORAM enabled but no ORAM provided");
   }
 }
 
@@ -46,56 +46,64 @@ void RoutedStateReader::charge_local() const {
   if (timing_.clock) timing_.clock->advance_ns(timing_.local_read_ns);
 }
 
+std::optional<Bytes> RoutedStateReader::read_page(oram::PageType type,
+                                                  const Address& addr,
+                                                  const u256& index) const {
+  charge_oram(type);
+  // A recovered fault already charged its simulated time to the session's
+  // RecoveryTally. A terminal one has no value-typed path through
+  // StateReader, so it travels as BackendFault up to the session boundary,
+  // where the engine turns it into the outcome's Status: fail closed, never
+  // a hang.
+  oram::AccessAttempt attempt = oram_->try_read(oram::page_id(type, addr, index));
+  if (attempt.status != Status::kOk) throw BackendFault(attempt.status);
+  return std::move(attempt.data);
+}
+
 std::optional<state::Account> RoutedStateReader::account(const Address& addr) const {
-  if (security_.oram_storage) {
-    auto it = meta_cache_.find(addr);
-    if (it == meta_cache_.end()) {
-      charge_oram(oram::PageType::kAccountMeta);
-      it = meta_cache_.emplace(addr, oram_->account_page(addr)).first;
-    } else {
-      charge_local();  // layer-1 world-state cache hit
-    }
-    if (!it->second.has_value()) return std::nullopt;
-    const auto meta = oram::AccountMetaPage::deserialize(*it->second);
-    state::Account account;
-    account.balance = meta.balance;
-    account.nonce = meta.nonce;
-    account.code_hash = meta.code_hash;
-    return account;
+  if (!security_.oram_storage) {
+    charge_local();
+    return local_.account(addr);
   }
-  charge_local();
-  return local_.account(addr);
+  const auto page = read_page(oram::PageType::kAccountMeta, addr, u256{});
+  if (!page.has_value()) return std::nullopt;
+  return oram::AccountMetaPage::deserialize(*page).account;
 }
 
 u256 RoutedStateReader::storage(const Address& addr, const u256& key) const {
-  if (security_.oram_storage) {
-    const PageKey page_key{addr, key >> 5};
-    auto it = group_cache_.find(page_key);
-    if (it == group_cache_.end()) {
-      charge_oram(oram::PageType::kStorageGroup);
-      it = group_cache_.emplace(page_key, oram_->storage_page(addr, key >> 5)).first;
-    } else {
-      charge_local();  // grouping-as-prefetch: the page is already on-chip
-    }
-    if (!it->second.has_value()) return u256{};
-    return oram::StorageGroupPage::deserialize(*it->second).values[key.as_u64() & 31];
+  if (!security_.oram_storage) {
+    charge_local();
+    return local_.storage(addr, key);
   }
-  charge_local();
-  return local_.storage(addr, key);
+  const PageKey page_key{addr, oram::storage_group(key)};
+  auto it = group_cache_.find(page_key);
+  if (it == group_cache_.end()) {
+    auto page = read_page(oram::PageType::kStorageGroup, addr, page_key.index);
+    it = group_cache_.emplace(page_key, std::move(page)).first;
+  } else {
+    charge_local();  // grouping-as-prefetch: the page is already on-chip
+  }
+  if (!it->second.has_value()) return u256{};
+  return oram::storage_record(*it->second, key);
 }
 
 Bytes RoutedStateReader::code(const Address& addr) const {
-  if (security_.oram_code) {
-    // Meta page for the code size, then one query per 1 KB page (the
-    // physical accesses happen inside OramWorldState::code).
-    charge_oram(oram::PageType::kAccountMeta);
-    const Bytes code = oram_->code(addr);
-    const uint64_t pages = (code.size() + oram::kPageSize - 1) / oram::kPageSize;
-    for (uint64_t i = 0; i < pages; ++i) charge_oram(oram::PageType::kCode);
-    return code;
+  if (!security_.oram_code) {
+    charge_local();
+    return local_.code(addr);
   }
-  charge_local();
-  return local_.code(addr);
+  // The meta page for the code size, then one query per 1 KB code page.
+  const auto meta = read_page(oram::PageType::kAccountMeta, addr, u256{});
+  if (!meta.has_value()) return Bytes{};
+  const uint64_t code_size = oram::AccountMetaPage::deserialize(*meta).code_size;
+  Bytes code;
+  code.reserve(code_size);
+  for (uint64_t i = 0; i < oram::code_page_count(code_size); ++i) {
+    const auto page = read_page(oram::PageType::kCode, addr, u256{i});
+    if (!page.has_value()) throw HardtapeError("oram: missing code page");
+    oram::append_code_page(code, *page, code_size);
+  }
+  return code;
 }
 
 namespace wire {

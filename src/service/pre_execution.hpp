@@ -1,7 +1,9 @@
 // The per-session pieces of the paper's Figure 3 that PreExecutionEngine
 // (service/engine.hpp, which carries the step map) assembles: the routed
-// state reader behind step 8, the user channel's wire-size models behind
-// steps 2 and 9, and the step-3 queue model over dedicated HEVMs.
+// state reader behind step 8 — the HEVM's one read path into the paged
+// world state in the ORAM (oram/paged_state.hpp) — the user channel's
+// wire-size models behind steps 2 and 9, and the step-3 queue model over
+// dedicated HEVMs.
 //
 // All timing flows through sim::SimClock via the cost models of sim/costs.hpp
 // (see DESIGN.md §1); all cryptography and the ORAM itself are real.
@@ -26,7 +28,10 @@ uint64_t trace_bytes(const hevm::BundleReport& report);
 
 /// state::StateReader routing each query to the ORAM or to locally
 /// prefetched (untrusted) memory according to the security configuration,
-/// charging simulated time either way.
+/// charging simulated time either way. The one place an HEVM page read is
+/// issued, charged and decoded: each ORAM page costs one charge_oram and one
+/// try_read of its page id (oram/paged_state.hpp has the format), and a read
+/// that ends in any status but kOk throws BackendFault.
 class RoutedStateReader : public state::StateReader {
  public:
   struct Timing {
@@ -43,7 +48,9 @@ class RoutedStateReader : public state::StateReader {
     uint64_t page_bytes = oram::kPageSize + 60;  ///< sealed slot size on the wire
   };
 
-  RoutedStateReader(const state::WorldState& local, oram::OramWorldState* oram_state,
+  /// `oram` may be null only while the security config reads nothing
+  /// through the ORAM.
+  RoutedStateReader(const state::WorldState& local, oram::OramAccessor* oram,
                     const SecurityConfig& security, Timing timing);
 
   std::optional<state::Account> account(const Address& addr) const override;
@@ -63,6 +70,7 @@ class RoutedStateReader : public state::StateReader {
     uint64_t local_reads = 0;
     uint64_t oram_time_ns = 0;
     std::vector<hypervisor::QueryEvent> demand_timeline;
+    friend bool operator==(const Stats&, const Stats&) = default;
   };
   const Stats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
@@ -70,6 +78,9 @@ class RoutedStateReader : public state::StateReader {
  private:
   void charge_oram(oram::PageType type) const;
   void charge_local() const;
+  /// Charges and reads one page; nullopt when the id was never written.
+  std::optional<Bytes> read_page(oram::PageType type, const Address& addr,
+                                 const u256& index) const;
 
   struct PageKey {
     Address addr;
@@ -83,13 +94,14 @@ class RoutedStateReader : public state::StateReader {
   };
 
   const state::WorldState& local_;
-  oram::OramWorldState* oram_;
+  oram::OramAccessor* oram_;
   SecurityConfig security_;
   Timing timing_;
   mutable Stats stats_;
-  // Per-bundle page caches, modeling the HEVM's layer-1 world-state cache:
-  // one ORAM fetch serves all records of a page for the rest of the bundle.
-  mutable std::unordered_map<Address, std::optional<Bytes>, AddressHasher> meta_cache_;
+  // Per-bundle storage page cache, modeling the HEVM's layer-1 world-state
+  // cache: one ORAM fetch serves all records of a group page for the rest of
+  // the bundle (the paper's grouping-as-prefetch). Meta pages need none: the
+  // session's overlay asks for each account once.
   mutable std::unordered_map<PageKey, std::optional<Bytes>, PageKeyHasher> group_cache_;
 };
 

@@ -7,9 +7,9 @@
 // makes progress plus a busy flag; a monitor thread samples them and flags
 // any worker that has been busy on the same heartbeat for longer than the
 // stall threshold. Detection is wall-clock and diagnostics-only — it feeds
-// EngineMetrics and an optional callback (the engine wires it to the
-// circuit breaker), never the simulated timeline, so determinism of the
-// reproduced numbers is untouched.
+// EngineMetrics and an optional callback (the engine sets none; the circuit
+// breaker counts backend faults, not stalls), never the simulated timeline,
+// so determinism of the reproduced numbers is untouched.
 #pragma once
 
 #include <atomic>

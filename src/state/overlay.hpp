@@ -84,6 +84,7 @@ class OverlayState {
     Address addr;
     u256 key;
     u256 value;
+    friend bool operator==(const StorageWrite&, const StorageWrite&) = default;
   };
   /// Net storage modifications vs. the base state, deterministic order.
   std::vector<StorageWrite> storage_writes() const;

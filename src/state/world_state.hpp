@@ -17,7 +17,8 @@
 namespace hardtape::state {
 
 /// Read-only view of world-state data. Implemented by WorldState directly
-/// and by the ORAM-backed store in src/oram (the HEVM path).
+/// and by the session's routed reader in src/service, which reads the paged
+/// state out of the ORAM (the HEVM path).
 class StateReader {
  public:
   virtual ~StateReader() = default;

@@ -456,11 +456,26 @@ TEST_F(EngineTest, LiveChainOutcomesIdenticalAcrossWorkerCounts) {
   }
 }
 
+TEST(OutcomeEqualityTest, ARecordedStepThatDiffersBreaksIdentity) {
+  SessionOutcome a;
+  a.report.transactions.resize(1);
+  a.report.transactions[0].steps = {
+      {.pc = 0, .opcode = 0x60, .gas_left = 100, .depth = 0, .stack_size = 0},
+      {.pc = 2, .opcode = 0x60, .gas_left = 97, .depth = 0, .stack_size = 1}};
+  SessionOutcome b = a;
+  b.worker_id = 5;  // which worker ran it is not part of determinism
+  EXPECT_TRUE(outcomes_bit_identical(a, b));
+  EXPECT_TRUE(outcomes_semantically_identical(a, b));
+  b.report.transactions[0].steps[1].pc = 3;
+  EXPECT_FALSE(outcomes_bit_identical(a, b));
+  EXPECT_FALSE(outcomes_semantically_identical(a, b));
+}
+
 // ---------------------------------------------------------------------------
 // OramFrontend per-block gate (against a controllable fake backend)
 // ---------------------------------------------------------------------------
 
-/// Fake backend whose read() parks callers until `expected` of them are
+/// Fake backend whose try_read() parks callers until `expected` of them are
 /// inside simultaneously (or a timeout passes). peak() is the proof: 2 means
 /// two requests genuinely overlapped in the backend, 1 means something above
 /// serialized them.
@@ -469,16 +484,16 @@ class RendezvousStore : public oram::OramAccessor {
   RendezvousStore(int expected, std::chrono::milliseconds timeout)
       : expected_(expected), timeout_(timeout) {}
 
-  std::optional<Bytes> read(const oram::BlockId&) override {
+  oram::AccessAttempt try_read(const oram::BlockId&) override {
     std::unique_lock lock(mu_);
     ++inside_;
     peak_ = std::max(peak_, inside_);
     cv_.notify_all();
     cv_.wait_for(lock, timeout_, [&] { return peak_ >= expected_; });
     --inside_;
-    return Bytes{0x5a};
+    return {Status::kOk, Bytes{0x5a}, 0};
   }
-  void write(const oram::BlockId&, BytesView) override {}
+  oram::AccessAttempt try_write(const oram::BlockId&, BytesView) override { return {}; }
 
   int peak() const {
     std::lock_guard lock(mu_);
@@ -499,8 +514,8 @@ TEST(OramFrontendConcurrentTest, DistinctBlocksOverlapInBackend) {
   // two reads of distinct blocks rendezvous INSIDE the backend.
   RendezvousStore store(2, std::chrono::seconds(10));
   oram::OramFrontend frontend(store);
-  std::thread a([&] { frontend.read(oram::BlockId{1}); });
-  std::thread b([&] { frontend.read(oram::BlockId{2}); });
+  std::thread a([&] { frontend.try_read(oram::BlockId{1}); });
+  std::thread b([&] { frontend.try_read(oram::BlockId{2}); });
   a.join();
   b.join();
   EXPECT_EQ(store.peak(), 2);
@@ -512,8 +527,8 @@ TEST(OramFrontendConcurrentTest, SameBlockNeverOverlapsInBackend) {
   // can only time out (short timeout keeps the test fast).
   RendezvousStore store(2, std::chrono::milliseconds(100));
   oram::OramFrontend frontend(store);
-  std::thread a([&] { frontend.read(oram::BlockId{7}); });
-  std::thread b([&] { frontend.read(oram::BlockId{7}); });
+  std::thread a([&] { frontend.try_read(oram::BlockId{7}); });
+  std::thread b([&] { frontend.try_read(oram::BlockId{7}); });
   a.join();
   b.join();
   EXPECT_EQ(store.peak(), 1);

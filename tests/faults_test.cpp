@@ -133,12 +133,13 @@ TEST(FaultScopeTest, CountsOpsPerSiteAndNests) {
 /// Trivial reliable backing store: read always finds a page, writes count.
 class MemBackend : public oram::OramAccessor {
  public:
-  std::optional<Bytes> read(const oram::BlockId& id) override {
+  oram::AccessAttempt try_read(const oram::BlockId& id) override {
     reads_.fetch_add(1, std::memory_order_relaxed);
-    return Bytes{static_cast<uint8_t>(id.as_u64() & 0xff), 0x5a};
+    return {Status::kOk, Bytes{static_cast<uint8_t>(id.as_u64() & 0xff), 0x5a}, 0};
   }
-  void write(const oram::BlockId&, BytesView) override {
+  oram::AccessAttempt try_write(const oram::BlockId&, BytesView) override {
     writes_.fetch_add(1, std::memory_order_relaxed);
+    return {};
   }
   uint64_t reads() const { return reads_.load(); }
   uint64_t writes() const { return writes_.load(); }
@@ -224,8 +225,6 @@ TEST(FaultyOramTest, WriteDropSurfacesTimeout) {
 /// every access succeeds immediately.
 class ScriptedBackend : public oram::OramAccessor {
  public:
-  std::optional<Bytes> read(const oram::BlockId&) override { return Bytes{0x5a}; }
-  void write(const oram::BlockId&, BytesView) override {}
   oram::AccessAttempt try_read(const oram::BlockId&) override { return next(); }
   oram::AccessAttempt try_write(const oram::BlockId&, BytesView) override {
     return next();
@@ -332,15 +331,22 @@ TEST(FrontendRecoveryTest, ResidualDelayWithinTimeoutIsCharged) {
 }
 
 TEST(FrontendRecoveryTest, PlainReadThrowsBackendFaultOnTerminalStatus) {
+  // The session's state reader is where a failed page read becomes an
+  // exception: StateReader has no Status channel, so a terminal attempt
+  // travels as BackendFault carrying the frontend's status.
   ScriptedBackend backend;
   backend.script({Status::kAuthFailed, std::nullopt, 0});
   oram::OramFrontend frontend(backend);
+  const state::WorldState local;
+  const service::RoutedStateReader reader(local, &frontend,
+                                          service::SecurityConfig::ESO(), {});
   try {
-    frontend.read(oram::BlockId{1});
+    reader.storage(Address{}, u256{1});
     FAIL() << "expected BackendFault";
   } catch (const BackendFault& fault) {
     EXPECT_EQ(fault.status(), Status::kAuthFailed);
   }
+  EXPECT_EQ(backend.calls, 1u);  // fail closed: no retry
 }
 
 // ---------------------------------------------------------------------------
@@ -702,12 +708,6 @@ class ShardTamperOram : public oram::OramAccessor {
   ShardTamperOram(oram::ShardedOramStore& store, uint32_t victim)
       : store_(store), victim_(victim) {}
 
-  std::optional<Bytes> read(const oram::BlockId& id) override {
-    return store_.read(id);
-  }
-  void write(const oram::BlockId& id, BytesView data) override {
-    store_.write(id, data);
-  }
   oram::AccessAttempt try_read(const oram::BlockId& id) override {
     if (store_.shard_of(id) == victim_) {
       tampered_.fetch_add(1, std::memory_order_relaxed);

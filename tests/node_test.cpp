@@ -11,6 +11,7 @@
 #include "node/node.hpp"
 #include "node/sync.hpp"
 #include "oram/epoch.hpp"
+#include "service/pre_execution.hpp"
 #include "trie/mpt.hpp"
 #include "trie/paged_node_store.hpp"
 #include "trie/rlp.hpp"
@@ -30,6 +31,15 @@ crypto::AesKey128 key() {
   crypto::AesKey128 k{};
   k[5] = 9;
   return k;
+}
+
+// The session's state reader with every query routed to `oram`: the HEVM's
+// own read path over what a sync installed. Its local world is empty, so
+// every answer comes from the ORAM.
+service::RoutedStateReader oram_reader(oram::OramAccessor& oram) {
+  static const state::WorldState kNothingLocal;
+  return service::RoutedStateReader(kNothingLocal, &oram, service::SecurityConfig::full(),
+                                    {});
 }
 
 TEST(Node, GenesisChain) {
@@ -275,7 +285,7 @@ TEST_F(SyncTest, HonestNodeSyncsAndServes) {
 
   // The staged pages, bulk-loaded, serve correct data through the ORAM.
   client_.bulk_load(pages);
-  oram::OramWorldState oram_state(client_);
+  const auto oram_state = oram_reader(client_);
   EXPECT_EQ(oram_state.account(addr(1))->balance, u256{777});
   EXPECT_EQ(oram_state.storage(addr(2), u256{5}), u256{55});
   EXPECT_EQ(oram_state.storage(addr(2), u256{37}), u256{3737});
@@ -324,8 +334,8 @@ TEST_F(SyncTest, AbsentAccountSyncsAsAbsent) {
   EXPECT_EQ(pages[0].first,
             oram::page_id(oram::PageType::kAccountMeta, addr(1), u256{}));
   const auto meta = oram::AccountMetaPage::deserialize(pages[0].second);
-  EXPECT_EQ(meta.balance, u256{});
-  EXPECT_EQ(meta.code_hash, crypto::keccak256(Bytes{}));
+  EXPECT_EQ(meta.account.balance, u256{});
+  EXPECT_EQ(meta.account.code_hash, crypto::keccak256(Bytes{}));
 }
 
 // Fail-closed regression (PR 4 satellite): a proof failure on the SECOND
@@ -403,7 +413,7 @@ TEST_F(DeltaSyncTest, DeltaReverifiesOnlyChangesAndServesNewState) {
   EXPECT_EQ(report.slots_reverified, 2u);
   EXPECT_GT(pages.size(), 0u);
 
-  oram::OramWorldState oram_state(client_);
+  const auto oram_state = oram_reader(client_);
   EXPECT_EQ(oram_state.storage(addr(0x10), addr(1).to_u256()), u256{600});
   EXPECT_EQ(oram_state.storage(addr(0x10), addr(2).to_u256()), u256{400});
   // Untouched pages survive at their older epoch and still serve.
@@ -432,7 +442,7 @@ TEST_F(DeltaSyncTest, MidDeltaProofFailureInstallsNothing) {
   EXPECT_EQ(delta.verify_delta(*old_world_, pages), Status::kBadProof);
   EXPECT_TRUE(pages.empty());  // nothing to install
 
-  oram::OramWorldState oram_state(client_);
+  const auto oram_state = oram_reader(client_);
   // The store still serves the OLD state, wholesale: fail closed.
   EXPECT_EQ(oram_state.storage(addr(0x10), addr(1).to_u256()), u256{1000});
   EXPECT_EQ(oram_state.storage(addr(0x10), addr(2).to_u256()), u256{});
@@ -562,7 +572,7 @@ TEST(SyncIntegration, FullWorkloadWorldSyncs) {
   ASSERT_EQ(sync.verify_all(pages), Status::kOk);
   client.bulk_load(pages);
 
-  oram::OramWorldState oram_state(client);
+  const auto oram_state = oram_reader(client);
   const Address& token = gen.tokens()[0];
   const Address& user = gen.users()[0];
   EXPECT_EQ(oram_state.storage(token, user.to_u256()),

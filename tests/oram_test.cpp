@@ -2,6 +2,7 @@
 // property checks backing threat A7 and integrity checks backing A6.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -17,6 +18,7 @@
 #include "oram/paged_state.hpp"
 #include "oram/path_oram.hpp"
 #include "oram/sharded.hpp"
+#include "service/pre_execution.hpp"
 
 namespace hardtape::oram {
 namespace {
@@ -567,26 +569,31 @@ TEST(PagedState, PageIdsAreDistinct) {
 
 TEST(PagedState, AccountMetaPageRoundTrip) {
   AccountMetaPage meta;
-  meta.balance = u256::from_string("123456789123456789");
-  meta.nonce = 42;
+  meta.account.balance = u256::from_string("123456789123456789");
+  meta.account.nonce = 42;
+  meta.account.code_hash = crypto::keccak256("code");
   meta.code_size = 12345;
-  meta.code_hash = crypto::keccak256("code");
   const Bytes page = meta.serialize();
   EXPECT_EQ(page.size(), kPageSize);
   const AccountMetaPage back = AccountMetaPage::deserialize(page);
-  EXPECT_EQ(back.balance, meta.balance);
-  EXPECT_EQ(back.nonce, meta.nonce);
+  EXPECT_EQ(back.account.balance, meta.account.balance);
+  EXPECT_EQ(back.account.nonce, meta.account.nonce);
   EXPECT_EQ(back.code_size, meta.code_size);
-  EXPECT_EQ(back.code_hash, meta.code_hash);
+  EXPECT_EQ(back.account.code_hash, meta.account.code_hash);
 }
 
 TEST(PagedState, StorageGroupPageRoundTrip) {
+  // Keys 64..95 are group 2; each lands in its own record.
   StorageGroupPage group;
-  for (size_t i = 0; i < kRecordsPerPage; ++i) group.values[i] = u256{i * 17};
+  for (uint64_t key = 64; key < 96; ++key) {
+    EXPECT_EQ(storage_group(u256{key}), u256{2});
+    group.set(u256{key}, u256{key * 17});
+  }
   const Bytes page = group.serialize();
   EXPECT_EQ(page.size(), kPageSize);
-  const StorageGroupPage back = StorageGroupPage::deserialize(page);
-  EXPECT_EQ(back.values, group.values);
+  for (uint64_t key = 64; key < 96; ++key) {
+    EXPECT_EQ(storage_record(page, u256{key}), u256{key * 17});
+  }
 }
 
 // What a cold sync stages for the node's whole (pinned) state.
@@ -627,7 +634,7 @@ TEST(PagedState, BuildPagesGroupsConsecutiveKeys) {
   // Key 33 sits at record 1 of group 1.
   for (const auto& [id, data] : pages) {
     if (id == page_id(PageType::kStorageGroup, acct(1), u256{1})) {
-      EXPECT_EQ(StorageGroupPage::deserialize(data).values[1], u256{34});
+      EXPECT_EQ(storage_record(data, u256{33}), u256{34});
     }
   }
 }
@@ -640,12 +647,14 @@ TEST(PagedState, BuildPagesSplitsCode) {
   EXPECT_EQ(counts[PageType::kAccountMeta], 1u);
 }
 
+// The synced world read back through the session's state reader with every
+// query routed to the ORAM: the HEVM's own read path.
 class OramWorldStateTest : public ::testing::Test {
  protected:
   OramWorldStateTest()
       : server_(OramConfig{.block_size = kPageSize, .capacity = 256}),
         client_(server_, test_key(), 11, SealMode::kChaChaHmac),
-        oram_state_(client_) {
+        reader_(local_, &client_, service::SecurityConfig::full(), {.clock = &clock_}) {
     state::WorldState& world = node_.world();
     world.set_balance(acct(1), u256{5555});
     world.set_nonce(acct(1), 3);
@@ -660,59 +669,70 @@ class OramWorldStateTest : public ::testing::Test {
   node::NodeSimulator node_;
   OramServer server_;
   OramClient client_;
-  OramWorldState oram_state_;
+  state::WorldState local_;  ///< empty: every answer must come from the ORAM
+  sim::SimClock clock_;
+  service::RoutedStateReader reader_;
   Bytes code_;
 };
 
 TEST_F(OramWorldStateTest, AccountThroughOram) {
-  const auto account = oram_state_.account(acct(1));
+  const auto account = reader_.account(acct(1));
   ASSERT_TRUE(account.has_value());
   EXPECT_EQ(account->balance, u256{5555});
   EXPECT_EQ(account->nonce, 3u);
-  EXPECT_FALSE(oram_state_.account(acct(9)).has_value());
+  EXPECT_FALSE(reader_.account(acct(9)).has_value());
 }
 
 TEST_F(OramWorldStateTest, StorageThroughOram) {
-  EXPECT_EQ(oram_state_.storage(acct(1), u256{7}), u256{777});
-  EXPECT_EQ(oram_state_.storage(acct(1), u256{39}), u256{3939});
+  EXPECT_EQ(reader_.storage(acct(1), u256{7}), u256{777});
+  EXPECT_EQ(reader_.storage(acct(1), u256{39}), u256{3939});
   // Same group as key 7 but never written: zero.
-  EXPECT_EQ(oram_state_.storage(acct(1), u256{8}), u256{});
+  EXPECT_EQ(reader_.storage(acct(1), u256{8}), u256{});
   // Unknown group: zero (after a dummy access).
-  EXPECT_EQ(oram_state_.storage(acct(1), u256{100000}), u256{});
+  EXPECT_EQ(reader_.storage(acct(1), u256{100000}), u256{});
 }
 
 TEST_F(OramWorldStateTest, CodeReassembledFromPages) {
-  EXPECT_EQ(oram_state_.code(acct(1)), code_);
-  EXPECT_TRUE(oram_state_.code(acct(9)).empty());
+  EXPECT_EQ(reader_.code(acct(1)), code_);
+  EXPECT_TRUE(reader_.code(acct(9)).empty());
 }
 
 TEST_F(OramWorldStateTest, CodePageDirectAccess) {
-  const auto page0 = oram_state_.code_page(acct(1), 0);
+  // Code page i is addressable on its own: page 0 holds the first 1 KB, and
+  // the last page is zero-padded to the uniform size.
+  const auto page0 = client_.read(page_id(PageType::kCode, acct(1), u256{0}));
   ASSERT_TRUE(page0.has_value());
   EXPECT_TRUE(std::equal(code_.begin(), code_.begin() + 1024, page0->begin()));
+  const auto page1 = client_.read(page_id(PageType::kCode, acct(1), u256{1}));
+  ASSERT_TRUE(page1.has_value());
+  ASSERT_EQ(page1->size(), kPageSize);
+  const auto tail = page1->begin() + (code_.size() - 1024);
+  EXPECT_TRUE(std::equal(code_.begin() + 1024, code_.end(), page1->begin()));
+  EXPECT_TRUE(std::all_of(tail, page1->end(), [](uint8_t b) { return b == 0; }));
 }
 
-TEST_F(OramWorldStateTest, QueryHookSeesUniformPages) {
-  std::vector<PageType> types;
-  oram_state_.set_query_hook(
-      [&](PageType t, const Address&, const u256&) { types.push_back(t); });
-  oram_state_.storage(acct(1), u256{7});
-  oram_state_.code(acct(1));
-  // storage: 1 query; code: 1 meta + 2 code pages.
-  ASSERT_EQ(types.size(), 4u);
-  EXPECT_EQ(types[0], PageType::kStorageGroup);
-  EXPECT_EQ(types[1], PageType::kAccountMeta);
-  EXPECT_EQ(types[2], PageType::kCode);
-  EXPECT_EQ(types[3], PageType::kCode);
+TEST_F(OramWorldStateTest, DemandTimelineSeesUniformPages) {
+  reader_.storage(acct(1), u256{7});
+  reader_.code(acct(1));
+  // storage: 1 query; code: 1 meta + 2 code pages, each charged in order.
+  const auto& stats = reader_.stats();
+  ASSERT_EQ(stats.demand_timeline.size(), 4u);
+  EXPECT_EQ(stats.demand_timeline[0].type, PageType::kStorageGroup);
+  EXPECT_EQ(stats.demand_timeline[1].type, PageType::kAccountMeta);
+  EXPECT_EQ(stats.demand_timeline[2].type, PageType::kCode);
+  EXPECT_EQ(stats.demand_timeline[3].type, PageType::kCode);
+  EXPECT_EQ(stats.oram_queries, 4u);
+  EXPECT_EQ(stats.kv_queries, 2u);
+  EXPECT_EQ(stats.code_queries, 2u);
 }
 
 TEST_F(OramWorldStateTest, EveryQueryIsOnePathAccess) {
   // The uniform-response property end-to-end: each world-state query maps to
   // exactly one ORAM access (same observable shape for all types).
   const uint64_t before = server_.access_count();
-  oram_state_.storage(acct(1), u256{7});
+  reader_.storage(acct(1), u256{7});
   EXPECT_EQ(server_.access_count(), before + 1);
-  oram_state_.account(acct(1));
+  reader_.account(acct(1));
   EXPECT_EQ(server_.access_count(), before + 2);
 }
 

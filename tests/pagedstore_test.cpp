@@ -193,6 +193,25 @@ TEST(PagedStore, GetCopiesAClippedSlice) {
   EXPECT_FALSE(store.get(u256{3}, 0, 1).has_value());
 }
 
+TEST(PagedStore, BytesWrittenThroughAPinAreResident) {
+  // PagedNodeStore grows its fill page through a PageRef, so the pool must
+  // count a frame at the size its pin leaves it: a peak above zero, never a
+  // wrapped count after such a page is evicted, and never above the cap.
+  durability::SimFs fs;
+  constexpr size_t kPages = 2;
+  constexpr size_t kPayload = 512;
+  trie::PagedNodeStore nodes(fs, pool_config(kPages), kPayload);
+  Random rng(0x5e5);
+  for (int i = 0; nodes.pool_stats().evictions < 4; ++i) {
+    ASSERT_LT(i, 1000) << "the pool never evicted";
+    const Bytes node = rng.bytes(40 + rng.uniform(60));
+    nodes.put(crypto::keccak256(node), node);
+    const uint64_t peak = nodes.pool_stats().peak_resident_bytes;
+    ASSERT_GT(peak, 0u) << "put " << i;
+    ASSERT_LE(peak, kPages * kPayload) << "put " << i;
+  }
+}
+
 // ------------------------------------------------------------ page codec ----
 
 TEST(PageCodec, EverySingleBitFlipIsRefused) {
