@@ -44,9 +44,9 @@ int main() {
       while ((1ull << depth) < static_cast<uint64_t>(blocks)) ++depth;
       service::RoutedStateReader::Timing timing;
       timing.modeled_tree_depth = depth;
-      timing.page_bytes = page + 60;
+      timing.page_bytes = oram::sealed_slot_bytes(page);
       const double path_kb =
-          static_cast<double>((depth + 1) * 4 * (page + 60)) / 1024.0;
+          static_cast<double>((depth + 1) * 4 * timing.page_bytes) / 1024.0;
       // Reuse the service's access-cost formula via a throwaway reader.
       state::WorldState dummy;
       service::RoutedStateReader reader(dummy, nullptr,

@@ -60,6 +60,7 @@
 #include "durability/recovery.hpp"
 #include "durability/vfs.hpp"
 #include "faults/crash_plan.hpp"
+#include "oram/slot_store.hpp"
 #include "service/engine.hpp"
 #include "trie/paged_node_store.hpp"
 
@@ -229,10 +230,8 @@ uint64_t analytic_pool_budget(service::PreExecutionEngine& engine,
   uint64_t total = opts.pool_pages * oram::kPageSize;  // durable mirror
   oram::ShardedOramStore& shards = engine.oram_store();
   const oram::OramConfig& shard_cfg = shards.server(0).config();
-  // One slot on a bucket page: 12B nonce + 16B tag + 4B length + ciphertext
-  // (stream cipher: ciphertext == block_size).
-  const uint64_t bucket_bytes =
-      shard_cfg.bucket_capacity * (12 + 16 + 4 + shard_cfg.block_size);
+  const uint64_t bucket_bytes = oram::PagedSlotStore::bucket_page_bytes(
+      shard_cfg.bucket_capacity, shard_cfg.block_size);
   for (size_t i = 0; i < shards.shard_count(); ++i) {
     const size_t pages = std::max(
         opts.pool_pages, 2 * (shards.server(i).depth() + 1));

@@ -20,7 +20,7 @@
 //     the observed counts ARE the secret frame sizes and the audit must
 //     FAIL on swap_size_ks.
 //
-//  3. Sharded-store / shard-routing channel (PR 6): the sharded frontend's
+//  3. Sharded-store / shard-routing channel (PR 6): the sharded store's
 //     adversary view is a (shard, leaf) stream. A skewed workload (a few hot
 //     pages taking most accesses) drives a ShardedOramStore directly: with
 //     the faithful per-access shard redraw the stream must audit uniform

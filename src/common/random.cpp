@@ -113,12 +113,6 @@ Bytes Random::bytes(size_t n) {
   return out;
 }
 
-std::array<uint8_t, 32> Random::bytes32() {
-  std::array<uint8_t, 32> out;
-  fill(out.data(), out.size());
-  return out;
-}
-
 uint64_t Random::swap_noise(uint64_t max_extra) {
   if (max_extra == 0) return 0;
   return uniform(max_extra + 1);

@@ -42,7 +42,6 @@ class Random {
   double uniform_double();  ///< in [0, 1)
   void fill(uint8_t* out, size_t n);
   Bytes bytes(size_t n);
-  std::array<uint8_t, 32> bytes32();
 
   /// Pager noise: number of extra pages to pre-evict/pre-load, uniform in
   /// [0, max_extra] — a distribution independent of the true swap size

@@ -51,7 +51,6 @@ void HevmCore::assign(const state::StateReader& base, evm::BlockContext block,
     session.opcode_trace = std::make_unique<OpcodeTraceObserver>(*config_.trace, clock_);
     session.chain->add(session.opcode_trace.get());
   }
-  for (auto* obs : extra_observers_) session.chain->add(obs);
   session.interpreter->set_observer(session.chain.get());
   session_ = std::move(session);
   clock_.advance_ns(config_.cost.reset_ns());  // clear all on-chip memories
@@ -116,7 +115,6 @@ void HevmCore::release() {
   // Hardware reset: all on-chip memories cleared, overlay (the temporary
   // world-state modifications) discarded.
   session_.reset();
-  extra_observers_.clear();
 }
 
 }  // namespace hardtape::hevm

@@ -76,10 +76,6 @@ class HevmCore {
   /// occupancy of the core.
   BundleReport execute_bundle(const std::vector<evm::Transaction>& txs);
 
-  /// Extra observer spliced into the chain (e.g. the service layer's query
-  /// timing hook); set before execute_bundle.
-  void add_observer(evm::ExecutionObserver* observer) { extra_observers_.push_back(observer); }
-
   /// Resets the core to idle and clears all on-chip state (step 10).
   void release();
 
@@ -102,7 +98,6 @@ class HevmCore {
   sim::SimClock& clock_;
   Config config_;
   std::optional<Session> session_;
-  std::vector<evm::ExecutionObserver*> extra_observers_;
 };
 
 }  // namespace hardtape::hevm

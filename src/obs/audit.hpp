@@ -146,7 +146,7 @@ AuditReport audit_obliviousness(const SpTrace& a, const SpTrace& b,
                                 const AuditConfig& config = {});
 
 // ---------------------------------------------------------------------------
-// Per-shard audit (PR 6). With the sharded frontend the SP's per-access view
+// Per-shard audit (PR 6). With the sharded store the SP's per-access view
 // is a (shard, leaf) pair instead of one global leaf. The security claim of
 // oram/sharded.hpp is that the pair is i.i.d. uniform: shard draws uniform
 // over shards, leaf draws uniform over that shard's leaves, independent of
@@ -160,7 +160,7 @@ AuditReport audit_obliviousness(const SpTrace& a, const SpTrace& b,
 //                         sequence vs discrete uniform over the shard's
 //                         leaves, normalized to sqrt(n)*D so one threshold
 //                         covers unevenly loaded shards.
-// Every request walks: the frontend never merges duplicate requests, so
+// Every request walks: nothing merges duplicate requests, so
 // each access contributes exactly one (shard, leaf) observation and the
 // walk count equals the request count.
 

@@ -2,10 +2,11 @@
 //
 // Every boundary the adversary — or an operator debugging the deployment —
 // can observe emits fixed-size TraceEvents: per-opcode retire in the HEVM
-// core, SwapEvents on the layer-2/3 memory bus, ORAM query issue/retry/
-// complete at the frontend, and bundle lifecycle in the engine. Events carry
-// BOTH timelines (DESIGN.md §1): the session's simulated clock (deterministic,
-// what the auditor consumes) and host wall time (diagnostics only).
+// core, SwapEvents on the layer-2/3 memory bus, ORAM request issue/retry/
+// complete at each session's state reader, and bundle lifecycle in the
+// engine. Events carry BOTH timelines (DESIGN.md §1): the session's
+// simulated clock (deterministic, what the auditor consumes) and host wall
+// time (diagnostics only).
 //
 // Determinism contract: tracing is pull-only instrumentation. Emission never
 // advances a clock, draws randomness, or changes control flow, so traced and
@@ -14,8 +15,9 @@
 // fault-free engine sweep bit-identical to the seed behaviour.
 //
 // Concurrency: one TraceRing per worker (single writer each, the engine maps
-// worker i to ring i); shared components (the ORAM frontend) write to their
-// own ring under the ring's internal mutex. Rings are bounded: when full they
+// worker i to ring i); the ORAM request path (every session's state reader
+// and the sharded store's walks) writes to one shared ring under the ring's
+// internal mutex. Rings are bounded: when full they
 // overwrite the oldest events and count drops — tracing can never OOM a run.
 #pragma once
 
@@ -33,7 +35,7 @@ namespace hardtape::obs {
 enum class TraceCategory : uint8_t {
   kOpcode = 0,  ///< HEVM per-opcode retire
   kSwap = 1,    ///< layer-2/3 memory-bus swap (the A5 channel)
-  kOram = 2,    ///< ORAM frontend request lifecycle (the A7 channel)
+  kOram = 2,    ///< ORAM request lifecycle (the A7 channel)
   kBundle = 3,  ///< engine bundle lifecycle
 };
 const char* to_string(TraceCategory category);
@@ -66,7 +68,7 @@ const char* to_string(TraceCode code);
 ///   kOpcode:              a = pc, b = gas_left, c = depth  (code = opcode)
 ///   kSwap evict/load:     a = observed pages, b = noise pages, c = depth
 ///   kOram issue (worker ring, engine SP timeline): a = page type, b = is_prefetch
-///   kOram issue (frontend ring -2): a = is_write, b = stream tag
+///   kOram issue (request ring -2): a = is_write, b = stream tag
 ///   kOram retry:          a = attempt index, b = backoff sim ns
 ///   kOram complete:       a = terminal status code, b = recovery sim ns
 ///   kBundle submit/...:   a = bundle id, b = attempt, c = status code
@@ -122,7 +124,7 @@ class TraceSink {
 
   /// The ring for `worker` (created on first use; stable reference).
   /// Convention: worker ids >= 0 are engine workers, -1 the producer/engine
-  /// thread, -2 shared components (ORAM frontend).
+  /// thread, -2 the ORAM request path (state readers, sharded store).
   TraceRing& ring(int32_t worker);
 
   /// One JSON object per line, all rings merged, ordered by (worker, seq).

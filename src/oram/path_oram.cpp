@@ -15,10 +15,10 @@ namespace {
 // the block size.
 Bytes make_plaintext(const u256& id, BytesView data, size_t block_size) {
   Bytes pt;
-  pt.reserve(32 + block_size);
+  pt.reserve(slot_ciphertext_bytes(block_size));
   append(pt, id.to_be_bytes_vec());
   append(pt, data);
-  pt.resize(32 + block_size, 0);
+  pt.resize(slot_ciphertext_bytes(block_size), 0);
   return pt;
 }
 
@@ -103,7 +103,7 @@ OramServer::OramServer(const OramConfig& config) : config_(config) {
       // Walk working set: every bucket of one path stays pinned from
       // read_path to write_path, plus slack for the rewrite's fetches.
       store_ = std::make_unique<PagedSlotStore>(*config.backing_fs, std::move(ps),
-                                                config.bucket_capacity,
+                                                config.bucket_capacity, config.block_size,
                                                 /*min_pool_pages=*/2 * (depth_ + 1));
       break;
     }
@@ -169,12 +169,7 @@ std::optional<pagedstore::BufferPoolStats> OramServer::slot_pool_stats() const {
 }
 
 uint64_t OramServer::bytes_per_access() const {
-  const uint64_t slot_bytes = 12 + 16 + 32 + config_.block_size;
-  return 2 * (depth_ + 1) * config_.bucket_capacity * slot_bytes;
-}
-
-uint64_t OramServer::storage_bytes() const {
-  return bucket_count() * config_.bucket_capacity * (12 + 16 + 32 + config_.block_size);
+  return 2 * (depth_ + 1) * config_.bucket_capacity * sealed_slot_bytes(config_.block_size);
 }
 
 // ---------------------------------------------------------------------------
@@ -297,7 +292,7 @@ void OramClient::bulk_load(const Pages& pages, std::optional<size_t> sized_for) 
         const auto& [id, data] = *region_pages[index][slot];
         sealed = seal_slot(mode_, key_, rng_, make_plaintext(id, data, block_size));
       } else {
-        sealed = free_slot(key_, rng_, 32 + block_size);
+        sealed = free_slot(key_, rng_, slot_ciphertext_bytes(block_size));
       }
     }
   }
@@ -318,12 +313,13 @@ std::optional<Bytes> OramClient::access(
     const uint64_t leaf = rng_.uniform(server_.leaf_count());
     auto path = server_.read_path(leaf);
     const size_t z = server_.config().bucket_capacity;
+    const size_t ciphertext_bytes = slot_ciphertext_bytes(server_.config().block_size);
     for (size_t level = 0; level <= server_.depth(); ++level) {
       const size_t fill = fill_[server_.bucket_index(leaf, level)];
       for (size_t slot = 0; slot < z; ++slot) {
         SealedSlot& sealed = path[level * z + slot];
         sealed = slot < fill ? seal_slot(mode_, key_, rng_, open_block(sealed))
-                             : free_slot(key_, rng_, 32 + server_.config().block_size);
+                             : free_slot(key_, rng_, ciphertext_bytes);
       }
     }
     server_.write_path(leaf, std::move(path));
@@ -424,14 +420,16 @@ void OramClient::evict_along_path(uint64_t leaf) {
       }
     }
     fill_[server_.bucket_index(leaf, level)] = static_cast<uint8_t>(filled);
-    for (; filled < z; ++filled) path[level * z + filled] = free_slot(key_, rng_, 32 + block_size);
+    for (; filled < z; ++filled) {
+      path[level * z + filled] = free_slot(key_, rng_, slot_ciphertext_bytes(block_size));
+    }
   }
   server_.write_path(leaf, std::move(path));
 }
 
 Bytes OramClient::open_block(const SealedSlot& slot) const {
   std::optional<Bytes> pt;
-  if (slot.ciphertext.size() == 32 + server_.config().block_size) {
+  if (slot.ciphertext.size() == slot_ciphertext_bytes(server_.config().block_size)) {
     pt = open_slot(mode_, key_, slot);
   }
   if (!pt.has_value()) throw IntegrityError("oram: slot authentication failed");

@@ -89,6 +89,17 @@ struct SealedSlot {
   Bytes ciphertext;
 };
 
+/// Ciphertext bytes of every sealed and free slot: the 32-byte block id,
+/// then the block zero-padded to `block_size`.
+constexpr size_t slot_ciphertext_bytes(size_t block_size) { return 32 + block_size; }
+/// Bytes of one slot as the SP stores and ships it: nonce, tag, ciphertext.
+/// The link model (OramServer::bytes_per_access) and the paged bucket page
+/// (PagedSlotStore::bucket_page_bytes) are both sized from it.
+constexpr size_t sealed_slot_bytes(size_t block_size) {
+  return sizeof(SealedSlot::nonce) + sizeof(SealedSlot::tag) +
+         slot_ciphertext_bytes(block_size);
+}
+
 SealedSlot seal_slot(SealMode mode, const crypto::AesKey128& key, Random& rng,
                      BytesView plaintext);
 /// Returns nullopt when the tag fails to verify (tampered slot).
@@ -132,7 +143,6 @@ class OramServer {
   uint64_t access_count() const { return access_count_; }
   /// Total bytes moved over the link per access (both directions).
   uint64_t bytes_per_access() const;
-  uint64_t storage_bytes() const;
   void clear_observations() { observed_leaves_.clear(); }
   /// One bucket's Z slots as the SP stores them (heap index). Not an access:
   /// it records nothing. Never-written slots have empty ciphertext.
@@ -169,14 +179,14 @@ struct AccessAttempt {
 };
 
 /// Block-level access interface shared by the OramClient and anything that
-/// wraps it (the adversary in faults/faulty_oram.hpp, the concurrency
-/// frontend in oram/frontend.hpp). Callers that only need page reads and
-/// writes — the session's state reader, the engine's sync pass — take this
-/// instead of a concrete OramClient so the same code runs both
-/// single-threaded (straight to the client) and under the multi-session
-/// engine (serialized through the frontend). Every access is one attempt
-/// whose status is the one failure channel: a caller decides what a
-/// non-kOk attempt means to it.
+/// wraps it (the adversary in faults/faulty_oram.hpp, the sharded store in
+/// oram/sharded.hpp). Callers that only need page reads and writes — the
+/// session's state reader, the engine's sync pass — take this instead of a
+/// concrete OramClient so the same code runs both single-threaded (straight
+/// to the client) and under the multi-session engine (on the sharded store,
+/// which locks itself). Every access is one attempt whose status is the one
+/// failure channel: a caller decides what a non-kOk attempt means to it
+/// (the state reader retries timeouts and fails closed on the rest).
 class OramAccessor {
  public:
   virtual ~OramAccessor() = default;
@@ -190,7 +200,7 @@ class OramAccessor {
 /// of the Hypervisor). Every read() and write() performs one full Path ORAM
 /// access: path read, remap, evict, path re-write. NOT thread-safe: the
 /// stash and position map are single state machines — concurrent sessions
-/// must go through an OramFrontend.
+/// go through a ShardedOramStore, which serializes each shard's client.
 class OramClient : public OramAccessor {
  public:
   /// `seal_key` seals every slot; `rng_seed` seeds the DRBG that draws the

@@ -43,7 +43,6 @@ class RecursiveOramClient {
   /// On-chip memory actually required: the map ORAM's position map + both
   /// stashes — the quantity recursion is meant to shrink.
   size_t onchip_position_entries() const { return map_position_.size(); }
-  size_t data_stash_size() const { return data_stash_.size(); }
   size_t stash_high_water() const { return stash_high_water_; }
 
   const OramServer& data_server() const { return data_server_; }

@@ -55,12 +55,24 @@ ShardedOramStore::ShardedOramStore(ShardedOramConfig config,
 }
 
 std::pair<uint32_t, uint32_t> ShardedOramStore::route(const BlockId& id) {
-  std::lock_guard lock(map_mu_);
+  const auto start = std::chrono::steady_clock::now();
+  std::unique_lock lock(map_mu_);
+  gate_cv_.wait(lock, [&] { return !in_flight_.contains(id); });
+  in_flight_.insert(id);
+  gate_stall_ns_ += wall_ns_since(start);
   const auto it = shard_of_.find(id);
   const uint32_t current = it == shard_of_.end() ? kNoShard : it->second;
   uint32_t next = static_cast<uint32_t>(map_rng_.uniform(shards_.size()));
   if (config_.pin_shard_assignment && current != kNoShard) next = current;
   return {current, next};
+}
+
+ShardedOramStore::Release::~Release() {
+  {
+    std::lock_guard lock(store.map_mu_);
+    store.in_flight_.erase(id);
+  }
+  store.gate_cv_.notify_all();
 }
 
 void ShardedOramStore::drain_inbox(Shard& shard) {
@@ -124,7 +136,6 @@ void ShardedOramStore::hand_off(const BlockId& id, Bytes data, uint32_t to_shard
   {
     std::lock_guard lock(dest.inbox_mu);
     dest.inbox.emplace_back(id, std::move(data));
-    dest.inbox_high_water = std::max(dest.inbox_high_water, dest.inbox.size());
   }
   std::lock_guard lock(map_mu_);
   shard_of_[id] = to_shard;
@@ -132,6 +143,7 @@ void ShardedOramStore::hand_off(const BlockId& id, Bytes data, uint32_t to_shard
 
 std::optional<Bytes> ShardedOramStore::read(const BlockId& id) {
   const auto [current, next] = route(id);
+  const Release release{*this, id};
   std::optional<Bytes> result;
   if (current == kNoShard) {
     // Unknown id: a dummy access on the freshly drawn shard — same (shard,
@@ -147,8 +159,8 @@ std::optional<Bytes> ShardedOramStore::read(const BlockId& id) {
   // the destination adopts it client-side (zero server traffic there).
   walk(current, [&](OramClient& client) { result = client.access_remove(id); });
   if (!result.has_value()) {
-    // The map said `current` held the block but its client disagreed: an
-    // unserialized same-id race or trusted-state corruption. Fail closed.
+    // The map said `current` held the block but its client disagreed:
+    // trusted-state corruption. Fail closed.
     throw IntegrityError("oram: shard assignment inconsistent");
   }
   hand_off(id, *result, next);
@@ -161,6 +173,7 @@ void ShardedOramStore::write(const BlockId& id, BytesView data) {
   // them — so they never migrate: a known block is updated in place, a new
   // block lands on a fresh uniform shard.
   const auto [current, next] = route(id);
+  const Release release{*this, id};
   const uint32_t target = current != kNoShard ? current : next;
   walk(target, [&](OramClient& client) { client.write(id, data); });
   if (current == kNoShard) {
@@ -243,12 +256,13 @@ ShardedOramStore::Stats ShardedOramStore::snapshot() const {
     s.stall_samples = shard->stall_samples;
     s.stash_size = shard->client->stash_size();
     s.stash_high_water = shard->client->stash_high_water();
-    s.inbox_high_water = shard->inbox_high_water;
     stats.total_walks += s.walks;
     stats.total_migrations += s.migrations_in;
     stats.shards.push_back(std::move(s));
   }
   stats.max_concurrent_walks = max_concurrent_walks_.load(std::memory_order_relaxed);
+  std::lock_guard lock(map_mu_);
+  stats.gate_stall_ns = gate_stall_ns_;
   return stats;
 }
 

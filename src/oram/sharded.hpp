@@ -31,19 +31,22 @@
 //    lumpy. It exists as the audit's ablation — the per-shard auditor must
 //    FAIL it — and must never be enabled in deployment configs.
 //
-// Concurrency contract: accesses to DISTINCT block ids are thread-safe and
-// proceed in parallel when they land on distinct shards (per-shard walk
-// locks; the shared maps are touched only briefly). Concurrent accesses to
-// the SAME id must be serialized by the caller — an access migrates the id's
-// shard assignment, so a racing twin could consult a stale assignment. The
-// OramFrontend's per-block gate provides exactly that serialization: a
-// second request for the same id waits, then walks on its own.
+// Concurrency: accesses to DISTINCT block ids proceed in parallel when they
+// land on distinct shards (per-shard walk locks; the shared maps are touched
+// only briefly). Accesses to the SAME id are serialized here: an access
+// migrates the id's shard assignment, so a racing twin would consult a stale
+// one and miss the block. route() claims the id in an in-flight set under
+// the map lock and the claim holds until the access has updated the
+// assignment; a second access waits, then walks on its own, so the SP sees
+// one walk per request and the access count never leaks.
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <unordered_set>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -67,8 +70,8 @@ struct ShardedOramConfig {
   obs::TraceRing* trace = nullptr;
 };
 
-/// A forest of Path ORAM subtrees behind one OramAccessor face. Thread-safe
-/// for distinct ids (see file comment for the same-id contract).
+/// A forest of Path ORAM subtrees behind one OramAccessor face. Thread-safe;
+/// same-id accesses take turns (see file comment).
 class ShardedOramStore : public OramAccessor {
  public:
   static constexpr uint32_t kNoShard = ~uint32_t{0};
@@ -95,7 +98,7 @@ class ShardedOramStore : public OramAccessor {
   /// on every shard, so no shard's layout reveals how many pages it drew.
   void bulk_load(const Pages& pages);
 
-  // --- topology (for the frontend's per-shard accounting) ---
+  // --- topology ---
   size_t shard_count() const { return shards_.size(); }
   /// The shard currently holding `id`, or kNoShard for an unknown id.
   uint32_t shard_of(const BlockId& id) const;
@@ -113,7 +116,6 @@ class ShardedOramStore : public OramAccessor {
     std::vector<uint64_t> stall_samples;  ///< per-walk lock waits (for p50/p99)
     size_t stash_size = 0;
     size_t stash_high_water = 0;
-    size_t inbox_high_water = 0;  ///< deepest pending-handoff backlog
   };
   struct Stats {
     std::vector<ShardStats> shards;
@@ -122,6 +124,9 @@ class ShardedOramStore : public OramAccessor {
     /// High-water of walks in flight simultaneously (proof of parallelism on
     /// multicore hosts; always >= 1 after any access).
     uint64_t max_concurrent_walks = 0;
+    /// Wall ns accesses spent claiming their id: the map lock plus any wait
+    /// for an access to the same id to finish.
+    uint64_t gate_stall_ns = 0;
   };
   Stats snapshot() const;
 
@@ -145,13 +150,21 @@ class ShardedOramStore : public OramAccessor {
     uint64_t migrations_in = 0;
     uint64_t stall_ns = 0;
     std::vector<uint64_t> stall_samples;
-    size_t inbox_high_water = 0;
     std::vector<std::pair<uint64_t, uint64_t>> walk_log;  ///< (global seq, leaf)
   };
 
-  /// Current shard of `id` plus the freshly drawn destination shard for this
-  /// access (equal to the current one under pin_shard_assignment).
+  /// Claims `id` for one access (waits while another access to it is in
+  /// flight) and returns its current shard plus the freshly drawn
+  /// destination for this access (equal to the current one under
+  /// pin_shard_assignment). Every caller ends the claim with a Release.
   std::pair<uint32_t, uint32_t> route(const BlockId& id);
+  /// Ends route()'s claim on `id` when it goes out of scope, however the
+  /// access exits, and wakes accesses waiting for the id.
+  struct Release {
+    ShardedOramStore& store;
+    const BlockId& id;
+    ~Release();
+  };
   /// Runs `fn(client)` under the shard's walk lock, timing the lock wait,
   /// draining the handoff inbox first and logging the observed leaf.
   void walk(uint32_t shard, const std::function<void(OramClient&)>& fn);
@@ -160,9 +173,12 @@ class ShardedOramStore : public OramAccessor {
 
   ShardedOramConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  mutable std::mutex map_mu_;  ///< guards shard_of_ and map_rng_
+  mutable std::mutex map_mu_;  ///< guards everything down to gate_stall_ns_
   std::unordered_map<BlockId, uint32_t, U256Hasher> shard_of_;
   Random map_rng_;
+  std::unordered_set<BlockId, U256Hasher> in_flight_;  ///< ids route() claimed
+  std::condition_variable gate_cv_;  ///< waits on map_mu_ for a claimed id
+  uint64_t gate_stall_ns_ = 0;
   std::atomic<uint64_t> walk_seq_{0};
   std::atomic<uint64_t> walks_in_flight_{0};
   std::atomic<uint64_t> max_concurrent_walks_{0};

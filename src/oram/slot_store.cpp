@@ -32,14 +32,15 @@ void RamSlotStore::write_bucket(size_t bucket, SealedSlot* slots) {
 
 PagedSlotStore::PagedSlotStore(durability::SimFs& fs,
                                pagedstore::PagedStoreConfig config, size_t z,
-                               size_t min_pool_pages)
+                               size_t block_size, size_t min_pool_pages)
     : store_(fs,
              [&] {
                config.buffer_pool_pages =
                    std::max(config.buffer_pool_pages, min_pool_pages);
                return std::move(config);
              }()),
-      z_(z) {
+      z_(z),
+      page_bytes_(bucket_page_bytes(z, block_size)) {
   // A fresh server is a fresh tree: leftover segments under this prefix (a
   // previous engine incarnation on the same fs) are dead spill space, never
   // recovery input — a restart reloads the tree with fresh leaves.
@@ -55,9 +56,7 @@ PagedSlotStore::PagedSlotStore(durability::SimFs& fs,
 
 Bytes PagedSlotStore::serialize_bucket(const SealedSlot* slots) const {
   Bytes payload;
-  size_t total = 0;
-  for (size_t z = 0; z < z_; ++z) total += 12 + 16 + 4 + slots[z].ciphertext.size();
-  payload.reserve(total);
+  payload.reserve(page_bytes_);
   for (size_t z = 0; z < z_; ++z) {
     const SealedSlot& slot = slots[z];
     payload.insert(payload.end(), slot.nonce.begin(), slot.nonce.end());

@@ -80,7 +80,13 @@ class PagedSlotStore final : public SlotStore {
   /// `config.buffer_pool_pages` is raised to `min_pool_pages` (the walk pin
   /// working set: depth+1 path buckets plus slack) when set lower.
   PagedSlotStore(durability::SimFs& fs, pagedstore::PagedStoreConfig config,
-                 size_t z, size_t min_pool_pages);
+                 size_t z, size_t block_size, size_t min_pool_pages);
+
+  /// Payload bytes of one bucket page over `block_size`-byte blocks: Z
+  /// slots, each a 4-byte ciphertext length and the slot's sealed bytes.
+  static constexpr size_t bucket_page_bytes(size_t z, size_t block_size) {
+    return z * (4 + sealed_slot_bytes(block_size));
+  }
 
   void read_bucket(size_t bucket, std::vector<SealedSlot>& out) override;
   void write_bucket(size_t bucket, SealedSlot* slots) override;
@@ -96,6 +102,7 @@ class PagedSlotStore final : public SlotStore {
 
   pagedstore::PagedStore store_;
   size_t z_;
+  size_t page_bytes_;  ///< bucket_page_bytes of this store's geometry
   std::vector<pagedstore::PagedStore::PageRef> walk_pins_;
 };
 

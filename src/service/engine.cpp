@@ -77,16 +77,6 @@ PreExecutionEngine::PreExecutionEngine(node::NodeSimulator& node, EngineConfig c
                        ? std::make_unique<faults::FaultyOram>(oram_store_,
                                                               *config.fault_plan)
                        : nullptr),
-      frontend_(fault_layer_ != nullptr
-                    ? static_cast<oram::OramAccessor&>(*fault_layer_)
-                    : static_cast<oram::OramAccessor&>(oram_store_),
-                oram::OramFrontend::Config{
-                    .trace = config.trace != nullptr ? &config.trace->ring(-2) : nullptr,
-                    .shard_count = oram_store_.shard_count(),
-                    .shard_router =
-                        [this](const oram::BlockId& id) {
-                          return oram_store_.shard_of(id);
-                        }}),
       queue_(config.queue_depth),
       latency_hist_(&registry_.histogram("hardtape_engine_bundle_latency_sim_ns",
                                          "per-bundle end-to-end simulated latency")) {
@@ -679,11 +669,8 @@ SessionOutcome PreExecutionEngine::execute_session(
                          bundle_id, attempt);
   }
 
-  // Recovery instrumentation: the ORAM frontend charges retry/backoff time
-  // and fault counts to this thread's tally; fault decisions come from the
-  // (bundle, attempt) stream, so outcomes stay interleaving-independent.
-  oram::RecoveryTally tally;
-  const oram::ScopedRecoveryTally tally_scope(tally);
+  // Fault decisions come from the (bundle, attempt) stream, so outcomes stay
+  // interleaving-independent.
   std::optional<faults::FaultScope> fault_scope;
   if (config_.fault_plan != nullptr) {
     fault_scope.emplace(faults::fault_stream(bundle_id, attempt));
@@ -733,8 +720,12 @@ SessionOutcome PreExecutionEngine::execute_session(
   // --- execute on the worker's dedicated HEVM (steps 4-8) ---
   const state::WorldState& local_world =
       pin.world != nullptr ? *pin.world : node_.world();
-  RoutedStateReader routed(local_world, &frontend_, config_.security,
-                           RoutedStateReader::Timing{.clock = &clock});
+  oram::OramAccessor* const oram = fault_layer_ != nullptr
+                                      ? static_cast<oram::OramAccessor*>(fault_layer_.get())
+                                      : &oram_store_;
+  RoutedStateReader routed(local_world, oram, config_.security,
+                           RoutedStateReader::Timing{.clock = &clock},
+                           config_.trace != nullptr ? &config_.trace->ring(-2) : nullptr);
   crypto::AesKey128 session_key;
   rng.fill(session_key.data(), session_key.size());
   // The layer-2 noise-padding seed derives from (seed, bundle, attempt)
@@ -796,13 +787,18 @@ SessionOutcome PreExecutionEngine::execute_session(
 
   // --- release (step 10); an aborted session's HEVM is scrubbed the same ---
   worker.core->release();
-  // Simulated recovery time the ORAM layer spent on this session's behalf,
+  // Simulated recovery time the reader spent on this session's behalf,
   // charged once at the end of the timeline (zero on a fault-free run, so
   // the bit-identical-to-serial gate is untouched).
-  clock.advance_ns(tally.sim_ns);
-  outcome.recovery_sim_ns = tally.sim_ns;
-  outcome.oram_retries = tally.retries;
-  outcome.faults_seen = tally.faults;
+  const RoutedStateReader::Recovery& recovery = routed.recovery();
+  clock.advance_ns(recovery.sim_ns);
+  outcome.recovery_sim_ns = recovery.sim_ns;
+  outcome.oram_retries = recovery.retries;
+  outcome.faults_seen = recovery.faults;
+  oram_reads_.fetch_add(routed.stats().oram_queries, std::memory_order_relaxed);
+  oram_timeouts_.fetch_add(recovery.timeouts, std::memory_order_relaxed);
+  oram_retries_.fetch_add(recovery.retries, std::memory_order_relaxed);
+  oram_retry_exhausted_.fetch_add(recovery.exhausted, std::memory_order_relaxed);
   outcome.end_to_end_ns = end_to_end.elapsed_ns();
   if (worker.trace != nullptr) {
     worker.trace->append(obs::TraceCategory::kBundle,
@@ -829,25 +825,23 @@ std::vector<SessionOutcome> PreExecutionEngine::execute_serial(
 EngineMetrics PreExecutionEngine::snapshot() const {
   EngineMetrics m;
   const auto queue_stats = queue_.stats();
-  const auto frontend_stats = frontend_.snapshot();
+  const auto store_stats = oram_store_.snapshot();
   m.bundles_submitted = next_bundle_id_.load(std::memory_order_relaxed);
   m.wall_backpressure_ns = queue_stats.backpressure_wall_ns;
   m.backpressured_submits = queue_stats.backpressured_pushes;
   m.queue_max_depth = queue_stats.max_depth;
-  m.oram_contention_stall_ns = frontend_stats.contention_stall_ns;
-  m.oram_reads = frontend_stats.reads;
+  m.oram_contention_stall_ns = store_stats.gate_stall_ns;
+  m.oram_reads = oram_reads_.load(std::memory_order_relaxed);
 
   if (config_.fault_plan != nullptr) m.faults_injected = config_.fault_plan->injected();
-  m.oram_timeouts = frontend_stats.timeouts;
-  m.oram_retries = frontend_stats.retries;
-  m.oram_retry_exhausted = frontend_stats.retry_exhausted;
+  m.oram_timeouts = oram_timeouts_.load(std::memory_order_relaxed);
+  m.oram_retries = oram_retries_.load(std::memory_order_relaxed);
+  m.oram_retry_exhausted = oram_retry_exhausted_.load(std::memory_order_relaxed);
 
-  // Per-shard wall diagnostics: walk-lock waits from the store, failure
-  // attribution from the frontend.
+  // Per-shard wall diagnostics: walk-lock waits from the store.
   // Each shard's stall samples are mirrored into a Registry histogram (the
   // per-shard split of the old single oram_contention_stall_ns figure), so
   // the exposition carries exact p50/p95/p99 next to count and sum.
-  const auto store_stats = oram_store_.snapshot();
   m.oram_shard_count = store_stats.shards.size();
   m.oram_shard_walks = store_stats.total_walks;
   m.oram_shard_migrations = store_stats.total_migrations;
@@ -868,9 +862,6 @@ EngineMetrics PreExecutionEngine::snapshot() const {
     }
     shard.stall_p50_ns = stall_hist.percentile(50);
     shard.stall_p99_ns = stall_hist.percentile(99);
-    if (s < frontend_stats.shard_failures.size()) {
-      shard.failures = frontend_stats.shard_failures[s];
-    }
     m.oram_shards.push_back(shard);
   }
   m.bundle_requeues = bundle_requeues_.load(std::memory_order_relaxed);

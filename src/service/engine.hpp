@@ -23,8 +23,8 @@
 //                                                                 │
 //        each worker owns: one HevmCore, one hypervisor session   │
 //        + secure channel, one per-session SimClock               ▼
-//                                     shared OramFrontend ──► ShardedOramStore
-//                                     (per-block gate)          (per-shard locks)
+//        per session: RoutedStateReader ──► shared ShardedOramStore
+//        (retry/backoff, fail closed)       (per-id gate, per-shard locks)
 //
 // Determinism contract: a bundle's outcome (traces, gas, storage writes,
 // simulated timings) depends only on (engine seed, bundle id, world state) —
@@ -39,13 +39,15 @@
 //    an engine-level schedule (earliest-free-HEVM, like the paper's Fig. 3
 //    step 3 queue). All reproduced numbers — bundles/s, queue wait — come
 //    from here, deterministic on any host.
-//  - wall: host measurements of the real thread pool (lock contention on
-//    the ORAM frontend, producer backpressure). Diagnostics only.
+//  - wall: host measurements of the real thread pool (contention at the
+//    ORAM store's per-id gate and walk locks, producer backpressure).
+//    Diagnostics only.
 //
 // Failure model (PR 2): with a FaultPlan installed the SP's interfaces
 // misbehave, and the engine fails CLOSED at three nested layers:
-//  1. per-request: the OramFrontend retries timeouts with simulated
-//     backoff and aborts on integrity failures (see oram/frontend.hpp);
+//  1. per-request: the session's RoutedStateReader retries timeouts with
+//     simulated backoff and aborts on integrity failures (see
+//     service/pre_execution.hpp);
 //  2. per-session: an unrecoverable backend fault aborts the session
 //     (BackendFault), and recoverable aborts requeue the bundle — front of
 //     queue, fresh fault stream — up to max_bundle_attempts times before the
@@ -88,7 +90,6 @@
 #include "node/node.hpp"
 #include "obs/metrics.hpp"
 #include "oram/epoch.hpp"
-#include "oram/frontend.hpp"
 #include "oram/sharded.hpp"
 #include "service/bundle_queue.hpp"
 #include "service/pre_execution.hpp"
@@ -111,10 +112,10 @@ struct EngineConfig {
   hevm::HevmCore::Config core{};
   oram::OramConfig oram{};
   oram::SealMode seal_mode = oram::SealMode::kChaChaHmac;
-  /// Independently locked Path ORAM subtrees behind the frontend (PR 6,
-  /// power of two). `oram` above stays the WHOLE-store geometry; each shard
-  /// gets ShardedOramStore::partition() of it. 1 = a single tree with the
-  /// same adversary view as the pre-sharding engine; >1 lets sessions whose
+  /// Independently locked Path ORAM subtrees (PR 6, power of two). `oram`
+  /// above stays the WHOLE-store geometry; each shard gets
+  /// ShardedOramStore::partition() of it. 1 = a single tree with the same
+  /// adversary view as the pre-sharding engine; >1 lets sessions whose
   /// accesses land on distinct shards walk paths in parallel.
   size_t oram_shards = 8;
   /// Seeds every simulated RNG, among them the device keys and the ORAM
@@ -166,9 +167,10 @@ struct EngineConfig {
 
   // --- observability (PR 3) ---
   /// Optional trace sink (must outlive the engine). When set, each worker's
-  /// HEVM/pager emits into the sink's ring for that worker id, the shared
-  /// ORAM frontend into ring -2, and the engine emits bundle lifecycle plus
-  /// the SP-observed (post-prefetch) query timeline. Null = tracing off:
+  /// HEVM/pager emits into the sink's ring for that worker id, every
+  /// session's ORAM requests and the store's walks into the shared ring -2,
+  /// and the engine emits bundle lifecycle plus the SP-observed
+  /// (post-prefetch) query timeline. Null = tracing off:
   /// zero allocations, one pointer test per would-be event, and the
   /// fault-free sweep stays bit-identical to the untraced build.
   obs::TraceSink* trace = nullptr;
@@ -259,10 +261,10 @@ struct EngineMetrics {
   uint64_t wall_backpressure_ns = 0;     ///< producers blocked on full queue
   uint64_t backpressured_submits = 0;
   uint64_t queue_max_depth = 0;
-  uint64_t oram_contention_stall_ns = 0; ///< frontend gate waits, summed
+  uint64_t oram_contention_stall_ns = 0; ///< store per-id gate waits, summed
   uint64_t oram_reads = 0;
 
-  // --- sharded concurrent frontend (PR 6; wall-clock diagnostics) ---
+  // --- sharded store (PR 6; wall-clock diagnostics) ---
   uint64_t oram_shard_count = 0;
   uint64_t oram_shard_walks = 0;        ///< path walks summed across shards
   uint64_t oram_shard_migrations = 0;   ///< cross-shard block handoffs
@@ -276,14 +278,13 @@ struct EngineMetrics {
     uint64_t stall_ns = 0;         ///< wall ns callers waited for this walk lock
     uint64_t stall_p50_ns = 0;     ///< per-walk lock-wait percentiles
     uint64_t stall_p99_ns = 0;
-    uint64_t failures = 0;         ///< terminal failures the frontend attributed
   };
   std::vector<OramShardStats> oram_shards;
 
   // --- failure model & recovery (PR 2; all zero without a FaultPlan) ---
   uint64_t faults_injected = 0;      ///< from the FaultPlan
-  uint64_t oram_timeouts = 0;        ///< frontend attempts that timed out
-  uint64_t oram_retries = 0;         ///< frontend requests re-issued
+  uint64_t oram_timeouts = 0;        ///< ORAM request attempts that timed out
+  uint64_t oram_retries = 0;         ///< ORAM requests re-issued
   uint64_t oram_retry_exhausted = 0; ///< requests that ran out of attempts
   uint64_t bundles_recovered = 0;    ///< kOk outcomes that needed recovery
   uint64_t bundles_aborted = 0;      ///< terminal non-kOk, non-kUnavailable
@@ -434,7 +435,6 @@ class PreExecutionEngine {
       const std::vector<std::vector<evm::Transaction>>& bundles);
 
   const EngineConfig& config() const { return config_; }
-  oram::OramFrontend& oram_frontend() { return frontend_; }
   oram::ShardedOramStore& oram_store() { return oram_store_; }
   hypervisor::Hypervisor& hypervisor() { return hypervisor_; }
   /// The device-key root a user verifies this chip's attestation against.
@@ -540,10 +540,9 @@ class PreExecutionEngine {
   /// (server, client) pairs with per-shard walk locks — OramServer and
   /// OramClient no longer appear as engine members.
   oram::ShardedOramStore oram_store_;
-  /// The adversary between store and frontend; null without a fault plan.
-  /// Declared before frontend_ so the frontend can take it as its backend.
+  /// The adversary between store and the sessions' state readers; null
+  /// without a fault plan.
   std::unique_ptr<faults::FaultyOram> fault_layer_;
-  oram::OramFrontend frontend_;
 
   BoundedQueue<QueueItem> queue_;
   std::vector<std::unique_ptr<Worker>> workers_;
@@ -572,6 +571,12 @@ class PreExecutionEngine {
   std::atomic<uint64_t> sync_verified_accounts_{0};
   std::atomic<uint64_t> sync_verified_slots_{0};
   std::atomic<uint64_t> sync_pages_installed_{0};
+  /// Summed over every executed session (the EngineMetrics fields of the
+  /// same names).
+  std::atomic<uint64_t> oram_reads_{0};
+  std::atomic<uint64_t> oram_timeouts_{0};
+  std::atomic<uint64_t> oram_retries_{0};
+  std::atomic<uint64_t> oram_retry_exhausted_{0};
 
   /// Unified metrics (obs). The latency histogram is a live instrument fed
   /// by record_outcome; scalar snapshot values are published on snapshot().

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 
+#include "sim/backoff.hpp"
+
 namespace hardtape::service {
 
 RoutedStateReader::RoutedStateReader(const state::WorldState& local,
                                      oram::OramAccessor* oram,
-                                     const SecurityConfig& security, Timing timing)
-    : local_(local), oram_(oram), security_(security), timing_(timing) {
+                                     const SecurityConfig& security, Timing timing,
+                                     obs::TraceRing* trace)
+    : local_(local), oram_(oram), security_(security), timing_(timing), trace_(trace) {
   if ((security.oram_storage || security.oram_code) && oram_ == nullptr) {
     throw UsageError("routed state: ORAM enabled but no ORAM provided");
   }
@@ -46,18 +49,59 @@ void RoutedStateReader::charge_local() const {
   if (timing_.clock) timing_.clock->advance_ns(timing_.local_read_ns);
 }
 
+void RoutedStateReader::trace(obs::TraceCode code, uint64_t a, uint64_t b) const {
+  // Request events carry wall time for ordering and sim_ns 0: the recovery
+  // time they report reaches the session clock only at the session's end.
+  if (trace_ != nullptr) {
+    trace_->append(obs::TraceCategory::kOram, static_cast<uint16_t>(code), /*sim_ns=*/0, a,
+                   b);
+  }
+}
+
 std::optional<Bytes> RoutedStateReader::read_page(oram::PageType type,
                                                   const Address& addr,
                                                   const u256& index) const {
   charge_oram(type);
-  // A recovered fault already charged its simulated time to the session's
-  // RecoveryTally. A terminal one has no value-typed path through
-  // StateReader, so it travels as BackendFault up to the session boundary,
-  // where the engine turns it into the outcome's Status: fail closed, never
-  // a hang.
-  oram::AccessAttempt attempt = oram_->try_read(oram::page_id(type, addr, index));
-  if (attempt.status != Status::kOk) throw BackendFault(attempt.status);
-  return std::move(attempt.data);
+  const oram::BlockId id = oram::page_id(type, addr, index);
+  // Retry timeouts with backoff in simulated time; fail closed on integrity
+  // failures and on an exhausted budget (see the class comment).
+  const sim::BackoffPolicy policy;
+  // De-synchronizes the jitter of distinct requests; deterministic in the id.
+  const uint64_t stream_tag = U256Hasher{}(id);
+  trace(obs::TraceCode::kOramIssue, /*is_write=*/0, stream_tag);
+  oram::AccessAttempt result;
+  uint64_t recovery_ns = 0;
+  for (int attempt = 1;; ++attempt) {
+    oram::AccessAttempt a = oram_->try_read(id);
+    if (a.status == Status::kOk && a.sim_delay_ns <= policy.request_timeout_ns) {
+      recovery_ns += a.sim_delay_ns;  // slower than usual, but it arrived
+      result = std::move(a);
+      break;
+    }
+    ++recovery_.faults;
+    if (a.status == Status::kAuthFailed || a.status == Status::kBadProof) {
+      // An integrity failure is an attack indicator, not transient loss.
+      result.status = a.status;
+      break;
+    }
+    // Dropped or over-delayed response: the session waited out the full
+    // request timeout before concluding the answer is not coming.
+    ++recovery_.timeouts;
+    recovery_ns += policy.request_timeout_ns;
+    if (attempt >= policy.max_attempts) {
+      ++recovery_.exhausted;
+      result.status = Status::kRetryExhausted;
+      break;
+    }
+    const uint64_t backoff_ns = sim::backoff_delay_ns(policy, attempt, stream_tag);
+    recovery_ns += backoff_ns;
+    ++recovery_.retries;
+    trace(obs::TraceCode::kOramRetry, static_cast<uint64_t>(attempt), backoff_ns);
+  }
+  recovery_.sim_ns += recovery_ns;
+  trace(obs::TraceCode::kOramComplete, static_cast<uint64_t>(result.status), recovery_ns);
+  if (result.status != Status::kOk) throw BackendFault(result.status);
+  return std::move(result.data);
 }
 
 std::optional<state::Account> RoutedStateReader::account(const Address& addr) const {

@@ -1,8 +1,8 @@
 // Bounded exponential backoff with deterministic jitter, in SIMULATED time.
 //
-// The recovery layer (oram/frontend.hpp) retries a request against the
-// untrusted backend after a timeout; the wait between attempts doubles from
-// base_ns up to cap_ns, plus a jitter term so concurrent sessions retrying
+// The recovery layer (service::RoutedStateReader) retries a request against
+// the untrusted backend after a timeout; the wait between attempts doubles
+// from base_ns up to cap_ns, plus a jitter term so concurrent sessions retrying
 // against the same server do not synchronize into retry storms. The jitter
 // is drawn from the ChaCha20 DRBG keyed by (jitter_seed, stream_tag,
 // attempt), never from wall time or a shared generator — so a retry

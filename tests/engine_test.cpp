@@ -1,8 +1,8 @@
 // Concurrency tests of the multi-session pre-execution engine: determinism
-// against the serial reference, bounded-queue backpressure, the ORAM
-// frontend's per-block gate, and the engine metrics. This binary is the
-// target of the CI TSan job — every assertion here must also be data-race
-// free under -DHARDTAPE_SANITIZE=thread.
+// against the serial reference, bounded-queue backpressure, per-session
+// state readers sharing one backend, and the engine metrics. This binary is
+// the target of the CI TSan job — every assertion here must also be
+// data-race free under -DHARDTAPE_SANITIZE=thread.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -237,15 +237,13 @@ TEST_F(EngineTest, MetricsSnapshotIsCoherent) {
   EXPECT_GT(m.sim_makespan_ns, 0u);
   EXPECT_GT(m.sim_bundles_per_s, 0.0);
   EXPECT_GT(m.wall_elapsed_ns, 0u);
-  EXPECT_GT(m.oram_reads, 0u);  // -full routes queries through the frontend
+  uint64_t queries = 0;
+  for (const auto& o : engine.drain()) queries += o.query_stats.oram_queries;
+  EXPECT_GT(m.oram_reads, 0u);  // -full routes queries through the ORAM
+  EXPECT_EQ(m.oram_reads, queries);  // one request per page query, none retried
   // Busy time is clamped by the shard pool: S independent subtree pipelines
   // split the per-query service time (see engine.cpp snapshot()).
-  EXPECT_EQ(m.sim_oram_server_busy_ns,
-            25'000u * [&] {
-              uint64_t queries = 0;
-              for (const auto& o : engine.drain()) queries += o.query_stats.oram_queries;
-              return queries;
-            }() / m.oram_shard_count);
+  EXPECT_EQ(m.sim_oram_server_busy_ns, 25'000u * queries / m.oram_shard_count);
   ASSERT_EQ(m.workers.size(), 4u);
   uint64_t busy = 0;
   for (const auto& w : m.workers) {
@@ -472,13 +470,13 @@ TEST(OutcomeEqualityTest, ARecordedStepThatDiffersBreaksIdentity) {
 }
 
 // ---------------------------------------------------------------------------
-// OramFrontend per-block gate (against a controllable fake backend)
+// Per-session state readers over one backend (a controllable fake)
 // ---------------------------------------------------------------------------
 
 /// Fake backend whose try_read() parks callers until `expected` of them are
-/// inside simultaneously (or a timeout passes). peak() is the proof: 2 means
-/// two requests genuinely overlapped in the backend, 1 means something above
-/// serialized them.
+/// inside simultaneously (or a timeout passes), then answers with an empty
+/// storage page. peak() is the proof: 2 means two requests genuinely
+/// overlapped in the backend, 1 means something above serialized them.
 class RendezvousStore : public oram::OramAccessor {
  public:
   RendezvousStore(int expected, std::chrono::milliseconds timeout)
@@ -491,7 +489,7 @@ class RendezvousStore : public oram::OramAccessor {
     cv_.notify_all();
     cv_.wait_for(lock, timeout_, [&] { return peak_ >= expected_; });
     --inside_;
-    return {Status::kOk, Bytes{0x5a}, 0};
+    return {Status::kOk, Bytes(oram::kPageSize, 0), 0};
   }
   oram::AccessAttempt try_write(const oram::BlockId&, BytesView) override { return {}; }
 
@@ -509,29 +507,18 @@ class RendezvousStore : public oram::OramAccessor {
   int peak_ = 0;
 };
 
-TEST(OramFrontendConcurrentTest, DistinctBlocksOverlapInBackend) {
-  // The backend locks itself, so the frontend must NOT serialize globally:
-  // two reads of distinct blocks rendezvous INSIDE the backend.
+TEST(ReaderConcurrencyTest, TwoReadersOverlapInBackend) {
+  // The backend locks itself, so nothing above it may serialize sessions:
+  // two sessions' readers on two threads rendezvous INSIDE the backend.
   RendezvousStore store(2, std::chrono::seconds(10));
-  oram::OramFrontend frontend(store);
-  std::thread a([&] { frontend.try_read(oram::BlockId{1}); });
-  std::thread b([&] { frontend.try_read(oram::BlockId{2}); });
-  a.join();
-  b.join();
+  const state::WorldState local;
+  const RoutedStateReader a(local, &store, SecurityConfig::ESO(), {});
+  const RoutedStateReader b(local, &store, SecurityConfig::ESO(), {});
+  std::thread ta([&] { EXPECT_EQ(a.storage(Address::from_u256(u256{1}), u256{1}), u256{}); });
+  std::thread tb([&] { EXPECT_EQ(b.storage(Address::from_u256(u256{2}), u256{1}), u256{}); });
+  ta.join();
+  tb.join();
   EXPECT_EQ(store.peak(), 2);
-}
-
-TEST(OramFrontendConcurrentTest, SameBlockNeverOverlapsInBackend) {
-  // The per-block gate is correctness, not tuning: an access migrates the
-  // block's shard assignment, so a same-id twin must wait. The rendezvous
-  // can only time out (short timeout keeps the test fast).
-  RendezvousStore store(2, std::chrono::milliseconds(100));
-  oram::OramFrontend frontend(store);
-  std::thread a([&] { frontend.try_read(oram::BlockId{7}); });
-  std::thread b([&] { frontend.try_read(oram::BlockId{7}); });
-  a.join();
-  b.join();
-  EXPECT_EQ(store.peak(), 1);
 }
 
 // ---------------------------------------------------------------------------

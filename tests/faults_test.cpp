@@ -1,7 +1,7 @@
 // Adversarial fault injection + fail-closed recovery (PR 2).
 //
 // Covers, bottom-up: the FaultPlan's reproducibility contract, the
-// per-interface fault wrappers (FaultyOram, FaultyLink), the OramFrontend's
+// per-interface fault wrappers (FaultyOram, FaultyLink), the state reader's
 // timeout/backoff/fail-closed retry loop, the watchdog, and the engine-level
 // recovery policies (session abort, bundle requeue, circuit breaker). Like
 // engine_test, this binary runs under TSan in CI — every path here must be
@@ -19,6 +19,7 @@
 #include "oram/sharded.hpp"
 #include "service/engine.hpp"
 #include "service/watchdog.hpp"
+#include "sim/backoff.hpp"
 #include "workload/generator.hpp"
 
 namespace hardtape {
@@ -218,11 +219,22 @@ TEST(FaultyOramTest, WriteDropSurfacesTimeout) {
 }
 
 // ---------------------------------------------------------------------------
-// OramFrontend: timeout/backoff/fail-closed retry loop
+// RoutedStateReader: the per-request timeout/backoff/fail-closed loop
 // ---------------------------------------------------------------------------
 
+const u256 kScriptedKey{1};
+const u256 kScriptedValue{0x5a};
+
+/// The 1 KB storage group page every unscripted access returns: its record
+/// for kScriptedKey reads kScriptedValue, so a test sees the data arrive.
+Bytes scripted_page() {
+  oram::StorageGroupPage page;
+  page.set(kScriptedKey, kScriptedValue);
+  return page.serialize();
+}
+
 /// Backend whose next try_* results are scripted; after the script runs out
-/// every access succeeds immediately.
+/// every access succeeds immediately with scripted_page().
 class ScriptedBackend : public oram::OramAccessor {
  public:
   oram::AccessAttempt try_read(const oram::BlockId&) override { return next(); }
@@ -236,7 +248,7 @@ class ScriptedBackend : public oram::OramAccessor {
  private:
   oram::AccessAttempt next() {
     ++calls;
-    if (script_.empty()) return {Status::kOk, Bytes{0x5a}, 0};
+    if (script_.empty()) return {Status::kOk, scripted_page(), 0};
     const oram::AccessAttempt a = script_.front();
     script_.pop_front();
     return a;
@@ -244,107 +256,154 @@ class ScriptedBackend : public oram::OramAccessor {
   std::deque<oram::AccessAttempt> script_;
 };
 
-TEST(FrontendRecoveryTest, TimeoutsAreRetriedThenRecovered) {
+/// A reader that serves storage from `backend` (the ESO configuration).
+service::RoutedStateReader storage_reader(const state::WorldState& local,
+                                          oram::OramAccessor& backend,
+                                          service::RoutedStateReader::Timing timing = {},
+                                          obs::TraceRing* trace = nullptr) {
+  return service::RoutedStateReader(local, &backend, service::SecurityConfig::ESO(), timing,
+                                    trace);
+}
+
+/// The jitter stream of the page that holds kScriptedKey.
+uint64_t scripted_stream_tag() {
+  return U256Hasher{}(oram::page_id(oram::PageType::kStorageGroup, Address{},
+                                    oram::storage_group(kScriptedKey)));
+}
+
+/// Reads kScriptedKey and returns the status of the BackendFault it throws.
+Status read_fault(const service::RoutedStateReader& reader) {
+  try {
+    reader.storage(Address{}, kScriptedKey);
+  } catch (const BackendFault& fault) {
+    return fault.status();
+  }
+  ADD_FAILURE() << "expected BackendFault";
+  return Status::kOk;
+}
+
+TEST(ReaderRecoveryTest, TimeoutsAreRetriedThenRecovered) {
   ScriptedBackend backend;
   backend.script({Status::kTimeout, std::nullopt, 0});
   backend.script({Status::kTimeout, std::nullopt, 0});
-  oram::OramFrontend frontend(backend);
+  const state::WorldState local;
+  sim::SimClock clock;
+  obs::TraceSink sink;
+  const auto reader = storage_reader(local, backend, {.clock = &clock}, &sink.ring(-2));
   const sim::BackoffPolicy policy;  // defaults: 10 ms timeout, 4 attempts
 
-  oram::RecoveryTally tally;
-  const oram::BlockId id{77};
-  oram::AccessAttempt result;
-  {
-    const oram::ScopedRecoveryTally scope(tally);
-    result = frontend.try_read(id);
-  }
-  EXPECT_EQ(result.status, Status::kOk);
-  ASSERT_TRUE(result.data.has_value());
+  EXPECT_EQ(reader.storage(Address{}, kScriptedKey), kScriptedValue);
   EXPECT_EQ(backend.calls, 3u);  // 2 failures + the success
 
   // Exactly 2 timeouts waited out + 2 deterministic backoff delays.
-  const uint64_t tag = U256Hasher{}(id);
-  const uint64_t expected = 2 * policy.request_timeout_ns +
-                            sim::backoff_delay_ns(policy, 1, tag) +
-                            sim::backoff_delay_ns(policy, 2, tag);
-  EXPECT_EQ(result.sim_delay_ns, expected);
-  EXPECT_EQ(tally.sim_ns, expected);
-  EXPECT_EQ(tally.retries, 2u);
-  EXPECT_EQ(tally.faults, 2u);
+  const uint64_t tag = scripted_stream_tag();
+  const uint64_t backoff_1 = sim::backoff_delay_ns(policy, 1, tag);
+  const uint64_t backoff_2 = sim::backoff_delay_ns(policy, 2, tag);
+  const uint64_t expected = 2 * policy.request_timeout_ns + backoff_1 + backoff_2;
+  const auto& recovery = reader.recovery();
+  EXPECT_EQ(recovery.sim_ns, expected);
+  EXPECT_EQ(recovery.retries, 2u);
+  EXPECT_EQ(recovery.faults, 2u);
+  EXPECT_EQ(recovery.timeouts, 2u);
+  EXPECT_EQ(recovery.exhausted, 0u);
+  // The recovery time is tallied, not clocked: the engine charges it once at
+  // the session's end. The read itself costs one modeled ORAM access.
+  EXPECT_EQ(clock.now_ns(), reader.oram_access_ns());
 
-  const auto stats = frontend.snapshot();
-  EXPECT_EQ(stats.timeouts, 2u);
-  EXPECT_EQ(stats.retries, 2u);
-  EXPECT_EQ(stats.retry_exhausted, 0u);
+  // The request's lifecycle on the ORAM ring: issue, each retry, complete.
+  const auto events = sink.ring(-2).events();
+  ASSERT_EQ(events.size(), 4u);
+  const auto code = [](obs::TraceCode c) { return static_cast<uint16_t>(c); };
+  EXPECT_EQ(events[0].code, code(obs::TraceCode::kOramIssue));
+  EXPECT_EQ(events[0].b, tag);
+  EXPECT_EQ(events[1].code, code(obs::TraceCode::kOramRetry));
+  EXPECT_EQ(events[1].a, 1u);
+  EXPECT_EQ(events[1].b, backoff_1);
+  EXPECT_EQ(events[2].code, code(obs::TraceCode::kOramRetry));
+  EXPECT_EQ(events[2].b, backoff_2);
+  EXPECT_EQ(events[3].code, code(obs::TraceCode::kOramComplete));
+  EXPECT_EQ(events[3].a, static_cast<uint64_t>(Status::kOk));
+  EXPECT_EQ(events[3].b, expected);
 }
 
-TEST(FrontendRecoveryTest, ExhaustedBudgetSurfacesRetryExhausted) {
+TEST(ReaderRecoveryTest, ExhaustedBudgetSurfacesRetryExhausted) {
+  // The default policy allows 4 attempts; script 4 timeouts.
   ScriptedBackend backend;
-  sim::BackoffPolicy policy;
-  policy.max_attempts = 3;
-  for (int i = 0; i < 3; ++i) backend.script({Status::kTimeout, std::nullopt, 0});
-  oram::OramFrontend frontend(backend, {.recovery = policy});
+  const sim::BackoffPolicy policy;
+  ASSERT_EQ(policy.max_attempts, 4);
+  for (int i = 0; i < 4; ++i) backend.script({Status::kTimeout, std::nullopt, 0});
+  const state::WorldState local;
+  const auto reader = storage_reader(local, backend);
 
-  const auto result = frontend.try_read(oram::BlockId{1});
-  EXPECT_EQ(result.status, Status::kRetryExhausted);
-  EXPECT_EQ(backend.calls, 3u);  // the attempt budget is a hard bound
-  EXPECT_EQ(frontend.snapshot().retry_exhausted, 1u);
-  EXPECT_GT(result.sim_delay_ns, 0u);  // the time wasted is still charged
+  EXPECT_EQ(read_fault(reader), Status::kRetryExhausted);
+  EXPECT_EQ(backend.calls, 4u);  // the attempt budget is a hard bound
+  const auto& recovery = reader.recovery();
+  EXPECT_EQ(recovery.exhausted, 1u);
+  EXPECT_EQ(recovery.timeouts, 4u);
+  EXPECT_EQ(recovery.retries, 3u);
+  // The time wasted is still charged: 4 timeouts and the 3 backoffs between.
+  const uint64_t tag = scripted_stream_tag();
+  EXPECT_EQ(recovery.sim_ns, 4 * policy.request_timeout_ns +
+                                 sim::backoff_delay_ns(policy, 1, tag) +
+                                 sim::backoff_delay_ns(policy, 2, tag) +
+                                 sim::backoff_delay_ns(policy, 3, tag));
 }
 
-TEST(FrontendRecoveryTest, IntegrityFailureFailsClosedImmediately) {
+TEST(ReaderRecoveryTest, IntegrityFailureFailsClosedImmediately) {
   ScriptedBackend backend;
   backend.script({Status::kAuthFailed, std::nullopt, 0});
-  oram::OramFrontend frontend(backend);
+  const state::WorldState local;
+  const auto reader = storage_reader(local, backend);
 
-  const auto result = frontend.try_read(oram::BlockId{1});
-  EXPECT_EQ(result.status, Status::kAuthFailed);
+  EXPECT_EQ(read_fault(reader), Status::kAuthFailed);
   // No retry: a bad tag is an attack indicator, and retrying would hand a
   // tampering server an oracle.
   EXPECT_EQ(backend.calls, 1u);
-  const auto stats = frontend.snapshot();
-  EXPECT_EQ(stats.auth_failures, 1u);
-  EXPECT_EQ(stats.retries, 0u);
+  const auto& recovery = reader.recovery();
+  EXPECT_EQ(recovery.faults, 1u);
+  EXPECT_EQ(recovery.timeouts, 0u);
+  EXPECT_EQ(recovery.retries, 0u);
+  EXPECT_EQ(recovery.sim_ns, 0u);
 }
 
-TEST(FrontendRecoveryTest, OverDelayedResponseCountsAsTimeout) {
+TEST(ReaderRecoveryTest, OverDelayedResponseCountsAsTimeout) {
   ScriptedBackend backend;
   const sim::BackoffPolicy policy;
-  backend.script({Status::kOk, Bytes{1}, policy.request_timeout_ns + 1});
-  oram::OramFrontend frontend(backend);
-
-  const auto result = frontend.try_read(oram::BlockId{3});
-  EXPECT_EQ(result.status, Status::kOk);  // the retry succeeded
-  EXPECT_EQ(backend.calls, 2u);
-  EXPECT_EQ(frontend.snapshot().timeouts, 1u);
-}
-
-TEST(FrontendRecoveryTest, ResidualDelayWithinTimeoutIsCharged) {
-  ScriptedBackend backend;
-  backend.script({Status::kOk, Bytes{1}, 3'000'000});
-  oram::OramFrontend frontend(backend);
-
-  const auto result = frontend.try_read(oram::BlockId{3});
-  EXPECT_EQ(result.status, Status::kOk);
-  EXPECT_EQ(result.sim_delay_ns, 3'000'000u);  // late but within budget
-  EXPECT_EQ(frontend.snapshot().timeouts, 0u);
-}
-
-TEST(FrontendRecoveryTest, PlainReadThrowsBackendFaultOnTerminalStatus) {
-  // The session's state reader is where a failed page read becomes an
-  // exception: StateReader has no Status channel, so a terminal attempt
-  // travels as BackendFault carrying the frontend's status.
-  ScriptedBackend backend;
-  backend.script({Status::kAuthFailed, std::nullopt, 0});
-  oram::OramFrontend frontend(backend);
+  backend.script({Status::kOk, scripted_page(), policy.request_timeout_ns + 1});
   const state::WorldState local;
-  const service::RoutedStateReader reader(local, &frontend,
-                                          service::SecurityConfig::ESO(), {});
+  const auto reader = storage_reader(local, backend);
+
+  EXPECT_EQ(reader.storage(Address{}, kScriptedKey), kScriptedValue);  // the retry
+  EXPECT_EQ(backend.calls, 2u);
+  EXPECT_EQ(reader.recovery().timeouts, 1u);
+  EXPECT_EQ(reader.recovery().retries, 1u);
+}
+
+TEST(ReaderRecoveryTest, ResidualDelayWithinTimeoutIsCharged) {
+  ScriptedBackend backend;
+  backend.script({Status::kOk, scripted_page(), 3'000'000});
+  const state::WorldState local;
+  const auto reader = storage_reader(local, backend);
+
+  EXPECT_EQ(reader.storage(Address{}, kScriptedKey), kScriptedValue);
+  EXPECT_EQ(reader.recovery().sim_ns, 3'000'000u);  // late but within budget
+  EXPECT_EQ(reader.recovery().timeouts, 0u);
+  EXPECT_EQ(backend.calls, 1u);
+}
+
+TEST(ReaderRecoveryTest, TerminalStatusThrowsBackendFault) {
+  // StateReader has no Status channel, so a terminal attempt travels as
+  // BackendFault carrying its status — here a stale proof on an account's
+  // meta page, the other integrity failure and the other page path.
+  ScriptedBackend backend;
+  backend.script({Status::kBadProof, std::nullopt, 0});
+  const state::WorldState local;
+  const auto reader = storage_reader(local, backend);
   try {
-    reader.storage(Address{}, u256{1});
+    reader.account(Address{});
     FAIL() << "expected BackendFault";
   } catch (const BackendFault& fault) {
-    EXPECT_EQ(fault.status(), Status::kAuthFailed);
+    EXPECT_EQ(fault.status(), Status::kBadProof);
   }
   EXPECT_EQ(backend.calls, 1u);  // fail closed: no retry
 }
@@ -623,7 +682,7 @@ TEST_F(EngineFaultTest, TamperedPageAbortsOnlyThatSession) {
   EXPECT_FALSE(metrics.circuit_open);  // one strike is not an outage
 }
 
-// A single dropped response recovers invisibly: the frontend retries inside
+// A single dropped response recovers invisibly: the reader retries inside
 // the session and the bundle still completes kOk (with the retry time on
 // its simulated clock).
 TEST_F(EngineFaultTest, SingleDropRecoversWithinTheSession) {
@@ -696,7 +755,7 @@ TEST_F(EngineFaultTest, TotalOramLossOpensCircuitBreaker) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-shard fail-closed attribution over a real sharded store
+// Per-shard fail-closed recovery over a real sharded store
 // ---------------------------------------------------------------------------
 
 /// Adversary that corrupts exactly one subtree shard of a real
@@ -730,11 +789,11 @@ class ShardTamperOram : public oram::OramAccessor {
   std::atomic<uint64_t> tampered_{0};
 };
 
-TEST(ShardFailureTest, TamperOnOneShardFailsClosedAndIsAttributedToIt) {
+TEST(ShardFailureTest, TamperOnOneShardFailsClosed) {
   // Real sharded store, pinned assignment: shard_of is stable across
   // accesses, so "the victim shard's pages" is a fixed, checkable set.
   auto config = oram::ShardedOramStore::partition(
-      oram::OramConfig{.block_size = 64, .capacity = 1024, .max_stash_blocks = 128},
+      oram::OramConfig{.block_size = oram::kPageSize, .capacity = 128, .max_stash_blocks = 128},
       /*shards=*/4);
   config.pin_shard_assignment = true;
   crypto::AesKey128 key{};
@@ -742,49 +801,51 @@ TEST(ShardFailureTest, TamperOnOneShardFailsClosedAndIsAttributedToIt) {
   oram::ShardedOramStore store(std::move(config), key, /*rng_seed=*/0xfa,
                                oram::SealMode::kChaChaHmac);
 
-  // Seed 32 pages; pinning fixes each page's shard for the test's lifetime.
+  // Seed 32 accounts' storage group pages (account i's kScriptedKey record
+  // reads i + 1); pinning fixes each page's shard for the test's lifetime.
+  const auto account = [](uint64_t i) {
+    return Address::from_u256(u256{0x1000 + i});
+  };
+  const auto page_of = [&](uint64_t i) {
+    return oram::page_id(oram::PageType::kStorageGroup, account(i),
+                         oram::storage_group(kScriptedKey));
+  };
   for (uint64_t i = 0; i < 32; ++i) {
-    store.write(oram::BlockId{i}, Bytes{static_cast<uint8_t>(i), 0x77});
+    oram::StorageGroupPage page;
+    page.set(kScriptedKey, u256{i + 1});
+    store.write(page_of(i), page.serialize());
   }
-  std::vector<oram::BlockId> victim_ids;
-  std::vector<oram::BlockId> healthy_ids;
-  const uint32_t victim = store.shard_of(oram::BlockId{0});  // any occupied shard
+  std::vector<uint64_t> victims;
+  std::vector<uint64_t> healthy;
+  const uint32_t victim = store.shard_of(page_of(0));  // any occupied shard
   for (uint64_t i = 0; i < 32; ++i) {
-    (store.shard_of(oram::BlockId{i}) == victim ? victim_ids : healthy_ids)
-        .push_back(oram::BlockId{i});
+    (store.shard_of(page_of(i)) == victim ? victims : healthy).push_back(i);
   }
-  ASSERT_GE(victim_ids.size(), 2u);
-  ASSERT_FALSE(healthy_ids.empty());
+  ASSERT_GE(victims.size(), 2u);
+  ASSERT_FALSE(healthy.empty());
 
   ShardTamperOram tamper(store, victim);
-  oram::OramFrontend frontend(
-      tamper, {.shard_count = 4,
-               .shard_router = [&store](const oram::BlockId& id) {
-                 return store.shard_of(id);
-               }});
+  const state::WorldState local;
+  const auto reader = storage_reader(local, tamper);
 
   // Tampered responses from the victim shard fail closed: no retries, so
   // exactly one backend touch per request.
-  EXPECT_EQ(frontend.try_read(victim_ids[0]).status, Status::kAuthFailed);
-  EXPECT_EQ(frontend.try_read(victim_ids[1]).status, Status::kAuthFailed);
+  for (const uint64_t i : {victims[0], victims[1]}) {
+    try {
+      reader.storage(account(i), kScriptedKey);
+      ADD_FAILURE() << "account " << i << ": expected BackendFault";
+    } catch (const BackendFault& fault) {
+      EXPECT_EQ(fault.status(), Status::kAuthFailed);
+    }
+  }
   EXPECT_EQ(tamper.tampered(), 2u);
+  EXPECT_EQ(reader.recovery().retries, 0u);
 
   // Every page on every other shard still round-trips for real.
-  for (const auto& id : healthy_ids) {
-    const auto attempt = frontend.try_read(id);
-    ASSERT_EQ(attempt.status, Status::kOk);
-    ASSERT_TRUE(attempt.data.has_value());
-    EXPECT_EQ((*attempt.data)[0], static_cast<uint8_t>(id.as_u64()));
+  for (const uint64_t i : healthy) {
+    EXPECT_EQ(reader.storage(account(i), kScriptedKey), u256{i + 1}) << i;
   }
-
-  // Both failures are attributed to the victim shard, none anywhere else.
-  const auto stats = frontend.snapshot();
-  EXPECT_EQ(stats.auth_failures, 2u);
-  EXPECT_EQ(stats.shard_failures[victim], 2u);
-  for (uint32_t s = 0; s < 4; ++s) {
-    if (s == victim) continue;
-    EXPECT_EQ(stats.shard_failures[s], 0u) << s;
-  }
+  EXPECT_EQ(tamper.tampered(), 2u);
 }
 
 // The SP's node feed is covered too: with stale-proof faults forced on, the

@@ -304,7 +304,7 @@ TEST(Audit, CodeGapDispersionDetectsMetronomicCodeFetches) {
   EXPECT_DOUBLE_EQ(code_gap_dispersion(SpTrace{}, 3), 1.0);
 }
 
-// --- per-shard audit (PR 6: sharded oblivious frontend) ---
+// --- per-shard audit (PR 6: sharded oblivious store) ---
 
 TEST(ShardAudit, UniformKsStatistic) {
   // A perfectly balanced sample over the full support sits at 1/support.

@@ -18,6 +18,7 @@
 #include "oram/paged_state.hpp"
 #include "oram/path_oram.hpp"
 #include "oram/sharded.hpp"
+#include "oram/slot_store.hpp"
 #include "service/pre_execution.hpp"
 
 namespace hardtape::oram {
@@ -244,6 +245,26 @@ TEST(OramClient, RejectsOversizedBlock) {
   OramServer server(OramConfig{.block_size = 32, .capacity = 16});
   OramClient client(server, test_key(), 1, SealMode::kChaChaHmac);
   EXPECT_THROW(client.write(bid(1), Bytes(33, 0)), UsageError);
+}
+
+TEST(OramServer, PagedBucketPageIsBucketPageBytes) {
+  // The bucket page size memory budgets use is the page format's: one write
+  // on a fresh paged tree writes one path, depth+1 bucket pages.
+  durability::SimFs fs;
+  OramServer server(OramConfig{.block_size = 1024, .capacity = 64,
+                               .backend = SlotBackend::kPaged, .backing_fs = &fs});
+  OramClient client(server, test_key(), 1, SealMode::kChaChaHmac);
+  client.write(bid(1), Bytes{1});
+  const auto pool = server.slot_pool_stats();
+  ASSERT_TRUE(pool.has_value());
+  EXPECT_EQ(pool->evictions, 0u);
+  EXPECT_EQ(pool->peak_resident_bytes,
+            (server.depth() + 1) * PagedSlotStore::bucket_page_bytes(4, 1024));
+  // A slot is its 12-byte nonce, 16-byte tag, 4-byte length and ciphertext
+  // (the 32-byte block id, then the block); the link carries all but the
+  // length.
+  EXPECT_EQ(PagedSlotStore::bucket_page_bytes(4, 1024), 4 * 1088u);
+  EXPECT_EQ(server.bytes_per_access(), 2 * (server.depth() + 1) * 4 * 1084u);
 }
 
 TEST(OramClient, BulkRestoreRoundTripAndFollowOnAccesses) {
@@ -839,7 +860,7 @@ TEST(EpochRegistryEdge, RestoreSeedsPristineRegistryOnly) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedOramStore (PR 6: the concurrent oblivious frontend's backend)
+// ShardedOramStore (PR 6: the concurrent sessions' shared store)
 // ---------------------------------------------------------------------------
 
 ShardedOramStore make_sharded(size_t shards, bool pin = false) {
@@ -1002,6 +1023,36 @@ TEST(ShardedStore, ConcurrentDistinctIdsAreLinearizable) {
       EXPECT_GT(evictions, 0u);
     }
   }
+}
+
+TEST(ShardedStore, ConcurrentSameIdReadsAllSeeTheBlock) {
+  // The store serializes accesses to one id itself: every read migrates the
+  // id's shard assignment, so an unserialized twin would route to a stale
+  // shard and miss the block (kAuthFailed, or kOk claiming it absent).
+  // 4 threads x 500 reads of one written id on 8 shards; runs under TSan in
+  // CI (sanitize-tsan job).
+  auto store = make_sharded(8);
+  const BlockId id = bid(7);
+  const Bytes written(64, 0xc3);
+  store.write(id, written);
+  const uint64_t walks_before = store.snapshot().total_walks;
+  constexpr int kThreads = 4, kReads = 500;
+  std::atomic<int> failed{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kReads; ++i) {
+        const AccessAttempt attempt = store.try_read(id);
+        if (attempt.status != Status::kOk || attempt.data != written) failed.fetch_add(1);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(failed.load(), 0);
+  // A waiting twin is never merged into the access ahead of it: every read
+  // walks on its own, so the SP sees one walk per request.
+  EXPECT_EQ(store.snapshot().total_walks, walks_before + kThreads * kReads);
+  EXPECT_FALSE(store.stash_overflowed());
 }
 
 TEST(ShardedStore, ObservedWalksAreGloballyOrdered) {
