@@ -55,7 +55,7 @@ service::EngineConfig engine_config(size_t devices = kDevices) {
 
 service::FrontDoorConfig door_config(size_t devices = kDevices) {
   service::FrontDoorConfig config;
-  config.num_devices = devices;
+  config.devices.initial_devices = devices;
   // Tenant 1 is the shed-first batch class (priority below the brownout
   // floor); tenants 2-4 are the paying classes.
   for (uint64_t t = 1; t <= kTenants; ++t) {

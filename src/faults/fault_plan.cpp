@@ -7,9 +7,9 @@ namespace hardtape::faults {
 const char* to_string(FaultSite site) {
   switch (site) {
     case FaultSite::kOramRead: return "oram-read";
-    case FaultSite::kOramWrite: return "oram-write";
     case FaultSite::kChannelFrame: return "channel-frame";
     case FaultSite::kNodeFetch: return "node-fetch";
+    case FaultSite::kDeviceBinding: return "device-binding";
   }
   return "unknown";
 }
@@ -23,6 +23,9 @@ const char* to_string(FaultKind kind) {
     case FaultKind::kStaleProof: return "stale-proof";
     case FaultKind::kDuplicateFrame: return "duplicate-frame";
     case FaultKind::kReorderFrame: return "reorder-frame";
+    case FaultKind::kCrash: return "crash";
+    case FaultKind::kSticky: return "sticky";
+    case FaultKind::kFlap: return "flap";
   }
   return "unknown";
 }
@@ -41,8 +44,6 @@ std::vector<WeightedKind> kinds_for(FaultSite site, const FaultPlanConfig& c) {
       return {{FaultKind::kDrop, c.weight_drop},
               {FaultKind::kDelay, c.weight_delay},
               {FaultKind::kTamper, c.weight_tamper}};
-    case FaultSite::kOramWrite:
-      return {{FaultKind::kDrop, c.weight_drop}, {FaultKind::kDelay, c.weight_delay}};
     case FaultSite::kChannelFrame:
       return {{FaultKind::kDrop, c.weight_drop},
               {FaultKind::kTamper, c.weight_tamper},
@@ -50,6 +51,10 @@ std::vector<WeightedKind> kinds_for(FaultSite site, const FaultPlanConfig& c) {
               {FaultKind::kReorderFrame, c.weight_reorder}};
     case FaultSite::kNodeFetch:
       return {{FaultKind::kStaleProof, c.weight_stale_proof}};
+    case FaultSite::kDeviceBinding:
+      return {{FaultKind::kCrash, c.weight_crash},
+              {FaultKind::kSticky, c.weight_sticky},
+              {FaultKind::kFlap, c.weight_flap}};
   }
   return {};
 }
@@ -100,6 +105,13 @@ FaultDecision FaultPlan::decide(FaultSite site, uint64_t stream, uint64_t op) {
     if (decision.kind == FaultKind::kDelay) {
       decision.delay_ns = rng.uniform_range(config_.min_delay_ns, config_.max_delay_ns);
     }
+    if (decision.kind == FaultKind::kCrash || decision.kind == FaultKind::kFlap) {
+      decision.kill_frac = rng.uniform_double();
+    }
+    if (decision.kind == FaultKind::kFlap) {
+      decision.downtime_ns =
+          rng.uniform_range(config_.min_downtime_ns, config_.max_downtime_ns);
+    }
   }
   if (decision.kind == FaultKind::kNone) return decision;
 
@@ -125,31 +137,6 @@ std::vector<FaultEvent> FaultPlan::trace() const {
     return std::tie(a.site, a.stream, a.op) < std::tie(b.site, b.stream, b.op);
   });
   return out;
-}
-
-namespace {
-thread_local void* g_fault_scope = nullptr;  // FaultScope::State*
-}
-
-FaultScope::FaultScope(uint64_t stream) {
-  state_.stream = stream;
-  state_.prev = static_cast<State*>(g_fault_scope);
-  g_fault_scope = &state_;
-}
-
-FaultScope::~FaultScope() { g_fault_scope = state_.prev; }
-
-bool FaultScope::active() { return g_fault_scope != nullptr; }
-
-uint64_t FaultScope::stream() {
-  const auto* state = static_cast<State*>(g_fault_scope);
-  return state != nullptr ? state->stream : 0;
-}
-
-uint64_t FaultScope::next_op(FaultSite site) {
-  auto* state = static_cast<State*>(g_fault_scope);
-  if (state == nullptr) return 0;
-  return state->ops[static_cast<size_t>(site)]++;
 }
 
 }  // namespace hardtape::faults

@@ -1,23 +1,29 @@
-// Deterministic adversarial fault injection across the untrusted boundary.
+// Deterministic adversarial fault injection: the one per-operation oracle.
 //
 // HarDTAPE's threat model (paper §III) is a MALICIOUS service provider: the
-// SP owns the ORAM server, the Ethernet link, and the node feed. A faithful
-// robustness story therefore needs an adversary that can drop, delay,
-// tamper, and replay at every one of those interfaces — and needs each such
-// run to be exactly reproducible, or a fault-triggered bug can never be
-// debugged. This module is that adversary.
+// SP owns the ORAM server, the Ethernet link, and the node feed — and it
+// runs the fleet of dedicated pre-executor devices, which die mid-session,
+// return garbage while claiming health, or flap. A faithful robustness story
+// therefore needs an adversary that can strike at every one of those
+// interfaces — and needs each such run to be exactly reproducible, or a
+// fault-triggered bug can never be debugged. This module is that adversary:
+// one FaultPlan, one draw rule, one trace, whichever site it strikes.
 //
 // Reproducibility contract: a FaultPlan decision depends ONLY on
 // (plan seed, site, stream, op index) — never on wall time, thread
-// interleaving, or call order. Streams are logical request sources (the
-// engine uses one per (bundle, attempt), see fault_stream()); op indices
-// count per (site, stream) inside a FaultScope. Two runs with the same seed
-// and the same per-stream operation sequences produce the same fault trace
-// and — because all recovery waiting is simulated — the same outcomes,
-// regardless of how the worker pool interleaved.
+// interleaving, or call order. Each call site keys its own decisions:
+//  - ORAM reads: stream = fault_stream(bundle, attempt), op = the read's
+//    index within that session attempt (counted by its FaultyOram);
+//  - channel frames: the FaultyLink's stream, op = the frame's index;
+//  - node fetches: stream = the engine's sync pass, op = the account index;
+//  - device bindings: stream = device id, op = that device's binding index
+//    (counted by service::DevicePool).
+// Two runs with the same seed and the same per-stream operation sequences
+// produce the same fault trace and — because all recovery waiting is
+// simulated — the same outcomes, regardless of how the worker pool
+// interleaved.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -29,14 +35,14 @@
 
 namespace hardtape::faults {
 
-/// Where a fault strikes. Each site models one SP-controlled interface.
+/// Where a fault strikes. Each site models one SP-controlled interface. The
+/// values are mixed into every decision, so they never change; 1 is retired.
 enum class FaultSite : uint8_t {
-  kOramRead = 0,   ///< ORAM server response to a path read
-  kOramWrite = 1,  ///< ORAM server ack of a path write
-  kChannelFrame = 2,  ///< a SecureMessage frame on the Ethernet link
-  kNodeFetch = 3,  ///< a node response consumed at block-sync time
+  kOramRead = 0,       ///< ORAM server response to a path read
+  kChannelFrame = 2,   ///< a SecureMessage frame on the Ethernet link
+  kNodeFetch = 3,      ///< a node response consumed at block-sync time
+  kDeviceBinding = 4,  ///< a dedicated device serving one session binding
 };
-inline constexpr size_t kFaultSiteCount = 4;
 
 enum class FaultKind : uint8_t {
   kNone = 0,
@@ -46,6 +52,14 @@ enum class FaultKind : uint8_t {
   kStaleProof,      ///< node response carries a corrupted Merkle proof
   kDuplicateFrame,  ///< link delivers the frame twice (anti-replay probe)
   kReorderFrame,    ///< link swaps the frame with its successor
+  /// Device dies kill_frac of the way through its binding, for good; the
+  /// session's sealed state dies with it.
+  kCrash,
+  /// Device runs the session to its end, but the result fails health and
+  /// attestation checks; the device stays up (and keeps lying).
+  kSticky,
+  /// Device dies like kCrash, then rejoins after downtime_ns of repair.
+  kFlap,
 };
 
 const char* to_string(FaultSite site);
@@ -57,21 +71,31 @@ struct FaultPlanConfig {
   double fault_rate = 0.0;
   /// Relative weights of the kinds drawn once a fault fires. Only the kinds
   /// applicable at the struck site participate (e.g. frames can duplicate,
-  /// ORAM responses cannot); a zero weight disables a kind.
+  /// ORAM responses cannot, and only devices crash, stick or flap); a zero
+  /// weight disables a kind.
   double weight_drop = 1.0;
   double weight_delay = 1.0;
   double weight_tamper = 1.0;
   double weight_stale_proof = 1.0;
   double weight_duplicate = 1.0;
   double weight_reorder = 1.0;
+  double weight_crash = 1.0;
+  double weight_sticky = 1.0;
+  double weight_flap = 1.0;
   /// Injected delays are uniform in [min, max], simulated time.
   uint64_t min_delay_ns = 1'000'000;
   uint64_t max_delay_ns = 20'000'000;
+  /// Flap downtimes are uniform in [min, max], simulated time.
+  uint64_t min_downtime_ns = 20'000'000;
+  uint64_t max_downtime_ns = 200'000'000;
 };
 
 struct FaultDecision {
   FaultKind kind = FaultKind::kNone;
-  uint64_t delay_ns = 0;  ///< meaningful only for kDelay
+  uint64_t delay_ns = 0;     ///< meaningful only for kDelay
+  /// kCrash/kFlap: fraction of the binding served before death, in [0, 1).
+  double kill_frac = 0.0;
+  uint64_t downtime_ns = 0;  ///< meaningful only for kFlap
 };
 
 struct FaultEvent {
@@ -93,7 +117,8 @@ class FaultPlan {
   FaultDecision decide(FaultSite site, uint64_t stream, uint64_t op);
 
   /// Test hook: pin the decision for one (site, stream, op) regardless of
-  /// rate — lets a test strike exactly one session with exactly one fault.
+  /// rate — lets a test strike exactly one session (or one device binding)
+  /// with exactly one fault.
   void force(FaultSite site, uint64_t stream, uint64_t op, FaultDecision decision);
 
   /// Every injected (non-kNone) fault so far, sorted by (site, stream, op)
@@ -108,31 +133,6 @@ class FaultPlan {
   std::vector<FaultEvent> trace_;
   std::map<std::tuple<uint8_t, uint64_t, uint64_t>, FaultDecision> forced_;
   std::atomic<uint64_t> injected_{0};
-};
-
-/// Binds the calling thread to a fault stream (one pre-execution session).
-/// Wrappers (FaultyOram) read the current stream and draw per-site op
-/// indices from here; outside any scope no faults are injected, which keeps
-/// setup paths (ORAM install, attestation) fault-free by construction.
-class FaultScope {
- public:
-  explicit FaultScope(uint64_t stream);
-  ~FaultScope();
-  FaultScope(const FaultScope&) = delete;
-  FaultScope& operator=(const FaultScope&) = delete;
-
-  static bool active();
-  static uint64_t stream();
-  /// Post-incremented per-(site, stream) operation index.
-  static uint64_t next_op(FaultSite site);
-
- private:
-  struct State {
-    uint64_t stream = 0;
-    std::array<uint64_t, kFaultSiteCount> ops{};
-    State* prev = nullptr;
-  };
-  State state_;
 };
 
 /// The engine's stream id for (bundle, attempt): requeued bundles must see a

@@ -3,9 +3,7 @@
 namespace hardtape::faults {
 
 oram::AccessAttempt FaultyOram::try_read(const oram::BlockId& id) {
-  if (!FaultScope::active()) return backend_.try_read(id);
-  const FaultDecision decision = plan_.decide(
-      FaultSite::kOramRead, FaultScope::stream(), FaultScope::next_op(FaultSite::kOramRead));
+  const FaultDecision decision = plan_.decide(FaultSite::kOramRead, stream_, reads_++);
   switch (decision.kind) {
     case FaultKind::kDrop:
       return oram::AccessAttempt{Status::kTimeout, std::nullopt, 0};
@@ -18,25 +16,6 @@ oram::AccessAttempt FaultyOram::try_read(const oram::BlockId& id) {
     }
     default:
       return backend_.try_read(id);
-  }
-}
-
-oram::AccessAttempt FaultyOram::try_write(const oram::BlockId& id, BytesView data) {
-  if (!FaultScope::active()) return backend_.try_write(id, data);
-  const FaultDecision decision = plan_.decide(
-      FaultSite::kOramWrite, FaultScope::stream(), FaultScope::next_op(FaultSite::kOramWrite));
-  switch (decision.kind) {
-    case FaultKind::kDrop:
-      // The write ack is lost; the write itself is modeled as not applied so
-      // a retry re-issues it against consistent state.
-      return oram::AccessAttempt{Status::kTimeout, std::nullopt, 0};
-    case FaultKind::kDelay: {
-      oram::AccessAttempt attempt = backend_.try_write(id, data);
-      attempt.sim_delay_ns += decision.delay_ns;
-      return attempt;
-    }
-    default:
-      return backend_.try_write(id, data);
   }
 }
 

@@ -1,8 +1,11 @@
 // FaultyOram: the malicious SP's ORAM server + link, as an OramAccessor.
 //
-// Sits between the session's state reader (service::RoutedStateReader, the
-// recovery layer) and the real store.
-// For every access inside a FaultScope it consults the FaultPlan:
+// Sits between one session attempt's state reader (service::RoutedStateReader,
+// the recovery layer) and the real store. The engine builds one per session
+// attempt, keyed by that attempt's fault stream, and the wrapper numbers the
+// attempt's reads itself: read n is decided by the FaultPlan at
+// (kOramRead, stream, n), so a session's faults depend on nothing but its own
+// request sequence. For every read it consults the plan:
 //  - kDrop:   the response never comes back — surfaced as kTimeout, and the
 //             backend is NOT touched (the request is modeled as lost in
 //             flight, so a later retry still finds consistent state);
@@ -12,8 +15,8 @@
 //  - kTamper: the response arrives with a broken authentication tag —
 //             surfaced as kAuthFailed without touching the backend (what
 //             the OramClient would report after a failed open_slot).
-// Outside a FaultScope (ORAM install, attestation, tests' direct access)
-// every call passes straight through.
+// Writes pass straight through: a session only reads, and the install and
+// sync passes write to the store directly, never through a FaultyOram.
 #pragma once
 
 #include "faults/fault_plan.hpp"
@@ -23,15 +26,19 @@ namespace hardtape::faults {
 
 class FaultyOram : public oram::OramAccessor {
  public:
-  FaultyOram(oram::OramAccessor& backend, FaultPlan& plan)
-      : backend_(backend), plan_(plan) {}
+  FaultyOram(oram::OramAccessor& backend, FaultPlan& plan, uint64_t stream)
+      : backend_(backend), plan_(plan), stream_(stream) {}
 
   oram::AccessAttempt try_read(const oram::BlockId& id) override;
-  oram::AccessAttempt try_write(const oram::BlockId& id, BytesView data) override;
+  oram::AccessAttempt try_write(const oram::BlockId& id, BytesView data) override {
+    return backend_.try_write(id, data);
+  }
 
  private:
   oram::OramAccessor& backend_;
   FaultPlan& plan_;
+  uint64_t stream_;
+  uint64_t reads_ = 0;  ///< op index of the next read in this stream
 };
 
 }  // namespace hardtape::faults

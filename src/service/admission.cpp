@@ -21,9 +21,6 @@ AdmissionController::AdmissionController(AdmissionConfig config,
   if (registry_ == nullptr) {
     throw UsageError("AdmissionController requires a metrics registry");
   }
-  if (config_.quantum_base == 0) {
-    throw UsageError("AdmissionController: quantum_base must be >= 1");
-  }
   brownout_gauge_ = &registry_->gauge(
       "hardtape_service_brownout_state",
       "overload ladder rung: 0 healthy, 1 shed-low-priority, 2 admit-none");
@@ -138,7 +135,7 @@ std::optional<AdmissionController::Pick> AdmissionController::next(
       continue;
     }
     if (t.deficit == 0) {
-      t.deficit = static_cast<uint64_t>(config_.quantum_base) * t.config.weight;
+      t.deficit = static_cast<uint64_t>(kDrrQuantumBase) * t.config.weight;
     }
     Pick pick{std::move(t.queue.front()), /*expired=*/false};
     t.queue.pop_front();
@@ -181,7 +178,7 @@ uint64_t AdmissionController::window_p99_wait_ns() const {
 void AdmissionController::record_wait(Tenant& t, uint64_t wait_ns) {
   t.queue_wait->observe(wait_ns);
   wait_window_.push_back(wait_ns);
-  while (wait_window_.size() > config_.wait_window) wait_window_.pop_front();
+  while (wait_window_.size() > kWaitWindow) wait_window_.pop_front();
 }
 
 void AdmissionController::update_brownout() {
@@ -198,24 +195,21 @@ void AdmissionController::update_brownout() {
   // once, not every sample.
   switch (state_) {
     case BrownoutState::kHealthy:
-      if (past(config_.admit_none_depth_enter,
-               config_.admit_none_p99_wait_enter_ns)) {
+      if (depth >= config_.admit_none_depth_enter) {
         state_ = BrownoutState::kAdmitNone;
       } else if (past(config_.shed_depth_enter, config_.shed_p99_wait_enter_ns)) {
         state_ = BrownoutState::kShedLowPriority;
       }
       break;
     case BrownoutState::kShedLowPriority:
-      if (past(config_.admit_none_depth_enter,
-               config_.admit_none_p99_wait_enter_ns)) {
+      if (depth >= config_.admit_none_depth_enter) {
         state_ = BrownoutState::kAdmitNone;
       } else if (under(config_.shed_depth_exit, config_.shed_p99_wait_exit_ns)) {
         state_ = BrownoutState::kHealthy;
       }
       break;
     case BrownoutState::kAdmitNone:
-      if (under(config_.admit_none_depth_exit,
-                config_.admit_none_p99_wait_exit_ns)) {
+      if (depth < config_.admit_none_depth_exit) {
         state_ = BrownoutState::kShedLowPriority;
       }
       break;

@@ -11,11 +11,12 @@
 // Three mechanisms, composed:
 //
 //  1. Per-tenant bounded FIFO queues drained by deficit round-robin (DRR):
-//     each round a tenant's deficit grows by quantum = base * weight and it
-//     may dispatch while deficit >= cost (cost = 1 per request). A tenant at
-//     its in-flight quota is skipped without losing its deficit. DRR gives a
-//     hard fairness bound — a flooding tenant can fill only its OWN queue,
-//     and any other tenant waits at most O(rounds) behind its own backlog.
+//     each round a tenant's deficit grows by quantum = kDrrQuantumBase *
+//     weight and it may dispatch while deficit >= cost (cost = 1 per
+//     request). A tenant at its in-flight quota is skipped without losing
+//     its deficit. DRR gives a hard fairness bound — a flooding tenant can
+//     fill only its OWN queue, and any other tenant waits at most O(rounds)
+//     behind its own backlog.
 //
 //  2. Sim-time deadlines: a request carries an absolute queue-wait deadline.
 //     Admission refuses dead-on-arrival requests (the link may have delayed
@@ -25,8 +26,9 @@
 //     is worthless; executing it anyway would be pure overload amplification.
 //
 //  3. A brownout ladder driven by total queue depth and the p99 queue wait
-//     over a sliding window, with two-threshold hysteresis per rung so the
-//     state cannot flap on a boundary workload:
+//     over a sliding window (the admit-none rung by depth alone), with
+//     two-threshold hysteresis per rung so the state cannot flap on a
+//     boundary workload:
 //
 //       kHealthy          admit everyone (subject to queue caps + deadlines)
 //       kShedLowPriority  refuse tenants below the priority floor
@@ -57,12 +59,18 @@ enum class BrownoutState : uint8_t {
 
 const char* to_string(BrownoutState state);
 
+/// DRR quantum per weight unit. Cost of one request is 1, so a weight-1
+/// tenant dispatches once per round.
+inline constexpr uint32_t kDrrQuantumBase = 1;
+/// Sliding window of recent queue-wait samples feeding the p99 trigger.
+inline constexpr size_t kWaitWindow = 256;
+
 /// Per-tenant policy. Tenants not configured up front get the defaults from
 /// AdmissionConfig on first contact.
 struct TenantConfig {
   uint64_t tenant_id = 0;
   /// DRR weight: share of dispatch slots relative to other backlogged
-  /// tenants. quantum = quantum_base * weight.
+  /// tenants. quantum = kDrrQuantumBase * weight.
   uint32_t weight = 1;
   /// Bound on this tenant's queue; arrivals beyond it are shed (kOverloaded)
   /// no matter how healthy the service is — one tenant's backlog must never
@@ -78,9 +86,6 @@ struct TenantConfig {
 struct AdmissionConfig {
   std::vector<TenantConfig> tenants;  ///< pre-configured tenants
   TenantConfig defaults{};            ///< template for unknown tenants
-  /// DRR quantum per weight unit. Cost of one request is 1, so quantum_base=1
-  /// gives a weight-1 tenant one dispatch per round.
-  uint32_t quantum_base = 1;
   /// Tenants with priority below this floor are refused in kShedLowPriority.
   /// Ignored when shed_gas_budget_per_priority is set (see below).
   uint32_t shed_priority_floor = 2;
@@ -94,19 +99,16 @@ struct AdmissionConfig {
   /// expensive one frees more device time per refusal.
   uint64_t shed_gas_budget_per_priority = 0;
 
-  /// Brownout ladder thresholds (enter when EITHER depth or p99 wait is past
-  /// the *_enter mark; drop back only when BOTH are under the *_exit mark —
-  /// classic hysteresis so a workload sitting on a threshold cannot flap).
+  /// Brownout ladder thresholds. The shed rung is entered when EITHER depth
+  /// or p99 wait is past its *_enter mark and left only when BOTH are under
+  /// the *_exit mark — classic hysteresis so a workload sitting on a
+  /// threshold cannot flap. The admit-none rung follows depth alone.
   size_t shed_depth_enter = 192;
   size_t shed_depth_exit = 96;
   uint64_t shed_p99_wait_enter_ns = 0;  ///< 0 disables the wait trigger
   uint64_t shed_p99_wait_exit_ns = 0;
   size_t admit_none_depth_enter = 512;
   size_t admit_none_depth_exit = 256;
-  uint64_t admit_none_p99_wait_enter_ns = 0;
-  uint64_t admit_none_p99_wait_exit_ns = 0;
-  /// Sliding window of recent queue-wait samples feeding the p99 trigger.
-  size_t wait_window = 256;
 };
 
 /// One admitted-but-not-yet-dispatched request.
@@ -173,7 +175,7 @@ class AdmissionController {
   /// window MAXIMUM, so a single slow dispatch early in a run can trip a
   /// wait-enter threshold by itself. That bias is deliberate — under
   /// overload the controller should fail toward shedding — and callers
-  /// sizing wait thresholds should size wait_window accordingly.
+  /// sizing wait thresholds should size them for a kWaitWindow window.
   uint64_t window_p99_wait_ns() const;
 
  private:

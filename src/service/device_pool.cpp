@@ -142,19 +142,20 @@ std::optional<DeviceState> DevicePool::start_drain(uint32_t device,
     return DeviceState::kDraining;
   }
   // Idle, joining or quarantined: nothing bound, the drain completes now.
-  d.wake_ns = UINT64_MAX;
-  set_state(device, DeviceState::kDead);
-  log(device, DeviceEventKind::kDrainDone, now_ns);
-  drains_completed_->add();
+  drain_done(device, now_ns);
   refresh_serving_gauge();
   return std::nullopt;
 }
 
 void DevicePool::finish_drain(uint32_t device, uint64_t now_ns) {
-  Device& d = device_at(device);
-  if (d.state != DeviceState::kDraining) {
+  if (device_at(device).state != DeviceState::kDraining) {
     throw UsageError("DevicePool::finish_drain on a device not draining");
   }
+  drain_done(device, now_ns);
+}
+
+void DevicePool::drain_done(uint32_t device, uint64_t now_ns) {
+  Device& d = devices_[device];
   d.busy = false;
   d.wake_ns = UINT64_MAX;
   set_state(device, DeviceState::kDead);
@@ -173,11 +174,11 @@ std::optional<uint32_t> DevicePool::acquire(uint64_t) {
   return std::nullopt;
 }
 
-faults::DeviceFaultDecision DevicePool::binding_fate(uint32_t device) {
+faults::FaultDecision DevicePool::binding_fate(uint32_t device) {
   Device& d = device_at(device);
   const uint64_t index = d.binding_count++;
   if (config_.fault_plan == nullptr) return {};
-  return config_.fault_plan->decide(device, index);
+  return config_.fault_plan->decide(faults::FaultSite::kDeviceBinding, device, index);
 }
 
 void DevicePool::complete(uint32_t device, uint64_t now_ns) {
@@ -186,10 +187,7 @@ void DevicePool::complete(uint32_t device, uint64_t now_ns) {
   d.sticky_streak = 0;
   if (d.state == DeviceState::kDraining) {
     // The in-flight session it was waiting for just finished cleanly.
-    d.wake_ns = UINT64_MAX;
-    set_state(device, DeviceState::kDead);
-    log(device, DeviceEventKind::kDrainDone, now_ns);
-    drains_completed_->add();
+    drain_done(device, now_ns);
   }
 }
 
@@ -200,10 +198,7 @@ void DevicePool::sticky_fault(uint32_t device, uint64_t now_ns) {
   log(device, DeviceEventKind::kStickyFault, now_ns);
   if (d.state == DeviceState::kDraining) {
     // Draining anyway: no point probing a device on its way out.
-    d.wake_ns = UINT64_MAX;
-    set_state(device, DeviceState::kDead);
-    log(device, DeviceEventKind::kDrainDone, now_ns);
-    drains_completed_->add();
+    drain_done(device, now_ns);
     return;
   }
   ++d.sticky_streak;
@@ -231,7 +226,11 @@ void DevicePool::crash(uint32_t device, uint64_t now_ns,
   d.busy = false;
   crashes_->add();
   log(device, DeviceEventKind::kCrash, now_ns);
-  if (rejoin_at_ns == 0) {
+  if (d.state == DeviceState::kDraining) {
+    // On its way out anyway: a death, even one the repair would undo, ends
+    // the drain. The operator asked for this device to leave.
+    drain_done(device, now_ns);
+  } else if (rejoin_at_ns == 0) {
     d.wake_ns = UINT64_MAX;
     set_state(device, DeviceState::kDead);
   } else {

@@ -18,6 +18,9 @@
 //                     (idle, or    ▼  ▼                      │ no rejoin
 //                      grace cut) kDead ◄────────────────────┘
 //
+// A draining device never comes back: its session completing, a grace cut,
+// a sticky result and any crash, a flap included, all end the drain.
+//
 // Division of labor: the pool is PURE sim-time policy — which device is
 // bindable now, what fate the fault plan assigns a binding, when a timed
 // transition (warmup, quarantine backoff, flap repair) falls due — plus the
@@ -26,8 +29,9 @@
 // scheduling drain deadlines) in its discrete-event loop. Everything here is
 // single-threaded by design and deterministic: quarantine re-admission
 // delays come from sim::BackoffPolicy keyed by the device id, fault fates
-// from faults::DeviceFaultPlan keyed by (device, binding index) — so the
-// same dispatch sequence churns identically at any engine worker count.
+// from the one faults::FaultPlan at its kDeviceBinding site, keyed by
+// (device, binding index) — so the same dispatch sequence churns
+// identically at any engine worker count.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +39,7 @@
 #include <string>
 #include <vector>
 
-#include "faults/device_fault_plan.hpp"
+#include "faults/fault_plan.hpp"
 #include "obs/metrics.hpp"
 #include "sim/backoff.hpp"
 
@@ -75,9 +79,12 @@ struct DeviceEvent {
 };
 
 struct DevicePoolConfig {
-  /// Devices present (and serving) at construction. 0 lets the FrontDoor
-  /// inherit its legacy num_devices knob.
-  size_t initial_devices = 0;
+  /// Devices present (and serving) at construction: the simulated
+  /// dedicated-HEVM fleet the front door schedules onto. Decoupled from
+  /// EngineConfig::num_hevms on purpose: devices are the MODEL (capacity,
+  /// the paper's per-chip HEVM count), workers are the HOST (how fast the
+  /// model is evaluated).
+  size_t initial_devices = 3;
   /// Sim time a hot-added device spends kJoining before it may bind.
   uint64_t join_warmup_ns = 0;
   /// Sim time a draining device's in-flight session is allowed to finish
@@ -90,9 +97,10 @@ struct DevicePoolConfig {
   /// backoff_delay_ns(probe_backoff, nth quarantine, device id) — bounded
   /// exponential, deterministically jittered per device.
   sim::BackoffPolicy probe_backoff{};
-  /// Optional seeded device-fault adversary (must outlive the pool).
+  /// Optional seeded adversary (must outlive the pool), consulted at its
+  /// kDeviceBinding site; it may be the same plan the engine reads.
   /// nullptr = reliable fleet; binding_fate() always answers kNone.
-  faults::DeviceFaultPlan* fault_plan = nullptr;
+  faults::FaultPlan* fault_plan = nullptr;
 };
 
 /// Single-threaded, sim-time device state machine (see header comment).
@@ -123,8 +131,9 @@ class DevicePool {
   std::optional<uint32_t> acquire(uint64_t now_ns);
 
   /// The fault plan's fate for the binding just placed on `device`
-  /// (consumes the device's next binding index). kNone without a plan.
-  faults::DeviceFaultDecision binding_fate(uint32_t device);
+  /// (consumes the device's next binding index): kNone, kCrash, kSticky or
+  /// kFlap. kNone without a plan.
+  faults::FaultDecision binding_fate(uint32_t device);
 
   /// Clean release: the binding ran to completion and passed health checks.
   /// Resets the device's sticky streak; a draining device dies here.
@@ -138,7 +147,8 @@ class DevicePool {
 
   /// Abrupt death at `now_ns` (binding already cut by the caller, if any).
   /// rejoin_at_ns == 0 is permanent (kDead); otherwise the device flaps:
-  /// kQuarantined until rejoin_at_ns, then serving again. No-op on kDead.
+  /// kQuarantined until rejoin_at_ns, then serving again. A draining device
+  /// never comes back: any death completes its drain. No-op on kDead.
   void crash(uint32_t device, uint64_t now_ns, uint64_t rejoin_at_ns);
 
   /// Applies every timed transition due by `now_ns` (warmup completion,
@@ -176,6 +186,9 @@ class DevicePool {
   Device& device_at(uint32_t device);
   const Device& device_at(uint32_t device) const;
   void set_state(uint32_t device, DeviceState state);
+  /// Every way a drain ends: the device dies, kDrainDone is logged, and the
+  /// drain counts as completed.
+  void drain_done(uint32_t device, uint64_t now_ns);
   void log(uint32_t device, DeviceEventKind kind, uint64_t at_ns);
   void refresh_serving_gauge();
 

@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "durability/durable_store.hpp"
+#include "faults/faulty_oram.hpp"
 #include "memlayer/pager.hpp"
 #include "node/sync.hpp"
 
@@ -73,10 +74,6 @@ PreExecutionEngine::PreExecutionEngine(node::NodeSimulator& node, EngineConfig c
                                         ? config.durable->stats().generation
                                         : 0),
           config.seed ^ 0x02a3, config.seal_mode),
-      fault_layer_(config.fault_plan != nullptr
-                       ? std::make_unique<faults::FaultyOram>(oram_store_,
-                                                              *config.fault_plan)
-                       : nullptr),
       queue_(config.queue_depth),
       latency_hist_(&registry_.histogram("hardtape_engine_bundle_latency_sim_ns",
                                          "per-bundle end-to-end simulated latency")) {
@@ -669,13 +666,6 @@ SessionOutcome PreExecutionEngine::execute_session(
                          bundle_id, attempt);
   }
 
-  // Fault decisions come from the (bundle, attempt) stream, so outcomes stay
-  // interleaving-independent.
-  std::optional<faults::FaultScope> fault_scope;
-  if (config_.fault_plan != nullptr) {
-    fault_scope.emplace(faults::fault_stream(bundle_id, attempt));
-  }
-
   // --- input message handling (Fig. 3 steps 3, 6) ---
   const uint64_t input_bytes = wire::bundle_bytes(bundle);
   {
@@ -720,9 +710,14 @@ SessionOutcome PreExecutionEngine::execute_session(
   // --- execute on the worker's dedicated HEVM (steps 4-8) ---
   const state::WorldState& local_world =
       pin.world != nullptr ? *pin.world : node_.world();
-  oram::OramAccessor* const oram = fault_layer_ != nullptr
-                                      ? static_cast<oram::OramAccessor*>(fault_layer_.get())
-                                      : &oram_store_;
+  // This attempt's ORAM reads draw their faults from the (bundle, attempt)
+  // stream, so outcomes stay interleaving-independent.
+  std::optional<faults::FaultyOram> faulty;
+  oram::OramAccessor* oram = &oram_store_;
+  if (config_.fault_plan != nullptr) {
+    oram = &faulty.emplace(oram_store_, *config_.fault_plan,
+                           faults::fault_stream(bundle_id, attempt));
+  }
   RoutedStateReader routed(local_world, oram, config_.security,
                            RoutedStateReader::Timing{.clock = &clock},
                            config_.trace != nullptr ? &config_.trace->ring(-2) : nullptr);

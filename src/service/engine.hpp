@@ -45,9 +45,10 @@
 //
 // Failure model (PR 2): with a FaultPlan installed the SP's interfaces
 // misbehave, and the engine fails CLOSED at three nested layers:
-//  1. per-request: the session's RoutedStateReader retries timeouts with
-//     simulated backoff and aborts on integrity failures (see
-//     service/pre_execution.hpp);
+//  1. per-request: each session attempt reads the ORAM through its own
+//     faults::FaultyOram, keyed fault_stream(bundle, attempt); its
+//     RoutedStateReader retries timeouts with simulated backoff and aborts
+//     on integrity failures (see service/pre_execution.hpp);
 //  2. per-session: an unrecoverable backend fault aborts the session
 //     (BackendFault), and recoverable aborts requeue the bundle — front of
 //     queue, fresh fault stream — up to max_bundle_attempts times before the
@@ -85,7 +86,6 @@
 #include <vector>
 
 #include "faults/fault_plan.hpp"
-#include "faults/faulty_oram.hpp"
 #include "hypervisor/hypervisor.hpp"
 #include "node/node.hpp"
 #include "obs/metrics.hpp"
@@ -282,7 +282,7 @@ struct EngineMetrics {
   std::vector<OramShardStats> oram_shards;
 
   // --- failure model & recovery (PR 2; all zero without a FaultPlan) ---
-  uint64_t faults_injected = 0;      ///< from the FaultPlan
+  uint64_t faults_injected = 0;      ///< FaultPlan::injected(): every site it struck
   uint64_t oram_timeouts = 0;        ///< ORAM request attempts that timed out
   uint64_t oram_retries = 0;         ///< ORAM requests re-issued
   uint64_t oram_retry_exhausted = 0; ///< requests that ran out of attempts
@@ -540,9 +540,6 @@ class PreExecutionEngine {
   /// (server, client) pairs with per-shard walk locks — OramServer and
   /// OramClient no longer appear as engine members.
   oram::ShardedOramStore oram_store_;
-  /// The adversary between store and the sessions' state readers; null
-  /// without a fault plan.
-  std::unique_ptr<faults::FaultyOram> fault_layer_;
 
   BoundedQueue<QueueItem> queue_;
   std::vector<std::unique_ptr<Worker>> workers_;

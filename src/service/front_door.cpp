@@ -21,21 +21,10 @@ SessionOutcome FrontDoor::Mailbox::take(uint64_t bundle_id) {
   return std::move(node.mapped());
 }
 
-namespace {
-
-DevicePoolConfig pool_config_from(const FrontDoorConfig& config) {
-  DevicePoolConfig pool = config.devices;
-  if (pool.initial_devices == 0) pool.initial_devices = config.num_devices;
-  return pool;
-}
-
-}  // namespace
-
 FrontDoor::FrontDoor(PreExecutionEngine& engine, FrontDoorConfig config)
     : engine_(engine),
-      config_(std::move(config)),
-      admission_(config_.admission, &engine.metrics_registry()),
-      pool_(pool_config_from(config_), &engine.metrics_registry()) {
+      admission_(std::move(config.admission), &engine.metrics_registry()),
+      pool_(config.devices, &engine.metrics_registry()) {
   if (pool_.size() == 0) {
     throw UsageError("FrontDoor: need at least one device");
   }
@@ -88,7 +77,7 @@ std::vector<hypervisor::SecureMessage> FrontDoor::deliver(
   frames_total_->add();
   advance(std::max(arrival_ns, now_ns_));
 
-  auto opened = conn.channel.open(frame, config_.max_body_length,
+  auto opened = conn.channel.open(frame, kMaxRequestBodyBytes,
                                   /*max_target_offset=*/0);
   if (opened.status != Status::kOk) {
     // Tampered, replayed or malformed-at-the-channel bytes: they never
@@ -171,7 +160,7 @@ ResponseFrame FrontDoor::handle_open(Connection& conn, uint64_t conn_id,
       return response;
     }
   }
-  if (open_sessions_ >= config_.max_sessions) {
+  if (open_sessions_ >= kMaxOpenSessions) {
     response.status = Status::kOverloaded;
     return response;
   }
@@ -471,12 +460,12 @@ void FrontDoor::dispatch() {
     for (const auto& tx : outcome.report.transactions) gas += tx.gas_used;
     binding.gas_used = gas;
 
-    // The device fault plan decides this binding's fate — deterministically,
-    // keyed on (device, per-device binding index).
-    const faults::DeviceFaultDecision fate = pool_.binding_fate(launched.device);
+    // The fault plan decides this binding's fate — deterministically, keyed
+    // on (device, per-device binding index).
+    const faults::FaultDecision fate = pool_.binding_fate(launched.device);
     uint64_t end_ns = now_ns_ + duration;
-    if (fate.kind == faults::DeviceFaultKind::kCrash ||
-        fate.kind == faults::DeviceFaultKind::kFlap) {
+    if (fate.kind == faults::FaultKind::kCrash ||
+        fate.kind == faults::FaultKind::kFlap) {
       // Death mid-binding: at least 1ns served, cut no later than the
       // natural end. The sealed session state dies with the device.
       uint64_t served = static_cast<uint64_t>(
@@ -484,14 +473,14 @@ void FrontDoor::dispatch() {
       served = std::clamp<uint64_t>(served, 1, duration);
       end_ns = now_ns_ + served;
       const uint64_t rejoin_at =
-          fate.kind == faults::DeviceFaultKind::kFlap
+          fate.kind == faults::FaultKind::kFlap
               ? end_ns + std::max<uint64_t>(1, fate.downtime_ns)
               : 0;
       events_.push(Event{end_ns, next_event_seq_++,
                          Event::Kind::kDeviceDeath, launched.device,
                          binding.gen, rejoin_at});
     } else {
-      binding.sticky_fail = fate.kind == faults::DeviceFaultKind::kSticky;
+      binding.sticky_fail = fate.kind == faults::FaultKind::kSticky;
       events_.push(Event{end_ns, next_event_seq_++, Event::Kind::kCompletion,
                          launched.device, binding.gen, 0});
     }

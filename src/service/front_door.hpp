@@ -74,20 +74,17 @@ class FaultyLink;
 
 namespace hardtape::service {
 
+/// Sessions the mux will hold open at once; opens beyond it are refused
+/// kOverloaded (a bounded front door cannot promise unbounded state).
+inline constexpr size_t kMaxOpenSessions = 4096;
+/// The largest request body a connection's channel will open.
+inline constexpr uint64_t kMaxRequestBodyBytes = 1 << 20;
+
 struct FrontDoorConfig {
-  /// Simulated dedicated-HEVM pool the dispatcher schedules onto. Decoupled
-  /// from EngineConfig::num_hevms on purpose: devices are the MODEL
-  /// (capacity, the paper's per-chip HEVM count), workers are the HOST
-  /// (how fast the model is evaluated).
-  size_t num_devices = 3;
-  /// Elastic-pool policy (PR 9): warmup, drain grace, breaker, fault plan.
-  /// devices.initial_devices == 0 inherits num_devices above.
+  /// The simulated device fleet the dispatcher schedules onto: its size,
+  /// warmup, drain grace, breaker and fault plan.
   DevicePoolConfig devices{};
   AdmissionConfig admission{};
-  /// Sessions the mux will hold open at once; opens beyond it are refused
-  /// kOverloaded (a bounded front door cannot promise unbounded state).
-  size_t max_sessions = 4096;
-  uint64_t max_body_length = 1 << 20;  ///< channel open() bound
 };
 
 /// The server. Single caller thread drives deliver()/finish(); the engine's
@@ -225,8 +222,8 @@ class FrontDoor {
   };
 
   /// The binding currently running on a device, with the engine outcome it
-  /// will resolve to (learned at dispatch) and the fate the device fault
-  /// plan assigned it.
+  /// will resolve to (learned at dispatch) and the fate the fault plan
+  /// assigned it.
   struct ActiveBinding {
     uint64_t gen = 0;
     size_t binding_idx = 0;  ///< into bindings_
@@ -277,7 +274,6 @@ class FrontDoor {
   RequestState* find_request(uint64_t session_id, uint64_t request_id);
 
   PreExecutionEngine& engine_;
-  FrontDoorConfig config_;
   AdmissionController admission_;
   DevicePool pool_;
   Mailbox mailbox_;

@@ -30,7 +30,6 @@ using faults::FaultEvent;
 using faults::FaultKind;
 using faults::FaultPlan;
 using faults::FaultPlanConfig;
-using faults::FaultScope;
 using faults::FaultSite;
 
 // ---------------------------------------------------------------------------
@@ -103,73 +102,115 @@ TEST(FaultPlanTest, ForcePinsOneOperation) {
   EXPECT_EQ(plan.decide(FaultSite::kOramRead, 5, 1).kind, FaultKind::kNone);
   EXPECT_EQ(plan.decide(FaultSite::kOramRead, 5, 2).kind, FaultKind::kTamper);
   EXPECT_EQ(plan.decide(FaultSite::kOramRead, 5, 3).kind, FaultKind::kNone);
-  EXPECT_EQ(plan.decide(FaultSite::kOramWrite, 5, 2).kind, FaultKind::kNone);
+  EXPECT_EQ(plan.decide(FaultSite::kChannelFrame, 5, 2).kind, FaultKind::kNone);
   EXPECT_EQ(plan.injected(), 1u);
 }
 
-TEST(FaultScopeTest, CountsOpsPerSiteAndNests) {
-  EXPECT_FALSE(FaultScope::active());
-  {
-    FaultScope outer(11);
-    EXPECT_TRUE(FaultScope::active());
-    EXPECT_EQ(FaultScope::stream(), 11u);
-    EXPECT_EQ(FaultScope::next_op(FaultSite::kOramRead), 0u);
-    EXPECT_EQ(FaultScope::next_op(FaultSite::kOramRead), 1u);
-    EXPECT_EQ(FaultScope::next_op(FaultSite::kOramWrite), 0u);  // per-site
-    {
-      FaultScope inner(12);
-      EXPECT_EQ(FaultScope::stream(), 12u);
-      EXPECT_EQ(FaultScope::next_op(FaultSite::kOramRead), 0u);  // fresh
+// Device fates are one more site: stream = device id, op = binding index.
+TEST(FaultPlanTest, DeviceFatesArePureInSeedDeviceAndIndex) {
+  FaultPlanConfig config;
+  config.seed = 42;
+  config.fault_rate = 0.6;
+  config.weight_crash = 0.2;
+  config.weight_sticky = 0.2;
+  config.weight_flap = 0.2;
+  FaultPlan a(config);
+  FaultPlan b(config);
+  for (uint32_t device = 0; device < 4; ++device) {
+    for (uint64_t index = 0; index < 64; ++index) {
+      const auto da = a.decide(FaultSite::kDeviceBinding, device, index);
+      const auto db = b.decide(FaultSite::kDeviceBinding, device, index);
+      EXPECT_EQ(da.kind, db.kind);
+      EXPECT_EQ(da.kill_frac, db.kill_frac);
+      EXPECT_EQ(da.downtime_ns, db.downtime_ns);
     }
-    EXPECT_EQ(FaultScope::stream(), 11u);
-    EXPECT_EQ(FaultScope::next_op(FaultSite::kOramRead), 2u);  // resumed
   }
-  EXPECT_FALSE(FaultScope::active());
+  EXPECT_GT(a.injected(), 0u) << "a rate of 0.6 never fired in 256 draws";
+  EXPECT_EQ(a.trace(), b.trace());
+
+  // A different seed produces a different fault schedule.
+  config.seed = 43;
+  FaultPlan c(config);
+  bool differs = false;
+  for (uint32_t device = 0; device < 4 && !differs; ++device) {
+    for (uint64_t index = 0; index < 64 && !differs; ++index) {
+      differs = c.decide(FaultSite::kDeviceBinding, device, index).kind !=
+                a.decide(FaultSite::kDeviceBinding, device, index).kind;
+    }
+  }
+  EXPECT_TRUE(differs);
+}
+
+TEST(FaultPlanTest, DeviceWeightsBoundFatesAndForceOverrides) {
+  // Zero rate: a reliable fleet, nothing injected.
+  FaultPlan quiet(FaultPlanConfig{.seed = 1});
+  for (uint64_t i = 0; i < 32; ++i) {
+    EXPECT_EQ(quiet.decide(FaultSite::kDeviceBinding, 0, i).kind, FaultKind::kNone);
+  }
+  EXPECT_EQ(quiet.injected(), 0u);
+
+  // Crashes only: every binding dies, kill_frac uniform in [0, 1).
+  FaultPlanConfig all_crash;
+  all_crash.seed = 2;
+  all_crash.fault_rate = 1.0;
+  all_crash.weight_crash = 1.0;
+  all_crash.weight_sticky = 0;
+  all_crash.weight_flap = 0;
+  FaultPlan lethal(all_crash);
+  for (uint64_t i = 0; i < 32; ++i) {
+    const auto d = lethal.decide(FaultSite::kDeviceBinding, 3, i);
+    EXPECT_EQ(d.kind, FaultKind::kCrash);
+    EXPECT_GE(d.kill_frac, 0.0);
+    EXPECT_LT(d.kill_frac, 1.0);
+  }
+
+  // Flaps only: downtime lands inside the configured band.
+  FaultPlanConfig all_flap;
+  all_flap.seed = 3;
+  all_flap.fault_rate = 1.0;
+  all_flap.weight_crash = 0;
+  all_flap.weight_sticky = 0;
+  all_flap.weight_flap = 1.0;
+  all_flap.min_downtime_ns = 1'000;
+  all_flap.max_downtime_ns = 2'000;
+  FaultPlan flappy(all_flap);
+  for (uint64_t i = 0; i < 32; ++i) {
+    const auto d = flappy.decide(FaultSite::kDeviceBinding, 0, i);
+    EXPECT_EQ(d.kind, FaultKind::kFlap);
+    EXPECT_GE(d.downtime_ns, 1'000u);
+    EXPECT_LE(d.downtime_ns, 2'000u);
+  }
+
+  // force() pins one (device, index) regardless of rate.
+  quiet.force(FaultSite::kDeviceBinding, 7, 3, {.kind = FaultKind::kSticky});
+  EXPECT_EQ(quiet.decide(FaultSite::kDeviceBinding, 7, 2).kind, FaultKind::kNone);
+  EXPECT_EQ(quiet.decide(FaultSite::kDeviceBinding, 7, 3).kind, FaultKind::kSticky);
 }
 
 // ---------------------------------------------------------------------------
 // FaultyOram: the wrapper's per-kind semantics
 // ---------------------------------------------------------------------------
 
-/// Trivial reliable backing store: read always finds a page, writes count.
+/// Trivial reliable backing store: read always finds a page, reads count.
 class MemBackend : public oram::OramAccessor {
  public:
   oram::AccessAttempt try_read(const oram::BlockId& id) override {
     reads_.fetch_add(1, std::memory_order_relaxed);
     return {Status::kOk, Bytes{static_cast<uint8_t>(id.as_u64() & 0xff), 0x5a}, 0};
   }
-  oram::AccessAttempt try_write(const oram::BlockId&, BytesView) override {
-    writes_.fetch_add(1, std::memory_order_relaxed);
-    return {};
-  }
+  oram::AccessAttempt try_write(const oram::BlockId&, BytesView) override { return {}; }
   uint64_t reads() const { return reads_.load(); }
-  uint64_t writes() const { return writes_.load(); }
 
  private:
   std::atomic<uint64_t> reads_{0};
-  std::atomic<uint64_t> writes_{0};
 };
-
-TEST(FaultyOramTest, PassthroughOutsideFaultScope) {
-  FaultPlanConfig config;
-  config.fault_rate = 1.0;  // everything faults... inside a scope
-  FaultPlan plan(config);
-  MemBackend backend;
-  faults::FaultyOram faulty(backend, plan);
-
-  const auto attempt = faulty.try_read(oram::BlockId{1});
-  EXPECT_EQ(attempt.status, Status::kOk);
-  ASSERT_TRUE(attempt.data.has_value());
-  EXPECT_EQ(plan.injected(), 0u);  // setup paths are fault-free by design
-}
 
 TEST(FaultyOramTest, DropSurfacesTimeoutWithoutTouchingBackend) {
   FaultPlan plan(FaultPlanConfig{});
   plan.force(FaultSite::kOramRead, 9, 0, {FaultKind::kDrop, 0});
   MemBackend backend;
-  faults::FaultyOram faulty(backend, plan);
+  faults::FaultyOram faulty(backend, plan, /*stream=*/9);
 
-  FaultScope scope(9);
   const auto dropped = faulty.try_read(oram::BlockId{1});
   EXPECT_EQ(dropped.status, Status::kTimeout);
   EXPECT_FALSE(dropped.data.has_value());
@@ -183,9 +224,8 @@ TEST(FaultyOramTest, TamperSurfacesAuthFailed) {
   FaultPlan plan(FaultPlanConfig{});
   plan.force(FaultSite::kOramRead, 9, 0, {FaultKind::kTamper, 0});
   MemBackend backend;
-  faults::FaultyOram faulty(backend, plan);
+  faults::FaultyOram faulty(backend, plan, /*stream=*/9);
 
-  FaultScope scope(9);
   const auto tampered = faulty.try_read(oram::BlockId{1});
   EXPECT_EQ(tampered.status, Status::kAuthFailed);
   EXPECT_FALSE(tampered.data.has_value());
@@ -195,27 +235,13 @@ TEST(FaultyOramTest, DelayAddsSimLatencyButDelivers) {
   FaultPlan plan(FaultPlanConfig{});
   plan.force(FaultSite::kOramRead, 9, 0, {FaultKind::kDelay, 7'000'000});
   MemBackend backend;
-  faults::FaultyOram faulty(backend, plan);
+  faults::FaultyOram faulty(backend, plan, /*stream=*/9);
 
-  FaultScope scope(9);
   const auto late = faulty.try_read(oram::BlockId{1});
   EXPECT_EQ(late.status, Status::kOk);
   ASSERT_TRUE(late.data.has_value());
   EXPECT_EQ(late.sim_delay_ns, 7'000'000u);
   EXPECT_EQ(backend.reads(), 1u);  // the access did happen, just late
-}
-
-TEST(FaultyOramTest, WriteDropSurfacesTimeout) {
-  FaultPlan plan(FaultPlanConfig{});
-  plan.force(FaultSite::kOramWrite, 9, 0, {FaultKind::kDrop, 0});
-  MemBackend backend;
-  faults::FaultyOram faulty(backend, plan);
-
-  FaultScope scope(9);
-  const Bytes data{1, 2, 3};
-  const auto lost = faulty.try_write(oram::BlockId{2}, data);
-  EXPECT_EQ(lost.status, Status::kTimeout);
-  EXPECT_EQ(backend.writes(), 0u);
 }
 
 // ---------------------------------------------------------------------------

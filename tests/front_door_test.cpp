@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "common/random.hpp"
-#include "faults/device_fault_plan.hpp"
+#include "faults/fault_plan.hpp"
 #include "faults/faulty_link.hpp"
 #include "service/admission.hpp"
 #include "service/device_pool.hpp"
@@ -576,78 +576,41 @@ TEST(DevicePoolTest, CrashIsPermanentUnlessFlapRejoins) {
   EXPECT_EQ(pool.serving_count(), 1u);
 }
 
-// -------------------------------------------------------- device faults --
+// The operator's drain outlives the device: a draining device that dies —
+// even by a flap whose repair would bring it back — is dead for good, with
+// its drain logged and counted as complete.
+TEST(DevicePoolTest, DrainingDeviceThatDiesCompletesItsDrain) {
+  obs::Registry registry;
+  DevicePoolConfig config;
+  config.initial_devices = 2;
+  DevicePool pool(config, &registry);
+  ASSERT_EQ(pool.acquire(0), std::optional<uint32_t>(0));
+  ASSERT_EQ(pool.acquire(0), std::optional<uint32_t>(1));
+  ASSERT_EQ(pool.start_drain(0, 100), std::optional(DeviceState::kDraining));
+  ASSERT_EQ(pool.start_drain(1, 100), std::optional(DeviceState::kDraining));
 
-TEST(DeviceFaultPlanTest, DecisionsArePureInSeedDeviceAndIndex) {
-  faults::DeviceFaultPlanConfig config;
-  config.seed = 42;
-  config.crash_rate = 0.2;
-  config.sticky_rate = 0.2;
-  config.flap_rate = 0.2;
-  faults::DeviceFaultPlan a(config);
-  faults::DeviceFaultPlan b(config);
-  for (uint32_t device = 0; device < 4; ++device) {
-    for (uint64_t index = 0; index < 64; ++index) {
-      const auto da = a.decide(device, index);
-      const auto db = b.decide(device, index);
-      EXPECT_EQ(da.kind, db.kind);
-      EXPECT_EQ(da.kill_frac, db.kill_frac);
-      EXPECT_EQ(da.downtime_ns, db.downtime_ns);
-    }
-  }
-  EXPECT_GT(a.injected(), 0u) << "rates of 0.6 total never fired in 256 draws";
-  EXPECT_EQ(a.trace(), b.trace());
-
-  // A different seed produces a different fault schedule.
-  config.seed = 43;
-  faults::DeviceFaultPlan c(config);
-  bool differs = false;
-  for (uint32_t device = 0; device < 4 && !differs; ++device) {
-    for (uint64_t index = 0; index < 64 && !differs; ++index) {
-      differs = c.decide(device, index).kind != a.decide(device, index).kind;
-    }
-  }
-  EXPECT_TRUE(differs);
-}
-
-TEST(DeviceFaultPlanTest, RatesBoundDecisionsAndForceOverrides) {
-  // Zero rates: a reliable fleet, nothing injected.
-  faults::DeviceFaultPlan quiet(faults::DeviceFaultPlanConfig{.seed = 1});
-  for (uint64_t i = 0; i < 32; ++i) {
-    EXPECT_EQ(quiet.decide(0, i).kind, faults::DeviceFaultKind::kNone);
-  }
-  EXPECT_EQ(quiet.injected(), 0u);
-
-  // crash_rate 1.0: every binding dies, kill_frac uniform in [0, 1).
-  faults::DeviceFaultPlanConfig all_crash;
-  all_crash.seed = 2;
-  all_crash.crash_rate = 1.0;
-  faults::DeviceFaultPlan lethal(all_crash);
-  for (uint64_t i = 0; i < 32; ++i) {
-    const auto d = lethal.decide(3, i);
-    EXPECT_EQ(d.kind, faults::DeviceFaultKind::kCrash);
-    EXPECT_GE(d.kill_frac, 0.0);
-    EXPECT_LT(d.kill_frac, 1.0);
-  }
-
-  // flap_rate 1.0: downtime lands inside the configured band.
-  faults::DeviceFaultPlanConfig all_flap;
-  all_flap.seed = 3;
-  all_flap.flap_rate = 1.0;
-  all_flap.min_downtime_ns = 1'000;
-  all_flap.max_downtime_ns = 2'000;
-  faults::DeviceFaultPlan flappy(all_flap);
-  for (uint64_t i = 0; i < 32; ++i) {
-    const auto d = flappy.decide(0, i);
-    EXPECT_EQ(d.kind, faults::DeviceFaultKind::kFlap);
-    EXPECT_GE(d.downtime_ns, 1'000u);
-    EXPECT_LE(d.downtime_ns, 2'000u);
-  }
-
-  // force() pins one (device, index) regardless of rates.
-  quiet.force(7, 3, {.kind = faults::DeviceFaultKind::kSticky});
-  EXPECT_EQ(quiet.decide(7, 2).kind, faults::DeviceFaultKind::kNone);
-  EXPECT_EQ(quiet.decide(7, 3).kind, faults::DeviceFaultKind::kSticky);
+  pool.crash(0, 200, /*rejoin_at_ns=*/5'000);  // a flap
+  pool.crash(1, 300, /*rejoin_at_ns=*/0);      // a permanent death
+  EXPECT_EQ(pool.next_transition_ns(), UINT64_MAX);
+  pool.advance_to(10'000);  // well past the flap's repair instant
+  EXPECT_EQ(pool.state(0), DeviceState::kDead);
+  EXPECT_EQ(pool.state(1), DeviceState::kDead);
+  EXPECT_FALSE(pool.can_ever_serve());
+  EXPECT_EQ(
+      registry.counter("hardtape_service_device_drains_completed_total")
+          .value(),
+      2u);
+  EXPECT_EQ(registry.counter("hardtape_service_device_rejoins_total").value(),
+            0u);
+  const std::vector<DeviceEvent> expected{
+      {0, 0, DeviceEventKind::kJoin},        {0, 0, DeviceEventKind::kServe},
+      {0, 1, DeviceEventKind::kJoin},        {0, 1, DeviceEventKind::kServe},
+      {100, 0, DeviceEventKind::kDrainStart},
+      {100, 1, DeviceEventKind::kDrainStart},
+      {200, 0, DeviceEventKind::kCrash},     {200, 0, DeviceEventKind::kDrainDone},
+      {300, 1, DeviceEventKind::kCrash},     {300, 1, DeviceEventKind::kDrainDone},
+  };
+  EXPECT_EQ(pool.events(), expected);
 }
 
 // ------------------------------------------------- front door integration --
@@ -672,7 +635,7 @@ class FrontDoorTest : public ::testing::Test {
 
   FrontDoorConfig door_config() {
     FrontDoorConfig config;
-    config.num_devices = 3;
+    config.devices.initial_devices = 3;
     config.admission.defaults.weight = 1;
     config.admission.defaults.queue_capacity = 64;
     config.admission.defaults.max_in_flight = 8;
@@ -1110,7 +1073,7 @@ TEST_F(FrontDoorTest, HotAddedDeviceTakesLoadMidRun) {
   PreExecutionEngine engine(node_, engine_config(2));
   ASSERT_EQ(engine.synchronize(), Status::kOk);
   FrontDoorConfig config = door_config();
-  config.num_devices = 1;
+  config.devices.initial_devices = 1;
   config.devices.join_warmup_ns = 1'000;
   FrontDoor door(engine, config);
   engine.start();
@@ -1141,7 +1104,7 @@ TEST_F(FrontDoorTest, GracefulDrainLetsTheInFlightSessionFinish) {
   PreExecutionEngine engine(node_, engine_config(2));
   ASSERT_EQ(engine.synchronize(), Status::kOk);
   FrontDoorConfig config = door_config();
-  config.num_devices = 2;
+  config.devices.initial_devices = 2;
   config.devices.drain_grace_ns = 1'000'000'000'000;  // grace far beyond exec
   FrontDoor door(engine, config);
   engine.start();
@@ -1173,7 +1136,7 @@ TEST_F(FrontDoorTest, DrainDeadlineCutsTheBindingAndFailsOver) {
   PreExecutionEngine engine(node_, engine_config(2));
   ASSERT_EQ(engine.synchronize(), Status::kOk);
   FrontDoorConfig config = door_config();
-  config.num_devices = 2;
+  config.devices.initial_devices = 2;
   config.devices.drain_grace_ns = 1'000;  // far shorter than any execution
   FrontDoor door(engine, config);
   engine.start();
@@ -1206,13 +1169,13 @@ TEST_F(FrontDoorTest, DrainDeadlineCutsTheBindingAndFailsOver) {
 }
 
 TEST_F(FrontDoorTest, CrashedDeviceFailsOverToAnotherDevice) {
-  faults::DeviceFaultPlan plan(faults::DeviceFaultPlanConfig{.seed = 5});
-  plan.force(0, 0,
-             {.kind = faults::DeviceFaultKind::kCrash, .kill_frac = 0.5});
+  faults::FaultPlan plan(faults::FaultPlanConfig{.seed = 5});
+  plan.force(faults::FaultSite::kDeviceBinding, 0, 0,
+             {.kind = faults::FaultKind::kCrash, .kill_frac = 0.5});
   PreExecutionEngine engine(node_, engine_config(2));
   ASSERT_EQ(engine.synchronize(), Status::kOk);
   FrontDoorConfig config = door_config();
-  config.num_devices = 2;
+  config.devices.initial_devices = 2;
   config.devices.fault_plan = &plan;
   FrontDoor door(engine, config);
   engine.start();
@@ -1240,15 +1203,15 @@ TEST_F(FrontDoorTest, CrashedDeviceFailsOverToAnotherDevice) {
 }
 
 TEST_F(FrontDoorTest, FlappingSoleDeviceRejoinsAndFinishesTheWork) {
-  faults::DeviceFaultPlan plan(faults::DeviceFaultPlanConfig{.seed = 6});
-  plan.force(0, 0,
-             {.kind = faults::DeviceFaultKind::kFlap,
+  faults::FaultPlan plan(faults::FaultPlanConfig{.seed = 6});
+  plan.force(faults::FaultSite::kDeviceBinding, 0, 0,
+             {.kind = faults::FaultKind::kFlap,
               .kill_frac = 0.25,
               .downtime_ns = 2'000'000});
   PreExecutionEngine engine(node_, engine_config(1));
   ASSERT_EQ(engine.synchronize(), Status::kOk);
   FrontDoorConfig config = door_config();
-  config.num_devices = 1;
+  config.devices.initial_devices = 1;
   config.devices.fault_plan = &plan;
   FrontDoor door(engine, config);
   engine.start();
@@ -1277,10 +1240,10 @@ TEST_F(FrontDoorTest, FlappingSoleDeviceRejoinsAndFinishesTheWork) {
 }
 
 TEST_F(FrontDoorTest, RepeatedCrashesExhaustTheRetryBudget) {
-  faults::DeviceFaultPlan plan(faults::DeviceFaultPlanConfig{.seed = 7});
+  faults::FaultPlan plan(faults::FaultPlanConfig{.seed = 7});
   for (uint32_t device = 0; device < 3; ++device) {
-    plan.force(device, 0,
-               {.kind = faults::DeviceFaultKind::kCrash, .kill_frac = 0.5});
+    plan.force(faults::FaultSite::kDeviceBinding, device, 0,
+               {.kind = faults::FaultKind::kCrash, .kill_frac = 0.5});
   }
   PreExecutionEngine engine(node_, engine_config(2));
   ASSERT_EQ(engine.synchronize(), Status::kOk);
@@ -1315,7 +1278,7 @@ TEST_F(FrontDoorTest, WholeFleetLossResolvesEverythingDeviceLost) {
   PreExecutionEngine engine(node_, engine_config(2));
   ASSERT_EQ(engine.synchronize(), Status::kOk);
   FrontDoorConfig config = door_config();
-  config.num_devices = 2;
+  config.devices.initial_devices = 2;
   FrontDoor door(engine, config);
   engine.start();
   ServiceClient client(door, test_key(66));
@@ -1346,13 +1309,15 @@ TEST_F(FrontDoorTest, WholeFleetLossResolvesEverythingDeviceLost) {
 }
 
 TEST_F(FrontDoorTest, StickyFailerIsQuarantinedAndWorkRetriesAfterBackoff) {
-  faults::DeviceFaultPlan plan(faults::DeviceFaultPlanConfig{.seed = 8});
-  plan.force(0, 0, {.kind = faults::DeviceFaultKind::kSticky});
-  plan.force(0, 1, {.kind = faults::DeviceFaultKind::kSticky});
+  faults::FaultPlan plan(faults::FaultPlanConfig{.seed = 8});
+  plan.force(faults::FaultSite::kDeviceBinding, 0, 0,
+             {.kind = faults::FaultKind::kSticky});
+  plan.force(faults::FaultSite::kDeviceBinding, 0, 1,
+             {.kind = faults::FaultKind::kSticky});
   PreExecutionEngine engine(node_, engine_config(1));
   ASSERT_EQ(engine.synchronize(), Status::kOk);
   FrontDoorConfig config = door_config();
-  config.num_devices = 1;
+  config.devices.initial_devices = 1;
   config.devices.quarantine_threshold = 2;
   config.devices.probe_backoff = fast_probe();
   config.devices.fault_plan = &plan;
@@ -1388,11 +1353,12 @@ TEST_F(FrontDoorTest, StickyFailerIsQuarantinedAndWorkRetriesAfterBackoff) {
 // verdicts, terminal outcomes, binding logs AND device lifecycle logs.
 TEST_F(FrontDoorTest, ChurnRunIsBitIdenticalAcrossWorkerCounts) {
   auto run = [&](int workers) {
-    faults::DeviceFaultPlan plan(faults::DeviceFaultPlanConfig{
+    faults::FaultPlan plan(faults::FaultPlanConfig{
         .seed = 77,
-        .crash_rate = 0.08,
-        .sticky_rate = 0.08,
-        .flap_rate = 0.08,
+        .fault_rate = 0.24,
+        .weight_crash = 0.08,
+        .weight_sticky = 0.08,
+        .weight_flap = 0.08,
         .min_downtime_ns = 1'000'000,
         .max_downtime_ns = 8'000'000,
     });
@@ -1473,6 +1439,89 @@ TEST_F(FrontDoorTest, ChurnRunIsBitIdenticalAcrossWorkerCounts) {
   }
 }
 
+// One adversary, two interfaces: a single FaultPlan strikes the engine's ORAM
+// reads and the pool's device bindings at once. With the breaker off, every
+// request still resolves, the churn audit holds, and the outcomes and the
+// plan's trace are bit-identical at 1 worker and 8.
+TEST_F(FrontDoorTest, OnePlanDrivesOramReadsAndDeviceBindings) {
+  auto run = [&](int workers) {
+    faults::FaultPlan plan(faults::FaultPlanConfig{
+        .seed = 26,
+        .fault_rate = 0.2,
+        .weight_stale_proof = 0,  // keep the sync pass clean
+        .min_downtime_ns = 1'000'000,
+        .max_downtime_ns = 8'000'000,
+    });
+    EngineConfig engine_cfg = engine_config(workers);
+    engine_cfg.fault_plan = &plan;
+    engine_cfg.breaker_threshold = 0;  // isolate determinism from quarantining
+    PreExecutionEngine engine(node_, engine_cfg);
+    EXPECT_EQ(engine.synchronize(), Status::kOk);
+    FrontDoorConfig config = door_config();
+    config.devices.quarantine_threshold = 2;
+    config.devices.probe_backoff = fast_probe();
+    config.devices.fault_plan = &plan;
+    FrontDoor door(engine, config);
+    engine.start();
+    std::vector<std::unique_ptr<ServiceClient>> clients;
+    std::vector<uint64_t> sessions;
+    for (int c = 0; c < 3; ++c) {
+      clients.push_back(std::make_unique<ServiceClient>(
+          door, test_key(static_cast<uint8_t>(90 + c))));
+      sessions.push_back(clients[c]->call(open_frame(c), 0)->session_id);
+    }
+    uint64_t now = 0;
+    for (uint64_t r = 0; r < 8; ++r) {
+      for (size_t c = 0; c < clients.size(); ++c) {
+        const auto response = clients[c]->call(
+            submit_frame(sessions[c], r + 1,
+                         bundle_for(r * clients.size() + c), now),
+            now);
+        EXPECT_EQ(response->status, Status::kOk);
+        now += 500;
+      }
+    }
+    door.finish();
+    std::vector<std::tuple<Status, uint64_t, uint64_t, uint64_t>> finals;
+    for (size_t c = 0; c < clients.size(); ++c) {
+      for (uint64_t r = 1; r <= 8; ++r) {
+        const auto polled = poll_done(*clients[c], door, sessions[c], r);
+        finals.emplace_back(polled.outcome_status, polled.queue_wait_ns,
+                            polled.exec_ns, polled.gas_used);
+      }
+    }
+    auto outcomes = engine.drain();
+    std::sort(outcomes.begin(), outcomes.end(),
+              [](const SessionOutcome& a, const SessionOutcome& b) {
+                return std::tie(a.bundle_id, a.attempt) <
+                       std::tie(b.bundle_id, b.attempt);
+              });
+    const auto audit = door.audit_bindings();
+    EXPECT_TRUE(audit.ok) << audit.violation;
+    return std::make_tuple(std::move(finals), std::move(outcomes),
+                           door.devices().events(), plan.trace());
+  };
+
+  const auto [finals1, outcomes1, events1, trace1] = run(1);
+  const auto [finals8, outcomes8, events8, trace8] = run(8);
+
+  EXPECT_EQ(finals1, finals8);
+  EXPECT_EQ(events1, events8) << "device lifecycle diverged across workers";
+  EXPECT_EQ(trace1, trace8) << "fault trace diverged across workers";
+  ASSERT_EQ(outcomes1.size(), outcomes8.size());
+  for (size_t i = 0; i < outcomes1.size(); ++i) {
+    EXPECT_TRUE(outcomes_bit_identical(outcomes1[i], outcomes8[i]))
+        << "bundle " << outcomes1[i].bundle_id << " attempt "
+        << outcomes1[i].attempt << " diverged across worker counts";
+  }
+  const auto struck = [&](faults::FaultSite site) {
+    return std::count_if(trace1.begin(), trace1.end(),
+                         [&](const faults::FaultEvent& e) { return e.site == site; });
+  };
+  EXPECT_GT(struck(faults::FaultSite::kOramRead), 0);
+  EXPECT_GT(struck(faults::FaultSite::kDeviceBinding), 0);
+}
+
 // Property-style churn drill (acceptance criterion): random drain/add/crash
 // schedules against saturating multi-tenant load. After finish(), the three
 // churn invariants must hold: (a) no per-device binding overlap, (b) no
@@ -1480,11 +1529,12 @@ TEST_F(FrontDoorTest, ChurnRunIsBitIdenticalAcrossWorkerCounts) {
 // and (c) every admitted request reaches a terminal status.
 TEST_F(FrontDoorTest, RandomChurnSchedulesHoldTheThreeInvariants) {
   for (const uint64_t seed : {101u, 202u, 303u}) {
-    faults::DeviceFaultPlan plan(faults::DeviceFaultPlanConfig{
+    faults::FaultPlan plan(faults::FaultPlanConfig{
         .seed = seed,
-        .crash_rate = 0.10,
-        .sticky_rate = 0.10,
-        .flap_rate = 0.10,
+        .fault_rate = 0.30,
+        .weight_crash = 0.10,
+        .weight_sticky = 0.10,
+        .weight_flap = 0.10,
         .min_downtime_ns = 500'000,
         .max_downtime_ns = 5'000'000,
     });
