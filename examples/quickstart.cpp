@@ -34,7 +34,7 @@ int main() {
   config.security = service::SecurityConfig::full();
   config.oram = oram::OramConfig{.block_size = oram::kPageSize, .capacity = 2048};
   config.seal_mode = oram::SealMode::kChaChaHmac;
-  config.perform_channel_crypto = true;  // run the real channel AES + ECDSA
+  config.perform_channel_crypto = true;  // run the real channel AEAD + ECDSA
   service::PreExecutionEngine engine(node, config);
 
   if (engine.synchronize() != Status::kOk) {

@@ -45,7 +45,7 @@ class IntegrityError : public HardtapeError {
 /// Protocol-level status for operations whose failure is an expected outcome.
 enum class Status {
   kOk,
-  kAuthFailed,        ///< AES-GCM tag or ECDSA signature rejected
+  kAuthFailed,        ///< AEAD tag or ECDSA signature rejected
   kBadProof,          ///< Merkle proof inconsistent with the trusted root
   kNotFound,          ///< key absent (world state, ORAM page)
   kBusy,              ///< no idle HEVM available

@@ -75,12 +75,15 @@ class Poly1305 {
     h2_ = h2;
   }
 
-  /// Absorbs a trailing partial block zero-padded to 16 bytes, as the AEAD
-  /// construction pads the ciphertext (RFC 8439 §2.8).
-  void zero_padded_tail(const uint8_t* m, size_t n) {
-    if (n == 0) return;
+  /// Absorbs `n` bytes zero-padded to a whole number of 16-byte blocks, as
+  /// the AEAD construction pads the additional data and the ciphertext
+  /// (RFC 8439 §2.8).
+  void zero_padded(const uint8_t* m, size_t n) {
+    const size_t whole = n / 16;
+    blocks(m, whole);
+    if (n % 16 == 0) return;
     uint8_t block[16] = {};
-    std::memcpy(block, m, n);
+    std::memcpy(block, m + whole * 16, n % 16);
     blocks(block, 1);
   }
 
@@ -193,21 +196,26 @@ class Keystream {
   Poly1305Key one_time_key_;
 };
 
-/// The AEAD tag with empty additional data: Poly1305 over the ciphertext
-/// zero-padded to 16 bytes, then le64(aad length = 0) || le64(ct length).
-Poly1305Tag aead_tag(const uint8_t one_time_key[32], std::span<const uint8_t> ciphertext) {
+/// The AEAD tag: Poly1305 over the additional data, then the ciphertext,
+/// each zero-padded to 16 bytes, then le64(aad length) || le64(ct length).
+Poly1305Tag aead_tag(const uint8_t one_time_key[32], BytesView aad, BytesView ciphertext) {
   Poly1305 mac(one_time_key);
-  const size_t whole = ciphertext.size() / 16;
-  mac.blocks(ciphertext.data(), whole);
-  mac.zero_padded_tail(ciphertext.data() + whole * 16, ciphertext.size() % 16);
+  mac.zero_padded(aad.data(), aad.size());
+  mac.zero_padded(ciphertext.data(), ciphertext.size());
   uint8_t lengths[16];
-  store64(lengths, 0);
+  store64(lengths, aad.size());
   store64(lengths + 8, ciphertext.size());
   mac.blocks(lengths, 1);
   return mac.finish();
 }
 
 }  // namespace
+
+ChaChaKey chacha_key(const AesKey128& key) {
+  ChaChaKey out{};
+  std::memcpy(out.data(), key.data(), key.size());
+  return out;
+}
 
 Poly1305Tag poly1305(const Poly1305Key& key, BytesView message) {
   Poly1305 mac(key.data());
@@ -228,16 +236,16 @@ void chacha20_xor(const ChaChaKey& key, uint32_t initial_counter, const ChaChaNo
 }
 
 Poly1305Tag chacha20_poly1305_seal(const ChaChaKey& key, const ChaChaNonce& nonce,
-                                   std::span<uint8_t> data) {
+                                   BytesView aad, std::span<uint8_t> data) {
   Keystream stream(key, nonce, 0);
   stream.apply(data, 64);  // block 0 is the MAC key; data starts at block 1
-  return aead_tag(stream.one_time_key(), data);
+  return aead_tag(stream.one_time_key(), aad, data);
 }
 
-bool chacha20_poly1305_open(const ChaChaKey& key, const ChaChaNonce& nonce,
+bool chacha20_poly1305_open(const ChaChaKey& key, const ChaChaNonce& nonce, BytesView aad,
                             std::span<uint8_t> data, const Poly1305Tag& tag) {
   Keystream stream(key, nonce, 0);
-  const Poly1305Tag expected = aead_tag(stream.one_time_key(), data);
+  const Poly1305Tag expected = aead_tag(stream.one_time_key(), aad, data);
   if (!ct_equal(expected, tag)) return false;
   stream.apply(data, 64);
   return true;

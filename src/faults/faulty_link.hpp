@@ -29,8 +29,6 @@ class FaultyLink {
   /// after the last transmit to model the link going quiet.
   std::vector<hypervisor::SecureMessage> flush();
 
-  uint64_t frames_sent() const { return op_; }
-
  private:
   FaultPlan& plan_;
   uint64_t stream_;

@@ -61,10 +61,9 @@ SecureMessage SecureChannel::seal(MessageType type, uint64_t target_offset,
   std::memcpy(message.nonce.data(), &nonce_counter_, sizeof nonce_counter_);
   message.nonce[11] = static_cast<uint8_t>(role_);
 
-  const auto result = crypto::aes_gcm_encrypt(
-      key_, message.nonce, body, BytesView{message.header.data(), message.header.size()});
-  message.ciphertext = result.ciphertext;
-  message.tag = result.tag;
+  message.ciphertext.assign(body.begin(), body.end());
+  message.tag = crypto::chacha20_poly1305_seal(crypto::chacha_key(key_), message.nonce,
+                                               message.header, message.ciphertext);
   return message;
 }
 
@@ -86,10 +85,9 @@ SecureChannel::OpenResult SecureChannel::open(const SecureMessage& message,
     return result;
   }
   // Step 2: authenticated decryption with the header as AAD.
-  const auto body = crypto::aes_gcm_decrypt(
-      key_, message.nonce, message.ciphertext,
-      BytesView{message.header.data(), message.header.size()}, message.tag);
-  if (!body.has_value()) {
+  Bytes body = message.ciphertext;
+  if (!crypto::chacha20_poly1305_open(crypto::chacha_key(key_), message.nonce,
+                                      message.header, body, message.tag)) {
     result.status = Status::kAuthFailed;
     return result;
   }
@@ -113,7 +111,7 @@ SecureChannel::OpenResult SecureChannel::open(const SecureMessage& message,
   }
   recv_sequence_ = header->sequence + 1;
   result.header = *header;
-  result.body = std::move(*body);
+  result.body = std::move(body);
   return result;
 }
 

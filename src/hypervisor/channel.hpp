@@ -4,8 +4,9 @@
 // Wire format: a fixed 32-byte header — the ONLY thing the Hypervisor ever
 // parses (its runtime memory never holds message bodies; the A.E.DMA engine
 // moves payloads straight between the network buffer and HEVM memory). The
-// body is AES-GCM encrypted with the session key, with the header bound as
-// AAD and an anti-replay sequence number.
+// body is sealed with ChaCha20-Poly1305 (crypto/chacha20_poly1305.hpp, the
+// repo's one AEAD; the paper's A.E.DMA uses AES-GCM) under the session key,
+// with the header bound as AAD and an anti-replay sequence number.
 //
 //   header := type(1) | flags(1) | reserved(2) | seq(4) | target_offset(8) |
 //             body_length(8) | magic(8)
@@ -15,7 +16,7 @@
 #include <optional>
 
 #include "common/errors.hpp"
-#include "crypto/aes.hpp"
+#include "crypto/chacha20_poly1305.hpp"
 #include "crypto/secp256k1.hpp"
 #include "crypto/sha256.hpp"
 
@@ -47,8 +48,8 @@ struct MessageHeader {
 
 struct SecureMessage {
   std::array<uint8_t, MessageHeader::kSize> header{};
-  crypto::GcmNonce nonce{};
-  crypto::GcmTag tag{};
+  crypto::ChaChaNonce nonce{};
+  crypto::Poly1305Tag tag{};
   Bytes ciphertext;
 };
 
@@ -60,8 +61,8 @@ struct SecureMessage {
 ///  - kResponder: the hypervisor session, the front door, the target device.
 enum class ChannelRole : uint8_t { kInitiator = 0x01, kResponder = 0x02 };
 
-/// One end of an established session. Both sides derive the same AES key
-/// from ECDH + HKDF; sequence numbers and nonces are per-direction.
+/// One end of an established session. Both sides derive the same 128-bit
+/// key from ECDH + HKDF; sequence numbers and nonces are per-direction.
 class SecureChannel {
  public:
   /// Derives the session key: HKDF(ECDH(my_key, peer_pub), info="hardtape").
@@ -76,7 +77,7 @@ class SecureChannel {
   SecureMessage seal(MessageType type, uint64_t target_offset, BytesView body);
 
   /// Full validation path, in the Hypervisor's order: parse header ->
-  /// length/type/offset checks -> AES-GCM open (header as AAD) -> the
+  /// length/type/offset checks -> AEAD open (header as AAD) -> the
   /// sender's role must be the peer's (kRejected for a reflected frame) ->
   /// sequence check. Returns the body, or a Status explaining the rejection.
   struct OpenResult {

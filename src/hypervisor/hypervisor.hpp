@@ -42,10 +42,6 @@ class Hypervisor {
   /// single-owner: only the session's worker may seal/open on it.
   SecureChannel& channel(uint32_t session_id);
   void end_session(uint32_t session_id);
-  size_t active_sessions() const {
-    std::lock_guard lock(mu_);
-    return sessions_.size();
-  }
 
   // --- ORAM key management (shared across devices of one SP) ---
   bool has_oram_key() const {

@@ -31,7 +31,6 @@ struct QueryEvent {
 struct GapStats {
   double mean_ns = 0;
   double stddev_ns = 0;
-  double coefficient_of_variation() const { return mean_ns > 0 ? stddev_ns / mean_ns : 0; }
 };
 
 GapStats gap_stats(const std::vector<QueryEvent>& timeline);
@@ -47,8 +46,6 @@ class CodePrefetcher {
   /// HEVM stalls on a genuine miss; we model that by flushing any remaining
   /// code queries of a frame when its first K-V query after the burst fires.
   std::vector<QueryEvent> schedule(const std::vector<QueryEvent>& demand);
-
-  double average_gap_ns() const { return avg_gap_ns_; }
 
  private:
   uint64_t next_timer() {

@@ -1,29 +1,37 @@
 #include "memlayer/layer3.hpp"
 
-#include <cstring>
-
 namespace hardtape::memlayer {
+
+namespace {
+
+std::array<uint8_t, 8> slot_aad(uint64_t slot) {
+  std::array<uint8_t, 8> aad;
+  for (size_t i = 0; i < aad.size(); ++i) aad[i] = static_cast<uint8_t>(slot >> (8 * i));
+  return aad;
+}
+
+}  // namespace
 
 void Layer3Memory::store(uint64_t slot, BytesView page) {
   Sealed sealed;
   rng_.fill(sealed.nonce.data(), sealed.nonce.size());
   // The slot number is authenticated as AAD so a sealed page cannot be
   // replayed into a different slot.
-  uint8_t aad[8];
-  for (int i = 0; i < 8; ++i) aad[i] = static_cast<uint8_t>(slot >> (8 * i));
-  auto result = crypto::aes_gcm_encrypt(key_, sealed.nonce, page, BytesView{aad, 8});
-  sealed.ciphertext = std::move(result.ciphertext);
-  sealed.tag = result.tag;
+  sealed.ciphertext.assign(page.begin(), page.end());
+  sealed.tag =
+      crypto::chacha20_poly1305_seal(key_, sealed.nonce, slot_aad(slot), sealed.ciphertext);
   slots_[slot] = std::move(sealed);
 }
 
 std::optional<Bytes> Layer3Memory::load(uint64_t slot) const {
   const auto it = slots_.find(slot);
   if (it == slots_.end()) return std::nullopt;
-  uint8_t aad[8];
-  for (int i = 0; i < 8; ++i) aad[i] = static_cast<uint8_t>(slot >> (8 * i));
-  return crypto::aes_gcm_decrypt(key_, it->second.nonce, it->second.ciphertext,
-                                 BytesView{aad, 8}, it->second.tag);
+  Bytes page = it->second.ciphertext;
+  if (!crypto::chacha20_poly1305_open(key_, it->second.nonce, slot_aad(slot), page,
+                                      it->second.tag)) {
+    return std::nullopt;
+  }
+  return page;
 }
 
 bool Layer3Memory::tamper(uint64_t slot) {

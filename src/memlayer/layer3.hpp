@@ -2,7 +2,8 @@
 //
 // Holds call-stack pages evicted from the on-chip layer 2. The adversary has
 // full read/write access to this memory (threat A4), so every page is sealed
-// with AES-GCM under the per-session key before it leaves the chip, and any
+// with ChaCha20-Poly1305 (the repo's one AEAD; the paper's A.E.DMA uses
+// AES-GCM) under the per-session key before it leaves the chip, and any
 // modification is detected on reload.
 #pragma once
 
@@ -11,14 +12,14 @@
 
 #include "common/bytes.hpp"
 #include "common/random.hpp"
-#include "crypto/aes.hpp"
+#include "crypto/chacha20_poly1305.hpp"
 
 namespace hardtape::memlayer {
 
 class Layer3Memory {
  public:
   Layer3Memory(const crypto::AesKey128& session_key, uint64_t rng_seed)
-      : key_(session_key), rng_(rng_seed) {}
+      : key_(crypto::chacha_key(session_key)), rng_(rng_seed) {}
 
   /// Seals and stores one page under `slot` (a page sequence number chosen
   /// by the pager; base offsets stay on-chip so the slot reveals nothing
@@ -39,12 +40,12 @@ class Layer3Memory {
 
  private:
   struct Sealed {
-    crypto::GcmNonce nonce{};
-    crypto::GcmTag tag{};
+    crypto::ChaChaNonce nonce{};
+    crypto::Poly1305Tag tag{};
     Bytes ciphertext;
   };
 
-  crypto::AesKey128 key_;
+  crypto::ChaChaKey key_;
   mutable Random rng_;
   std::unordered_map<uint64_t, Sealed> slots_;
 };

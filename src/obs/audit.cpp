@@ -134,28 +134,6 @@ double code_gap_dispersion(const SpTrace& trace, uint8_t code_type) {
   return cv_code / cv_other;
 }
 
-double pearson(const std::vector<uint64_t>& x, const std::vector<uint64_t>& y) {
-  const size_t n = std::min(x.size(), y.size());
-  if (n < 2) return 0.0;
-  double mx = 0.0, my = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    mx += static_cast<double>(x[i]);
-    my += static_cast<double>(y[i]);
-  }
-  mx /= static_cast<double>(n);
-  my /= static_cast<double>(n);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    const double dx = static_cast<double>(x[i]) - mx;
-    const double dy = static_cast<double>(y[i]) - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx == 0.0 || syy == 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
-}
-
 namespace {
 
 void add_finding(AuditReport& report, std::string channel, bool pass, double statistic,

@@ -137,9 +137,6 @@ double type_gap_z(const SpTrace& trace, uint8_t code_type);
 /// or zero mean/CV denominator) — no signal, not a violation.
 double code_gap_dispersion(const SpTrace& trace, uint8_t code_type);
 
-/// Pearson correlation of two equal-length series (0 when degenerate).
-double pearson(const std::vector<uint64_t>& x, const std::vector<uint64_t>& y);
-
 /// Run every channel check on two SP projections captured from runs with
 /// different secret intents under identical public parameters.
 AuditReport audit_obliviousness(const SpTrace& a, const SpTrace& b,

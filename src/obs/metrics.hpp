@@ -2,10 +2,11 @@
 //
 // One Registry per process component (the engine owns one, benches own one):
 // named counters, gauges and histograms with Prometheus-style text
-// exposition and a JSON dump for machine-readable artifacts. This replaces
-// the ad-hoc per-binary metric structs — a struct like EngineMetrics is now
-// a typed *view* assembled from a Registry snapshot, and every percentile
-// anywhere comes from the shared nearest-rank helper (obs/percentile.hpp).
+// exposition and a JSON dump for machine-readable artifacts. A typed struct
+// such as EngineMetrics is assembled by its component and then published
+// into the registry (PreExecutionEngine::publish_metrics copies each field
+// into a gauge), and every percentile anywhere comes from the shared
+// nearest-rank helper (obs/percentile.hpp).
 //
 // Concurrency: Counter/Gauge are lock-free atomics, Histogram takes a small
 // mutex per observe (it keeps the full sample for exact percentiles — these

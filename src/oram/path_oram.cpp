@@ -22,13 +22,6 @@ Bytes make_plaintext(const u256& id, BytesView data, size_t block_size) {
   return pt;
 }
 
-// The 16-byte seal key followed by 16 zero bytes.
-crypto::ChaChaKey chacha_key(const crypto::AesKey128& key) {
-  crypto::ChaChaKey out{};
-  std::memcpy(out.data(), key.data(), key.size());
-  return out;
-}
-
 // A free slot holds no block, so there is nothing to authenticate: the fresh
 // nonce a seal draws, then ChaCha20 keystream under the seal key from
 // counter 1 across the sealed shape, ciphertext then tag. The client never
@@ -37,7 +30,7 @@ SealedSlot free_slot(const crypto::AesKey128& key, Random& rng, size_t ciphertex
   SealedSlot slot;
   rng.fill(slot.nonce.data(), slot.nonce.size());
   slot.ciphertext.assign(ciphertext_bytes + slot.tag.size(), 0);
-  crypto::chacha20_xor(chacha_key(key), 1, slot.nonce, slot.ciphertext);
+  crypto::chacha20_xor(crypto::chacha_key(key), 1, slot.nonce, slot.ciphertext);
   std::memcpy(slot.tag.data(), slot.ciphertext.data() + ciphertext_bytes, slot.tag.size());
   slot.ciphertext.resize(ciphertext_bytes);
   return slot;
@@ -50,14 +43,16 @@ SealedSlot seal_slot(SealMode /*mode*/, const crypto::AesKey128& key, Random& rn
   SealedSlot slot;
   rng.fill(slot.nonce.data(), slot.nonce.size());
   slot.ciphertext.assign(plaintext.begin(), plaintext.end());
-  slot.tag = crypto::chacha20_poly1305_seal(chacha_key(key), slot.nonce, slot.ciphertext);
+  slot.tag = crypto::chacha20_poly1305_seal(crypto::chacha_key(key), slot.nonce, {},
+                                            slot.ciphertext);
   return slot;
 }
 
 std::optional<Bytes> open_slot(SealMode /*mode*/, const crypto::AesKey128& key,
                                const SealedSlot& slot) {
   Bytes plaintext = slot.ciphertext;
-  if (!crypto::chacha20_poly1305_open(chacha_key(key), slot.nonce, plaintext, slot.tag)) {
+  if (!crypto::chacha20_poly1305_open(crypto::chacha_key(key), slot.nonce, {}, plaintext,
+                                      slot.tag)) {
     return std::nullopt;
   }
   return plaintext;

@@ -38,7 +38,7 @@
 #include "common/errors.hpp"
 #include "common/random.hpp"
 #include "common/u256.hpp"
-#include "crypto/aes.hpp"
+#include "crypto/chacha20_poly1305.hpp"
 #include "pagedstore/buffer_pool.hpp"
 
 namespace hardtape::durability {
@@ -75,12 +75,12 @@ struct OramConfig {
 
 /// Slot sealing. There is one seal: ChaCha20-Poly1305 (RFC 8439) with empty
 /// additional data, a fresh 12-byte nonce from the client's DRBG, and the
-/// 16-byte seal key followed by 16 zero bytes as the ChaCha20 key (128-bit
-/// security, like the paper's AES-128-GCM). The enum keeps its one value
-/// under its old name, and seal_slot, open_slot and EngineConfig::seal_mode
-/// keep their mode parameter, because the end-to-end benchmark (perfbench/)
-/// names them; retiring them changes that benchmark. Test ids print the
-/// value (oram_test's "GetParam() = 1-byte object <01>"), hence the = 1.
+/// 16-byte seal key in the repo's one key layout (crypto::chacha_key). The
+/// enum keeps its one value under its old name, and seal_slot, open_slot and
+/// EngineConfig::seal_mode keep their mode parameter, because the end-to-end
+/// benchmark (perfbench/) names them; retiring them changes that benchmark.
+/// Test ids print the value (oram_test's "GetParam() = 1-byte object <01>"),
+/// hence the = 1.
 enum class SealMode : uint8_t { kChaChaHmac = 1 };
 
 struct SealedSlot {

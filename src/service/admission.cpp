@@ -119,7 +119,7 @@ std::optional<AdmissionController::Pick> AdmissionController::next(
       t.queue.pop_front();
       --total_queued_;
       t.deadline_exceeded->add();
-      record_wait(t, now_ns - pick.request.enqueue_ns);
+      t.queue_wait->observe(now_ns - pick.request.enqueue_ns);
       update_brownout();
       return pick;
     }
@@ -142,7 +142,7 @@ std::optional<AdmissionController::Pick> AdmissionController::next(
     --total_queued_;
     --t.deficit;
     ++t.in_flight;
-    record_wait(t, now_ns - pick.request.enqueue_ns);
+    t.queue_wait->observe(now_ns - pick.request.enqueue_ns);
     if (t.deficit == 0) advance();  // quantum spent: next round, next tenant
     update_brownout();
     return pick;
@@ -169,27 +169,8 @@ void AdmissionController::on_complete(uint64_t tenant_id) {
   --t.in_flight;
 }
 
-uint64_t AdmissionController::window_p99_wait_ns() const {
-  if (wait_window_.empty()) return 0;
-  return obs::percentile(
-      std::vector<uint64_t>(wait_window_.begin(), wait_window_.end()), 99.0);
-}
-
-void AdmissionController::record_wait(Tenant& t, uint64_t wait_ns) {
-  t.queue_wait->observe(wait_ns);
-  wait_window_.push_back(wait_ns);
-  while (wait_window_.size() > kWaitWindow) wait_window_.pop_front();
-}
-
 void AdmissionController::update_brownout() {
   const size_t depth = total_queued_;
-  const uint64_t p99 = window_p99_wait_ns();
-  const auto past = [&](size_t depth_thr, uint64_t wait_thr) {
-    return depth >= depth_thr || (wait_thr != 0 && p99 >= wait_thr);
-  };
-  const auto under = [&](size_t depth_thr, uint64_t wait_thr) {
-    return depth < depth_thr && (wait_thr == 0 || p99 < wait_thr);
-  };
   // One rung per update, with independent enter/exit marks per rung: a
   // workload oscillating around a single threshold sees the state change
   // once, not every sample.
@@ -197,14 +178,14 @@ void AdmissionController::update_brownout() {
     case BrownoutState::kHealthy:
       if (depth >= config_.admit_none_depth_enter) {
         state_ = BrownoutState::kAdmitNone;
-      } else if (past(config_.shed_depth_enter, config_.shed_p99_wait_enter_ns)) {
+      } else if (depth >= config_.shed_depth_enter) {
         state_ = BrownoutState::kShedLowPriority;
       }
       break;
     case BrownoutState::kShedLowPriority:
       if (depth >= config_.admit_none_depth_enter) {
         state_ = BrownoutState::kAdmitNone;
-      } else if (under(config_.shed_depth_exit, config_.shed_p99_wait_exit_ns)) {
+      } else if (depth < config_.shed_depth_exit) {
         state_ = BrownoutState::kHealthy;
       }
       break;

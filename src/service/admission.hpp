@@ -25,10 +25,8 @@
 //     spending a device. A pre-execution answer after the caller's deadline
 //     is worthless; executing it anyway would be pure overload amplification.
 //
-//  3. A brownout ladder driven by total queue depth and the p99 queue wait
-//     over a sliding window (the admit-none rung by depth alone), with
-//     two-threshold hysteresis per rung so the state cannot flap on a
-//     boundary workload:
+//  3. A brownout ladder driven by total queue depth, with two-threshold
+//     hysteresis per rung so the state cannot flap on a boundary workload:
 //
 //       kHealthy          admit everyone (subject to queue caps + deadlines)
 //       kShedLowPriority  refuse tenants below the priority floor
@@ -62,8 +60,6 @@ const char* to_string(BrownoutState state);
 /// DRR quantum per weight unit. Cost of one request is 1, so a weight-1
 /// tenant dispatches once per round.
 inline constexpr uint32_t kDrrQuantumBase = 1;
-/// Sliding window of recent queue-wait samples feeding the p99 trigger.
-inline constexpr size_t kWaitWindow = 256;
 
 /// Per-tenant policy. Tenants not configured up front get the defaults from
 /// AdmissionConfig on first contact.
@@ -99,14 +95,11 @@ struct AdmissionConfig {
   /// expensive one frees more device time per refusal.
   uint64_t shed_gas_budget_per_priority = 0;
 
-  /// Brownout ladder thresholds. The shed rung is entered when EITHER depth
-  /// or p99 wait is past its *_enter mark and left only when BOTH are under
-  /// the *_exit mark — classic hysteresis so a workload sitting on a
-  /// threshold cannot flap. The admit-none rung follows depth alone.
+  /// Brownout ladder thresholds on the total queue depth. Each rung is
+  /// entered at its *_enter mark and left only under its lower *_exit mark —
+  /// classic hysteresis so a workload sitting on a threshold cannot flap.
   size_t shed_depth_enter = 192;
   size_t shed_depth_exit = 96;
-  uint64_t shed_p99_wait_enter_ns = 0;  ///< 0 disables the wait trigger
-  uint64_t shed_p99_wait_exit_ns = 0;
   size_t admit_none_depth_enter = 512;
   size_t admit_none_depth_exit = 256;
 };
@@ -165,18 +158,6 @@ class AdmissionController {
 
   BrownoutState state() const { return state_; }
   size_t total_queued() const { return total_queued_; }
-  /// p99 queue wait over the sliding window, nearest-rank.
-  ///
-  /// Short-window semantics (pinned by unit tests at n ∈ {0, 1, 2}): an
-  /// EMPTY window reports 0, so a wait-based brownout rung can never ENTER
-  /// before the first wait sample lands (depth triggers still apply) and a
-  /// configured wait-exit mark is trivially satisfied; with one sample the
-  /// p99 IS that sample; with n < 100 samples nearest-rank p99 is the
-  /// window MAXIMUM, so a single slow dispatch early in a run can trip a
-  /// wait-enter threshold by itself. That bias is deliberate — under
-  /// overload the controller should fail toward shedding — and callers
-  /// sizing wait thresholds should size them for a kWaitWindow window.
-  uint64_t window_p99_wait_ns() const;
 
  private:
   struct Tenant {
@@ -191,7 +172,6 @@ class AdmissionController {
   };
 
   Tenant& tenant(uint64_t tenant_id);
-  void record_wait(Tenant& t, uint64_t wait_ns);
   void update_brownout();
 
   AdmissionConfig config_;
@@ -201,7 +181,6 @@ class AdmissionController {
   uint64_t cursor_ = 0;
   size_t total_queued_ = 0;
   BrownoutState state_ = BrownoutState::kHealthy;
-  std::deque<uint64_t> wait_window_;
   obs::Gauge* brownout_gauge_ = nullptr;
   obs::Gauge* depth_gauge_ = nullptr;
 };

@@ -125,8 +125,9 @@ struct EngineConfig {
   /// Without one the generation is 0 on every boot: then only a seed no
   /// earlier boot used keeps the pairs fresh.
   uint64_t seed = 1;
-  /// When false, user-channel AES/ECDSA are modeled in time only (the ORAM's
-  /// crypto is always real); the charged sim time is the same either way.
+  /// When false, the user channel's AEAD seal and ECDSA are modeled in time
+  /// only (the ORAM's crypto is always real); the charged sim time, the
+  /// paper's AES-GCM rate, is the same either way.
   bool perform_channel_crypto = false;
 
   // --- failure model & recovery (PR 2) ---

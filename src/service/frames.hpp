@@ -1,8 +1,8 @@
 // Service wire protocol: the front door's framed-request API (PR 7).
 //
 // Layering: a service frame is the *body* of a hypervisor::SecureMessage —
-// the existing authenticated channel (AES-GCM with the 32-byte header as
-// AAD plus per-direction anti-replay sequence numbers) provides
+// the existing authenticated channel (ChaCha20-Poly1305 with the 32-byte
+// header as AAD plus per-direction anti-replay sequence numbers) provides
 // confidentiality, integrity and replay protection; this module only defines
 // what the plaintext body says. The split mirrors the paper's A.E.DMA
 // discipline: the Hypervisor parses the fixed header, the body goes straight

@@ -62,7 +62,7 @@
 #include <string>
 #include <unordered_map>
 
-#include "crypto/aes.hpp"
+#include "crypto/chacha20_poly1305.hpp"
 #include "service/admission.hpp"
 #include "service/device_pool.hpp"
 #include "service/engine.hpp"

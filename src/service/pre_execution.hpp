@@ -19,8 +19,8 @@
 
 namespace hardtape::service {
 
-/// Wire-size models of the user channel: what the engine charges AES-GCM
-/// time for on the way in and out of a session.
+/// Wire-size models of the user channel: what the engine charges the
+/// paper's A.E.DMA AES-GCM time for on the way in and out of a session.
 namespace wire {
 /// Serialized size of a bundle-submit message body.
 uint64_t bundle_bytes(const std::vector<evm::Transaction>& bundle);

@@ -16,7 +16,6 @@ namespace hardtape::sim {
 class SimClock {
  public:
   uint64_t now_ns() const { return now_ns_; }
-  double now_us() const { return static_cast<double>(now_ns_) / 1e3; }
   double now_ms() const { return static_cast<double>(now_ns_) / 1e6; }
 
   void advance_ns(uint64_t ns) { now_ns_ += ns; }
@@ -39,7 +38,6 @@ class SimStopwatch {
  public:
   explicit SimStopwatch(const SimClock& clock) : clock_(clock), start_ns_(clock.now_ns()) {}
   uint64_t elapsed_ns() const { return clock_.now_ns() - start_ns_; }
-  double elapsed_ms() const { return static_cast<double>(elapsed_ns()) / 1e6; }
   void restart() { start_ns_ = clock_.now_ns(); }
 
  private:
@@ -61,7 +59,6 @@ class WallTimer {
                                      std::chrono::steady_clock::now() - start_)
                                      .count());
   }
-  double elapsed_ms() const { return static_cast<double>(elapsed_ns()) / 1e6; }
   void restart() { start_ = std::chrono::steady_clock::now(); }
 
  private:

@@ -67,8 +67,6 @@ class WorldState : public StateReader {
   /// All storage keys of one account, sorted (for page grouping).
   std::vector<u256> storage_keys(const Address& addr) const;
 
-  size_t account_count() const { return accounts_.size(); }
-
  private:
   struct AccountRecord {
     Account account;
@@ -99,11 +97,6 @@ struct StateDelta {
     std::vector<u256> changed_keys;  ///< slots whose value differs, sorted
   };
   std::vector<AccountDelta> accounts;  ///< sorted by address (deterministic)
-  size_t changed_slots() const {
-    size_t n = 0;
-    for (const auto& a : accounts) n += a.changed_keys.size();
-    return n;
-  }
 };
 
 /// Diffs `to` against `from`. Deterministic: output order depends only on

@@ -4,9 +4,10 @@
 // keccak(address) -> RLP(account), and each contract's storage trie maps
 // keccak(slot) -> RLP(value). HarDTAPE relies on Merkle proofs exactly once
 // per datum — when synchronizing freshly produced blocks from the (untrusted)
-// Node into the ORAM (paper Section IV-C "Remark"); after that, AES-GCM
-// protects integrity and no proofs are fetched during pre-execution, which is
-// also what keeps the sync path free of access-pattern requirements.
+// Node into the ORAM (paper Section IV-C "Remark"); after that, the ORAM's
+// AEAD slot seal protects integrity and no proofs are fetched during
+// pre-execution, which is also what keeps the sync path free of
+// access-pattern requirements.
 //
 // Node model: leaf [encodedPath, value], extension [encodedPath, childHash],
 // branch [16 x childHash, value], with hex-prefix path encoding. Children are
@@ -118,8 +119,6 @@ class MerklePatriciaTrie {
   // By value: a paged backend may evict the page a reference would dangle
   // into. Nodes are ~100 bytes; the copy is noise next to the keccak above.
   Bytes load_node(const H256& hash) const;
-  // Collapses a branch that may have become degenerate after removal.
-  H256 normalize(const H256& node_hash);
 };
 
 }  // namespace hardtape::trie

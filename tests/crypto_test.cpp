@@ -3,7 +3,6 @@
 
 #include "common/errors.hpp"
 #include "common/random.hpp"
-#include "crypto/aes.hpp"
 #include "crypto/chacha20_poly1305.hpp"
 #include "crypto/keccak.hpp"
 #include "crypto/secp256k1.hpp"
@@ -137,88 +136,6 @@ TEST(Sha256, HkdfProducesRequestedLength) {
   EXPECT_NE(out, hkdf_sha256(ikm, Bytes{}, info, 42));
 }
 
-TEST(Aes128, Fips197Vector) {
-  const Bytes key_bytes = from_hex("000102030405060708090a0b0c0d0e0f");
-  AesKey128 key;
-  std::copy(key_bytes.begin(), key_bytes.end(), key.begin());
-  const Bytes pt = from_hex("00112233445566778899aabbccddeeff");
-  uint8_t out[16];
-  Aes128(key).encrypt_block(pt.data(), out);
-  EXPECT_EQ(to_hex(BytesView{out, 16}), "69c4e0d86a7b0430d8cdb78070b4c55a");
-}
-
-TEST(AesGcm, NistTestCase1EmptyPlaintext) {
-  const AesKey128 key{};
-  const GcmNonce nonce{};
-  const auto result = aes_gcm_encrypt(key, nonce, Bytes{}, Bytes{});
-  EXPECT_TRUE(result.ciphertext.empty());
-  EXPECT_EQ(to_hex(BytesView{result.tag.data(), result.tag.size()}),
-            "58e2fccefa7e3061367f1d57a4e7455a");
-}
-
-TEST(AesGcm, NistTestCase2) {
-  const AesKey128 key{};
-  const GcmNonce nonce{};
-  const Bytes pt(16, 0);
-  const auto result = aes_gcm_encrypt(key, nonce, pt, Bytes{});
-  EXPECT_EQ(to_hex(result.ciphertext), "0388dace60b6a392f328c2b971b2fe78");
-  EXPECT_EQ(to_hex(BytesView{result.tag.data(), result.tag.size()}),
-            "ab6e47d42cec13bdf53a67b21257bddf");
-}
-
-TEST(AesGcm, RoundTripWithAad) {
-  AesKey128 key;
-  Random rng(11);
-  rng.fill(key.data(), key.size());
-  GcmNonce nonce;
-  rng.fill(nonce.data(), nonce.size());
-  const Bytes pt = rng.bytes(1000);
-  const Bytes aad = rng.bytes(37);
-
-  const auto enc = aes_gcm_encrypt(key, nonce, pt, aad);
-  const auto dec = aes_gcm_decrypt(key, nonce, enc.ciphertext, aad, enc.tag);
-  ASSERT_TRUE(dec.has_value());
-  EXPECT_EQ(*dec, pt);
-}
-
-TEST(AesGcm, TamperDetection) {
-  AesKey128 key{};
-  GcmNonce nonce{};
-  const Bytes pt = {1, 2, 3, 4, 5};
-  const Bytes aad = {9, 9};
-  const auto enc = aes_gcm_encrypt(key, nonce, pt, aad);
-
-  // Flip a ciphertext bit.
-  Bytes bad_ct = enc.ciphertext;
-  bad_ct[0] ^= 1;
-  EXPECT_FALSE(aes_gcm_decrypt(key, nonce, bad_ct, aad, enc.tag).has_value());
-
-  // Flip a tag bit.
-  GcmTag bad_tag = enc.tag;
-  bad_tag[0] ^= 1;
-  EXPECT_FALSE(aes_gcm_decrypt(key, nonce, enc.ciphertext, aad, bad_tag).has_value());
-
-  // Wrong AAD.
-  const Bytes bad_aad = {9, 8};
-  EXPECT_FALSE(aes_gcm_decrypt(key, nonce, enc.ciphertext, bad_aad, enc.tag).has_value());
-
-  // Wrong key.
-  AesKey128 other_key{};
-  other_key[0] = 1;
-  EXPECT_FALSE(aes_gcm_decrypt(other_key, nonce, enc.ciphertext, aad, enc.tag).has_value());
-}
-
-TEST(AesCtr, XorIsInvolution) {
-  AesKey128 key{};
-  key[5] = 0xaa;
-  GcmNonce nonce{};
-  nonce[0] = 7;
-  const Bytes data = Random(3).bytes(777);
-  const Bytes enc = aes_ctr_xor(key, nonce, data);
-  EXPECT_NE(enc, data);
-  EXPECT_EQ(aes_ctr_xor(key, nonce, enc), data);
-}
-
 // --- ChaCha20-Poly1305 (RFC 8439) ---
 
 template <size_t N>
@@ -314,24 +231,130 @@ TEST(ChaCha20Poly1305, EmptyAadVectorsAcrossKeystreamCalls) {
     Bytes plaintext(v.length);
     for (size_t i = 0; i < v.length; ++i) plaintext[i] = static_cast<uint8_t>(7 * i + 3);
     Bytes data = plaintext;
-    const Poly1305Tag tag = chacha20_poly1305_seal(key, nonce, data);
+    const Poly1305Tag tag = chacha20_poly1305_seal(key, nonce, {}, data);
     EXPECT_EQ(to_hex(tag), v.tag) << v.length << " bytes";
     EXPECT_EQ(sha256(data).hex(), v.ciphertext_sha256) << v.length << " bytes";
-    ASSERT_TRUE(chacha20_poly1305_open(key, nonce, data, tag)) << v.length << " bytes";
+    ASSERT_TRUE(chacha20_poly1305_open(key, nonce, {}, data, tag)) << v.length << " bytes";
     EXPECT_EQ(data, plaintext) << v.length << " bytes";
   }
 }
 
+// AAD-bearing seals in the same key layout, plaintext and nonce as the
+// empty-AAD table; the additional data is byte i = (5i + 1) mod 256. 8 bytes
+// is a layer-3 slot number and 32 bytes a channel frame header. Generated
+// offline with the Python `cryptography` package (48.0):
+//
+//   for a, n in [(1, 0), (8, 1), (12, 64), (16, 16), (17, 193), (32, 0),
+//                (32, 300), (32, 1024)]:
+//       aad = bytes((5 * i + 1) & 0xff for i in range(a))
+//       pt = bytes((7 * i + 3) & 0xff for i in range(n))
+//       out = ChaCha20Poly1305(key).encrypt(nonce, pt, aad)
+//       ct, tag = out[:-16], out[-16:]
+//       print(a, n, tag.hex(), hashlib.sha256(ct).hexdigest())
+//
+// The ciphertext does not depend on the additional data, so each hash
+// equals the empty-AAD table's at the same length.
+struct AadVector {
+  size_t aad_length;
+  size_t length;
+  const char* tag;
+  const char* ciphertext_sha256;
+};
+
+constexpr AadVector kAadVectors[] = {
+    {1, 0, "6968a1627051c98b4534ad0fb00b515b",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+    {8, 1, "f1893bf2ede8e9ffa101f1d0a8e9638d",
+     "8a8950f7623663222542c9469c73be3c4c81bbdf019e2c577590a61f2ce9a157"},
+    {12, 64, "177215b53e27ae052800c904548cdb65",
+     "93fbc96d7b048340d4be9c09f57bc789602c3b7f5f2470b3882532e7018aac8b"},
+    {16, 16, "116cc1a2c015a1f103a78e3c63fbc786",
+     "34e3f7501ffb50c23e960aac64a982fc8b1fccc5fb5379238f6c1cb537ddb7c0"},
+    {17, 193, "140d57a25899e1913942dff3fb88c112",
+     "84a17a3166f36dbd2029b36e13c6d29cd38a46c25bacaf021f9d80ce7cacab04"},
+    {32, 0, "efd43f9c995f52287e3b0e6c326fc113",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+    {32, 300, "c9dd9bd4999cf74d2b89383b56180aa5",
+     "036684b5e6fb380b7daafb6fb0c19a89aba9bdce17c44a6186fccd62f80e0cd2"},
+    {32, 1024, "59a5c5c0188036ce58d8330db5f13b79",
+     "2000118b5ccd58cb40c8e95178ab3148228124ecaed70f983b102e17cf0f4550"},
+};
+
+TEST(ChaCha20Poly1305, AadVectorsInTheSealKeyLayout) {
+  AesKey128 seal_key;
+  for (size_t i = 0; i < seal_key.size(); ++i) seal_key[i] = static_cast<uint8_t>(i + 1);
+  const ChaChaKey key = chacha_key(seal_key);
+  const auto nonce = array_from_hex<12>("0a0b0c0d0e0f101112131415");
+  for (const AadVector& v : kAadVectors) {
+    Bytes aad(v.aad_length);
+    for (size_t i = 0; i < v.aad_length; ++i) aad[i] = static_cast<uint8_t>(5 * i + 1);
+    Bytes plaintext(v.length);
+    for (size_t i = 0; i < v.length; ++i) plaintext[i] = static_cast<uint8_t>(7 * i + 3);
+    Bytes data = plaintext;
+    const Poly1305Tag tag = chacha20_poly1305_seal(key, nonce, aad, data);
+    EXPECT_EQ(to_hex(tag), v.tag) << v.aad_length << "+" << v.length << " bytes";
+    EXPECT_EQ(sha256(data).hex(), v.ciphertext_sha256) << v.length << " bytes";
+    ASSERT_TRUE(chacha20_poly1305_open(key, nonce, aad, data, tag)) << v.length << " bytes";
+    EXPECT_EQ(data, plaintext) << v.length << " bytes";
+  }
+}
+
+TEST(ChaCha20Poly1305, Rfc8439Section282AeadVector) {
+  ChaChaKey key;
+  for (size_t i = 0; i < key.size(); ++i) key[i] = static_cast<uint8_t>(0x80 + i);
+  const auto nonce = array_from_hex<12>("070000004041424344454647");
+  const Bytes aad = from_hex("50515253c0c1c2c3c4c5c6c7");
+  const std::string sunscreen =
+      "Ladies and Gentlemen of the class of '99: If I could offer you only one tip for "
+      "the future, sunscreen would be it.";
+  const Bytes plaintext(sunscreen.begin(), sunscreen.end());
+  Bytes data = plaintext;
+  const Poly1305Tag tag = chacha20_poly1305_seal(key, nonce, aad, data);
+  EXPECT_EQ(to_hex(tag), "1ae10b594f09e26a7e902ecbd0600691");
+  EXPECT_EQ(to_hex(data),
+            "d31a8d34648e60db7b86afbc53ef7ec2a4aded51296e08fea9e2b5a736ee62d6"
+            "3dbea45e8ca9671282fafb69da92728b1a71de0a9e060b2905d6a5b67ecd3b36"
+            "92ddbd7f2d778b8c9803aee328091b58fab324e4fad675945585808b4831d7bc"
+            "3ff4def08e4b7a9de576d26586cec64b6116");
+  ASSERT_TRUE(chacha20_poly1305_open(key, nonce, aad, data, tag));
+  EXPECT_EQ(data, plaintext);
+}
+
+// A flipped ciphertext bit, a flipped tag bit, a changed additional-data
+// byte and a wrong key each fail closed, and a refused open releases no
+// plaintext: the buffer is left as it was.
 TEST(ChaCha20Poly1305, RejectedOpenLeavesCiphertextUntouched) {
   ChaChaKey key{};
   key[0] = 9;
   const ChaChaNonce nonce{};
+  const Bytes aad = {9, 9, 9};
   Bytes data = Random(8).bytes(300);
-  Poly1305Tag tag = chacha20_poly1305_seal(key, nonce, data);
+  const Poly1305Tag tag = chacha20_poly1305_seal(key, nonce, aad, data);
   const Bytes ciphertext = data;
-  tag[3] ^= 0x10;
-  EXPECT_FALSE(chacha20_poly1305_open(key, nonce, data, tag));
-  EXPECT_EQ(data, ciphertext);  // no plaintext released on a bad tag
+
+  data[150] ^= 0x01;
+  EXPECT_FALSE(chacha20_poly1305_open(key, nonce, aad, data, tag));
+  data[150] ^= 0x01;
+  EXPECT_EQ(data, ciphertext);
+
+  Poly1305Tag bad_tag = tag;
+  bad_tag[3] ^= 0x10;
+  EXPECT_FALSE(chacha20_poly1305_open(key, nonce, aad, data, bad_tag));
+  EXPECT_EQ(data, ciphertext);
+
+  Bytes bad_aad = aad;
+  bad_aad[2] = 8;
+  EXPECT_FALSE(chacha20_poly1305_open(key, nonce, bad_aad, data, tag));
+  EXPECT_EQ(data, ciphertext);
+  EXPECT_FALSE(chacha20_poly1305_open(key, nonce, {}, data, tag));
+  EXPECT_EQ(data, ciphertext);
+
+  ChaChaKey other_key = key;
+  other_key[0] ^= 1;
+  EXPECT_FALSE(chacha20_poly1305_open(other_key, nonce, aad, data, tag));
+  EXPECT_EQ(data, ciphertext);
+
+  ASSERT_TRUE(chacha20_poly1305_open(key, nonce, aad, data, tag));
 }
 
 // --- secp256k1 ---

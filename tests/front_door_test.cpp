@@ -336,51 +336,6 @@ TEST(AdmissionTest, BrownoutLadderEscalatesAndRecoversWithHysteresis) {
   EXPECT_EQ(registry.gauge("hardtape_service_brownout_state").value(), 0.0);
 }
 
-// Short-window p99 semantics (pinned contract, see admission.hpp): an empty
-// window reports 0, one sample IS the p99, and under 100 samples the
-// nearest-rank p99 is the window maximum.
-TEST(AdmissionTest, WindowP99ShortWindowSemantics) {
-  obs::Registry registry;
-  AdmissionController admission(small_admission(), &registry);
-  // n = 0: no samples yet. Must be 0 (not a throw from obs::percentile) so
-  // a wait-based rung can never enter before the first dispatch.
-  EXPECT_EQ(admission.window_p99_wait_ns(), 0u);
-  // n = 1: the p99 is exactly the single sample.
-  ASSERT_EQ(admission.admit(make_request(1, 0), 0), Status::kOk);
-  auto first = admission.next(700);
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(admission.window_p99_wait_ns(), 700u);
-  // n = 2: the window MAXIMUM, even though the newer sample is smaller —
-  // nearest-rank p99 over n < 100 samples picks the last order statistic.
-  ASSERT_EQ(admission.admit(make_request(1, 1), 1'000), Status::kOk);
-  auto second = admission.next(1'300);  // waited 300 ns < 700 ns
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(admission.window_p99_wait_ns(), 700u);
-  admission.on_complete(1);
-  admission.on_complete(1);
-}
-
-// The empty-window -> 0 rule, observed through the ladder: a wait-enter
-// threshold alone cannot trip brownout before the first wait sample lands,
-// and the very first slow dispatch trips it (max-biased short window).
-TEST(AdmissionTest, WaitTriggerCannotFireBeforeFirstSample) {
-  obs::Registry registry;
-  AdmissionConfig config = small_admission();
-  config.shed_depth_enter = 100;          // depth can never be the trigger here
-  config.shed_p99_wait_enter_ns = 1'000;  // any real wait sample is past this
-  config.shed_p99_wait_exit_ns = 1;       // and keeps it latched
-  AdmissionController admission(config, &registry);
-  for (uint64_t i = 0; i < 8; ++i) {
-    ASSERT_EQ(admission.admit(make_request(1, i), 0), Status::kOk);
-  }
-  EXPECT_EQ(admission.state(), BrownoutState::kHealthy)
-      << "wait rung entered with an empty wait window";
-  auto pick = admission.next(5'000);  // first sample: 5000 ns >= enter mark
-  ASSERT_TRUE(pick.has_value());
-  EXPECT_EQ(admission.state(), BrownoutState::kShedLowPriority);
-  admission.on_complete(1);
-}
-
 // Cost-aware brownout (PR 9): with shed_gas_budget_per_priority set, the
 // kShedLowPriority rung sheds by estimated cost x priority instead of
 // refusing a whole priority class — a cheap low-priority bundle survives a

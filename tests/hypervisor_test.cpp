@@ -2,6 +2,10 @@
 // ORAM key sharing, and the pagewise code prefetcher (A7 timing channel).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
+#include "common/random.hpp"
 #include "crypto/sha256.hpp"
 #include "hypervisor/hypervisor.hpp"
 #include "hypervisor/prefetch.hpp"
@@ -222,7 +226,7 @@ TEST_F(ChannelTest, WrongKeyCannotRead) {
 }
 
 // Both ends hold one key. Were they to count nonces the same way, request n
-// and reply n would share an AES-GCM (key, nonce) pair — the XOR of the two
+// and reply n would share an AEAD (key, nonce) pair — the XOR of the two
 // ciphertexts would be the XOR of the two plaintexts — and an end would
 // accept its own frame reflected back at it.
 TEST(SecureChannelTest, EndsNeverShareANonceAndRefuseReflection) {
@@ -244,6 +248,124 @@ TEST(SecureChannelTest, EndsNeverShareANonceAndRefuseReflection) {
   EXPECT_EQ(user_again.open(to_device, 1024, 1024).status, Status::kRejected);
   SecureChannel device_again(key, ChannelRole::kResponder);
   EXPECT_EQ(device_again.open(to_user, 1024, 1024).status, Status::kRejected);
+}
+
+// A frame's four fields laid end to end: header | nonce | tag | ciphertext.
+Bytes frame_bytes(const SecureMessage& m) {
+  Bytes raw(m.header.begin(), m.header.end());
+  append(raw, m.nonce);
+  append(raw, m.tag);
+  append(raw, m.ciphertext);
+  return raw;
+}
+
+SecureMessage frame_from(const Bytes& raw) {
+  SecureMessage m;
+  auto at = raw.begin();
+  std::copy_n(at, m.header.size(), m.header.begin());
+  at += m.header.size();
+  std::copy_n(at, m.nonce.size(), m.nonce.begin());
+  at += m.nonce.size();
+  std::copy_n(at, m.tag.size(), m.tag.begin());
+  at += m.tag.size();
+  m.ciphertext.assign(at, raw.end());
+  return m;
+}
+
+// One seeded multi-byte mutation of `genuine`: XOR a few bytes anywhere; or
+// resize the ciphertext and rewrite the header's length field to match, so
+// the frame passes the pre-decryption checks; or splice one field (header,
+// nonce, tag or ciphertext) from an earlier genuine frame.
+SecureMessage mutate_frame(const SecureMessage& genuine,
+                           const std::vector<SecureMessage>& earlier, Random& rng) {
+  switch (rng.uniform(earlier.empty() ? 2 : 3)) {
+    case 0: {
+      Bytes raw = frame_bytes(genuine);
+      for (uint64_t n = 2 + rng.uniform(7); n > 0; --n) {
+        raw[rng.uniform(raw.size())] ^= static_cast<uint8_t>(1 + rng.uniform(255));
+      }
+      return frame_from(raw);
+    }
+    case 1: {
+      SecureMessage m = genuine;
+      const uint64_t size = m.ciphertext.size();
+      const uint64_t new_size = rng.uniform_range(size > 8 ? size - 8 : 0, size + 8);
+      m.ciphertext.resize(new_size == size ? size + 1 : new_size,
+                          static_cast<uint8_t>(rng.uniform(256)));
+      const uint64_t length = m.ciphertext.size();
+      std::memcpy(m.header.data() + 16, &length, sizeof length);
+      return m;
+    }
+    default: {
+      const SecureMessage& donor = earlier[rng.uniform(earlier.size())];
+      SecureMessage m = genuine;
+      switch (rng.uniform(4)) {
+        case 0: m.header = donor.header; break;
+        case 1: m.nonce = donor.nonce; break;
+        case 2: m.tag = donor.tag; break;
+        default: m.ciphertext = donor.ciphertext; break;
+      }
+      return m;
+    }
+  }
+}
+
+// Seeded mutation fuzz over sealed frames (threat A3), in strict and lossy
+// mode. For bodies of 0, 1, 15, 16, 17 and 300 bytes: every single-bit flip
+// of the header, nonce, tag and ciphertext, the ciphertext one byte short
+// and one byte long, 100 multi-byte mutations and a replay of every frame
+// delivered before. Each mutant is refused — kMalformedMessage, kAuthFailed
+// or kRejected, never kOk — and no refused frame moves the receive window:
+// the genuine frame, opened after its mutants, still opens to its body.
+TEST(SecureChannelTest, MutationFuzzRefusesEveryMutantAndKeepsTheWindow) {
+  crypto::AesKey128 key{};
+  key[0] = 0x5a;
+  for (const bool lossy : {false, true}) {
+    SCOPED_TRACE(lossy ? "lossy" : "strict");
+    SecureChannel sender(key, ChannelRole::kInitiator);
+    SecureChannel receiver(key, ChannelRole::kResponder);
+    receiver.set_lossy_transport(lossy);
+    Random rng(lossy ? 0xf022 : 0xf021);
+    std::vector<SecureMessage> delivered;
+    size_t multi_byte = 0;
+    const auto expect_refused = [&](const SecureMessage& mutant, const char* what) {
+      const Status status = receiver.open(mutant, 1024, 1024).status;
+      EXPECT_TRUE(status == Status::kMalformedMessage || status == Status::kAuthFailed ||
+                  status == Status::kRejected)
+          << what << ": " << to_string(status);
+    };
+    for (const size_t length : {0, 1, 15, 16, 17, 300}) {
+      SCOPED_TRACE(length);
+      const Bytes body = rng.bytes(length);
+      const SecureMessage genuine = sender.seal(MessageType::kBundleSubmit, 64, body);
+      const Bytes raw = frame_bytes(genuine);
+      for (size_t bit = 0; bit < raw.size() * 8; ++bit) {
+        Bytes flipped = raw;
+        flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        expect_refused(frame_from(flipped), "bit flip");
+      }
+      if (!genuine.ciphertext.empty()) {
+        SecureMessage shorter = genuine;
+        shorter.ciphertext.pop_back();
+        expect_refused(shorter, "truncation");
+      }
+      SecureMessage longer = genuine;
+      longer.ciphertext.push_back(0);
+      expect_refused(longer, "extension");
+      for (int i = 0; i < 100; ++i) {
+        const SecureMessage mutant = mutate_frame(genuine, delivered, rng);
+        if (frame_bytes(mutant) == raw) continue;  // the mutation cancelled out
+        expect_refused(mutant, "multi-byte mutation");
+        ++multi_byte;
+      }
+      for (const SecureMessage& old : delivered) expect_refused(old, "replay");
+      const auto open = receiver.open(genuine, 1024, 1024);
+      ASSERT_EQ(open.status, Status::kOk);
+      EXPECT_EQ(open.body, body);
+      delivered.push_back(genuine);
+    }
+    EXPECT_GE(multi_byte, 500u);
+  }
 }
 
 // --- hypervisor memory + ORAM key management ---

@@ -1,5 +1,6 @@
 // Tests for the 3-layer memory model: L1 LRU partitions, the L2 call-stack
-// ring pager with noisy swaps (threat A5), and AES-GCM-sealed L3 (threat A4).
+// ring pager with noisy swaps (threat A5), and ChaCha20-Poly1305-sealed L3
+// (threat A4).
 #include <gtest/gtest.h>
 
 #include <cmath>
