@@ -6,6 +6,7 @@
 // relies on them).
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "common/codec.hpp"
@@ -61,6 +62,7 @@ void BM_Aead_Seal1KB(benchmark::State& state) {
     benchmark::DoNotOptimize(crypto::chacha20_poly1305_seal(key, nonce, header, data));
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 1024);
+  state.SetLabel(std::to_string(chacha20_lanes()) + " ChaCha20 lanes");
 }
 BENCHMARK(BM_Aead_Seal1KB);
 
@@ -117,6 +119,7 @@ void BM_OramAccess(benchmark::State& state) {
     benchmark::DoNotOptimize(
         client.read(crypto::keccak256(u256{i++ % 256}.to_be_bytes_vec()).to_u256()));
   }
+  state.SetLabel(std::to_string(chacha20_lanes()) + " ChaCha20 lanes");
 }
 BENCHMARK(BM_OramAccess);
 

@@ -1,5 +1,6 @@
 #include "common/random.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace hardtape {
@@ -8,32 +9,52 @@ namespace {
 constexpr std::array<uint32_t, 4> kSigma = {0x61707865, 0x3320646e, 0x79622d32,
                                             0x6b206574};  // "expand 32-byte k"
 
-// One 32-bit state word of all four blocks: lane b belongs to block
-// counter+b. GCC and Clang lower this vector type to SSE2 on x86-64 and NEON
-// on AArch64 with no target flags (and to scalar code on anything else), so
-// the four blocks run their rounds side by side.
-using Lanes = uint32_t __attribute__((vector_size(16)));
+using Key = std::array<uint32_t, 8>;
+using Core = void (*)(const Key&, std::span<const ChaCha20Job>);
 
-inline Lanes rotl(Lanes v, int n) { return (v << n) | (v >> (32 - n)); }
+// One 32-bit state word of a batch of blocks: lane b belongs to the batch's
+// b-th block. The compiler lowers each type to the vector registers of the
+// function it is used in (SSE2 or NEON for 4 lanes, AVX2 for 8, AVX-512 for
+// 16), so one template body serves every width.
+using Lanes4 = uint32_t __attribute__((vector_size(16)));
+using Lanes8 = uint32_t __attribute__((vector_size(32)));
+using Lanes16 = uint32_t __attribute__((vector_size(64)));
 
-inline void quarter_round(Lanes& a, Lanes& b, Lanes& c, Lanes& d) {
-  a += b; d ^= a; d = rotl(d, 16);
-  c += d; b ^= c; b = rotl(b, 12);
-  a += b; d ^= a; d = rotl(d, 8);
-  c += d; b ^= c; b = rotl(b, 7);
+// Everything below is forced inline into the per-width functions at the
+// bottom, which carry the target attributes; no vector crosses a call, so no
+// vector-passing ABI is involved.
+template <class V>
+[[gnu::always_inline]] inline void rotl(V& v, int n) {
+  v = (v << n) | (v >> (32 - n));
 }
-}  // namespace
 
-void chacha20_block(const std::array<uint32_t, 8>& key, uint32_t counter,
-                    const std::array<uint32_t, 3>& nonce, ChaCha20Keystream& out) {
-  static_assert(kChaCha20Blocks == 4, "one block per vector lane");
-  Lanes state[16];
-  for (size_t i = 0; i < 4; ++i) state[i] = Lanes{} + kSigma[i];
-  for (size_t i = 0; i < 8; ++i) state[4 + i] = Lanes{} + key[i];
-  state[12] = Lanes{counter, counter + 1, counter + 2, counter + 3};
-  for (size_t i = 0; i < 3; ++i) state[13 + i] = Lanes{} + nonce[i];
-  Lanes x[16];
-  for (size_t i = 0; i < 16; ++i) x[i] = state[i];
+template <class V>
+[[gnu::always_inline]] inline void quarter_round(V& a, V& b, V& c, V& d) {
+  a += b; d ^= a; rotl(d, 16);
+  c += d; b ^= c; rotl(b, 12);
+  a += b; d ^= a; rotl(d, 8);
+  c += d; b ^= c; rotl(b, 7);
+}
+
+/// Up to W blocks, each from any job: its counter, nonce and destination.
+template <size_t W>
+struct Batch {
+  uint32_t counter[W] = {};
+  uint32_t nonce[3][W] = {};
+  uint8_t* out[W] = {};
+  size_t used = 0;
+};
+
+template <class V, size_t W>
+[[gnu::always_inline]] inline void run_batch(const Key& key, const Batch<W>& batch) {
+  static_assert(sizeof(V) == 4 * W);
+  V in[4];  // the words that differ by lane: counter, then the nonce
+  std::memcpy(&in[0], batch.counter, sizeof(V));
+  for (size_t i = 0; i < 3; ++i) std::memcpy(&in[1 + i], batch.nonce[i], sizeof(V));
+  V x[16];
+  for (size_t i = 0; i < 4; ++i) x[i] = V{} + kSigma[i];
+  for (size_t i = 0; i < 8; ++i) x[4 + i] = V{} + key[i];
+  for (size_t i = 0; i < 4; ++i) x[12 + i] = in[i];
   for (int round = 0; round < 10; ++round) {
     quarter_round(x[0], x[4], x[8], x[12]);
     quarter_round(x[1], x[5], x[9], x[13]);
@@ -44,14 +65,84 @@ void chacha20_block(const std::array<uint32_t, 8>& key, uint32_t counter,
     quarter_round(x[2], x[7], x[8], x[13]);
     quarter_round(x[3], x[4], x[9], x[14]);
   }
-  for (size_t i = 0; i < 16; ++i) x[i] += state[i];
+  for (size_t i = 0; i < 4; ++i) x[i] += kSigma[i];
+  for (size_t i = 0; i < 8; ++i) x[4 + i] += key[i];
+  for (size_t i = 0; i < 4; ++i) x[12 + i] += in[i];
   // Lane b of word i is word i of block b.
-  for (size_t b = 0; b < kChaCha20Blocks; ++b) {
+  uint32_t words[16][W];
+  std::memcpy(words, x, sizeof words);
+  for (size_t b = 0; b < batch.used; ++b) {
     for (size_t i = 0; i < 16; ++i) {
-      const uint32_t v = x[i][b];
-      std::memcpy(out.data() + b * 64 + i * 4, &v, 4);  // little-endian hosts only
+      std::memcpy(batch.out[b] + 4 * i, &words[i][b], 4);  // little-endian hosts only
     }
   }
+}
+
+/// Walks the jobs' blocks in order, W to a batch: a batch's lanes may hold
+/// blocks of several jobs, and only the last batch runs part full.
+template <class V>
+[[gnu::always_inline]] inline void compute(const Key& key, std::span<const ChaCha20Job> jobs) {
+  constexpr size_t W = sizeof(V) / sizeof(uint32_t);
+  Batch<W> batch;
+  size_t job = 0, block = 0;
+  for (;;) {
+    batch.used = 0;
+    while (batch.used < W && job < jobs.size()) {
+      if (block == jobs[job].blocks) {
+        ++job;
+        block = 0;
+        continue;
+      }
+      batch.counter[batch.used] = jobs[job].counter + static_cast<uint32_t>(block);
+      for (size_t i = 0; i < 3; ++i) batch.nonce[i][batch.used] = jobs[job].nonce[i];
+      batch.out[batch.used] = jobs[job].out + 64 * block;
+      ++batch.used;
+      ++block;
+    }
+    if (batch.used == 0) return;
+    run_batch<V>(key, batch);
+  }
+}
+
+void compute_4(const Key& key, std::span<const ChaCha20Job> jobs) { compute<Lanes4>(key, jobs); }
+
+#if defined(__x86_64__) || defined(__i386__)
+[[gnu::target("avx2")]] void compute_8(const Key& key, std::span<const ChaCha20Job> jobs) {
+  compute<Lanes8>(key, jobs);
+}
+
+[[gnu::target("avx512f")]] void compute_16(const Key& key, std::span<const ChaCha20Job> jobs) {
+  compute<Lanes16>(key, jobs);
+}
+#endif
+
+/// The core for `lanes` lanes, or nullptr when this CPU lacks that width.
+Core core_for(size_t lanes) {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();  // callers may run before libgcc's own constructor
+  if (lanes == 16) return __builtin_cpu_supports("avx512f") ? compute_16 : nullptr;
+  if (lanes == 8) return __builtin_cpu_supports("avx2") ? compute_8 : nullptr;
+#endif
+  return lanes == 4 ? compute_4 : nullptr;
+}
+}  // namespace
+
+void chacha20_blocks(const Key& key, std::span<const ChaCha20Job> jobs) {
+  static const Core core = core_for(chacha20_lanes());
+  core(key, jobs);
+}
+
+size_t chacha20_lanes() {
+  static const size_t lanes = core_for(16) != nullptr ? 16 : core_for(8) != nullptr ? 8 : 4;
+  return lanes;
+}
+
+bool detail::chacha20_blocks_at(size_t lanes, const Key& key,
+                                std::span<const ChaCha20Job> jobs) {
+  const Core core = core_for(lanes);
+  if (core == nullptr) return false;
+  core(key, jobs);
+  return true;
 }
 
 Random::Random(uint64_t seed) {
@@ -67,17 +158,20 @@ Random::Random(BytesView seed_material) {
 }
 
 void Random::refill() {
-  chacha20_block(key_, counter_, nonce_, buffer_);
-  counter_ += kChaCha20Blocks;
-  available_ = buffer_.size();
+  const size_t blocks = chacha20_lanes();
+  const ChaCha20Job job{nonce_, counter_, blocks, buffer_.data()};
+  chacha20_blocks(key_, {&job, 1});
+  counter_ += static_cast<uint32_t>(blocks);
+  used_ = 0;
+  end_ = 64 * blocks;
 }
 
 void Random::fill(uint8_t* out, size_t n) {
   while (n > 0) {
-    if (available_ == 0) refill();
-    const size_t take = std::min(n, available_);
-    std::memcpy(out, buffer_.data() + (buffer_.size() - available_), take);
-    available_ -= take;
+    if (used_ == end_) refill();
+    const size_t take = std::min(n, end_ - used_);
+    std::memcpy(out, buffer_.data() + used_, take);
+    used_ += take;
     out += take;
     n -= take;
   }

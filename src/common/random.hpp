@@ -1,30 +1,53 @@
-// Deterministic random bit generator used across HarDTAPE.
+// Deterministic random bit generator used across HarDTAPE, and the repo's one
+// ChaCha20 core.
 //
 // The paper requires a "secure source of randomness proposed by the
 // Manufacturer" (Section IV-B) for ORAM leaf choices, pre-evict/pre-load
 // noise, key generation, and nonce derivation. We implement a ChaCha20-based
 // DRBG: cryptographically strong output, cheap reseeding, and fully
 // deterministic under a fixed seed so every experiment is reproducible.
+//
+// The core below computes ChaCha20 blocks for a list of jobs under one key,
+// packing blocks of different jobs side by side across the CPU's vector
+// lanes. The DRBG, the single-buffer AEAD calls and the ORAM walk's one
+// keystream pass per path (crypto/chacha20_poly1305.hpp) all run on it, and
+// every caller computes exactly the blocks it uses.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "common/bytes.hpp"
 
 namespace hardtape {
 
-/// Blocks the ChaCha20 core computes per call.
-inline constexpr size_t kChaCha20Blocks = 4;
-/// Keystream of one call: kChaCha20Blocks 64-byte blocks back to back.
-using ChaCha20Keystream = std::array<uint8_t, 64 * kChaCha20Blocks>;
+/// One run of consecutive ChaCha20 blocks (RFC 8439 §2.3): the blocks of
+/// `nonce` for counters counter, counter+1, ... (mod 2^32), `blocks` of them,
+/// written back to back to `out` (64 * blocks bytes).
+struct ChaCha20Job {
+  std::array<uint32_t, 3> nonce{};
+  uint32_t counter = 0;
+  size_t blocks = 0;
+  uint8_t* out = nullptr;
+};
 
-/// The ChaCha20 block function (RFC 8439 §2.3), four blocks at a time: `out`
-/// receives the blocks for counters counter, counter+1, counter+2 and
-/// counter+3 (mod 2^32) in order. The repo's one ChaCha20 core — the DRBG
-/// below and the slot seal in crypto/chacha20_poly1305 both run on it.
-void chacha20_block(const std::array<uint32_t, 8>& key, uint32_t counter,
-                    const std::array<uint32_t, 3>& nonce, ChaCha20Keystream& out);
+/// Computes every job's blocks under `key`. Blocks of different jobs share a
+/// batch, so many short jobs cost what one long job of the same total does.
+/// The lane width is picked once from the CPU: 16 blocks per batch on
+/// AVX-512F, 8 on AVX2, 4 elsewhere. The bytes never depend on it.
+void chacha20_blocks(const std::array<uint32_t, 8>& key, std::span<const ChaCha20Job> jobs);
+
+/// Blocks per batch of chacha20_blocks on this CPU (4, 8 or 16).
+size_t chacha20_lanes();
+
+namespace detail {
+/// chacha20_blocks at exactly `lanes` lanes (4, 8 or 16), for tests that
+/// check every width against a reference. Returns false, computing nothing,
+/// when this CPU lacks that width.
+bool chacha20_blocks_at(size_t lanes, const std::array<uint32_t, 8>& key,
+                        std::span<const ChaCha20Job> jobs);
+}  // namespace detail
 
 /// ChaCha20-based DRBG. Not thread-safe; create one per simulated component.
 class Random {
@@ -50,13 +73,15 @@ class Random {
   uint64_t swap_noise(uint64_t max_extra);
 
  private:
+  /// Computes the next chacha20_lanes() blocks of the stream: one batch.
   void refill();
 
   std::array<uint32_t, 8> key_{};
   std::array<uint32_t, 3> nonce_{};
   uint32_t counter_ = 0;
-  ChaCha20Keystream buffer_{};
-  size_t available_ = 0;
+  std::array<uint8_t, 64 * 16> buffer_{};  ///< one batch at the widest lane count
+  size_t used_ = 0;                        ///< bytes of buffer_ already drawn
+  size_t end_ = 0;                         ///< bytes of buffer_ the last refill wrote
 };
 
 }  // namespace hardtape

@@ -1,9 +1,8 @@
 #include "crypto/chacha20_poly1305.hpp"
 
-#include <algorithm>
 #include <cstring>
 
-#include "common/random.hpp"
+#include "common/errors.hpp"
 
 namespace hardtape::crypto {
 
@@ -159,43 +158,6 @@ void xor_bytes(uint8_t* data, const uint8_t* keystream, size_t n) {
   for (; i < n; ++i) data[i] ^= keystream[i];
 }
 
-/// One keystream pass for (key, nonce) from counter `start` on. The first
-/// 4-block call is made at construction, so the AEAD can take the start of
-/// block 0 as Poly1305's key before deciding whether to decrypt.
-class Keystream {
- public:
-  Keystream(const ChaChaKey& key, const ChaChaNonce& nonce, uint32_t start)
-      : key_(key_words(key)), nonce_(nonce_words(nonce)), counter_(start) {
-    chacha20_block(key_, counter_, nonce_, block_);
-    std::memcpy(one_time_key_.data(), block_.data(), one_time_key_.size());
-  }
-
-  /// The first 32 bytes of the first block (RFC 8439 §2.6 at counter 0).
-  const uint8_t* one_time_key() const { return one_time_key_.data(); }
-
-  /// XORs `data` with the keystream from byte `offset` of the first call on.
-  void apply(std::span<uint8_t> data, size_t offset) {
-    for (size_t done = 0; done < data.size();) {
-      if (offset == block_.size()) {
-        counter_ += kChaCha20Blocks;
-        chacha20_block(key_, counter_, nonce_, block_);
-        offset = 0;
-      }
-      const size_t take = std::min(data.size() - done, block_.size() - offset);
-      xor_bytes(data.data() + done, block_.data() + offset, take);
-      done += take;
-      offset += take;
-    }
-  }
-
- private:
-  std::array<uint32_t, 8> key_;
-  std::array<uint32_t, 3> nonce_;
-  uint32_t counter_;
-  ChaCha20Keystream block_;
-  Poly1305Key one_time_key_;
-};
-
 /// The AEAD tag: Poly1305 over the additional data, then the ciphertext,
 /// each zero-padded to 16 bytes, then le64(aad length) || le64(ct length).
 Poly1305Tag aead_tag(const uint8_t one_time_key[32], BytesView aad, BytesView ciphertext) {
@@ -230,25 +192,79 @@ Poly1305Tag poly1305(const Poly1305Key& key, BytesView message) {
   return mac.finish();
 }
 
+size_t ChaChaBatch::add_aead(const ChaChaNonce& nonce, size_t n) {
+  jobs_.push_back(ChaCha20Job{nonce_words(nonce), 0, aead_blocks(n), nullptr});
+  return jobs_.size() - 1;
+}
+
+size_t ChaChaBatch::add_stream(const ChaChaNonce& nonce, uint32_t counter, size_t n) {
+  jobs_.push_back(ChaCha20Job{nonce_words(nonce), counter, (n + 63) / 64, nullptr});
+  return jobs_.size() - 1;
+}
+
+size_t ChaChaBatch::add_blocks(const ChaChaNonce& nonce, uint32_t counter, size_t blocks,
+                               uint8_t* out) {
+  jobs_.push_back(ChaCha20Job{nonce_words(nonce), counter, blocks, out});
+  return jobs_.size() - 1;
+}
+
+void ChaChaBatch::run(const ChaChaKey& key) {
+  size_t blocks = 0;
+  for (const ChaCha20Job& job : jobs_) blocks += job.out == nullptr ? job.blocks : 0;
+  // Grown, never shrunk or cleared: the core overwrites every byte it hands out.
+  if (keystream_.size() < 64 * blocks) keystream_.resize(64 * blocks);
+  uint8_t* out = keystream_.data();
+  for (ChaCha20Job& job : jobs_) {
+    if (job.out != nullptr) continue;
+    job.out = out;
+    out += 64 * job.blocks;
+  }
+  chacha20_blocks(key_words(key), jobs_);
+}
+
+const uint8_t* ChaChaBatch::aead_stream(size_t job, size_t n) const {
+  if (jobs_.at(job).blocks != aead_blocks(n) || jobs_[job].counter != 0) {
+    throw UsageError("chacha20_poly1305: data size differs from the queued job");
+  }
+  return jobs_[job].out;
+}
+
+Poly1305Tag ChaChaBatch::seal(size_t job, BytesView aad, std::span<uint8_t> data) const {
+  const uint8_t* stream = aead_stream(job, data.size());
+  xor_bytes(data.data(), stream + 64, data.size());
+  return aead_tag(stream, aad, data);
+}
+
+bool ChaChaBatch::open(size_t job, BytesView aad, std::span<uint8_t> data,
+                       const Poly1305Tag& tag) const {
+  const uint8_t* stream = aead_stream(job, data.size());
+  if (!ct_equal(aead_tag(stream, aad, data), tag)) return false;
+  xor_bytes(data.data(), stream + 64, data.size());
+  return true;
+}
+
 void chacha20_xor(const ChaChaKey& key, uint32_t initial_counter, const ChaChaNonce& nonce,
                   std::span<uint8_t> data) {
-  Keystream(key, nonce, initial_counter).apply(data, 0);
+  ChaChaBatch batch;
+  batch.add_stream(nonce, initial_counter, data.size());
+  batch.run(key);
+  xor_bytes(data.data(), batch.stream(0), data.size());
 }
 
 Poly1305Tag chacha20_poly1305_seal(const ChaChaKey& key, const ChaChaNonce& nonce,
                                    BytesView aad, std::span<uint8_t> data) {
-  Keystream stream(key, nonce, 0);
-  stream.apply(data, 64);  // block 0 is the MAC key; data starts at block 1
-  return aead_tag(stream.one_time_key(), aad, data);
+  ChaChaBatch batch;
+  batch.add_aead(nonce, data.size());
+  batch.run(key);
+  return batch.seal(0, aad, data);
 }
 
 bool chacha20_poly1305_open(const ChaChaKey& key, const ChaChaNonce& nonce, BytesView aad,
                             std::span<uint8_t> data, const Poly1305Tag& tag) {
-  Keystream stream(key, nonce, 0);
-  const Poly1305Tag expected = aead_tag(stream.one_time_key(), aad, data);
-  if (!ct_equal(expected, tag)) return false;
-  stream.apply(data, 64);
-  return true;
+  ChaChaBatch batch;
+  batch.add_aead(nonce, data.size());
+  batch.run(key);
+  return batch.open(0, aad, data, tag);
 }
 
 }  // namespace hardtape::crypto

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <span>
 
 #include "crypto/chacha20_poly1305.hpp"
 #include "oram/slot_store.hpp"
@@ -11,29 +12,13 @@ namespace hardtape::oram {
 
 namespace {
 
-// A block's sealed plaintext: its 32-byte id, then its data zero-padded to
-// the block size.
-Bytes make_plaintext(const u256& id, BytesView data, size_t block_size) {
-  Bytes pt;
-  pt.reserve(slot_ciphertext_bytes(block_size));
-  append(pt, id.to_be_bytes_vec());
-  append(pt, data);
-  pt.resize(slot_ciphertext_bytes(block_size), 0);
-  return pt;
-}
-
-// A free slot holds no block, so there is nothing to authenticate: the fresh
-// nonce a seal draws, then ChaCha20 keystream under the seal key from
-// counter 1 across the sealed shape, ciphertext then tag. The client never
-// opens one; its bucket's fill count says which slots are free.
-SealedSlot free_slot(const crypto::AesKey128& key, Random& rng, size_t ciphertext_bytes) {
-  SealedSlot slot;
-  rng.fill(slot.nonce.data(), slot.nonce.size());
-  slot.ciphertext.assign(ciphertext_bytes + slot.tag.size(), 0);
-  crypto::chacha20_xor(crypto::chacha_key(key), 1, slot.nonce, slot.ciphertext);
-  std::memcpy(slot.tag.data(), slot.ciphertext.data() + ciphertext_bytes, slot.tag.size());
-  slot.ciphertext.resize(ciphertext_bytes);
-  return slot;
+// Writes a block's sealed plaintext into `out`: its 32-byte id, then its data
+// zero-padded to the block size.
+void put_plaintext(Bytes& out, const u256& id, BytesView data, size_t block_size) {
+  out.assign(slot_ciphertext_bytes(block_size), 0);
+  const auto id_bytes = id.to_be_bytes();
+  std::memcpy(out.data(), id_bytes.data(), id_bytes.size());
+  std::memcpy(out.data() + id_bytes.size(), data.data(), data.size());
 }
 
 }  // namespace
@@ -172,10 +157,9 @@ uint64_t OramServer::bytes_per_access() const {
 // ---------------------------------------------------------------------------
 
 OramClient::OramClient(OramServer& server, const crypto::AesKey128& seal_key,
-                       uint64_t rng_seed, SealMode mode)
+                       uint64_t rng_seed, SealMode /*mode*/)
     : server_(server),
       key_(seal_key),
-      mode_(mode),
       rng_(rng_seed),
       fill_(server.bucket_count(), 0) {
   if (server.config().bucket_capacity > UINT8_MAX) {
@@ -275,21 +259,31 @@ void OramClient::bulk_load(const Pages& pages, std::optional<size_t> sized_for) 
   stash_high_water_ = std::max(stash_high_water_, stash_.size());
   if (stash_.size() > server_.config().max_stash_blocks) stash_overflowed_ = true;
 
-  // Seal each page once, fill every other region slot as a free slot, and
-  // hand the region to the server in one shot.
+  // Seal each page once and fill every other region slot as a free slot,
+  // drawing the nonces in region order. The keystream runs one pass per
+  // path's worth of buckets, so its scratch never outgrows a walk's, however
+  // large the region.
   std::vector<SealedSlot> slots(region * z);
+  std::vector<uint8_t> fills(region);
   for (size_t index = 0; index < region; ++index) {
-    const size_t fill = region_pages[index].size();
-    fill_[region_bucket(index)] = static_cast<uint8_t>(fill);
+    fills[index] = static_cast<uint8_t>(region_pages[index].size());
+    fill_[region_bucket(index)] = fills[index];
     for (size_t slot = 0; slot < z; ++slot) {
       SealedSlot& sealed = slots[index * z + slot];
-      if (slot < fill) {
+      rng_.fill(sealed.nonce.data(), sealed.nonce.size());
+      if (slot < fills[index]) {
         const auto& [id, data] = *region_pages[index][slot];
-        sealed = seal_slot(mode_, key_, rng_, make_plaintext(id, data, block_size));
-      } else {
-        sealed = free_slot(key_, rng_, slot_ciphertext_bytes(block_size));
+        put_plaintext(sealed.ciphertext, id, data, block_size);
       }
     }
+  }
+  // Its own batch, freed when the load ends, keeps batch_ at one walk's size.
+  crypto::ChaChaBatch batch;
+  const size_t pass = server_.depth() + 1;
+  for (size_t first = 0; first < region; first += pass) {
+    const size_t count = std::min(pass, region - first);
+    seal_slots(batch, std::span(slots).subspan(first * z, count * z),
+               std::span(fills).subspan(first, count));
   }
   server_.load_slots(std::move(slots));
 }
@@ -304,19 +298,22 @@ std::optional<Bytes> OramClient::access(
     // rewrite a random path (a "dummy access"), otherwise absent keys would
     // be distinguishable by the missing traffic. Each block on it is resealed
     // in place and every other slot is a fresh free slot, so the fill counts
-    // stand.
+    // stand. Each slot's new nonce is drawn once the slots before it are
+    // checked, as resealing slot by slot would.
     const uint64_t leaf = rng_.uniform(server_.leaf_count());
     auto path = server_.read_path(leaf);
+    const std::vector<uint8_t> fills = path_fills(leaf);
     const size_t z = server_.config().bucket_capacity;
-    const size_t ciphertext_bytes = slot_ciphertext_bytes(server_.config().block_size);
-    for (size_t level = 0; level <= server_.depth(); ++level) {
-      const size_t fill = fill_[server_.bucket_index(leaf, level)];
+    open_pass(path, fills);
+    size_t job = 0;
+    for (size_t level = 0; level < fills.size(); ++level) {
       for (size_t slot = 0; slot < z; ++slot) {
         SealedSlot& sealed = path[level * z + slot];
-        sealed = slot < fill ? seal_slot(mode_, key_, rng_, open_block(sealed))
-                             : free_slot(key_, rng_, ciphertext_bytes);
+        if (slot < fills[level]) open_block(job++, sealed);
+        rng_.fill(sealed.nonce.data(), sealed.nonce.size());
       }
     }
+    seal_slots(batch_, path, fills);
     server_.write_path(leaf, std::move(path));
     return std::nullopt;
   }
@@ -324,13 +321,18 @@ std::optional<Bytes> OramClient::access(
   const uint64_t leaf = known ? pos_it->second : rng_.uniform(server_.leaf_count());
 
   // 1. Read the path and pull every block on it into the stash: the first
-  // fill-count slots of each bucket. The free slots are never opened.
-  const auto path = server_.read_path(leaf);
+  // fill-count slots of each bucket, opened in one keystream pass. The free
+  // slots are never opened.
+  auto path = server_.read_path(leaf);
+  const std::vector<uint8_t> fills = path_fills(leaf);
   const size_t z = server_.config().bucket_capacity;
-  for (size_t level = 0; level <= server_.depth(); ++level) {
-    const size_t fill = fill_[server_.bucket_index(leaf, level)];
-    for (size_t slot = 0; slot < fill; ++slot) {
-      const Bytes pt = open_block(path[level * z + slot]);
+  open_pass(path, fills);
+  size_t job = 0;
+  for (size_t level = 0; level < fills.size(); ++level) {
+    for (size_t slot = 0; slot < fills[level]; ++slot) {
+      SealedSlot& sealed = path[level * z + slot];
+      open_block(job++, sealed);
+      const Bytes& pt = sealed.ciphertext;
       const u256 slot_id = u256::from_be_bytes(BytesView{pt.data(), 32});
       const auto slot_pos = position_.find(slot_id);
       if (slot_pos == position_.end()) continue;  // stale copy of an id that moved
@@ -396,8 +398,10 @@ void OramClient::evict_along_path(uint64_t leaf) {
   const size_t z = server_.config().bucket_capacity;
   const size_t block_size = server_.config().block_size;
   std::vector<SealedSlot> path((depth + 1) * z);
+  std::vector<uint8_t> fills(depth + 1);
 
-  // Deepest level first; each bucket fills from slot 0.
+  // Deepest level first; each bucket fills from slot 0. Every slot's nonce
+  // is drawn here, in the order the slots are assigned.
   for (size_t level_plus_1 = depth + 1; level_plus_1 > 0; --level_plus_1) {
     const size_t level = level_plus_1 - 1;
     size_t filled = 0;
@@ -406,29 +410,90 @@ void OramClient::evict_along_path(uint64_t leaf) {
       const uint64_t block_prefix =
           (server_.leaf_count() + it->second.leaf) >> (depth - level);
       if (block_prefix == path_prefix) {
-        const Bytes pt = make_plaintext(it->first, it->second.data, block_size);
-        path[level * z + filled] = seal_slot(mode_, key_, rng_, pt);
+        SealedSlot& sealed = path[level * z + filled];
+        rng_.fill(sealed.nonce.data(), sealed.nonce.size());
+        put_plaintext(sealed.ciphertext, it->first, it->second.data, block_size);
         ++filled;
         it = stash_.erase(it);
       } else {
         ++it;
       }
     }
-    fill_[server_.bucket_index(leaf, level)] = static_cast<uint8_t>(filled);
+    fills[level] = static_cast<uint8_t>(filled);
+    fill_[server_.bucket_index(leaf, level)] = fills[level];
     for (; filled < z; ++filled) {
-      path[level * z + filled] = free_slot(key_, rng_, slot_ciphertext_bytes(block_size));
+      SealedSlot& sealed = path[level * z + filled];
+      rng_.fill(sealed.nonce.data(), sealed.nonce.size());
     }
   }
+  seal_slots(batch_, path, fills);
   server_.write_path(leaf, std::move(path));
 }
 
-Bytes OramClient::open_block(const SealedSlot& slot) const {
-  std::optional<Bytes> pt;
-  if (slot.ciphertext.size() == slot_ciphertext_bytes(server_.config().block_size)) {
-    pt = open_slot(mode_, key_, slot);
+std::vector<uint8_t> OramClient::path_fills(uint64_t leaf) const {
+  std::vector<uint8_t> fills(server_.depth() + 1);
+  for (size_t level = 0; level < fills.size(); ++level) {
+    fills[level] = fill_[server_.bucket_index(leaf, level)];
   }
-  if (!pt.has_value()) throw IntegrityError("oram: slot authentication failed");
-  return std::move(*pt);
+  return fills;
+}
+
+void OramClient::seal_slots(crypto::ChaChaBatch& batch, std::span<SealedSlot> slots,
+                            std::span<const uint8_t> fills) const {
+  const size_t z = server_.config().bucket_capacity;
+  const size_t ciphertext_bytes = slot_ciphertext_bytes(server_.config().block_size);
+  // A free slot holds no block, so there is nothing to authenticate: the
+  // keystream from counter 1 across the sealed shape, ciphertext then tag.
+  // Its whole blocks go straight into the ciphertext; the rest of the
+  // ciphertext and the tag come from the block after them.
+  const size_t direct_blocks = ciphertext_bytes / 64;
+  const size_t rest = ciphertext_bytes % 64;
+  const auto holds_block = [&](size_t i) { return i % z < fills[i / z]; };
+  batch.clear();
+  for (size_t i = 0; i < slots.size(); ++i) {
+    SealedSlot& slot = slots[i];
+    if (holds_block(i)) {
+      batch.add_aead(slot.nonce, ciphertext_bytes);
+      continue;
+    }
+    slot.ciphertext.resize(ciphertext_bytes);
+    batch.add_blocks(slot.nonce, 1, direct_blocks, slot.ciphertext.data());
+    batch.add_stream(slot.nonce, static_cast<uint32_t>(1 + direct_blocks),
+                     rest + slot.tag.size());
+  }
+  batch.run(crypto::chacha_key(key_));
+  size_t job = 0;
+  for (size_t i = 0; i < slots.size(); ++i) {
+    SealedSlot& slot = slots[i];
+    if (holds_block(i)) {
+      slot.tag = batch.seal(job++, {}, slot.ciphertext);
+      continue;
+    }
+    const uint8_t* tail = batch.stream(job + 1);
+    job += 2;
+    std::memcpy(slot.ciphertext.data() + 64 * direct_blocks, tail, rest);
+    std::memcpy(slot.tag.data(), tail + rest, slot.tag.size());
+  }
+}
+
+void OramClient::open_pass(const std::vector<SealedSlot>& path,
+                           std::span<const uint8_t> fills) {
+  const size_t z = server_.config().bucket_capacity;
+  const size_t ciphertext_bytes = slot_ciphertext_bytes(server_.config().block_size);
+  batch_.clear();
+  for (size_t level = 0; level < fills.size(); ++level) {
+    for (size_t slot = 0; slot < fills[level]; ++slot) {
+      batch_.add_aead(path[level * z + slot].nonce, ciphertext_bytes);
+    }
+  }
+  batch_.run(crypto::chacha_key(key_));
+}
+
+void OramClient::open_block(size_t job, SealedSlot& slot) const {
+  if (slot.ciphertext.size() != slot_ciphertext_bytes(server_.config().block_size) ||
+      !batch_.open(job, {}, slot.ciphertext, slot.tag)) {
+    throw IntegrityError("oram: slot authentication failed");
+  }
 }
 
 }  // namespace hardtape::oram

@@ -10,9 +10,9 @@
 // (threat A7). An AEAD seal on every slot that holds a block gives
 // confidentiality and integrity (threat A6), replacing per-query Merkle
 // proofs. The paper seals with AES-GCM; this reproduction seals with
-// ChaCha20-Poly1305 (RFC 8439), one keystream pass per slot, because slot
-// sealing is nearly all of the host's ORAM time and the figures come from
-// the cost models, not from host crypto speed (DESIGN.md §1).
+// ChaCha20-Poly1305 (RFC 8439), because slot sealing is nearly all of the
+// host's ORAM time and the figures come from the cost models, not from host
+// crypto speed (DESIGN.md §1).
 //
 // Free slots (DESIGN.md §10): a bucket's blocks sit in its first `fill`
 // slots, and the client keeps that count. A walk opens only those and fails
@@ -21,6 +21,12 @@
 // shape, never opened, so altering one changes nothing the client reads.
 // The SP sees the same paths, slot shapes and fresh bytes as with a sealed
 // dummy in every free slot.
+//
+// One keystream pass per path: a walk's read opens all of the path's filled
+// slots from one batched call of the ChaCha20 core (crypto::ChaChaBatch),
+// and its rewrite draws every slot's nonce in slot order and then computes
+// every slot's blocks in one more (18 per sealed 1 KB slot, 17 per free
+// one). The bulk load does the same a path's worth of buckets at a time.
 //
 // The block size is 1 KB (the paper's page size): large enough for the
 // O(log^2 n)-bit bound that makes the bandwidth overhead O(log n), and equal
@@ -31,6 +37,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 
@@ -284,14 +291,30 @@ class OramClient : public OramAccessor {
                               const std::function<Bytes(std::optional<Bytes>)>* mutate = nullptr,
                               bool remove = false);
   void evict_along_path(uint64_t leaf);
-  /// Opens a slot its bucket's fill count says holds a block; throws
-  /// IntegrityError when the SP emptied, resized or altered it.
-  Bytes open_block(const SealedSlot& slot) const;
+  /// The fill counts of the buckets on the path to `leaf`, root first.
+  std::vector<uint8_t> path_fills(uint64_t leaf) const;
+  /// One keystream pass of `batch` over `slots`, whose nonces are drawn: in
+  /// bucket b (Z slots each), slots [0, fills[b]) hold a block's plaintext
+  /// in their ciphertext and are sealed in place; every other slot becomes a
+  /// free slot, its keystream written straight into its ciphertext and tag.
+  /// 18 ChaCha20 blocks per sealed 1 KB slot, 17 per free one.
+  void seal_slots(crypto::ChaChaBatch& batch, std::span<SealedSlot> slots,
+                  std::span<const uint8_t> fills) const;
+  /// Computes, in one keystream pass of batch_, the keystream of every slot
+  /// of `path` that its bucket's fill count (`fills`, per level) says holds
+  /// a block; the k-th such slot in path order is job k.
+  void open_pass(const std::vector<SealedSlot>& path, std::span<const uint8_t> fills);
+  /// Checks the tag of `slot`, then decrypts it in place, with job `job` of
+  /// the last open_pass; throws IntegrityError when the SP emptied, resized
+  /// or altered it.
+  void open_block(size_t job, SealedSlot& slot) const;
 
   OramServer& server_;
   crypto::AesKey128 key_;
-  SealMode mode_;
   Random rng_;
+  /// The keystream pass of the walk in flight, reused by every walk, so it
+  /// stays the size of one path's pass. Each shard's client has its own.
+  crypto::ChaChaBatch batch_;
   /// Per heap bucket, how many of its Z slots hold blocks: slots [0, fill),
   /// since eviction and bulk_load fill a bucket from slot 0. Every other slot
   /// is free. Trusted state beside the position map, one byte per bucket.

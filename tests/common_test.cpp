@@ -2,7 +2,12 @@
 // arithmetic with EVM semantics, and the ChaCha20 DRBG.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <numeric>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/codec.hpp"
@@ -298,36 +303,151 @@ TEST(H256, RoundTrips) {
 
 // --- ChaCha20 / Random ---
 
-TEST(ChaCha20, Rfc8439BlockVector) {
-  // RFC 8439 §2.3.2 test vector.
+// RFC 8439 §2.3's block function, one block at a time and byte by byte: the
+// reference every lane width of the core must match.
+std::array<uint8_t, 64> reference_block(const std::array<uint32_t, 8>& key, uint32_t counter,
+                                        const std::array<uint32_t, 3>& nonce) {
+  std::array<uint32_t, 16> state = {0x61707865, 0x3320646e, 0x79622d32, 0x6b206574};
+  std::copy(key.begin(), key.end(), state.begin() + 4);
+  state[12] = counter;
+  std::copy(nonce.begin(), nonce.end(), state.begin() + 13);
+  std::array<uint32_t, 16> x = state;
+  const auto quarter_round = [&x](int a, int b, int c, int d) {
+    x[a] += x[b]; x[d] = std::rotl(x[d] ^ x[a], 16);
+    x[c] += x[d]; x[b] = std::rotl(x[b] ^ x[c], 12);
+    x[a] += x[b]; x[d] = std::rotl(x[d] ^ x[a], 8);
+    x[c] += x[d]; x[b] = std::rotl(x[b] ^ x[c], 7);
+  };
+  for (int round = 0; round < 10; ++round) {
+    quarter_round(0, 4, 8, 12);
+    quarter_round(1, 5, 9, 13);
+    quarter_round(2, 6, 10, 14);
+    quarter_round(3, 7, 11, 15);
+    quarter_round(0, 5, 10, 15);
+    quarter_round(1, 6, 11, 12);
+    quarter_round(2, 7, 8, 13);
+    quarter_round(3, 4, 9, 14);
+  }
+  std::array<uint8_t, 64> out;
+  for (size_t i = 0; i < 16; ++i) {
+    const uint32_t word = x[i] + state[i];
+    for (size_t byte = 0; byte < 4; ++byte) out[4 * i + byte] = static_cast<uint8_t>(word >> (8 * byte));
+  }
+  return out;
+}
+
+// The RFC 8439 test key 00 01 .. 1f as words.
+std::array<uint32_t, 8> rfc_key() {
   std::array<uint32_t, 8> key;
   for (uint32_t i = 0; i < 8; ++i) {
     key[i] = (4 * i) | ((4 * i + 1) << 8) | ((4 * i + 2) << 16) | ((4 * i + 3) << 24);
   }
+  return key;
+}
+
+TEST(ChaCha20, Rfc8439BlockVector) {
+  // RFC 8439 §2.3.2 test vector, at the width this CPU picked.
   const std::array<uint32_t, 3> nonce = {0x09000000, 0x4a000000, 0x00000000};
-  ChaCha20Keystream out;
-  chacha20_block(key, 1, nonce, out);
+  std::array<uint8_t, 64> out;
+  const ChaCha20Job job{nonce, 1, 1, out.data()};
+  chacha20_blocks(rfc_key(), {&job, 1});
   const Bytes expected = from_hex(
       "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e"
       "d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e");
-  EXPECT_EQ(Bytes(out.begin(), out.begin() + 64), expected);
+  EXPECT_EQ(Bytes(out.begin(), out.end()), expected);
 }
 
-TEST(ChaCha20, EachCallIsFourConsecutiveBlocks) {
-  std::array<uint32_t, 8> key;
-  for (uint32_t i = 0; i < 8; ++i) key[i] = 0x01020304u * (i + 1);
-  const std::array<uint32_t, 3> nonce = {7, 8, 9};
-  // Counters 0xfffffffe.. wrap mod 2^32 inside one call, as one block at a
-  // time would.
-  for (const uint32_t counter : {0u, 5u, 0xfffffffeu}) {
-    ChaCha20Keystream batch;
-    chacha20_block(key, counter, nonce, batch);
-    for (uint32_t b = 1; b < kChaCha20Blocks; ++b) {
-      ChaCha20Keystream later;
-      chacha20_block(key, counter + b, nonce, later);
-      EXPECT_TRUE(std::equal(later.begin(), later.begin() + 64, batch.begin() + 64 * b))
-          << "counter " << counter << " block " << b;
+// The core at each lane width, reached through its test-only entry point. A
+// width this CPU lacks is skipped, by name.
+class ChaCha20Core : public ::testing::TestWithParam<size_t> {
+ protected:
+  void SetUp() override {
+    if (!detail::chacha20_blocks_at(GetParam(), {}, {})) {
+      GTEST_SKIP() << "this CPU lacks the " << GetParam() << "-lane core ("
+                   << (GetParam() == 16 ? "AVX-512F" : "AVX2") << ")";
     }
+  }
+  void run(const std::array<uint32_t, 8>& key, std::span<const ChaCha20Job> jobs) {
+    ASSERT_TRUE(detail::chacha20_blocks_at(GetParam(), key, jobs));
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Widths, ChaCha20Core, ::testing::Values(4, 8, 16),
+                         [](const auto& info) { return "Lanes" + std::to_string(info.param); });
+
+TEST_P(ChaCha20Core, MatchesTheScalarReference) {
+  // Random job lists: blocks of many jobs share each batch, zero-block jobs
+  // compute nothing, and counters within 40 of 2^32 wrap mid-job. Every job
+  // writes exactly its blocks: the guard bytes around each stay untouched.
+  Random rng(GetParam());
+  constexpr uint8_t kGuard = 0xa5;
+  for (int trial = 0; trial < 60; ++trial) {
+    std::array<uint32_t, 8> key;
+    rng.fill(reinterpret_cast<uint8_t*>(key.data()), sizeof key);
+    const size_t job_count = rng.uniform_range(1, 40);
+    std::vector<size_t> offsets;
+    std::vector<ChaCha20Job> jobs;
+    size_t bytes = 64;  // a guard block before the first job
+    for (size_t j = 0; j < job_count; ++j) {
+      ChaCha20Job job;
+      job.nonce = {static_cast<uint32_t>(trial), static_cast<uint32_t>(j),
+                   static_cast<uint32_t>(rng.next_u64())};
+      job.counter = static_cast<uint32_t>(0x1'0000'0000ull - rng.uniform_range(1, 40));
+      job.blocks = rng.uniform(41);
+      offsets.push_back(bytes);
+      jobs.push_back(job);
+      bytes += 64 * job.blocks + 64;  // each job is followed by a guard block
+    }
+    Bytes out(bytes, kGuard);
+    for (size_t j = 0; j < job_count; ++j) jobs[j].out = out.data() + offsets[j];
+    run(key, jobs);
+    Bytes expected(bytes, kGuard);
+    for (size_t j = 0; j < job_count; ++j) {
+      for (size_t b = 0; b < jobs[j].blocks; ++b) {
+        const auto block =
+            reference_block(key, jobs[j].counter + static_cast<uint32_t>(b), jobs[j].nonce);
+        std::copy(block.begin(), block.end(), expected.begin() + offsets[j] + 64 * b);
+      }
+    }
+    ASSERT_EQ(out, expected) << "trial " << trial << ", " << job_count << " jobs";
+  }
+}
+
+TEST_P(ChaCha20Core, Rfc8439Vectors) {
+  // §2.3.2: one block at counter 1, between two other jobs' blocks.
+  const std::array<uint32_t, 8> key = rfc_key();
+  std::array<uint8_t, 64 * 3> blocks;
+  const ChaCha20Job around[] = {{{1, 2, 3}, 7, 1, blocks.data()},
+                                {{0x09000000, 0x4a000000, 0}, 1, 1, blocks.data() + 64},
+                                {{4, 5, 6}, 8, 1, blocks.data() + 128}};
+  run(key, around);
+  EXPECT_EQ(to_hex(BytesView{blocks.data() + 64, 64}),
+            "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e"
+            "d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e");
+  // §2.4.2: the keystream of the 114-byte sunscreen text from counter 1 is
+  // its ciphertext XOR its plaintext.
+  const std::string sunscreen =
+      "Ladies and Gentlemen of the class of '99: If I could offer you only one tip for "
+      "the future, sunscreen would be it.";
+  const Bytes ciphertext = from_hex(
+      "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b"
+      "f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8"
+      "07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736"
+      "5af90bbf74a35be6b40b8eedf2785e42874d");
+  std::array<uint8_t, 128> stream;
+  const ChaCha20Job job{{0, 0x4a000000, 0}, 1, 2, stream.data()};
+  run(key, {&job, 1});
+  for (size_t i = 0; i < sunscreen.size(); ++i) {
+    EXPECT_EQ(static_cast<uint8_t>(sunscreen[i] ^ stream[i]), ciphertext[i]) << "byte " << i;
+  }
+}
+
+TEST(ChaCha20, PicksTheWidestWidthThisCpuHas) {
+  const size_t lanes = chacha20_lanes();
+  EXPECT_TRUE(lanes == 4 || lanes == 8 || lanes == 16) << lanes;
+  EXPECT_TRUE(detail::chacha20_blocks_at(lanes, {}, {}));
+  for (size_t wider = 2 * lanes; wider <= 16; wider *= 2) {
+    EXPECT_FALSE(detail::chacha20_blocks_at(wider, {}, {})) << wider;
   }
 }
 
@@ -377,6 +497,21 @@ TEST(Random, StreamMatchesOneBlockPerRefill) {
   const Bytes stream = rng.bytes(600);
   EXPECT_EQ(to_hex(BytesView{stream.data() + 248, 16}), "9061246b8fc36dd592b195012bca2364");
   EXPECT_EQ(to_hex(BytesView{stream.data() + 504, 16}), "26dad648bb8a8e48f4edee72c11e23b0");
+}
+
+TEST(Random, StreamIsTheChaCha20BlocksOfItsKey) {
+  // Random(seed) is the ChaCha20 stream of the key (seed, "hardtape", 0...)
+  // under the zero nonce from counter 0, across many refills at this CPU's
+  // width, whatever sizes the draws come in.
+  const std::array<uint32_t, 8> key = {42, 0, 0x68617264, 0x74617065};
+  Random rng(42);
+  Bytes stream;
+  for (size_t n = 1; stream.size() < 3000; n = n % 97 + 13) append(stream, rng.bytes(n));
+  for (size_t block = 0; block < stream.size() / 64; ++block) {
+    const auto expected = reference_block(key, static_cast<uint32_t>(block), {});
+    ASSERT_TRUE(std::equal(expected.begin(), expected.end(), stream.begin() + 64 * block))
+        << "block " << block;
+  }
 }
 
 TEST(Random, FillProducesDifferentBlocks) {

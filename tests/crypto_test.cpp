@@ -1,6 +1,8 @@
 // Known-answer and property tests for the crypto substrate.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/errors.hpp"
 #include "common/random.hpp"
 #include "crypto/chacha20_poly1305.hpp"
@@ -157,8 +159,7 @@ TEST(Poly1305, Rfc8439Section252) {
 }
 
 TEST(ChaCha20, Rfc8439Section242Encryption) {
-  // 114 bytes from counter 1: the 64-byte boundary falls inside the first
-  // 4-block keystream call.
+  // 114 bytes from counter 1: two blocks, the second used in part.
   ChaChaKey key;
   for (size_t i = 0; i < key.size(); ++i) key[i] = static_cast<uint8_t>(i);
   const auto nonce = array_from_hex<12>("000000000000004a00000000");
@@ -187,9 +188,9 @@ TEST(ChaCha20, Rfc8439Section242Encryption) {
 //       ct, tag = out[:-16], out[-16:]
 //       print(n, tag.hex(), hashlib.sha256(ct).hexdigest())
 //
-// The first keystream call covers blocks 0-3: block 0 is the MAC key, so
-// the 192- and 193-byte cases end on and just past that call; 1,056 bytes is
-// one ORAM slot (32-byte id + 1 KB page).
+// Block 0 is the MAC key, so the 192- and 193-byte cases end on and just
+// past block 3; 1,056 bytes is one ORAM slot (32-byte id + 1 KB page), 18
+// blocks.
 struct AeadVector {
   size_t length;
   const char* tag;
@@ -237,6 +238,41 @@ TEST(ChaCha20Poly1305, EmptyAadVectorsAcrossKeystreamCalls) {
     ASSERT_TRUE(chacha20_poly1305_open(key, nonce, {}, data, tag)) << v.length << " bytes";
     EXPECT_EQ(data, plaintext) << v.length << " bytes";
   }
+}
+
+TEST(ChaCha20Poly1305, OneBatchSealsAndOpensEveryVector) {
+  // Every vector above sealed from one batch, their blocks packed side by
+  // side in the core's lanes, then opened from a second batch: the same tags
+  // and ciphertexts as one call each.
+  ChaChaKey key{};
+  for (size_t i = 0; i < 16; ++i) key[i] = static_cast<uint8_t>(i + 1);
+  const auto nonce = array_from_hex<12>("0a0b0c0d0e0f101112131415");
+  std::vector<Bytes> plaintexts, data;
+  ChaChaBatch batch;
+  for (const AeadVector& v : kAeadVectors) {
+    Bytes& plaintext = plaintexts.emplace_back(v.length);
+    for (size_t i = 0; i < v.length; ++i) plaintext[i] = static_cast<uint8_t>(7 * i + 3);
+    data.push_back(plaintext);
+    batch.add_aead(nonce, v.length);
+  }
+  batch.run(key);
+  std::vector<Poly1305Tag> tags;
+  for (size_t j = 0; j < data.size(); ++j) {
+    tags.push_back(batch.seal(j, {}, data[j]));
+    EXPECT_EQ(to_hex(tags[j]), kAeadVectors[j].tag) << kAeadVectors[j].length << " bytes";
+    EXPECT_EQ(sha256(data[j]).hex(), kAeadVectors[j].ciphertext_sha256);
+  }
+  ChaChaBatch opens;
+  for (const Bytes& ciphertext : data) opens.add_aead(nonce, ciphertext.size());
+  opens.run(key);
+  for (size_t j = 0; j < data.size(); ++j) {
+    ASSERT_TRUE(opens.open(j, {}, data[j], tags[j])) << kAeadVectors[j].length << " bytes";
+    EXPECT_EQ(data[j], plaintexts[j]);
+  }
+  // A job takes only the size it was queued for.
+  Bytes other(data[0].size() + 64);
+  EXPECT_THROW(opens.seal(0, {}, other), UsageError);
+  EXPECT_THROW((void)opens.open(0, {}, other, tags[0]), UsageError);
 }
 
 // AAD-bearing seals in the same key layout, plaintext and nonce as the

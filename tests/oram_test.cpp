@@ -11,7 +11,9 @@
 #include <set>
 #include <thread>
 
+#include "common/codec.hpp"
 #include "crypto/keccak.hpp"
+#include "crypto/sha256.hpp"
 #include "durability/vfs.hpp"
 #include "node/sync.hpp"
 #include "oram/epoch.hpp"
@@ -568,6 +570,109 @@ TEST(OramClient, EmptiedRealSlotFailsTheWalkThatReadsIt) {
   }
 }
 
+// --- the SP's view, pinned ---
+
+// One SHA-256 over everything the SP holds and saw: every bucket of every
+// tree as stored (each slot's nonce, tag, ciphertext length and ciphertext,
+// never-written slots included), then the walk sequence. Chained a bucket at
+// a time.
+class SpViewDigest {
+ public:
+  void add_tree(const OramServer& server) {
+    for (size_t bucket = 0; bucket < server.bucket_count(); ++bucket) {
+      Bytes bytes(digest_.bytes.begin(), digest_.bytes.end());
+      for (const SealedSlot& slot : server.stored_bucket(bucket)) {
+        append(bytes, slot.nonce);
+        append(bytes, slot.tag);
+        codec::put_u64(bytes, slot.ciphertext.size());
+        append(bytes, slot.ciphertext);
+      }
+      digest_ = crypto::sha256(bytes);
+    }
+  }
+  void add_walk(uint32_t shard, uint64_t leaf) {
+    codec::put_u32(walks_, shard);
+    codec::put_u64(walks_, leaf);
+  }
+  std::string hex() {
+    Bytes bytes(digest_.bytes.begin(), digest_.bytes.end());
+    append(bytes, walks_);
+    return to_hex(crypto::sha256(bytes).bytes);
+  }
+
+ private:
+  H256 digest_;
+  Bytes walks_;
+};
+
+// The SP-view workload: 175 pages bulk-loaded into 1 KB blocks, the page
+// count and block size of the end-to-end benchmark's shards.
+Pages sp_view_pages() {
+  Pages pages;
+  Random rng(175);
+  for (uint64_t i = 0; i < 175; ++i) {
+    pages.emplace_back(bid(i), rng.bytes(rng.uniform_range(1, 1024)));
+  }
+  return pages;
+}
+
+// Every nonce, tag and ciphertext the SP stores and every leaf it sees, over
+// a seeded mix of every kind of access: bulk_load, then reads, writes,
+// read_modify_write, access_remove, adopt and misses. The constant pins the
+// SP's view: any change to the DRBG stream, a nonce, the keystream or the
+// walk order moves it, while a change to how the host computes the same
+// bytes (DESIGN.md §10) must not.
+TEST(OramClient, SpViewDigestIsPinned) {
+  OramServer server(OramConfig{.block_size = 1024, .bucket_capacity = 4, .capacity = 2048});
+  ASSERT_EQ(server.leaf_count(), 2048u);
+  OramClient client(server, test_key(), /*rng_seed=*/2028, SealMode::kChaChaHmac);
+  client.bulk_load(sp_view_pages());
+  Random rng(90210);
+  std::vector<std::pair<BlockId, Bytes>> removed;
+  for (uint64_t op = 0; op < 1000; ++op) {
+    const BlockId id = bid(rng.uniform(200));  // ids 175..199 start unwritten
+    switch (rng.uniform(6)) {
+      case 0:
+        (void)client.read(id);
+        break;
+      case 1:
+        client.write(id, rng.bytes(rng.uniform_range(1, 1024)));
+        break;
+      case 2: {
+        const uint8_t mark = static_cast<uint8_t>(op);
+        (void)client.read_modify_write(id, [mark](std::optional<Bytes> old) {
+          Bytes next = old.value_or(Bytes(1, 0));
+          next[0] ^= mark;
+          return next;
+        });
+        break;
+      }
+      case 3:
+        if (client.contains(id)) {
+          auto data = client.access_remove(id);
+          ASSERT_TRUE(data.has_value()) << "op " << op;
+          removed.emplace_back(id, std::move(*data));
+        }
+        break;
+      case 4:
+        if (!removed.empty()) {
+          auto [back_id, data] = std::move(removed.back());
+          removed.pop_back();
+          if (!client.contains(back_id)) client.adopt(back_id, std::move(data));
+        }
+        break;
+      default:
+        EXPECT_FALSE(client.read(bid(1'000'000 + op)).has_value());
+        break;
+    }
+  }
+  EXPECT_FALSE(client.stash_overflowed());
+  SpViewDigest digest;
+  digest.add_tree(server);
+  for (const uint64_t leaf : server.observed_leaves()) digest.add_walk(0, leaf);
+  EXPECT_EQ(digest.hex(), "31724a68288da52ceea723c5e7e7fa8e070279ce4bbd6e3283c17a8454480d67");
+}
+
 // --- paged world state ---
 
 Address acct(uint8_t tag) {
@@ -1070,6 +1175,39 @@ TEST(ShardedStore, ObservedWalksAreGloballyOrdered) {
   // Stats survive the observation reset (they are diagnostics, not the
   // adversary view).
   EXPECT_EQ(store.snapshot().total_walks, 16u);
+}
+
+// The sharded form of OramClient.SpViewDigestIsPinned: the same load and a
+// read/write/miss mix through a 2-shard store, whose cross-shard moves run
+// access_remove and adopt. The walk sequence is observed_walks().
+TEST(ShardedStore, SpViewDigestIsPinned) {
+  ShardedOramStore store(ShardedOramStore::partition(
+                             OramConfig{.block_size = 1024, .bucket_capacity = 4,
+                                        .capacity = 2048},
+                             2),
+                         test_key(), /*rng_seed=*/2028, SealMode::kChaChaHmac);
+  ASSERT_EQ(store.leaf_count(), 2048u);
+  store.bulk_load(sp_view_pages());
+  Random rng(90210);
+  for (uint64_t op = 0; op < 1000; ++op) {
+    const BlockId id = bid(rng.uniform(200));
+    switch (rng.uniform(3)) {
+      case 0:
+        (void)store.read(id);
+        break;
+      case 1:
+        store.write(id, rng.bytes(rng.uniform_range(1, 1024)));
+        break;
+      default:
+        EXPECT_FALSE(store.read(bid(1'000'000 + op)).has_value());
+        break;
+    }
+  }
+  EXPECT_GT(store.snapshot().total_migrations, 0u);
+  SpViewDigest digest;
+  for (size_t shard = 0; shard < store.shard_count(); ++shard) digest.add_tree(store.server(shard));
+  for (const auto& [shard, leaf] : store.observed_walks()) digest.add_walk(shard, leaf);
+  EXPECT_EQ(digest.hex(), "c0a7b3987da19a0392def9cdb4bf670e319021ca1654c4bd118603581747f23a");
 }
 
 }  // namespace
