@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "common/codec.hpp"
 #include "common/random.hpp"
 #include "crypto/chacha20_poly1305.hpp"
@@ -17,6 +18,7 @@
 #include "crypto/sha256.hpp"
 #include "evm/assembler.hpp"
 #include "evm/interpreter.hpp"
+#include "hevm/hevm_core.hpp"
 #include "oram/path_oram.hpp"
 #include "state/overlay.hpp"
 #include "trie/mpt.hpp"
@@ -158,6 +160,34 @@ void BM_EvmErc20Transfer(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EvmErc20Transfer);
+
+// One 8-transaction Table I bundle through a dedicated HEVM core, as the
+// -ES engine path runs it: assign a session over the node's world, execute
+// the bundle, release. Unlike the 29-byte contract above, it runs the
+// workload's padded contracts, call frames at several depths and each
+// transaction's storage write set. Iterations cycle through 8 bundles of
+// one 64-transaction block, so the time is an average over the profile mix.
+void BM_HevmBundle(benchmark::State& state) {
+  const bench::EvaluationSetup setup(/*block_count=*/1, /*txs_per_block=*/64);
+  const std::vector<evm::Transaction>& block = setup.blocks.at(0);
+  std::vector<std::vector<evm::Transaction>> bundles;
+  for (size_t i = 0; i + 8 <= block.size(); i += 8) {
+    bundles.emplace_back(block.begin() + static_cast<long>(i),
+                         block.begin() + static_cast<long>(i + 8));
+  }
+  const evm::BlockContext context = setup.node.block_context();
+  sim::SimClock clock;
+  hevm::HevmCore core(0, clock);
+  const crypto::AesKey128 key{};
+  size_t next = 0;
+  for (auto _ : state) {
+    core.assign(setup.node.world(), context, key, /*noise_seed=*/1);
+    benchmark::DoNotOptimize(core.execute_bundle(bundles[next++ % bundles.size()]));
+    core.release();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 8);
+}
+BENCHMARK(BM_HevmBundle);
 
 }  // namespace
 

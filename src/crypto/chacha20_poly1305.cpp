@@ -243,14 +243,6 @@ bool ChaChaBatch::open(size_t job, BytesView aad, std::span<uint8_t> data,
   return true;
 }
 
-void chacha20_xor(const ChaChaKey& key, uint32_t initial_counter, const ChaChaNonce& nonce,
-                  std::span<uint8_t> data) {
-  ChaChaBatch batch;
-  batch.add_stream(nonce, initial_counter, data.size());
-  batch.run(key);
-  xor_bytes(data.data(), batch.stream(0), data.size());
-}
-
 Poly1305Tag chacha20_poly1305_seal(const ChaChaKey& key, const ChaChaNonce& nonce,
                                    BytesView aad, std::span<uint8_t> data) {
   ChaChaBatch batch;

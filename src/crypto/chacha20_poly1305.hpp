@@ -88,11 +88,6 @@ class ChaChaBatch {
   Bytes keystream_;  ///< the other jobs' blocks, in queue order
 };
 
-/// ChaCha20 encryption (RFC 8439 §2.4): XORs `data` in place with the
-/// keystream whose first block has counter `initial_counter`.
-void chacha20_xor(const ChaChaKey& key, uint32_t initial_counter, const ChaChaNonce& nonce,
-                  std::span<uint8_t> data);
-
 /// AEAD_CHACHA20_POLY1305 (RFC 8439 §2.8): encrypts `data` in place and
 /// returns the tag over `aad` and the ciphertext.
 Poly1305Tag chacha20_poly1305_seal(const ChaChaKey& key, const ChaChaNonce& nonce,

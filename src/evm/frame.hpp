@@ -2,6 +2,13 @@
 // the gas constants not covered by the static opcode table, and the opcode
 // bodies with dynamic gas or observable side effects. The bodies are inline
 // Interpreter members so the dispatch switch can inline them.
+//
+// A frame's set-up costs what the frame uses, not what its code or the stack
+// SRAM could hold: it borrows its depth's Stack from the Interpreter rather
+// than allocating one, and it finds JUMPDESTs by a scan that runs only as far
+// as the furthest jump the frame takes (the workload's contracts are padded
+// to Table I sizes of several KB, while their jumps land in the first tens of
+// bytes; DESIGN.md §14).
 #pragma once
 
 #include <algorithm>
@@ -53,19 +60,6 @@ inline uint64_t memory_gas(uint64_t words) {
   return quadratic > UINT64_MAX - linear ? UINT64_MAX : linear + quadratic;
 }
 
-inline std::vector<bool> analyze_jumpdests(BytesView code) {
-  std::vector<bool> valid(code.size(), false);
-  for (size_t i = 0; i < code.size(); ++i) {
-    const uint8_t op = code[i];
-    if (op == static_cast<uint8_t>(Opcode::JUMPDEST)) {
-      valid[i] = true;
-    } else if (is_push(op)) {
-      i += push_size(op);  // skip immediate bytes
-    }
-  }
-  return valid;
-}
-
 // ---------------------------------------------------------------------------
 // Frame
 // ---------------------------------------------------------------------------
@@ -73,8 +67,7 @@ inline std::vector<bool> analyze_jumpdests(BytesView code) {
 struct Interpreter::Frame {
   const Message& msg;
   BytesView code;
-  std::vector<bool> valid_jumpdests;
-  Stack stack;
+  Stack& stack;  // the Interpreter's stack for this call depth
   EvmMemory memory;
   uint64_t pc = 0;
   uint64_t gas = 0;
@@ -83,8 +76,31 @@ struct Interpreter::Frame {
   VmStatus status = VmStatus::kSuccess;
   bool halted = false;
 
-  explicit Frame(const Message& m, BytesView c)
-      : msg(m), code(c), valid_jumpdests(analyze_jumpdests(c)), gas(m.gas) {}
+  Frame(const Message& m, BytesView c, Stack& s) : msg(m), code(c), stack(s), gas(m.gas) {
+    stack.clear();
+  }
+
+  /// True when `dest` is a JUMPDEST on an instruction boundary (not inside
+  /// a PUSH immediate). Walks instruction boundaries from where the previous
+  /// call stopped, and only up to `dest`.
+  bool valid_jump(const u256& dest) {
+    if (!dest.fits_u64() || dest.as_u64() >= code.size()) return false;
+    const uint64_t d = dest.as_u64();
+    if (code[d] != static_cast<uint8_t>(Opcode::JUMPDEST)) return false;
+    if (scanned_ <= d) {
+      if (jumpdests_.size() <= d / 64) jumpdests_.resize(d / 64 + 1, 0);
+      do {
+        const uint8_t op = code[scanned_];
+        if (op == static_cast<uint8_t>(Opcode::JUMPDEST)) {
+          jumpdests_[scanned_ / 64] |= uint64_t{1} << (scanned_ % 64);
+        }
+        scanned_ += is_push(op) ? 1 + push_size(op) : 1;
+      } while (scanned_ <= d);
+    }
+    // The scan may have stepped over `dest` inside a PUSH immediate beyond
+    // the words marked so far: such a `dest` is no boundary.
+    return d / 64 < jumpdests_.size() && ((jumpdests_[d / 64] >> (d % 64)) & 1) != 0;
+  }
 
   void fail(VmStatus s) {
     status = s;
@@ -130,6 +146,12 @@ struct Interpreter::Frame {
     }
     return true;
   }
+
+ private:
+  // Bit i set: byte i is a JUMPDEST on an instruction boundary. Complete for
+  // [0, scanned_), the next boundary the scan has not yet looked at.
+  std::vector<uint64_t> jumpdests_;
+  uint64_t scanned_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -163,7 +185,7 @@ inline void Interpreter::op_balance(Frame& f) {
 
 inline void Interpreter::op_calldataload(Frame& f) {
   const u256 offset = f.stack.pop();
-  Bytes word(32, 0);
+  uint8_t word[32] = {};
   if (offset.fits_u64()) {
     const uint64_t off = offset.as_u64();
     // Overflow-safe bounds: for offsets near 2^64, `off + i` wraps uint64 and
@@ -171,7 +193,7 @@ inline void Interpreter::op_calldataload(Frame& f) {
     // zero-padding past its end.
     if (off < f.msg.input.size()) {
       const size_t n = std::min<uint64_t>(32, f.msg.input.size() - off);
-      std::memcpy(word.data(), f.msg.input.data() + off, n);
+      std::memcpy(word, f.msg.input.data() + off, n);
     }
     if (observer_) observer_->on_memory_access(MemoryLike::kInput, off, 32, false);
   }

@@ -337,7 +337,12 @@ TxResult Interpreter::execute_transaction(const Transaction& tx) {
 // ---------------------------------------------------------------------------
 
 CallResult Interpreter::run_frame(const Message& msg, BytesView code) {
-  Frame f(msg, code);
+  // call() caps the depth at kMaxCallDepth, so at most 1,025 stacks exist.
+  if (msg.depth < 0) throw UsageError("evm: negative call depth");
+  const auto depth = static_cast<size_t>(msg.depth);
+  if (stacks_.size() <= depth) stacks_.resize(depth + 1);
+  if (!stacks_[depth]) stacks_[depth] = std::make_unique<Stack>();
+  Frame f(msg, code, *stacks_[depth]);
 
   if (observer_) {
     observer_->on_frame_enter({msg.code_address, msg.recipient, msg.value,
@@ -628,8 +633,7 @@ void Interpreter::dispatch_loop(Frame& f) {
         break;
       case Opcode::JUMP: {
         const u256 dest = f.stack.pop();
-        if (!dest.fits_u64() || dest.as_u64() >= f.code.size() ||
-            !f.valid_jumpdests[dest.as_u64()]) {
+        if (!f.valid_jump(dest)) {
           f.fail(VmStatus::kBadJumpDestination);
           break;
         }
@@ -639,8 +643,7 @@ void Interpreter::dispatch_loop(Frame& f) {
       case Opcode::JUMPI: {
         const u256 dest = f.stack.pop(), condition = f.stack.pop();
         if (!condition.is_zero()) {
-          if (!dest.fits_u64() || dest.as_u64() >= f.code.size() ||
-              !f.valid_jumpdests[dest.as_u64()]) {
+          if (!f.valid_jump(dest)) {
             f.fail(VmStatus::kBadJumpDestination);
             break;
           }
@@ -704,13 +707,16 @@ void Interpreter::dispatch_loop(Frame& f) {
       default: {
         // PUSH / DUP / SWAP ranges.
         if (is_push(op_byte)) {
+          // The n immediate bytes, right-aligned in a big-endian word; bytes
+          // past the end of the code read as zero.
           const size_t n = push_size(op_byte);
-          Bytes immediate(n, 0);
-          for (size_t i = 0; i < n; ++i) {
-            const uint64_t idx = f.pc + 1 + i;
-            if (idx < f.code.size()) immediate[i] = f.code[idx];
+          uint8_t word[32] = {};
+          const uint64_t start = f.pc + 1;
+          if (start < f.code.size()) {
+            std::memcpy(word + 32 - n, f.code.data() + start,
+                        std::min<uint64_t>(n, f.code.size() - start));
           }
-          f.stack.push(u256::from_be_bytes(immediate));
+          f.stack.push(u256::from_be_bytes(word));
         } else if (op_byte >= 0x80 && op_byte <= 0x8f) {
           f.stack.dup(static_cast<size_t>(op_byte - 0x80));
         } else if (op_byte >= 0x90 && op_byte <= 0x9f) {

@@ -12,6 +12,9 @@
 // Precompiles: ecrecover (0x1), sha256 (0x2), identity (0x4).
 #pragma once
 
+#include <memory>
+#include <vector>
+
 #include "evm/stack_memory.hpp"
 #include "evm/trace.hpp"
 #include "evm/types.hpp"
@@ -118,6 +121,10 @@ class Interpreter {
   FrameDebug* frame_debug_ = nullptr;
   uint64_t frame_memory_limit_ = 0;
   bool bundle_aborted_ = false;  // sticky kMemoryOverflow
+  // One operand stack per call depth (index = Message::depth), made on the
+  // first frame at that depth and reused by every later one. A frame's
+  // callees run one level deeper, so no two live frames share a stack.
+  std::vector<std::unique_ptr<Stack>> stacks_;
 };
 
 }  // namespace hardtape::evm

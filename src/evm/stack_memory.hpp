@@ -1,7 +1,8 @@
 // The runtime stack and the byte-addressed Memory of one execution frame
 // (paper Figure 2). In the hardware design, the stack lives entirely in the
 // layer-1 cache (32 KB = 1024 x 32 bytes, Section IV-B); Memory is one of
-// the four "memory-likes".
+// the four "memory-likes". The Interpreter owns one Stack per call depth and
+// lends it to each frame at that depth; each frame owns its Memory.
 #pragma once
 
 #include <cstring>
@@ -18,7 +19,9 @@ namespace hardtape::evm {
 /// Section IV-B). Keep it preallocated: a stack that grows on demand
 /// (push_back) ran the EVM-only perfbench workload (evm-local) at a median
 /// of 979 against 1,144 bundles/s over 6 alternating 10-s pairs on a 4-vCPU
-/// x86 host, and lost all 6 pairs.
+/// x86 host, and lost all 6 pairs. It is allocated and zero-filled once per
+/// call depth per Interpreter; a frame starts on it with clear(), which
+/// touches no slot (slots above size() are never read).
 class Stack {
  public:
   static constexpr size_t kLimit = 1024;
@@ -27,6 +30,7 @@ class Stack {
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  void clear() { size_ = 0; }
 
   void push(const u256& v) { items_[size_++] = v; }
   u256 pop() { return items_[--size_]; }

@@ -73,9 +73,6 @@ BundleReport HevmCore::execute_bundle(const std::vector<evm::Transaction>& txs) 
     sim::SimStopwatch tx_watch(clock_);
     s.tracer->clear();
 
-    // Capture pre-tx write set size so per-tx storage writes can be diffed.
-    const auto writes_before = s.overlay->storage_writes();
-
     const evm::TxResult result = s.interpreter->execute_transaction(tx);
 
     TxTraceReport trace;
@@ -85,15 +82,7 @@ BundleReport HevmCore::execute_bundle(const std::vector<evm::Transaction>& txs) 
     trace.create_address = result.create_address;
     trace.logs = s.tracer->logs();
     if (config_.record_steps) trace.steps = s.tracer->steps();
-    // Per-tx storage modifications: cumulative writes minus what was already
-    // there before this transaction.
-    for (const auto& write : s.overlay->storage_writes()) {
-      const bool pre_existing =
-          std::find_if(writes_before.begin(), writes_before.end(), [&](const auto& w) {
-            return w.addr == write.addr && w.key == write.key && w.value == write.value;
-          }) != writes_before.end();
-      if (!pre_existing) trace.storage_writes.push_back(write);
-    }
+    trace.storage_writes = s.overlay->tx_storage_writes();
     trace.sim_time_ns = tx_watch.elapsed_ns();
 
     if (result.status == evm::VmStatus::kMemoryOverflow ||

@@ -6,6 +6,12 @@
 // A2). The core bundles the semantic interpreter with the 3-layer memory
 // model, the pipeline cycle model, and the tracer; release() models the
 // hardware reset that clears all on-chip memories (Fig. 3 step 10).
+//
+// Host cost follows the work of each transaction, not the session's: a
+// transaction's storage writes come from the overlay's record of the slots
+// that transaction wrote (OverlayState::tx_storage_writes), and the
+// interpreter reuses one stack per call depth across the session's frames
+// (DESIGN.md §14).
 #pragma once
 
 #include <memory>
@@ -20,7 +26,9 @@
 namespace hardtape::hevm {
 
 /// Per-transaction trace returned to the user (Fig. 3 step 9: ReturnData,
-/// gas cost, balances transferred, storage modifications).
+/// gas cost, balances transferred, storage modifications). storage_writes
+/// lists the slots whose value this transaction changed to something other
+/// than the base state's, sorted by (address, key).
 struct TxTraceReport {
   evm::VmStatus status = evm::VmStatus::kSuccess;
   Bytes return_data;

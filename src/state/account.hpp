@@ -16,7 +16,11 @@ struct Account {
   H256 code_hash = empty_code_hash();
   H256 storage_root{};  // zero = empty storage trie
 
-  static H256 empty_code_hash() { return crypto::keccak256(BytesView{}); }
+  /// keccak256("") (c5d2…a470), hashed once per process.
+  static H256 empty_code_hash() {
+    static const H256 kHash = crypto::keccak256(BytesView{});
+    return kHash;
+  }
 
   bool has_code() const { return code_hash != empty_code_hash(); }
   bool is_empty() const {

@@ -198,6 +198,17 @@ void OverlayState::revert_to(Snapshot snap) {
   }
 }
 
+namespace {
+
+void sort_by_slot(std::vector<OverlayState::StorageWrite>& writes) {
+  std::sort(writes.begin(), writes.end(), [](const auto& a, const auto& b) {
+    if (a.addr != b.addr) return a.addr < b.addr;
+    return a.key < b.key;
+  });
+}
+
+}  // namespace
+
 std::vector<OverlayState::StorageWrite> OverlayState::storage_writes() const {
   std::vector<StorageWrite> out;
   for (const auto& [sk, value] : storage_) {
@@ -205,10 +216,19 @@ std::vector<OverlayState::StorageWrite> OverlayState::storage_writes() const {
       out.push_back({sk.addr, sk.key, value});
     }
   }
-  std::sort(out.begin(), out.end(), [](const StorageWrite& a, const StorageWrite& b) {
-    if (a.addr != b.addr) return a.addr < b.addr;
-    return a.key < b.key;
-  });
+  sort_by_slot(out);
+  return out;
+}
+
+std::vector<OverlayState::StorageWrite> OverlayState::tx_storage_writes() const {
+  std::vector<StorageWrite> out;
+  for (const auto& [sk, original] : original_storage_) {
+    const u256& value = storage_.at(sk);
+    if (value != original && value != base_storage_.at(sk)) {
+      out.push_back({sk.addr, sk.key, value});
+    }
+  }
+  sort_by_slot(out);
   return out;
 }
 

@@ -13,6 +13,12 @@
 // length; revert_to() unwinds. Warm/cold access sets (EIP-2929) and the gas
 // refund counter are journaled too, since reverted frames must not leave
 // warm residue.
+//
+// Each slot's value at its first write in a transaction is kept for EIP-2200
+// gas (original_storage) until the next begin_transaction(). The same record
+// yields the transaction's own storage writes (tx_storage_writes), so a
+// bundle's per-transaction traces cost what each transaction wrote, not what
+// the whole session has touched.
 #pragma once
 
 #include <functional>
@@ -86,8 +92,13 @@ class OverlayState {
     u256 value;
     friend bool operator==(const StorageWrite&, const StorageWrite&) = default;
   };
-  /// Net storage modifications vs. the base state, deterministic order.
+  /// Net storage modifications vs. the base state, sorted by (addr, key).
   std::vector<StorageWrite> storage_writes() const;
+  /// The current transaction's storage writes, sorted by (addr, key): every
+  /// slot written since begin_transaction() whose value now differs both from
+  /// its value when the transaction began and from the base state. Walks only
+  /// the slots this transaction wrote.
+  std::vector<StorageWrite> tx_storage_writes() const;
   /// Addresses whose balance changed vs. the base state.
   std::vector<std::pair<Address, u256>> balance_changes() const;
 

@@ -135,7 +135,8 @@ Bytes MerklePatriciaTrie::load_node(const H256& hash) const {
 }
 
 H256 MerklePatriciaTrie::empty_root_hash() {
-  return crypto::keccak256(rlp_encode_bytes(BytesView{}));
+  static const H256 kRoot = crypto::keccak256(rlp_encode_bytes(BytesView{}));
+  return kRoot;
 }
 
 H256 MerklePatriciaTrie::root_hash() const {

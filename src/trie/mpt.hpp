@@ -78,6 +78,7 @@ class MerklePatriciaTrie {
   /// Keccak-256 of the root node; the hash of an empty trie is
   /// keccak256(rlp("")) as in Ethereum.
   H256 root_hash() const;
+  /// keccak256(rlp("")) (56e8…b421), hashed once per process.
   static H256 empty_root_hash();
 
   /// Generates a membership (or non-membership) proof for `key`.

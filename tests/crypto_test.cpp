@@ -159,7 +159,8 @@ TEST(Poly1305, Rfc8439Section252) {
 }
 
 TEST(ChaCha20, Rfc8439Section242Encryption) {
-  // 114 bytes from counter 1: two blocks, the second used in part.
+  // 114 bytes from counter 1: two blocks, the second used in part. The
+  // keystream comes from a batch's raw stream job, as the ORAM walk's does.
   ChaChaKey key;
   for (size_t i = 0; i < key.size(); ++i) key[i] = static_cast<uint8_t>(i);
   const auto nonce = array_from_hex<12>("000000000000004a00000000");
@@ -168,7 +169,11 @@ TEST(ChaCha20, Rfc8439Section242Encryption) {
       "the future, sunscreen would be it.";
   Bytes data(sunscreen.begin(), sunscreen.end());
   ASSERT_EQ(data.size(), 114u);
-  chacha20_xor(key, 1, nonce, data);
+  ChaChaBatch batch;
+  const size_t job = batch.add_stream(nonce, 1, data.size());
+  batch.run(key);
+  const uint8_t* stream = batch.stream(job);
+  for (size_t i = 0; i < data.size(); ++i) data[i] ^= stream[i];
   EXPECT_EQ(to_hex(data),
             "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b"
             "f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8"

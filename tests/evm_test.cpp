@@ -62,6 +62,7 @@ class EvmTest : public ::testing::TestWithParam<Observation> {
     interp_opt_.emplace(*overlay_opt_, std::move(block));
     interp_opt_->set_observer(observer_ != nullptr ? observer_ : default_observer());
     interp_opt_->set_frame_memory_limit(frame_memory_limit_);
+    interp_opt_->set_frame_debug(frame_debug_);
   }
 
   // The observer attached when the test sets none of its own.
@@ -122,6 +123,7 @@ class EvmTest : public ::testing::TestWithParam<Observation> {
   ExecutionObserver* observer_ = nullptr;
   OpenFrameCounter open_frames_;
   uint64_t frame_memory_limit_ = 0;
+  Interpreter::FrameDebug* frame_debug_ = nullptr;  // kept across rebuild()
 };
 
 // The instance names date from when the suite also ran a second execution
@@ -285,12 +287,84 @@ TEST_P(EvmTest, JumpAndJumpi) {
   )")), u256{7});
 }
 
+// "PUSH32 0x" followed by `byte_hex` 32 times.
+std::string push32_of(std::string_view byte_hex) {
+  std::string out = "PUSH32 0x";
+  for (int i = 0; i < 32; ++i) out += byte_hex;
+  return out + "\n";
+}
+
 TEST_P(EvmTest, InvalidJumpDestinations) {
   EXPECT_EQ(run_asm("PUSH1 0x01 JUMP STOP").status, VmStatus::kBadJumpDestination);
   // Jump into PUSH immediate data that happens to contain 0x5b.
   EXPECT_EQ(run_asm("PUSH1 0x03 JUMP PUSH1 0x5b STOP").status,
             VmStatus::kBadJumpDestination);
   EXPECT_EQ(run_asm("PUSH2 0xffff JUMP").status, VmStatus::kBadJumpDestination);
+  // 0x5b bytes inside a PUSH32 immediate that ends the code (bytes 4..35):
+  // its first byte and its last, the code's last byte.
+  EXPECT_EQ(run_asm("PUSH1 4 JUMP " + push32_of("5b")).status, VmStatus::kBadJumpDestination);
+  EXPECT_EQ(run_asm("PUSH1 35 JUMP " + push32_of("5b")).status, VmStatus::kBadJumpDestination);
+  // A PUSH2 cut short by the end of the code: its opcode and its one
+  // immediate byte, 0x5b.
+  EXPECT_EQ(run(Bytes{0x60, 0x03, 0x56, 0x61, 0x5b}).status, VmStatus::kBadJumpDestination);
+  EXPECT_EQ(run(Bytes{0x60, 0x04, 0x56, 0x61, 0x5b}).status, VmStatus::kBadJumpDestination);
+  // Destinations of 2^64 or more, 2^64 + 12 among them: byte 12 holds a
+  // JUMPDEST that 12 itself reaches.
+  EXPECT_EQ(run_asm("PUSH9 0x01000000000000000c JUMP INVALID JUMPDEST").status,
+            VmStatus::kBadJumpDestination);
+  EXPECT_EQ(run_asm("PUSH9 0x00000000000000000c JUMP INVALID JUMPDEST").status,
+            VmStatus::kSuccess);
+  EXPECT_EQ(run_asm(push32_of("ff") + "JUMP JUMPDEST").status, VmStatus::kBadJumpDestination);
+}
+
+TEST_P(EvmTest, JumpValidityAcrossOneFramesScan) {
+  // A valid jump near the start, then one into PUSH data past everything
+  // the first jump needed to look at.
+  Bytes into_data{0x60, 0x04, 0x56, 0xfe, 0x5b,  // PUSH1 4 JUMP INVALID JUMPDEST
+                  0x60, 0x09, 0x56,              // PUSH1 9 JUMP
+                  0x61, 0x5b, 0x5b, 0x00};       // PUSH2 0x5b5b STOP
+  EXPECT_EQ(run(into_data).status, VmStatus::kBadJumpDestination);
+  into_data[6] = 0x0a;
+  EXPECT_EQ(run(into_data).status, VmStatus::kBadJumpDestination);
+
+  // A far forward jump over 0x5b-filled PUSH32 data, then a backward one.
+  EXPECT_EQ(run_word(ret(R"(
+    PUSH @far
+    JUMP
+  back:
+    JUMPDEST
+    PUSH1 42
+    PUSH @done
+    JUMP
+  )" + push32_of("5b") + push32_of("5b") + push32_of("5b") + R"(
+  far:
+    JUMPDEST
+    PUSH @back
+    JUMP
+  done:
+    JUMPDEST
+  )")), u256{42});
+
+  // A JUMPI that is not taken never checks its destination.
+  EXPECT_EQ(run_word(ret("PUSH0 PUSH1 0x01 JUMPI PUSH1 7")), u256{7});
+  EXPECT_EQ(run_word(ret("PUSH0 PUSH9 0x010000000000000000 JUMPI PUSH1 7")), u256{7});
+  EXPECT_EQ(run_word(ret("PUSH0 PUSH2 0xffff JUMPI PUSH1 7")), u256{7});
+
+  // A JUMPDEST in the code's last byte.
+  EXPECT_EQ(run_asm("PUSH1 4 JUMP INVALID JUMPDEST").status, VmStatus::kSuccess);
+}
+
+TEST_P(EvmTest, TruncatedPushReadsZeroPastTheCode) {
+  Interpreter::FrameDebug frame;
+  frame_debug_ = &frame;
+  EXPECT_EQ(run(Bytes{0x61, 0x12}).status, VmStatus::kSuccess);  // PUSH2, one byte
+  EXPECT_EQ(frame.stack, std::vector<u256>{u256{0x1200}});
+  Bytes push32(32, 0x01);
+  push32[0] = 0x7f;  // PUSH32 with 31 of its 32 immediate bytes
+  EXPECT_EQ(run(push32).status, VmStatus::kSuccess);
+  std::string expected = "0x";
+  for (int i = 0; i < 31; ++i) expected += "01";
+  EXPECT_EQ(frame.stack, std::vector<u256>{u256::from_string(expected + "00")});
 }
 
 TEST_P(EvmTest, RunningOffCodeEndIsStop) {
@@ -660,6 +734,34 @@ TEST_P(EvmTest, CallDepthLimit) {
   )");
   const CallResult r = run_asm(src);
   EXPECT_EQ(r.status, VmStatus::kSuccess);
+}
+
+TEST_P(EvmTest, CallerStackSurvivesEveryCallKind) {
+  // Each callee runs one level deeper on its own stack, which it fills
+  // from slot 0; the caller's 0x1111 must still be on top afterwards.
+  base_.put_code(addr(0xDD), assemble("PUSH1 1 PUSH1 2 PUSH1 3 STOP"));
+  EXPECT_EQ(run_word(ret(R"(
+    PUSH2 0x1111
+    PUSH0 PUSH0 PUSH0 PUSH0 PUSH0 PUSH1 0xdd GAS CALL POP
+    PUSH0 PUSH0 PUSH0 PUSH0 PUSH0 PUSH1 0xdd GAS CALLCODE POP
+    PUSH0 PUSH0 PUSH0 PUSH0 PUSH1 0xdd GAS DELEGATECALL POP
+    PUSH0 PUSH0 PUSH0 PUSH0 PUSH1 0xdd GAS STATICCALL POP
+    PUSH0 PUSH0 PUSH0 CREATE POP
+  )")), u256{0x1111});
+}
+
+TEST_P(EvmTest, EachFrameStartsOnAnEmptyStack) {
+  // The callee fills all 1,024 slots and stops; a second call at the same
+  // depth, which reuses that depth's stack, must start empty again and not
+  // overflow. Both calls succeed: 1 + 1.
+  Bytes fill(Stack::kLimit, 0x5f);  // PUSH0 x 1024, then STOP
+  fill.push_back(0x00);
+  base_.put_code(addr(0xDD), fill);
+  EXPECT_EQ(run_word(ret(R"(
+    PUSH0 PUSH0 PUSH0 PUSH0 PUSH0 PUSH1 0xdd GAS CALL
+    PUSH0 PUSH0 PUSH0 PUSH0 PUSH0 PUSH1 0xdd GAS CALL
+    ADD
+  )")), u256{2});
 }
 
 // --- create ---

@@ -30,6 +30,9 @@ TEST(Account, EmptyDetection) {
   Account account;
   EXPECT_TRUE(account.is_empty());
   EXPECT_FALSE(account.has_code());
+  // A fresh account carries keccak256("").
+  EXPECT_EQ(account.code_hash.hex(),
+            "c5d2460186f7233c927e7db2dcc703c0e500b653ca82273b7bfad8045d85a470");
   account.balance = u256{1};
   EXPECT_FALSE(account.is_empty());
 }
