@@ -57,7 +57,7 @@ int main() {
       memlayer::MemLayerConfig l2;
       l2.l2_bytes = l2_kb * 1024;
       l2.rng_seed = 5;
-      memlayer::MemLayerObserver mem({}, l2, key());
+      memlayer::MemLayerObserver mem(l2, key());
       state::OverlayState overlay(setup.node.world());
       evm::Interpreter interp(overlay, setup.node.block_context());
       interp.set_frame_memory_limit(l2.l2_bytes / 2);

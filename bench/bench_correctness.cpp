@@ -1,9 +1,10 @@
 // Reproduces Section VI-B: pre-execution correctness. The HEVM's step-level
 // traces (PC, opcode, gas, depth, stack size — the debug_traceTransaction
-// fields) are compared against the ground-truth software node ("Geth role")
-// for the whole evaluation set. Rollup transactions may legitimately abort
-// with the Memory Overflow Error; those are reported separately, as in the
-// paper ("support for these contracts is left as future work").
+// fields), status, gas, return data and logs are compared against the
+// ground-truth software node ("Geth role") for the whole evaluation set.
+// Rollup transactions may legitimately abort with the Memory Overflow Error;
+// those are reported separately, as in the paper ("support for these
+// contracts is left as future work").
 #include "bench_common.hpp"
 #include "hevm/baseline.hpp"
 #include "hevm/hevm_core.hpp"
@@ -60,7 +61,8 @@ int main() {
       bool equal = hevm_tx.steps.size() == geth_result.steps.size() &&
                    hevm_tx.gas_used == geth_result.tx.gas_used &&
                    hevm_tx.status == geth_result.tx.status &&
-                   hevm_tx.return_data == geth_result.tx.output;
+                   hevm_tx.return_data == geth_result.tx.output &&
+                   hevm_tx.logs == geth_result.tx.logs;
       if (equal) {
         for (size_t i = 0; i < hevm_tx.steps.size(); ++i) {
           if (!(hevm_tx.steps[i] == geth_result.steps[i])) {

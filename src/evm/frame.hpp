@@ -178,7 +178,6 @@ inline void Interpreter::op_sha3(Frame& f) {
 inline void Interpreter::op_balance(Frame& f) {
   const Address addr = Address::from_u256(f.stack.pop());
   const bool cold = state_.access_account(addr);
-  if (observer_) observer_->on_account_access(addr, cold);
   if (!f.charge(cold ? kGasColdAccount : kGasWarmAccess)) return;
   f.stack.push(state_.balance(addr));
 }
@@ -229,7 +228,6 @@ inline void Interpreter::op_codecopy(Frame& f) {
 inline void Interpreter::op_extcodesize(Frame& f) {
   const Address addr = Address::from_u256(f.stack.pop());
   const bool cold = state_.access_account(addr);
-  if (observer_) observer_->on_account_access(addr, cold);
   if (!f.charge(cold ? kGasColdAccount : kGasWarmAccess)) return;
   f.stack.push(u256{state_.code(addr).size()});
 }
@@ -238,7 +236,6 @@ inline void Interpreter::op_extcodecopy(Frame& f) {
   const Address addr = Address::from_u256(f.stack.pop());
   const u256 dst = f.stack.pop(), src = f.stack.pop(), len = f.stack.pop();
   const bool cold = state_.access_account(addr);
-  if (observer_) observer_->on_account_access(addr, cold);
   if (!f.charge(cold ? kGasColdAccount : kGasWarmAccess)) return;
   uint64_t dst64, len64;
   if (!f.charge_memory(dst, len, dst64, len64)) return;
@@ -276,7 +273,6 @@ inline void Interpreter::op_returndatacopy(Frame& f) {
 inline void Interpreter::op_extcodehash(Frame& f) {
   const Address addr = Address::from_u256(f.stack.pop());
   const bool cold = state_.access_account(addr);
-  if (observer_) observer_->on_account_access(addr, cold);
   if (!f.charge(cold ? kGasColdAccount : kGasWarmAccess)) return;
   if (!state_.exists(addr)) {
     f.stack.push(u256{});
@@ -376,10 +372,10 @@ inline void Interpreter::op_log(Frame& f, size_t topic_count) {
   if (!f.charge(kGasLogTopic * topic_count + kGasLogByte * len64)) return;
   const BytesView payload = f.memory.view(off64, len64);
   log.data.assign(payload.begin(), payload.end());
-  if (observer_) {
-    if (len64 > 0) observer_->on_memory_access(MemoryLike::kMemory, off64, len64, false);
-    observer_->on_log(log);
+  if (observer_ && len64 > 0) {
+    observer_->on_memory_access(MemoryLike::kMemory, off64, len64, false);
   }
+  logs_.push_back(std::move(log));
 }
 
 inline void Interpreter::op_return_revert(Frame& f, bool is_revert) {
@@ -404,7 +400,6 @@ inline void Interpreter::op_selfdestruct(Frame& f) {
   }
   const Address beneficiary = Address::from_u256(f.stack.pop());
   const bool cold = state_.access_account(beneficiary);
-  if (observer_) observer_->on_account_access(beneficiary, cold);
   uint64_t cost = cold ? kGasColdAccount : 0;
   if (!state_.exists(beneficiary) && !state_.balance(f.msg.recipient).is_zero()) {
     cost += kGasSelfdestructNewAccount;

@@ -183,13 +183,18 @@ CallResult Interpreter::run_precompile(const Message& msg) {
 // Message call entry
 // ---------------------------------------------------------------------------
 
+void Interpreter::revert_to(const Checkpoint& checkpoint) {
+  state_.revert_to(checkpoint.state);
+  logs_.resize(checkpoint.logs);
+}
+
 CallResult Interpreter::call(const Message& msg) {
   if (msg.depth > kMaxCallDepth) {
     return {VmStatus::kCallDepthExceeded, {}, 0, {}};
   }
   if (msg.is_create) return run_create(msg);
 
-  const auto snapshot = state_.snapshot();
+  const Checkpoint snapshot = checkpoint();
   if (!msg.value.is_zero()) {
     if (!state_.sub_balance(msg.sender, msg.value)) {
       return {VmStatus::kInsufficientBalance, {}, 0, {}};
@@ -210,7 +215,7 @@ CallResult Interpreter::call(const Message& msg) {
     }
   }
 
-  if (!is_success(result.status)) state_.revert_to(snapshot);
+  if (!is_success(result.status)) revert_to(snapshot);
   return result;
 }
 
@@ -229,12 +234,12 @@ CallResult Interpreter::run_create(const Message& msg) {
     return {VmStatus::kCreateCollision, {}, 0, {}};
   }
 
-  const auto snapshot = state_.snapshot();
+  const Checkpoint snapshot = checkpoint();
   state_.mark_created(new_address);
   state_.set_nonce(new_address, 1);
   if (!msg.value.is_zero()) {
     if (!state_.sub_balance(msg.sender, msg.value)) {
-      state_.revert_to(snapshot);
+      revert_to(snapshot);
       return {VmStatus::kInsufficientBalance, {}, 0, {}};
     }
     state_.add_balance(new_address, msg.value);
@@ -253,7 +258,7 @@ CallResult Interpreter::run_create(const Message& msg) {
         (!result.output.empty() && result.output[0] == 0xEF) ||
         result.gas_left < deposit) {
       result = {VmStatus::kOutOfGas, {}, 0, {}};
-      state_.revert_to(snapshot);
+      revert_to(snapshot);
       return result;
     }
     result.gas_left -= deposit;
@@ -261,7 +266,7 @@ CallResult Interpreter::run_create(const Message& msg) {
     result.output.clear();
     result.create_address = new_address;
   } else {
-    state_.revert_to(snapshot);
+    revert_to(snapshot);
   }
   return result;
 }
@@ -273,6 +278,7 @@ CallResult Interpreter::run_create(const Message& msg) {
 TxResult Interpreter::execute_transaction(const Transaction& tx) {
   state_.begin_transaction();
   bundle_aborted_ = false;
+  logs_.clear();
 
   TxResult result;
   const uint64_t intrinsic = tx.intrinsic_gas();
@@ -329,6 +335,8 @@ TxResult Interpreter::execute_transaction(const Transaction& tx) {
 
   state_.add_balance(tx.from, u256{tx.gas_limit - result.gas_used} * tx.gas_price);
   state_.add_balance(block_.coinbase, u256{result.gas_used} * tx.gas_price);
+  result.logs = std::move(logs_);
+  logs_.clear();
   return result;
 }
 
@@ -345,16 +353,13 @@ CallResult Interpreter::run_frame(const Message& msg, BytesView code) {
   Frame f(msg, code, *stacks_[depth]);
 
   if (observer_) {
-    observer_->on_frame_enter({msg.code_address, msg.recipient, msg.value,
-                               msg.input.size(), msg.gas, msg.depth,
-                               msg.is_create, msg.is_static});
+    observer_->on_frame_enter({.input_size = msg.input.size(), .depth = msg.depth});
   }
 
   dispatch_loop(f);
 
   if (observer_) {
-    observer_->on_frame_exit({f.status, msg.gas - f.gas, f.output.size(),
-                              f.memory.size(), msg.depth});
+    observer_->on_frame_exit({.output_size = f.output.size(), .memory_size = f.memory.size()});
   }
   if (frame_debug_) {
     frame_debug_->stack = f.stack.items();
@@ -376,10 +381,7 @@ void Interpreter::dispatch_loop(Frame& f) {
     const uint8_t op_byte = f.code[f.pc];
     const OpInfo& info = opcode_info(op_byte);
 
-    if (observer_) {
-      observer_->on_step({f.pc, op_byte, f.gas, msg.depth, f.stack.size(),
-                          f.stack.empty() ? u256{} : f.stack.peek()});
-    }
+    if (observer_) observer_->on_step({f.pc, op_byte, f.gas, msg.depth, f.stack.size()});
 
     if (!info.defined) {
       f.fail(VmStatus::kUndefinedInstruction);
@@ -810,7 +812,6 @@ void Interpreter::do_call_family(Frame& f, Opcode op) {
 
   // Access cost for the target account.
   const bool cold = state_.access_account(target);
-  if (observer_) observer_->on_account_access(target, cold);
   if (!f.charge(cold ? kGasColdAccount : kGasWarmAccess)) return;
 
   // Memory expansion for both regions.
@@ -903,7 +904,7 @@ void Interpreter::do_call_family(Frame& f, Opcode op) {
     result = call(sub);
   } else {
     // Inline the non-transferring variant.
-    const auto snapshot = state_.snapshot();
+    const Checkpoint snapshot = checkpoint();
     if (is_precompile(sub.code_address)) {
       result = run_precompile(sub);
     } else {
@@ -912,7 +913,7 @@ void Interpreter::do_call_family(Frame& f, Opcode op) {
       result = code.empty() ? CallResult{VmStatus::kSuccess, {}, sub.gas, {}}
                             : run_frame(sub, code);
     }
-    if (!is_success(result.status)) state_.revert_to(snapshot);
+    if (!is_success(result.status)) revert_to(snapshot);
   }
 
   // Copy the callee's output into the out region and expose it as returndata.

@@ -1,10 +1,10 @@
 // The EVM interpreter — semantic core shared by every execution role.
 //
-// One interpreter, two timing skins (DESIGN.md §6): the "Geth role" (software
-// node baseline) and the HEVM (hardware pre-executor) both execute this
-// interpreter; they differ in the attached cost models and memory-hierarchy
-// simulation, which hook in through ExecutionObserver. Trace equality between
-// the two roles is the §VI-B correctness experiment.
+// One interpreter for every execution role (DESIGN.md §6): the "Geth role"
+// (software node baseline) and the HEVM (hardware pre-executor) both execute
+// this interpreter; each attaches its one ExecutionObserver (its cost model,
+// and for the HEVM the layer-2 pager). Trace equality between the two roles
+// is the §VI-B correctness experiment.
 //
 // Supported ISA: the full Cancun-era opcode set (PUSH0, MCOPY, TLOAD/TSTORE,
 // EIP-2929 warm/cold gas, EIP-2200/3529 SSTORE gas and refunds, EIP-150
@@ -27,7 +27,8 @@ class Interpreter {
   Interpreter(state::OverlayState& state, BlockContext block)
       : state_(state), block_(std::move(block)) {}
 
-  /// Attach an observer (tracer / HEVM cost model). Not owned; may be null.
+  /// Attach the role's observer (cost model, pager, step capture). Not
+  /// owned; may be null.
   void set_observer(ExecutionObserver* observer) { observer_ = observer; }
 
   /// Hard cap on one frame's Memory size in bytes; exceeding it aborts the
@@ -37,7 +38,8 @@ class Interpreter {
   void set_frame_memory_limit(uint64_t bytes) { frame_memory_limit_ = bytes; }
 
   /// Executes a complete transaction against the overlay: nonce and balance
-  /// checks, intrinsic gas, execution, refund and fee settlement.
+  /// checks, intrinsic gas, execution, refund and fee settlement. The result
+  /// carries the logs of the frames that did not revert.
   TxResult execute_transaction(const Transaction& tx);
 
   /// Low-level message call (exposed for tests and precompile benches).
@@ -76,6 +78,16 @@ class Interpreter {
 
  private:
   struct Frame;
+
+  // A point to roll back to when a frame fails: the overlay's journal and
+  // the log list, taken and reverted together so that a reverted frame's
+  // logs vanish with its state changes (go-ethereum journals AddLog too).
+  struct Checkpoint {
+    state::OverlayState::Snapshot state;
+    size_t logs;
+  };
+  Checkpoint checkpoint() const { return {state_.snapshot(), logs_.size()}; }
+  void revert_to(const Checkpoint& checkpoint);
 
   CallResult run_frame(const Message& msg, BytesView code);
   /// The switch dispatch loop: executes f from its pc until the frame halts.
@@ -121,6 +133,7 @@ class Interpreter {
   FrameDebug* frame_debug_ = nullptr;
   uint64_t frame_memory_limit_ = 0;
   bool bundle_aborted_ = false;  // sticky kMemoryOverflow
+  std::vector<LogEntry> logs_;   // this transaction's logs, up to the last revert
   // One operand stack per call depth (index = Message::depth), made on the
   // first frame at that depth and reused by every later one. A frame's
   // callees run one level deeper, so no two live frames share a stack.

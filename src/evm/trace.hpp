@@ -1,15 +1,14 @@
 // Execution tracing (paper Fig. 3 step 9 and Section VI-B).
 //
-// The tracer has two jobs in HarDTAPE:
-//  1. produce the per-transaction report returned to the user (ReturnData,
-//     gas cost, balance transfers, storage modifications), and
-//  2. produce the step-level trace (PC, opcode, gas, depth) compared against
-//     the ground-truth node trace for the correctness experiment (§VI-B) —
-//     the equivalent of quicknode's debug_traceTransaction.
-//
-// It is also the instrumentation point for the HEVM cycle model and the
-// 3-layer memory simulation: every memory-like access, storage access and
-// code fetch flows through the observer.
+// The interpreter reports what it executes through one ExecutionObserver.
+// Each execution role attaches exactly one: the HEVM core its pipeline cycle
+// model over the layer-2 pager (hevm::HevmObserver), the software roles
+// their per-op cost model (hevm::SoftwareCycleObserver), and the Table I
+// bench the frame-statistics collector below. The roles that compare traces
+// record the step-level trace (PC, opcode, gas, depth, stack size) checked
+// against the ground-truth node for the correctness experiment (§VI-B), the
+// equivalent of quicknode's debug_traceTransaction. Logs are not an event:
+// they come back in TxResult, rolled back with the frames that revert.
 #pragma once
 
 #include "common/u256.hpp"
@@ -22,6 +21,17 @@ namespace hardtape::evm {
 enum class MemoryLike : uint8_t { kCode, kInput, kMemory, kReturnData };
 const char* to_string(MemoryLike m);
 
+/// One instruction about to execute: the on_step event and the step-level
+/// trace record compared against ground truth in §VI-B.
+struct Step {
+  uint64_t pc = 0;
+  uint8_t opcode = 0;
+  uint64_t gas_left = 0;
+  int depth = 0;
+  size_t stack_size = 0;
+  friend bool operator==(const Step&, const Step&) = default;
+};
+
 /// Observer of interpreter events. All callbacks default to no-ops; override
 /// what you need. One observer instance per bundle (never shared across
 /// HEVMs — dedicated hardware, paper Section IV-B).
@@ -29,15 +39,7 @@ class ExecutionObserver {
  public:
   virtual ~ExecutionObserver() = default;
 
-  struct StepInfo {
-    uint64_t pc = 0;
-    uint8_t opcode = 0;
-    uint64_t gas_left = 0;
-    int depth = 0;
-    size_t stack_size = 0;
-    u256 stack_top{};  ///< zero when the stack is empty
-  };
-  virtual void on_step(const StepInfo&) {}
+  virtual void on_step(const Step&) {}
 
   /// Byte-range access to one of the memory-likes of the current frame.
   virtual void on_memory_access(MemoryLike, uint64_t /*offset*/, uint64_t /*size*/,
@@ -47,100 +49,20 @@ class ExecutionObserver {
   virtual void on_storage_access(const Address&, const u256& /*key*/,
                                  bool /*is_write*/, bool /*cold*/) {}
 
-  /// Account-level world-state touch (BALANCE, EXTCODE*, CALL target, ...).
-  virtual void on_account_access(const Address&, bool /*cold*/) {}
-
   /// Code body fetched to start executing an account.
   virtual void on_code_load(const Address&, size_t /*code_size*/) {}
 
   struct FrameInfo {
-    Address code_address{};   ///< whose code runs
-    Address recipient{};      ///< storage/balance context
-    u256 value{};
     uint64_t input_size = 0;
-    uint64_t gas = 0;
     int depth = 0;
-    bool is_create = false;
-    bool is_static = false;
   };
   virtual void on_frame_enter(const FrameInfo&) {}
 
   struct FrameExitInfo {
-    VmStatus status = VmStatus::kSuccess;
-    uint64_t gas_used = 0;
     uint64_t output_size = 0;
     uint64_t memory_size = 0;  ///< high-water Memory size of the frame
-    int depth = 0;
   };
   virtual void on_frame_exit(const FrameExitInfo&) {}
-
-  virtual void on_log(const LogEntry&) {}
-};
-
-/// Fans events out to several observers (e.g. tracer + HEVM cost model).
-class ObserverChain : public ExecutionObserver {
- public:
-  void add(ExecutionObserver* obs) { observers_.push_back(obs); }
-
-  void on_step(const StepInfo& s) override {
-    for (auto* o : observers_) o->on_step(s);
-  }
-  void on_memory_access(MemoryLike m, uint64_t off, uint64_t size, bool w) override {
-    for (auto* o : observers_) o->on_memory_access(m, off, size, w);
-  }
-  void on_storage_access(const Address& a, const u256& k, bool w, bool c) override {
-    for (auto* o : observers_) o->on_storage_access(a, k, w, c);
-  }
-  void on_account_access(const Address& a, bool c) override {
-    for (auto* o : observers_) o->on_account_access(a, c);
-  }
-  void on_code_load(const Address& a, size_t n) override {
-    for (auto* o : observers_) o->on_code_load(a, n);
-  }
-  void on_frame_enter(const FrameInfo& f) override {
-    for (auto* o : observers_) o->on_frame_enter(f);
-  }
-  void on_frame_exit(const FrameExitInfo& f) override {
-    for (auto* o : observers_) o->on_frame_exit(f);
-  }
-  void on_log(const LogEntry& l) override {
-    for (auto* o : observers_) o->on_log(l);
-  }
-
- private:
-  std::vector<ExecutionObserver*> observers_;
-};
-
-/// Step-level trace recorder; the format compared against ground truth in
-/// the §VI-B correctness experiment.
-class StepTracer : public ExecutionObserver {
- public:
-  struct Step {
-    uint64_t pc;
-    uint8_t opcode;
-    uint64_t gas_left;
-    int depth;
-    size_t stack_size;
-    friend bool operator==(const Step&, const Step&) = default;
-  };
-
-  void on_step(const StepInfo& info) override {
-    if (!record_steps_) return;
-    steps_.push_back({info.pc, info.opcode, info.gas_left, info.depth, info.stack_size});
-  }
-  /// Disable per-step capture (logs are always captured); used when only the
-  /// user-facing trace report is needed.
-  void set_record_steps(bool enabled) { record_steps_ = enabled; }
-  void on_log(const LogEntry& log) override { logs_.push_back(log); }
-
-  const std::vector<Step>& steps() const { return steps_; }
-  const std::vector<LogEntry>& logs() const { return logs_; }
-  void clear() { steps_.clear(); logs_.clear(); }
-
- private:
-  std::vector<Step> steps_;
-  std::vector<LogEntry> logs_;
-  bool record_steps_ = true;
 };
 
 /// Frame-statistics collector backing the Table I reproduction: memory-like

@@ -64,6 +64,14 @@ struct CallResult {
   Address create_address{};  ///< populated for successful CREATE/CREATE2
 };
 
+/// One LOG0-4 record.
+struct LogEntry {
+  Address address{};
+  std::vector<u256> topics{};
+  Bytes data{};
+  friend bool operator==(const LogEntry&, const LogEntry&) = default;
+};
+
 /// Result of a whole transaction.
 struct TxResult {
   VmStatus status = VmStatus::kSuccess;
@@ -71,13 +79,9 @@ struct TxResult {
   uint64_t gas_used = 0;
   uint64_t gas_refunded = 0;
   Address create_address{};
-};
-
-struct LogEntry {
-  Address address{};
-  std::vector<u256> topics{};
-  Bytes data{};
-  friend bool operator==(const LogEntry&, const LogEntry&) = default;
+  /// Logs of the frames that did not revert, in emission order (empty when
+  /// the transaction failed).
+  std::vector<LogEntry> logs{};
 };
 
 }  // namespace hardtape::evm

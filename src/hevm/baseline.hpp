@@ -1,8 +1,8 @@
 // Software baselines sharing the semantic interpreter: the "Geth role"
 // (paper Figure 4 baseline) and the TSC-VEE comparator (Figure 5).
 //
-// Both execute the same evm::Interpreter as the HEVM — only the attached
-// cost model differs — which is exactly how the paper frames them: Geth is
+// Both execute the same evm::Interpreter as the HEVM — only the one attached
+// observer differs — which is exactly how the paper frames them: Geth is
 // the functional reference ("the HEVM should be functionally equivalent to
 // the interpreter module of Geth"), and trace equality between roles is the
 // §VI-B correctness methodology.
@@ -17,7 +17,7 @@ namespace hardtape::hevm {
 struct BaselineResult {
   evm::TxResult tx;
   uint64_t sim_time_ns = 0;
-  std::vector<evm::StepTracer::Step> steps;
+  std::vector<evm::Step> steps;  ///< populated when record_steps
 };
 
 /// Executes transactions with a software cost model. Template on the model
@@ -31,21 +31,17 @@ class SoftwareRole {
       : overlay_(base),
         interpreter_(overlay_, std::move(block)),
         clock_(clock),
-        cycles_(clock, model),
-        tx_overhead_ns_(tx_overhead_ns),
-        record_steps_(record_steps) {
-    chain_.add(&cycles_);
-    if (record_steps_) chain_.add(&tracer_);
-    interpreter_.set_observer(&chain_);
+        observer_(clock, model, record_steps),
+        tx_overhead_ns_(tx_overhead_ns) {
+    interpreter_.set_observer(&observer_);
   }
 
   BaselineResult execute(const evm::Transaction& tx) {
     const sim::SimStopwatch watch(clock_);
-    tracer_.clear();
     clock_.advance_ns(tx_overhead_ns_);
     BaselineResult result;
     result.tx = interpreter_.execute_transaction(tx);
-    if (record_steps_) result.steps = tracer_.steps();
+    result.steps = observer_.take_steps();
     result.sim_time_ns = watch.elapsed_ns();
     return result;
   }
@@ -57,11 +53,8 @@ class SoftwareRole {
   state::OverlayState overlay_;
   evm::Interpreter interpreter_;
   sim::SimClock& clock_;
-  SoftwareCycleObserver<CostModel> cycles_;
-  evm::StepTracer tracer_;
-  evm::ObserverChain chain_;
+  SoftwareCycleObserver<CostModel> observer_;
   uint64_t tx_overhead_ns_;
-  bool record_steps_;
 };
 
 class GethRole : public SoftwareRole<sim::GethCostModel> {

@@ -3,9 +3,10 @@
 // "Dedicated" is the security design: each core owns an isolated layer-1/2
 // memory set and is exclusively assigned to at most one user's bundle per
 // session — no context switches, no shared-hardware side channels (threat
-// A2). The core bundles the semantic interpreter with the 3-layer memory
-// model, the pipeline cycle model, and the tracer; release() models the
-// hardware reset that clears all on-chip memories (Fig. 3 step 10).
+// A2). The core bundles the semantic interpreter with one observer
+// (HevmObserver: the pipeline cycle model, the layer-2 pager, step capture
+// and opcode tracing); release() models the hardware reset that clears all
+// on-chip memories (Fig. 3 step 10).
 //
 // Host cost follows the work of each transaction, not the session's: a
 // transaction's storage writes come from the overlay's record of the slots
@@ -18,9 +19,7 @@
 #include <optional>
 
 #include "evm/interpreter.hpp"
-#include "evm/trace.hpp"
 #include "hevm/cycle_observer.hpp"
-#include "memlayer/observer.hpp"
 #include "sim/clock.hpp"
 
 namespace hardtape::hevm {
@@ -35,9 +34,9 @@ struct TxTraceReport {
   uint64_t gas_used = 0;
   Address create_address{};
   std::vector<state::OverlayState::StorageWrite> storage_writes;
-  std::vector<evm::LogEntry> logs;
-  std::vector<evm::StepTracer::Step> steps;  ///< populated when record_steps
-  uint64_t sim_time_ns = 0;                  ///< HEVM time for this tx
+  std::vector<evm::LogEntry> logs;  ///< of the frames that did not revert
+  std::vector<evm::Step> steps;     ///< populated when record_steps
+  uint64_t sim_time_ns = 0;         ///< HEVM time for this tx
   friend bool operator==(const TxTraceReport&, const TxTraceReport&) = default;
 };
 
@@ -56,7 +55,6 @@ class HevmCore {
  public:
   struct Config {
     sim::HevmCostModel cost{};
-    memlayer::L1Config l1{};
     memlayer::MemLayerConfig l2{};
     bool record_steps = false;  ///< step-level traces (§VI-B comparisons)
     /// Optional obs tracing: per-opcode retire events from this core, plus
@@ -95,11 +93,7 @@ class HevmCore {
   struct Session {
     std::unique_ptr<state::OverlayState> overlay;
     std::unique_ptr<evm::Interpreter> interpreter;
-    std::unique_ptr<HevmCycleObserver> cycles;
-    std::unique_ptr<memlayer::MemLayerObserver> memory;
-    std::unique_ptr<evm::StepTracer> tracer;
-    std::unique_ptr<evm::ExecutionObserver> opcode_trace;  ///< set when tracing
-    std::unique_ptr<evm::ObserverChain> chain;
+    std::unique_ptr<HevmObserver> observer;
   };
 
   int core_id_;

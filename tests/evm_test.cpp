@@ -10,6 +10,7 @@
 #include "evm/assembler.hpp"
 #include "evm/interpreter.hpp"
 #include "evm/trace.hpp"
+#include "hevm/cycle_observer.hpp"
 #include "state/overlay.hpp"
 
 namespace hardtape::evm {
@@ -1098,17 +1099,28 @@ TEST_P(EvmTest, NoLimitWhenDisabled) {
 
 // --- tracing ---
 
-TEST_P(EvmTest, StepTracerRecordsProgram) {
-  StepTracer tracer;
-  set_observer(&tracer);
+// The HEVM core's observer with a default cost model and layer 2, recording
+// steps.
+hevm::HevmObserver hevm_observer(sim::SimClock& clock) {
+  return hevm::HevmObserver(clock, sim::HevmCostModel{}, memlayer::MemLayerConfig{},
+                            crypto::AesKey128{}, /*record_steps=*/true, /*trace=*/nullptr);
+}
+
+TEST_P(EvmTest, RecordedStepsFollowProgram) {
+  sim::SimClock clock;
+  hevm::HevmObserver observer = hevm_observer(clock);
+  set_observer(&observer);
   run_asm("PUSH1 1 PUSH1 2 ADD STOP");
-  ASSERT_EQ(tracer.steps().size(), 4u);
-  EXPECT_EQ(tracer.steps()[0].opcode, 0x60);
-  EXPECT_EQ(tracer.steps()[2].opcode, 0x01);  // ADD
-  EXPECT_EQ(tracer.steps()[2].stack_size, 2u);
-  EXPECT_EQ(tracer.steps()[3].opcode, 0x00);  // STOP
+  const std::vector<Step> steps = observer.take_steps();
+  ASSERT_EQ(steps.size(), 4u);
+  EXPECT_EQ(steps[0].opcode, 0x60);
+  EXPECT_EQ(steps[2].opcode, 0x01);  // ADD
+  EXPECT_EQ(steps[2].stack_size, 2u);
+  EXPECT_EQ(steps[3].opcode, 0x00);  // STOP
   // Gas decreases monotonically within a frame.
-  EXPECT_GT(tracer.steps()[0].gas_left, tracer.steps()[3].gas_left);
+  EXPECT_GT(steps[0].gas_left, steps[3].gas_left);
+  EXPECT_EQ(observer.instructions(), 4u);
+  EXPECT_TRUE(observer.take_steps().empty());  // taken once
 }
 
 TEST_P(EvmTest, FrameStatsCollectorSeesNestedCalls) {
@@ -1130,21 +1142,51 @@ TEST_P(EvmTest, FrameStatsCollectorSeesNestedCalls) {
   EXPECT_GT(callee.code_size, 0u);
 }
 
+// Runs one transaction from kCaller to `to`.
+TxResult call_tx(Interpreter& interp, const Address& to) {
+  Transaction tx;
+  tx.from = kCaller;
+  tx.to = to;
+  tx.gas_limit = 1'000'000;
+  return interp.execute_transaction(tx);
+}
+
+// Logs reach whoever reads the transaction's result, observed or not.
 TEST_P(EvmTest, LogsReachObserver) {
-  StepTracer tracer;
-  set_observer(&tracer);
-  run_asm(R"(
+  base_.put_code(kContract, assemble(R"(
     PUSH1 0xaa PUSH1 0x00 MSTORE
     PUSH1 0x99             ; topic
     PUSH1 0x20 PUSH1 0x00  ; data
     LOG1
     STOP
-  )");
-  ASSERT_EQ(tracer.logs().size(), 1u);
-  EXPECT_EQ(tracer.logs()[0].address, kContract);
-  ASSERT_EQ(tracer.logs()[0].topics.size(), 1u);
-  EXPECT_EQ(tracer.logs()[0].topics[0], u256{0x99});
-  EXPECT_EQ(u256::from_be_bytes(tracer.logs()[0].data), u256{0xaa});
+  )"));
+  const TxResult r = call_tx(interp_get(), kContract);
+  ASSERT_EQ(r.status, VmStatus::kSuccess);
+  ASSERT_EQ(r.logs.size(), 1u);
+  EXPECT_EQ(r.logs[0].address, kContract);
+  ASSERT_EQ(r.logs[0].topics.size(), 1u);
+  EXPECT_EQ(r.logs[0].topics[0], u256{0x99});
+  EXPECT_EQ(u256::from_be_bytes(r.logs[0].data), u256{0xaa});
+}
+
+// A frame that fails takes its logs with it on every rollback path: a
+// DELEGATECALL (rolled back inside the caller's frame) and a CREATE whose
+// init code logs and reverts. The surviving logs keep their order.
+TEST_P(EvmTest, RevertedFramesDropTheirLogs) {
+  base_.put_code(addr(0x7D), assemble("PUSH1 0x02 PUSH0 PUSH0 LOG1 PUSH0 PUSH0 REVERT"));
+  const Bytes init = assemble("PUSH1 0x03 PUSH0 PUSH0 LOG1 PUSH0 PUSH0 REVERT");
+  base_.put_code(kContract, assemble(
+      "PUSH1 0x01 PUSH0 PUSH0 LOG1 "
+      "PUSH0 PUSH0 PUSH0 PUSH0 PUSH20 0x000000000000000000000000000000000000007d "
+      "GAS DELEGATECALL POP "
+      "PUSH32 0x" + to_hex(right_pad(init, 32)) + " PUSH0 MSTORE PUSH1 " +
+      std::to_string(init.size()) + " PUSH0 PUSH0 CREATE POP "
+      "PUSH1 0x04 PUSH0 PUSH0 LOG1 STOP"));
+  const TxResult r = call_tx(interp_get(), kContract);
+  ASSERT_EQ(r.status, VmStatus::kSuccess);
+  ASSERT_EQ(r.logs.size(), 2u);
+  EXPECT_EQ(r.logs[0].topics, std::vector<u256>{u256{1}});
+  EXPECT_EQ(r.logs[1].topics, std::vector<u256>{u256{4}});
 }
 
 TEST_P(EvmTest, StaticContextBlocksLogs) {
@@ -1208,8 +1250,9 @@ FuzzRun run_program(state::InMemoryState& base, const Bytes& input, uint64_t gas
   Interpreter interp(overlay, std::move(block));
   interp.set_frame_memory_limit(mem_limit);
   FuzzRun out;
-  StepTracer tracer;
-  if (observed) interp.set_observer(&tracer);
+  sim::SimClock clock;
+  hevm::HevmObserver observer = hevm_observer(clock);
+  if (observed) interp.set_observer(&observer);
   interp.set_frame_debug(&out.frame);
   Interpreter::Message msg;
   msg.code_address = kContract;
@@ -1309,10 +1352,10 @@ Bytes random_program(Random& rng) {
   return code;
 }
 
-// Observers (tracers, the HEVM cost models) watch execution; they must never
-// change it. Every random program runs unobserved and observed, and the two
-// runs must agree on status, gas remainder, output, and the outermost
-// frame's final stack and memory.
+// Observers watch execution; they must never change it. Every random program
+// runs unobserved and observed by the HEVM core's own observer (cycle model,
+// layer-2 pager, step capture), and the two runs must agree on status, gas
+// remainder, output, and the outermost frame's final stack and memory.
 TEST(EvmObserverFuzz, ObserversNeverChangeSemantics) {
   state::InMemoryState base;
   base.put_account(kCaller,

@@ -9,6 +9,7 @@
 #include "hevm/baseline.hpp"
 #include "hevm/hevm_core.hpp"
 #include "hevm/resource_model.hpp"
+#include "obs/trace.hpp"
 #include "workload/contracts.hpp"
 #include "workload/generator.hpp"
 
@@ -41,6 +42,15 @@ class HevmCoreTest : public ::testing::Test {
     tx.to = addr(0x10);
     tx.data = workload::erc20_transfer(addr(0xBB), u256{50});
     tx.gas_limit = 500'000;
+    return tx;
+  }
+
+  evm::Transaction call_tx(uint8_t to, Bytes data = {}) {
+    evm::Transaction tx;
+    tx.from = addr(0xAA);
+    tx.to = addr(to);
+    tx.data = std::move(data);
+    tx.gas_limit = 1'000'000;
     return tx;
   }
 
@@ -110,14 +120,6 @@ class TxWriteSetTest : public HevmCoreTest {
     return call_tx(kStore, std::move(data));
   }
 
-  evm::Transaction call_tx(uint8_t to, Bytes data = {}) {
-    evm::Transaction tx;
-    tx.from = addr(0xAA);
-    tx.to = addr(to);
-    tx.data = std::move(data);
-    tx.gas_limit = 1'000'000;
-    return tx;
-  }
 
   // Runs the bundle in one session and returns each transaction's writes.
   std::vector<Writes> run(const std::vector<evm::Transaction>& txs) {
@@ -332,6 +334,138 @@ TEST_F(HevmCoreTest, HevmTraceMatchesGethRoleTrace) {
     ASSERT_EQ(hevm_report.transactions[0].steps[i], geth_result.steps[i]) << "step " << i;
   }
   EXPECT_EQ(hevm_report.transactions[0].gas_used, geth_result.tx.gas_used);
+}
+
+// --- logs of reverted frames ---
+
+// LOG1 with an empty payload and the one topic `topic`.
+std::string log1(uint8_t topic) {
+  return "PUSH1 " + std::to_string(topic) + " PUSH0 PUSH0 LOG1\n";
+}
+
+// A frame that fails takes its logs with it, as go-ethereum's journal does,
+// on the HEVM core and the Geth role alike.
+TEST_F(HevmCoreTest, BothRolesDropTheLogsOfRevertedFrames) {
+  base_.set_code(addr(0x31), evm::assemble(log1(0x31) + "STOP"));
+  base_.set_code(addr(0x32), evm::assemble(log1(0x32) + "PUSH0 PUSH0 REVERT"));
+  // Calls 0x31, whose frame logs and succeeds, then reverts itself.
+  base_.set_code(addr(0x33), evm::assemble(call_and_pop(0x31) + "PUSH0 PUSH0 REVERT"));
+  // Logs, calls 0x32 (logs, then reverts), logs again, and succeeds.
+  base_.set_code(addr(0x34), evm::assemble(log1(1) + call_and_pop(0x32) + log1(3) + "STOP"));
+  const std::vector<evm::Transaction> txs = {call_tx(0x33), call_tx(0x32), call_tx(0x34)};
+  core_.assign(base_, evm::BlockContext{}, key(), 1);
+  const BundleReport report = core_.execute_bundle(txs);
+  ASSERT_EQ(report.transactions.size(), txs.size());
+  sim::SimClock geth_clock;
+  GethRole geth(base_, evm::BlockContext{}, geth_clock);
+  std::vector<evm::TxResult> geth_results;
+  for (const evm::Transaction& tx : txs) geth_results.push_back(geth.execute(tx).tx);
+
+  for (size_t i = 0; i < txs.size(); ++i) {
+    SCOPED_TRACE("tx " + std::to_string(i));
+    EXPECT_EQ(report.transactions[i].status, geth_results[i].status);
+    EXPECT_EQ(report.transactions[i].logs, geth_results[i].logs);
+  }
+  // A callee's logs vanish when its caller reverts.
+  EXPECT_EQ(report.transactions[0].status, evm::VmStatus::kRevert);
+  EXPECT_TRUE(report.transactions[0].logs.empty());
+  // A frame's own logs vanish when it reverts.
+  EXPECT_EQ(report.transactions[1].status, evm::VmStatus::kRevert);
+  EXPECT_TRUE(report.transactions[1].logs.empty());
+  // A success keeps only the logs outside its reverted sub-call, in order.
+  EXPECT_EQ(report.transactions[2].status, evm::VmStatus::kSuccess);
+  const std::vector<evm::LogEntry> expected = {
+      {.address = addr(0x34), .topics = {u256{1}}},
+      {.address = addr(0x34), .topics = {u256{3}}}};
+  EXPECT_EQ(report.transactions[2].logs, expected);
+}
+
+// §VI-B compares logs too: on Table I bundles the HEVM core and the Geth
+// role agree on every transaction's status, gas, return data and logs.
+TEST(HevmGethAgreement, LogsMatchOnTableIBundles) {
+  workload::WorkloadGenerator generator(workload::GeneratorConfig{.seed = 7,
+                                                                  .txs_per_block = 200});
+  state::WorldState world;
+  generator.deploy(world);
+  const auto block = generator.generate_evaluation_set(1).at(0);
+  sim::SimClock clock, geth_clock;
+  HevmCore core(0, clock);
+  size_t compared = 0, logs = 0;
+  for (size_t first = 0; first + 8 <= block.size(); first += 8) {
+    const std::vector<evm::Transaction> bundle(block.begin() + first, block.begin() + first + 8);
+    core.assign(world, evm::BlockContext{}, key(), first);
+    const BundleReport report = core.execute_bundle(bundle);
+    core.release();
+    GethRole geth(world, evm::BlockContext{}, geth_clock);
+    for (size_t i = 0; i < report.transactions.size(); ++i) {
+      SCOPED_TRACE("bundle at " + std::to_string(first) + " tx " + std::to_string(i));
+      const TxTraceReport& hevm_tx = report.transactions[i];
+      const evm::TxResult geth_tx = geth.execute(bundle[i]).tx;
+      ASSERT_EQ(hevm_tx.status, geth_tx.status);
+      ASSERT_EQ(hevm_tx.gas_used, geth_tx.gas_used);
+      ASSERT_EQ(hevm_tx.return_data, geth_tx.output);
+      ASSERT_EQ(hevm_tx.logs, geth_tx.logs);
+      ++compared;
+      logs += hevm_tx.logs.size();
+    }
+  }
+  EXPECT_EQ(compared, 200u);
+  EXPECT_GT(logs, compared / 4);  // the check is not vacuous
+}
+
+// --- the traced event stream ---
+
+// FNV-1a over the eight little-endian bytes of `value`.
+uint64_t fnv1a(uint64_t hash, uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    hash ^= (value >> (8 * i)) & 0xff;
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+// Pins every opcode-retire and swap event of one traced Table I bundle:
+// category, code, simulated time and arguments. An opcode event stamped
+// before its instruction is charged, or a swap stamped before its frame
+// switch is, moves sim_ns and the digest. The core's layer 2 is 32 KB so
+// that frames spill to layer 3 and swaps interleave with the opcodes.
+TEST(HevmTraceStream, OpcodeAndSwapEventsArePinned) {
+  workload::WorkloadGenerator generator(workload::GeneratorConfig{.seed = 7,
+                                                                  .txs_per_block = 200});
+  state::WorldState world;
+  generator.deploy(world);
+  const auto block = generator.generate_evaluation_set(1).at(0);
+  const std::vector<evm::Transaction> bundle(block.begin(), block.begin() + 8);
+  obs::TraceSink sink(obs::TraceSink::Config{.ring_capacity = 1 << 20,
+                                             .capture_wall_time = false});
+  obs::TraceRing& ring = sink.ring(0);
+  sim::SimClock clock;
+  HevmCore::Config config;
+  config.l2.l2_bytes = 32 * 1024;
+  config.trace = &ring;
+  HevmCore core(0, clock, config);
+  core.assign(world, evm::BlockContext{}, key(), 11);
+  const BundleReport report = core.execute_bundle(bundle);
+  ASSERT_FALSE(report.aborted);
+  ASSERT_EQ(ring.dropped(), 0u);
+
+  uint64_t digest = 0xcbf29ce484222325ull, opcodes = 0, swaps = 0;
+  for (const obs::TraceEvent& event : ring.events()) {
+    ASSERT_TRUE(event.category == obs::TraceCategory::kOpcode ||
+                event.category == obs::TraceCategory::kSwap);
+    ++(event.category == obs::TraceCategory::kOpcode ? opcodes : swaps);
+    for (const uint64_t field : {static_cast<uint64_t>(event.category),
+                                 static_cast<uint64_t>(event.code), event.sim_ns, event.a,
+                                 event.b, event.c}) {
+      digest = fnv1a(digest, field);
+    }
+  }
+  EXPECT_EQ(opcodes, report.instructions);
+  EXPECT_EQ(swaps, report.swap_events.size());
+  EXPECT_GT(swaps, 0u);
+  // The stream's digest when the cycle model, the pager and the opcode tracer
+  // were separate observers.
+  EXPECT_EQ(digest, 0x5613850abb7f842dull);
 }
 
 // --- baselines ---

@@ -1,6 +1,5 @@
-// Tests for the 3-layer memory model: L1 LRU partitions, the L2 call-stack
-// ring pager with noisy swaps (threat A5), and ChaCha20-Poly1305-sealed L3
-// (threat A4).
+// Tests for the memory model: the L2 call-stack ring pager with noisy swaps
+// (threat A5), and ChaCha20-Poly1305-sealed L3 (threat A4).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -194,27 +193,6 @@ TEST(Pager, UsageErrors) {
   EXPECT_THROW(CallStackPager(tiny, session_key()), UsageError);
 }
 
-// --- L1 cache ---
-
-TEST(L1Cache, LruEviction) {
-  LruPageCache cache(2);
-  EXPECT_FALSE(cache.access(1));
-  EXPECT_FALSE(cache.access(2));
-  EXPECT_TRUE(cache.access(1));   // hit, promotes 1
-  EXPECT_FALSE(cache.access(3));  // evicts 2
-  EXPECT_FALSE(cache.access(2));  // miss again
-  EXPECT_TRUE(cache.access(3));
-  EXPECT_EQ(cache.hits(), 2u);
-  EXPECT_EQ(cache.misses(), 4u);
-}
-
-TEST(L1Cache, PaperPartitionSizes) {
-  const L1Config config;
-  EXPECT_EQ(config.code_pages(), 64u);
-  EXPECT_EQ(config.memlike_pages(), 4u);
-  EXPECT_EQ(config.worldstate_records, 64u);
-}
-
 // --- end-to-end with the interpreter ---
 
 TEST(MemLayerObserver, TracksRealExecution) {
@@ -223,8 +201,7 @@ TEST(MemLayerObserver, TracksRealExecution) {
   contract.bytes[19] = 0xCC;
   Address caller;
   caller.bytes[19] = 0xAA;
-  // A loop writing 6 KB of memory: forces L1 Memory-partition misses (4 KB
-  // partition) and layer-2 growth.
+  // A loop writing 6 KB of memory: forces layer-2 growth.
   base.put_code(contract, evm::assemble(R"(
     PUSH0
   loop:
@@ -238,7 +215,7 @@ TEST(MemLayerObserver, TracksRealExecution) {
   state::OverlayState overlay(base);
   evm::Interpreter interp(overlay, evm::BlockContext{});
 
-  MemLayerObserver mem({}, MemLayerConfig{.rng_seed = 5}, session_key());
+  MemLayerObserver mem(MemLayerConfig{.rng_seed = 5}, session_key());
   interp.set_observer(&mem);
 
   evm::Interpreter::Message msg;
@@ -251,8 +228,6 @@ TEST(MemLayerObserver, TracksRealExecution) {
   EXPECT_EQ(result.status, evm::VmStatus::kSuccess);
 
   EXPECT_EQ(mem.stats().frames_entered, 1u);
-  EXPECT_GT(mem.stats().l1_hits, 0u);
-  EXPECT_GT(mem.stats().l1_misses, 0u);
   // 6 KB frame memory -> at least 7 pages in the current frame.
   EXPECT_GE(mem.pager().peak_total_pages(), 7u);
   mem.reset();
@@ -275,7 +250,7 @@ TEST(MemLayerObserver, NestedCallsBalanceFrames) {
   )"));
   state::OverlayState overlay(base);
   evm::Interpreter interp(overlay, evm::BlockContext{});
-  MemLayerObserver mem({}, MemLayerConfig{.rng_seed = 6}, session_key());
+  MemLayerObserver mem(MemLayerConfig{.rng_seed = 6}, session_key());
   interp.set_observer(&mem);
 
   evm::Interpreter::Message msg;

@@ -65,10 +65,9 @@ TEST_F(ContractTest, Erc20TransferEmitsEvent) {
   const Address token = addr(0x10);
   world_.set_code(token, erc20_code());
   world_.set_storage(token, alice_.to_u256(), u256{1000});
-  evm::StepTracer tracer;
-  send(alice_, token, erc20_transfer(bob_, u256{5}), {}, 5'000'000, &tracer);
-  ASSERT_EQ(tracer.logs().size(), 1u);
-  const auto& log = tracer.logs()[0];
+  const auto result = send(alice_, token, erc20_transfer(bob_, u256{5}));
+  ASSERT_EQ(result.logs.size(), 1u);
+  const auto& log = result.logs[0];
   EXPECT_EQ(log.address, token);
   ASSERT_EQ(log.topics.size(), 3u);
   EXPECT_EQ(Address::from_u256(log.topics[1]), alice_);
