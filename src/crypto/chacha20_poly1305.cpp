@@ -152,10 +152,11 @@ std::array<uint32_t, 3> nonce_words(const ChaChaNonce& nonce) {
   return words;
 }
 
-void xor_bytes(uint8_t* data, const uint8_t* keystream, size_t n) {
+/// out = in XOR keystream over `n` bytes; `out` may be `in`.
+void xor_bytes(uint8_t* out, const uint8_t* in, const uint8_t* keystream, size_t n) {
   size_t i = 0;
-  for (; i + 8 <= n; i += 8) store64(data + i, load64(data + i) ^ load64(keystream + i));
-  for (; i < n; ++i) data[i] ^= keystream[i];
+  for (; i + 8 <= n; i += 8) store64(out + i, load64(in + i) ^ load64(keystream + i));
+  for (; i < n; ++i) out[i] = in[i] ^ keystream[i];
 }
 
 /// The AEAD tag: Poly1305 over the additional data, then the ciphertext,
@@ -229,17 +230,20 @@ const uint8_t* ChaChaBatch::aead_stream(size_t job, size_t n) const {
   return jobs_[job].out;
 }
 
-Poly1305Tag ChaChaBatch::seal(size_t job, BytesView aad, std::span<uint8_t> data) const {
-  const uint8_t* stream = aead_stream(job, data.size());
-  xor_bytes(data.data(), stream + 64, data.size());
-  return aead_tag(stream, aad, data);
+Poly1305Tag ChaChaBatch::seal(size_t job, BytesView aad, BytesView in,
+                              std::span<uint8_t> out) const {
+  if (in.size() != out.size()) throw UsageError("chacha20_poly1305: seal sizes differ");
+  const uint8_t* stream = aead_stream(job, out.size());
+  xor_bytes(out.data(), in.data(), stream + 64, out.size());
+  return aead_tag(stream, aad, out);
 }
 
-bool ChaChaBatch::open(size_t job, BytesView aad, std::span<uint8_t> data,
+bool ChaChaBatch::open(size_t job, BytesView aad, BytesView in, std::span<uint8_t> out,
                        const Poly1305Tag& tag) const {
-  const uint8_t* stream = aead_stream(job, data.size());
-  if (!ct_equal(aead_tag(stream, aad, data), tag)) return false;
-  xor_bytes(data.data(), stream + 64, data.size());
+  if (in.size() != out.size()) throw UsageError("chacha20_poly1305: open sizes differ");
+  const uint8_t* stream = aead_stream(job, in.size());
+  if (!ct_equal(aead_tag(stream, aad, in), tag)) return false;
+  xor_bytes(out.data(), in.data(), stream + 64, in.size());
   return true;
 }
 
@@ -248,7 +252,7 @@ Poly1305Tag chacha20_poly1305_seal(const ChaChaKey& key, const ChaChaNonce& nonc
   ChaChaBatch batch;
   batch.add_aead(nonce, data.size());
   batch.run(key);
-  return batch.seal(0, aad, data);
+  return batch.seal(0, aad, data, data);
 }
 
 bool chacha20_poly1305_open(const ChaChaKey& key, const ChaChaNonce& nonce, BytesView aad,
@@ -256,7 +260,7 @@ bool chacha20_poly1305_open(const ChaChaKey& key, const ChaChaNonce& nonce, Byte
   ChaChaBatch batch;
   batch.add_aead(nonce, data.size());
   batch.run(key);
-  return batch.open(0, aad, data, tag);
+  return batch.open(0, aad, data, data, tag);
 }
 
 }  // namespace hardtape::crypto

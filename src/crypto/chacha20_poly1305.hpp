@@ -10,10 +10,14 @@
 // that: a ChaChaBatch queues every seal, open and free-slot keystream of a
 // path, computes all of their ChaCha20 blocks in one call of the core
 // (common/random.hpp), which packs blocks of different slots side by side in
-// its vector lanes, and then seals or opens each buffer in place. Each job
-// computes exactly the blocks it uses: block 0 is the Poly1305 one-time key
-// and the data is XORed from block 1 on, so a 1,056-byte slot takes 18. The
-// single-buffer calls at the bottom are batches of one.
+// its vector lanes, and then seals or opens each job from an input span to
+// an output span. The walk opens a slot the SP stores into client memory and
+// seals a stash entry straight into the slot, so no slot is ever copied and
+// neither plaintext nor a half-opened block is ever written where the SP
+// keeps its bytes. Each job computes exactly the blocks it uses: block 0 is
+// the Poly1305 one-time key and the data is XORed from block 1 on, so a
+// 1,056-byte slot takes 18. The single-buffer calls at the bottom are
+// batches of one that seal and open in place.
 #pragma once
 
 #include <array>
@@ -66,15 +70,17 @@ class ChaChaBatch {
   void run(const ChaChaKey& key);
   void clear() { jobs_.clear(); }
 
-  // After run():
+  // After run(). `in` and `out` are the size the job was queued for, and are
+  // either one span (in place) or two that do not overlap.
   /// AEAD_CHACHA20_POLY1305 seal (RFC 8439 §2.8) with job `job`'s keystream:
-  /// encrypts `data` in place and returns the tag over `aad` and the
-  /// ciphertext. `data` must be the size the job was queued for.
-  Poly1305Tag seal(size_t job, BytesView aad, std::span<uint8_t> data) const;
-  /// Checks `tag` against `aad` and the ciphertext in `data` (constant time)
-  /// before anything is decrypted. On a match decrypts `data` in place and
-  /// returns true; on a mismatch returns false and leaves `data` as it was.
-  bool open(size_t job, BytesView aad, std::span<uint8_t> data, const Poly1305Tag& tag) const;
+  /// writes the plaintext `in` XOR keystream to `out`, each byte once, and
+  /// returns the tag over `aad` and that ciphertext.
+  Poly1305Tag seal(size_t job, BytesView aad, BytesView in, std::span<uint8_t> out) const;
+  /// Checks `tag` against `aad` and the ciphertext `in` (constant time)
+  /// before anything is decrypted. On a match writes the plaintext to `out`
+  /// and returns true; on a mismatch returns false and writes nothing.
+  bool open(size_t job, BytesView aad, BytesView in, std::span<uint8_t> out,
+            const Poly1305Tag& tag) const;
   /// Job `job`'s keystream, its blocks back to back.
   const uint8_t* stream(size_t job) const { return jobs_.at(job).out; }
 

@@ -12,14 +12,26 @@ namespace hardtape::oram {
 
 namespace {
 
-// Writes a block's sealed plaintext into `out`: its 32-byte id, then its data
-// zero-padded to the block size.
-void put_plaintext(Bytes& out, const u256& id, BytesView data, size_t block_size) {
-  out.assign(slot_ciphertext_bytes(block_size), 0);
-  const auto id_bytes = id.to_be_bytes();
-  std::memcpy(out.data(), id_bytes.data(), id_bytes.size());
-  std::memcpy(out.data() + id_bytes.size(), data.data(), data.size());
+// Writes `data` into a stash entry's plaintext after its 32-byte id, cut or
+// zero-padded to the block.
+void put_block(Bytes& plaintext, BytesView data) {
+  const size_t n = std::min(data.size(), plaintext.size() - 32);
+  std::memcpy(plaintext.data() + 32, data.data(), n);
+  std::memset(plaintext.data() + 32 + n, 0, plaintext.size() - 32 - n);
 }
+
+// A block as the client stashes and seals it: its 32-byte id, then its data
+// zero-padded to the block size.
+Bytes block_plaintext(const BlockId& id, BytesView data, size_t block_size) {
+  Bytes plaintext(slot_ciphertext_bytes(block_size));
+  const auto id_bytes = id.to_be_bytes();
+  std::memcpy(plaintext.data(), id_bytes.data(), id_bytes.size());
+  put_block(plaintext, data);
+  return plaintext;
+}
+
+// The data of a stash entry's plaintext.
+Bytes block_data(const Bytes& plaintext) { return Bytes(plaintext.begin() + 32, plaintext.end()); }
 
 }  // namespace
 
@@ -81,7 +93,7 @@ OramServer::OramServer(const OramConfig& config) : config_(config) {
       ps.name = config.backing_name;
       ps.buffer_pool_pages = config.buffer_pool_pages;
       // Walk working set: every bucket of one path stays pinned from
-      // read_path to write_path, plus slack for the rewrite's fetches.
+      // begin_walk to end_walk, plus slack for the rewrite's fetches.
       store_ = std::make_unique<PagedSlotStore>(*config.backing_fs, std::move(ps),
                                                 config.bucket_capacity, config.block_size,
                                                 /*min_pool_pages=*/2 * (depth_ + 1));
@@ -89,37 +101,27 @@ OramServer::OramServer(const OramConfig& config) : config_(config) {
     }
   }
   if (store_ == nullptr) throw UsageError("oram: bad slot backend");
+  walk_buckets_.resize(depth_ + 1);
+  walk_path_.resize((depth_ + 1) * config.bucket_capacity);
 }
 
 OramServer::~OramServer() = default;
 
-std::vector<SealedSlot> OramServer::read_path(uint64_t leaf) {
+std::span<SealedSlot* const> OramServer::begin_walk(uint64_t leaf) {
   if (leaf >= leaf_count_) throw UsageError("oram: leaf out of range");
   observed_leaves_.push_back(leaf);
   ++access_count_;
-  std::vector<size_t> buckets;
-  buckets.reserve(depth_ + 1);
   for (size_t level = 0; level <= depth_; ++level) {
-    buckets.push_back(bucket_index(leaf, level));
+    walk_buckets_[level] = bucket_index(leaf, level);
   }
-  // The walk's pages stay pinned until write_path rewrites them (or the next
-  // read_path supersedes the walk) — eviction proceeds around them.
-  store_->begin_walk(buckets);
-  std::vector<SealedSlot> out;
-  out.reserve((depth_ + 1) * config_.bucket_capacity);
-  for (const size_t bucket : buckets) store_->read_bucket(bucket, out);
-  return out;
+  store_->begin_walk(walk_buckets_, walk_path_);
+  walking_ = true;
+  return walk_path_;
 }
 
-void OramServer::write_path(uint64_t leaf, std::vector<SealedSlot> slots) {
-  if (leaf >= leaf_count_) throw UsageError("oram: leaf out of range");
-  if (slots.size() != (depth_ + 1) * config_.bucket_capacity) {
-    throw UsageError("oram: path shape mismatch");
-  }
-  for (size_t level = 0; level <= depth_; ++level) {
-    store_->write_bucket(bucket_index(leaf, level),
-                         slots.data() + level * config_.bucket_capacity);
-  }
+void OramServer::end_walk() {
+  if (!walking_) throw UsageError("oram: no walk in flight");
+  walking_ = false;
   store_->end_walk();
 }
 
@@ -130,7 +132,6 @@ void OramServer::load_slots(std::vector<SealedSlot> slots) {
   if (slots.size() % z != 0 || buckets == 0 || buckets > bucket_count()) {
     throw UsageError("oram: bulk load shape mismatch");
   }
-  store_->end_walk();
   for (size_t index = 0; index < buckets; ++index) {
     store_->write_bucket(region_bucket(index), slots.data() + index * z);
   }
@@ -138,9 +139,8 @@ void OramServer::load_slots(std::vector<SealedSlot> slots) {
 
 std::vector<SealedSlot> OramServer::stored_bucket(size_t bucket) const {
   if (bucket >= bucket_count()) throw UsageError("oram: bucket out of range");
-  std::vector<SealedSlot> out;
-  out.reserve(config_.bucket_capacity);
-  store_->read_bucket(bucket, out);
+  std::vector<SealedSlot> out(config_.bucket_capacity);
+  store_->read_bucket(bucket, out.data());
   return out;
 }
 
@@ -161,7 +161,9 @@ OramClient::OramClient(OramServer& server, const crypto::AesKey128& seal_key,
     : server_(server),
       key_(seal_key),
       rng_(rng_seed),
-      fill_(server.bucket_count(), 0) {
+      fill_(server.bucket_count(), 0),
+      fills_(server.depth() + 1),
+      nonces_((server.depth() + 1) * server.config().bucket_capacity) {
   if (server.config().bucket_capacity > UINT8_MAX) {
     throw UsageError("oram: bucket capacity above 255");
   }
@@ -175,9 +177,7 @@ void OramClient::write(const BlockId& id, BytesView data) {
   if (data.size() > server_.config().block_size) {
     throw UsageError("oram: block too large");
   }
-  Bytes padded(data.begin(), data.end());
-  padded.resize(server_.config().block_size, 0);
-  access(id, &padded);
+  access(id, &data);
 }
 
 AccessAttempt OramClient::try_read(const BlockId& id) {
@@ -204,10 +204,9 @@ std::optional<Bytes> OramClient::access_remove(const BlockId& id) {
 void OramClient::adopt(const BlockId& id, Bytes data) {
   const size_t block_size = server_.config().block_size;
   if (data.size() > block_size) throw UsageError("oram: block too large");
-  data.resize(block_size, 0);
   const uint64_t leaf = rng_.uniform(server_.leaf_count());
   position_[id] = leaf;
-  stash_[id] = StashEntry{std::move(data), leaf};
+  stash_[id] = StashEntry{block_plaintext(id, data, block_size), leaf};
   stash_high_water_ = std::max(stash_high_water_, stash_.size());
   if (stash_.size() > server_.config().max_stash_blocks) stash_overflowed_ = true;
 }
@@ -251,9 +250,8 @@ void OramClient::bulk_load(const Pages& pages, std::optional<size_t> sized_for) 
       }
     }
     if (!placed) {
-      Bytes padded = page.second;
-      padded.resize(block_size, 0);
-      stash_.emplace(page.first, StashEntry{std::move(padded), leaf});
+      stash_.emplace(page.first,
+                     StashEntry{block_plaintext(page.first, page.second, block_size), leaf});
     }
   }
   stash_high_water_ = std::max(stash_high_water_, stash_.size());
@@ -268,31 +266,40 @@ void OramClient::bulk_load(const Pages& pages, std::optional<size_t> sized_for) 
   for (size_t index = 0; index < region; ++index) {
     fills[index] = static_cast<uint8_t>(region_pages[index].size());
     fill_[region_bucket(index)] = fills[index];
-    for (size_t slot = 0; slot < z; ++slot) {
-      SealedSlot& sealed = slots[index * z + slot];
-      rng_.fill(sealed.nonce.data(), sealed.nonce.size());
-      if (slot < fills[index]) {
-        const auto& [id, data] = *region_pages[index][slot];
-        put_plaintext(sealed.ciphertext, id, data, block_size);
-      }
-    }
   }
-  // Its own batch, freed when the load ends, keeps batch_ at one walk's size.
+  // Its own batch and plaintexts, freed when the load ends, keep the walks'
+  // scratch at one walk's size.
   crypto::ChaChaBatch batch;
+  std::vector<SealedSlot*> pass_slots;
+  std::vector<crypto::ChaChaNonce> nonces;
+  std::vector<Bytes> plaintexts;
   const size_t pass = server_.depth() + 1;
   for (size_t first = 0; first < region; first += pass) {
     const size_t count = std::min(pass, region - first);
-    seal_slots(batch, std::span(slots).subspan(first * z, count * z),
-               std::span(fills).subspan(first, count));
+    pass_slots.clear();
+    nonces.resize(count * z);
+    plaintexts.clear();
+    for (size_t i = 0; i < count * z; ++i) {
+      pass_slots.push_back(&slots[first * z + i]);
+      rng_.fill(nonces[i].data(), nonces[i].size());
+      const auto& bucket_pages = region_pages[first + i / z];
+      if (i % z < bucket_pages.size()) {
+        const auto& [id, data] = *bucket_pages[i % z];
+        plaintexts.push_back(block_plaintext(id, data, block_size));
+      }
+    }
+    seal_slots(batch, pass_slots, std::span(fills).subspan(first, count), nonces, plaintexts);
   }
   server_.load_slots(std::move(slots));
 }
 
 std::optional<Bytes> OramClient::access(
-    const BlockId& id, const Bytes* new_data,
+    const BlockId& id, const BytesView* new_data,
     const std::function<Bytes(std::optional<Bytes>)>* mutate, bool remove) {
   const auto pos_it = position_.find(id);
   const bool known = pos_it != position_.end();
+  const size_t z = server_.config().bucket_capacity;
+  const size_t block_size = server_.config().block_size;
   if (!known && new_data == nullptr && mutate == nullptr) {
     // Reading an unknown id must still look like a normal access: fetch and
     // rewrite a random path (a "dummy access"), otherwise absent keys would
@@ -301,47 +308,45 @@ std::optional<Bytes> OramClient::access(
     // stand. Each slot's new nonce is drawn once the slots before it are
     // checked, as resealing slot by slot would.
     const uint64_t leaf = rng_.uniform(server_.leaf_count());
-    auto path = server_.read_path(leaf);
-    const std::vector<uint8_t> fills = path_fills(leaf);
-    const size_t z = server_.config().bucket_capacity;
-    open_pass(path, fills);
-    size_t job = 0;
-    for (size_t level = 0; level < fills.size(); ++level) {
+    const auto path = server_.begin_walk(leaf);
+    open_pass(leaf, path);
+    size_t opened = 0;
+    for (size_t level = 0; level < fills_.size(); ++level) {
       for (size_t slot = 0; slot < z; ++slot) {
-        SealedSlot& sealed = path[level * z + slot];
-        if (slot < fills[level]) open_block(job++, sealed);
-        rng_.fill(sealed.nonce.data(), sealed.nonce.size());
+        if (slot < fills_[level]) open_block(opened++, *path[level * z + slot], leaf, level);
+        rng_.fill(nonces_[level * z + slot].data(), nonces_[level * z + slot].size());
       }
     }
-    seal_slots(batch_, path, fills);
-    server_.write_path(leaf, std::move(path));
+    seal_slots(batch_, path, fills_, nonces_, plaintexts_);
+    server_.end_walk();
+    plaintexts_.resize(opened);
     return std::nullopt;
   }
 
   const uint64_t leaf = known ? pos_it->second : rng_.uniform(server_.leaf_count());
 
   // 1. Read the path and pull every block on it into the stash: the first
-  // fill-count slots of each bucket, opened in one keystream pass. The free
-  // slots are never opened.
-  auto path = server_.read_path(leaf);
-  const std::vector<uint8_t> fills = path_fills(leaf);
-  const size_t z = server_.config().bucket_capacity;
-  open_pass(path, fills);
-  size_t job = 0;
-  for (size_t level = 0; level < fills.size(); ++level) {
-    for (size_t slot = 0; slot < fills[level]; ++slot) {
-      SealedSlot& sealed = path[level * z + slot];
-      open_block(job++, sealed);
-      const Bytes& pt = sealed.ciphertext;
-      const u256 slot_id = u256::from_be_bytes(BytesView{pt.data(), 32});
-      const auto slot_pos = position_.find(slot_id);
-      if (slot_pos == position_.end()) continue;  // stale copy of an id that moved
-      if (stash_.contains(slot_id)) continue;     // newer copy already stashed
-      StashEntry entry;
-      entry.data.assign(pt.begin() + 32, pt.end());
-      entry.leaf = slot_pos->second;
-      stash_.emplace(slot_id, std::move(entry));
+  // fill-count slots of each bucket, opened in one keystream pass into
+  // client memory. The free slots are never opened. Every opened block, and
+  // the one asked for, is accounted for before any enters the stash, so a
+  // walk that fails closed leaves the client and the SP's tree as they were.
+  const auto path = server_.begin_walk(leaf);
+  open_pass(leaf, path);
+  size_t opened = 0;
+  for (size_t level = 0; level < fills_.size(); ++level) {
+    for (size_t slot = 0; slot < fills_[level]; ++slot) {
+      open_block(opened, *path[level * z + slot], leaf, level);
+      ++opened;
     }
+  }
+  if (known && !stash_.contains(id) &&
+      std::none_of(opened_.begin(), opened_.begin() + static_cast<ptrdiff_t>(opened),
+                   [&](const OpenedBlock& block) { return block.id == id; })) {
+    // Known position but block not found on path or stash: data loss.
+    throw IntegrityError("oram: mapped block missing");
+  }
+  for (size_t k = 0; k < opened; ++k) {
+    stash_.emplace(opened_[k].id, StashEntry{std::move(plaintexts_[k]), opened_[k].leaf});
   }
 
   if (remove) {
@@ -349,13 +354,10 @@ std::optional<Bytes> OramClient::access(
     // server-visible traffic (one path read + rewrite) is identical to any
     // other access — only the trusted-side maps change.
     auto removed = stash_.find(id);
-    if (removed == stash_.end()) {
-      throw IntegrityError("oram: mapped block missing");
-    }
-    std::optional<Bytes> result = std::move(removed->second.data);
+    std::optional<Bytes> result = block_data(removed->second.plaintext);
     stash_.erase(removed);
     position_.erase(id);
-    evict_along_path(leaf);
+    evict_along_path(leaf, path);
     return result;
   }
 
@@ -366,42 +368,34 @@ std::optional<Bytes> OramClient::access(
   std::optional<Bytes> result;
   auto stash_it = stash_.find(id);
   if (stash_it != stash_.end()) {
-    result = stash_it->second.data;
+    Bytes& plaintext = stash_it->second.plaintext;
+    result = block_data(plaintext);
     stash_it->second.leaf = new_leaf;
-    if (new_data != nullptr) stash_it->second.data = *new_data;
-    if (mutate != nullptr) {
-      Bytes updated = (*mutate)(result);
-      updated.resize(server_.config().block_size, 0);
-      stash_it->second.data = std::move(updated);
-    }
+    if (new_data != nullptr) put_block(plaintext, *new_data);
+    if (mutate != nullptr) put_block(plaintext, (*mutate)(result));
   } else if (new_data != nullptr) {
-    stash_.emplace(id, StashEntry{*new_data, new_leaf});
-  } else if (mutate != nullptr) {
-    Bytes created = (*mutate)(std::nullopt);
-    created.resize(server_.config().block_size, 0);
-    stash_.emplace(id, StashEntry{std::move(created), new_leaf});
+    stash_.emplace(id, StashEntry{block_plaintext(id, *new_data, block_size), new_leaf});
   } else {
-    // Known position but block not found on path or stash: data loss.
-    throw IntegrityError("oram: mapped block missing");
+    stash_.emplace(id, StashEntry{block_plaintext(id, (*mutate)(std::nullopt), block_size),
+                                  new_leaf});
   }
 
   stash_high_water_ = std::max(stash_high_water_, stash_.size());
   if (stash_.size() > server_.config().max_stash_blocks) stash_overflowed_ = true;
 
   // 3. Evict: greedily push stash blocks as deep as possible along this path.
-  evict_along_path(leaf);
+  evict_along_path(leaf, path);
   return result;
 }
 
-void OramClient::evict_along_path(uint64_t leaf) {
+void OramClient::evict_along_path(uint64_t leaf, std::span<SealedSlot* const> path) {
   const size_t depth = server_.depth();
   const size_t z = server_.config().bucket_capacity;
-  const size_t block_size = server_.config().block_size;
-  std::vector<SealedSlot> path((depth + 1) * z);
-  std::vector<uint8_t> fills(depth + 1);
 
   // Deepest level first; each bucket fills from slot 0. Every slot's nonce
-  // is drawn here, in the order the slots are assigned.
+  // is drawn here, in the order the slots are assigned, and each block's
+  // plaintext moves out of its stash entry into plaintexts_.
+  size_t sealed = 0;
   for (size_t level_plus_1 = depth + 1; level_plus_1 > 0; --level_plus_1) {
     const size_t level = level_plus_1 - 1;
     size_t filled = 0;
@@ -410,36 +404,40 @@ void OramClient::evict_along_path(uint64_t leaf) {
       const uint64_t block_prefix =
           (server_.leaf_count() + it->second.leaf) >> (depth - level);
       if (block_prefix == path_prefix) {
-        SealedSlot& sealed = path[level * z + filled];
-        rng_.fill(sealed.nonce.data(), sealed.nonce.size());
-        put_plaintext(sealed.ciphertext, it->first, it->second.data, block_size);
+        crypto::ChaChaNonce& nonce = nonces_[level * z + filled];
+        rng_.fill(nonce.data(), nonce.size());
+        if (sealed == plaintexts_.size()) plaintexts_.emplace_back();
+        plaintexts_[sealed++].swap(it->second.plaintext);
         ++filled;
         it = stash_.erase(it);
       } else {
         ++it;
       }
     }
-    fills[level] = static_cast<uint8_t>(filled);
-    fill_[server_.bucket_index(leaf, level)] = fills[level];
+    fills_[level] = static_cast<uint8_t>(filled);
+    fill_[server_.bucket_index(leaf, level)] = fills_[level];
     for (; filled < z; ++filled) {
-      SealedSlot& sealed = path[level * z + filled];
-      rng_.fill(sealed.nonce.data(), sealed.nonce.size());
+      crypto::ChaChaNonce& nonce = nonces_[level * z + filled];
+      rng_.fill(nonce.data(), nonce.size());
     }
   }
-  seal_slots(batch_, path, fills);
-  server_.write_path(leaf, std::move(path));
-}
-
-std::vector<uint8_t> OramClient::path_fills(uint64_t leaf) const {
-  std::vector<uint8_t> fills(server_.depth() + 1);
-  for (size_t level = 0; level < fills.size(); ++level) {
-    fills[level] = fill_[server_.bucket_index(leaf, level)];
+  // plaintexts_ took the blocks deepest level first; the rewrite seals them
+  // in path order, root first.
+  const auto first = plaintexts_.begin();
+  std::reverse(first, first + static_cast<ptrdiff_t>(sealed));
+  for (size_t level = 0, begin = 0; level <= depth; begin += fills_[level++]) {
+    std::reverse(first + static_cast<ptrdiff_t>(begin),
+                 first + static_cast<ptrdiff_t>(begin + fills_[level]));
   }
-  return fills;
+  seal_slots(batch_, path, fills_, nonces_, plaintexts_);
+  server_.end_walk();
+  plaintexts_.resize(sealed);
 }
 
-void OramClient::seal_slots(crypto::ChaChaBatch& batch, std::span<SealedSlot> slots,
-                            std::span<const uint8_t> fills) const {
+void OramClient::seal_slots(crypto::ChaChaBatch& batch, std::span<SealedSlot* const> slots,
+                            std::span<const uint8_t> fills,
+                            std::span<const crypto::ChaChaNonce> nonces,
+                            std::span<const Bytes> plaintexts) const {
   const size_t z = server_.config().bucket_capacity;
   const size_t ciphertext_bytes = slot_ciphertext_bytes(server_.config().block_size);
   // A free slot holds no block, so there is nothing to authenticate: the
@@ -451,22 +449,23 @@ void OramClient::seal_slots(crypto::ChaChaBatch& batch, std::span<SealedSlot> sl
   const auto holds_block = [&](size_t i) { return i % z < fills[i / z]; };
   batch.clear();
   for (size_t i = 0; i < slots.size(); ++i) {
-    SealedSlot& slot = slots[i];
+    SealedSlot& slot = *slots[i];
+    slot.nonce = nonces[i];
+    slot.ciphertext.resize(ciphertext_bytes);  // changes nothing after a slot's first write
     if (holds_block(i)) {
       batch.add_aead(slot.nonce, ciphertext_bytes);
       continue;
     }
-    slot.ciphertext.resize(ciphertext_bytes);
     batch.add_blocks(slot.nonce, 1, direct_blocks, slot.ciphertext.data());
     batch.add_stream(slot.nonce, static_cast<uint32_t>(1 + direct_blocks),
                      rest + slot.tag.size());
   }
   batch.run(crypto::chacha_key(key_));
-  size_t job = 0;
+  size_t job = 0, block = 0;
   for (size_t i = 0; i < slots.size(); ++i) {
-    SealedSlot& slot = slots[i];
+    SealedSlot& slot = *slots[i];
     if (holds_block(i)) {
-      slot.tag = batch.seal(job++, {}, slot.ciphertext);
+      slot.tag = batch.seal(job++, {}, plaintexts[block++], slot.ciphertext);
       continue;
     }
     const uint8_t* tail = batch.stream(job + 1);
@@ -476,24 +475,44 @@ void OramClient::seal_slots(crypto::ChaChaBatch& batch, std::span<SealedSlot> sl
   }
 }
 
-void OramClient::open_pass(const std::vector<SealedSlot>& path,
-                           std::span<const uint8_t> fills) {
+void OramClient::open_pass(uint64_t leaf, std::span<SealedSlot* const> path) {
   const size_t z = server_.config().bucket_capacity;
   const size_t ciphertext_bytes = slot_ciphertext_bytes(server_.config().block_size);
   batch_.clear();
-  for (size_t level = 0; level < fills.size(); ++level) {
-    for (size_t slot = 0; slot < fills[level]; ++slot) {
-      batch_.add_aead(path[level * z + slot].nonce, ciphertext_bytes);
+  for (size_t level = 0; level < fills_.size(); ++level) {
+    fills_[level] = fill_[server_.bucket_index(leaf, level)];
+    for (size_t slot = 0; slot < fills_[level]; ++slot) {
+      batch_.add_aead(path[level * z + slot]->nonce, ciphertext_bytes);
     }
   }
   batch_.run(crypto::chacha_key(key_));
 }
 
-void OramClient::open_block(size_t job, SealedSlot& slot) const {
-  if (slot.ciphertext.size() != slot_ciphertext_bytes(server_.config().block_size) ||
-      !batch_.open(job, {}, slot.ciphertext, slot.tag)) {
+void OramClient::open_block(size_t job, const SealedSlot& slot, uint64_t leaf, size_t level) {
+  if (job == plaintexts_.size()) plaintexts_.emplace_back();
+  if (job == opened_.size()) opened_.emplace_back();
+  Bytes& plaintext = plaintexts_[job];
+  plaintext.resize(slot_ciphertext_bytes(server_.config().block_size));
+  if (slot.ciphertext.size() != plaintext.size() ||
+      !batch_.open(job, {}, slot.ciphertext, plaintext, slot.tag)) {
     throw IntegrityError("oram: slot authentication failed");
   }
+  // Eviction and bulk_load keep one copy of each mapped block, in a bucket
+  // on its own path; an authentic slot anywhere else is one the SP replayed
+  // or moved.
+  const BlockId id = u256::from_be_bytes(BytesView{plaintext.data(), 32});
+  const auto pos = position_.find(id);
+  if (pos == position_.end()) throw IntegrityError("oram: opened block is not mapped");
+  const auto earlier = opened_.begin() + static_cast<ptrdiff_t>(job);
+  if (stash_.contains(id) || std::any_of(opened_.begin(), earlier, [&](const OpenedBlock& b) {
+        return b.id == id;
+      })) {
+    throw IntegrityError("oram: opened block is held twice");
+  }
+  if (server_.bucket_index(pos->second, level) != server_.bucket_index(leaf, level)) {
+    throw IntegrityError("oram: opened block is off its path");
+  }
+  opened_[job] = OpenedBlock{id, pos->second};
 }
 
 }  // namespace hardtape::oram

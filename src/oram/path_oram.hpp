@@ -28,6 +28,24 @@
 // every slot's blocks in one more (18 per sealed 1 KB slot, 17 per free
 // one). The bulk load does the same a path's worth of buckets at a time.
 //
+// In place (DESIGN.md §10): OramServer::begin_walk hands the walk its path's
+// slots as the SP stores them. The client opens each filled slot from there
+// into its own memory and seals every slot straight back, a stash entry
+// into its slot, free-slot keystream straight into its ciphertext, so no
+// slot is copied out or back. Two rules keep that safe. Nothing is
+// decrypted into, or written as plaintext into, the SP's storage. And every
+// filled slot on the path is opened and checked before any slot is
+// written, so a walk that fails closed leaves the SP's tree as it was. The
+// DRBG draws, nonces, keystream and tags are the ones a copying walk made.
+//
+// A block the client cannot account for fails the walk that opens it
+// (threat A6): one whose id is unmapped, already stashed or opened earlier
+// in the same walk, or whose mapped leaf's path misses the bucket it came
+// from. Eviction and bulk_load keep one copy of each block, on its own
+// path, so only a replayed or relocated slot trips these checks; a rollback
+// of one slot to an older authentic version of itself does not (ROADMAP
+// item 1).
+//
 // The block size is 1 KB (the paper's page size): large enough for the
 // O(log^2 n)-bit bound that makes the bandwidth overhead O(log n), and equal
 // for code pages and storage-record groups so response *types* are
@@ -135,10 +153,16 @@ class OramServer {
   size_t bucket_count() const { return 2 * leaf_count_ - 1; }
   const OramConfig& config() const { return config_; }
 
-  /// Reads all Z*(depth+1) slots on the path to `leaf`, root first.
-  std::vector<SealedSlot> read_path(uint64_t leaf);
-  /// Replaces the path with re-encrypted slots (same shape as read_path).
-  void write_path(uint64_t leaf, std::vector<SealedSlot> slots);
+  /// One access as the SP serves it: records `leaf` as observed and hands
+  /// the walk the Z*(depth+1) slots on the path to `leaf`, root first, as
+  /// the SP stores them, for the client to open and rewrite in place. They
+  /// stay valid until end_walk or the next begin_walk, which drops a walk
+  /// left unfinished.
+  std::span<SealedSlot* const> begin_walk(uint64_t leaf);
+  /// Ends the walk in flight once every slot on its path is rewritten; the
+  /// paged backend writes the path back here. A walk that fails closed
+  /// never calls it.
+  void end_walk();
   /// Bulk load (OramClient::bulk_load): writes the first k buckets in region
   /// order (region_bucket), Z slots each, for some k in 1..bucket_count(),
   /// and leaves every other bucket never-written. A load is not an access:
@@ -166,6 +190,9 @@ class OramServer {
   size_t depth_;
   size_t leaf_count_;
   std::unique_ptr<SlotStore> store_;  ///< bucket tree (RAM or paged)
+  std::vector<size_t> walk_buckets_;   ///< the walk in flight's path, root first
+  std::vector<SealedSlot*> walk_path_;  ///< its slots as the store keeps them
+  bool walking_ = false;
   std::vector<uint64_t> observed_leaves_;
   uint64_t access_count_ = 0;
 };
@@ -218,8 +245,8 @@ class OramClient : public OramAccessor {
              uint64_t rng_seed, SealMode mode);
 
   /// Reads a block; nullopt when the id was never written. Throws
-  /// IntegrityError when the server returned a tampered slot or lost a
-  /// mapped block.
+  /// IntegrityError when the server returned a tampered slot, a block the
+  /// client cannot account for there, or lost a mapped block.
   std::optional<Bytes> read(const BlockId& id);
   /// Writes (installs or updates) a block. `data` must be <= block_size and
   /// is zero-padded to it.
@@ -279,35 +306,46 @@ class OramClient : public OramAccessor {
 
  private:
   struct StashEntry {
-    Bytes data;
+    Bytes plaintext;  ///< as sealed: the 32-byte block id, then the block
     uint64_t leaf;
+  };
+  /// A block a walk opened: its id and the leaf the position map gives it.
+  struct OpenedBlock {
+    BlockId id;
+    uint64_t leaf = 0;
   };
 
   // One full access; returns the (pre-update) block data if present.
   // When `mutate` is set it computes the new contents from the old. When
   // `remove` is set the block is dropped from the stash and position map
   // after the path is read (the path rewrite stays indistinguishable).
-  std::optional<Bytes> access(const BlockId& id, const Bytes* new_data,
+  std::optional<Bytes> access(const BlockId& id, const BytesView* new_data,
                               const std::function<Bytes(std::optional<Bytes>)>* mutate = nullptr,
                               bool remove = false);
-  void evict_along_path(uint64_t leaf);
-  /// The fill counts of the buckets on the path to `leaf`, root first.
-  std::vector<uint8_t> path_fills(uint64_t leaf) const;
-  /// One keystream pass of `batch` over `slots`, whose nonces are drawn: in
-  /// bucket b (Z slots each), slots [0, fills[b]) hold a block's plaintext
-  /// in their ciphertext and are sealed in place; every other slot becomes a
-  /// free slot, its keystream written straight into its ciphertext and tag.
-  /// 18 ChaCha20 blocks per sealed 1 KB slot, 17 per free one.
-  void seal_slots(crypto::ChaChaBatch& batch, std::span<SealedSlot> slots,
-                  std::span<const uint8_t> fills) const;
-  /// Computes, in one keystream pass of batch_, the keystream of every slot
-  /// of `path` that its bucket's fill count (`fills`, per level) says holds
-  /// a block; the k-th such slot in path order is job k.
-  void open_pass(const std::vector<SealedSlot>& path, std::span<const uint8_t> fills);
-  /// Checks the tag of `slot`, then decrypts it in place, with job `job` of
-  /// the last open_pass; throws IntegrityError when the SP emptied, resized
-  /// or altered it.
-  void open_block(size_t job, SealedSlot& slot) const;
+  /// Moves stash blocks as deep as they go onto `path` (the walk in flight
+  /// to `leaf`), seals it and ends the walk.
+  void evict_along_path(uint64_t leaf, std::span<SealedSlot* const> path);
+  /// One keystream pass of `batch` that rewrites `slots` in place, slot i
+  /// under nonces[i]: in bucket b (Z slots each), slots [0, fills[b]) are
+  /// sealed from `plaintexts`, one each in slot order, and every other slot
+  /// becomes a free slot, its keystream written straight into its
+  /// ciphertext and tag. 18 ChaCha20 blocks per sealed 1 KB slot, 17 per
+  /// free one. Each slot is written here and nowhere else.
+  void seal_slots(crypto::ChaChaBatch& batch, std::span<SealedSlot* const> slots,
+                  std::span<const uint8_t> fills, std::span<const crypto::ChaChaNonce> nonces,
+                  std::span<const Bytes> plaintexts) const;
+  /// Loads fills_ for the path to `leaf` and computes, in one keystream pass
+  /// of batch_, the keystream of every slot of `path` that holds a block;
+  /// the k-th such slot in path order is job k.
+  void open_pass(uint64_t leaf, std::span<SealedSlot* const> path);
+  /// Opens `slot`, the filled slot at `level` of the path to `leaf`, with
+  /// job `job` of the last open_pass into plaintexts_[job], and records it
+  /// in opened_[job]. Reads the slot and writes only client memory. Throws
+  /// IntegrityError when the SP emptied, resized or altered the slot, or
+  /// when the block in it is not one the client can account for there:
+  /// unmapped, already stashed or opened earlier in this walk, or off the
+  /// path its leaf names.
+  void open_block(size_t job, const SealedSlot& slot, uint64_t leaf, size_t level);
 
   OramServer& server_;
   crypto::AesKey128 key_;
@@ -323,6 +361,14 @@ class OramClient : public OramAccessor {
   std::unordered_map<BlockId, StashEntry, U256Hasher> stash_;
   size_t stash_high_water_ = 0;
   bool stash_overflowed_ = false;
+  // The walk in flight's client memory, reused by every walk:
+  std::vector<uint8_t> fills_;               ///< its path's fill counts, root first
+  std::vector<crypto::ChaChaNonce> nonces_;  ///< its rewrite's nonces, in slot order
+  /// The plaintexts it opened or is about to seal, one per filled slot.
+  /// It keeps only the last walk's buffers, so it holds as many as a walk
+  /// meets blocks, not path slots.
+  std::vector<Bytes> plaintexts_;
+  std::vector<OpenedBlock> opened_;  ///< the blocks it opened, in path order
 };
 
 }  // namespace hardtape::oram

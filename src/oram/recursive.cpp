@@ -93,10 +93,10 @@ void RecursiveOramClient::write(uint64_t index, BytesView data) {
 std::optional<Bytes> RecursiveOramClient::data_access(uint64_t index, uint64_t leaf,
                                                       uint64_t new_leaf,
                                                       const Bytes* new_data) {
-  const auto path = data_server_.read_path(leaf);
-  for (const SealedSlot& slot : path) {
-    if (slot.ciphertext.empty()) continue;
-    const auto pt = open_slot(mode_, key_, slot);
+  const auto path = data_server_.begin_walk(leaf);
+  for (const SealedSlot* slot : path) {
+    if (slot->ciphertext.empty()) continue;
+    const auto pt = open_slot(mode_, key_, *slot);
     if (!pt.has_value()) throw IntegrityError("recursive oram: authentication failed");
     const u256 slot_id = u256::from_be_bytes(BytesView{pt->data(), 32});
     if (slot_id == kDummyId) continue;
@@ -123,14 +123,13 @@ std::optional<Bytes> RecursiveOramClient::data_access(uint64_t index, uint64_t l
   }
   stash_high_water_ = std::max(stash_high_water_, data_stash_.size());
 
-  evict_data_path(leaf);
+  evict_data_path(leaf, path);
   return result;
 }
 
-void RecursiveOramClient::evict_data_path(uint64_t leaf) {
+void RecursiveOramClient::evict_data_path(uint64_t leaf, std::span<SealedSlot* const> path) {
   const size_t depth = data_server_.depth();
   const size_t z = config_.bucket_capacity;
-  std::vector<SealedSlot> path((depth + 1) * z);
   for (size_t level_plus_1 = depth + 1; level_plus_1 > 0; --level_plus_1) {
     const size_t level = level_plus_1 - 1;
     size_t filled = 0;
@@ -141,7 +140,7 @@ void RecursiveOramClient::evict_data_path(uint64_t leaf) {
       if (block_prefix == path_prefix) {
         const Bytes pt = make_plaintext(u256{it->first}, it->second.leaf,
                                         it->second.data, config_.block_size);
-        path[level * z + filled] = seal_slot(mode_, key_, rng_, pt);
+        *path[level * z + filled] = seal_slot(mode_, key_, rng_, pt);
         ++filled;
         it = data_stash_.erase(it);
       } else {
@@ -149,12 +148,12 @@ void RecursiveOramClient::evict_data_path(uint64_t leaf) {
       }
     }
     for (; filled < z; ++filled) {
-      path[level * z + filled] = seal_slot(
+      *path[level * z + filled] = seal_slot(
           mode_, key_, rng_,
           make_plaintext(kDummyId, 0, BytesView{}, config_.block_size));
     }
   }
-  data_server_.write_path(leaf, std::move(path));
+  data_server_.end_walk();
 }
 
 }  // namespace hardtape::oram

@@ -60,7 +60,9 @@ class RecursiveOramClient {
   // One Path ORAM access against the data tree (mirrors OramClient::access).
   std::optional<Bytes> data_access(uint64_t index, uint64_t leaf, uint64_t new_leaf,
                                    const Bytes* new_data);
-  void evict_data_path(uint64_t leaf);
+  // Seals the stash as deep as it goes onto `path`, the data-tree walk in
+  // flight to `leaf`, in place, and ends the walk.
+  void evict_data_path(uint64_t leaf, std::span<SealedSlot* const> path);
 
   RecursiveOramConfig config_;
   crypto::AesKey128 key_;

@@ -263,7 +263,7 @@ TEST(ChaCha20Poly1305, OneBatchSealsAndOpensEveryVector) {
   batch.run(key);
   std::vector<Poly1305Tag> tags;
   for (size_t j = 0; j < data.size(); ++j) {
-    tags.push_back(batch.seal(j, {}, data[j]));
+    tags.push_back(batch.seal(j, {}, data[j], data[j]));
     EXPECT_EQ(to_hex(tags[j]), kAeadVectors[j].tag) << kAeadVectors[j].length << " bytes";
     EXPECT_EQ(sha256(data[j]).hex(), kAeadVectors[j].ciphertext_sha256);
   }
@@ -271,13 +271,50 @@ TEST(ChaCha20Poly1305, OneBatchSealsAndOpensEveryVector) {
   for (const Bytes& ciphertext : data) opens.add_aead(nonce, ciphertext.size());
   opens.run(key);
   for (size_t j = 0; j < data.size(); ++j) {
-    ASSERT_TRUE(opens.open(j, {}, data[j], tags[j])) << kAeadVectors[j].length << " bytes";
+    ASSERT_TRUE(opens.open(j, {}, data[j], data[j], tags[j])) << kAeadVectors[j].length << " bytes";
     EXPECT_EQ(data[j], plaintexts[j]);
   }
   // A job takes only the size it was queued for.
   Bytes other(data[0].size() + 64);
-  EXPECT_THROW(opens.seal(0, {}, other), UsageError);
-  EXPECT_THROW((void)opens.open(0, {}, other, tags[0]), UsageError);
+  EXPECT_THROW(opens.seal(0, {}, other, other), UsageError);
+  EXPECT_THROW((void)opens.open(0, {}, other, other, tags[0]), UsageError);
+}
+
+TEST(ChaCha20Poly1305, SealsAndOpensAcrossTwoBuffers) {
+  // The ORAM walk's form: a seal reads the plaintext from one buffer and
+  // writes only the other, an open reads the ciphertext from one and writes
+  // the plaintext only to the other, and both give the in-place bytes.
+  ChaChaKey key{};
+  for (size_t i = 0; i < 16; ++i) key[i] = static_cast<uint8_t>(i + 1);
+  const auto nonce = array_from_hex<12>("0a0b0c0d0e0f101112131415");
+  const Bytes aad = {1, 2, 3};
+  const Bytes plaintext = Random(5).bytes(1056);
+  Bytes in_place = plaintext;
+  const Poly1305Tag tag = chacha20_poly1305_seal(key, nonce, aad, in_place);
+
+  ChaChaBatch batch;
+  batch.add_aead(nonce, plaintext.size());
+  batch.run(key);
+  Bytes ciphertext(plaintext.size(), 0x5a);
+  EXPECT_EQ(batch.seal(0, aad, plaintext, ciphertext), tag);
+  EXPECT_EQ(ciphertext, in_place);
+
+  Bytes opened(plaintext.size(), 0x5a);
+  ASSERT_TRUE(batch.open(0, aad, ciphertext, opened, tag));
+  EXPECT_EQ(opened, plaintext);
+  EXPECT_EQ(ciphertext, in_place);  // the input is only read
+
+  // A rejected open writes nothing to either buffer.
+  Bytes untouched(plaintext.size(), 0x5a);
+  ciphertext[100] ^= 1;
+  EXPECT_FALSE(batch.open(0, aad, ciphertext, untouched, tag));
+  EXPECT_EQ(untouched, Bytes(plaintext.size(), 0x5a));
+  ciphertext[100] ^= 1;
+  EXPECT_EQ(ciphertext, in_place);
+  // The two spans must be the same size.
+  EXPECT_THROW(batch.seal(0, aad, plaintext, std::span(ciphertext).first(1055)), UsageError);
+  EXPECT_THROW((void)batch.open(0, aad, ciphertext, std::span(opened).first(1055), tag),
+               UsageError);
 }
 
 // AAD-bearing seals in the same key layout, plaintext and nonce as the

@@ -160,8 +160,9 @@ TEST_P(OramTest, ResponsesAreFixedSize) {
   // Every path read returns exactly (depth+1) * Z slots regardless of what
   // is stored — the uniform-response property.
   client_.write(bid(1), Bytes{1});
-  const auto path = server_.read_path(0);
+  const auto path = server_.begin_walk(0);
   EXPECT_EQ(path.size(), (server_.depth() + 1) * 4);
+  server_.end_walk();
   EXPECT_GT(server_.bytes_per_access(), 0u);
 }
 
@@ -169,15 +170,15 @@ TEST_P(OramTest, TamperedSlotDetected) {
   client_.write(bid(1), Bytes{1});
   // Corrupt every slot the server holds; the next real access must throw.
   for (int i = 0; i < 64; ++i) {
-    auto path = server_.read_path(static_cast<uint64_t>(i) % server_.leaf_count());
+    const auto path = server_.begin_walk(static_cast<uint64_t>(i) % server_.leaf_count());
     bool corrupted = false;
-    for (auto& slot : path) {
-      if (!slot.ciphertext.empty()) {
-        slot.ciphertext[0] ^= 1;
+    for (SealedSlot* slot : path) {
+      if (!slot->ciphertext.empty()) {
+        slot->ciphertext[0] ^= 1;
         corrupted = true;
       }
     }
-    server_.write_path(static_cast<uint64_t>(i) % server_.leaf_count(), std::move(path));
+    server_.end_walk();
     if (corrupted) break;
   }
   EXPECT_THROW(client_.read(bid(1)), HardtapeError);
@@ -218,10 +219,10 @@ TEST_P(OramTest, ReEncryptionChangesCiphertext) {
   // Reading the same block twice must leave different ciphertexts on the
   // server (randomized re-encryption) even though the data is unchanged.
   client_.write(bid(1), Bytes{1});
-  auto snapshot1 = server_.read_path(0);
+  const auto snapshot1 = server_.stored_bucket(0);
   client_.read(bid(1));
   client_.read(bid(1));
-  auto snapshot2 = server_.read_path(0);
+  const auto snapshot2 = server_.stored_bucket(0);
   // At least the root bucket (shared by all paths) must have been resealed.
   bool any_changed = false;
   for (size_t i = 0; i < 4; ++i) {  // root bucket slots
@@ -238,8 +239,8 @@ TEST(OramServer, GeometryAndValidation) {
   EXPECT_EQ(server.leaf_count(), 128u);  // rounded up to a power of two
   EXPECT_EQ(server.depth(), 7u);
   EXPECT_EQ(server.bucket_count(), 255u);
-  EXPECT_THROW(server.read_path(128), UsageError);
-  EXPECT_THROW(server.write_path(0, {}), UsageError);
+  EXPECT_THROW(server.begin_walk(128), UsageError);
+  EXPECT_THROW(server.end_walk(), UsageError);  // no walk in flight
   EXPECT_THROW(OramServer(OramConfig{.capacity = 0}), UsageError);
 }
 
@@ -436,25 +437,43 @@ OramConfig walk_config() {
 }
 
 // Acts as the SP on its own storage: applies `edit` to every stored slot
-// once, through path reads and rewrites the client never sees.
+// once, through walks over its own slots that the client never sees.
 void sp_edit_slots(OramServer& server,
                    const std::function<void(size_t bucket, size_t slot, SealedSlot&)>& edit) {
   const size_t z = server.config().bucket_capacity;
   std::vector<bool> seen(server.bucket_count());
   for (uint64_t leaf = 0; leaf < server.leaf_count(); ++leaf) {
-    auto path = server.read_path(leaf);
+    const auto path = server.begin_walk(leaf);
     for (size_t level = 0; level <= server.depth(); ++level) {
       const size_t bucket = server.bucket_index(leaf, level);
       if (seen[bucket]) continue;
       seen[bucket] = true;
-      for (size_t slot = 0; slot < z; ++slot) edit(bucket, slot, path[level * z + slot]);
+      for (size_t slot = 0; slot < z; ++slot) edit(bucket, slot, *path[level * z + slot]);
     }
-    server.write_path(leaf, std::move(path));
+    server.end_walk();
   }
 }
 
 bool opens(const SealedSlot& slot) {
   return open_slot(SealMode::kChaChaHmac, test_key(), slot).has_value();
+}
+
+// Misses walk uniform leaves: every walk until the first through `bucket`
+// must complete, and that one must fail closed.
+void expect_first_walk_through_fails(const OramServer& server, OramClient& client,
+                                     size_t bucket) {
+  const size_t level = std::bit_width(bucket + 1) - 1;
+  for (uint64_t k = 0;; ++k) {
+    ASSERT_LT(k, 10'000u) << "no walk reached bucket " << bucket;
+    const Status status = client.try_read(bid(1'000'000 + k)).status;
+    const uint64_t leaf = server.observed_leaves().back();
+    if (server.bucket_index(leaf, level) != bucket) {
+      ASSERT_EQ(status, Status::kOk) << "walk " << k;
+      continue;
+    }
+    EXPECT_EQ(status, Status::kAuthFailed) << "walk " << k;
+    return;
+  }
 }
 
 TEST(OramClient, EveryWalkRewritesEverySlotOfItsPath) {
@@ -556,17 +575,306 @@ TEST(OramClient, EmptiedRealSlotFailsTheWalkThatReadsIt) {
   });
   // Misses walk uniform leaves: those off the bucket succeed, and the first
   // over it fails closed rather than dropping the block it held.
-  const size_t level = std::bit_width(target_bucket + 1) - 1;
-  for (uint64_t k = 0;; ++k) {
-    ASSERT_LT(k, 10'000u) << "no walk reached the emptied bucket";
-    const Status status = client.try_read(bid(1'000'000 + k)).status;
-    const uint64_t leaf = server.observed_leaves().back();
-    if (server.bucket_index(leaf, level) != target_bucket) {
-      ASSERT_EQ(status, Status::kOk) << "walk " << k;
-      continue;
+  expect_first_walk_through_fails(server, client, target_bucket);
+}
+
+// --- blocks the client cannot account for fail the walk that opens them ---
+
+// The model the seeded mixes below check reads against: a block's data
+// zero-padded to the block size.
+Bytes padded(BytesView data, size_t block_size) {
+  Bytes out(data.begin(), data.end());
+  out.resize(block_size, 0);
+  return out;
+}
+
+// Whether `op` completes; a walk that fails closed throws IntegrityError.
+bool completes(const std::function<void()>& op) {
+  try {
+    op();
+    return true;
+  } catch (const IntegrityError&) {
+    return false;
+  }
+}
+
+// An honest SP never serves a block the client cannot account for, so the
+// checks that fail those walks never fire on one: over seeded mixes of every
+// kind of access (bulk_load, reads, writes, read_modify_write, access_remove,
+// adopt and misses) every walk completes and every read returns what was
+// last written.
+TEST(OramClient, HonestRunsOpenOnlyBlocksTheClientAccountsFor) {
+  constexpr size_t kBlock = 64;
+  for (const uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE(seed);
+    OramServer server(walk_config());
+    OramClient client(server, test_key(), seed, SealMode::kChaChaHmac);
+    std::map<BlockId, Bytes> model;
+    Pages pages;
+    for (uint64_t i = 0; i < 100; ++i) {
+      pages.emplace_back(bid(i), Bytes(1 + i % kBlock, static_cast<uint8_t>(i)));
+      model[bid(i)] = padded(pages.back().second, kBlock);
     }
-    EXPECT_EQ(status, Status::kAuthFailed) << "walk " << k;
-    break;
+    client.bulk_load(pages);
+    Random rng(seed);
+    std::vector<std::pair<BlockId, Bytes>> removed;
+    for (uint64_t op = 0; op < 2000; ++op) {
+      const BlockId id = bid(rng.uniform(150));  // ids 100..149 start unwritten
+      const auto expected = [&]() -> std::optional<Bytes> {
+        if (const auto it = model.find(id); it != model.end()) return it->second;
+        return std::nullopt;
+      }();
+      switch (rng.uniform(6)) {
+        case 0: {
+          const AccessAttempt read = client.try_read(id);
+          ASSERT_EQ(read.status, Status::kOk) << "op " << op;
+          ASSERT_EQ(read.data, expected) << "op " << op;
+          break;
+        }
+        case 1: {
+          const Bytes data = rng.bytes(rng.uniform_range(1, kBlock));
+          ASSERT_EQ(client.try_write(id, data).status, Status::kOk) << "op " << op;
+          model[id] = padded(data, kBlock);
+          break;
+        }
+        case 2: {
+          const uint8_t mark = static_cast<uint8_t>(op | 1);
+          std::optional<Bytes> before;
+          ASSERT_TRUE(completes([&] {
+            before = client.read_modify_write(id, [mark](std::optional<Bytes> old) {
+              Bytes next = old.value_or(Bytes(kBlock, 0));
+              next[0] ^= mark;
+              return next;
+            });
+          })) << "op " << op;
+          ASSERT_EQ(before, expected) << "op " << op;
+          Bytes next = expected.value_or(Bytes(kBlock, 0));
+          next[0] ^= mark;
+          model[id] = next;
+          break;
+        }
+        case 3:
+          if (client.contains(id)) {
+            std::optional<Bytes> data;
+            ASSERT_TRUE(completes([&] { data = client.access_remove(id); })) << "op " << op;
+            ASSERT_EQ(data, expected) << "op " << op;
+            removed.emplace_back(id, std::move(*data));
+            model.erase(id);
+          }
+          break;
+        case 4:
+          if (!removed.empty()) {
+            auto [back_id, data] = std::move(removed.back());
+            removed.pop_back();
+            if (!client.contains(back_id)) {
+              model[back_id] = data;
+              client.adopt(back_id, std::move(data));
+            }
+          }
+          break;
+        default: {
+          const AccessAttempt miss = client.try_read(bid(1'000'000 + op));
+          ASSERT_EQ(miss.status, Status::kOk) << "op " << op;
+          ASSERT_FALSE(miss.data.has_value()) << "op " << op;
+          break;
+        }
+      }
+    }
+    EXPECT_FALSE(client.stash_overflowed());
+  }
+}
+
+// The same through a 2-shard store, whose cross-shard moves run
+// access_remove on one shard and adopt on the other.
+TEST(ShardedStore, HonestRunsOpenOnlyBlocksTheClientsAccountFor) {
+  constexpr size_t kBlock = 64;
+  for (const uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE(seed);
+    ShardedOramStore store(
+        ShardedOramStore::partition(
+            OramConfig{.block_size = kBlock, .capacity = 512, .max_stash_blocks = 128}, 2),
+        test_key(), seed, SealMode::kChaChaHmac);
+    std::map<BlockId, Bytes> model;
+    Pages pages;
+    for (uint64_t i = 0; i < 100; ++i) {
+      pages.emplace_back(bid(i), Bytes(1 + i % kBlock, static_cast<uint8_t>(i)));
+      model[bid(i)] = padded(pages.back().second, kBlock);
+    }
+    store.bulk_load(pages);
+    Random rng(seed);
+    for (uint64_t op = 0; op < 2000; ++op) {
+      const BlockId id = bid(rng.uniform(150));
+      switch (rng.uniform(3)) {
+        case 0: {
+          const AccessAttempt read = store.try_read(id);
+          ASSERT_EQ(read.status, Status::kOk) << "op " << op;
+          const auto it = model.find(id);
+          ASSERT_EQ(read.data, it == model.end() ? std::nullopt : std::optional(it->second))
+              << "op " << op;
+          break;
+        }
+        case 1: {
+          const Bytes data = rng.bytes(rng.uniform_range(1, kBlock));
+          ASSERT_EQ(store.try_write(id, data).status, Status::kOk) << "op " << op;
+          model[id] = padded(data, kBlock);
+          break;
+        }
+        default: {
+          const AccessAttempt miss = store.try_read(bid(1'000'000 + op));
+          ASSERT_EQ(miss.status, Status::kOk) << "op " << op;
+          ASSERT_FALSE(miss.data.has_value()) << "op " << op;
+          break;
+        }
+      }
+    }
+    EXPECT_GT(store.snapshot().total_migrations, 100u);
+    EXPECT_FALSE(store.stash_overflowed());
+  }
+}
+
+// Where each block of a written tree sits: (bucket, slot) -> its id, for
+// every slot that opens under the test key.
+std::map<std::pair<size_t, size_t>, BlockId> filled_slots(const OramServer& server) {
+  std::map<std::pair<size_t, size_t>, BlockId> out;
+  for (size_t bucket = 0; bucket < server.bucket_count(); ++bucket) {
+    const std::vector<SealedSlot> slots = server.stored_bucket(bucket);
+    for (size_t slot = 0; slot < slots.size(); ++slot) {
+      if (slots[slot].ciphertext.empty()) continue;
+      if (const auto pt = open_slot(SealMode::kChaChaHmac, test_key(), slots[slot])) {
+        out[{bucket, slot}] = u256::from_be_bytes(BytesView{pt->data(), 32});
+      }
+    }
+  }
+  return out;
+}
+
+bool is_ancestor(size_t ancestor, size_t bucket) {
+  for (; bucket > ancestor; bucket = (bucket - 1) / 2) {
+  }
+  return bucket == ancestor;
+}
+
+// The SP copies an authentic filled slot over another filled slot. Each test
+// below drives misses, which never read the block overwritten, and names the
+// first walk that must fail; without the accounting checks every one of them
+// completed, and the overwritten block surfaced only at its own next read.
+
+TEST(OramClient, SlotCopiedOverItsAncestorFailsTheWalkThatOpensItTwice) {
+  OramServer server(walk_config());
+  OramClient client(server, test_key(), 42, SealMode::kChaChaHmac);
+  for (uint64_t i = 0; i < 200; ++i) client.write(bid(i), Bytes{static_cast<uint8_t>(i + 1)});
+  const auto filled = filled_slots(server);
+  // A filled slot, and a filled slot of one of its bucket's ancestors.
+  std::optional<std::pair<size_t, size_t>> source, target;
+  for (const auto& [deep, deep_id] : filled) {
+    for (const auto& [shallow, shallow_id] : filled) {
+      if (shallow.first != deep.first && is_ancestor(shallow.first, deep.first)) {
+        source = deep;
+        target = shallow;
+        break;
+      }
+    }
+    if (source.has_value()) break;
+  }
+  ASSERT_TRUE(source.has_value());
+  const SealedSlot copy = server.stored_bucket(source->first)[source->second];
+  sp_edit_slots(server, [&](size_t bucket, size_t slot, SealedSlot& sealed) {
+    if (std::pair(bucket, slot) == *target) sealed = copy;
+  });
+  // Walks through the ancestor alone open one authentic copy on its path;
+  // the first through the original bucket opens the block twice.
+  expect_first_walk_through_fails(server, client, source->first);
+}
+
+TEST(OramClient, ReplayedOutMigratedSlotFailsTheWalkThatOpensIt) {
+  OramServer server(walk_config());
+  OramClient client(server, test_key(), 42, SealMode::kChaChaHmac);
+  for (uint64_t i = 0; i < 200; ++i) client.write(bid(i), Bytes{static_cast<uint8_t>(i + 1)});
+  // The SP keeps a block's slot; the block then migrates out of this client.
+  const auto [where, migrated] = *filled_slots(server).begin();
+  const SealedSlot kept = server.stored_bucket(where.first)[where.second];
+  ASSERT_TRUE(client.access_remove(migrated).has_value());
+  ASSERT_FALSE(client.contains(migrated));
+  // It replays that slot over the shallowest filled slot left.
+  const auto target = filled_slots(server).begin()->first;
+  sp_edit_slots(server, [&](size_t bucket, size_t slot, SealedSlot& sealed) {
+    if (std::pair(bucket, slot) == target) sealed = kept;
+  });
+  expect_first_walk_through_fails(server, client, target.first);
+}
+
+TEST(OramClient, SlotCopiedOffItsPathFailsTheWalkThatOpensIt) {
+  OramServer server(walk_config());
+  OramClient client(server, test_key(), 42, SealMode::kChaChaHmac);
+  for (uint64_t i = 0; i < 200; ++i) client.write(bid(i), Bytes{static_cast<uint8_t>(i + 1)});
+  // A filled slot under the root's left child, copied over a filled slot
+  // under its right child: no walk through the target passes the source, and
+  // the block's own path never reaches the target.
+  const auto filled = filled_slots(server);
+  std::optional<std::pair<size_t, size_t>> source, target;
+  for (const auto& [where, id] : filled) {
+    if (!source.has_value() && where.first != 1 && is_ancestor(1, where.first)) source = where;
+    if (!target.has_value() && where.first != 2 && is_ancestor(2, where.first)) target = where;
+  }
+  ASSERT_TRUE(source.has_value() && target.has_value());
+  const SealedSlot copy = server.stored_bucket(source->first)[source->second];
+  sp_edit_slots(server, [&](size_t bucket, size_t slot, SealedSlot& sealed) {
+    if (std::pair(bucket, slot) == *target) sealed = copy;
+  });
+  expect_first_walk_through_fails(server, client, target->first);
+}
+
+// --- a walk that fails closed writes nothing ---
+
+// A walk opens its path's filled slots into client memory and seals every
+// slot back only once all of them opened, so one whose last filled slot
+// fails its tag leaves every byte the SP stores as it was, in either store.
+TEST(OramServer, FailedWalkLeavesEveryStoredByteAsItWas) {
+  for (const SlotBackend backend : {SlotBackend::kRam, SlotBackend::kPaged}) {
+    SCOPED_TRACE(backend == SlotBackend::kRam ? "kRam" : "kPaged");
+    durability::SimFs fs;
+    OramConfig config = walk_config();
+    config.backend = backend;
+    config.backing_fs = &fs;
+    OramServer server(config);
+    OramClient client(server, test_key(), 42, SealMode::kChaChaHmac);
+    for (uint64_t i = 0; i < 64; ++i) client.write(bid(i), Bytes{static_cast<uint8_t>(i + 1)});
+    // A block in a leaf bucket walks that leaf's path; pick one whose path
+    // holds at least 2 blocks and flip a byte of the path's last filled slot,
+    // the last the walk opens.
+    const auto filled = filled_slots(server);
+    const size_t first_leaf = server.leaf_count() - 1;
+    std::optional<std::pair<size_t, size_t>> last;
+    std::optional<BlockId> reader;
+    for (const auto& [where, id] : filled) {
+      size_t on_path = 0;
+      for (const auto& [other, other_id] : filled) {
+        if (is_ancestor(other.first, where.first)) ++on_path;
+        if (other.first == where.first) last = other;  // filled_slots is ordered
+      }
+      if (where.first >= first_leaf && on_path >= 2) {
+        reader = id;
+        break;
+      }
+    }
+    ASSERT_TRUE(reader.has_value());
+    sp_edit_slots(server, [&](size_t bucket, size_t slot, SealedSlot& sealed) {
+      if (std::pair(bucket, slot) == *last) sealed.ciphertext[40] ^= 1;
+    });
+    std::vector<std::vector<SealedSlot>> before;
+    for (size_t b = 0; b < server.bucket_count(); ++b) before.push_back(server.stored_bucket(b));
+    const uint64_t walks = server.access_count();
+    EXPECT_EQ(client.try_read(*reader).status, Status::kAuthFailed);
+    ASSERT_EQ(server.access_count(), walks + 1);
+    EXPECT_EQ(server.observed_leaves().back(), last->first - first_leaf);
+    for (size_t b = 0; b < server.bucket_count(); ++b) {
+      const std::vector<SealedSlot> after = server.stored_bucket(b);
+      for (size_t slot = 0; slot < after.size(); ++slot) {
+        EXPECT_EQ(after[slot].nonce, before[b][slot].nonce) << "bucket " << b;
+        EXPECT_EQ(after[slot].tag, before[b][slot].tag) << "bucket " << b;
+        EXPECT_EQ(after[slot].ciphertext, before[b][slot].ciphertext) << "bucket " << b;
+      }
+    }
   }
 }
 
