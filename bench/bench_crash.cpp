@@ -517,7 +517,7 @@ int main(int argc, char** argv) {
   std::printf("rehearsal: %zu bundles, %llu fs ops\n", baseline.size(),
               static_cast<unsigned long long>(total_ops));
 
-  faults::CrashPlan plan(faults::CrashPlanConfig{.seed = opts.seed});
+  faults::CrashPlan plan(opts.seed);
   std::vector<TrialResult> trials;
   uint64_t trial_index = 0;
   for (const auto& point : targeted_points(op_log)) {

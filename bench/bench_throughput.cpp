@@ -129,9 +129,10 @@ int main(int argc, char** argv) {
     faulted_aborted = metrics.bundles_aborted;
     faulted_unavailable = metrics.bundles_unavailable;
     faulted_injected = metrics.faults_injected;
-    // Nearest-rank p99 from the engine's obs::Registry histogram — the
-    // hand-rolled index arithmetic this replaced picked the max (rank n)
-    // instead of rank ceil(0.99 n) whenever n was a multiple of 100.
+    // Nearest-rank p99: the engine's snapshot() runs obs::percentile over
+    // the completed sessions' durations — the hand-rolled index arithmetic
+    // this replaced picked the max (rank n) instead of rank ceil(0.99 n)
+    // whenever n was a multiple of 100.
     faulted_p99_ns = metrics.sim_p99_bundle_latency_ns;
     // Every faulted bundle must resolve — recovered or explicit terminal
     // status. Silent drops/hangs are the robustness failure mode.

@@ -7,12 +7,9 @@ namespace hardtape::faults {
 
 namespace {
 
-durability::CrashConfig base_config(const CrashPlanConfig& config, Random& rng) {
+durability::CrashConfig base_config(Random& rng) {
   durability::CrashConfig out;
   out.resolve_seed = rng.uniform(~0ull - 1) + 1;  // never 0 (disarm sentinel-adjacent)
-  out.unsynced_survival = config.unsynced_survival;
-  out.allow_torn_tail = config.allow_torn_tail;
-  out.allow_reorder = config.allow_reorder;
   return out;
 }
 
@@ -20,16 +17,16 @@ durability::CrashConfig base_config(const CrashPlanConfig& config, Random& rng) 
 
 durability::CrashConfig CrashPlan::spec(uint64_t trial, uint32_t attempt,
                                         uint64_t total_ops) const {
-  Random rng(config_.seed ^ fault_stream(trial, attempt));
-  durability::CrashConfig out = base_config(config_, rng);
+  Random rng(seed_ ^ fault_stream(trial, attempt));
+  durability::CrashConfig out = base_config(rng);
   out.crash_at_op = total_ops == 0 ? 1 : 1 + rng.uniform(total_ops);
   return out;
 }
 
 durability::CrashConfig CrashPlan::spec_at(uint64_t trial, uint32_t attempt,
                                            uint64_t crash_at_op) const {
-  Random rng(config_.seed ^ fault_stream(trial, attempt));
-  durability::CrashConfig out = base_config(config_, rng);
+  Random rng(seed_ ^ fault_stream(trial, attempt));
+  durability::CrashConfig out = base_config(rng);
   out.crash_at_op = crash_at_op;
   return out;
 }

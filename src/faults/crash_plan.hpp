@@ -6,6 +6,9 @@
 // fault_stream() mix the transient-fault layer uses. Re-running trial 17
 // therefore reproduces the same torn journal byte-for-byte, which is what
 // makes a failing crash-sweep entry a unit test instead of an anecdote.
+// How the unsynced bytes may resolve (survival odds, torn tails, reordered
+// write-back) is durability::CrashConfig's defaults; only the crash point
+// and the resolution seed are drawn.
 #pragma once
 
 #include <cstdint>
@@ -14,16 +17,9 @@
 
 namespace hardtape::faults {
 
-struct CrashPlanConfig {
-  uint64_t seed = 1;
-  double unsynced_survival = 0.5;
-  bool allow_torn_tail = true;
-  bool allow_reorder = true;
-};
-
 class CrashPlan {
  public:
-  explicit CrashPlan(CrashPlanConfig config) : config_(config) {}
+  explicit CrashPlan(uint64_t seed) : seed_(seed) {}
 
   /// A CrashConfig aimed at a uniformly chosen op in [1, total_ops],
   /// deterministic in (seed, trial, attempt). `attempt` distinguishes
@@ -39,7 +35,7 @@ class CrashPlan {
                                   uint64_t crash_at_op) const;
 
  private:
-  CrashPlanConfig config_;
+  uint64_t seed_;
 };
 
 }  // namespace hardtape::faults

@@ -17,11 +17,12 @@ void HevmCore::assign(const state::StateReader& base, evm::BlockContext block,
     l2.trace = config_.trace;  // pager swap events share this core's ring
     l2.clock = &clock_;
   }
-  session.observer = std::make_unique<HevmObserver>(clock_, config_.cost, l2, session_key,
-                                                    config_.record_steps, config_.trace);
+  session.observer = std::make_unique<HevmObserver>(clock_, sim::HevmCostModel{}, l2,
+                                                    session_key, config_.record_steps,
+                                                    config_.trace);
   session.interpreter->set_observer(session.observer.get());
   session_ = std::move(session);
-  clock_.advance_ns(config_.cost.reset_ns());  // clear all on-chip memories
+  clock_.advance_ns(sim::HevmCostModel{}.reset_ns());  // clear all on-chip memories
 }
 
 state::OverlayState& HevmCore::overlay() {

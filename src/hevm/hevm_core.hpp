@@ -54,7 +54,6 @@ struct BundleReport {
 class HevmCore {
  public:
   struct Config {
-    sim::HevmCostModel cost{};
     memlayer::MemLayerConfig l2{};
     bool record_steps = false;  ///< step-level traces (§VI-B comparisons)
     /// Optional obs tracing: per-opcode retire events from this core, plus

@@ -70,18 +70,10 @@ Status AdmissionController::admit(QueuedRequest request, uint64_t now_ns) {
     t.deadline_exceeded->add();
     return Status::kDeadlineExceeded;
   }
-  bool shed_this_rung = state_ == BrownoutState::kAdmitNone;
-  if (state_ == BrownoutState::kShedLowPriority) {
-    if (config_.shed_gas_budget_per_priority > 0) {
-      // Cost-aware rung: the shed budget scales with the tenant's priority,
-      // so what gets refused is the expensive work, not a whole class.
-      shed_this_rung =
-          request.estimated_gas > config_.shed_gas_budget_per_priority *
-                                      static_cast<uint64_t>(t.config.priority);
-    } else {
-      shed_this_rung = t.config.priority < config_.shed_priority_floor;
-    }
-  }
+  const bool shed_this_rung =
+      state_ == BrownoutState::kAdmitNone ||
+      (state_ == BrownoutState::kShedLowPriority &&
+       t.config.priority < config_.shed_priority_floor);
   if (shed_this_rung || t.queue.size() >= t.config.queue_capacity) {
     t.shed->add();
     return Status::kOverloaded;

@@ -32,6 +32,9 @@
 //       kShedLowPriority  refuse tenants below the priority floor
 //       kAdmitNone        refuse everyone; drain what is already queued
 //
+//     A shed rung refuses by priority class alone: no request carries a
+//     cost estimate (service frames v3).
+//
 // Shed requests are answered kOverloaded immediately: a fast honest refusal
 // the client can act on, instead of a slow timeout that holds queue memory.
 #pragma once
@@ -83,17 +86,7 @@ struct AdmissionConfig {
   std::vector<TenantConfig> tenants;  ///< pre-configured tenants
   TenantConfig defaults{};            ///< template for unknown tenants
   /// Tenants with priority below this floor are refused in kShedLowPriority.
-  /// Ignored when shed_gas_budget_per_priority is set (see below).
   uint32_t shed_priority_floor = 2;
-  /// Cost-aware brownout (0 disables = legacy priority-class shedding).
-  /// When set, kShedLowPriority sheds by estimated cost × priority instead
-  /// of the class floor: a request survives iff
-  ///   estimated_gas <= shed_gas_budget_per_priority * tenant_priority.
-  /// Shedding then tracks the device time a request would actually consume:
-  /// a cheap bundle from a low-priority tenant survives a brownout that
-  /// sheds an expensive bundle from the same class, because refusing the
-  /// expensive one frees more device time per refusal.
-  uint64_t shed_gas_budget_per_priority = 0;
 
   /// Brownout ladder thresholds on the total queue depth. Each rung is
   /// entered at its *_enter mark and left only under its lower *_exit mark —
@@ -111,10 +104,6 @@ struct QueuedRequest {
   uint64_t request_id = 0;
   uint64_t enqueue_ns = 0;        ///< sim time of admission
   uint64_t deadline_ns = 0;       ///< ABSOLUTE sim deadline; 0 = none
-  /// Estimated execution cost (the submit frame's gas hint, or the bundle's
-  /// summed gas limits when the client sent none). Feeds cost-aware
-  /// brownout; 0 = unknown/free.
-  uint64_t estimated_gas = 0;
   std::vector<evm::Transaction> bundle;
 };
 

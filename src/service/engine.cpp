@@ -78,9 +78,6 @@ PreExecutionEngine::PreExecutionEngine(node::NodeSimulator& node, EngineConfig c
       latency_hist_(&registry_.histogram("hardtape_engine_bundle_latency_sim_ns",
                                          "per-bundle end-to-end simulated latency")) {
   if (config_.num_hevms <= 0) throw UsageError("engine: need at least one HEVM");
-  if (config_.max_bundle_attempts < 1) {
-    throw UsageError("engine: max_bundle_attempts must be >= 1");
-  }
   if (config_.durable != nullptr) {
     // Durability is a pure observer on the untrusted side of the boundary:
     // the registry listener journals epoch transitions, sync_pass() journals
@@ -90,7 +87,6 @@ PreExecutionEngine::PreExecutionEngine(node::NodeSimulator& node, EngineConfig c
 }
 
 PreExecutionEngine::~PreExecutionEngine() {
-  if (watchdog_ != nullptr) watchdog_->stop();
   queue_.close();
   for (auto& worker : workers_) {
     if (worker->thread.joinable()) worker->thread.join();
@@ -458,11 +454,6 @@ void PreExecutionEngine::start() {
     Worker* w = worker.get();
     w->thread = std::thread([this, w] { worker_loop(*w); });
   }
-  std::vector<Heartbeat*> beats;
-  beats.reserve(workers_.size());
-  for (auto& worker : workers_) beats.push_back(&worker->heartbeat);
-  watchdog_ = std::make_unique<Watchdog>(std::move(beats), Watchdog::Config{});
-  watchdog_->start();
 }
 
 Admission PreExecutionEngine::submit(std::vector<evm::Transaction> bundle) {
@@ -532,7 +523,6 @@ std::vector<SessionOutcome> PreExecutionEngine::drain() {
     for (auto& worker : workers_) {
       if (worker->thread.joinable()) worker->thread.join();
     }
-    if (watchdog_ != nullptr) watchdog_->stop();
     for (auto& worker : workers_) hypervisor_.end_session(worker->session_id);
     if (resim_worker_ != nullptr) {
       hypervisor_.end_session(resim_worker_->session_id);
@@ -555,7 +545,6 @@ std::vector<SessionOutcome> PreExecutionEngine::drain() {
 
 void PreExecutionEngine::worker_loop(Worker& worker) {
   while (auto item = queue_.pop()) {
-    worker.heartbeat.busy.store(true, std::memory_order_relaxed);
     const uint64_t queued_ns = wall_ns_since(item->enqueued);
     if (breaker_open()) {
       // Quarantined backend: drain the queue with explicit refusals instead
@@ -576,7 +565,7 @@ void PreExecutionEngine::worker_loop(Worker& worker) {
                                (outcome.status == Status::kTimeout ||
                                 outcome.status == Status::kRetryExhausted);
       if (recoverable &&
-          static_cast<int>(item->attempt) + 1 < config_.max_bundle_attempts &&
+          item->attempt + 1 < kMaxBundleAttempts &&
           !breaker_open()) {
         bundle_requeues_.fetch_add(1, std::memory_order_relaxed);
         if (worker.trace != nullptr) {
@@ -590,8 +579,6 @@ void PreExecutionEngine::worker_loop(Worker& worker) {
         record_outcome(std::move(outcome), queued_ns, &worker);
       }
     }
-    worker.heartbeat.beats.fetch_add(1, std::memory_order_relaxed);
-    worker.heartbeat.busy.store(false, std::memory_order_relaxed);
   }
 }
 
@@ -860,7 +847,6 @@ EngineMetrics PreExecutionEngine::snapshot() const {
     m.oram_shards.push_back(shard);
   }
   m.bundle_requeues = bundle_requeues_.load(std::memory_order_relaxed);
-  m.watchdog_stalls = watchdog_ != nullptr ? watchdog_->stalls_detected() : 0;
   m.circuit_open = breaker_open();
   m.resyncs = resyncs_.load(std::memory_order_relaxed);
   m.bundle_resims = bundle_resims_.load(std::memory_order_relaxed);
@@ -991,7 +977,6 @@ void PreExecutionEngine::publish_metrics(const EngineMetrics& m) const {
   set("hardtape_engine_bundles_aborted", static_cast<double>(m.bundles_aborted));
   set("hardtape_engine_bundles_unavailable", static_cast<double>(m.bundles_unavailable));
   set("hardtape_engine_bundle_requeues", static_cast<double>(m.bundle_requeues));
-  set("hardtape_engine_watchdog_stalls", static_cast<double>(m.watchdog_stalls));
   set("hardtape_engine_circuit_open", m.circuit_open ? 1.0 : 0.0);
   set("hardtape_engine_resyncs", static_cast<double>(m.resyncs));
   set("hardtape_engine_bundle_resims", static_cast<double>(m.bundle_resims));

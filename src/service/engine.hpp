@@ -51,15 +51,13 @@
 //     on integrity failures (see service/pre_execution.hpp);
 //  2. per-session: an unrecoverable backend fault aborts the session
 //     (BackendFault), and recoverable aborts requeue the bundle — front of
-//     queue, fresh fault stream — up to max_bundle_attempts times before the
+//     queue, fresh fault stream — up to kMaxBundleAttempts times before the
 //     outcome resolves as a terminal Status;
 //  3. per-engine: breaker_threshold consecutive backend-faulted attempts
 //     open a circuit breaker that quarantines the ORAM backend — queued and
 //     newly submitted bundles resolve immediately as kUnavailable instead of
 //     burning retry budgets against a dead server, so drain() always
 //     terminates in bounded simulated time.
-// A wall-clock Watchdog (service/watchdog.hpp, default thresholds) additionally
-// flags worker threads that stop making host progress; it is diagnostics-only.
 //
 // Live-chain model (PR 4): the node keeps producing blocks — and reorging —
 // while bundles queue. The engine therefore pins every session to an
@@ -76,10 +74,12 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <thread>
 #include <unordered_map>
@@ -93,7 +93,6 @@
 #include "oram/sharded.hpp"
 #include "service/bundle_queue.hpp"
 #include "service/pre_execution.hpp"
-#include "service/watchdog.hpp"
 
 namespace hardtape::durability {
 class DurableStore;
@@ -103,6 +102,11 @@ struct RecoveredState;
 namespace hardtape::service {
 
 struct SessionOutcome;
+
+/// Total executions one bundle may consume (first try + requeues, and the
+/// front door's failover re-executions) before a recoverable fault resolves
+/// as a terminal status.
+inline constexpr uint32_t kMaxBundleAttempts = 3;
 
 struct EngineConfig {
   int num_hevms = 3;       ///< worker pool width (paper §VI-A: 3 per chip)
@@ -136,9 +140,6 @@ struct EngineConfig {
   /// which case the whole recovery stack is dormant and outcomes are
   /// bit-identical to PR 1.
   faults::FaultPlan* fault_plan = nullptr;
-  /// Total executions one bundle may consume (first try + requeues) before
-  /// a recoverable fault resolves as a terminal status. 1 = never requeue.
-  int max_bundle_attempts = 3;
   /// Consecutive backend-faulted attempts that open the circuit breaker;
   /// <= 0 disables the breaker.
   int breaker_threshold = 4;
@@ -245,8 +246,9 @@ struct EngineMetrics {
   double sim_bundles_per_s = 0;       ///< completed / makespan
   uint64_t sim_mean_queue_wait_ns = 0;
   uint64_t sim_max_queue_depth = 0;
-  /// Per-bundle end-to-end latency percentiles (nearest-rank, from the
-  /// engine's obs::Histogram — the single percentile definition repo-wide).
+  /// Per-bundle end-to-end latency percentiles: obs::percentile (nearest
+  /// rank, the single percentile definition repo-wide) over the completed
+  /// sessions' durations.
   uint64_t sim_p50_bundle_latency_ns = 0;
   uint64_t sim_p99_bundle_latency_ns = 0;
   /// Serialized ORAM-server service time across all sessions — the shared
@@ -291,7 +293,6 @@ struct EngineMetrics {
   uint64_t bundles_aborted = 0;      ///< terminal non-kOk, non-kUnavailable
   uint64_t bundles_unavailable = 0;  ///< resolved kUnavailable by the breaker
   uint64_t bundle_requeues = 0;      ///< fail-closed aborts sent back around
-  uint64_t watchdog_stalls = 0;      ///< wall-clock stall episodes flagged
   bool circuit_open = false;
 
   // --- live-chain staleness (PR 4; zero on a static chain) ---
@@ -470,7 +471,6 @@ class PreExecutionEngine {
     std::thread thread;
     uint64_t bundles = 0;
     uint64_t busy_sim_ns = 0;
-    Heartbeat heartbeat;           ///< sampled by the watchdog
     obs::TraceRing* trace = nullptr;  ///< this worker's ring (null = off)
   };
 
@@ -544,7 +544,6 @@ class PreExecutionEngine {
 
   BoundedQueue<QueueItem> queue_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::unique_ptr<Watchdog> watchdog_;
   std::atomic<uint64_t> next_bundle_id_{0};
   bool started_ = false;
   bool drained_ = false;

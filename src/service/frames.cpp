@@ -130,7 +130,6 @@ Bytes RequestFrame::encode() const {
   fields.push_back(u64_item(request_id));
   fields.push_back(u64_item(deadline_ns));
   fields.push_back(u64_item(client_time_ns));
-  fields.push_back(u64_item(gas_estimate));
   RlpList txs;
   txs.reserve(bundle.size());
   for (const evm::Transaction& tx : bundle) txs.push_back(tx_item(tx));
@@ -147,7 +146,7 @@ std::optional<RequestFrame> RequestFrame::decode(BytesView body) {
   }
   if (!item.is_list()) return std::nullopt;
   const RlpList& f = item.list();
-  if (f.size() != 9) return std::nullopt;
+  if (f.size() != 8) return std::nullopt;
   const auto version = read_u64(f[0]);
   const auto verb = read_u64(f[1]);
   const auto session_id = read_u64(f[2]);
@@ -155,14 +154,13 @@ std::optional<RequestFrame> RequestFrame::decode(BytesView body) {
   const auto request_id = read_u64(f[4]);
   const auto deadline_ns = read_u64(f[5]);
   const auto client_time_ns = read_u64(f[6]);
-  const auto gas_estimate = read_u64(f[7]);
   if (!version || !verb || !session_id || !tenant_id || !request_id ||
-      !deadline_ns || !client_time_ns || !gas_estimate) {
+      !deadline_ns || !client_time_ns) {
     return std::nullopt;
   }
   if (*version != kServiceFrameVersion) return std::nullopt;
   if (!known_verb(*verb)) return std::nullopt;
-  if (!f[8].is_list()) return std::nullopt;
+  if (!f[7].is_list()) return std::nullopt;
   RequestFrame frame;
   frame.version = static_cast<uint8_t>(*version);
   frame.verb = static_cast<Verb>(*verb);
@@ -171,19 +169,14 @@ std::optional<RequestFrame> RequestFrame::decode(BytesView body) {
   frame.request_id = *request_id;
   frame.deadline_ns = *deadline_ns;
   frame.client_time_ns = *client_time_ns;
-  frame.gas_estimate = *gas_estimate;
-  frame.bundle.reserve(f[8].list().size());
-  for (const RlpItem& tx_field : f[8].list()) {
+  frame.bundle.reserve(f[7].list().size());
+  for (const RlpItem& tx_field : f[7].list()) {
     auto tx = read_tx(tx_field);
     if (!tx) return std::nullopt;
     frame.bundle.push_back(std::move(*tx));
   }
-  // Only submits carry a bundle (or a cost hint); either on any other verb
-  // is malformed.
+  // Only submits carry a bundle; one on any other verb is malformed.
   if (frame.verb != Verb::kSubmit && !frame.bundle.empty()) return std::nullopt;
-  if (frame.verb != Verb::kSubmit && frame.gas_estimate != 0) {
-    return std::nullopt;
-  }
   return frame;
 }
 

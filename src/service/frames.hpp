@@ -11,7 +11,7 @@
 // Frame body encoding is RLP (the repo's one canonical serialization):
 //
 //   request  := [version, verb, session_id, tenant_id, request_id,
-//                deadline_ns, client_time_ns, gas_estimate, bundle]
+//                deadline_ns, client_time_ns, bundle]
 //   bundle   := [tx*]
 //   tx       := [from, to_present, to, value, data, gas_limit, gas_price,
 //                nonce_present, nonce]
@@ -38,9 +38,9 @@ namespace hardtape::service {
 
 /// Protocol version carried in every frame. Bump on any wire change; the
 /// front door rejects mismatches (kMalformedMessage) instead of guessing.
-/// v2 (PR 9): request frames carry a gas_estimate field for cost-aware
-/// brownout; fixed arity grew 8 -> 9.
-inline constexpr uint8_t kServiceFrameVersion = 2;
+/// v3: the request frame drops v2's client cost hint, which fed only the
+/// retired cost-aware brownout, so its fixed arity shrank 9 -> 8.
+inline constexpr uint8_t kServiceFrameVersion = 3;
 
 /// The front door's four verbs (Fig. 3's user-facing slice of the flow).
 enum class Verb : uint8_t {
@@ -69,12 +69,6 @@ struct RequestFrame {
   /// stamp). The front door trusts it only for deadline arithmetic — it is
   /// the client's own budget being spent.
   uint64_t client_time_ns = 0;
-  /// kSubmit only: the client's estimate of the bundle's execution cost, in
-  /// gas. Feeds cost-aware brownout shedding; 0 means "no hint" and the
-  /// front door derives an estimate from the bundle's summed gas limits.
-  /// Advisory for ADMISSION only — an understated hint buys a cheaper shed
-  /// verdict but execution still charges real gas against real limits.
-  uint64_t gas_estimate = 0;
   std::vector<evm::Transaction> bundle;  ///< kSubmit only
 
   Bytes encode() const;

@@ -193,16 +193,6 @@ ResponseFrame FrontDoor::handle_submit(Session& session,
     return response;
   }
 
-  // The cost-aware brownout's input: the client's hint, or the bundle's
-  // summed gas limits when it sent none (a derived over-estimate — limits
-  // bound cost — which fails toward shedding, the honest direction).
-  uint64_t estimated_gas = request.gas_estimate;
-  if (estimated_gas == 0) {
-    for (const evm::Transaction& tx : request.bundle) {
-      estimated_gas += tx.gas_limit;
-    }
-  }
-
   QueuedRequest queued;
   queued.session_id = session.session_id;
   queued.tenant_id = session.tenant_id;
@@ -210,7 +200,6 @@ ResponseFrame FrontDoor::handle_submit(Session& session,
   queued.deadline_ns = request.deadline_ns == 0
                            ? 0
                            : request.client_time_ns + request.deadline_ns;
-  queued.estimated_gas = estimated_gas;
   const Status verdict = admission_.admit(std::move(queued), now_ns_);
 
   RequestState state;
@@ -218,7 +207,6 @@ ResponseFrame FrontDoor::handle_submit(Session& session,
                           ? 0
                           : request.client_time_ns + request.deadline_ns;
   state.admission_status = verdict;
-  state.estimated_gas = estimated_gas;
   if (verdict == Status::kOk) {
     // The moment that buys worker-count independence: the engine id — and
     // with it the session's RNG and fault streams — is fixed here, in
@@ -362,8 +350,7 @@ void FrontDoor::failover(const ActiveBinding& lost) {
   // continues where the engine's internal requeues left off, so device
   // loss and backend faults spend the SAME bounded budget.
   const uint32_t next_attempt = lost.engine_attempt + 1;
-  const int budget = engine_.config().max_bundle_attempts;
-  if (budget > 0 && next_attempt >= static_cast<uint32_t>(budget)) {
+  if (next_attempt >= kMaxBundleAttempts) {
     retry_exhausted_total_->add();
     state->stage = Stage::kDone;
     state->done_ns = now_ns_;
@@ -378,7 +365,6 @@ void FrontDoor::failover(const ActiveBinding& lost) {
   queued.tenant_id = lost.tenant_id;
   queued.request_id = lost.request_id;
   queued.deadline_ns = state->deadline_ns;
-  queued.estimated_gas = state->estimated_gas;
   admission_.readmit(std::move(queued), now_ns_);
 }
 

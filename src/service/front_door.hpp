@@ -30,7 +30,7 @@
 // device takes its session state with it, so a bundle bound to a crashed
 // (or force-drained) device is RE-ADMITTED at attempt+1 through the normal
 // queue and re-executed from scratch — budgeted by the engine's
-// max_bundle_attempts, resolving kRetryExhausted beyond it, or kDeviceLost
+// kMaxBundleAttempts, resolving kRetryExhausted beyond it, or kDeviceLost
 // when no device can ever serve it again. audit_bindings() proves the three
 // churn invariants: no per-device overlap, no binding past its device's
 // death/drain-completion, every admitted request terminal.
@@ -178,7 +178,6 @@ class FrontDoor {
     /// Retained for failover re-execution: a dead device's sealed session
     /// state is unrecoverable, so re-binding re-executes from the bundle.
     std::vector<evm::Transaction> bundle;
-    uint64_t estimated_gas = 0;
     uint64_t rebind_start_ns = 0;  ///< nonzero while awaiting re-dispatch
     /// Valid once stage is kRunning/kDone:
     uint64_t dispatch_ns = 0;

@@ -150,15 +150,11 @@ std::vector<evm::Transaction> WorkloadGenerator::generate_block() {
       continue;
     }
     // Rollup batch (the remaining probability mass).
-    if (config_.include_rollups) {
-      const uint64_t count = 16 + rng_.uniform(120);
-      const size_t payload = 512 + rng_.uniform(3000);
-      const u256 base = u256{rng_.next_u64()} << 5;  // group-aligned base key
-      txs.push_back(make_tx(from, rollup_, rollup_submit(base, count, payload),
-                            u256{}, 8'000'000));
-    } else {
-      txs.push_back(make_tx(from, to_user, {}, u256{1}, 50'000));
-    }
+    const uint64_t count = 16 + rng_.uniform(120);
+    const size_t payload = 512 + rng_.uniform(3000);
+    const u256 base = u256{rng_.next_u64()} << 5;  // group-aligned base key
+    txs.push_back(make_tx(from, rollup_, rollup_submit(base, count, payload),
+                          u256{}, 8'000'000));
   }
   return txs;
 }

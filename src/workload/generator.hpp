@@ -23,7 +23,6 @@ struct GeneratorConfig {
   size_t dex_pairs = 6;
   size_t routers = 4;
   size_t txs_per_block = 200;  ///< mainnet: ~200 tx / block (paper §II-A)
-  bool include_rollups = true;
 };
 
 /// Transaction profile mix. Defaults approximate the Table I marginals:

@@ -879,7 +879,7 @@ TEST(DurableStoreTest, AutoCheckpointRollsGeneration) {
 // ------------------------------------------------------------- CrashPlan ----
 
 TEST(CrashPlanTest, PureInTrialAndAttempt) {
-  faults::CrashPlan plan(faults::CrashPlanConfig{.seed = 9});
+  faults::CrashPlan plan(9);
   const auto a = plan.spec(3, 1, 100);
   const auto b = plan.spec(3, 1, 100);
   EXPECT_EQ(a.crash_at_op, b.crash_at_op);

@@ -613,38 +613,5 @@ TEST(BoundedQueueTest, CloseRacingConcurrentPushAndPopStaysConsistent) {
   EXPECT_EQ(stats.popped, popped.load());
 }
 
-// Watchdog (PR 7 satellite): a busy worker whose heartbeat stops advancing
-// is a stall; a slow-but-progressing worker, or an idle one, never is.
-TEST(WatchdogTest, FiresOnStuckWorkerOnly) {
-  Heartbeat stuck;
-  Heartbeat slow;
-  Heartbeat idle;
-  std::atomic<int> stall_count{0};
-  Watchdog::Config config;
-  config.stall_threshold_ms = 0;  // any busy poll-over-poll freeze flags
-  Watchdog watchdog({&stuck, &slow, &idle}, config,
-                    [&](size_t) { stall_count.fetch_add(1); });
-
-  stuck.busy.store(true);
-  slow.busy.store(true);
-  idle.busy.store(false);
-  for (int round = 0; round < 5; ++round) {
-    slow.beats.fetch_add(1);   // progressing: tracker resets every poll
-    idle.beats.fetch_add(1);   // idle workers never count as stalled
-    watchdog.poll_once();
-  }
-  // Only the stuck worker fired, and only once (flagged edge-triggers).
-  EXPECT_EQ(stall_count.load(), 1);
-  EXPECT_EQ(watchdog.stalls_detected(), 1u);
-
-  // Recovery re-arms: a beat clears the flag, a second freeze re-fires.
-  slow.busy.store(false);  // its work is done; idle workers can't stall
-  stuck.beats.fetch_add(1);
-  watchdog.poll_once();
-  EXPECT_EQ(stall_count.load(), 1);
-  watchdog.poll_once();
-  EXPECT_EQ(stall_count.load(), 2);
-}
-
 }  // namespace
 }  // namespace hardtape::service

@@ -2,7 +2,7 @@
 //
 // Covers, bottom-up: the FaultPlan's reproducibility contract, the
 // per-interface fault wrappers (FaultyOram, FaultyLink), the state reader's
-// timeout/backoff/fail-closed retry loop, the watchdog, and the engine-level
+// timeout/backoff/fail-closed retry loop, and the engine-level
 // recovery policies (session abort, bundle requeue, circuit breaker). Like
 // engine_test, this binary runs under TSan in CI — every path here must be
 // data-race free.
@@ -18,7 +18,6 @@
 #include "faults/faulty_oram.hpp"
 #include "oram/sharded.hpp"
 #include "service/engine.hpp"
-#include "service/watchdog.hpp"
 #include "sim/backoff.hpp"
 #include "workload/generator.hpp"
 
@@ -509,57 +508,6 @@ TEST_F(LinkTest, DroppedFrameNeverArrives) {
 }
 
 // ---------------------------------------------------------------------------
-// Watchdog
-// ---------------------------------------------------------------------------
-
-TEST(WatchdogTest, FlagsBusyWorkerWithoutProgress) {
-  service::Heartbeat alive;
-  service::Heartbeat stuck;
-  service::Watchdog dog({&alive, &stuck},
-                        {.poll_interval_ms = 1, .stall_threshold_ms = 0});
-
-  // `alive` makes progress before every poll; `stuck` never does.
-  alive.busy.store(true);
-  stuck.busy.store(true);
-  alive.beats.store(1);
-  dog.poll_once();  // baseline for alive; stuck is already stalled
-  EXPECT_EQ(dog.stalls_detected(), 1u);
-
-  alive.beats.store(2);
-  dog.poll_once();  // same stuck episode: no double counting
-  EXPECT_EQ(dog.stalls_detected(), 1u);
-
-  stuck.beats.store(1);  // progress re-arms the tracker...
-  alive.beats.store(3);
-  dog.poll_once();
-  EXPECT_EQ(dog.stalls_detected(), 1u);
-  alive.beats.store(4);
-  dog.poll_once();  // ...and a new stall is a new episode
-  EXPECT_EQ(dog.stalls_detected(), 2u);
-}
-
-TEST(WatchdogTest, IdleWorkersAreNeverStalled) {
-  service::Heartbeat idle;  // busy = false
-  service::Watchdog dog({&idle}, {.poll_interval_ms = 1, .stall_threshold_ms = 0});
-  for (int i = 0; i < 5; ++i) dog.poll_once();
-  EXPECT_EQ(dog.stalls_detected(), 0u);
-}
-
-TEST(WatchdogTest, OnStallCallbackFiresPerEpisode) {
-  service::Heartbeat stuck;
-  std::atomic<int> fired{0};
-  service::Watchdog dog({&stuck}, {.poll_interval_ms = 1, .stall_threshold_ms = 0},
-                        [&](size_t index) {
-                          EXPECT_EQ(index, 0u);
-                          fired.fetch_add(1);
-                        });
-  stuck.busy.store(true);
-  dog.poll_once();
-  dog.poll_once();
-  EXPECT_EQ(fired.load(), 1);
-}
-
-// ---------------------------------------------------------------------------
 // BoundedQueue::requeue
 // ---------------------------------------------------------------------------
 
@@ -745,7 +693,6 @@ TEST_F(EngineFaultTest, TotalOramLossOpensCircuitBreaker) {
 
   auto config = make_config(&plan, 2);
   config.breaker_threshold = 4;
-  config.max_bundle_attempts = 3;
   service::PreExecutionEngine engine(node_, config);
   ASSERT_EQ(engine.synchronize(), Status::kOk);  // install is outside scopes
   engine.start();

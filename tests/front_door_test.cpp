@@ -15,9 +15,11 @@
 #include "common/random.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/faulty_link.hpp"
+#include "mutants.hpp"
 #include "service/admission.hpp"
 #include "service/device_pool.hpp"
 #include "service/front_door.hpp"
+#include "trie/rlp.hpp"
 #include "workload/generator.hpp"
 
 namespace hardtape::service {
@@ -152,6 +154,91 @@ TEST(ServiceFramesTest, DecodeFailsClosedOnEveryDeviation) {
   response.status = static_cast<Status>(
       static_cast<int>(Status::kStatusCount_));
   EXPECT_FALSE(ResponseFrame::decode(response.encode()).has_value());
+}
+
+// A u64 of random byte width (0 to 8 bytes), so every length class of an
+// integer field shows up.
+uint64_t random_u64(Random& rng) {
+  const uint64_t width = rng.uniform(9);
+  return width == 0 ? 0 : rng.next_u64() >> (64 - 8 * width);
+}
+
+evm::Transaction random_tx(Random& rng) {
+  evm::Transaction tx;
+  rng.fill(tx.from.bytes.data(), tx.from.bytes.size());
+  if (rng.uniform(2) == 0) {
+    Address to;
+    rng.fill(to.bytes.data(), to.bytes.size());
+    tx.to = to;
+  }
+  tx.value = u256::from_be_bytes(rng.bytes(rng.uniform(33)));
+  tx.data = rng.bytes(rng.uniform(6));
+  tx.gas_limit = random_u64(rng);
+  tx.gas_price = u256::from_be_bytes(rng.bytes(rng.uniform(5)));
+  if (rng.uniform(2) == 0) tx.nonce = random_u64(rng);
+  return tx;
+}
+
+// Seeded mutation fuzz: every single-bit flip, one-byte insertion, one-byte
+// deletion and truncation of 200 valid request frames (every verb; submits
+// carry 0-3 transactions) is refused, or decodes to a frame that encodes
+// back to the mutant's exact bytes.
+TEST(ServiceFramesTest, RequestFrameMutantsDecodeOnlyToTheirOwnBytes) {
+  Random rng(0xf0a3e5);
+  fuzz::MutantTally tally;
+  for (int i = 0; i < 200; ++i) {
+    RequestFrame frame;
+    frame.verb = static_cast<Verb>(1 + i % 4);
+    frame.session_id = random_u64(rng);
+    frame.tenant_id = random_u64(rng);
+    frame.request_id = random_u64(rng);
+    frame.deadline_ns = random_u64(rng);
+    frame.client_time_ns = random_u64(rng);
+    if (frame.verb == Verb::kSubmit) {
+      const uint64_t txs = rng.uniform(4);
+      for (uint64_t t = 0; t < txs; ++t) frame.bundle.push_back(random_tx(rng));
+    }
+    const Bytes encoded = frame.encode();
+    ASSERT_TRUE(RequestFrame::decode(encoded).has_value()) << "frame " << i;
+    fuzz::for_each_mutant(encoded, rng, [&](const Bytes& mutant) {
+      const auto parsed = RequestFrame::decode(mutant);
+      tally.record(mutant, parsed ? std::optional(parsed->encode()) : std::nullopt);
+    });
+  }
+  EXPECT_EQ(tally.not_canonical, 0u) << tally.first_not_canonical;
+  EXPECT_GT(tally.decoded, 0u);
+  EXPECT_LT(tally.decoded, tally.total);
+  RecordProperty("mutants", static_cast<int>(tally.total));
+  RecordProperty("decoded", static_cast<int>(tally.decoded));
+}
+
+TEST(ServiceFramesTest, ResponseFrameMutantsDecodeOnlyToTheirOwnBytes) {
+  Random rng(0x7e5b0);
+  fuzz::MutantTally tally;
+  for (int i = 0; i < 200; ++i) {
+    ResponseFrame frame;
+    frame.verb = static_cast<Verb>(1 + i % 4);
+    frame.session_id = random_u64(rng);
+    frame.request_id = random_u64(rng);
+    const auto status_count = static_cast<uint64_t>(Status::kStatusCount_);
+    frame.status = static_cast<Status>(rng.uniform(status_count));
+    frame.done = rng.uniform(2) == 1;
+    frame.outcome_status = static_cast<Status>(rng.uniform(status_count));
+    frame.queue_wait_ns = random_u64(rng);
+    frame.exec_ns = random_u64(rng);
+    frame.gas_used = random_u64(rng);
+    const Bytes encoded = frame.encode();
+    ASSERT_TRUE(ResponseFrame::decode(encoded).has_value()) << "frame " << i;
+    fuzz::for_each_mutant(encoded, rng, [&](const Bytes& mutant) {
+      const auto parsed = ResponseFrame::decode(mutant);
+      tally.record(mutant, parsed ? std::optional(parsed->encode()) : std::nullopt);
+    });
+  }
+  EXPECT_EQ(tally.not_canonical, 0u) << tally.first_not_canonical;
+  EXPECT_GT(tally.decoded, 0u);
+  EXPECT_LT(tally.decoded, tally.total);
+  RecordProperty("mutants", static_cast<int>(tally.total));
+  RecordProperty("decoded", static_cast<int>(tally.decoded));
 }
 
 // ------------------------------------------------- lossy secure channel --
@@ -334,45 +421,6 @@ TEST(AdmissionTest, BrownoutLadderEscalatesAndRecoversWithHysteresis) {
   EXPECT_EQ(admission.admit(make_request(1, id++), 10), Status::kOk);
   // The ladder is visible as a gauge.
   EXPECT_EQ(registry.gauge("hardtape_service_brownout_state").value(), 0.0);
-}
-
-// Cost-aware brownout (PR 9): with shed_gas_budget_per_priority set, the
-// kShedLowPriority rung sheds by estimated cost x priority instead of
-// refusing a whole priority class — a cheap low-priority bundle survives a
-// brownout that sheds an expensive bundle from the very same tenant.
-TEST(AdmissionTest, CostAwareBrownoutShedsExpensiveWorkNotWholeClasses) {
-  obs::Registry registry;
-  AdmissionConfig config = small_admission();
-  config.tenants = {
-      TenantConfig{.tenant_id = 1, .weight = 1, .queue_capacity = 64,
-                   .max_in_flight = 64, .priority = 1},
-      TenantConfig{.tenant_id = 2, .weight = 1, .queue_capacity = 64,
-                   .max_in_flight = 64, .priority = 3},
-  };
-  config.shed_gas_budget_per_priority = 100'000;
-  config.shed_depth_enter = 2;
-  config.shed_depth_exit = 1;
-  AdmissionController admission(config, &registry);
-
-  ASSERT_EQ(admission.admit(make_request(2, 0), 0), Status::kOk);
-  ASSERT_EQ(admission.admit(make_request(2, 1), 0), Status::kOk);
-  ASSERT_EQ(admission.state(), BrownoutState::kShedLowPriority);
-
-  // Priority 1: budget 100k gas. The cheap request survives the brownout...
-  QueuedRequest cheap = make_request(1, 10);
-  cheap.estimated_gas = 50'000;
-  EXPECT_EQ(admission.admit(std::move(cheap), 0), Status::kOk);
-  // ...the expensive one from the SAME tenant/class is shed.
-  QueuedRequest pricey = make_request(1, 11);
-  pricey.estimated_gas = 150'000;
-  EXPECT_EQ(admission.admit(std::move(pricey), 0), Status::kOverloaded);
-  // Priority 3 buys a 300k budget: 250k passes, 350k is shed.
-  QueuedRequest mid = make_request(2, 12);
-  mid.estimated_gas = 250'000;
-  EXPECT_EQ(admission.admit(std::move(mid), 0), Status::kOk);
-  QueuedRequest big = make_request(2, 13);
-  big.estimated_gas = 350'000;
-  EXPECT_EQ(admission.admit(std::move(big), 0), Status::kOverloaded);
 }
 
 // Failover re-admission: readmit() bypasses the brownout ladder and the
@@ -693,16 +741,30 @@ TEST_F(FrontDoorTest, MalformedBodyIsRefusedWithoutStateChange) {
   client_channel.set_lossy_transport(true);
   const uint64_t conn = door.connect(key);
 
-  // Authenticated garbage: seals fine, fails the service decode.
-  auto garbage = client_channel.seal(hypervisor::MessageType::kBundleSubmit, 0,
-                                     Bytes{0xde, 0xad, 0xbe, 0xef});
-  auto replies = door.deliver(conn, garbage, 0);
-  ASSERT_EQ(replies.size(), 1u);
-  auto opened = client_channel.open(replies[0], 1 << 20, 0);
-  ASSERT_EQ(opened.status, Status::kOk);
-  auto response = ResponseFrame::decode(opened.body);
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->status, Status::kMalformedMessage);
+  // Authenticated garbage seals fine and fails the service decode. So does
+  // an open-session request in v2's 9-field layout ([version, verb,
+  // session_id, tenant_id, request_id, deadline_ns, client_time_ns, cost
+  // hint, bundle]), whether stamped version 2 or the current version.
+  const auto v2_open = [](uint8_t version) {
+    const auto u8 = [](uint8_t v) { return trie::RlpItem(v == 0 ? Bytes{} : Bytes{v}); };
+    return trie::rlp_encode(trie::RlpItem(trie::RlpList{
+        u8(version), u8(1), u8(0), u8(7), u8(0), u8(0), u8(0), u8(0),
+        trie::RlpItem(trie::RlpList{})}));
+  };
+  std::vector<hypervisor::SecureMessage> replies;
+  hypervisor::SecureChannel::OpenResult opened;
+  std::optional<ResponseFrame> response;
+  for (const Bytes& body : {Bytes{0xde, 0xad, 0xbe, 0xef}, v2_open(2),
+                            v2_open(kServiceFrameVersion)}) {
+    replies = door.deliver(
+        conn, client_channel.seal(hypervisor::MessageType::kBundleSubmit, 0, body), 0);
+    ASSERT_EQ(replies.size(), 1u);
+    opened = client_channel.open(replies[0], 1 << 20, 0);
+    ASSERT_EQ(opened.status, Status::kOk);
+    response = ResponseFrame::decode(opened.body);
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->status, Status::kMalformedMessage) << to_hex(body);
+  }
 
   // The session machinery is untouched: a real open on the same connection
   // still works.
@@ -1202,7 +1264,7 @@ TEST_F(FrontDoorTest, RepeatedCrashesExhaustTheRetryBudget) {
   }
   PreExecutionEngine engine(node_, engine_config(2));
   ASSERT_EQ(engine.synchronize(), Status::kOk);
-  FrontDoorConfig config = door_config();  // 3 devices; max_bundle_attempts 3
+  FrontDoorConfig config = door_config();  // 3 devices; kMaxBundleAttempts 3
   config.devices.fault_plan = &plan;
   FrontDoor door(engine, config);
   engine.start();

@@ -2,11 +2,13 @@
 // path used when synchronizing blocks into the ORAM (threat A6).
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 
 #include "common/errors.hpp"
 #include "common/random.hpp"
 #include "crypto/keccak.hpp"
+#include "mutants.hpp"
 #include "trie/mpt.hpp"
 #include "trie/rlp.hpp"
 
@@ -69,6 +71,46 @@ TEST(Rlp, DecodeRejectsMalformed) {
   EXPECT_THROW(rlp_decode(Bytes{0x0f, 0x0f}), DecodingError);           // trailing bytes
   EXPECT_THROW(rlp_decode(Bytes{0xb8, 0x01, 0xff}), DecodingError);     // non-canonical length < 56
   EXPECT_THROW(rlp_decode(Bytes{0xc2, 0x83, 'a'}), DecodingError);      // list item overruns
+}
+
+// A seeded item tree up to three lists deep. String lengths cover every
+// prefix class: empty, one byte below and above 0x80, short, and long
+// (56+ bytes, length-of-length form); a list of long strings takes the long
+// list form.
+RlpItem random_item(Random& rng, int depth) {
+  if (depth < 3 && rng.uniform(3) == 0) {
+    RlpList list;
+    const uint64_t count = rng.uniform(5);
+    for (uint64_t i = 0; i < count; ++i) list.push_back(random_item(rng, depth + 1));
+    return RlpItem(std::move(list));
+  }
+  static constexpr size_t kLengths[] = {0, 1, 1, 2, 7, 55, 56, 70};
+  return RlpItem(rng.bytes(kLengths[rng.uniform(std::size(kLengths))]));
+}
+
+// Seeded mutation fuzz: every single-bit flip, one-byte insertion, one-byte
+// deletion and truncation of 300 valid encodings is refused, or decodes to
+// an item that encodes back to the mutant's exact bytes (RLP is canonical).
+TEST(Rlp, MutationFuzzDecodesOnlyCanonicalItems) {
+  Random rng(0x4c9);
+  fuzz::MutantTally tally;
+  for (int i = 0; i < 300; ++i) {
+    const Bytes encoded = rlp_encode(random_item(rng, 0));
+    ASSERT_EQ(rlp_encode(rlp_decode(encoded)), encoded) << "item " << i;
+    fuzz::for_each_mutant(encoded, rng, [&](const Bytes& mutant) {
+      std::optional<Bytes> reencoded;
+      try {
+        reencoded = rlp_encode(rlp_decode(mutant));
+      } catch (const DecodingError&) {
+      }
+      tally.record(mutant, reencoded);
+    });
+  }
+  EXPECT_EQ(tally.not_canonical, 0u) << tally.first_not_canonical;
+  EXPECT_GT(tally.decoded, 0u);
+  EXPECT_LT(tally.decoded, tally.total);
+  RecordProperty("mutants", static_cast<int>(tally.total));
+  RecordProperty("decoded", static_cast<int>(tally.decoded));
 }
 
 // --- MPT ---
